@@ -1,5 +1,7 @@
 #include "src/container/containit.h"
 
+#include <utility>
+
 #include "src/fs/fuse.h"
 #include "src/os/path.h"
 #include "src/os/procfs.h"
@@ -99,8 +101,11 @@ witos::Status ContainIt::SetupFilesystemView(Session* session) {
   const PerforatedContainerSpec& spec = session->spec;
   witos::Pid worker = session->host_worker;
 
-  session->confs_path = "/ConFS-" + std::to_string(session->id);
-  WITOS_RETURN_IF_ERROR(kernel_->MkDir(worker, session->confs_path));
+  // Recorded only once created, so a failed deploy never removes a
+  // mountpoint it does not own.
+  std::string confs_path = "/ConFS-" + std::to_string(session->id);
+  WITOS_RETURN_IF_ERROR(kernel_->MkDir(worker, confs_path));
+  session->confs_path = std::move(confs_path);
 
   switch (spec.fs.kind) {
     case FsView::Kind::kWholeRoot: {
@@ -239,7 +244,7 @@ witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
 
   witos::Status built = BuildSession(session.get());
   if (!built.ok()) {
-    AbortPartialSession(session.get());
+    TearDown(session.get());
     kernel_->audit().Append(witos::AuditEvent::kContainerTerminated, session->container_init,
                             witos::kRootUid, spec.name + ": deploy aborted",
                             kernel_->clock().now_ns());
@@ -253,7 +258,7 @@ witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
                           spec.name + " ticket=" + ticket_id + " admin=" + admin,
                           kernel_->clock().now_ns());
   SessionId id = session->id;
-  sessions_.emplace(id, std::move(session));
+  live_.emplace(id, std::move(session));
   return id;
 }
 
@@ -338,16 +343,31 @@ witos::Status ContainIt::BuildSession(Session* session) {
   return witos::Status::Ok();
 }
 
-void ContainIt::AbortPartialSession(Session* session) {
-  for (witos::Pid pid : {session->shell, session->container_init, session->itfs_daemon,
-                         session->sniffer_daemon, session->host_worker}) {
+void ContainIt::TearDown(Session* session) {
+  const witos::Pid pids[] = {session->shell, session->container_init, session->itfs_daemon,
+                             session->sniffer_daemon, session->host_worker};
+  for (witos::Pid pid : pids) {
     if (pid != witos::kNoPid && kernel_->ProcessAlive(pid)) {
       (void)kernel_->Exit(pid, -1);
+    }
+  }
+  // An isolated network namespace dies with the session; so does its
+  // witnet state (the sniffer stays reachable through the session).
+  const witos::Process* init = kernel_->FindProcess(session->container_init);
+  if (net_ != nullptr && init != nullptr && session->spec.IsolatesNs(witos::NsType::kNet)) {
+    net_->namespaces().Erase(init->ns.Get(witos::NsType::kNet));
+  }
+  // Every session process is a zombie now; reaping them keeps the process
+  // table, init's children and the pid maps bounded by live sessions.
+  for (witos::Pid pid : pids) {
+    if (pid != witos::kNoPid) {
+      (void)kernel_->Reap(pid);
     }
   }
   if (!session->confs_path.empty()) {
     (void)kernel_->vfs().RemoveMountsUnder(
         kernel_->namespaces().initial(witos::NsType::kMnt), session->confs_path);
+    (void)kernel_->RmDir(kernel_->init_pid(), session->confs_path);
   }
   if (session->cgroup != witos::kRootCgroup) {
     kernel_->cgroups().Remove(session->cgroup);
@@ -355,18 +375,22 @@ void ContainIt::AbortPartialSession(Session* session) {
 }
 
 Session* ContainIt::FindSession(SessionId id) {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second.get();
+  return const_cast<Session*>(std::as_const(*this).FindSession(id));
 }
 
 const Session* ContainIt::FindSession(SessionId id) const {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second.get();
+  for (const SessionMap* map : {&live_, &retired_}) {
+    auto it = map->find(id);
+    if (it != map->end()) {
+      return it->second.get();
+    }
+  }
+  return nullptr;
 }
 
 Session* ContainIt::FindSessionByTicket(const std::string& ticket_id) {
-  for (auto& [id, session] : sessions_) {
-    if (session->ticket_id == ticket_id && session->active) {
+  for (auto& [id, session] : live_) {
+    if (session->ticket_id == ticket_id) {
       return session.get();
     }
   }
@@ -374,27 +398,21 @@ Session* ContainIt::FindSessionByTicket(const std::string& ticket_id) {
 }
 
 witos::Status ContainIt::Terminate(SessionId id, const std::string& reason) {
-  Session* session = FindSession(id);
-  if (session == nullptr || !session->active) {
+  auto node = live_.extract(id);
+  if (node.empty()) {
     return witos::Err::kSrch;
   }
-  session->active = false;  // set first: the Exits below re-enter the hook
+  // Retire first: the Exits in TearDown re-enter the watchdog, which scans
+  // live sessions only.
+  Session* session = node.mapped().get();
+  session->active = false;
   session->termination_reason = reason;
-  for (witos::Pid pid : {session->shell, session->container_init, session->itfs_daemon,
-                         session->sniffer_daemon, session->host_worker}) {
-    if (pid != witos::kNoPid && kernel_->ProcessAlive(pid)) {
-      (void)kernel_->Exit(pid, -1);
-    }
-  }
-  // Clean the session's mounts out of the host table (Figure 5c teardown).
-  if (!session->confs_path.empty()) {
-    (void)kernel_->vfs().RemoveMountsUnder(
-        kernel_->namespaces().initial(witos::NsType::kMnt), session->confs_path);
-  }
+  retired_.insert(std::move(node));
+  // Figure 5c teardown: processes, mounts, mountpoint, cgroup.
+  TearDown(session);
   kernel_->audit().Append(witos::AuditEvent::kContainerTerminated, session->container_init,
                           witos::kRootUid, session->spec.name + ": " + reason,
                           kernel_->clock().now_ns());
-  kernel_->cgroups().Remove(session->cgroup);
   return witos::Status::Ok();
 }
 
@@ -403,18 +421,19 @@ void ContainIt::OnProcessDeath(witos::Pid pid) {
     return;
   }
   terminating_ = true;
-  for (auto& [id, session] : sessions_) {
-    if (!session->active) {
-      continue;
+  bool broker_died = broker_ != nullptr && pid == broker_->host_pid();
+  // Collected first: Terminate moves sessions out of live_.
+  std::vector<SessionId> doomed;
+  for (const auto& [id, session] : live_) {
+    if (broker_died || pid == session->itfs_daemon || pid == session->sniffer_daemon ||
+        pid == session->host_worker) {
+      doomed.push_back(id);
     }
-    bool peer_died = pid == session->itfs_daemon || pid == session->sniffer_daemon ||
-                     pid == session->host_worker ||
-                     (broker_ != nullptr && pid == broker_->host_pid());
-    if (peer_died) {
-      // Attack 7 defence: "ContainIT terminates the session if any of its
-      // peer processes are killed."
-      (void)Terminate(id, "peer process " + std::to_string(pid) + " died");
-    }
+  }
+  for (SessionId id : doomed) {
+    // Attack 7 defence: "ContainIT terminates the session if any of its
+    // peer processes are killed."
+    (void)Terminate(id, "peer process " + std::to_string(pid) + " died");
   }
   terminating_ = false;
 }
@@ -438,6 +457,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   witos::Status status = kernel_->Setns(helper, session->container_init, witos::NsType::kMnt);
   if (!status.ok()) {
     (void)kernel_->Exit(helper, -1);
+    (void)kernel_->Reap(helper);
     return status.error();
   }
   // Stage 3: an independent ITFS bind mount, created from within the
@@ -453,6 +473,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   auto fuse = std::make_shared<witfs::FuseMount>(itfs, &kernel_->clock());
   status = kernel_->BindMount(helper, fuse, witos::NormalizePath(host_dir), norm, "itfs-bind");
   (void)kernel_->Exit(helper, 0);
+  (void)kernel_->Reap(helper);
   if (!status.ok()) {
     return status.error();
   }
@@ -480,16 +501,6 @@ witos::Status ContainIt::AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr add
   }
   session->spec.net.sniffer_whitelist.push_back(witnet::Cidr::Host(addr));
   return witos::Status::Ok();
-}
-
-size_t ContainIt::active_sessions() const {
-  size_t n = 0;
-  for (const auto& [id, session] : sessions_) {
-    if (session->active) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace witcontain

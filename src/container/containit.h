@@ -77,10 +77,14 @@ class ContainIt {
   witos::Result<SessionId> Deploy(const PerforatedContainerSpec& spec,
                                   const std::string& ticket_id, const std::string& admin);
 
+  // Live or retired; a retired session keeps its forensic state.
   Session* FindSession(SessionId id);
   const Session* FindSession(SessionId id) const;
+  // The live session serving `ticket_id`, or null.
   Session* FindSessionByTicket(const std::string& ticket_id);
 
+  // Ends a live session: kills and reaps its processes, removes its mounts,
+  // mountpoint and cgroup, and retires it.
   witos::Status Terminate(SessionId id, const std::string& reason);
 
   // On-line file sharing (paper §5.5): exposes `host_dir` at
@@ -94,8 +98,10 @@ class ContainIt {
   witos::Status AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr addr, uint16_t port,
                                      const std::string& name);
 
-  size_t active_sessions() const;
-  const std::map<SessionId, std::unique_ptr<Session>>& sessions() const { return sessions_; }
+  using SessionMap = std::map<SessionId, std::unique_ptr<Session>>;
+  size_t active_sessions() const { return live_.size(); }
+  const SessionMap& live_sessions() const { return live_; }
+  const SessionMap& retired_sessions() const { return retired_; }
 
   // Observability wiring: every ITFS instance deployed after this call is
   // registered with `registry` under its session's ticket id, and emits
@@ -108,12 +114,13 @@ class ContainIt {
  private:
   // Runs the Figure 5 recipe into `session` (clones, mounts, cgroup,
   // namespaces, peer daemons). On failure the session is only partially
-  // built; Deploy() unwinds it with AbortPartialSession.
+  // built; Deploy() unwinds it with TearDown.
   witos::Status BuildSession(Session* session);
-  // Reverses whatever BuildSession managed to do: kills the cloned
-  // processes, removes the session's mounts from the host table and frees
-  // its cgroup. Safe on any prefix of the recipe.
-  void AbortPartialSession(Session* session);
+  // Reverses whatever BuildSession managed to do: kills and reaps the cloned
+  // processes, removes the session's mounts from the host table and its
+  // mountpoint from the host root, and frees its cgroup. Safe on any prefix
+  // of the recipe; Terminate uses it on a fully built session.
+  void TearDown(Session* session);
   witos::Status SetupFilesystemView(Session* session);
   witos::Status SetupNetworkView(Session* session);
   void OnProcessDeath(witos::Pid pid);
@@ -126,7 +133,11 @@ class ContainIt {
   witobs::MetricsRegistry* metrics_ = nullptr;
   witobs::Tracer* tracer_ = nullptr;
   size_t oplog_capacity_ = 0;
-  std::map<SessionId, std::unique_ptr<Session>> sessions_;
+  // Active sessions: the only ones the watchdog, ticket lookup and
+  // active_sessions() scan, so their cost is bounded by live load.
+  SessionMap live_;
+  // Terminated sessions, kept for FindSession and forensic reports.
+  SessionMap retired_;
   SessionId next_id_ = 1;
   uint32_t next_container_addr_ = 1;
   bool terminating_ = false;  // re-entrancy guard for the watchdog

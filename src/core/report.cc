@@ -170,8 +170,16 @@ std::string ForensicReporter::Render(const SessionForensics& forensics) {
 }
 
 std::vector<SessionForensics> ForensicReporter::TriageQueue() const {
+  const witcontain::ContainIt& containit = machine_->containit();
+  std::vector<witcontain::SessionId> ids;
+  for (const auto* map : {&containit.live_sessions(), &containit.retired_sessions()}) {
+    for (const auto& [id, session] : *map) {
+      ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());  // deploy order
   std::vector<SessionForensics> queue;
-  for (const auto& [id, session] : machine_->containit().sessions()) {
+  for (witcontain::SessionId id : ids) {
     auto forensics = Collect(id);
     if (forensics.ok()) {
       queue.push_back(std::move(*forensics));

@@ -249,6 +249,7 @@ bool AdminSession::TryInView(const witload::RequiredOp& op, std::string* verb,
         // No victim, no escalation: verb stays empty.
         return false;
       }
+      victims_.push_back(*victim);
       auto local = kernel.HostToLocalPid(shell_, *victim);
       if (local.ok() && Kill(*local).ok()) {
         return true;
@@ -310,6 +311,17 @@ bool AdminSession::CompleteAfterBroker(const witload::RequiredOp& op, bool grant
   }
 }
 
+void AdminSession::ReapVictims() {
+  witos::Kernel& kernel = machine_->kernel();
+  for (witos::Pid victim : victims_) {
+    if (kernel.ProcessAlive(victim)) {
+      (void)kernel.Exit(victim, -9);  // the op's kill was refused
+    }
+    (void)kernel.Reap(victim);
+  }
+  victims_.clear();
+}
+
 OpReplayResult AdminSession::Replay(const witload::RequiredOp& op) {
   OpReplayResult result;
   result.op = op;
@@ -317,14 +329,12 @@ OpReplayResult AdminSession::Replay(const witload::RequiredOp& op) {
   std::vector<std::string> args;
   if (TryInView(op, &verb, &args)) {
     result.in_view = true;
-    return result;
+  } else if (!verb.empty()) {
+    result.used_broker = true;
+    result.category = InferCategory(op);
+    result.broker_ok = CompleteAfterBroker(op, Pb(verb, args).ok());
   }
-  if (verb.empty()) {
-    return result;
-  }
-  result.used_broker = true;
-  result.category = InferCategory(op);
-  result.broker_ok = CompleteAfterBroker(op, Pb(verb, args).ok());
+  ReapVictims();
   return result;
 }
 
@@ -372,6 +382,7 @@ std::vector<OpReplayResult> AdminSession::ReplayTicket(
           CompleteAfterBroker(results[p.result_index].op, granted);
     }
   }
+  ReapVictims();
   return results;
 }
 

@@ -90,6 +90,9 @@ class AdminSession {
   // Post-grant completion for ops that re-enter the widened view; returns
   // the op's final broker_ok given whether the broker granted it.
   bool CompleteAfterBroker(const witload::RequiredOp& op, bool granted);
+  // Kills any kill-op victim still running once its op is decided, and
+  // reaps every one.
+  void ReapVictims();
   witos::Uid ShellUid() const;
 
   Machine* machine_;
@@ -99,6 +102,8 @@ class AdminSession {
   std::unique_ptr<witbroker::BrokerClient> broker_client_;
   witos::Pid shell_ = witos::kNoPid;
   bool logged_in_ = false;
+  // The runaway processes TryInView spawned for the op(s) in progress.
+  std::vector<witos::Pid> victims_;
 };
 
 }  // namespace watchit

@@ -35,7 +35,7 @@ Kernel::Kernel(std::string hostname) : vfs_(&registry_, &audit_) {
   for (size_t i = 0; i < kNsTypeCount; ++i) {
     registry_.Ref(init.ns.ids[i]);
   }
-  RegisterPidInNamespaces(init.pid, init.ns.Get(NsType::kPid));
+  RegisterPidInNamespaces(init, init.ns.Get(NsType::kPid));
   (void)cgroups_.TryCharge(kRootCgroup);
   procs_.emplace(init.pid, std::move(init));
 }
@@ -125,15 +125,16 @@ Result<VfsContext> Kernel::ContextFor(Pid pid) const {
 
 // --- Process lifecycle -------------------------------------------------------
 
-void Kernel::RegisterPidInNamespaces(Pid host_pid, NsId pid_ns) {
+void Kernel::RegisterPidInNamespaces(Process& proc, NsId pid_ns) {
   NsId cur = pid_ns;
   while (cur != kNoNs && registry_.Exists(cur)) {
     PidNamespace& ns = registry_.Pidns(cur);
-    if (ns.host_to_local.count(host_pid) == 0) {
+    if (ns.host_to_local.count(proc.pid) == 0) {
       if (cur == registry_.initial(NsType::kPid)) {
-        ns.host_to_local[host_pid] = host_pid;  // identity in the initial ns
+        ns.host_to_local[proc.pid] = proc.pid;  // identity in the initial ns
       } else {
-        ns.host_to_local[host_pid] = ns.next_local_pid++;
+        ns.host_to_local[proc.pid] = ns.next_local_pid++;
+        proc.nested_pid_ns.push_back(cur);
       }
     }
     cur = ns.parent;
@@ -170,7 +171,7 @@ Result<Pid> Kernel::Clone(Pid parent, const std::string& name, uint32_t flags) {
     }
     registry_.Ref(child.ns.ids[i]);
   }
-  RegisterPidInNamespaces(child.pid, child.ns.Get(NsType::kPid));
+  RegisterPidInNamespaces(child, child.ns.Get(NsType::kPid));
   par.children.push_back(child.pid);
   Pid pid = child.pid;
   procs_.emplace(pid, std::move(child));
@@ -200,10 +201,14 @@ Status Kernel::Exit(Pid pid, int code) {
   p.state = ProcState::kZombie;
   p.exit_code = code;
   p.fds.clear();
-  // Reparent children to init.
+  // Reparent children to init, which can then reap them.
+  Process* init = pid == init_pid() ? nullptr : FindProcess(init_pid());
   for (Pid child : p.children) {
     if (Process* c = FindProcess(child)) {
       c->ppid = init_pid();
+      if (init != nullptr) {
+        init->children.push_back(child);
+      }
     }
   }
   p.children.clear();
@@ -214,17 +219,41 @@ Status Kernel::Exit(Pid pid, int code) {
 
 Result<Pid> Kernel::Wait(Pid pid) {
   WITOS_RETURN_IF_ERROR(CheckAlive(pid));
-  Process& p = Proc(pid);
-  for (auto it = p.children.begin(); it != p.children.end(); ++it) {
-    Process* c = FindProcess(*it);
+  for (Pid child : Proc(pid).children) {
+    const Process* c = FindProcess(child);
     if (c != nullptr && c->state == ProcState::kZombie) {
-      Pid reaped = *it;
-      p.children.erase(it);
-      procs_.erase(reaped);
-      return reaped;
+      WITOS_RETURN_IF_ERROR(Reap(child));
+      return child;
     }
   }
   return Err::kChild;
+}
+
+Status Kernel::Reap(Pid pid) {
+  auto it = procs_.find(pid);
+  if (it == procs_.end()) {
+    return Err::kSrch;
+  }
+  const Process& p = it->second;
+  if (p.state != ProcState::kZombie) {
+    return Err::kAgain;
+  }
+  if (Process* parent = FindProcess(p.ppid)) {
+    auto& siblings = parent->children;
+    auto self = std::find(siblings.begin(), siblings.end(), pid);
+    if (self != siblings.end()) {
+      siblings.erase(self);
+    }
+  }
+  registry_.Pidns(registry_.initial(NsType::kPid)).host_to_local.erase(pid);
+  for (NsId ns : p.nested_pid_ns) {
+    // The zombie's own namespace may already be gone with its last member.
+    if (registry_.Exists(ns)) {
+      registry_.Pidns(ns).host_to_local.erase(pid);
+    }
+  }
+  procs_.erase(it);
+  return Status::Ok();
 }
 
 Result<Pid> Kernel::LocalToHostPid(Pid caller, Pid local) const {
@@ -327,7 +356,7 @@ Status Kernel::Setns(Pid pid, Pid target_host, NsType type) {
   registry_.Unref(old_ns);
   p.ns.Set(type, new_ns);
   if (type == NsType::kPid) {
-    RegisterPidInNamespaces(pid, new_ns);
+    RegisterPidInNamespaces(p, new_ns);
   }
   if (type == NsType::kMnt) {
     // Joining a mount namespace resets root/cwd to that namespace's root,
@@ -353,7 +382,7 @@ Status Kernel::Unshare(Pid pid, uint32_t flags) {
     registry_.Unref(old_ns);
     p.ns.Set(type, new_ns);
     if (type == NsType::kPid) {
-      RegisterPidInNamespaces(pid, new_ns);
+      RegisterPidInNamespaces(p, new_ns);
     }
   }
   return Status::Ok();

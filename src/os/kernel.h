@@ -79,9 +79,16 @@ class Kernel {
   // clone(2): creates a child of `parent`. `flags` is a CloneFlags mask;
   // requesting any new namespace requires CAP_SYS_ADMIN.
   Result<Pid> Clone(Pid parent, const std::string& name, uint32_t flags);
+  // Children of the exiting process, zombies included, are reparented to
+  // init.
   Status Exit(Pid pid, int code);
   // Reaps one zombie child; returns its host pid or ECHILD.
   Result<Pid> Wait(Pid pid);
+  // waitpid(2) on a known child, on behalf of its parent: frees zombie
+  // `pid` from the process table, its parent's child list and every PID
+  // namespace's pid map. ESRCH if there is no such process, EAGAIN if it
+  // is still running.
+  Status Reap(Pid pid);
   // kill(2): `target` is a pid *in the caller's PID namespace*.
   Status Kill(Pid pid, Pid target_local);
   // ps: processes visible from the caller's PID namespace, with translated
@@ -200,9 +207,9 @@ class Kernel {
   Status CheckAlive(Pid pid) const;
   void ChargeSyscall();
   Status RequireCap(const Process& proc, Capability cap, const char* what);
-  // Registers `pid` in `pid_ns` and every ancestor namespace, allocating
+  // Registers `proc` in `pid_ns` and every ancestor namespace, allocating
   // local pids.
-  void RegisterPidInNamespaces(Pid host_pid, NsId pid_ns);
+  void RegisterPidInNamespaces(Process& proc, NsId pid_ns);
   void ReleaseNamespaces(Process& proc);
   void NotifyDeath(Pid pid);
   Status GuardWrite(const Process& proc, const std::string& vfs_path, const Credentials& cred);

@@ -51,6 +51,10 @@ struct Process {
   Fd next_fd = 3;  // 0..2 reserved for stdio, which we do not model
 
   std::vector<Pid> children;  // host pids
+  // The PID namespaces below the initial one that hold a local pid for this
+  // process (every process has an entry in the initial namespace too);
+  // reaping frees the entry in each that still exists.
+  std::vector<NsId> nested_pid_ns;
 };
 
 // A row of `ps` output: the view of one process from a given PID namespace.

@@ -38,6 +38,48 @@ TEST_F(KernelProcessTest, ExitWaitReapsZombie) {
   EXPECT_EQ(kernel_.Wait(1).error(), Err::kChild);
 }
 
+// Regression: Exit used to point an orphan's ppid at init without adding it
+// to init's children, so no Wait(init) could ever reap it (ECHILD).
+TEST_F(KernelProcessTest, OrphanIsReapableByInit) {
+  Pid a = *kernel_.Clone(1, "a", 0);
+  Pid b = *kernel_.Clone(a, "b", 0);
+  ASSERT_TRUE(kernel_.Exit(a, 0).ok());
+  EXPECT_EQ(kernel_.FindProcess(b)->ppid, 1);
+  EXPECT_EQ(*kernel_.Wait(1), a);
+  ASSERT_TRUE(kernel_.Exit(b, 0).ok());
+  auto reaped = kernel_.Wait(1);
+  ASSERT_TRUE(reaped.ok());
+  EXPECT_EQ(*reaped, b);
+  EXPECT_EQ(kernel_.process_count(), 1u);
+}
+
+TEST_F(KernelProcessTest, ReapFreesPidEverywhere) {
+  PidNamespace& host_ns = kernel_.namespaces().Pidns(kernel_.namespaces().initial(NsType::kPid));
+  Pid contained = *kernel_.Clone(1, "contained", kCloneNewPid);
+  Pid inner = *kernel_.Clone(contained, "inner", 0);
+  PidNamespace& inner_ns =
+      kernel_.namespaces().Pidns(kernel_.FindProcess(contained)->ns.Get(NsType::kPid));
+  EXPECT_EQ(kernel_.Reap(inner).error(), Err::kAgain);  // still running
+  EXPECT_EQ(kernel_.Reap(4242).error(), Err::kSrch);
+
+  // A zombie whose PID namespace is still alive: both maps forget it.
+  ASSERT_TRUE(kernel_.Exit(inner, 0).ok());
+  ASSERT_TRUE(kernel_.Reap(inner).ok());
+  EXPECT_EQ(kernel_.FindProcess(inner), nullptr);
+  EXPECT_EQ(inner_ns.host_to_local.count(inner), 0u);
+  EXPECT_EQ(host_ns.host_to_local.count(inner), 0u);
+  EXPECT_TRUE(kernel_.FindProcess(contained)->children.empty());
+
+  // A zombie that took its PID namespace down with it: the host map still
+  // drops the pid, and init no longer lists it.
+  ASSERT_TRUE(kernel_.Exit(contained, 0).ok());
+  ASSERT_TRUE(kernel_.Reap(contained).ok());
+  EXPECT_EQ(host_ns.host_to_local.count(contained), 0u);
+  EXPECT_TRUE(kernel_.FindProcess(1)->children.empty());
+  EXPECT_EQ(kernel_.process_count(), 1u);
+  EXPECT_EQ(kernel_.ListProcesses(1)->size(), 1u);
+}
+
 TEST_F(KernelProcessTest, CloneNewNamespacesRequiresSysAdmin) {
   Pid child = *kernel_.Clone(1, "worker", 0);
   ASSERT_TRUE(kernel_.CapDrop(child, {Capability::kSysAdmin}).ok());
