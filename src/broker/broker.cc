@@ -52,11 +52,11 @@ witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
                                            const std::string& ticket_class) {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto [it, inserted] = shard.classes.emplace(ticket_id, ticket_class);
-  (void)it;
+  auto [it, inserted] = shard.bindings.try_emplace(ticket_id);
   if (!inserted) {
     return witos::Err::kExist;
   }
+  it->second.ticket_class = ticket_class;
   if (binding_listener_) {
     binding_listener_(ticket_id, ticket_class, /*bound=*/true);
   }
@@ -66,12 +66,12 @@ witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
 witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto it = shard.classes.find(ticket_id);
-  if (it == shard.classes.end()) {
+  auto it = shard.bindings.find(ticket_id);
+  if (it == shard.bindings.end()) {
     return witos::Err::kSrch;
   }
-  std::string ticket_class = std::move(it->second);
-  shard.classes.erase(it);
+  std::string ticket_class = std::move(it->second.ticket_class);
+  shard.bindings.erase(it);
   if (binding_listener_) {
     binding_listener_(ticket_id, ticket_class, /*bound=*/false);
   }
@@ -81,14 +81,14 @@ witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
 bool PermissionBroker::IsTicketBound(const std::string& ticket_id) const {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  return shard.classes.count(ticket_id) > 0;
+  return shard.bindings.count(ticket_id) > 0;
 }
 
 size_t PermissionBroker::bound_ticket_count() const {
   size_t total = 0;
   for (const auto& shard : ticket_shards_) {
     std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    total += shard->classes.size();
+    total += shard->bindings.size();
   }
   return total;
 }
@@ -97,13 +97,39 @@ std::vector<std::pair<std::string, std::string>> PermissionBroker::BoundTicketsS
   std::vector<std::pair<std::string, std::string>> bindings;
   for (const auto& shard : ticket_shards_) {
     std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    bindings.insert(bindings.end(), shard->classes.begin(), shard->classes.end());
+    for (const auto& [ticket_id, binding] : shard->bindings) {
+      bindings.emplace_back(ticket_id, binding.ticket_class);
+    }
   }
   return bindings;
 }
 
 void PermissionBroker::RegisterVerb(const std::string& verb, VerbHandler handler) {
   custom_verbs_[verb] = std::move(handler);
+  if (metrics_ != nullptr) {
+    verb_counters_[verb] = ResolveVerb(verb);
+  }
+}
+
+PermissionBroker::VerbCounters PermissionBroker::ResolveVerb(const std::string& verb) const {
+  VerbCounters counters;
+  const char* requests[2] = {"grant", "deny"};
+  const char* shadow[3] = {"agree", "would_block", "would_allow"};
+  for (size_t i = 0; i < 2; ++i) {
+    counters.requests[i] = metrics_->GetCounter("watchit_broker_requests_total",
+                                                {{"verb", verb}, {"outcome", requests[i]}});
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    counters.shadow[i] = metrics_->GetCounter("watchit_broker_shadow_total",
+                                              {{"verb", verb}, {"outcome", shadow[i]}});
+  }
+  return counters;
+}
+
+const PermissionBroker::VerbCounters& PermissionBroker::CountersFor(
+    const std::string& verb) const {
+  auto it = verb_counters_.find(verb);
+  return it != verb_counters_.end() ? it->second : unknown_verb_;
 }
 
 void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
@@ -125,6 +151,14 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
                     "Shadow verb-policy evaluations by verb and outcome vs the enforcing policy");
   events_dropped_ = registry->GetCounter("watchit_broker_events_dropped_total");
   dispatch_latency_ = registry->GetHistogram("watchit_broker_dispatch_latency_ns");
+  for (const char* verb : {kVerbPs, kVerbKill, kVerbReadFile, kVerbInstall, kVerbRestartService,
+                           kVerbReboot, kVerbMountVolume, kVerbNetAllow, kVerbDriverUpdate}) {
+    verb_counters_[verb] = ResolveVerb(verb);
+  }
+  for (const auto& [verb, handler] : custom_verbs_) {
+    verb_counters_[verb] = ResolveVerb(verb);
+  }
+  unknown_verb_ = ResolveVerb("unknown");
   for (const auto& shard : event_shards_) {
     shard->mu.EnableMetrics(registry);
   }
@@ -225,11 +259,21 @@ RpcResponse PermissionBroker::Fail(witos::Err err) const {
   return resp;
 }
 
-std::string PermissionBroker::TicketClassOf(const std::string& ticket_id) const {
+PermissionBroker::Binding PermissionBroker::LookupBinding(const std::string& ticket_id) const {
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto class_it = shard.classes.find(ticket_id);
-  return class_it == shard.classes.end() ? "" : class_it->second;
+  auto it = shard.bindings.find(ticket_id);
+  if (it == shard.bindings.end()) {
+    return {};
+  }
+  Binding& binding = it->second;
+  if (metrics_ != nullptr && binding.requests[0] == nullptr) {
+    binding.requests[0] = metrics_->GetCounter("watchit_broker_ticket_requests_total",
+                                               {{"ticket", ticket_id}, {"outcome", "grant"}});
+    binding.requests[1] = metrics_->GetCounter("watchit_broker_ticket_requests_total",
+                                               {{"ticket", ticket_id}, {"outcome", "deny"}});
+  }
+  return binding;
 }
 
 BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
@@ -246,19 +290,21 @@ BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
   return event;
 }
 
-void PermissionBroker::CountRequest(const RpcRequest& request, bool allowed) {
+void PermissionBroker::CountRequest(const RpcRequest& request, const Binding& binding,
+                                    bool allowed) {
   if (metrics_ == nullptr) {
     return;
   }
-  const char* outcome = allowed ? "grant" : "deny";
-  metrics_
-      ->GetCounter("watchit_broker_requests_total",
-                   {{"verb", request.method}, {"outcome", outcome}})
-      ->Increment();
-  metrics_
-      ->GetCounter("watchit_broker_ticket_requests_total",
-                   {{"ticket", request.ticket_id}, {"outcome", outcome}})
-      ->Increment();
+  const size_t outcome = allowed ? 0 : 1;
+  CountersFor(request.method).requests[outcome]->Increment();
+  witobs::Counter* per_ticket = binding.requests[outcome];
+  if (per_ticket == nullptr) {
+    // An unbound ticket has no binding to keep handles in.
+    per_ticket = metrics_->GetCounter("watchit_broker_ticket_requests_total",
+                                      {{"ticket", request.ticket_id},
+                                       {"outcome", allowed ? "grant" : "deny"}});
+  }
+  per_ticket->Increment();
 }
 
 void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string& ticket_class,
@@ -269,22 +315,19 @@ void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string&
     return;
   }
   shadow_evaluated_.fetch_add(1, std::memory_order_relaxed);
-  const char* outcome;
+  size_t outcome;  // agree, would_block, would_allow
   if (*mirror == policy_allowed) {
     shadow_agree_.fetch_add(1, std::memory_order_relaxed);
-    outcome = "agree";
+    outcome = 0;
   } else if (!*mirror) {
     shadow_would_block_.fetch_add(1, std::memory_order_relaxed);
-    outcome = "would_block";
+    outcome = 1;
   } else {
     shadow_would_allow_.fetch_add(1, std::memory_order_relaxed);
-    outcome = "would_allow";
+    outcome = 2;
   }
   if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("watchit_broker_shadow_total",
-                     {{"verb", request.method}, {"outcome", outcome}})
-        ->Increment();
+    CountersFor(request.method).shadow[outcome]->Increment();
   }
 }
 
@@ -310,7 +353,8 @@ std::string PermissionBroker::LogLine(const RpcRequest& request,
 RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
   witobs::Span span(tracer_, "broker.handle", request.ticket_id);
   uint64_t now = kernel_->clock().now_ns();
-  std::string ticket_class = TicketClassOf(request.ticket_id);
+  const Binding binding = LookupBinding(request.ticket_id);
+  const std::string& ticket_class = binding.ticket_class;
 
   bool policy_allowed =
       policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
@@ -318,7 +362,7 @@ RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
   ShadowCheck(request, ticket_class, policy_allowed);
 
   RecordEvent(MakeEvent(request, ticket_class, now, allowed));
-  CountRequest(request, allowed);
+  CountRequest(request, binding, allowed);
 
   // "Either way, these requests are logged in real-time to a secure
   // append-only storage device." The ticket hash routes the entry to its
@@ -345,7 +389,8 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   uint64_t now = kernel_->clock().now_ns();
   // One policy-context lookup for the whole batch: the ticket class is
   // header state, not per-op state.
-  std::string ticket_class = TicketClassOf(batch.ticket_id);
+  const Binding binding = LookupBinding(batch.ticket_id);
+  const std::string& ticket_class = binding.ticket_class;
 
   RpcBatchResponse response;
   response.responses.resize(batch.ops.size());
@@ -365,7 +410,7 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
     allowed[i] = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
     ShadowCheck(request, ticket_class, policy_allowed);
     events.push_back(MakeEvent(request, ticket_class, now, allowed[i]));
-    CountRequest(request, allowed[i]);
+    CountRequest(request, binding, allowed[i]);
     log_lines.push_back(LogLine(request, ticket_class, allowed[i]));
     kernel_->audit().Append(
         allowed[i] ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,

@@ -101,7 +101,8 @@ class PermissionBroker {
 
   // Extension point: ContainIT registers "mount_volume"; the cluster layer
   // registers "net_allow". The handler runs with the broker's host
-  // privileges after the policy check passed.
+  // privileges after the policy check passed. Set-up time only, before
+  // traffic starts.
   using VerbHandler = std::function<RpcResponse(const RpcRequest&)>;
   void RegisterVerb(const std::string& verb, VerbHandler handler);
 
@@ -115,10 +116,18 @@ class PermissionBroker {
   // records (Table 1 threat semantics). Responses are positional.
   RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
 
-  // Wires the broker into the observability layer: request counters by verb
-  // and outcome, per-ticket counters, and a dispatch-latency histogram in
-  // simulated nanoseconds. Spans tagged with the ticket id are emitted when
-  // `tracer` is non-null.
+  // Wires the broker into the observability layer: request and shadow
+  // counters by verb and outcome, per-ticket counters, and a
+  // dispatch-latency histogram in simulated nanoseconds. Spans tagged with
+  // the ticket id are emitted when `tracer` is non-null.
+  //
+  // The verb series are resolved here for the built-in verbs and every
+  // registered one (RegisterVerb resolves later ones), so a request takes
+  // no registry lock. A method outside that vocabulary counts under
+  // verb="unknown": a contained admin cannot mint series by sending
+  // made-up verbs. The secure-log line, the audit record and the
+  // BrokerEvent keep the exact method. A bound ticket's per-ticket pair is
+  // resolved once, on its first request, and kept with the binding.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap for the structured event window, applied per shard
@@ -158,12 +167,24 @@ class PermissionBroker {
     size_t capacity = 0;  // per-shard window, 0 = unbounded
     uint64_t dropped = 0;
   };
+  // A live ticket binding: its class, and its per-ticket request counters
+  // once its first request resolved them (null before, and whenever
+  // metrics are off).
+  struct Binding {
+    std::string ticket_class;
+    witobs::Counter* requests[2] = {};  // grant, deny
+  };
   // One shard of the ticket-class map ("broker.tickets[.N]"): deploy
   // workers bind/unbind while request paths resolve.
   struct TicketShard {
     explicit TicketShard(std::string name) : mu(std::move(name)) {}
     mutable witobs::ProfiledMutex mu;
-    std::map<std::string, std::string> classes;
+    std::map<std::string, Binding> bindings;
+  };
+  // One verb's pre-resolved series.
+  struct VerbCounters {
+    witobs::Counter* requests[2] = {};  // grant, deny
+    witobs::Counter* shadow[3] = {};    // agree, would_block, would_allow
   };
 
   // Ticket-affinity hash: one ticket's events, class binding and secure-log
@@ -184,14 +205,21 @@ class PermissionBroker {
   RpcResponse Fail(witos::Err err) const;
 
   // Shared per-op accountability pieces used by Handle and HandleBatch.
-  std::string TicketClassOf(const std::string& ticket_id) const;
+  // LookupBinding copies the ticket's binding (empty class when unbound),
+  // resolving its per-ticket counters on first use.
+  Binding LookupBinding(const std::string& ticket_id) const;
   BrokerEvent MakeEvent(const RpcRequest& request, const std::string& ticket_class,
                         uint64_t now, bool allowed);
-  void CountRequest(const RpcRequest& request, bool allowed);
+  void CountRequest(const RpcRequest& request, const Binding& binding, bool allowed);
   // Consults the shadow policy (if one covers the class) and accounts the
   // divergence from the enforcing verdict; never changes the outcome.
   void ShadowCheck(const RpcRequest& request, const std::string& ticket_class,
                    bool policy_allowed);
+  // Resolves `verb`'s series in the wired registry.
+  VerbCounters ResolveVerb(const std::string& verb) const;
+  // The series a request for `verb` counts under: its own when known, else
+  // the shared "unknown" ones. Only valid while metrics are on.
+  const VerbCounters& CountersFor(const std::string& verb) const;
   std::string LogLine(const RpcRequest& request, const std::string& ticket_class,
                       bool allowed);
 
@@ -216,6 +244,10 @@ class PermissionBroker {
   std::vector<std::unique_ptr<EventShard>> event_shards_;
   std::vector<std::unique_ptr<TicketShard>> ticket_shards_;
   std::map<std::string, VerbHandler> custom_verbs_;
+  // Written only by EnableMetrics/RegisterVerb (set-up); read lock-free by
+  // request paths.
+  std::map<std::string, VerbCounters, std::less<>> verb_counters_;
+  VerbCounters unknown_verb_;
   BindingListener binding_listener_;
 
   std::atomic<uint64_t> shadow_evaluated_{0};

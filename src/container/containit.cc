@@ -72,8 +72,13 @@ void ContainIt::AttachBroker(witbroker::PermissionBroker* broker) {
 
 std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
                                                  std::shared_ptr<witos::Filesystem> lower) {
-  std::shared_ptr<const witfs::CompiledPolicy> policy =
-      session->spec.fs.CompileEffectivePolicy();
+  // An image from the repository arrives compiled, and all its sessions and
+  // mounts share that policy. A hand-built or edited spec is compiled here,
+  // once per session, and only that compile is observed.
+  if (session->spec.fs.Compile() && itfs_metrics_ != nullptr) {
+    itfs_metrics_->compile_ns->Observe(session->spec.fs.compiled()->compile_ns());
+  }
+  std::shared_ptr<const witfs::CompiledPolicy> policy = session->spec.fs.compiled();
   // ITFS runs with the privileges of the host user who mounts it: root for
   // admin containers, an unprivileged service uid in rootless mode.
   witos::Credentials invoker;
@@ -85,7 +90,7 @@ std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
   auto itfs = std::make_shared<witfs::Itfs>(std::move(lower), std::move(policy), invoker,
                                             &kernel_->clock(), &kernel_->audit());
   itfs->oplog().set_capacity(oplog_capacity_);
-  itfs->EnableMetrics(metrics_, session->ticket_id, tracer_);
+  itfs->EnableMetrics(itfs_metrics_, session->ticket_id, tracer_);
   if (session->spec.fs.shadow != nullptr) {
     itfs->SetShadowPolicy(session->spec.fs.shadow);
   }
@@ -93,7 +98,8 @@ std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
 }
 
 void ContainIt::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
-  metrics_ = registry;
+  itfs_metrics_ = registry != nullptr ? std::make_shared<const witfs::ItfsMetrics>(registry)
+                                      : nullptr;
   tracer_ = tracer;
 }
 

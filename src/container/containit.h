@@ -103,9 +103,10 @@ class ContainIt {
   const SessionMap& live_sessions() const { return live_; }
   const SessionMap& retired_sessions() const { return retired_; }
 
-  // Observability wiring: every ITFS instance deployed after this call is
-  // registered with `registry` under its session's ticket id, and emits
-  // spans into `tracer` when one is given.
+  // Observability wiring: resolves the machine's shared ITFS handles in
+  // `registry` once, here; every ITFS instance deployed after this call
+  // then adds only its session ticket's two series, and emits spans into
+  // `tracer` when one is given.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap applied to each new session's OpLog (0 = unbounded).
@@ -130,7 +131,7 @@ class ContainIt {
   witos::Kernel* kernel_;
   witnet::NetStack* net_;
   witbroker::PermissionBroker* broker_ = nullptr;
-  witobs::MetricsRegistry* metrics_ = nullptr;
+  std::shared_ptr<const witfs::ItfsMetrics> itfs_metrics_;  // null: metrics off
   witobs::Tracer* tracer_ = nullptr;
   size_t oplog_capacity_ = 0;
   // Active sessions: the only ones the watchdog, ticket lookup and

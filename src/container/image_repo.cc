@@ -3,6 +3,7 @@
 namespace witcontain {
 
 void ImageRepository::Register(const std::string& ticket_class, PerforatedContainerSpec spec) {
+  (void)spec.fs.Compile();
   images_[ticket_class] = std::move(spec);
 }
 
@@ -19,6 +20,7 @@ void ImageRepository::ForEach(
     const std::function<void(const std::string&, PerforatedContainerSpec*)>& fn) {
   for (auto& [name, spec] : images_) {
     fn(name, &spec);
+    (void)spec.fs.Compile();  // recompiles only a policy `fn` changed
   }
 }
 

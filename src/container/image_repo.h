@@ -1,6 +1,10 @@
 // The image repository: pre-built perforated-container specs keyed by
 // ticket class, "held in a dedicated image repository for quick deployment"
-// (paper §5.1, Figure 3).
+// (paper §5.1, Figure 3). Pre-built includes the ITFS policy: each image's
+// effective policy is compiled at Register and after ForEach, and every
+// deploy of the image on any machine shares that CompiledPolicy
+// (FsView::Compile). Register and ForEach are set-up-time only; Lookup may
+// run from many deploy workers at once.
 
 #ifndef SRC_CONTAINER_IMAGE_REPO_H_
 #define SRC_CONTAINER_IMAGE_REPO_H_

@@ -2,6 +2,18 @@
 
 namespace witcontain {
 
+bool FsView::Compile(std::vector<witfs::CompileDiagnostic>* diagnostics) {
+  if (compiled() != nullptr) {
+    return false;
+  }
+  witfs::ItfsPolicy effective = policy;
+  effective.set_inspection_mode(inspection);
+  compiled_ = effective.Compile(diagnostics);
+  compiled_revision_ = policy.revision();
+  compiled_inspection_ = inspection;
+  return true;
+}
+
 PerforatedContainerSpec PerforatedContainerSpec::Traditional(std::string name) {
   PerforatedContainerSpec spec;
   spec.name = std::move(name);

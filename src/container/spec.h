@@ -51,15 +51,30 @@ struct FsView {
   std::shared_ptr<const witfs::CompiledPolicy> shadow;
 
   // The compile-then-install flow: folds `inspection` into a copy of
-  // `policy` and compiles it. This is what ContainIT mounts; the builder
-  // `policy` above stays the declarative source of truth. Compile warnings
-  // (duplicate names, shadowed rules) land in `diagnostics` when non-null.
-  std::shared_ptr<const witfs::CompiledPolicy> CompileEffectivePolicy(
-      std::vector<witfs::CompileDiagnostic>* diagnostics = nullptr) const {
-    witfs::ItfsPolicy effective = policy;
-    effective.set_inspection_mode(inspection);
-    return effective.Compile(diagnostics);
+  // `policy`, compiles it, and keeps the result with the view, tagged with
+  // the policy revision and inspection mode it was built from. Returns
+  // false, compiling nothing, when the kept policy is still current. The
+  // builder `policy` above stays the declarative source of truth. Compile
+  // warnings (duplicate names, shadowed rules) land in `diagnostics` when
+  // non-null.
+  //
+  // ImageRepository compiles every image this way at set-up, so each
+  // session and file-sharing mount of an image runs the one CompiledPolicy
+  // that travels with the spec. A spec edited after lookup, or built by
+  // hand, no longer matches its tags and ContainIT compiles it on deploy.
+  bool Compile(std::vector<witfs::CompileDiagnostic>* diagnostics = nullptr);
+
+  // The kept compiled policy when it was built from the current `policy`
+  // and `inspection`, else null: a stale policy is never handed out.
+  std::shared_ptr<const witfs::CompiledPolicy> compiled() const {
+    bool current = compiled_revision_ == policy.revision() && compiled_inspection_ == inspection;
+    return current ? compiled_ : nullptr;
   }
+
+ private:
+  std::shared_ptr<const witfs::CompiledPolicy> compiled_;
+  uint64_t compiled_revision_ = 0;
+  witfs::InspectionMode compiled_inspection_ = witfs::InspectionMode::kExtensionOnly;
 };
 
 struct AllowedEndpoint {

@@ -65,12 +65,4 @@ std::string ItFramework::Classify(const std::string& text) const {
   return result;
 }
 
-std::string ItFramework::ClassifyWithReview(const std::string& text,
-                                            const std::string& reviewed_truth) const {
-  std::string predicted = Classify(text);
-  // The supervisor corrects mispredictions before deployment; the
-  // prediction accuracy itself is what Table 4's precision column reports.
-  return reviewed_truth.empty() ? predicted : reviewed_truth;
-}
-
 }  // namespace watchit

@@ -39,14 +39,11 @@ class ItFramework {
 
   bool trained() const { return lda_ != nullptr; }
 
-  // Classifies a ticket's free text into "T-1".."T-11".
+  // Classifies a ticket's free text into "T-1".."T-11". Safe to call from
+  // many threads at once on a trained framework. The supervisor review
+  // ("reviewed by the user or a supervisor") is applied by the caller to
+  // this one prediction: TicketWorkflow::Prepare, the case study.
   std::string Classify(const std::string& text) const;
-
-  // Classification with a human-review hook: the supervisor sees the
-  // prediction and may override it (paper: "reviewed by the user or a
-  // supervisor").
-  std::string ClassifyWithReview(const std::string& text,
-                                 const std::string& reviewed_truth) const;
 
   // Topic model access for the Table 2 bench.
   const witnlp::LdaModel* lda() const { return lda_.get(); }

@@ -26,7 +26,7 @@ void ApplyHardConstraints(PerforatedContainerSpec* spec) {
   // first-match deny). A diagnostic here is an authoring bug in the canned
   // specs, not a runtime condition.
   std::vector<witfs::CompileDiagnostic> diags;
-  (void)spec->fs.CompileEffectivePolicy(&diags);
+  (void)spec->fs.Compile(&diags);
   assert(diags.empty());
   (void)diags;
 }

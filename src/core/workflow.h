@@ -138,10 +138,11 @@ class TicketWorkflow {
   // latency histograms (classify/dispatch/deploy/replay/expire), ticket
   // outcome counters, and a root span per ticket whose correlation id — the
   // ticket id — is inherited by every nested framework/broker/ITFS span.
+  // Every handle is resolved here, so a ticket takes no registry lock.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
  private:
-  witobs::Histogram* StageHistogram(const char* stage);
+  enum Stage { kClassify, kDispatch, kDeploy, kReplay, kExpire, kNumStages };
 
   Cluster* cluster_;
   ItFramework* framework_;
@@ -150,8 +151,9 @@ class TicketWorkflow {
   uint64_t processed_ = 0;
 
   // Observability wiring (all null when metrics are disabled).
-  witobs::MetricsRegistry* metrics_ = nullptr;
   witobs::Tracer* tracer_ = nullptr;
+  witobs::Histogram* stage_latency_[kNumStages] = {};
+  witobs::Counter* tickets_[2] = {};  // classified correctly, corrected by review
 };
 
 }  // namespace watchit

@@ -27,7 +27,11 @@
 //
 // A CompiledPolicy is deeply immutable after Compile() and safe to share
 // across threads; Itfs installs one behind an atomic pointer (SwapPolicy)
-// so policy updates never block the gate path.
+// so policy updates never block the gate path. The image repository relies
+// on this: it compiles each image once and every session and file-sharing
+// mount of that image, on any machine, runs the same object (FsView::
+// Compile). Custom detectors are invoked from all of them, so they must be
+// safe to call concurrently.
 
 #ifndef SRC_FS_COMPILED_POLICY_H_
 #define SRC_FS_COMPILED_POLICY_H_
@@ -102,7 +106,8 @@ class CompiledPolicy {
   size_t required_head_bytes() const { return required_head_bytes_; }
 
   // Wall nanoseconds Compile() spent building this policy (exported as the
-  // watchit_policy_compile_ns histogram when installed into an Itfs).
+  // watchit_policy_compile_ns histogram by the deploy that compiled it, or
+  // by Itfs::SwapPolicy).
   uint64_t compile_ns() const { return compile_ns_; }
 
   // Index sizes, for tests and diagnostics.

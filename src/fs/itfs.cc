@@ -18,8 +18,8 @@ Itfs::Itfs(std::shared_ptr<witos::Filesystem> lower, const ItfsPolicy& policy,
     : Itfs(std::move(lower), policy.Compile(), std::move(invoker), clock, audit) {}
 
 void Itfs::SwapPolicy(std::shared_ptr<const CompiledPolicy> policy) {
-  if (compile_ns_hist_ != nullptr) {
-    compile_ns_hist_->Observe(policy->compile_ns());
+  if (metrics_ != nullptr) {
+    metrics_->compile_ns->Observe(policy->compile_ns());
   }
   policy_.store(std::move(policy), std::memory_order_release);
 }
@@ -52,16 +52,16 @@ void Itfs::ShadowCheck(ItfsOpKind op, const std::string& path, const PolicyDecis
   shadow_evaluated_.fetch_add(1, std::memory_order_relaxed);
   if (mirror.deny == primary.deny) {
     shadow_agree_.fetch_add(1, std::memory_order_relaxed);
-    if (shadow_counters_[0] != nullptr) {
-      shadow_counters_[0]->Increment();
+    if (metrics_ != nullptr) {
+      metrics_->shadow[0]->Increment();
     }
     return;
   }
   size_t outcome = mirror.deny ? 1 : 2;  // would_block : would_allow
   (mirror.deny ? shadow_would_block_ : shadow_would_allow_)
       .fetch_add(1, std::memory_order_relaxed);
-  if (shadow_counters_[outcome] != nullptr) {
-    shadow_counters_[outcome]->Increment();
+  if (metrics_ != nullptr) {
+    metrics_->shadow[outcome]->Increment();
   }
   ShadowDivergence div;
   div.op = op;
@@ -108,8 +108,8 @@ bool Itfs::LookupVerdict(const std::string& path, uint64_t generation, size_t ba
     // the entry can no longer vouch for the content. Drop it so a stale
     // verdict cannot be served even transiently.
     verdict_invalidations_.fetch_add(1, std::memory_order_relaxed);
-    if (cache_invalidations_counter_ != nullptr) {
-      cache_invalidations_counter_->Increment();
+    if (metrics_ != nullptr) {
+      metrics_->cache_invalidations->Increment();
     }
     verdict_cache_.erase(it);
     return false;
@@ -134,14 +134,7 @@ void Itfs::StoreVerdict(const std::string& path, VerdictEntry entry) {
   }
 }
 
-void Itfs::EnableMetrics(witobs::MetricsRegistry* registry, const std::string& correlation_id,
-                         witobs::Tracer* tracer) {
-  metrics_ = registry;
-  tracer_ = tracer;
-  correlation_id_ = correlation_id;
-  if (registry == nullptr) {
-    return;
-  }
+ItfsMetrics::ItfsMetrics(witobs::MetricsRegistry* registry_in) : registry(registry_in) {
   registry->SetHelp("watchit_itfs_ops_total", "ITFS gated operations by kind and outcome");
   registry->SetHelp("watchit_itfs_ticket_ops_total",
                     "ITFS gated operations per ticket by outcome");
@@ -161,32 +154,40 @@ void Itfs::EnableMetrics(witobs::MetricsRegistry* registry, const std::string& c
                     "Wall nanoseconds spent compiling an ItfsPolicy into its automata");
   registry->SetHelp("watchit_itfs_shadow_total",
                     "Shadow-policy evaluations by outcome vs the installed policy");
-  for (size_t op = 0; op < kNumOpKinds; ++op) {
+  for (size_t op = 0; op < kNumItfsOpKinds; ++op) {
     std::string op_name = ItfsOpKindName(static_cast<ItfsOpKind>(op));
-    op_counters_[op][0] =
+    ops[op][0] =
         registry->GetCounter("watchit_itfs_ops_total", {{"op", op_name}, {"outcome", "allow"}});
-    op_counters_[op][1] =
+    ops[op][1] =
         registry->GetCounter("watchit_itfs_ops_total", {{"op", op_name}, {"outcome", "deny"}});
-    op_latency_[op] = registry->GetHistogram("watchit_itfs_op_latency_ns", {{"op", op_name}});
+    op_latency[op] = registry->GetHistogram("watchit_itfs_op_latency_ns", {{"op", op_name}});
   }
-  ticket_ops_[0] = registry->GetCounter("watchit_itfs_ticket_ops_total",
-                                        {{"ticket", correlation_id}, {"outcome", "allow"}});
-  ticket_ops_[1] = registry->GetCounter("watchit_itfs_ticket_ops_total",
-                                        {{"ticket", correlation_id}, {"outcome", "deny"}});
-  head_read_bytes_ = registry->GetCounter("watchit_itfs_head_read_bytes_total");
-  cache_hits_counter_ = registry->GetCounter("watchit_itfs_verdict_cache_hits");
-  cache_misses_counter_ = registry->GetCounter("watchit_itfs_verdict_cache_misses");
-  cache_invalidations_counter_ =
-      registry->GetCounter("watchit_itfs_verdict_cache_invalidations");
-  shadow_counters_[0] =
-      registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "agree"}});
-  shadow_counters_[1] =
-      registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_block"}});
-  shadow_counters_[2] =
-      registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_allow"}});
-  compile_ns_hist_ = registry->GetHistogram("watchit_policy_compile_ns");
-  compile_ns_hist_->Observe(policy_snapshot()->compile_ns());
-  oplog_.set_dropped_counter(registry->GetCounter("watchit_itfs_oplog_dropped_total"));
+  head_read_bytes = registry->GetCounter("watchit_itfs_head_read_bytes_total");
+  cache_hits = registry->GetCounter("watchit_itfs_verdict_cache_hits");
+  cache_misses = registry->GetCounter("watchit_itfs_verdict_cache_misses");
+  cache_invalidations = registry->GetCounter("watchit_itfs_verdict_cache_invalidations");
+  shadow[0] = registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "agree"}});
+  shadow[1] = registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_block"}});
+  shadow[2] = registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_allow"}});
+  oplog_dropped = registry->GetCounter("watchit_itfs_oplog_dropped_total");
+  compile_ns = registry->GetHistogram("watchit_policy_compile_ns");
+}
+
+void Itfs::EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics,
+                         const std::string& correlation_id, witobs::Tracer* tracer) {
+  metrics_ = std::move(metrics);
+  tracer_ = tracer;
+  correlation_id_ = correlation_id;
+  if (metrics_ == nullptr) {
+    ticket_ops_[0] = ticket_ops_[1] = nullptr;
+    oplog_.set_dropped_counter(nullptr);
+    return;
+  }
+  ticket_ops_[0] = metrics_->registry->GetCounter(
+      "watchit_itfs_ticket_ops_total", {{"ticket", correlation_id}, {"outcome", "allow"}});
+  ticket_ops_[1] = metrics_->registry->GetCounter(
+      "watchit_itfs_ticket_ops_total", {{"ticket", correlation_id}, {"outcome", "deny"}});
+  oplog_.set_dropped_counter(metrics_->oplog_dropped);
 }
 
 witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
@@ -210,15 +211,15 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
       // it was classified at this read size, so the class is still exact.
       // No head read, no simulated clock charge — this is the fast path.
       verdict_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (cache_hits_counter_ != nullptr) {
-        cache_hits_counter_->Increment();
+      if (metrics_ != nullptr) {
+        metrics_->cache_hits->Increment();
       }
       decision = policy->EvaluateClassified(op, path, cached.cls, cached.has_content);
       decided = true;
     } else {
       verdict_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (cache_misses_counter_ != nullptr) {
-        cache_misses_counter_->Increment();
+      if (metrics_ != nullptr) {
+        metrics_->cache_misses->Increment();
       }
       // Signature inspection: read the head of the file from the lower fs
       // with the invoker's privileges. This is the extra work the
@@ -261,7 +262,7 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
         // and any cached verdict for this path was already bypassed above
         // (a mutation moved the generation, which is what brought us here).
         if (metrics_ != nullptr) {
-          op_counters_[static_cast<size_t>(op)][1]->Increment();
+          metrics_->ops[static_cast<size_t>(op)][1]->Increment();
           ticket_ops_[1]->Increment();
         }
         OpRecord rec;
@@ -287,10 +288,10 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
   ShadowCheck(op, path, decision, head);
   if (metrics_ != nullptr) {
     size_t outcome = decision.deny ? 1 : 0;
-    op_counters_[static_cast<size_t>(op)][outcome]->Increment();
+    metrics_->ops[static_cast<size_t>(op)][outcome]->Increment();
     ticket_ops_[outcome]->Increment();
     if (head_bytes > 0) {
-      head_read_bytes_->Increment(head_bytes);
+      metrics_->head_read_bytes->Increment(head_bytes);
     }
   }
   bool should_log = decision.deny || !decision.rule.empty() || policy->log_all();
@@ -318,7 +319,7 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
 witos::Result<witos::Stat> Itfs::Open(const std::string& path, uint32_t flags, witos::Mode mode,
                                       const witos::Credentials& cred) {
   witobs::Span span(tracer_, "itfs.open", correlation_id_);
-  SimTimer timer(clock_, op_latency_[static_cast<size_t>(ItfsOpKind::kOpen)]);
+  SimTimer timer(clock_, OpLatency(ItfsOpKind::kOpen));
   bool write_intent =
       (flags & (witos::kOpenWrite | witos::kOpenTrunc | witos::kOpenAppend |
                 witos::kOpenCreate)) != 0;
@@ -330,7 +331,7 @@ witos::Result<witos::Stat> Itfs::Open(const std::string& path, uint32_t flags, w
 witos::Result<size_t> Itfs::ReadAt(const std::string& path, uint64_t offset, size_t size,
                                    std::string* out, const witos::Credentials& cred) {
   witobs::Span span(tracer_, "itfs.read", correlation_id_);
-  SimTimer timer(clock_, op_latency_[static_cast<size_t>(ItfsOpKind::kRead)]);
+  SimTimer timer(clock_, OpLatency(ItfsOpKind::kRead));
   // Content rules were enforced at open; reads are forwarded but still
   // logged when log_all is set with per-path dedup left to the analyzer.
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kRead, path, cred, /*fetch_head=*/false));
@@ -340,7 +341,7 @@ witos::Result<size_t> Itfs::ReadAt(const std::string& path, uint64_t offset, siz
 witos::Result<size_t> Itfs::WriteAt(const std::string& path, uint64_t offset,
                                     const std::string& data, const witos::Credentials& cred) {
   witobs::Span span(tracer_, "itfs.write", correlation_id_);
-  SimTimer timer(clock_, op_latency_[static_cast<size_t>(ItfsOpKind::kWrite)]);
+  SimTimer timer(clock_, OpLatency(ItfsOpKind::kWrite));
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kWrite, path, cred, /*fetch_head=*/false));
   return lower_->WriteAt(path, offset, data, invoker_);
 }
@@ -362,7 +363,7 @@ witos::Result<witos::Stat> Itfs::GetAttr(const std::string& path,
 
 witos::Result<std::vector<witos::DirEntry>> Itfs::ReadDir(const std::string& path,
                                                           const witos::Credentials& cred) {
-  SimTimer timer(clock_, op_latency_[static_cast<size_t>(ItfsOpKind::kReaddir)]);
+  SimTimer timer(clock_, OpLatency(ItfsOpKind::kReaddir));
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kReaddir, path, cred, /*fetch_head=*/false));
   return lower_->ReadDir(path, invoker_);
 }
@@ -374,7 +375,7 @@ witos::Status Itfs::MkDir(const std::string& path, witos::Mode mode,
 }
 
 witos::Status Itfs::Unlink(const std::string& path, const witos::Credentials& cred) {
-  SimTimer timer(clock_, op_latency_[static_cast<size_t>(ItfsOpKind::kUnlink)]);
+  SimTimer timer(clock_, OpLatency(ItfsOpKind::kUnlink));
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kUnlink, path, cred, /*fetch_head=*/true));
   return lower_->Unlink(path, invoker_);
 }
@@ -386,7 +387,7 @@ witos::Status Itfs::RmDir(const std::string& path, const witos::Credentials& cre
 
 witos::Status Itfs::Rename(const std::string& from, const std::string& to,
                            const witos::Credentials& cred) {
-  SimTimer timer(clock_, op_latency_[static_cast<size_t>(ItfsOpKind::kRename)]);
+  SimTimer timer(clock_, OpLatency(ItfsOpKind::kRename));
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kRename, from, cred, /*fetch_head=*/true));
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kRename, to, cred, /*fetch_head=*/false));
   return lower_->Rename(from, to, invoker_);

@@ -65,6 +65,30 @@ struct ShadowDivergence {
   std::string shadow_rule;   // shadow policy's matching rule (may be empty)
 };
 
+inline constexpr size_t kNumItfsOpKinds = 7;  // mirrors ItfsOpKind
+
+// The registry handles every Itfs on one machine shares: op counters and
+// latency histograms, verdict-cache, shadow, head-read and OpLog counters,
+// and the policy-compile histogram. Resolved once per registry —
+// ContainIt::EnableMetrics does it per machine — so wiring an Itfs creates
+// only its two per-ticket series. Immutable after construction.
+struct ItfsMetrics {
+  explicit ItfsMetrics(witobs::MetricsRegistry* registry);
+
+  witobs::MetricsRegistry* registry = nullptr;
+  witobs::Counter* ops[kNumItfsOpKinds][2] = {};        // [op][0=allow, 1=deny]
+  witobs::Histogram* op_latency[kNumItfsOpKinds] = {};  // simulated ns per op
+  witobs::Counter* head_read_bytes = nullptr;
+  witobs::Counter* cache_hits = nullptr;
+  witobs::Counter* cache_misses = nullptr;
+  witobs::Counter* cache_invalidations = nullptr;
+  witobs::Counter* shadow[3] = {};  // agree, would_block, would_allow
+  witobs::Counter* oplog_dropped = nullptr;
+  // One observation per compile, where it happens: a deploy that compiles
+  // its spec's policy, and every SwapPolicy.
+  witobs::Histogram* compile_ns = nullptr;
+};
+
 class Itfs : public witos::Filesystem {
  public:
   // `invoker` is the host user who mounted ITFS (root for admin containers).
@@ -158,14 +182,13 @@ class Itfs : public witos::Filesystem {
     return lower_->Generation(path);
   }
 
-  // Wires this instance into the observability layer. `correlation_id` is
-  // the ticket/session id: it labels the per-ticket series and tags every
-  // span this filesystem emits. Counter/histogram handles are resolved once
-  // here so the per-operation cost is a few relaxed atomic adds.
-  void EnableMetrics(witobs::MetricsRegistry* registry, const std::string& correlation_id,
-                     witobs::Tracer* tracer = nullptr);
-
-  witobs::MetricsRegistry* metrics() const { return metrics_; }
+  // Wires this instance into the observability layer through the shared
+  // `metrics` handles (null disables metrics). `correlation_id` is the
+  // ticket/session id: it labels the two per-ticket series resolved here and
+  // tags every span this filesystem emits. The per-operation cost is a few
+  // relaxed atomic adds.
+  void EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics,
+                     const std::string& correlation_id, witobs::Tracer* tracer = nullptr);
 
  private:
   // Policy gate: logs the access and returns EACCES if a deny rule fires.
@@ -195,8 +218,6 @@ class Itfs : public witos::Filesystem {
     witobs::Histogram* hist_;
     uint64_t start_ns_;
   };
-
-  static constexpr size_t kNumOpKinds = 7;  // mirrors ItfsOpKind
 
   // A cached content classification for one path. The entry is valid only
   // while the file's generation and the policy's required read size (basis)
@@ -246,19 +267,16 @@ class Itfs : public witos::Filesystem {
   std::atomic<uint64_t> verdict_misses_{0};
   std::atomic<uint64_t> verdict_invalidations_{0};
 
-  // Observability wiring (all null when metrics are disabled).
-  witobs::MetricsRegistry* metrics_ = nullptr;
+  // Simulated-latency histogram for `op`, or null when metrics are off.
+  witobs::Histogram* OpLatency(ItfsOpKind op) const {
+    return metrics_ != nullptr ? metrics_->op_latency[static_cast<size_t>(op)] : nullptr;
+  }
+
+  // Observability wiring (null when metrics are disabled).
+  std::shared_ptr<const ItfsMetrics> metrics_;
   witobs::Tracer* tracer_ = nullptr;
   std::string correlation_id_;
-  witobs::Counter* op_counters_[kNumOpKinds][2] = {};  // [op][0=allow, 1=deny]
-  witobs::Counter* ticket_ops_[2] = {};                // per-ticket allow/deny
-  witobs::Counter* head_read_bytes_ = nullptr;
-  witobs::Counter* cache_hits_counter_ = nullptr;
-  witobs::Counter* cache_misses_counter_ = nullptr;
-  witobs::Counter* cache_invalidations_counter_ = nullptr;
-  witobs::Counter* shadow_counters_[3] = {};  // agree, would_block, would_allow
-  witobs::Histogram* compile_ns_hist_ = nullptr;
-  witobs::Histogram* op_latency_[kNumOpKinds] = {};    // simulated ns per op
+  witobs::Counter* ticket_ops_[2] = {};  // per-ticket allow/deny
 };
 
 }  // namespace witfs

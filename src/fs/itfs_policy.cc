@@ -1,6 +1,7 @@
 #include "src/fs/itfs_policy.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/os/path.h"
 
@@ -34,6 +35,26 @@ const std::vector<std::string>& DocumentExtensions() {
   return kExts;
 }
 
+ItfsPolicy::ItfsPolicy(ItfsPolicy&& other) noexcept { *this = std::move(other); }
+
+ItfsPolicy& ItfsPolicy::operator=(ItfsPolicy&& other) noexcept {
+  if (this != &other) {
+    rules_ = std::move(other.rules_);
+    mode_ = other.mode_;
+    log_all_ = other.log_all_;
+    content_scan_limit_ = other.content_scan_limit_;
+    revision_ = other.revision_;
+    other.rules_.clear();
+    other.Touch();
+  }
+  return *this;
+}
+
+void ItfsPolicy::Touch() {
+  static std::atomic<uint64_t> next_revision{1};
+  revision_ = next_revision.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ItfsPolicy::AddRule(ItfsRule rule) {
   // PathIsUnder requires normalized prefixes: a trailing slash or a "."/".."
   // component in a rule ("/etc/", "/etc/../etc") would otherwise never match
@@ -43,6 +64,7 @@ void ItfsPolicy::AddRule(ItfsRule rule) {
     prefix = witos::NormalizePath(prefix);
   }
   rules_.push_back(std::move(rule));
+  Touch();
 }
 
 void ItfsPolicy::Merge(const ItfsPolicy& other) {
@@ -52,6 +74,7 @@ void ItfsPolicy::Merge(const ItfsPolicy& other) {
   if (other.mode_ == InspectionMode::kSignature) {
     mode_ = InspectionMode::kSignature;
   }
+  Touch();
 }
 
 bool ItfsPolicy::NeedsContent() const {

@@ -70,16 +70,28 @@ struct PolicyDecision {
 class ItfsPolicy {
  public:
   ItfsPolicy() = default;
+  // A copy keeps the source's revision: same rules, same compiled form. A
+  // moved-from builder takes a fresh revision, since its rules are gone.
+  ItfsPolicy(const ItfsPolicy&) = default;
+  ItfsPolicy& operator=(const ItfsPolicy&) = default;
+  ItfsPolicy(ItfsPolicy&& other) noexcept;
+  ItfsPolicy& operator=(ItfsPolicy&& other) noexcept;
 
   void AddRule(ItfsRule rule);
   // Appends all of `other`'s rules; adopts signature inspection if either
   // side uses it (merging never weakens a policy).
   void Merge(const ItfsPolicy& other);
-  void set_inspection_mode(InspectionMode mode) { mode_ = mode; }
+  void set_inspection_mode(InspectionMode mode) {
+    mode_ = mode;
+    Touch();
+  }
   InspectionMode inspection_mode() const { return mode_; }
   // When true every access is logged even without a matching rule (the
   // paper's blanket "all filesystem operations were monitored").
-  void set_log_all(bool log_all) { log_all_ = log_all; }
+  void set_log_all(bool log_all) {
+    log_all_ = log_all;
+    Touch();
+  }
   bool log_all() const { return log_all_; }
 
   // In signature mode, how many leading bytes ITFS reads from the lower
@@ -87,8 +99,17 @@ class ItfsPolicy {
   // kSignatureHeadBytes; deeper scans support content classification
   // (embedded media, custom detectors) at proportional cost — this is the
   // dominant cost of the ITFS+signature configuration in Figure 9.
-  void set_content_scan_limit(size_t bytes) { content_scan_limit_ = bytes; }
+  void set_content_scan_limit(size_t bytes) {
+    content_scan_limit_ = bytes;
+    Touch();
+  }
   size_t content_scan_limit() const { return content_scan_limit_; }
+
+  // Names this builder's exact contents: every mutator takes a fresh,
+  // process-unique revision and copies keep it, so two builders with the
+  // same revision compile to the same policy. A policy compiled earlier is
+  // current only while the revision it was built from still matches.
+  uint64_t revision() const { return revision_; }
 
   // Evaluates the rules for an access of kind `op` to `path` whose head
   // bytes are `head` (empty unless signature mode fetched them). First
@@ -126,10 +147,13 @@ class ItfsPolicy {
   static ItfsRule ReadOnlyRule(std::vector<std::string> prefixes);
 
  private:
+  void Touch();  // takes a fresh revision after a mutation
+
   std::vector<ItfsRule> rules_;
   InspectionMode mode_ = InspectionMode::kExtensionOnly;
   bool log_all_ = true;
   size_t content_scan_limit_ = 64 * 1024;
+  uint64_t revision_ = 0;  // 0: default-constructed, never mutated
 };
 
 // Extensions the paper's document filter covers.

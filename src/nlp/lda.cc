@@ -75,17 +75,30 @@ void LdaModel::Train() {
       }
     }
   }
+  // The counts are final: tabulate phi once, word-major, with the exact
+  // quotient the sampler above used.
+  phi_.resize(V * K);
+  for (size_t w = 0; w < V; ++w) {
+    for (size_t k = 0; k < K; ++k) {
+      phi_[w * K + k] = (static_cast<double>(topic_word_[k * V + w]) + beta) /
+                        (static_cast<double>(topic_total_[k]) + v_beta);
+    }
+  }
   trained_ = true;
 }
 
 double LdaModel::TopicWordProb(int topic, int word_id) const {
   assert(trained_);
-  const size_t V = corpus_->vocab().size();
-  const size_t k = static_cast<size_t>(topic);
-  return (static_cast<double>(topic_word_[k * V + static_cast<size_t>(word_id)]) +
-          options_.beta) /
-         (static_cast<double>(topic_total_[k]) + static_cast<double>(V) * options_.beta);
+  return phi_[static_cast<size_t>(word_id) * static_cast<size_t>(options_.num_topics) +
+              static_cast<size_t>(topic)];
 }
+
+int LdaModel::TopicWordCount(int topic, int word_id) const {
+  return topic_word_[static_cast<size_t>(topic) * corpus_->vocab().size() +
+                     static_cast<size_t>(word_id)];
+}
+
+int LdaModel::TopicTotal(int topic) const { return topic_total_[static_cast<size_t>(topic)]; }
 
 std::vector<double> LdaModel::DocTopicDist(size_t doc_index) const {
   assert(trained_);
@@ -122,10 +135,7 @@ std::vector<double> LdaModel::InferTopics(const std::vector<int>& word_ids, int 
                                           uint32_t seed) const {
   assert(trained_);
   const size_t K = static_cast<size_t>(options_.num_topics);
-  const size_t V = corpus_->vocab().size();
   const double alpha = options_.alpha;
-  const double beta = options_.beta;
-  const double v_beta = static_cast<double>(V) * beta;
 
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> topic_dist(0, options_.num_topics - 1);
@@ -140,15 +150,14 @@ std::vector<double> LdaModel::InferTopics(const std::vector<int>& word_ids, int 
   std::vector<double> weights(K);
   for (int iter = 0; iter < iterations; ++iter) {
     for (size_t i = 0; i < word_ids.size(); ++i) {
-      const size_t w = static_cast<size_t>(word_ids[i]);
+      // Topic-word counts stay fixed at their trained values (fold-in), so
+      // the token's phi row is the same on every iteration.
+      const double* phi = &phi_[static_cast<size_t>(word_ids[i]) * K];
       const size_t old_k = static_cast<size_t>(z[i]);
       --local_doc_topic[old_k];
       double total = 0.0;
       for (size_t k = 0; k < K; ++k) {
-        // Topic-word counts stay fixed at their trained values (fold-in).
-        double p = (static_cast<double>(topic_word_[k * V + w]) + beta) /
-                   (static_cast<double>(topic_total_[k]) + v_beta) *
-                   (static_cast<double>(local_doc_topic[k]) + alpha);
+        double p = phi[k] * (static_cast<double>(local_doc_topic[k]) + alpha);
         total += p;
         weights[k] = total;
       }

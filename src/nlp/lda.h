@@ -35,8 +35,12 @@ class LdaModel {
 
   int num_topics() const { return options_.num_topics; }
 
-  // phi_k(w): the topic-word distribution.
+  // phi_k(w): the topic-word distribution, read from the table Train()
+  // builds.
   double TopicWordProb(int topic, int word_id) const;
+  // The trained counts phi is computed from: n_{k,w} and n_k.
+  int TopicWordCount(int topic, int word_id) const;
+  int TopicTotal(int topic) const;
   // theta_d(k): the per-training-document topic distribution.
   std::vector<double> DocTopicDist(size_t doc_index) const;
 
@@ -56,8 +60,6 @@ class LdaModel {
 
  private:
   void Initialize();
-  int SampleTopic(int doc, int word, int old_topic, std::mt19937& rng,
-                  std::vector<double>* weights) const;
 
   const Corpus* corpus_;
   LdaOptions options_;
@@ -68,6 +70,10 @@ class LdaModel {
   std::vector<int> topic_total_;  // K:     n_k
   std::vector<int> doc_topic_;    // D x K: n_{d,k}
   std::vector<std::vector<int>> assignments_;  // z for every token
+  // Word-major phi, fixed once training ends: phi_[w*K + k] =
+  // (n_{k,w} + beta) / (n_k + V*beta). Fold-in reads one contiguous row
+  // per token instead of dividing per token, topic and iteration.
+  std::vector<double> phi_;
   bool trained_ = false;
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/container/image_repo.h"
 #include "src/container/spec.h"
 #include "src/net/network.h"
 
@@ -241,6 +242,119 @@ TEST_F(ContainItTest, MultipleConcurrentSessions) {
   EXPECT_TRUE(containit_->FindSession(*id2)->active);
   EXPECT_EQ(containit_->FindSessionByTicket("TKT-2")->id, *id2);
   EXPECT_EQ(containit_->FindSessionByTicket("TKT-1"), nullptr);
+}
+
+TEST_F(ContainItTest, ImageDeploysShareOneCompiledPolicy) {
+  // The repository compiles each image once; every session and every
+  // file-sharing mount of that image runs the very same CompiledPolicy.
+  ImageRepository repo;
+  repo.Register("T-1", LicenseSpec());
+  PerforatedContainerSpec unmonitored = LicenseSpec();
+  unmonitored.fs.kind = FsView::Kind::kPrivate;
+  unmonitored.fs.monitor = false;  // only ShareDirectory mounts ITFS
+  repo.Register("T-11", unmonitored);
+  const witfs::CompiledPolicy* t1 = repo.Lookup("T-1")->fs.compiled().get();
+  const witfs::CompiledPolicy* t11 = repo.Lookup("T-11")->fs.compiled().get();
+  ASSERT_NE(t1, nullptr);
+  ASSERT_NE(t11, nullptr);
+
+  auto first = containit_->Deploy(*repo.Lookup("T-1"), "TKT-1", "alice");
+  auto second = containit_->Deploy(*repo.Lookup("T-1"), "TKT-2", "bob");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(containit_->FindSession(*first)->itfs->policy_snapshot().get(), t1);
+  EXPECT_EQ(containit_->FindSession(*second)->itfs->policy_snapshot().get(), t1);
+
+  auto shared = containit_->Deploy(*repo.Lookup("T-11"), "TKT-3", "carol");
+  ASSERT_TRUE(shared.ok());
+  ASSERT_EQ(containit_->FindSession(*shared)->itfs, nullptr);
+  kernel_->root_fs().ProvisionFile("/var/data/report.pdf", "%PDF-1.4 secret");
+  ASSERT_TRUE(containit_->ShareDirectory(*shared, "/var/data", "/var/data").ok());
+  Session* session = containit_->FindSession(*shared);
+  ASSERT_NE(session->itfs, nullptr);
+  EXPECT_EQ(session->itfs->policy_snapshot().get(), t11);
+  EXPECT_EQ(kernel_->ReadFile(session->shell, "/var/data/report.pdf").error(),
+            witos::Err::kAcces);
+}
+
+TEST_F(ContainItTest, RuleAddedToLookedUpSpecIsEnforced) {
+  ImageRepository repo;
+  repo.Register("T-1", LicenseSpec());
+  PerforatedContainerSpec spec = *repo.Lookup("T-1");
+  witfs::ItfsRule deny_notes;
+  deny_notes.name = "deny-notes";
+  deny_notes.path_prefixes = {"/home/user/notes.txt"};
+  spec.fs.policy.AddRule(std::move(deny_notes));
+  EXPECT_EQ(spec.fs.compiled(), nullptr);  // the image's policy is stale for this spec
+
+  auto edited = containit_->Deploy(spec, "TKT-1", "alice");
+  ASSERT_TRUE(edited.ok());
+  Session* session = containit_->FindSession(*edited);
+  EXPECT_NE(session->itfs->policy_snapshot().get(), repo.Lookup("T-1")->fs.compiled().get());
+  EXPECT_EQ(kernel_->ReadFile(session->shell, "/home/user/notes.txt").error(),
+            witos::Err::kAcces);
+  // The image itself is untouched.
+  auto plain = containit_->Deploy(*repo.Lookup("T-1"), "TKT-2", "bob");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(*kernel_->ReadFile(containit_->FindSession(*plain)->shell, "/home/user/notes.txt"),
+            "user notes");
+}
+
+TEST_F(ContainItTest, CompiledPolicyFollowsPolicyRevision) {
+  FsView view;
+  view.policy.AddRule(witfs::ItfsPolicy::DenyDocumentsRule());
+  EXPECT_EQ(view.compiled(), nullptr);
+  ASSERT_TRUE(view.Compile());
+  ASSERT_NE(view.compiled(), nullptr);
+  EXPECT_FALSE(view.Compile());  // current: nothing to do
+
+  FsView copy = view;  // a copy keeps the policy and its compiled form
+  EXPECT_EQ(copy.compiled(), view.compiled());
+  copy.inspection = witfs::InspectionMode::kSignature;
+  EXPECT_EQ(copy.compiled(), nullptr);
+  copy.inspection = witfs::InspectionMode::kExtensionOnly;
+  EXPECT_EQ(copy.compiled(), view.compiled());
+  copy.policy.set_log_all(false);
+  EXPECT_EQ(copy.compiled(), nullptr);
+
+  // A builder whose rules were moved away no longer matches what was
+  // compiled from them.
+  witfs::ItfsPolicy taken = std::move(view.policy);
+  EXPECT_EQ(view.compiled(), nullptr);
+  EXPECT_EQ(taken.rule_count(), 1u);
+  // Distinct mutations never share a revision.
+  witfs::ItfsPolicy a;
+  witfs::ItfsPolicy b;
+  a.set_log_all(false);
+  b.set_log_all(false);
+  EXPECT_NE(a.revision(), b.revision());
+}
+
+TEST_F(ContainItTest, PolicyCompileObservedWhereItHappens) {
+  witobs::MetricsRegistry registry;
+  containit_->EnableMetrics(&registry);
+  auto compiles = [&] { return registry.FindHistogram("watchit_policy_compile_ns")->Count(); };
+  ImageRepository repo;
+  repo.Register("T-1", LicenseSpec());
+  EXPECT_EQ(compiles(), 0u);
+
+  // Deploys of a compiled image share its policy: no compile, no sample.
+  ASSERT_TRUE(containit_->Deploy(*repo.Lookup("T-1"), "TKT-1", "alice").ok());
+  auto id = containit_->Deploy(*repo.Lookup("T-1"), "TKT-2", "alice");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(containit_->ShareDirectory(*id, "/var/log", "/var/log").ok());
+  EXPECT_EQ(compiles(), 0u);
+
+  // A hand-built spec is compiled on deploy, once per session.
+  auto hand_built = containit_->Deploy(LicenseSpec(), "TKT-3", "alice");
+  ASSERT_TRUE(hand_built.ok());
+  EXPECT_EQ(compiles(), 1u);
+  ASSERT_TRUE(containit_->ShareDirectory(*hand_built, "/var/log", "/var/log").ok());
+  EXPECT_EQ(compiles(), 1u);
+
+  // A swap installs a fresh compile.
+  containit_->FindSession(*hand_built)->itfs->SwapPolicy(LicenseSpec().fs.policy.Compile());
+  EXPECT_EQ(compiles(), 2u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/core/case_study.h"
 #include "src/core/cluster.h"
 #include "src/core/session.h"
@@ -141,8 +143,59 @@ TEST(FrameworkTest, ClassifiesSyntheticTickets) {
     correct += framework.Classify(t.text) == t.true_class ? 1u : 0u;
   }
   EXPECT_GT(correct, 140u) << "accuracy " << correct << "/200";
-  // Review overrides the prediction.
-  EXPECT_EQ(framework.ClassifyWithReview(eval[0].text, "T-7"), "T-7");
+}
+
+TEST(FrameworkTest, ConcurrentClassifyMatchesSingleThreaded) {
+  // Many serving workers share one trained framework; with metrics on,
+  // concurrent classification must neither race nor change a prediction.
+  witload::TicketGenerator::Options options;
+  options.seed = 4;
+  witload::TicketGenerator gen(options);
+  std::vector<std::pair<std::string, std::string>> labelled;
+  for (const auto& t :
+       gen.GenerateBatch(400, witload::TicketGenerator::HistoricalDistribution())) {
+    labelled.emplace_back(t.text, t.true_class);
+  }
+  ItFramework::Config config;
+  config.lda.iterations = 80;
+  ItFramework framework(config);
+  witobs::MetricsRegistry registry;
+  framework.EnableMetrics(&registry);
+  framework.TrainOnHistory(labelled);
+
+  witload::TicketGenerator::Options eval_options;
+  eval_options.seed = 41;
+  eval_options.typo_rate = 0.03;
+  witload::TicketGenerator eval_gen(eval_options);
+  auto eval = eval_gen.GenerateBatch(60, witload::TicketGenerator::EvaluationDistribution());
+  std::vector<std::string> expected;
+  for (const auto& t : eval) {
+    expected.push_back(framework.Classify(t.text));
+  }
+
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      // Each thread starts at a different ticket so the threads overlap on
+      // different work.
+      got[i].resize(eval.size());
+      for (size_t n = 0; n < eval.size(); ++n) {
+        size_t j = (n + i * 7) % eval.size();
+        got[i][j] = framework.Classify(eval[j].text);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], expected) << "thread " << i;
+  }
+  const uint64_t classified = eval.size() * (kThreads + 1);
+  EXPECT_EQ(registry.FindHistogram("watchit_framework_classify_latency_ns")->Count(),
+            classified);
 }
 
 TEST(SessionTest, CommandsRespectView) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "src/nlp/classifier.h"
@@ -42,16 +43,106 @@ class LdaTest : public ::testing::Test {
  protected:
   void SetUp() override {
     corpus_ = MakeCorpus(60, 5);
-    LdaOptions options;
-    options.num_topics = 3;
-    options.iterations = 200;
-    options.seed = 9;
-    model_ = std::make_unique<LdaModel>(&corpus_, options);
+    options_.num_topics = 3;
+    options_.iterations = 200;
+    options_.seed = 9;
+    model_ = std::make_unique<LdaModel>(&corpus_, options_);
     model_->Train();
   }
   Corpus corpus_;
+  LdaOptions options_;
   std::unique_ptr<LdaModel> model_;
 };
+
+// The fold-in sampler with the topic-word quotient recomputed for every
+// token, topic and iteration from the trained counts: the reference the
+// tabulated phi must reproduce bit for bit (same draws, same operations in
+// the same order).
+std::vector<double> ReferenceInferTopics(const LdaModel& model, const LdaOptions& options,
+                                         size_t vocab_size, const std::vector<int>& word_ids,
+                                         int iterations = 50, uint32_t seed = 7) {
+  const size_t K = static_cast<size_t>(options.num_topics);
+  const double alpha = options.alpha;
+  const double beta = options.beta;
+  const double v_beta = static_cast<double>(vocab_size) * beta;
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> topic_dist(0, options.num_topics - 1);
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  std::vector<int> local_doc_topic(K, 0);
+  std::vector<int> z(word_ids.size());
+  for (size_t i = 0; i < word_ids.size(); ++i) {
+    z[i] = topic_dist(rng);
+    ++local_doc_topic[static_cast<size_t>(z[i])];
+  }
+  std::vector<double> weights(K);
+  for (int iter = 0; iter < iterations; ++iter) {
+    for (size_t i = 0; i < word_ids.size(); ++i) {
+      const size_t old_k = static_cast<size_t>(z[i]);
+      --local_doc_topic[old_k];
+      double total = 0.0;
+      for (size_t k = 0; k < K; ++k) {
+        const int topic = static_cast<int>(k);
+        double p = (static_cast<double>(model.TopicWordCount(topic, word_ids[i])) + beta) /
+                   (static_cast<double>(model.TopicTotal(topic)) + v_beta) *
+                   (static_cast<double>(local_doc_topic[k]) + alpha);
+        total += p;
+        weights[k] = total;
+      }
+      double r = uniform(rng) * total;
+      size_t new_k = static_cast<size_t>(
+          std::lower_bound(weights.begin(), weights.end(), r) - weights.begin());
+      if (new_k >= K) {
+        new_k = K - 1;
+      }
+      z[i] = static_cast<int>(new_k);
+      ++local_doc_topic[new_k];
+    }
+  }
+  std::vector<double> out(K);
+  double denom = static_cast<double>(word_ids.size()) + static_cast<double>(K) * alpha;
+  for (size_t k = 0; k < K; ++k) {
+    out[k] = (static_cast<double>(local_doc_topic[k]) + alpha) / denom;
+  }
+  return out;
+}
+
+TEST_F(LdaTest, TopicWordProbIsTheExactQuotient) {
+  const size_t V = corpus_.vocab().size();
+  const double v_beta = static_cast<double>(V) * options_.beta;
+  for (int k = 0; k < model_->num_topics(); ++k) {
+    for (size_t w = 0; w < V; ++w) {
+      const int word = static_cast<int>(w);
+      EXPECT_EQ(model_->TopicWordProb(k, word),
+                (static_cast<double>(model_->TopicWordCount(k, word)) + options_.beta) /
+                    (static_cast<double>(model_->TopicTotal(k)) + v_beta));
+    }
+  }
+}
+
+TEST_F(LdaTest, TabulatedInferenceIsBitIdenticalToTheQuotient) {
+  const size_t V = corpus_.vocab().size();
+  // Every training document...
+  for (const Document& doc : corpus_.docs()) {
+    EXPECT_EQ(model_->InferTopics(doc.word_ids),
+              ReferenceInferTopics(*model_, options_, V, doc.word_ids));
+  }
+  // ...and a held-out batch mixing the planted topics, at other iteration
+  // counts and seeds.
+  Corpus held_out = MakeCorpus(10, 77);
+  uint32_t seed = 1;
+  for (const Document& doc : held_out.docs()) {
+    std::vector<std::string> words;
+    for (int id : doc.word_ids) {
+      words.push_back(held_out.vocab().WordOf(id));
+    }
+    words.push_back(TopicWords()[seed % TopicWords().size()][0]);
+    std::vector<int> ids = corpus_.ToIds(words);
+    ASSERT_FALSE(ids.empty());
+    EXPECT_EQ(model_->InferTopics(ids, 30, seed),
+              ReferenceInferTopics(*model_, options_, V, ids, 30, seed));
+    ++seed;
+  }
+}
 
 TEST_F(LdaTest, TopicWordDistributionsSumToOne) {
   for (int k = 0; k < model_->num_topics(); ++k) {

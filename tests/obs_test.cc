@@ -323,6 +323,44 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   EXPECT_EQ(forensics->broker_denied, 1u);
 }
 
+TEST(EndToEndTest, BogusBrokerVerbsCannotMintSeries) {
+  watchit::Cluster cluster;
+  watchit::Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  watchit::ClusterManager manager(&cluster);
+  watchit::Ticket ticket;
+  ticket.id = "TKT-VERBS";
+  ticket.target_machine = "userpc";
+  ticket.assigned_class = "T-1";
+  ticket.admin = "mallory";
+  auto deployment = manager.Deploy(ticket);
+  ASSERT_TRUE(deployment.ok());
+  watchit::AdminSession session(&machine, deployment->session, deployment->certificate,
+                                &cluster.ca());
+  ASSERT_TRUE(session.Login().ok());
+
+  const witobs::MetricsRegistry& metrics = machine.metrics();
+  const size_t before = metrics.SeriesCount();
+  constexpr int kVerbs = 1000;
+  for (int i = 0; i < kVerbs; ++i) {
+    EXPECT_FALSE(session.Pb("bogus-verb-" + std::to_string(i), {}).ok());
+  }
+  // A constant: the ticket's own pair, not one series per made-up verb.
+  EXPECT_LE(metrics.SeriesCount() - before, 2u);
+  EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
+                                 {{"verb", "unknown"}, {"outcome", "deny"}}),
+            static_cast<uint64_t>(kVerbs));
+  EXPECT_EQ(metrics.CounterValue("watchit_broker_ticket_requests_total",
+                                 {{"ticket", "TKT-VERBS"}, {"outcome", "deny"}}),
+            static_cast<uint64_t>(kVerbs));
+  // The accountability records keep the exact verb.
+  auto events = machine.broker().EventsSnapshot();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().verb, "bogus-verb-999");
+  auto entries = machine.broker().log().SnapshotEntries();
+  ASSERT_FALSE(entries.empty());
+  EXPECT_NE(entries.back().payload.find("bogus-verb-999"), std::string::npos);
+}
+
 TEST(EndToEndTest, OpLogRetentionCapDropsOldestAndCountsInRegistry) {
   MetricsRegistry registry;
   witfs::OpLog log;

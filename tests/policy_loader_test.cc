@@ -55,6 +55,37 @@ TEST_F(PolicyLoaderTest, LoadsAndAppliesToAllImages) {
   EXPECT_TRUE(session.ReadFile("/home/user/.matlab/license.lic").ok());
 }
 
+TEST_F(PolicyLoaderTest, ConstraintLoadedAfterDeploysBindsTheNextDeploy) {
+  machine_->kernel().root_fs().ProvisionFile("/home/user/id_rsa.key", "PRIVATE KEY", 1000,
+                                             1000);
+  ClusterManager manager(&cluster_);
+  auto deploy_and_read = [&](const std::string& id) {
+    Ticket ticket;
+    ticket.id = id;
+    ticket.target_machine = "userpc";
+    ticket.assigned_class = "T-1";
+    ticket.admin = "alice";
+    auto deployment = manager.Deploy(ticket);
+    EXPECT_TRUE(deployment.ok());
+    AdminSession session(machine_, deployment->session, deployment->certificate,
+                         &cluster_.ca());
+    EXPECT_TRUE(session.Login().ok());
+    witos::Err err = session.ReadFile("/home/user/id_rsa.key").error();
+    EXPECT_TRUE(manager.Expire(&*deployment).ok());
+    return err;
+  };
+  EXPECT_EQ(deploy_and_read("TKT-BEFORE"), witos::Err::kOk);
+  auto before = cluster_.images().Lookup("T-1")->fs.compiled();
+
+  InstallPolicyFiles(machine_, "deny ext:key name=no-private-keys\n", "");
+  ASSERT_TRUE(LoadMachinePolicies(machine_, &cluster_.images()).ok());
+  // ForEach recompiled the image; the old policy is no longer handed out.
+  auto after = cluster_.images().Lookup("T-1")->fs.compiled();
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(deploy_and_read("TKT-AFTER"), witos::Err::kAcces);
+}
+
 TEST_F(PolicyLoaderTest, ParseErrorAbortsWithoutMutating) {
   InstallPolicyFiles(machine_, "deny gibberish\n", "");
   auto before = cluster_.images().Lookup("T-1");

@@ -140,6 +140,58 @@ TEST_F(WorkflowTest, UnknownMachineFails) {
   EXPECT_FALSE(workflow_->Process(Make(1), "ghost").ok());
 }
 
+TEST_F(WorkflowTest, ReviewOverridesThePrediction) {
+  // The supervisor reviews the one prediction Prepare made: a ticket whose
+  // reviewed class differs deploys under the reviewed class, and the
+  // prediction is still reported as it was.
+  witload::GeneratedTicket generated = Make(1);
+  generated.true_class = "T-7";
+  const std::string predicted = framework_->Classify(generated.text);
+  ASSERT_NE(predicted, "T-7");
+  auto prepared = workflow_->Prepare(generated, "userpc");
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(prepared->resolved.predicted_class, predicted);
+  EXPECT_FALSE(prepared->resolved.classified_correctly);
+  EXPECT_EQ(prepared->resolved.ticket.assigned_class, "T-7");
+  ASSERT_TRUE(dispatcher_.Complete(prepared->resolved.ticket.admin).ok());
+
+  // Without a review the prediction stands.
+  generated.true_class.clear();
+  prepared = workflow_->Prepare(generated, "userpc");
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(prepared->resolved.ticket.assigned_class, predicted);
+  ASSERT_TRUE(dispatcher_.Complete(prepared->resolved.ticket.admin).ok());
+}
+
+TEST_F(WorkflowTest, PrepareClassifiesEachTicketOnce) {
+  witobs::MetricsRegistry registry;
+  framework_->EnableMetrics(&registry);
+  workflow_->EnableMetrics(&registry);
+  constexpr uint64_t kTickets = 11;
+  for (int cls = 1; cls <= static_cast<int>(kTickets); ++cls) {
+    auto prepared = workflow_->Prepare(Make(cls), "userpc");
+    ASSERT_TRUE(prepared.ok());
+    ASSERT_TRUE(dispatcher_.Complete(prepared->resolved.ticket.admin).ok());
+  }
+  uint64_t classified = 0;
+  for (const auto& family : registry.Snapshot()) {
+    if (family.name == "watchit_framework_classifications_total") {
+      for (const auto& series : family.series) {
+        classified += series.counter->Value();
+      }
+    }
+  }
+  EXPECT_EQ(classified, kTickets);
+  EXPECT_EQ(registry.FindHistogram("watchit_framework_classify_latency_ns")->Count(), kTickets);
+  EXPECT_EQ(registry.FindHistogram("watchit_workflow_stage_latency_ns", {{"stage", "classify"}})
+                ->Count(),
+            kTickets);
+  EXPECT_EQ(registry.CounterValue("watchit_workflow_tickets_total", {{"classified", "correct"}}) +
+                registry.CounterValue("watchit_workflow_tickets_total",
+                                      {{"classified", "reviewed"}}),
+            kTickets);
+}
+
 TEST_F(WorkflowTest, UnqualifiedRosterFails) {
   Dispatcher empty;
   TicketWorkflow workflow(&cluster_, framework_.get(), &empty);
