@@ -203,12 +203,12 @@ int main(int argc, char** argv) {
       continue;
     }
     for (const std::string& verb : hand->allowed_verbs) {
-      witbroker::RpcRequest req;
-      req.method = verb;
+      witbroker::RpcBatchRequest req;
       req.uid = witos::kRootUid;
       req.ticket_id = ticket;
       req.admin = "bench-admin";
-      broker.Handle(req);
+      req.ops = {{verb, {}}};
+      broker.HandleBatch(req);
       ++shadow_requests;
     }
   }

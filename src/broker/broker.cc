@@ -44,7 +44,6 @@ PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
     event_shards_.push_back(std::make_unique<EventShard>("broker.events" + suffix));
     ticket_shards_.push_back(std::make_unique<TicketShard>("broker.tickets" + suffix));
   }
-  channel->Bind([this](const RpcRequest& request) { return Handle(request); });
   channel->BindBatch([this](const RpcBatchRequest& batch) { return HandleBatch(batch); });
 }
 
@@ -179,12 +178,6 @@ void PermissionBroker::PushEventLocked(EventShard* shard, BrokerEvent event) {
   shard->events.push_back(std::move(event));
 }
 
-void PermissionBroker::RecordEvent(BrokerEvent event) {
-  EventShard& shard = EventShardOf(event.ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  PushEventLocked(&shard, std::move(event));
-}
-
 void PermissionBroker::RecordEvents(std::vector<BrokerEvent> events) {
   if (events.empty()) {
     return;
@@ -297,14 +290,11 @@ void PermissionBroker::CountRequest(const RpcRequest& request, const Binding& bi
   }
   const size_t outcome = allowed ? 0 : 1;
   CountersFor(request.method).requests[outcome]->Increment();
-  witobs::Counter* per_ticket = binding.requests[outcome];
-  if (per_ticket == nullptr) {
-    // An unbound ticket has no binding to keep handles in.
-    per_ticket = metrics_->GetCounter("watchit_broker_ticket_requests_total",
-                                      {{"ticket", request.ticket_id},
-                                       {"outcome", allowed ? "grant" : "deny"}});
+  // An unbound ticket has no per-ticket pair: its id is whatever the
+  // sender's frame says, so it must not name a registry series.
+  if (binding.requests[outcome] != nullptr) {
+    binding.requests[outcome]->Increment();
   }
-  per_ticket->Increment();
 }
 
 void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string& ticket_class,
@@ -350,42 +340,8 @@ std::string PermissionBroker::LogLine(const RpcRequest& request,
   return log_line;
 }
 
-RpcResponse PermissionBroker::Handle(const RpcRequest& request) {
-  witobs::Span span(tracer_, "broker.handle", request.ticket_id);
-  uint64_t now = kernel_->clock().now_ns();
-  const Binding binding = LookupBinding(request.ticket_id);
-  const std::string& ticket_class = binding.ticket_class;
-
-  bool policy_allowed =
-      policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
-  bool allowed = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
-  ShadowCheck(request, ticket_class, policy_allowed);
-
-  RecordEvent(MakeEvent(request, ticket_class, now, allowed));
-  CountRequest(request, binding, allowed);
-
-  // "Either way, these requests are logged in real-time to a secure
-  // append-only storage device." The ticket hash routes the entry to its
-  // shard chain, so one ticket's records stay in per-op order.
-  std::string log_line = LogLine(request, ticket_class, allowed);
-  log_.Append(log_line, now, TicketShardKey(request.ticket_id));
-  kernel_->audit().Append(
-      allowed ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,
-      request.caller_pid, request.uid, log_line, now);
-
-  if (!allowed) {
-    return Fail(witos::Err::kPerm);
-  }
-  uint64_t dispatch_start = kernel_->clock().now_ns();
-  RpcResponse response = Dispatch(request);
-  if (dispatch_latency_ != nullptr) {
-    dispatch_latency_->Observe(kernel_->clock().now_ns() - dispatch_start);
-  }
-  return response;
-}
-
 RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
-  witobs::Span span(tracer_, "broker.handle_batch", batch.ticket_id);
+  witobs::Span span(tracer_, "broker.handle", batch.ticket_id);
   uint64_t now = kernel_->clock().now_ns();
   // One policy-context lookup for the whole batch: the ticket class is
   // header state, not per-op state.
@@ -418,18 +374,24 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   }
   // ...but the shared structures are entered once: a single lock acquisition
   // appends every event, and a single SecureLog critical section chains
-  // every per-op entry — both on the ticket's own shard.
+  // every per-op entry — both on the ticket's own shard. ("Either way,
+  // these requests are logged in real-time to a secure append-only storage
+  // device.")
   RecordEvents(std::move(events));
   log_.AppendBatch(log_lines, now, TicketShardKey(batch.ticket_id));
 
-  // Dispatch the granted ops (denied ones answer EPERM positionally).
-  uint64_t dispatch_start = kernel_->clock().now_ns();
+  // Dispatch the granted ops (denied ones answer EPERM positionally), one
+  // latency sample per granted dispatch.
   for (size_t i = 0; i < batch.ops.size(); ++i) {
-    response.responses[i] =
-        allowed[i] ? Dispatch(batch.SubRequest(i)) : Fail(witos::Err::kPerm);
-  }
-  if (dispatch_latency_ != nullptr) {
-    dispatch_latency_->Observe(kernel_->clock().now_ns() - dispatch_start);
+    if (!allowed[i]) {
+      response.responses[i] = Fail(witos::Err::kPerm);
+      continue;
+    }
+    uint64_t dispatch_start = kernel_->clock().now_ns();
+    response.responses[i] = Dispatch(batch.SubRequest(i));
+    if (dispatch_latency_ != nullptr) {
+      dispatch_latency_->Observe(kernel_->clock().now_ns() - dispatch_start);
+    }
   }
   return response;
 }
@@ -560,22 +522,7 @@ witos::Err ResponseError(const RpcResponse& response) {
 witos::Result<std::string> BrokerClient::Request(const std::string& verb,
                                                  const std::vector<std::string>& args,
                                                  witos::Uid uid, witos::Pid caller_pid) {
-  if (uid != witos::kRootUid) {
-    // The client stub refuses unprivileged callers outright.
-    return witos::Err::kPerm;
-  }
-  RpcRequest request;
-  request.method = verb;
-  request.args = args;
-  request.uid = uid;
-  request.caller_pid = caller_pid;
-  request.ticket_id = ticket_id_;
-  request.admin = admin_;
-  WITOS_ASSIGN_OR_RETURN(RpcResponse response, channel_->Call(request));
-  if (!response.ok) {
-    return ResponseError(response);
-  }
-  return response.payload;
+  return std::move(Send(uid, caller_pid, {{verb, args}}).front());
 }
 
 void BrokerClient::Begin(witos::Uid uid, witos::Pid caller_pid) {
@@ -598,13 +545,19 @@ std::vector<witos::Result<std::string>> BrokerClient::Flush() {
   if (ops.empty()) {
     return {};
   }
-  if (batch_uid_ != witos::kRootUid) {
-    // Same stub-side privilege gate as Request(): nothing crosses the wire.
+  return Send(batch_uid_, batch_caller_pid_, std::move(ops));
+}
+
+std::vector<witos::Result<std::string>> BrokerClient::Send(witos::Uid uid, witos::Pid caller_pid,
+                                                           std::vector<RpcSubRequest> ops) {
+  if (uid != witos::kRootUid) {
+    // The client stub refuses unprivileged callers outright: nothing
+    // crosses the wire.
     return std::vector<witos::Result<std::string>>(ops.size(), witos::Err::kPerm);
   }
   RpcBatchRequest batch;
-  batch.uid = batch_uid_;
-  batch.caller_pid = batch_caller_pid_;
+  batch.uid = uid;
+  batch.caller_pid = caller_pid;
   batch.ticket_id = ticket_id_;
   batch.admin = admin_;
   batch.ops = std::move(ops);

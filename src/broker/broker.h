@@ -106,20 +106,19 @@ class PermissionBroker {
   using VerbHandler = std::function<RpcResponse(const RpcRequest&)>;
   void RegisterVerb(const std::string& verb, VerbHandler handler);
 
-  // Exposed for tests; normal callers go through the RpcChannel.
-  RpcResponse Handle(const RpcRequest& request);
-
-  // Batched entry point (rpc v2): one policy-context lookup, one structured-
-  // event append and one SecureLog critical-section entry for the whole
-  // batch, while the audit trail stays strictly per-op — N sub-requests
-  // still produce N broker events, N secure-log entries and N kernel audit
-  // records (Table 1 threat semantics). Responses are positional.
+  // The broker's one entry point; the channel binds it, and tests may call
+  // it directly. One policy-context lookup, one structured-event append and
+  // one SecureLog critical-section entry for the whole batch, while the
+  // audit trail stays strictly per-op — N sub-requests still produce N
+  // broker events, N secure-log entries and N kernel audit records (Table 1
+  // threat semantics). Responses are positional. A single request is a
+  // batch of one.
   RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
 
   // Wires the broker into the observability layer: request and shadow
-  // counters by verb and outcome, per-ticket counters, and a
-  // dispatch-latency histogram in simulated nanoseconds. Spans tagged with
-  // the ticket id are emitted when `tracer` is non-null.
+  // counters by verb and outcome, per-ticket counters, and a histogram of
+  // simulated nanoseconds per granted dispatch. Spans tagged with the
+  // ticket id are emitted when `tracer` is non-null.
   //
   // The verb series are resolved here for the built-in verbs and every
   // registered one (RegisterVerb resolves later ones), so a request takes
@@ -127,7 +126,9 @@ class PermissionBroker {
   // verb="unknown": a contained admin cannot mint series by sending
   // made-up verbs. The secure-log line, the audit record and the
   // BrokerEvent keep the exact method. A bound ticket's per-ticket pair is
-  // resolved once, on its first request, and kept with the binding.
+  // resolved once, on its first request, and kept with the binding; a
+  // request naming an unbound ticket counts under its verb series only, so
+  // a forged ticket id cannot mint series either.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap for the structured event window, applied per shard
@@ -204,9 +205,9 @@ class PermissionBroker {
   RpcResponse Ok(std::string payload) const;
   RpcResponse Fail(witos::Err err) const;
 
-  // Shared per-op accountability pieces used by Handle and HandleBatch.
-  // LookupBinding copies the ticket's binding (empty class when unbound),
-  // resolving its per-ticket counters on first use.
+  // Per-op accountability pieces of HandleBatch. LookupBinding copies the
+  // ticket's binding (empty class when unbound), resolving its per-ticket
+  // counters on first use.
   Binding LookupBinding(const std::string& ticket_id) const;
   BrokerEvent MakeEvent(const RpcRequest& request, const std::string& ticket_class,
                         uint64_t now, bool allowed);
@@ -231,7 +232,6 @@ class PermissionBroker {
   RpcResponse HandleReboot(const RpcRequest& request);
   RpcResponse HandleDriverUpdate(const RpcRequest& request);
 
-  void RecordEvent(BrokerEvent event);
   void RecordEvents(std::vector<BrokerEvent> events);
 
   witos::Kernel* kernel_;
@@ -266,8 +266,8 @@ class PermissionBroker {
 // broker ("we configure the permission broker client to accept only
 // requests from privileged users").
 //
-// Two calling styles:
-//  * Request(): one verb, one wire crossing — the v1 interaction.
+// Two calling styles, one wire format:
+//  * Request(): one verb, sent at once as a batch of one.
 //  * Begin()/Queue()/Flush(): pipelining — queued verbs ride a single
 //    RpcBatchRequest frame, so a whole ticket's escalations pay one
 //    serialization + one seal/MAC. Flush() yields positional per-op
@@ -280,6 +280,7 @@ class BrokerClient {
   // Issues `PB <verb> <args...>` as the in-container user `uid`. On a
   // broker denial or dispatch failure the typed error code round-trips from
   // the broker (EPERM for policy denials, ENOSYS for unknown verbs, ...).
+  // Leaves an open Begin()/Queue() pipeline untouched.
   witos::Result<std::string> Request(const std::string& verb,
                                      const std::vector<std::string>& args, witos::Uid uid,
                                      witos::Pid caller_pid = witos::kNoPid);
@@ -299,6 +300,11 @@ class BrokerClient {
   size_t pending() const { return pending_.size(); }
 
  private:
+  // The one send path: stub-side privilege gate, one batch frame, atomic
+  // transport failure, positional results.
+  std::vector<witos::Result<std::string>> Send(witos::Uid uid, witos::Pid caller_pid,
+                                               std::vector<RpcSubRequest> ops);
+
   RpcChannel* channel_;
   std::string ticket_id_;
   std::string admin_;

@@ -18,9 +18,9 @@ void PutFrameHeader(WireWriter* writer, RpcFrameKind kind) {
   writer->PutU32(static_cast<uint32_t>(kind));
 }
 
-// Consumes and validates a v2 header, requiring `expected` kind. The caller
-// must have checked HasRpcMagic first; version skew and kind confusion are
-// both rejected as EINVAL.
+// Consumes and validates a frame header, requiring `expected` kind. A
+// headerless frame, version skew and kind confusion (including the retired
+// single-op kinds) are all rejected as EINVAL.
 witos::Status ReadFrameHeader(WireReader* reader, RpcFrameKind expected) {
   WITOS_ASSIGN_OR_RETURN(uint32_t magic, reader->GetU32());
   if (magic != kRpcMagic) {
@@ -28,7 +28,7 @@ witos::Status ReadFrameHeader(WireReader* reader, RpcFrameKind expected) {
   }
   WITOS_ASSIGN_OR_RETURN(uint32_t version, reader->GetU32());
   if (version != kRpcVersion) {
-    return witos::Err::kInval;  // version skew: neither v1 nor v2
+    return witos::Err::kInval;
   }
   WITOS_ASSIGN_OR_RETURN(uint32_t kind, reader->GetU32());
   if (kind != static_cast<uint32_t>(expected)) {
@@ -45,54 +45,6 @@ bool ValidErrCode(uint32_t raw) {
 
 }  // namespace
 
-bool HasRpcMagic(std::string_view data) {
-  if (data.size() < 4) {
-    return false;
-  }
-  uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) {
-    magic |= static_cast<uint32_t>(static_cast<unsigned char>(data[static_cast<size_t>(i)]))
-             << (8 * i);
-  }
-  return magic == kRpcMagic;
-}
-
-std::string RpcRequest::Serialize() const {
-  WireWriter writer;
-  PutFrameHeader(&writer, RpcFrameKind::kRequest);
-  writer.PutString(method);
-  writer.PutStringList(args);
-  writer.PutU32(uid);
-  writer.PutU32(static_cast<uint32_t>(caller_pid));
-  writer.PutString(ticket_id);
-  writer.PutString(admin);
-  return writer.Take();
-}
-
-witos::Result<RpcRequest> RpcRequest::Deserialize(std::string_view data) {
-  WireReader reader(data);
-  if (HasRpcMagic(data)) {
-    WITOS_RETURN_IF_ERROR(ReadFrameHeader(&reader, RpcFrameKind::kRequest));
-  }
-  // v1 frames are the same body without the header.
-  RpcRequest req;
-  WITOS_ASSIGN_OR_RETURN(req.method, reader.GetString());
-  WITOS_ASSIGN_OR_RETURN(req.args, reader.GetStringList());
-  WITOS_ASSIGN_OR_RETURN(req.uid, reader.GetU32());
-  WITOS_ASSIGN_OR_RETURN(uint32_t pid, reader.GetU32());
-  req.caller_pid = static_cast<witos::Pid>(pid);
-  WITOS_ASSIGN_OR_RETURN(req.ticket_id, reader.GetString());
-  WITOS_ASSIGN_OR_RETURN(req.admin, reader.GetString());
-  if (!reader.AtEnd()) {
-    return witos::Err::kInval;
-  }
-  return req;
-}
-
-std::string RpcResponse::error_name() const {
-  return err == witos::Err::kOk ? "" : witos::ErrName(err);
-}
-
 void RpcResponse::SerializeBody(WireWriter* writer) const {
   writer->PutBool(ok);
   writer->PutU32(static_cast<uint32_t>(err));
@@ -108,35 +60,6 @@ witos::Result<RpcResponse> RpcResponse::DeserializeBody(WireReader* reader) {
   }
   resp.err = static_cast<witos::Err>(raw_err);
   WITOS_ASSIGN_OR_RETURN(resp.payload, reader->GetString());
-  return resp;
-}
-
-std::string RpcResponse::Serialize() const {
-  WireWriter writer;
-  PutFrameHeader(&writer, RpcFrameKind::kResponse);
-  SerializeBody(&writer);
-  return writer.Take();
-}
-
-witos::Result<RpcResponse> RpcResponse::Deserialize(std::string_view data) {
-  WireReader reader(data);
-  RpcResponse resp;
-  if (HasRpcMagic(data)) {
-    WITOS_RETURN_IF_ERROR(ReadFrameHeader(&reader, RpcFrameKind::kResponse));
-    WITOS_ASSIGN_OR_RETURN(resp, DeserializeBody(&reader));
-  } else {
-    // v1 compat shim: the error crossed the wire as an errno-name string;
-    // map it back onto the enum so callers see typed errors regardless of
-    // which protocol version the peer spoke.
-    WITOS_ASSIGN_OR_RETURN(resp.ok, reader.GetBool());
-    WITOS_ASSIGN_OR_RETURN(std::string error_name, reader.GetString());
-    resp.err = error_name.empty() ? witos::Err::kOk
-                                  : witos::ErrFromName(error_name, witos::Err::kIo);
-    WITOS_ASSIGN_OR_RETURN(resp.payload, reader.GetString());
-  }
-  if (!reader.AtEnd()) {
-    return witos::Err::kInval;
-  }
   return resp;
 }
 
@@ -168,7 +91,6 @@ std::string RpcBatchRequest::Serialize() const {
 
 witos::Result<RpcBatchRequest> RpcBatchRequest::Deserialize(std::string_view data) {
   WireReader reader(data);
-  // Batches are v2-only: no headerless fallback.
   WITOS_RETURN_IF_ERROR(ReadFrameHeader(&reader, RpcFrameKind::kBatchRequest));
   RpcBatchRequest batch;
   WITOS_ASSIGN_OR_RETURN(batch.uid, reader.GetU32());
@@ -326,26 +248,12 @@ witos::Result<std::string> RpcChannel::Transit(std::string frame) {
   return frame;
 }
 
-witos::Result<RpcResponse> RpcChannel::Call(const RpcRequest& request) {
-  if (handler_ == nullptr) {
+witos::Result<RpcBatchResponse> RpcChannel::CallBatch(const RpcBatchRequest& request) {
+  if (batch_handler_ == nullptr) {
     // The broker process is gone — ContainIT treats this as a fatal event.
     return witos::Err::kConnRefused;
   }
   ++calls_;
-  last_call_wire_bytes_ = 0;
-  WITOS_ASSIGN_OR_RETURN(std::string frame, Transit(request.Serialize()));
-  WITOS_ASSIGN_OR_RETURN(RpcRequest decoded, RpcRequest::Deserialize(frame));
-  RpcResponse response = handler_(decoded);
-  WITOS_ASSIGN_OR_RETURN(std::string response_frame, Transit(response.Serialize()));
-  return RpcResponse::Deserialize(response_frame);
-}
-
-witos::Result<RpcBatchResponse> RpcChannel::CallBatch(const RpcBatchRequest& request) {
-  if (handler_ == nullptr && batch_handler_ == nullptr) {
-    return witos::Err::kConnRefused;
-  }
-  ++calls_;
-  ++batch_calls_;
   last_call_wire_bytes_ = 0;
   if (batch_size_hist_ != nullptr) {
     batch_size_hist_->Observe(request.ops.size());
@@ -356,17 +264,7 @@ witos::Result<RpcBatchResponse> RpcChannel::CallBatch(const RpcBatchRequest& req
   // rejected by the MAC) happens before the server handler ever runs.
   WITOS_ASSIGN_OR_RETURN(std::string frame, Transit(request.Serialize()));
   WITOS_ASSIGN_OR_RETURN(RpcBatchRequest decoded, RpcBatchRequest::Deserialize(frame));
-  RpcBatchResponse response;
-  if (batch_handler_ != nullptr) {
-    response = batch_handler_(decoded);
-  } else {
-    // Single-op server: dispatch each sub-request individually. The wire
-    // amortization is preserved; only the server-side batching is lost.
-    response.responses.reserve(decoded.ops.size());
-    for (size_t i = 0; i < decoded.ops.size(); ++i) {
-      response.responses.push_back(handler_(decoded.SubRequest(i)));
-    }
-  }
+  RpcBatchResponse response = batch_handler_(decoded);
   WITOS_ASSIGN_OR_RETURN(std::string response_frame, Transit(response.Serialize()));
   WITOS_ASSIGN_OR_RETURN(RpcBatchResponse decoded_response,
                          RpcBatchResponse::Deserialize(response_frame));

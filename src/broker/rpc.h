@@ -4,13 +4,12 @@
 // malformed or truncated frames are exercised like they would be over
 // TCP/IP + gRPC.
 //
-// Wire protocol v2: every frame starts with a magic+version+kind header and
-// errors cross the wire as typed witos::Err codes. Headerless v1 frames
-// (stringly-typed errors, one frame per op) still deserialize — the decoders
-// fall back to the v1 layout when the magic is absent, so an old client can
-// talk to a new broker. Batch frames (`RpcBatchRequest`/`RpcBatchResponse`)
-// carry N sub-operations with the ticket/admin/uid header stated once and
-// are sealed/MACed once per batch instead of once per op.
+// Wire protocol: one frame pair. Every request is a batch frame
+// (`RpcBatchRequest`) carrying N sub-operations with the ticket/admin/uid
+// header stated once, answered by one `RpcBatchResponse`; a single request
+// is a batch of one. Every frame starts with a magic+version+kind header,
+// errors cross the wire as typed witos::Err codes, and a frame is
+// sealed/MACed once however many ops it carries.
 
 #ifndef SRC_BROKER_RPC_H_
 #define SRC_BROKER_RPC_H_
@@ -26,23 +25,19 @@
 
 namespace witbroker {
 
-// v2 frame header: "WIT2" little-endian magic, then version, then kind.
-// A v1 frame can only collide with the magic if its leading length prefix
-// claims an ~840 MB method string, which the reader rejects anyway.
+// Frame header: "WIT2" little-endian magic, then version, then kind.
 inline constexpr uint32_t kRpcMagic = 0x32544957;  // "WIT2"
 inline constexpr uint32_t kRpcVersion = 2;
 
+// Kinds 1 and 2 were the retired single-op frames; decoders reject them.
 enum class RpcFrameKind : uint32_t {
-  kRequest = 1,
-  kResponse = 2,
   kBatchRequest = 3,
   kBatchResponse = 4,
 };
 
-// True when `data` begins with the v2 magic (the frame still has to pass
-// version/kind validation to decode).
-bool HasRpcMagic(std::string_view data);
-
+// One op as the broker sees it: a batch sub-request with the batch header
+// applied (see RpcBatchRequest::SubRequest). In-memory only — it never
+// crosses the wire on its own.
 struct RpcRequest {
   std::string method;
   std::vector<std::string> args;
@@ -50,10 +45,6 @@ struct RpcRequest {
   witos::Pid caller_pid = witos::kNoPid;
   std::string ticket_id;    // ticket the session is bound to
   std::string admin;        // administrator identity from the certificate
-
-  std::string Serialize() const;  // emits a v2 frame
-  // Accepts v2 frames and headerless v1 frames.
-  static witos::Result<RpcRequest> Deserialize(std::string_view data);
 };
 
 struct RpcResponse {
@@ -61,17 +52,7 @@ struct RpcResponse {
   witos::Err err = witos::Err::kOk;  // typed error code when !ok
   std::string payload;               // method-specific result
 
-  // Display name for the error ("EPERM"), derived from `err`; empty for ok
-  // responses. This replaces the v1 wire field — the name never crosses the
-  // wire in v2, it is recomputed from the code.
-  std::string error_name() const;
-
-  std::string Serialize() const;  // emits a v2 frame
-  // Accepts v2 frames and headerless v1 frames; a v1 errno-name string is
-  // mapped back onto the enum (unknown names degrade to kIo).
-  static witos::Result<RpcResponse> Deserialize(std::string_view data);
-
-  // Body-only (de)serialization, shared with the batch framing.
+  // Body (de)serialization, framed by RpcBatchResponse.
   void SerializeBody(WireWriter* writer) const;
   static witos::Result<RpcResponse> DeserializeBody(WireReader* reader);
 };
@@ -110,8 +91,8 @@ struct RpcBatchResponse {
   static witos::Result<RpcBatchResponse> Deserialize(std::string_view data);
 };
 
-// One endpoint (the broker server) bound to a transport. Calls serialize
-// the request, traverse the "wire", and deserialize the response.
+// One endpoint (the broker server) bound to a transport. A call serializes
+// the batch, traverses the "wire", and deserializes the response.
 //
 // Transport encryption (paper §5.4: "If one wishes to further secure the
 // communication between the perforated container and the permission broker,
@@ -121,25 +102,14 @@ struct RpcBatchResponse {
 // A batch pays this seal/MAC cost once for all its sub-operations.
 class RpcChannel {
  public:
-  using Handler = std::function<RpcResponse(const RpcRequest&)>;
   using BatchHandler = std::function<RpcBatchResponse(const RpcBatchRequest&)>;
 
-  void Bind(Handler handler) { handler_ = std::move(handler); }
-  // Servers that understand batches natively bind this too; without it,
-  // CallBatch falls back to dispatching each sub-request through the
-  // single-op handler (correct, but without the server-side amortization).
   void BindBatch(BatchHandler handler) { batch_handler_ = std::move(handler); }
-  bool bound() const { return handler_ != nullptr; }
-  void Unbind() {
-    handler_ = nullptr;
-    batch_handler_ = nullptr;
-  }
-
-  witos::Result<RpcResponse> Call(const RpcRequest& request);
 
   // One frame out, one frame back, regardless of ops.size(). Atomic: any
   // transport/authentication/framing failure yields an error Result and no
-  // sub-operation executes or is answered.
+  // sub-operation executes or is answered. ECONNREFUSED when no server is
+  // bound (the broker process is gone).
   witos::Result<RpcBatchResponse> CallBatch(const RpcBatchRequest& request);
 
   void EnableEncryption(uint64_t shared_secret);
@@ -162,13 +132,11 @@ class RpcChannel {
   }
 
   uint64_t bytes_on_wire() const { return bytes_on_wire_; }
+  // CallBatch invocations made while a server was bound.
   uint64_t calls() const { return calls_; }
-  uint64_t batch_calls() const { return batch_calls_; }
   // Wire frames sent in either direction (2 per successful call: request +
   // response) — the number batching exists to shrink.
   uint64_t frames() const { return frames_; }
-  // Bytes both frames of the most recent completed call contributed.
-  uint64_t last_call_wire_bytes() const { return last_call_wire_bytes_; }
 
  private:
   // Seal/Open: keystream XOR + appended 8-byte MAC over the plaintext.
@@ -176,11 +144,10 @@ class RpcChannel {
   std::string Seal(const std::string& plaintext);
   witos::Result<std::string> Open(const std::string& frame) const;
 
-  // Transport bookkeeping shared by Call/CallBatch: seal, corrupt (test
+  // Transport bookkeeping for each leg of a call: seal, corrupt (test
   // hook), count bytes+frames, open.
   witos::Result<std::string> Transit(std::string frame);
 
-  Handler handler_;
   BatchHandler batch_handler_;
   bool encrypted_ = false;
   uint64_t key_ = 0;
@@ -189,9 +156,8 @@ class RpcChannel {
   int corrupt_skip_ = 0;
   uint64_t bytes_on_wire_ = 0;
   uint64_t calls_ = 0;
-  uint64_t batch_calls_ = 0;
   uint64_t frames_ = 0;
-  uint64_t last_call_wire_bytes_ = 0;
+  uint64_t last_call_wire_bytes_ = 0;  // both legs of the call in progress
 
   // Observability wiring (all null when metrics are disabled).
   witobs::Counter* frames_total_ = nullptr;

@@ -91,22 +91,7 @@ void SecureLog::MaybeAutoSeal(uint64_t time_ns, uint64_t appended) {
   }
 }
 
-void SecureLog::Append(std::string payload, uint64_t time_ns, uint64_t shard_key) {
-  size_t shard = ShardOf(shard_key);
-  Segment* segment = segments_[shard].get();
-  {
-    std::lock_guard<witobs::ProfiledMutex> lock(segment->mu);
-    AppendLocked(shard, std::move(payload), time_ns, /*notify=*/true);
-  }
-  MaybeAutoSeal(time_ns, 1);
-}
-
-void SecureLog::Append(std::string payload, uint64_t time_ns) {
-  uint64_t key = segments_.size() == 1 ? 0 : Fnv1a(payload);
-  Append(std::move(payload), time_ns, key);
-}
-
-void SecureLog::AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns,
+void SecureLog::AppendBatch(std::span<const std::string> payloads, uint64_t time_ns,
                             uint64_t shard_key) {
   if (payloads.empty()) {
     return;
@@ -120,12 +105,6 @@ void SecureLog::AppendBatch(const std::vector<std::string>& payloads, uint64_t t
     }
   }
   MaybeAutoSeal(time_ns, payloads.size());
-}
-
-void SecureLog::AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns) {
-  uint64_t key =
-      segments_.size() == 1 || payloads.empty() ? 0 : Fnv1a(payloads.front());
-  AppendBatch(payloads, time_ns, key);
 }
 
 bool SecureLog::VerifyChain(const std::vector<SecureLogEntry>& entries) {

@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,19 +83,18 @@ class SecureLog {
 
   size_t shard_count() const { return segments_.size(); }
 
-  // Appends to the shard chosen by `shard_key % shard_count()`. Callers
-  // with an affinity key (the broker's ticket hash) use it so related
-  // records share a chain; the keyless overload routes by payload hash.
-  void Append(std::string payload, uint64_t time_ns, uint64_t shard_key);
-  void Append(std::string payload, uint64_t time_ns);
-
-  // Appends one entry per payload under a single shard-lock acquisition —
-  // the broker uses this for batched RPC so a ticket's N per-op records
-  // cost one critical-section entry while staying N distinct, chain-linked
-  // entries (the audit trail is per-op regardless of framing).
-  void AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns,
-                   uint64_t shard_key);
-  void AppendBatch(const std::vector<std::string>& payloads, uint64_t time_ns);
+  // Appends one entry per payload to the shard chosen by
+  // `shard_key % shard_count()`, under a single shard-lock acquisition, then
+  // auto-seals if the epoch interval elapsed. Callers with an affinity key
+  // (the broker's ticket hash) use it so related records share a chain; a
+  // batched broker request's N per-op records cost one critical-section
+  // entry while staying N distinct, chain-linked entries (the audit trail
+  // is per-op regardless of framing).
+  void AppendBatch(std::span<const std::string> payloads, uint64_t time_ns, uint64_t shard_key);
+  // The one-entry case of AppendBatch.
+  void Append(const std::string& payload, uint64_t time_ns, uint64_t shard_key) {
+    AppendBatch(std::span<const std::string>(&payload, 1), time_ns, shard_key);
+  }
 
   // True if every shard chain is intact AND every sealed epoch root still
   // matches the chains (see VerifyEpochRoots).

@@ -323,19 +323,7 @@ void AdminSession::ReapVictims() {
 }
 
 OpReplayResult AdminSession::Replay(const witload::RequiredOp& op) {
-  OpReplayResult result;
-  result.op = op;
-  std::string verb;
-  std::vector<std::string> args;
-  if (TryInView(op, &verb, &args)) {
-    result.in_view = true;
-  } else if (!verb.empty()) {
-    result.used_broker = true;
-    result.category = InferCategory(op);
-    result.broker_ok = CompleteAfterBroker(op, Pb(verb, args).ok());
-  }
-  ReapVictims();
-  return result;
+  return ReplayTicket({op}).front();
 }
 
 std::vector<OpReplayResult> AdminSession::ReplayTicket(

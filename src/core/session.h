@@ -2,9 +2,10 @@
 // container. Commands run as the container's root through the simulated
 // kernel; "PB"-prefixed commands go to the permission broker (Figure 6).
 //
-// Replay() is the case-study workhorse: it attempts a RequiredOp inside the
-// container view first and falls back to the permission broker when the
-// view is too narrow, recording which Table 4 column the fallback lands in.
+// ReplayTicket() is the case-study and serving workhorse: it attempts each
+// RequiredOp inside the container view first and falls back to the
+// permission broker when the view is too narrow, recording which Table 4
+// column the fallback lands in.
 
 #ifndef SRC_CORE_SESSION_H_
 #define SRC_CORE_SESSION_H_
@@ -61,16 +62,15 @@ class AdminSession {
                                 const std::vector<std::string>& args) const;
 
   // --- Case-study replay ------------------------------------------------------
-  OpReplayResult Replay(const witload::RequiredOp& op);
-
-  // Batched replay (rpc v2): attempts every op in view first, queues every
-  // broker escalation on the client pipeline, and flushes the whole
-  // ticket's escalations as ONE wire crossing; ops that re-enter the view
-  // after a grant (writes behind mount_volume, connects behind net_allow)
-  // retry after the flush. Results are positional with `ops`. This is the
-  // serving path — Replay() remains for per-op callers (case study,
-  // script runner) whose accounting predates batching.
+  // Attempts every op in view first, queues every broker escalation on the
+  // client pipeline, and flushes the whole ticket's escalations as ONE wire
+  // crossing; ops that re-enter the view after a grant (writes behind
+  // mount_volume, connects behind net_allow) retry after the flush. Results
+  // are positional with `ops`.
   std::vector<OpReplayResult> ReplayTicket(const std::vector<witload::RequiredOp>& ops);
+  // One op: ReplayTicket({op}).front(), for per-op callers (case study,
+  // script runner).
+  OpReplayResult Replay(const witload::RequiredOp& op);
 
   // Session monitoring (principle 3 of §1: "optionally monitoring the
   // allowed operations executed inside the perforated container"): records

@@ -187,8 +187,8 @@ witos::Result<ResolvedTicket> TicketWorkflow::Finish(PreparedTicket prepared,
       replay_err = login.error();
     } else {
       resolved.satisfied_in_view = true;
-      // Batched replay (rpc v2): the whole ticket's broker escalations ride
-      // one wire crossing instead of one frame per op.
+      // Batched replay: the whole ticket's broker escalations ride one
+      // wire crossing instead of one frame per op.
       std::vector<OpReplayResult> replays = session.ReplayTicket(ticket.ops);
       for (OpReplayResult& replay : replays) {
         resolved.satisfied_in_view &= !replay.used_broker;

@@ -2,7 +2,7 @@
 //
 // A ticket's life crosses every layer of the stack — ItFramework::Classify
 // picks the container image, TicketWorkflow deploys it, the admin's
-// operations hit PermissionBroker::Handle and Itfs::Gate, which in turn call
+// operations hit PermissionBroker::HandleBatch and Itfs::Gate, which in turn call
 // into the lower filesystem. Spans are RAII scopes that record (name,
 // correlation id, start, duration, depth) into a bounded per-thread buffer,
 // so an incident responder can ask "show me everything ticket TKT-412

@@ -84,16 +84,6 @@ std::string ErrName(Err e) {
   return "E?";
 }
 
-Err ErrFromName(const std::string& name, Err fallback) {
-  for (int code = 0; code < kErrCodeCount; ++code) {
-    Err e = static_cast<Err>(code);
-    if (ErrName(e) == name) {
-      return e;
-    }
-  }
-  return fallback;
-}
-
 std::string ErrMessage(Err e) {
   switch (e) {
     case Err::kOk:

@@ -73,11 +73,6 @@ inline constexpr int kErrCodeCount = static_cast<int>(Err::kAgain) + 1;
 // Human-readable name for an error code ("EACCES" style).
 std::string ErrName(Err e);
 
-// Inverse of ErrName: "EACCES" -> Err::kAcces. Returns `fallback` for names
-// that don't match any code (used by the v1 broker-RPC compat shim, where
-// the error crossed the wire as a free-form string).
-Err ErrFromName(const std::string& name, Err fallback = Err::kIo);
-
 // strerror()-style description.
 std::string ErrMessage(Err e);
 

@@ -38,30 +38,6 @@ TEST(WireTest, TruncatedInputRejected) {
   EXPECT_FALSE(reader.GetString().ok());
 }
 
-TEST(RpcTest, RequestResponseRoundTrip) {
-  RpcRequest req;
-  req.method = "ps";
-  req.args = {"-a"};
-  req.uid = 0;
-  req.caller_pid = 42;
-  req.ticket_id = "TKT-1";
-  req.admin = "alice";
-  auto decoded = RpcRequest::Deserialize(req.Serialize());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->method, "ps");
-  EXPECT_EQ(decoded->args, req.args);
-  EXPECT_EQ(decoded->caller_pid, 42);
-  EXPECT_EQ(decoded->admin, "alice");
-
-  RpcResponse resp;
-  resp.ok = true;
-  resp.payload = "PID...";
-  auto decoded_resp = RpcResponse::Deserialize(resp.Serialize());
-  ASSERT_TRUE(decoded_resp.ok());
-  EXPECT_TRUE(decoded_resp->ok);
-  EXPECT_EQ(decoded_resp->payload, "PID...");
-}
-
 TEST(RpcTest, BatchRoundTripLaw) {
   // The round-trip law: Deserialize(Serialize(b)) == b for any well-formed
   // batch, and the response side likewise — positional order preserved.
@@ -99,62 +75,26 @@ TEST(RpcTest, BatchRoundTripLaw) {
   EXPECT_EQ(decoded_resp->responses[1].err, witos::Err::kPerm);
 }
 
-TEST(RpcTest, V1FramesStillDeserialize) {
-  // A v1 peer sends headerless frames with the error as an errno-name
-  // string; both must keep decoding after the v2 redesign.
-  WireWriter req_writer;
-  req_writer.PutString("ps");
-  req_writer.PutStringList({"-a"});
-  req_writer.PutU32(0);
-  req_writer.PutU32(42);
-  req_writer.PutString("TKT-1");
-  req_writer.PutString("alice");
-  auto req = RpcRequest::Deserialize(req_writer.data());
-  ASSERT_TRUE(req.ok());
-  EXPECT_EQ(req->method, "ps");
-  EXPECT_EQ(req->caller_pid, 42);
-
-  WireWriter resp_writer;
-  resp_writer.PutBool(false);
-  resp_writer.PutString("EACCES");
-  resp_writer.PutString("");
-  auto resp = RpcResponse::Deserialize(resp_writer.data());
-  ASSERT_TRUE(resp.ok());
-  EXPECT_FALSE(resp->ok);
-  EXPECT_EQ(resp->err, witos::Err::kAcces);
-  EXPECT_EQ(resp->error_name(), "EACCES");
-
-  // v1 success frames carried an empty error string, which must map to
-  // kOk, not to the unknown-name fallback.
-  WireWriter ok_writer;
-  ok_writer.PutBool(true);
-  ok_writer.PutString("");
-  ok_writer.PutString("payload");
-  auto ok_resp = RpcResponse::Deserialize(ok_writer.data());
-  ASSERT_TRUE(ok_resp.ok());
-  EXPECT_TRUE(ok_resp->ok);
-  EXPECT_EQ(ok_resp->err, witos::Err::kOk);
-}
-
 TEST(RpcTest, TrailingGarbageRejected) {
-  RpcRequest req;
-  req.method = "ps";
-  std::string frame = req.Serialize() + "junk";
-  EXPECT_FALSE(RpcRequest::Deserialize(frame).ok());
+  RpcBatchRequest batch;
+  batch.ops = {{"ps", {}}};
+  std::string frame = batch.Serialize() + "junk";
+  EXPECT_FALSE(RpcBatchRequest::Deserialize(frame).ok());
 }
 
 TEST(RpcTest, UnboundChannelRefusesConnections) {
   RpcChannel channel;
-  RpcRequest req;
-  req.method = "ps";
-  EXPECT_EQ(channel.Call(req).error(), witos::Err::kConnRefused);
+  RpcBatchRequest batch;
+  batch.ops = {{"ps", {}}};
+  EXPECT_EQ(channel.CallBatch(batch).error(), witos::Err::kConnRefused);
+  EXPECT_EQ(channel.calls(), 0u);
 }
 
 TEST(SecureLogTest, ChainVerifies) {
   SecureLog log;
-  log.Append("entry one", 100);
-  log.Append("entry two", 200);
-  log.Append("entry three", 300);
+  log.Append("entry one", 100, 0);
+  log.Append("entry two", 200, 0);
+  log.Append("entry three", 300, 0);
   EXPECT_TRUE(log.Verify());
   EXPECT_EQ(log.size(), 3u);
   const auto entries = log.SnapshotEntries();
@@ -163,8 +103,8 @@ TEST(SecureLogTest, ChainVerifies) {
 
 TEST(SecureLogTest, TamperingDetected) {
   SecureLog log;
-  log.Append("GRANT alice ps", 100);
-  log.Append("GRANT alice kill 7", 200);
+  log.Append("GRANT alice ps", 100, 0);
+  log.Append("GRANT alice kill 7", 200, 0);
   EXPECT_TRUE(log.Verify());
   log.TamperForTest(0, "GRANT alice nothing-to-see");
   EXPECT_FALSE(log.Verify());
@@ -172,9 +112,9 @@ TEST(SecureLogTest, TamperingDetected) {
 
 TEST(SecureLogTest, ReplicaDivergenceDetected) {
   SecureLog log;
-  log.Append("a", 1);
+  log.Append("a", 1, 0);
   size_t replica = log.AddReplica();
-  log.Append("b", 2);
+  log.Append("b", 2, 0);
   EXPECT_TRUE(log.MatchesReplica(replica));
   log.TamperForTest(1, "b-tampered");
   EXPECT_FALSE(log.MatchesReplica(replica));
@@ -334,7 +274,7 @@ TEST_F(BrokerTest, PipelinedBatchAuditsEveryOp) {
   // The whole batch crossed the wire as exactly two frames (request +
   // response) in one call.
   EXPECT_EQ(channel_.frames(), 2u);
-  EXPECT_EQ(channel_.batch_calls(), 1u);
+  EXPECT_EQ(channel_.calls(), 1u);
 }
 
 TEST_F(BrokerTest, BatchMatchesSequentialRequests) {
@@ -378,6 +318,51 @@ TEST_F(BrokerTest, EmptyFlushIsFree) {
   EXPECT_EQ(channel_.frames(), 0u);
 }
 
+TEST_F(BrokerTest, RequestLeavesOpenPipelineIntact) {
+  // A one-shot Request between Queue and Flush rides its own batch of one;
+  // the queued op, its uid and its position survive untouched.
+  client_->Begin(witos::kRootUid);
+  size_t i_restart = client_->Queue(kVerbRestartService, {"sshd"});
+  auto denied = client_->Request(kVerbReboot, {}, witos::kRootUid);
+  EXPECT_EQ(denied.error(), witos::Err::kPerm);
+  auto unprivileged = client_->Request(kVerbPs, {}, /*uid=*/1000);
+  EXPECT_EQ(unprivileged.error(), witos::Err::kPerm);
+  EXPECT_EQ(client_->pending(), 1u);
+
+  auto results = client_->Flush();
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[i_restart].ok());
+  EXPECT_EQ(*results[i_restart], "restarted sshd");
+  auto events = broker_->EventsSnapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].verb, kVerbReboot);
+  EXPECT_EQ(events[1].verb, kVerbRestartService);
+  EXPECT_TRUE(events[1].granted);
+  EXPECT_EQ(channel_.calls(), 2u);
+}
+
+TEST_F(BrokerTest, DispatchLatencySampledPerGrantedDispatch) {
+  witobs::MetricsRegistry registry;
+  broker_->EnableMetrics(&registry);
+  const witobs::Histogram* dispatch =
+      registry.FindHistogram("watchit_broker_dispatch_latency_ns");
+  ASSERT_NE(dispatch, nullptr);
+
+  client_->Begin(witos::kRootUid);
+  client_->Queue(kVerbPs, {});
+  client_->Queue(kVerbDriverUpdate, {"rootkit"});  // not in T-1's verb set
+  client_->Queue(kVerbPs, {});
+  (void)client_->Flush();
+  const uint64_t after_mixed = dispatch->Count();
+  EXPECT_EQ(after_mixed, 2u);  // one sample per granted dispatch
+
+  client_->Begin(witos::kRootUid);
+  client_->Queue(kVerbReboot, {});
+  client_->Queue(kVerbDriverUpdate, {"rootkit"});
+  (void)client_->Flush();
+  EXPECT_EQ(dispatch->Count() - after_mixed, 0u);  // nothing dispatched, nothing sampled
+}
+
 TEST_F(BrokerTest, BeginDiscardsAbandonedPipeline) {
   client_->Begin(witos::kRootUid);
   client_->Queue(kVerbReboot, {});
@@ -393,8 +378,18 @@ TEST_F(BrokerTest, BeginDiscardsAbandonedPipeline) {
 
 // ---- Sharded broker hot state (DESIGN.md §14) ----
 
+// One op as its own batch, the way BrokerClient::Request sends it.
+RpcBatchRequest OneOp(const std::string& ticket, const std::string& verb) {
+  RpcBatchRequest batch;
+  batch.uid = witos::kRootUid;
+  batch.ticket_id = ticket;
+  batch.admin = "alice";
+  batch.ops = {{verb, {}}};
+  return batch;
+}
+
 // A broker with partitioned event/ticket/log state. The policy has no rate
-// limit, so concurrent Handle() calls never mutate shared policy state.
+// limit, so concurrent HandleBatch() calls never mutate shared policy state.
 class ShardedBrokerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -407,15 +402,6 @@ class ShardedBrokerTest : public ::testing::Test {
     options.log_epoch_interval = 16;
     broker_ = std::make_unique<PermissionBroker>(&kernel_, broker_pid_, &policy_, &channel_,
                                                  options);
-  }
-
-  RpcRequest MakeRequest(const std::string& ticket, const std::string& verb) {
-    RpcRequest request;
-    request.method = verb;
-    request.uid = witos::kRootUid;
-    request.ticket_id = ticket;
-    request.admin = "alice";
-    return request;
   }
 
   witos::Kernel kernel_{"host"};
@@ -436,8 +422,9 @@ TEST_F(ShardedBrokerTest, TicketsSpreadAcrossShardsAndSnapshotsMerge) {
   EXPECT_EQ(broker_->BindTicket("TKT-3", "T-8").error(), witos::Err::kExist);
 
   for (int i = 0; i < 12; ++i) {
-    auto response = broker_->Handle(MakeRequest("TKT-" + std::to_string(i), kVerbPs));
-    EXPECT_TRUE(response.ok);
+    auto response = broker_->HandleBatch(OneOp("TKT-" + std::to_string(i), kVerbPs));
+    ASSERT_EQ(response.responses.size(), 1u);
+    EXPECT_TRUE(response.responses[0].ok);
   }
   auto events = broker_->EventsSnapshot();
   ASSERT_EQ(events.size(), 12u);
@@ -500,7 +487,7 @@ TEST_F(ShardedBrokerTest, EventCapAccountsExactlyPerShard) {
   broker_->set_event_capacity(2);
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 6; ++i) {
-      broker_->Handle(MakeRequest("TKT-" + std::to_string(i), kVerbPs));
+      broker_->HandleBatch(OneOp("TKT-" + std::to_string(i), kVerbPs));
     }
   }
   // Every append is either still in some shard's window or counted dropped.
@@ -524,14 +511,10 @@ TEST(BrokerEventWindowPerfTest, CappedAppendCostIndependentOfWindowSize) {
     RpcChannel channel;
     PermissionBroker broker(&kernel, pid, &policy, &channel);
     broker.set_event_capacity(capacity);
-    RpcRequest request;
-    request.method = kVerbPs;
-    request.uid = witos::kRootUid;
-    request.ticket_id = "TKT-PERF";
-    request.admin = "alice";
+    const RpcBatchRequest batch = OneOp("TKT-PERF", kVerbPs);
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kAppends; ++i) {
-      broker.Handle(request);
+      broker.HandleBatch(batch);
     }
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now() - start)
@@ -554,7 +537,7 @@ TEST(BrokerEventWindowPerfTest, CappedAppendCostIndependentOfWindowSize) {
 TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
   witos::Kernel kernel("host");
   witos::Pid pid = *kernel.Clone(1, "PermissionBroker", 0);
-  PolicyManager policy;  // no rate limit → Handle never mutates policy state
+  PolicyManager policy;  // no rate limit → HandleBatch never mutates policy state
   RpcChannel channel;
   PermissionBroker::Options options;
   options.shards = 2;
@@ -564,13 +547,10 @@ TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
-      RpcRequest request;
-      request.method = kVerbReboot;  // denied: event + log + audit, no dispatch
-      request.uid = witos::kRootUid;
-      request.ticket_id = "TKT-" + std::to_string(w);
-      request.admin = "alice";
+      // Denied: event + log + audit, no dispatch.
+      const RpcBatchRequest batch = OneOp("TKT-" + std::to_string(w), kVerbReboot);
       for (int i = 0; i < kPerWriter; ++i) {
-        broker.Handle(request);
+        broker.HandleBatch(batch);
       }
     });
   }

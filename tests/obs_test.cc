@@ -361,6 +361,47 @@ TEST(EndToEndTest, BogusBrokerVerbsCannotMintSeries) {
   EXPECT_NE(entries.back().payload.find("bogus-verb-999"), std::string::npos);
 }
 
+TEST(EndToEndTest, ForgedTicketIdsCannotMintSeries) {
+  // The ticket id is whatever the sender's frame says. A request naming an
+  // unbound ticket counts under its verb series only; it is still denied
+  // and still leaves its event and secure-log record.
+  watchit::Cluster cluster;
+  watchit::Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  const witobs::MetricsRegistry& metrics = machine.metrics();
+  const size_t before = metrics.SeriesCount();
+  constexpr int kForged = 1000;
+  for (int i = 0; i < kForged; ++i) {
+    witbroker::RpcBatchRequest batch;
+    batch.uid = witos::kRootUid;
+    batch.ticket_id = "TKT-FORGED-" + std::to_string(i);
+    batch.admin = "mallory";
+    batch.ops = {{witbroker::kVerbPs, {}}};
+    auto response = machine.broker_channel().CallBatch(batch);
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->responses.size(), 1u);
+    EXPECT_EQ(response->responses[0].err, witos::Err::kPerm);
+  }
+  EXPECT_EQ(metrics.SeriesCount() - before, 0u);
+  EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
+                                 {{"verb", "ps"}, {"outcome", "deny"}}),
+            static_cast<uint64_t>(kForged));
+
+  size_t denied_events = 0;
+  for (const witbroker::BrokerEvent& event : machine.broker().EventsSnapshot()) {
+    if (event.ticket_id.rfind("TKT-FORGED-", 0) == 0 && !event.granted) {
+      ++denied_events;
+    }
+  }
+  EXPECT_EQ(denied_events, static_cast<size_t>(kForged));
+  size_t denied_entries = 0;
+  for (const witbroker::SecureLogEntry& entry : machine.broker().log().SnapshotEntries()) {
+    if (entry.payload.rfind("DENY mallory TKT-FORGED-", 0) == 0) {
+      ++denied_entries;
+    }
+  }
+  EXPECT_EQ(denied_entries, static_cast<size_t>(kForged));
+}
+
 TEST(EndToEndTest, OpLogRetentionCapDropsOldestAndCountsInRegistry) {
   MetricsRegistry registry;
   witfs::OpLog log;

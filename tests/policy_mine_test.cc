@@ -294,14 +294,14 @@ TEST(ShadowModeTest, BrokerOutcomesUnchangedUnderShadow) {
   ASSERT_TRUE(broker.BindTicket("TKT-2", "T-2").ok());
 
   auto request = [](const std::string& ticket, const std::string& verb) {
-    witbroker::RpcRequest req;
-    req.method = verb;
+    witbroker::RpcBatchRequest req;
     req.uid = witos::kRootUid;
     req.ticket_id = ticket;
     req.admin = "alice";
+    req.ops = {{verb, {}}};
     return req;
   };
-  const std::vector<witbroker::RpcRequest> traffic = {
+  const std::vector<witbroker::RpcBatchRequest> traffic = {
       request("TKT-5", witbroker::kVerbPs),
       request("TKT-5", witbroker::kVerbKill),
       request("TKT-2", witbroker::kVerbKill),     // denied by the enforcing policy
@@ -310,8 +310,8 @@ TEST(ShadowModeTest, BrokerOutcomesUnchangedUnderShadow) {
 
   auto run = [&] {
     std::vector<bool> outcomes;
-    for (const witbroker::RpcRequest& req : traffic) {
-      outcomes.push_back(broker.Handle(req).ok);
+    for (const witbroker::RpcBatchRequest& req : traffic) {
+      outcomes.push_back(broker.HandleBatch(req).responses.at(0).ok);
     }
     return outcomes;
   };

@@ -7,39 +7,49 @@
 namespace witbroker {
 namespace {
 
-RpcChannel::Handler EchoHandler() {
-  return [](const RpcRequest& request) {
-    RpcResponse resp;
-    resp.ok = true;
-    resp.payload = "echo:" + request.method;
-    return resp;
+// Answers every op with "echo:<method>".
+RpcChannel::BatchHandler EchoHandler() {
+  return [](const RpcBatchRequest& batch) {
+    RpcBatchResponse out;
+    for (const RpcSubRequest& op : batch.ops) {
+      RpcResponse resp;
+      resp.ok = true;
+      resp.payload = "echo:" + op.method;
+      out.responses.push_back(std::move(resp));
+    }
+    return out;
   };
+}
+
+// One op as its own batch, the way BrokerClient::Request sends it.
+RpcBatchRequest OneOp(const std::string& method, std::vector<std::string> args = {}) {
+  RpcBatchRequest batch;
+  batch.ops = {{method, std::move(args)}};
+  return batch;
 }
 
 TEST(RpcCryptoTest, EncryptedCallRoundTrips) {
   RpcChannel channel;
-  channel.Bind(EchoHandler());
+  channel.BindBatch(EchoHandler());
   channel.EnableEncryption(0x5ec23e7);
   EXPECT_TRUE(channel.encrypted());
-  RpcRequest request;
-  request.method = "ps";
+  RpcBatchRequest request = OneOp("ps");
   request.admin = "alice";
-  auto response = channel.Call(request);
+  auto response = channel.CallBatch(request);
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->payload, "echo:ps");
+  ASSERT_EQ(response->responses.size(), 1u);
+  EXPECT_EQ(response->responses[0].payload, "echo:ps");
 }
 
 TEST(RpcCryptoTest, CiphertextDiffersFromPlaintextLength) {
   RpcChannel plain;
-  plain.Bind(EchoHandler());
+  plain.BindBatch(EchoHandler());
   RpcChannel encrypted;
-  encrypted.Bind(EchoHandler());
+  encrypted.BindBatch(EchoHandler());
   encrypted.EnableEncryption(42);
-  RpcRequest request;
-  request.method = "kill";
-  request.args = {"7"};
-  ASSERT_TRUE(plain.Call(request).ok());
-  ASSERT_TRUE(encrypted.Call(request).ok());
+  RpcBatchRequest request = OneOp("kill", {"7"});
+  ASSERT_TRUE(plain.CallBatch(request).ok());
+  ASSERT_TRUE(encrypted.CallBatch(request).ok());
   // Nonce + MAC add 16 bytes per frame (two frames per call).
   EXPECT_EQ(encrypted.bytes_on_wire(), plain.bytes_on_wire() + 32);
 }
@@ -47,17 +57,15 @@ TEST(RpcCryptoTest, CiphertextDiffersFromPlaintextLength) {
 TEST(RpcCryptoTest, TamperedFrameRejected) {
   RpcChannel channel;
   bool handler_ran = false;
-  channel.Bind([&handler_ran](const RpcRequest&) {
+  channel.BindBatch([&handler_ran](const RpcBatchRequest& batch) {
     handler_ran = true;
-    RpcResponse resp;
-    resp.ok = true;
-    return resp;
+    RpcBatchResponse out;
+    out.responses.resize(batch.ops.size());
+    return out;
   });
   channel.EnableEncryption(99);
   channel.CorruptNextFrameForTest();
-  RpcRequest request;
-  request.method = "ps";
-  auto response = channel.Call(request);
+  auto response = channel.CallBatch(OneOp("ps"));
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(response.error(), witos::Err::kIo);
   // The MITM-corrupted request never reached the broker.
@@ -68,12 +76,11 @@ TEST(RpcCryptoTest, UnencryptedCorruptionBreaksFraming) {
   // Without encryption, a flipped byte may corrupt fields silently or break
   // framing — the MAC is what turns tampering into a hard failure.
   RpcChannel channel;
-  channel.Bind(EchoHandler());
+  channel.BindBatch(EchoHandler());
   channel.CorruptNextFrameForTest();
-  RpcRequest request;
-  request.method = "ps";
+  RpcBatchRequest request = OneOp("ps");
   request.ticket_id = "TKT-123456";
-  (void)channel.Call(request);  // may succeed with garbled fields — no MAC
+  (void)channel.CallBatch(request);  // may succeed with garbled fields — no MAC
   SUCCEED();
 }
 
@@ -165,19 +172,20 @@ TEST(RpcCryptoTest, OneSealPerBatchAmortizesCrypto) {
 TEST(RpcCryptoTest, FramesUseFreshNonces) {
   RpcChannel channel;
   std::vector<std::string> seen_methods;
-  channel.Bind([&seen_methods](const RpcRequest& request) {
-    seen_methods.push_back(request.method);
-    RpcResponse resp;
-    resp.ok = true;
-    return resp;
+  channel.BindBatch([&seen_methods](const RpcBatchRequest& batch) {
+    RpcBatchResponse out;
+    for (const RpcSubRequest& op : batch.ops) {
+      seen_methods.push_back(op.method);
+      out.responses.push_back({true, witos::Err::kOk, ""});
+    }
+    return out;
   });
   channel.EnableEncryption(7);
-  RpcRequest request;
-  request.method = "ps";
+  const RpcBatchRequest request = OneOp("ps");
   // Two identical requests: both must decrypt correctly despite distinct
   // keystreams (no keystream reuse).
-  ASSERT_TRUE(channel.Call(request).ok());
-  ASSERT_TRUE(channel.Call(request).ok());
+  ASSERT_TRUE(channel.CallBatch(request).ok());
+  ASSERT_TRUE(channel.CallBatch(request).ok());
   EXPECT_EQ(seen_methods, (std::vector<std::string>{"ps", "ps"}));
 }
 

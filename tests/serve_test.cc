@@ -145,7 +145,7 @@ TEST(SecureLogConcurrencyTest, ParallelAppendersKeepChainLinear) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
         log.Append("req t" + std::to_string(t) + " #" + std::to_string(i),
-                   static_cast<uint64_t>(i));
+                   static_cast<uint64_t>(i), 0);
       }
     });
   }
@@ -167,7 +167,7 @@ TEST(SecureLogConcurrencyTest, SnapshotsDuringAppendsAreValidPrefixes) {
   std::atomic<bool> done{false};
   std::thread writer([&log, &done] {
     for (int i = 0; i < 2000; ++i) {
-      log.Append("entry " + std::to_string(i), static_cast<uint64_t>(i));
+      log.Append("entry " + std::to_string(i), static_cast<uint64_t>(i), 0);
     }
     done.store(true);
   });
@@ -194,18 +194,20 @@ TEST(BrokerSnapshotTest, AnomalyAnalysisRunsBesideLiveTraffic) {
   (void)broker.BindTicket("TKT-1", "T-1");
 
   // One writer (the broker is per-machine and shard-serialized in witserve;
-  // the contract under test is snapshot-while-writing, not parallel Handle).
+  // the contract under test is snapshot-while-writing, not parallel
+  // HandleBatch).
   std::atomic<bool> done{false};
   std::thread writer([&broker, &done] {
-    witbroker::RpcRequest request;
-    request.ticket_id = "TKT-1";
-    request.admin = "alice";
-    request.uid = witos::kRootUid;
+    witbroker::RpcBatchRequest batch;
+    batch.ticket_id = "TKT-1";
+    batch.admin = "alice";
+    batch.uid = witos::kRootUid;
+    batch.ops.resize(1);
     for (int i = 0; i < 500; ++i) {
-      request.method = (i % 2 == 0) ? witbroker::kVerbPs : witbroker::kVerbRestartService;
-      request.args = (i % 2 == 0) ? std::vector<std::string>{}
-                                  : std::vector<std::string>{"sshd"};
-      broker.Handle(request);
+      batch.ops[0].method = (i % 2 == 0) ? witbroker::kVerbPs : witbroker::kVerbRestartService;
+      batch.ops[0].args = (i % 2 == 0) ? std::vector<std::string>{}
+                                       : std::vector<std::string>{"sshd"};
+      broker.HandleBatch(batch);
     }
     done.store(true);
   });
