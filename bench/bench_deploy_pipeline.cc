@@ -1,19 +1,19 @@
-// Deploy-pipeline bench: shard throughput with one artificially slow
-// machine, inline vs pipelined deploys (ISSUE: async deploy pipeline).
+// Deploy bench: shard throughput with one artificially slow machine, and a
+// fault run proving that every deploy rollback leaves no trace.
 //
 // One machine ("host00") pays a wall-clock latency penalty on its image
-// lookup — a stand-in for a cold image registry or an overloaded host. In
-// kInline mode the shard worker that owns host00 sits inside that latency
-// for every one of its tickets, so the whole shard queues behind one slow
-// machine. In kPipelined mode the worker hands the deploy to the pipeline
-// and keeps draining its queue; the slow lookups also overlap each other on
-// the pipeline workers (the penalty is paid *outside* the machine lock,
-// like a real registry fetch). The headline is the wall-time speedup.
+// lookup — a stand-in for a cold image registry or an overloaded host. The
+// penalty is paid outside the machine lock, like a real registry fetch.
+// The worker deploying for host00 sits inside that latency while idle
+// workers steal the rest of its shard's queue, so the other machines keep
+// being served. The run reports wall time, throughput, the most deploys
+// that executed at once, and a leak audit.
 //
-// A third run injects a bind-stage fault into every 7th deploy — after the
-// session is fully constructed, so each failure forces a real rollback —
-// and reports the rollback count plus a leak audit (bound tickets, live
-// sessions, unrevoked certificates) — all three must be zero.
+// A second run injects a bind-stage fault into every 7th deploy — after
+// the session is fully constructed, so each failure forces a real rollback
+// — and reports the rollback count plus the leak audit (bound tickets, live
+// sessions, unrevoked certificates). Any leak in either run makes the bench
+// exit nonzero.
 //
 // `--profile` instruments the fault run with the witprof stack: every
 // rollback fires the flight recorder (bounded + rate-limited, so ~23
@@ -22,6 +22,7 @@
 //
 // `--json PATH` writes the same numbers machine-readably (BENCH_*.json).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -86,7 +87,6 @@ struct BenchConfig {
   size_t tickets = 160;
   size_t machines = 8;
   size_t pool_workers = 4;
-  size_t deploy_workers = 8;
   uint64_t slow_ms = 5;
 };
 
@@ -129,19 +129,14 @@ struct DeployProfile {
 };
 
 RunResult RunOnce(watchit::ItFramework* framework, const BenchConfig& config,
-                  witserve::ServerPool::DeployMode mode, bool inject_faults,
-                  LeakAudit* audit, DeployProfile* profile = nullptr) {
+                  bool inject_faults, LeakAudit* audit, DeployProfile* profile = nullptr) {
   auto cluster = MakeCluster(config.machines);
   watchit::Dispatcher dispatcher;
   StaffDispatcher(&dispatcher);
 
   witserve::ServerPool::Options pool_options;
   pool_options.workers = config.pool_workers;
-  pool_options.steal = false;  // keep the slow machine's shard isolated
   pool_options.queue.capacity = config.tickets + 16;
-  pool_options.deploy_mode = mode;
-  pool_options.deploy.workers = config.deploy_workers;
-  pool_options.deploy.max_inflight = config.deploy_workers * 4;
   witserve::ServerPool pool(cluster.get(), framework, &dispatcher, pool_options);
 
   witobs::MetricsRegistry registry;
@@ -159,7 +154,6 @@ RunResult RunOnce(watchit::ItFramework* framework, const BenchConfig& config,
         });
   }
 
-  // The same gate drives both modes, so inline pays the identical penalty.
   std::atomic<uint64_t> bind_calls{0};
   pool.deploy_pipeline().set_stage_hook(
       [&](watchit::DeployStage stage, const watchit::Ticket&,
@@ -226,7 +220,11 @@ RunResult RunOnce(watchit::ItFramework* framework, const BenchConfig& config,
   return result;
 }
 
-std::string RunJson(const RunResult& run) {
+std::string RunJson(const RunResult& run, const LeakAudit& audit) {
+  benchjson::Object leaks;
+  leaks.Number("bound_tickets", audit.bound_tickets);
+  leaks.Number("live_sessions", audit.live_sessions);
+  leaks.Number("unrevoked_certs", audit.unrevoked_certs);
   benchjson::Object obj;
   obj.Number("wall_ms", run.WallMs());
   obj.Number("tickets_per_sec", run.Tps());
@@ -236,7 +234,17 @@ std::string RunJson(const RunResult& run) {
   obj.Number("rollbacks", run.stats.deploy.rollbacks);
   obj.Number("peak_inflight", run.stats.deploy.peak_inflight);
   obj.Number("clock_ownership_violations", run.stats.clock_ownership_violations);
+  obj.Add("leaks", leaks.Render());
   return obj.Render();
+}
+
+void PrintRun(const char* label, const RunResult& run, const LeakAudit& audit) {
+  std::printf("%-8s %10.1f %12.1f %8llu %8llu %10llu %8llu %6llu\n", label, run.WallMs(),
+              run.Tps(), static_cast<unsigned long long>(run.stats.served),
+              static_cast<unsigned long long>(run.stats.failed),
+              static_cast<unsigned long long>(run.stats.deploy.rollbacks),
+              static_cast<unsigned long long>(run.stats.deploy.peak_inflight),
+              static_cast<unsigned long long>(audit.Total()));
 }
 
 }  // namespace
@@ -257,8 +265,6 @@ int main(int argc, char** argv) {
       next(&config.machines);
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       next(&config.pool_workers);
-    } else if (std::strcmp(argv[i], "--deploy-workers") == 0) {
-      next(&config.deploy_workers);
     } else if (std::strcmp(argv[i], "--slow-ms") == 0) {
       size_t ms = config.slow_ms;
       next(&ms);
@@ -271,57 +277,26 @@ int main(int argc, char** argv) {
   std::printf("training framework (600 historical tickets)...\n");
   auto framework = TrainFramework();
 
-  std::printf("\n=== deploy pipeline: %zu tickets, %zu machines, %zu pool workers, "
+  const size_t host_cores = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("\n=== deploy: %zu tickets, %zu machines, %zu pool workers, %zu host cores, "
               "%s +%llums on image lookup ===\n",
-              config.tickets, config.machines, config.pool_workers, kSlowMachine,
+              config.tickets, config.machines, config.pool_workers, host_cores, kSlowMachine,
               static_cast<unsigned long long>(config.slow_ms));
 
-  LeakAudit inline_audit;
-  RunResult inline_run = RunOnce(framework.get(), config,
-                                 witserve::ServerPool::DeployMode::kInline,
-                                 /*inject_faults=*/false, &inline_audit);
-  LeakAudit piped_audit;
-  RunResult piped_run = RunOnce(framework.get(), config,
-                                witserve::ServerPool::DeployMode::kPipelined,
-                                /*inject_faults=*/false, &piped_audit);
-  const double speedup =
-      piped_run.wall_ns == 0
-          ? 0.0
-          : static_cast<double>(inline_run.wall_ns) / static_cast<double>(piped_run.wall_ns);
-
-  std::printf("%-10s %10s %12s %8s %8s %10s %8s\n", "mode", "wall ms", "t/s", "served",
-              "failed", "rollbacks", "peakIF");
-  std::printf("%-10s %10.1f %12.1f %8llu %8llu %10llu %8llu\n", "inline",
-              inline_run.WallMs(), inline_run.Tps(),
-              static_cast<unsigned long long>(inline_run.stats.served),
-              static_cast<unsigned long long>(inline_run.stats.failed),
-              static_cast<unsigned long long>(inline_run.stats.deploy.rollbacks),
-              static_cast<unsigned long long>(inline_run.stats.deploy.peak_inflight));
-  std::printf("%-10s %10.1f %12.1f %8llu %8llu %10llu %8llu\n", "pipelined",
-              piped_run.WallMs(), piped_run.Tps(),
-              static_cast<unsigned long long>(piped_run.stats.served),
-              static_cast<unsigned long long>(piped_run.stats.failed),
-              static_cast<unsigned long long>(piped_run.stats.deploy.rollbacks),
-              static_cast<unsigned long long>(piped_run.stats.deploy.peak_inflight));
-  std::printf("speedup (inline wall / pipelined wall): %.2fx\n", speedup);
-
-  std::printf("\n--- fault run: every 7th bind fails (pipelined%s) ---\n",
-              profile ? ", witprof attached" : "");
+  LeakAudit slow_audit;
+  RunResult slow_run =
+      RunOnce(framework.get(), config, /*inject_faults=*/false, &slow_audit);
   LeakAudit fault_audit;
   DeployProfile prof;
-  RunResult fault_run = RunOnce(framework.get(), config,
-                                witserve::ServerPool::DeployMode::kPipelined,
-                                /*inject_faults=*/true, &fault_audit,
+  RunResult fault_run = RunOnce(framework.get(), config, /*inject_faults=*/true, &fault_audit,
                                 profile ? &prof : nullptr);
-  std::printf("served=%llu failed=%llu rollbacks=%llu\n",
-              static_cast<unsigned long long>(fault_run.stats.served),
-              static_cast<unsigned long long>(fault_run.stats.failed),
-              static_cast<unsigned long long>(fault_run.stats.deploy.rollbacks));
-  std::printf("leaks: bound_tickets=%llu live_sessions=%llu unrevoked_certs=%llu\n",
-              static_cast<unsigned long long>(fault_audit.bound_tickets),
-              static_cast<unsigned long long>(fault_audit.live_sessions),
-              static_cast<unsigned long long>(fault_audit.unrevoked_certs));
-  if (fault_audit.Total() != 0 || inline_audit.Total() != 0 || piped_audit.Total() != 0) {
+
+  std::printf("%-8s %10s %12s %8s %8s %10s %8s %6s\n", "run", "wall ms", "t/s", "served",
+              "failed", "rollbacks", "peakIF", "leaks");
+  PrintRun("slow", slow_run, slow_audit);
+  PrintRun("faulty", fault_run, fault_audit);
+  std::printf("(faulty: every 7th bind fails%s)\n", profile ? ", witprof attached" : "");
+  if (slow_audit.Total() != 0 || fault_audit.Total() != 0) {
     std::fprintf(stderr, "LEAK DETECTED — deploy rollback is broken\n");
     return 1;
   }
@@ -352,29 +327,16 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    benchjson::Object leaks;
-    leaks.Number("bound_tickets", fault_audit.bound_tickets);
-    leaks.Number("live_sessions", fault_audit.live_sessions);
-    leaks.Number("unrevoked_certs", fault_audit.unrevoked_certs);
-
-    benchjson::Object faulty;
-    faulty.Number("served", fault_run.stats.served);
-    faulty.Number("failed", fault_run.stats.failed);
-    faulty.Number("rollbacks", fault_run.stats.deploy.rollbacks);
-    faulty.Add("leaks", leaks.Render());
-
     benchjson::Object root;
     root.Str("bench", "deploy_pipeline");
     root.Number("tickets", static_cast<uint64_t>(config.tickets));
     root.Number("machines", static_cast<uint64_t>(config.machines));
     root.Number("pool_workers", static_cast<uint64_t>(config.pool_workers));
-    root.Number("deploy_workers", static_cast<uint64_t>(config.deploy_workers));
+    root.Number("host_cores", static_cast<uint64_t>(host_cores));
     root.Str("slow_machine", kSlowMachine);
     root.Number("slow_ms", config.slow_ms);
-    root.Add("inline", RunJson(inline_run));
-    root.Add("pipelined", RunJson(piped_run));
-    root.Number("speedup", speedup);
-    root.Add("faulty", faulty.Render());
+    root.Add("run", RunJson(slow_run, slow_audit));
+    root.Add("faulty", RunJson(fault_run, fault_audit));
     if (profile) {
       benchjson::Array lock_array;
       for (const auto& lock : prof.locks) {

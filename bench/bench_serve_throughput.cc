@@ -16,8 +16,8 @@
 //
 // `--profile` adds the witprof pass at 8 workers: the per-lock wait
 // ranking (merged across the pool registry and every machine's own), the
-// per-stage p99 breakdown of the e2e p99, an example cross-thread ticket
-// timeline, the stock SLO verdicts, and the profiling overhead measured
+// per-stage p99 breakdown of the e2e p99, the slowest ticket's timeline,
+// the stock SLO verdicts, and the profiling overhead measured
 // against an uninstrumented baseline run (DESIGN.md §13).
 //
 // `--json PATH` writes the same numbers machine-readably (BENCH_*.json).
@@ -121,7 +121,7 @@ struct ProfileData {
   uint64_t spans_dropped = 0;
   size_t timelines = 0;
   std::string example_ticket;
-  size_t example_threads = 0;
+  uint64_t example_span_ns = 0;
   std::string example_render;
   std::vector<witobs::SloEngine::Status> slo;
   uint64_t slo_breaches = 0;
@@ -206,7 +206,7 @@ RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t ticket
     }
     profile->locks = witobs::TopContendedLocks(registries);
 
-    for (const char* stage : {"queue_wait", "prepare", "deploy", "ready_wait", "finish"}) {
+    for (const char* stage : {"queue_wait", "prepare", "deploy", "finish"}) {
       const witobs::Histogram* hist =
           registry.FindHistogram("watchit_serve_stage_latency_ns", {{"stage", stage}});
       uint64_t p99 = hist == nullptr || hist->Count() == 0 ? 0 : hist->Percentile(99);
@@ -225,10 +225,10 @@ RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t ticket
     profile->spans_recorded = spans.size();
     const auto timelines = witobs::TicketTimeline::AssembleAll(spans);
     profile->timelines = timelines.size();
-    // Showcase the most cross-thread ticket still fully buffered.
+    // Showcase the slowest ticket: where did its time go?
     for (const auto& timeline : timelines) {
-      if (timeline.ThreadCount() > profile->example_threads) {
-        profile->example_threads = timeline.ThreadCount();
+      if (timeline.SpanNs() > profile->example_span_ns) {
+        profile->example_span_ns = timeline.SpanNs();
         profile->example_ticket = timeline.ticket_id();
         profile->example_render = timeline.Render();
       }
@@ -426,9 +426,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(prof.spans_recorded),
                 static_cast<unsigned long long>(prof.spans_dropped), prof.timelines);
     if (!prof.example_ticket.empty()) {
-      std::printf("example cross-thread timeline (%zu threads) for %s:\n%s",
-                  prof.example_threads, prof.example_ticket.c_str(),
-                  prof.example_render.c_str());
+      std::printf("slowest ticket's timeline (%.3f ms) for %s:\n%s",
+                  static_cast<double>(prof.example_span_ns) / 1e6,
+                  prof.example_ticket.c_str(), prof.example_render.c_str());
     }
     std::printf("\nSLO verdicts (window = this run):\n");
     for (const auto& status : prof.slo) {
@@ -519,7 +519,7 @@ int main(int argc, char** argv) {
           .Number("spans_dropped", prof.spans_dropped)
           .Number("timelines", prof.timelines)
           .Str("example_ticket", prof.example_ticket)
-          .Number("example_ticket_threads", prof.example_threads)
+          .Number("example_ticket_span_ns", prof.example_span_ns)
           .Add("slo", slo_array.Render())
           .Number("slo_breaches", prof.slo_breaches)
           .Number("flight_recorder_dumps", prof.recorder_dumps);

@@ -65,7 +65,8 @@ bool PolicyManager::AdmitRate(const std::string& ticket_class, const std::string
     return true;
   }
   uint64_t window = now_ns / policy.window_ns;
-  auto& [last_window, count] = rate_[admin];
+  std::lock_guard<std::mutex> lock(rate_mu_);
+  auto& [last_window, count] = rate_[{ticket_class, admin}];
   if (last_window != window) {
     last_window = window;
     count = 0;

@@ -6,9 +6,11 @@
 #define SRC_BROKER_POLICY_H_
 
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace witbroker {
@@ -76,9 +78,10 @@ class PolicyManager {
                                    const std::string& admin,
                                    const std::string& endpoint = "") const;
 
-  // Rate limiting: counts this request against the admin's window and
-  // returns false when the class's budget is exhausted. Stateless classes
-  // (limit 0) always pass.
+  // Rate limiting: counts this request against the admin's window for
+  // this class and returns false when the class's budget is exhausted.
+  // Stateless classes (limit 0) always pass without taking a lock; for
+  // throttled classes it is safe under concurrent HandleBatch calls.
   bool AdmitRate(const std::string& ticket_class, const std::string& admin, uint64_t now_ns);
 
   std::vector<std::string> KnownClasses() const;
@@ -89,8 +92,9 @@ class PolicyManager {
   std::map<std::string, ClassPolicy> policies_;
   std::map<std::string, ClassPolicy> shadow_policies_;
   ClassPolicy default_policy_;
-  // admin -> (window index, count) for rate accounting.
-  std::map<std::string, std::pair<uint64_t, uint32_t>> rate_;
+  // (class, admin) -> (window index, count) for rate accounting.
+  std::mutex rate_mu_;  // guards rate_
+  std::map<std::pair<std::string, std::string>, std::pair<uint64_t, uint32_t>> rate_;
 };
 
 }  // namespace witbroker

@@ -64,7 +64,7 @@ class Cluster {
   Machine* ReplaceMachine(const std::string& name);
 
   // Deploy-transaction observer; called from every RunDeployStages (any
-  // deploy worker), so the listener must be thread-safe. Set while no
+  // deploying thread), so the listener must be thread-safe. Set while no
   // deploys are in flight.
   using DeployTxnListener = std::function<void(const DeployTxnEvent& event)>;
   void set_deploy_listener(DeployTxnListener listener) { deploy_listener_ = std::move(listener); }

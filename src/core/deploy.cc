@@ -164,43 +164,16 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
   return deployment;
 }
 
-bool PendingDeploy::done() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return done_;
-}
-
-witos::Result<Deployment> PendingDeploy::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return done_; });
-  return result_;
-}
-
-void PendingDeploy::Complete(witos::Result<Deployment> result) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    result_ = std::move(result);
-    done_ = true;
-  }
-  cv_.notify_all();
-}
-
-// The pipeline workers' gate: per-machine locking, SimClock ownership, the
-// configured stage deadlines, cancellation, and the optional stage hook.
+// The shard workers' gate: per-machine locking, SimClock ownership, the
+// configured stage deadlines, and the optional stage hook.
 class DeployPipeline::WorkerGate : public DeployGate {
  public:
-  // `correlation_id` tags the per-stage spans with the submitting ticket's
+  // `correlation_id` tags the per-stage spans with the deploying ticket's
   // timeline (empty = no tracing).
-  WorkerGate(DeployPipeline* pipeline, const Ticket* ticket,
-             const std::atomic<bool>* cancelled, std::string correlation_id = "")
-      : pipeline_(pipeline),
-        ticket_(ticket),
-        cancelled_(cancelled),
-        correlation_id_(std::move(correlation_id)) {}
+  WorkerGate(DeployPipeline* pipeline, const Ticket* ticket, std::string correlation_id)
+      : pipeline_(pipeline), ticket_(ticket), correlation_id_(std::move(correlation_id)) {}
 
   witos::Status BeforeStage(DeployStage stage, Machine* machine) override {
-    if (cancelled_ != nullptr && cancelled_->load(std::memory_order_relaxed)) {
-      return witos::Err::kIntr;
-    }
     if (pipeline_->stage_hook_) {
       WITOS_RETURN_IF_ERROR(pipeline_->stage_hook_(stage, *ticket_, machine));
     }
@@ -235,21 +208,20 @@ class DeployPipeline::WorkerGate : public DeployGate {
       record.correlation_id = correlation_id_;
       record.start_ns = stage_start_wall_ns_;
       record.duration_ns = tracer->NowNs() - stage_start_wall_ns_;
-      record.depth = 1;  // nested under deploy.execute
+      record.depth = 1;  // nested under the pool's serve.deploy
       tracer->RecordSpan(std::move(record));
       stage_start_wall_ns_ = 0;
     }
   }
 
   void OnRollback(DeployStage failed_stage, witos::Err err) override {
-    pipeline_->CountRollback(failed_stage, err);
     rolled_back_ = true;
     rollback_stage_ = failed_stage;
     rollback_err_ = err;
   }
 
-  // Consumed by Execute/DeployInline after the transaction, so the
-  // pipeline-level rollback callback runs with no machine lock held.
+  // Consumed by Deploy after the transaction, so the rollback is counted
+  // and reported with no machine lock held.
   bool rolled_back() const { return rolled_back_; }
   DeployStage rollback_stage() const { return rollback_stage_; }
   witos::Err rollback_err() const { return rollback_err_; }
@@ -257,7 +229,6 @@ class DeployPipeline::WorkerGate : public DeployGate {
  private:
   DeployPipeline* pipeline_;
   const Ticket* ticket_;
-  const std::atomic<bool>* cancelled_;
   const std::string correlation_id_;
   uint64_t stage_start_wall_ns_ = 0;
   bool rolled_back_ = false;
@@ -268,107 +239,41 @@ class DeployPipeline::WorkerGate : public DeployGate {
 DeployPipeline::DeployPipeline(Cluster* cluster) : DeployPipeline(cluster, Options()) {}
 
 DeployPipeline::DeployPipeline(Cluster* cluster, Options options)
-    : cluster_(cluster), options_(options) {
-  if (options_.workers == 0) {
-    options_.workers = 1;
-  }
-  if (options_.max_inflight == 0) {
-    options_.max_inflight = 1;
-  }
-}
+    : cluster_(cluster), options_(options) {}
 
-DeployPipeline::~DeployPipeline() {
-  // The registry may be gone by now (stack order in tests decides): stop
-  // profiling before Stop() takes the queue lock one last time.
-  mu_.DisableMetrics();
-  Stop();
-}
-
-void DeployPipeline::Start() {
-  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  stopping_ = false;
-  for (size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-void DeployPipeline::Stop() {
+witos::Result<Deployment> DeployPipeline::Deploy(const Ticket& ticket) {
   {
     std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-    if (!running_) {
-      return;
+    ++stats_.submitted;
+    ++inflight_;
+    stats_.peak_inflight = std::max<uint64_t>(stats_.peak_inflight, inflight_);
+    if (inflight_gauge_ != nullptr) {
+      inflight_gauge_->Set(static_cast<int64_t>(inflight_));
     }
-    stopping_ = true;
   }
-  cv_.notify_all();
-  window_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-  workers_.clear();
-  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  running_ = false;
-}
-
-void DeployPipeline::WorkerLoop() {
-  for (;;) {
-    Request request;
-    {
-      std::unique_lock<witobs::ProfiledMutex> lock(mu_);
-      cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stopping, and the queue is drained
-      }
-      request = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    Execute(request);
-  }
-}
-
-void DeployPipeline::Execute(Request& request) {
-  PendingDeploy* pending = request.handle.get();
-  WorkerGate gate(this, &pending->ticket_, &pending->cancelled_,
-                  pending->trace_.correlation_id);
-  witos::Result<Deployment> result = witos::Err::kIo;
-  {
-    // Continuation span: the submitting thread's context, reopened here on
-    // the pipeline worker — one ticket, one timeline, two threads.
-    witobs::Span span(tracer_, "deploy.execute", pending->trace_);
-    result = RunDeployStages(cluster_, pending->ticket_, options_.lifetime_ns, &gate);
-  }
-  RecordOutcome(result);
+  WorkerGate gate(this, &ticket,
+                  tracer_ != nullptr ? witobs::Span::CurrentCorrelationId(tracer_) : "");
+  witos::Result<Deployment> result =
+      RunDeployStages(cluster_, ticket, ClusterManager::kDefaultLifetimeNs, &gate);
+  RecordOutcome(result, gate);
   if (gate.rolled_back() && rollback_callback_) {
     rollback_callback_(gate.rollback_stage(), gate.rollback_err());
   }
-  pending->Complete(result);
-  if (request.completion) {
-    request.completion(request.handle);
-  }
-  {
-    std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-    --inflight_;
-  }
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Sub(1);
-  }
-  window_cv_.notify_one();
+  return result;
 }
 
-void DeployPipeline::RecordOutcome(const witos::Result<Deployment>& result) {
+void DeployPipeline::RecordOutcome(const witos::Result<Deployment>& result,
+                                   const WorkerGate& gate) {
   witobs::Counter* outcome = nullptr;
   {
     std::lock_guard<witobs::ProfiledMutex> lock(mu_);
+    --inflight_;
+    if (inflight_gauge_ != nullptr) {
+      inflight_gauge_->Set(static_cast<int64_t>(inflight_));
+    }
     if (result.ok()) {
       ++stats_.deployed;
       outcome = outcome_ok_;
-    } else if (result.error() == witos::Err::kIntr) {
-      ++stats_.cancelled;
-      outcome = outcome_cancelled_;
     } else if (result.error() == witos::Err::kTimedOut) {
       ++stats_.timed_out;
       outcome = outcome_timeout_;
@@ -376,88 +281,19 @@ void DeployPipeline::RecordOutcome(const witos::Result<Deployment>& result) {
       ++stats_.failed;
       outcome = outcome_error_;
     }
+    if (gate.rolled_back()) {
+      ++stats_.rollbacks;
+    }
   }
   if (outcome != nullptr) {
     outcome->Increment();
   }
-}
-
-void DeployPipeline::CountRollback(DeployStage failed_stage, witos::Err /*err*/) {
-  {
-    std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-    ++stats_.rollbacks;
-  }
-  witobs::Counter* counter = rollbacks_total_[static_cast<size_t>(failed_stage)];
-  if (counter != nullptr) {
-    counter->Increment();
-  }
-}
-
-witos::Result<DeployHandle> DeployPipeline::Submit(Ticket ticket, Completion completion,
-                                                   witobs::SpanContext trace) {
-  auto handle = std::make_shared<PendingDeploy>(std::move(ticket));
-  handle->trace_ = std::move(trace);
-  {
-    std::unique_lock<witobs::ProfiledMutex> lock(mu_);
-    window_cv_.wait(lock, [&] {
-      return stopping_ || !running_ || inflight_ < options_.max_inflight;
-    });
-    if (stopping_ || !running_) {
-      ++stats_.rejected;
-      return witos::Err::kPipe;
+  if (gate.rolled_back()) {
+    witobs::Counter* rollbacks = rollbacks_total_[static_cast<size_t>(gate.rollback_stage())];
+    if (rollbacks != nullptr) {
+      rollbacks->Increment();
     }
-    ++inflight_;
-    stats_.peak_inflight = std::max<uint64_t>(stats_.peak_inflight, inflight_);
-    ++stats_.submitted;
-    queue_.push_back(Request{handle, std::move(completion)});
   }
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Add(1);
-  }
-  cv_.notify_one();
-  return handle;
-}
-
-witos::Result<DeployHandle> DeployPipeline::TrySubmit(Ticket ticket, Completion completion,
-                                                      witobs::SpanContext trace) {
-  auto handle = std::make_shared<PendingDeploy>(std::move(ticket));
-  handle->trace_ = std::move(trace);
-  {
-    std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-    if (stopping_ || !running_) {
-      ++stats_.rejected;
-      return witos::Err::kPipe;
-    }
-    if (inflight_ >= options_.max_inflight) {
-      ++stats_.rejected;
-      return witos::Err::kAgain;
-    }
-    ++inflight_;
-    stats_.peak_inflight = std::max<uint64_t>(stats_.peak_inflight, inflight_);
-    ++stats_.submitted;
-    queue_.push_back(Request{handle, std::move(completion)});
-  }
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Add(1);
-  }
-  cv_.notify_one();
-  return handle;
-}
-
-witos::Result<Deployment> DeployPipeline::DeployInline(const Ticket& ticket) {
-  {
-    std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-    ++stats_.submitted;
-  }
-  WorkerGate gate(this, &ticket, /*cancelled=*/nullptr,
-                  tracer_ != nullptr ? witobs::Span::CurrentCorrelationId(tracer_) : "");
-  witos::Result<Deployment> result =
-      RunDeployStages(cluster_, ticket, options_.lifetime_ns, &gate);
-  RecordOutcome(result);
-  if (gate.rolled_back() && rollback_callback_) {
-    rollback_callback_(gate.rollback_stage(), gate.rollback_err());
-  }
-  return result;
 }
 
 void DeployPipeline::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
@@ -466,7 +302,7 @@ void DeployPipeline::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tr
   registry->SetHelp("watchit_deploy_stage_latency_ns",
                     "Simulated time spent in each deploy stage");
   registry->SetHelp("watchit_deploy_inflight",
-                    "Deploys queued or executing in the pipeline right now");
+                    "Deploy transactions executing on shard workers right now");
   registry->SetHelp("watchit_deploy_rollbacks_total",
                     "Deploy transactions rolled back, by the stage that failed");
   registry->SetHelp("watchit_deploy_total", "Finished deploy transactions by outcome");
@@ -481,13 +317,6 @@ void DeployPipeline::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tr
   outcome_ok_ = registry->GetCounter("watchit_deploy_total", {{"outcome", "ok"}});
   outcome_error_ = registry->GetCounter("watchit_deploy_total", {{"outcome", "error"}});
   outcome_timeout_ = registry->GetCounter("watchit_deploy_total", {{"outcome", "timeout"}});
-  outcome_cancelled_ =
-      registry->GetCounter("watchit_deploy_total", {{"outcome", "cancelled"}});
-}
-
-size_t DeployPipeline::inflight() const {
-  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  return inflight_;
 }
 
 DeployPipeline::Stats DeployPipeline::GetStats() const {

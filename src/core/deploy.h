@@ -1,5 +1,5 @@
-// The deploy pipeline: staged, cancellable perforated-container deployment
-// with transactional rollback (DESIGN.md §12).
+// The deploy transaction: staged perforated-container deployment with
+// transactional rollback (DESIGN.md §12).
 //
 // ClusterManager::Deploy used to run the whole Figure 3 recipe inline under
 // its caller's shard lock, so one slow or faulty deploy stalled every other
@@ -8,32 +8,24 @@
 //   image lookup → container construction → broker bind → certificate issue
 //
 // — each executed under only *that machine's* lock, with a per-stage
-// deadline measured against the machine's SimClock, and a cancellation /
-// fault-injection point between stages. When any stage fails (or the ticket
-// is cancelled mid-deploy) the completed stages are rolled back in reverse
-// order: revoke the certificate, unbind the broker ticket, terminate the
-// half-built session. A deploy therefore either yields a fully wired
-// Deployment or leaves no trace — no bound ticket, no live session, no
-// valid certificate.
+// deadline measured against the machine's SimClock and a fault-injection
+// point between stages. When any stage fails the completed stages are
+// rolled back in reverse order: revoke the certificate, unbind the broker
+// ticket, terminate the half-built session. A deploy therefore either
+// yields a fully wired Deployment or leaves no trace — no bound ticket, no
+// live session, no valid certificate.
 //
-// DeployPipeline runs the stages on a small worker pool behind a bounded
-// in-flight window, so witserve shard workers can submit a deploy and go
-// back to draining their queue while it runs.
+// DeployPipeline runs that gated transaction on the calling thread — a
+// witserve shard worker — and keeps the outcome stats and metrics.
 
 #ifndef SRC_CORE_DEPLOY_H_
 #define SRC_CORE_DEPLOY_H_
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/core/cluster.h"
 #include "src/core/ticket.h"
@@ -55,14 +47,14 @@ std::string DeployStageName(DeployStage stage);
 
 // Customization points RunDeployStages consults around every stage. The
 // defaults reproduce the historical inline Deploy: no locking (the caller
-// already owns the machine), no deadlines, no cancellation.
+// already owns the machine), no deadlines.
 class DeployGate {
  public:
   virtual ~DeployGate() = default;
 
-  // Runs before each stage WITHOUT the machine lock held — the cancellation
-  // point, and where fault injection / image-registry latency models hook
-  // in. A non-ok status fails the deploy at this stage.
+  // Runs before each stage WITHOUT the machine lock held — where fault
+  // injection / image-registry latency models hook in. A non-ok status
+  // fails the deploy at this stage.
   virtual witos::Status BeforeStage(DeployStage /*stage*/, Machine* /*machine*/) {
     return witos::Status::Ok();
   }
@@ -73,7 +65,7 @@ class DeployGate {
   virtual std::unique_lock<std::mutex> LockMachine(Machine* /*machine*/) { return {}; }
 
   // When true, the machine's SimClock ownership is declared for the stage
-  // body's duration (single-owner rule); pipeline workers need this, inline
+  // body's duration (single-owner rule); shard workers need this,
   // single-threaded callers don't.
   virtual bool BindsClockOwnership() const { return false; }
 
@@ -89,160 +81,81 @@ class DeployGate {
 // Runs the staged deploy transaction for `ticket` against its target
 // machine. On any stage failure the completed stages are rolled back in
 // reverse order before the error is returned. `gate` may be null (defaults
-// apply). This is the single deploy implementation: ClusterManager::Deploy,
-// DeployPipeline workers and DeployPipeline::DeployInline all land here.
+// apply). This is the single deploy implementation: ClusterManager::Deploy
+// and DeployPipeline::Deploy both land here.
 witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket,
                                           uint64_t lifetime_ns, DeployGate* gate);
 
-class DeployPipeline;
-
-// The caller's handle to an asynchronous deploy. Wait() blocks until the
-// pipeline finishes the transaction (successfully or rolled back); Cancel()
-// makes the next inter-stage gate fail the deploy with EINTR, triggering
-// the normal rollback.
-class PendingDeploy {
- public:
-  explicit PendingDeploy(Ticket ticket) : ticket_(std::move(ticket)) {}
-
-  const Ticket& ticket() const { return ticket_; }
-
-  // Requests cancellation; checked between stages, so a deploy already past
-  // its last gate completes normally.
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancel_requested() const { return cancelled_.load(std::memory_order_relaxed); }
-
-  bool done() const;
-  // Blocks until the deploy completes; returns the Deployment or the stage
-  // error (EINTR when cancelled, ETIMEDOUT on a missed stage deadline).
-  witos::Result<Deployment> Wait();
-
- private:
-  friend class DeployPipeline;
-  void Complete(witos::Result<Deployment> result);
-
-  Ticket ticket_;
-  // Span-context handoff from the submitting thread (DESIGN.md §13): the
-  // pipeline worker opens its deploy spans under this ticket's timeline.
-  witobs::SpanContext trace_;
-  std::atomic<bool> cancelled_{false};
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  witos::Result<Deployment> result_{witos::Err::kAgain};
-};
-
-using DeployHandle = std::shared_ptr<PendingDeploy>;
-
-// The asynchronous deploy engine: a worker pool executing deploy
-// transactions behind a bounded in-flight window. Thread-safe; Submit may
-// be called from any number of shard workers concurrently.
+// The gated deploy transaction the serving pool runs: per-machine locking,
+// clock ownership, the stage hook, per-stage deadlines, and the stage
+// histograms and spans. Thread-safe: any number of shard workers may call
+// Deploy concurrently.
 class DeployPipeline {
  public:
   struct Options {
-    size_t workers = 2;
-    // Bound on queued + executing deploys; Submit blocks (TrySubmit fails
-    // with EAGAIN) while the window is full.
-    size_t max_inflight = 16;
     // Per-stage deadline in simulated ns (0 = none), indexed by DeployStage.
     std::array<uint64_t, kNumDeployStages> stage_deadline_ns{};
-    uint64_t lifetime_ns = ClusterManager::kDefaultLifetimeNs;
   };
 
   struct Stats {
     uint64_t submitted = 0;
     uint64_t deployed = 0;
-    uint64_t failed = 0;     // stage error other than cancel/timeout
-    uint64_t cancelled = 0;  // EINTR via PendingDeploy::Cancel
+    uint64_t failed = 0;     // stage error other than a timeout
     uint64_t timed_out = 0;  // missed stage deadline
     uint64_t rollbacks = 0;  // transactions that unwound at least one stage
-    uint64_t rejected = 0;   // TrySubmit with a full window / Submit after Stop
-    uint64_t peak_inflight = 0;
+    uint64_t peak_inflight = 0;  // most deploys executing at once
   };
 
   // Runs in BeforeStage (no machine lock held): fault injection and
   // external-latency modelling. A non-ok status fails the deploy at that
-  // stage. Set before Start().
+  // stage. Set before traffic starts.
   using StageHook = std::function<witos::Status(DeployStage, const Ticket&, Machine*)>;
-  // Invoked on the worker thread after the handle is completed.
-  using Completion = std::function<void(const DeployHandle&)>;
 
   explicit DeployPipeline(Cluster* cluster);  // default Options
   DeployPipeline(Cluster* cluster, Options options);
-  ~DeployPipeline();
   DeployPipeline(const DeployPipeline&) = delete;
   DeployPipeline& operator=(const DeployPipeline&) = delete;
 
   void set_stage_hook(StageHook hook) { stage_hook_ = std::move(hook); }
 
-  void Start();
-  // Drains already-queued deploys, then joins the workers. Subsequent
-  // Submits fail with EPIPE.
-  void Stop();
-
-  // Blocks while the in-flight window is full; EPIPE once stopped. `trace`
-  // is the submitting thread's span context: the deploy's spans (and its
-  // per-stage spans) join that ticket's cross-thread timeline.
-  witos::Result<DeployHandle> Submit(Ticket ticket, Completion completion = nullptr,
-                                     witobs::SpanContext trace = {});
-  // EAGAIN instead of blocking when the window is full.
-  witos::Result<DeployHandle> TrySubmit(Ticket ticket, Completion completion = nullptr,
-                                        witobs::SpanContext trace = {});
-
-  // Runs the same gated transaction (machine lock, clock ownership, stage
-  // hook, deadlines, metrics) synchronously on the caller's thread, outside
-  // the in-flight window — the inline-deploy baseline.
-  witos::Result<Deployment> DeployInline(const Ticket& ticket);
+  // Runs the gated transaction for `ticket` on the calling thread. The
+  // certificate lives ClusterManager::kDefaultLifetimeNs.
+  witos::Result<Deployment> Deploy(const Ticket& ticket);
 
   // watchit_deploy_stage_latency_ns{stage}, watchit_deploy_inflight,
   // watchit_deploy_rollbacks_total{stage}, watchit_deploy_total{outcome},
-  // plus the pipeline queue lock's watchit_lock_* series. With a tracer,
-  // workers emit "deploy.execute" and per-stage "deploy.<stage>" spans
-  // under the submitting ticket's correlation id.
+  // plus the stats lock's watchit_lock_* series. With a tracer, each stage
+  // emits a "deploy.<stage>" span under the calling thread's correlation
+  // id.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
-  // Invoked (on the worker thread, no locks held) after a transaction rolls
-  // back — the flight recorder's deploy-rollback trigger. Set before
-  // Start().
+  // Invoked (on the deploying thread, no locks held) after a transaction
+  // rolls back — the flight recorder's deploy-rollback trigger. Set before
+  // traffic starts.
   using RollbackCallback = std::function<void(DeployStage, witos::Err)>;
   void set_rollback_callback(RollbackCallback callback) {
     rollback_callback_ = std::move(callback);
   }
 
-  size_t inflight() const;
   Stats GetStats() const;
 
  private:
   class WorkerGate;  // defined in deploy.cc
 
-  struct Request {
-    DeployHandle handle;
-    Completion completion;
-  };
-
-  void WorkerLoop();
-  void Execute(Request& request);
-  // Folds one finished transaction into stats_ and the outcome counters.
-  // Caller must NOT hold mu_.
-  void RecordOutcome(const witos::Result<Deployment>& result);
-  void CountRollback(DeployStage failed_stage, witos::Err err);
+  // Folds one finished transaction into stats_ and the outcome and
+  // rollback counters.
+  void RecordOutcome(const witos::Result<Deployment>& result, const WorkerGate& gate);
 
   Cluster* cluster_;
   Options options_;
   StageHook stage_hook_;
   RollbackCallback rollback_callback_;
 
-  // Profiled "deploy.queue" lock (DESIGN.md §13); the cvs are _any so they
-  // wait on the wrapper and the reacquisition shows up as lock wait.
-  mutable witobs::ProfiledMutex mu_{
-      "deploy.queue"};  // guards queue_, inflight_, stats_, running_/stopping_
-  std::condition_variable_any cv_;         // wakes workers
-  std::condition_variable_any window_cv_;  // wakes blocked submitters
-  std::deque<Request> queue_;
-  size_t inflight_ = 0;  // queued + executing
-  bool running_ = false;
-  bool stopping_ = false;
+  // Profiled "deploy.stats" lock (DESIGN.md §13): it is taken twice per
+  // deploy on the request path.
+  mutable witobs::ProfiledMutex mu_{"deploy.stats"};  // guards inflight_, stats_
+  size_t inflight_ = 0;  // deploys executing right now
   Stats stats_;
-  std::vector<std::thread> workers_;
 
   // Observability handles (null when metrics are disabled).
   witobs::Tracer* tracer_ = nullptr;
@@ -252,7 +165,6 @@ class DeployPipeline {
   witobs::Counter* outcome_ok_ = nullptr;
   witobs::Counter* outcome_error_ = nullptr;
   witobs::Counter* outcome_timeout_ = nullptr;
-  witobs::Counter* outcome_cancelled_ = nullptr;
 };
 
 }  // namespace watchit

@@ -43,16 +43,26 @@ const witcontain::Session* AdminSession::container() const {
 }
 
 witos::Status AdminSession::Login() {
+  const witcontain::Session* session = container();
   if (ca_ != nullptr) {
+    // A valid certificate opens only the session it was issued for: this
+    // machine, this ticket.
     CertStatus status = ca_->Validate(certificate_, machine_->kernel().clock().now_ns());
+    std::string reason;
     if (status != CertStatus::kValid) {
+      reason = CertStatusName(status);
+    } else if (certificate_.machine != machine_->name()) {
+      reason = "certificate issued for machine " + certificate_.machine;
+    } else if (session != nullptr && certificate_.ticket_id != session->ticket_id) {
+      reason = "certificate issued for ticket " + certificate_.ticket_id;
+    }
+    if (!reason.empty()) {
       machine_->kernel().audit().Append(witos::AuditEvent::kSessionEvent, shell_, 0,
-                                        "login rejected: " + CertStatusName(status),
+                                        "login rejected: " + reason,
                                         machine_->kernel().clock().now_ns());
       return witos::Err::kPerm;
     }
   }
-  const witcontain::Session* session = container();
   if (session == nullptr || !session->active) {
     return witos::Err::kSrch;
   }

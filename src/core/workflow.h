@@ -96,8 +96,8 @@ struct ResolvedTicket {
 
 // The front half of a ticket's workflow — classified, reviewed and
 // dispatched, but not yet deployed. Produced by Prepare() so witserve can
-// hand the deploy to the DeployPipeline and resume with Finish() once the
-// container(s) are up.
+// run the deploy through DeployPipeline::Deploy and resume with Finish()
+// once the container(s) are up.
 struct PreparedTicket {
   ResolvedTicket resolved;
   // Validated T-9 secondary machine, or empty when only the target deploys.
@@ -117,10 +117,10 @@ class TicketWorkflow {
                                         const std::string& target_machine,
                                         const std::string& user_machine = "");
 
-  // Split entry points for asynchronous deployment. Prepare() runs classify
-  // + review + dispatch (no machine state is touched); the caller then
-  // deploys — inline via ClusterManager or through a DeployPipeline — and
-  // hands the results to Finish(), which replays the ticket in the primary
+  // Split entry points for a caller that deploys itself. Prepare() runs
+  // classify + review + dispatch (no machine state is touched); the caller
+  // then deploys — via ClusterManager or DeployPipeline::Deploy — and hands
+  // the results to Finish(), which replays the ticket in the primary
   // session, expires every deployment and closes the dispatcher assignment.
   // A Prepare() whose deploy never happens must close the assignment itself
   // (dispatcher()->Complete(admin)) or the specialist leaks an open ticket.

@@ -1,7 +1,9 @@
 #include "src/durability/crash.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -88,9 +90,7 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
     witos::FaultPlan plan(options_.seed);
     plan.CrashAtNthCall(point.nth_arrival);
 
-    watchit::DeployPipeline::Options popts;
-    popts.workers = options_.pipeline_workers;
-    watchit::DeployPipeline pipeline(&cluster, popts);
+    watchit::DeployPipeline pipeline(&cluster);
 
     std::mutex hook_mu;
     bool crashed = false;
@@ -115,23 +115,27 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
       }
       return witos::Status::Ok();
     });
-    pipeline.Start();
 
     watchit::ClusterManager expirer(&cluster);
     size_t submitted = 0;
     bool expire_toggle = false;
     while (submitted < options_.tickets) {
-      // One wave: a ticket per machine, round-robin.
-      std::vector<watchit::DeployHandle> wave;
-      for (size_t m = 0; m < fleet.size() && submitted < options_.tickets; ++m, ++submitted) {
-        auto handle = pipeline.Submit(MakeTicket(submitted, fleet[m].first));
-        if (handle.ok()) {
-          wave.push_back(*handle);
-        }
+      // One wave: a ticket per machine, round-robin, each deployed on its
+      // own thread so the crash lands while other machines are mid-deploy.
+      const size_t wave = std::min(fleet.size(), options_.tickets - submitted);
+      std::vector<witos::Result<watchit::Deployment>> results(wave, witos::Err::kIo);
+      std::vector<std::thread> deployers;
+      for (size_t m = 0; m < wave; ++m) {
+        deployers.emplace_back([&, m, ticket = MakeTicket(submitted + m, fleet[m].first)] {
+          results[m] = pipeline.Deploy(ticket);
+        });
       }
+      for (std::thread& deployer : deployers) {
+        deployer.join();
+      }
+      submitted += wave;
       std::vector<watchit::Deployment> landed;
-      for (auto& handle : wave) {
-        auto result = handle->Wait();
+      for (auto& result : results) {
         if (result.ok()) {
           ++report.deploys_committed;
           landed.push_back(*result);
@@ -153,12 +157,11 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
       }
       (void)manager.MaybeCheckpoint();
     }
-    pipeline.Stop();
     {
       std::lock_guard<std::mutex> lock(hook_mu);
       report.crashed = crashed;
     }
-  }  // cluster A, manager A, pipeline: all volatile state dies here
+  }  // cluster A, manager A: all volatile state dies here
 
   if (!report.crashed) {
     report.failure = "crash point " + CrashPointName(point) + " never fired";

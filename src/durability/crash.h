@@ -2,8 +2,9 @@
 //
 // A crash point names a deploy stage, a scope and an arrival count: "the
 // nth time a deploy (on the victim shard / anywhere) reaches this stage,
-// the process dies". The harness drives a journaled cluster through
-// pipelined deploy/expire traffic, pulls the plug at the crash point
+// the process dies". The harness drives a journaled cluster through waves
+// of concurrent deploys (one thread per machine) and expiries, pulls the
+// plug at the crash point
 // (FaultPlan::CrashAtNthCall + DurabilityManager::SimulateCrash — the
 // journal keeps only what was behind an fsync barrier), then restarts into
 // a fresh cluster via DurabilityManager::Recover and asserts the paper's
@@ -69,8 +70,7 @@ class CrashHarness {
  public:
   struct Options {
     size_t machines = 4;
-    size_t tickets = 24;  // submitted in waves of one per machine
-    size_t pipeline_workers = 2;
+    size_t tickets = 24;  // deployed in waves of one per machine
     // DurabilityManager auto-checkpoint cadence (records); the harness
     // calls MaybeCheckpoint between waves.
     uint64_t checkpoint_interval = 64;

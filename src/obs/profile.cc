@@ -19,12 +19,6 @@ void ProfiledMutex::EnableMetrics(MetricsRegistry* registry) {
   profiling_.store(true, std::memory_order_release);
 }
 
-void ProfiledMutex::DisableMetrics() {
-  profiling_.store(false, std::memory_order_release);
-  wait_hist_.store(nullptr, std::memory_order_release);
-  hold_hist_.store(nullptr, std::memory_order_release);
-}
-
 void ProfiledMutex::lock() {
   if (!profiling_.load(std::memory_order_acquire)) {
     mu_.lock();

@@ -43,13 +43,6 @@ class ProfiledMutex {
   // their next acquisition).
   void EnableMetrics(MetricsRegistry* registry);
 
-  // Detaches the histograms — the owner's teardown path. Destructors that
-  // take the lock (queue drains, worker joins) call this first so a
-  // registry destroyed before its instrumented structure (common in tests,
-  // where stack order decides) is never dereferenced. Requires that no
-  // other thread is inside lock()/unlock() — true once workers are joined.
-  void DisableMetrics();
-
   // Lockable. lock() with metrics enabled takes the uncontended path
   // through try_lock first, so an uncontended acquisition pays one clock
   // read (for the hold timer), not three.

@@ -56,7 +56,7 @@ class FlightRecorder {
 
   // Captures an artifact; false when suppressed by max_dumps or the rate
   // limit (the suppression is counted in dumps_dropped). Thread-safe —
-  // triggers arrive from SLO evaluation, pipeline rollback callbacks and
+  // triggers arrive from SLO evaluation, deploy rollback callbacks and
   // bench threads concurrently.
   bool Trigger(const std::string& reason, const std::string& detail = "");
 

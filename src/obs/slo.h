@@ -131,7 +131,7 @@ class SloEngine {
 };
 
 // Registers the three stock WatchIT SLOs against an engine whose registry
-// is wired to a ServerPool + DeployPipeline:
+// is wired to a ServerPool (whose DeployPipeline exports the rollbacks):
 //   ticket-e2e-latency   p99(watchit_serve_e2e_latency_ns) <= max_e2e_p99_ns
 //   admission-rejects    burn of rejected vs all serve outcomes
 //   deploy-rollbacks     burn of rollbacks vs finished deploy transactions

@@ -1,12 +1,13 @@
-// witprof: cross-thread ticket timelines (DESIGN.md §13).
+// witprof: ticket timelines (DESIGN.md §13).
 //
-// Spans live in per-thread ring buffers, so a pipelined ticket — Prepare on
-// a serve worker, deploy stages on a DeployPipeline worker, Finish on
-// whichever worker popped the ready job — leaves its story scattered across
-// three rings. TicketTimeline reassembles it: group a Tracer snapshot by
-// correlation id, order causally (start time, then depth), and expose the
-// per-stage breakdown an incident responder actually wants: where did this
-// ticket's 4 seconds go?
+// Spans live in per-thread ring buffers, and a Tracer snapshot interleaves
+// every ticket every thread served. A served ticket's spans — queue wait,
+// Prepare, the deploy stages, Finish — are all recorded by the one worker
+// that popped it, but they still sit among its neighbours' spans.
+// TicketTimeline reassembles it: group a Tracer snapshot by correlation id
+// (from any number of threads), order causally (start time, then depth),
+// and expose the per-stage breakdown an incident responder actually wants:
+// where did this ticket's 4 seconds go?
 
 #ifndef SRC_OBS_TIMELINE_H_
 #define SRC_OBS_TIMELINE_H_
@@ -41,8 +42,8 @@ class TicketTimeline {
   // Wall span from the first stage's start to the last stage's end.
   uint64_t SpanNs() const { return end_ns_ > start_ns_ ? end_ns_ - start_ns_ : 0; }
 
-  // Distinct thread ids the ticket's spans were recorded on — a pipelined
-  // ticket crosses at least two.
+  // Distinct thread ids the ticket's spans were recorded on — one for a
+  // ticket the serving pool ran.
   size_t ThreadCount() const;
 
   // Summed duration of every stage named `name` (a ticket can revisit a

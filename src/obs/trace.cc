@@ -137,15 +137,6 @@ void Tracer::RecordSpan(SpanRecord record) {
   buffer->Push(std::move(record));
 }
 
-SpanContext Tracer::CaptureContext() {
-  ThreadBuffer* buffer = LocalBuffer();
-  SpanContext context;
-  if (!buffer->stack.empty()) {
-    context.correlation_id = buffer->stack.back().correlation_id;
-  }
-  return context;
-}
-
 void Tracer::Clear() {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   {

@@ -39,15 +39,6 @@ struct SpanRecord {
   uint64_t thread_id = 0;
 };
 
-// A span context captured on one thread and handed to another, so work
-// that hops threads (serve worker → deploy-pipeline worker → whichever
-// worker pops the ready job) still lands every span under one correlation
-// id. Cheap to copy; an empty context opens an ordinary root span.
-struct SpanContext {
-  std::string correlation_id;
-  bool valid() const { return !correlation_id.empty(); }
-};
-
 class Tracer {
  public:
   // `capacity_per_thread` bounds each thread's ring buffer.
@@ -69,15 +60,10 @@ class Tracer {
   void Clear();
 
   // Explicitly records a synthesized span — an interval measured by hand
-  // (queue wait, deploy in-flight) rather than by an RAII scope. A zero
+  // (queue wait, a deploy stage) rather than by an RAII scope. A zero
   // thread_id is replaced with the calling thread's id. The record lands
   // in the calling thread's ring, subject to the same drop accounting.
   void RecordSpan(SpanRecord record);
-
-  // The innermost active correlation id on the calling thread, packaged
-  // for a cross-thread handoff (see SpanContext). An explicit
-  // `correlation_id` overrides what is active.
-  SpanContext CaptureContext();
 
   // Deterministic tests inject a manual clock; production uses the
   // monotonic wall clock.
@@ -123,10 +109,6 @@ class Span {
   // `correlation_id` tags the span (and everything nested under it) with a
   // ticket/session id; empty means "inherit from the enclosing span".
   Span(Tracer* tracer, const char* name, std::string correlation_id = "");
-  // Continuation span: adopts a context captured on another thread, so the
-  // span (and everything nested under it) joins that ticket's timeline.
-  Span(Tracer* tracer, const char* name, const SpanContext& context)
-      : Span(tracer, name, context.correlation_id) {}
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

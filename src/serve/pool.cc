@@ -21,9 +21,9 @@ uint64_t ThreadCpuNs() {
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
 }
 
-// Synthesized stage span: an interval measured by hand (queue wait, deploy
-// in-flight) rather than by an RAII scope, recorded under the ticket's
-// correlation id so the cross-thread timeline tiles submit→finish.
+// Synthesized stage span: an interval measured by hand (the queue wait)
+// rather than by an RAII scope, recorded under the ticket's correlation id
+// so the ticket's timeline tiles submit→finish.
 void RecordStageSpan(witobs::Tracer* tracer, const char* name, const std::string& ticket_id,
                      uint64_t start_ns, uint64_t end_ns) {
   if (tracer == nullptr || end_ns < start_ns || start_ns == 0) {
@@ -41,7 +41,7 @@ void RecordStageSpan(witobs::Tracer* tracer, const char* name, const std::string
 
 ServerPool::ServerPool(watchit::Cluster* cluster, watchit::ItFramework* framework,
                        watchit::Dispatcher* dispatcher, Options options)
-    : cluster_(cluster), dispatcher_(dispatcher), options_(options), manager_(cluster) {
+    : cluster_(cluster), dispatcher_(dispatcher), options_(options) {
   options_.workers = std::max<size_t>(options_.workers, 1);
   for (size_t i = 0; i < options_.workers; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -61,7 +61,7 @@ ServerPool::ServerPool(watchit::Cluster* cluster, watchit::ItFramework* framewor
     shards_[shard]->machines.push_back(machine);
     shard_of_.emplace(machine->name(), shard);
   }
-  pipeline_ = std::make_unique<watchit::DeployPipeline>(cluster, options_.deploy);
+  pipeline_ = std::make_unique<watchit::DeployPipeline>(cluster);
 }
 
 ServerPool::~ServerPool() { Stop(); }
@@ -107,8 +107,6 @@ void ServerPool::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer
       registry->GetHistogram("watchit_serve_stage_latency_ns", {{"stage", "prepare"}});
   stage_deploy_ =
       registry->GetHistogram("watchit_serve_stage_latency_ns", {{"stage", "deploy"}});
-  stage_ready_wait_ =
-      registry->GetHistogram("watchit_serve_stage_latency_ns", {{"stage", "ready_wait"}});
   stage_finish_ =
       registry->GetHistogram("watchit_serve_stage_latency_ns", {{"stage", "finish"}});
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -126,9 +124,6 @@ void ServerPool::Start() {
     return;
   }
   started_ = true;
-  if (options_.deploy_mode == DeployMode::kPipelined) {
-    pipeline_->Start();
-  }
   threads_.reserve(shards_.size());
   for (size_t w = 0; w < shards_.size(); ++w) {
     threads_.emplace_back([this, w] { WorkerLoop(w); });
@@ -157,7 +152,6 @@ witos::Status ServerPool::Submit(const witload::GeneratedTicket& ticket,
   job.target_machine = target_machine;
   job.user_machine = user_machine;
   job.submit_ns = witobs::MonotonicNowNs();
-  job.enqueue_ns = job.submit_ns;
   witos::Status pushed = shard.queue->TryPush(std::move(job));
   if (!pushed.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -178,15 +172,15 @@ void ServerPool::WorkerLoop(size_t worker) {
   ServeJob job;
   for (;;) {
     if (own.queue->TryPop(&job)) {
-      ProcessJob(worker, worker, std::move(job));
+      ProcessJob(worker, worker, job);
       continue;
     }
-    if (options_.steal && shards_.size() > 1) {
+    if (shards_.size() > 1) {
       bool stole = false;
       for (size_t i = 1; i < shards_.size(); ++i) {
         size_t victim = (worker + i) % shards_.size();
         if (shards_[victim]->queue->TrySteal(&job)) {
-          ProcessJob(worker, victim, std::move(job));
+          ProcessJob(worker, victim, job);
           stole = true;
           break;
         }
@@ -196,26 +190,12 @@ void ServerPool::WorkerLoop(size_t worker) {
       }
     }
     if (own.queue->WaitPopFor(&job, options_.idle_wait_us)) {
-      ProcessJob(worker, worker, std::move(job));
+      ProcessJob(worker, worker, job);
       continue;
     }
     if (AllQueuesDrainedAndClosed()) {
       return;
     }
-  }
-}
-
-void ServerPool::ProcessJob(size_t worker, size_t shard_index, ServeJob job) {
-  if (worker != shard_index) {
-    stolen_.fetch_add(1, std::memory_order_relaxed);
-    if (steals_counter_ != nullptr) {
-      steals_counter_->Increment();
-    }
-  }
-  if (job.pending != nullptr) {
-    FinishJob(worker, shard_index, std::move(job));
-  } else {
-    StartJob(worker, shard_index, std::move(job));
   }
 }
 
@@ -233,16 +213,22 @@ void ServerPool::FailJob(const Shard& shard, const ServeJob& job) {
   finished_.fetch_add(1, std::memory_order_release);
 }
 
-void ServerPool::StartJob(size_t worker, size_t shard_index, ServeJob job) {
+void ServerPool::ProcessJob(size_t worker, size_t shard_index, const ServeJob& job) {
+  if (worker != shard_index) {
+    stolen_.fetch_add(1, std::memory_order_relaxed);
+    if (steals_counter_ != nullptr) {
+      steals_counter_->Increment();
+    }
+  }
   Shard& shard = *shards_[shard_index];
 
-  // Stage 1, queue_wait: admission to the first time a worker touched the
-  // job. Recorded here (not in the queue) so steals attribute identically.
+  // Stage 1, queue_wait: admission to the time a worker popped the job.
+  // Recorded here (not in the queue) so steals attribute identically.
   uint64_t popped_ns = witobs::MonotonicNowNs();
-  if (stage_queue_wait_ != nullptr && popped_ns >= job.enqueue_ns) {
-    stage_queue_wait_->Observe(popped_ns - job.enqueue_ns);
+  if (stage_queue_wait_ != nullptr && popped_ns >= job.submit_ns) {
+    stage_queue_wait_->Observe(popped_ns - job.submit_ns);
   }
-  RecordStageSpan(tracer_, "serve.queue_wait", job.ticket.id, job.enqueue_ns, popped_ns);
+  RecordStageSpan(tracer_, "serve.queue_wait", job.ticket.id, job.submit_ns, popped_ns);
 
   // Stage 2, prepare — classify + review + dispatch: no machine state, so
   // no machine locks.
@@ -262,164 +248,38 @@ void ServerPool::StartJob(size_t worker, size_t shard_index, ServeJob job) {
     return;
   }
 
-  if (options_.deploy_mode == DeployMode::kInline) {
-    // Baseline: the worker deploys on the spot and stays blocked for the
-    // whole transaction (machine locks are taken inside the gate).
-    std::vector<watchit::Deployment> deployments;
-    cpu_start = ThreadCpuNs();
-    {
-      witobs::Span span(tracer_, "serve.deploy", job.ticket.id);
-      witos::Result<watchit::Deployment> primary =
-          pipeline_->DeployInline(prepared->resolved.ticket);
-      if (primary.ok()) {
-        deployments.push_back(*primary);
-        if (!prepared->user_machine.empty()) {
-          watchit::Ticket user_ticket = prepared->resolved.ticket;
-          user_ticket.target_machine = prepared->user_machine;
-          witos::Result<watchit::Deployment> secondary = pipeline_->DeployInline(user_ticket);
-          if (secondary.ok()) {
-            deployments.push_back(*secondary);
-          }
+  // Stage 3, deploy: the gated transaction takes each machine's lock per
+  // stage. The T-9 secondary deploys only once the primary has landed, so
+  // a failed ticket never leaves a deployment behind.
+  std::vector<watchit::Deployment> deployments;
+  cpu_start = ThreadCpuNs();
+  {
+    witobs::Span span(tracer_, "serve.deploy", job.ticket.id);
+    witos::Result<watchit::Deployment> primary = pipeline_->Deploy(prepared->resolved.ticket);
+    if (primary.ok()) {
+      deployments.push_back(*primary);
+      if (!prepared->user_machine.empty()) {
+        watchit::Ticket user_ticket = prepared->resolved.ticket;
+        user_ticket.target_machine = prepared->user_machine;
+        witos::Result<watchit::Deployment> secondary = pipeline_->Deploy(user_ticket);
+        if (secondary.ok()) {
+          deployments.push_back(*secondary);
         }
       }
     }
-    if (stage_deploy_ != nullptr) {
-      stage_deploy_->Observe(witobs::MonotonicNowNs() - prepare_end_ns);
-    }
-    shard.busy_cpu_ns.fetch_add(ThreadCpuNs() - cpu_start, std::memory_order_relaxed);
-    if (deployments.empty()) {
-      (void)dispatcher_->Complete(prepared->resolved.ticket.admin);
-      FailJob(shard, job);
-      return;
-    }
-    FinishPrepared(worker, shard_index, job, std::move(*prepared), std::move(deployments));
+  }
+  if (stage_deploy_ != nullptr) {
+    stage_deploy_->Observe(witobs::MonotonicNowNs() - prepare_end_ns);
+  }
+  shard.busy_cpu_ns.fetch_add(ThreadCpuNs() - cpu_start, std::memory_order_relaxed);
+  if (deployments.empty()) {
+    // The ticket cannot be worked: the dispatcher assignment from Prepare()
+    // closes here, or the specialist leaks an open ticket.
+    (void)dispatcher_->Complete(prepared->resolved.ticket.admin);
+    FailJob(shard, job);
     return;
   }
-
-  // Pipelined: hand the deploy(s) to the pipeline and return to the queue.
-  // The span context rides along so the pipeline workers' deploy spans (and
-  // the synthesized "serve.deploy" interval) join this ticket's timeline.
-  witobs::SpanContext trace{job.ticket.id};
-  auto state = std::make_shared<PendingServe>();
-  state->prepared = std::move(*prepared);
-  state->shard = shard_index;
-  state->remaining = state->prepared.user_machine.empty() ? 1u : 2u;
-  state->job = std::move(job);
-  state->job.trace = trace;
-  state->deploy_start_ns = witobs::MonotonicNowNs();
-  pending_jobs_.fetch_add(1, std::memory_order_acq_rel);
-
-  watchit::Ticket primary_ticket = state->prepared.resolved.ticket;
-  watchit::Ticket user_ticket;
-  bool dual = !state->prepared.user_machine.empty();
-  if (dual) {
-    user_ticket = primary_ticket;
-    user_ticket.target_machine = state->prepared.user_machine;
-  }
-
-  witos::Result<watchit::DeployHandle> submitted = pipeline_->Submit(
-      std::move(primary_ticket),
-      [this, state](const watchit::DeployHandle& handle) {
-        OnDeployDone(state, /*is_primary=*/true, handle->Wait());
-      },
-      trace);
-  if (!submitted.ok()) {
-    OnDeployDone(state, /*is_primary=*/true, submitted.error());
-  }
-  if (dual) {
-    witos::Result<watchit::DeployHandle> submitted_user = pipeline_->Submit(
-        std::move(user_ticket),
-        [this, state](const watchit::DeployHandle& handle) {
-          OnDeployDone(state, /*is_primary=*/false, handle->Wait());
-        },
-        trace);
-    if (!submitted_user.ok()) {
-      OnDeployDone(state, /*is_primary=*/false, submitted_user.error());
-    }
-  }
-}
-
-void ServerPool::OnDeployDone(const std::shared_ptr<PendingServe>& state, bool is_primary,
-                              witos::Result<watchit::Deployment> result) {
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (is_primary) {
-      state->primary_ok = result.ok();
-      if (result.ok()) {
-        state->primary = *result;
-      } else {
-        state->primary_err = result.error();
-      }
-    } else {
-      state->secondary_ok = result.ok();
-      if (result.ok()) {
-        state->secondary = *result;
-      }
-    }
-    last = --state->remaining == 0;
-  }
-  if (!last) {
-    return;
-  }
-  Shard& shard = *shards_[state->shard];
-  // Stage 3, deploy: pipeline handoff to the last completion. Recorded on
-  // the pipeline worker's thread, under the ticket's correlation id.
-  uint64_t deploy_end_ns = witobs::MonotonicNowNs();
-  if (stage_deploy_ != nullptr && deploy_end_ns >= state->deploy_start_ns) {
-    stage_deploy_->Observe(deploy_end_ns - state->deploy_start_ns);
-  }
-  RecordStageSpan(tracer_, "serve.deploy", state->job.ticket.id, state->deploy_start_ns,
-                  deploy_end_ns);
-  if (!state->primary_ok) {
-    // The ticket cannot be worked. A secondary that did deploy is orphaned
-    // — expire it — and the dispatcher assignment from Prepare() closes
-    // here, or the specialist leaks an open ticket.
-    if (state->secondary_ok) {
-      ExpireOrphan(&state->secondary);
-    }
-    (void)dispatcher_->Complete(state->prepared.resolved.ticket.admin);
-    FailJob(shard, state->job);
-    pending_jobs_.fetch_sub(1, std::memory_order_release);
-    return;
-  }
-  // Re-admit the job as "ready": whichever worker pops it replays and
-  // expires under the machine locks. The push must happen before the
-  // pending count drops, or AllQueuesDrainedAndClosed could see both zero.
-  ServeJob ready = std::move(state->job);
-  ready.pending = state;
-  ready.enqueue_ns = deploy_end_ns;  // ready_wait starts here
-  shard.queue->PushReady(std::move(ready));
-  if (shard.depth_gauge != nullptr) {
-    shard.depth_gauge->Set(static_cast<int64_t>(shard.queue->depth()));
-  }
-  pending_jobs_.fetch_sub(1, std::memory_order_release);
-}
-
-void ServerPool::ExpireOrphan(watchit::Deployment* deployment) {
-  std::lock_guard<std::mutex> lock(deployment->machine->mu());
-  witos::SimClock& clock = deployment->machine->kernel().clock();
-  clock.BindOwner();
-  (void)manager_.Expire(deployment);
-  clock.ReleaseOwner();
-}
-
-void ServerPool::FinishJob(size_t worker, size_t shard_index, ServeJob job) {
-  // Stage 4, ready_wait: re-admission after the deploys landed to the time
-  // a worker popped the ready job.
-  uint64_t popped_ns = witobs::MonotonicNowNs();
-  if (stage_ready_wait_ != nullptr && popped_ns >= job.enqueue_ns) {
-    stage_ready_wait_->Observe(popped_ns - job.enqueue_ns);
-  }
-  RecordStageSpan(tracer_, "serve.ready_wait", job.ticket.id, job.enqueue_ns, popped_ns);
-  std::shared_ptr<PendingServe> state = std::move(job.pending);
-  std::vector<watchit::Deployment> deployments;
-  deployments.push_back(state->primary);
-  if (state->secondary_ok) {
-    deployments.push_back(state->secondary);
-  }
-  FinishPrepared(worker, shard_index, job, std::move(state->prepared),
-                 std::move(deployments));
+  FinishPrepared(worker, shard_index, job, std::move(*prepared), std::move(deployments));
 }
 
 void ServerPool::FinishPrepared(size_t worker, size_t shard_index, const ServeJob& job,
@@ -436,7 +296,7 @@ void ServerPool::FinishPrepared(size_t worker, size_t shard_index, const ServeJo
   std::sort(machines.begin(), machines.end());
   machines.erase(std::unique(machines.begin(), machines.end()), machines.end());
 
-  // Stage 5, finish: replay + expire under the machine locks.
+  // Stage 4, finish: replay + expire under the machine locks.
   uint64_t finish_start_ns = witobs::MonotonicNowNs();
   witos::Result<watchit::ResolvedTicket> result = witos::Err::kInval;
   {
@@ -502,11 +362,6 @@ void ServerPool::UpdateCacheGauges(const Shard& shard) {
 }
 
 bool ServerPool::AllQueuesDrainedAndClosed() const {
-  // Order matters: a job at the pipeline is re-queued *before* the pending
-  // count drops, so reading pending first can't miss it.
-  if (pending_jobs_.load(std::memory_order_acquire) != 0) {
-    return false;
-  }
   for (const auto& shard : shards_) {
     if (!shard->queue->closed() || shard->queue->depth() != 0) {
       return false;
@@ -535,7 +390,6 @@ void ServerPool::Stop() {
     thread.join();
   }
   threads_.clear();
-  pipeline_->Stop();
   started_ = false;
 }
 

@@ -11,23 +11,19 @@
 // nonzero clock_ownership_violations in Stats rather than as a silently
 // corrupted experiment.
 //
-// Deploys run through a DeployPipeline (src/core/deploy.h). In the default
-// pipelined mode a worker splits each job in two: it classifies and
-// dispatches the ticket (no machine state), submits the deploy(s) to the
-// pipeline, and goes straight back to draining its queue; when the pipeline
-// finishes, the job re-enters the shard queue as a "ready" job carrying its
-// deployments, and whichever worker pops it replays and expires the ticket
-// under the machine locks. One slow or faulty deploy therefore stalls only
-// its own machine, not the whole shard. kInline mode runs the same gated
-// deploy transaction synchronously on the worker — the baseline
-// bench_deploy_pipeline compares against.
+// The worker that pops a job runs the whole ticket: Prepare (classify,
+// review, dispatch — no machine state), the gated deploy transaction of a
+// DeployPipeline (src/core/deploy.h; the T-9 secondary deploys only once
+// the primary has landed), then Finish (replay + expire) under the machine
+// locks.
 //
 // The owning worker processes its shard's queue FIFO; an idle worker steals
-// from the back of a busier shard's queue, so imbalance is absorbed without
-// breaking the locking discipline. What stays genuinely shared is
-// organizational by nature and internally synchronized: the Dispatcher
-// roster, the CertificateAuthority, the ItFramework (read-only after
-// training), the network fabric's delivery counter, and the witobs registry.
+// from the back of a busier shard's queue, so imbalance — a worker stuck in
+// a slow deploy included — is absorbed without breaking the locking
+// discipline. What stays genuinely shared is organizational by nature and
+// internally synchronized: the Dispatcher roster, the CertificateAuthority,
+// the ItFramework (read-only after training), the network fabric's delivery
+// counter, and the witobs registry.
 
 #ifndef SRC_SERVE_POOL_H_
 #define SRC_SERVE_POOL_H_
@@ -46,45 +42,15 @@
 
 namespace witserve {
 
-// A job whose deploys are in flight at the pipeline. The two completions
-// (one, or two for T-9) record their results here; the last one re-queues
-// the job as "ready" — or fails it outright when the primary deploy lost.
-struct PendingServe {
-  watchit::PreparedTicket prepared;
-  size_t shard = 0;
-  ServeJob job;  // the original job, re-admitted once the deploys land
-  // When the deploys were handed to the pipeline — the "deploy" stage of
-  // the ticket's timeline runs from here to the last completion.
-  uint64_t deploy_start_ns = 0;
-
-  std::mutex mu;
-  size_t remaining = 0;
-  bool primary_ok = false;
-  witos::Err primary_err = witos::Err::kIo;
-  watchit::Deployment primary;
-  bool secondary_ok = false;
-  watchit::Deployment secondary;
-};
-
 class ServerPool {
  public:
-  enum class DeployMode {
-    kInline,     // deploy synchronously on the shard worker (baseline)
-    kPipelined,  // submit to the DeployPipeline, keep draining the queue
-  };
-
   struct Options {
     size_t workers = 4;
     // Per-shard queue bounds (admission control is per shard).
     TicketQueue::Options queue;
-    bool steal = true;
     // How long an idle worker blocks on its own queue before re-scanning
     // the other shards / checking for shutdown.
     uint64_t idle_wait_us = 500;
-    DeployMode deploy_mode = DeployMode::kPipelined;
-    // Pipeline sizing and per-stage deadlines (applies to both modes; the
-    // inline mode pays the same gate semantics on the worker thread).
-    watchit::DeployPipeline::Options deploy;
   };
 
   struct Stats {
@@ -94,9 +60,10 @@ class ServerPool {
     uint64_t rejected = 0;  // admission-control EBUSY at Submit()
     uint64_t stolen = 0;    // jobs processed by a non-owner worker
     size_t peak_queue_depth = 0;
-    // Busy time per shard in thread-CPU ns (lock waits and queue idling
-    // excluded). max_shard_busy_cpu_ns is the serving critical path: on any
-    // machine with enough cores, wall time converges to it.
+    // Busy time per shard in thread-CPU ns — prepare, deploy and finish;
+    // lock waits and queue idling excluded. max_shard_busy_cpu_ns is the
+    // serving critical path: on any machine with enough cores, wall time
+    // converges to it.
     std::vector<uint64_t> shard_busy_cpu_ns;
     uint64_t total_busy_cpu_ns = 0;
     uint64_t max_shard_busy_cpu_ns = 0;
@@ -122,14 +89,15 @@ class ServerPool {
   // Wires per-worker workflows, the deploy pipeline and pool-level series
   // into the registry: watchit_serve_e2e_latency_ns,
   // watchit_serve_stage_latency_ns{stage} (queue_wait / prepare / deploy /
-  // ready_wait / finish — the per-stage breakdown of every ticket's
-  // end-to-end latency), watchit_serve_tickets_total{outcome},
+  // finish — the per-stage breakdown of every ticket's end-to-end
+  // latency), watchit_serve_tickets_total{outcome},
   // watchit_serve_steals_total, watchit_serve_queue_depth{shard}, the
   // watchit_deploy_* family, per-shard
   // watchit_pagecache_{hits,misses,evictions}{shard} gauges, and the
   // watchit_lock_* contention series for the shard queues, dispatcher, CA
-  // and deploy pipeline (DESIGN.md §13). With a tracer, every ticket yields
-  // one cross-thread timeline under its ticket id.
+  // and deploy stats (DESIGN.md §13). With a tracer, every ticket yields
+  // one timeline under its ticket id, recorded by the worker that served
+  // it.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   void Start();
@@ -142,8 +110,7 @@ class ServerPool {
                        const std::string& user_machine = "");
   // Blocks until every submitted job has finished. Requires Start().
   void Drain();
-  // Closes the queues, drains queued jobs and in-flight deploys, joins the
-  // workers, then stops the pipeline.
+  // Closes the queues, drains queued jobs and joins the workers.
   void Stop();
 
   // Shard routing (stable after construction).
@@ -161,8 +128,8 @@ class ServerPool {
   using ResultCallback = std::function<void(const watchit::ResolvedTicket&)>;
   void set_result_callback(ResultCallback callback) { callback_ = std::move(callback); }
 
-  // The deploy engine — exposed so tests and benches can install a stage
-  // hook or read pipeline stats directly. Configure before Start().
+  // The deploy transaction — exposed so tests and benches can install a
+  // stage hook or read deploy stats directly. Configure before Start().
   watchit::DeployPipeline& deploy_pipeline() { return *pipeline_; }
 
   Stats stats() const;
@@ -195,19 +162,11 @@ class ServerPool {
   };
 
   void WorkerLoop(size_t worker);
-  void ProcessJob(size_t worker, size_t shard, ServeJob job);
-  // Fresh job: Prepare, then deploy inline or hand off to the pipeline.
-  void StartJob(size_t worker, size_t shard, ServeJob job);
-  // Ready job: replay + expire under the deployments' machine locks.
-  void FinishJob(size_t worker, size_t shard, ServeJob job);
+  // Runs one job end to end: Prepare, the gated deploy(s), then Finish.
+  void ProcessJob(size_t worker, size_t shard, const ServeJob& job);
   void FinishPrepared(size_t worker, size_t shard, const ServeJob& job,
                       watchit::PreparedTicket prepared,
                       std::vector<watchit::Deployment> deployments);
-  // Pipeline-thread completion for one of a job's deploys.
-  void OnDeployDone(const std::shared_ptr<PendingServe>& state, bool is_primary,
-                    witos::Result<watchit::Deployment> result);
-  // Expires a deployment whose job failed elsewhere (orphaned secondary).
-  void ExpireOrphan(watchit::Deployment* deployment);
   void FailJob(const Shard& shard, const ServeJob& job);
   void UpdateCacheGauges(const Shard& shard);
   bool AllQueuesDrainedAndClosed() const;
@@ -219,7 +178,6 @@ class ServerPool {
   std::map<std::string, size_t> shard_of_;
   std::vector<std::unique_ptr<watchit::TicketWorkflow>> workflows_;  // one per worker
   std::unique_ptr<watchit::DeployPipeline> pipeline_;
-  watchit::ClusterManager manager_;  // orphan expiry outside a workflow
   std::vector<std::thread> threads_;
   bool started_ = false;
 
@@ -230,9 +188,6 @@ class ServerPool {
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> stolen_{0};
-  // Jobs handed to the pipeline and not yet re-queued or failed; keeps
-  // AllQueuesDrainedAndClosed honest while queues look empty.
-  std::atomic<uint64_t> pending_jobs_{0};
 
   // Observability wiring (all null when metrics are disabled).
   witobs::MetricsRegistry* metrics_ = nullptr;
@@ -247,7 +202,6 @@ class ServerPool {
   witobs::Histogram* stage_queue_wait_ = nullptr;
   witobs::Histogram* stage_prepare_ = nullptr;
   witobs::Histogram* stage_deploy_ = nullptr;
-  witobs::Histogram* stage_ready_wait_ = nullptr;
   witobs::Histogram* stage_finish_ = nullptr;
 };
 

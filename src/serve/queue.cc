@@ -36,13 +36,6 @@ witos::Status TicketQueue::TryPush(ServeJob job) {
   return witos::Status::Ok();
 }
 
-void TicketQueue::PushReady(ServeJob job) {
-  std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  jobs_.push_back(std::move(job));
-  peak_ = std::max(peak_, jobs_.size());
-  cv_.notify_one();
-}
-
 bool TicketQueue::TryPop(ServeJob* out) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   if (jobs_.empty()) {

@@ -22,38 +22,22 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "src/obs/profile.h"
-#include "src/obs/trace.h"
 #include "src/os/result.h"
 #include "src/workload/ticket_gen.h"
 
 namespace witserve {
 
-// Deploy-in-flight continuation state, owned by ServerPool (pool.h).
-struct PendingServe;
-
 // One unit of serving work: a generated ticket plus its routing and the
 // wall-clock instant it was admitted (for end-to-end latency accounting).
-// A job travels through the queue up to twice: once fresh (pending ==
-// null), and — in pipelined-deploy mode — once more as a "ready" job
-// carrying the finished deployments to resume with.
 struct ServeJob {
   witload::GeneratedTicket ticket;
   std::string target_machine;
   std::string user_machine;  // T-9 dual deployment; empty otherwise
   uint64_t submit_ns = 0;
-  // Span-context handoff (DESIGN.md §13): stamped when the job's root span
-  // opens, carried through PushReady so the worker that pops the ready job
-  // continues the same ticket's timeline on its own thread.
-  witobs::SpanContext trace;
-  // When the job last entered a queue — lets the popping worker synthesize
-  // a queue-wait span covering the hop.
-  uint64_t enqueue_ns = 0;
-  std::shared_ptr<PendingServe> pending;
 };
 
 class TicketQueue {
@@ -75,11 +59,6 @@ class TicketQueue {
 
   // EBUSY while admission is closed (overload), EPIPE after Close().
   witos::Status TryPush(ServeJob job);
-
-  // Re-admits a job whose deploys just completed. Ready jobs bypass both
-  // admission control and the closed state: they were admitted once already,
-  // and a pool draining towards shutdown must still finish them.
-  void PushReady(ServeJob job);
 
   // Owner pop: oldest job, non-blocking.
   bool TryPop(ServeJob* out);

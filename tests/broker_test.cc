@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -573,6 +574,56 @@ TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
             static_cast<size_t>(2 * kPerWriter));
   EXPECT_TRUE(broker.log().Verify());
   EXPECT_EQ(broker.log().size(), static_cast<size_t>(2 * kPerWriter));
+}
+
+// Regression: AdmitRate mutated its window map with no lock, so concurrent
+// HandleBatch calls for a throttled class raced. Eight threads share one
+// sharded broker and one admin's budget; exactly the budget is granted.
+// Only restart_service is sent (one locked audit append when granted), so
+// nothing dispatches into the unsynchronized kernel. broker_test runs
+// under TSan in CI.
+TEST(BrokerRateLimitRaceTest, ConcurrentRequestsGrantExactlyTheBudget) {
+  witos::Kernel kernel("host");
+  witos::Pid pid = *kernel.Clone(1, "PermissionBroker", 0);
+  PolicyManager policy;
+  ClassPolicy throttled;
+  throttled.allowed_verbs = {kVerbRestartService};
+  throttled.max_requests_per_window = 50;
+  throttled.window_ns = 3600ull * 1000000000ull;
+  policy.SetPolicy("T-RL", throttled);
+  RpcChannel channel;
+  PermissionBroker::Options options;
+  options.shards = 4;
+  PermissionBroker broker(&kernel, pid, &policy, &channel, options);
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 20;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(broker.BindTicket("TKT-RL-" + std::to_string(t), "T-RL").ok());
+  }
+  std::atomic<int> granted{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      RpcBatchRequest batch = OneOp("TKT-RL-" + std::to_string(t), kVerbRestartService);
+      batch.ops[0].args = {"sshd"};
+      for (int i = 0; i < kPerThread; ++i) {
+        if (broker.HandleBatch(batch).responses[0].ok) {
+          granted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& sender : senders) {
+    sender.join();
+  }
+  EXPECT_EQ(granted.load(), 50);
+  size_t granted_events = 0;
+  for (const BrokerEvent& event : broker.EventsSnapshot()) {
+    granted_events += event.granted ? 1 : 0;
+  }
+  EXPECT_EQ(granted_events, 50u);
+  EXPECT_TRUE(broker.log().Verify());
 }
 
 TEST(AnomalyTest, UnusualVerbFlagged) {

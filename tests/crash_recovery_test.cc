@@ -413,7 +413,6 @@ TEST(CrashSweepTest, EveryStageAndScopeRecoversWithZeroLeaks) {
   witcrash::CrashHarness::Options options;
   options.machines = 3;
   options.tickets = 12;
-  options.pipeline_workers = 2;
   options.checkpoint_interval = 16;
   witcrash::CrashHarness harness(options);
 

@@ -1,6 +1,6 @@
 // Deploy-pipeline tests: the staged deploy transaction (rollback on every
-// stage failure), Expire idempotence, the asynchronous pipeline (window
-// bound, cancellation, stage deadlines), and the fault-injection sweep
+// stage failure), Expire idempotence, the gated DeployPipeline::Deploy
+// (stage deadlines, concurrent deployers), and the fault-injection sweep
 // proving that a failed deploy never leaks a bound ticket, a live session
 // or an unrevoked certificate.
 
@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -152,199 +150,62 @@ TEST(ExpireTest, ExpireAfterExternalTerminateStillRevokesAndUnbinds) {
   ExpectNoLeaks(&cluster, &machine);
 }
 
-// --- the asynchronous pipeline ----------------------------------------------
-
-TEST(DeployPipelineTest, SubmitDeploysAsynchronously) {
-  Cluster cluster;
-  Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
-  DeployPipeline pipeline(&cluster);
-  pipeline.Start();
-
-  std::atomic<bool> completed{false};
-  auto handle = pipeline.Submit(MakeTicket("TKT-ASYNC", "userpc"),
-                                [&](const DeployHandle& h) {
-                                  completed.store(h->done(), std::memory_order_relaxed);
-                                });
-  ASSERT_TRUE(handle.ok());
-  auto result = (*handle)->Wait();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->machine, &machine);
-  EXPECT_TRUE(machine.broker().IsTicketBound("TKT-ASYNC"));
-
-  ClusterManager manager(&cluster);
-  ASSERT_TRUE(manager.Expire(&*result).ok());
-  pipeline.Stop();  // joins the workers, so the completion has run by now
-  EXPECT_TRUE(completed.load());
-
-  DeployPipeline::Stats stats = pipeline.GetStats();
-  EXPECT_EQ(stats.submitted, 1u);
-  EXPECT_EQ(stats.deployed, 1u);
-  EXPECT_EQ(stats.rollbacks, 0u);
-  EXPECT_EQ(pipeline.inflight(), 0u);
-  ExpectNoLeaks(&cluster, &machine);
-}
-
-TEST(DeployPipelineTest, InflightWindowBoundsSubmission) {
-  Cluster cluster;
-  cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
-  DeployPipeline::Options options;
-  options.workers = 1;
-  options.max_inflight = 1;
-  DeployPipeline pipeline(&cluster, options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-  pipeline.set_stage_hook([&](DeployStage stage, const Ticket&, Machine*) -> witos::Status {
-    if (stage == DeployStage::kImageLookup) {
-      std::unique_lock<std::mutex> lock(mu);
-      entered = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    }
-    return witos::Status::Ok();
-  });
-  pipeline.Start();
-
-  auto first = pipeline.Submit(MakeTicket("TKT-W1", "userpc"));
-  ASSERT_TRUE(first.ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
-  // The window (1) is occupied by the stalled deploy: TrySubmit must bounce.
-  auto second = pipeline.TrySubmit(MakeTicket("TKT-W2", "userpc"));
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error(), witos::Err::kAgain);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  ASSERT_TRUE((*first)->Wait().ok());
-  pipeline.Stop();
-  DeployPipeline::Stats stats = pipeline.GetStats();
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.peak_inflight, 1u);
-}
-
-TEST(DeployPipelineTest, CancelMidDeployRollsBack) {
-  Cluster cluster;
-  Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
-  DeployPipeline::Options options;
-  options.workers = 1;
-  DeployPipeline pipeline(&cluster, options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-  // Stall between construct and bind; the cancellation lands while the
-  // session is half-built and is noticed at the next inter-stage gate.
-  pipeline.set_stage_hook([&](DeployStage stage, const Ticket&, Machine*) -> witos::Status {
-    if (stage == DeployStage::kBind) {
-      std::unique_lock<std::mutex> lock(mu);
-      entered = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    }
-    return witos::Status::Ok();
-  });
-  pipeline.Start();
-
-  auto handle = pipeline.Submit(MakeTicket("TKT-CANCEL", "userpc"));
-  ASSERT_TRUE(handle.ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
-  (*handle)->Cancel();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-
-  auto result = (*handle)->Wait();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error(), witos::Err::kIntr);
-  pipeline.Stop();
-  DeployPipeline::Stats stats = pipeline.GetStats();
-  EXPECT_EQ(stats.cancelled, 1u);
-  EXPECT_EQ(stats.rollbacks, 1u);
-  EXPECT_FALSE(machine.broker().IsTicketBound("TKT-CANCEL"));
-  ExpectNoLeaks(&cluster, &machine);
-}
+// --- the gated transaction (DeployPipeline::Deploy) -------------------------
 
 TEST(DeployPipelineTest, StageDeadlineTimesOutAndRollsBack) {
   Cluster cluster;
   Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
   DeployPipeline::Options options;
-  options.workers = 1;
   // Construction mutates the filesystem dozens of times; 1 simulated ns is
   // an unmeetable budget, so the deadline trips deterministically.
   options.stage_deadline_ns[static_cast<size_t>(DeployStage::kConstruct)] = 1;
   DeployPipeline pipeline(&cluster, options);
-  pipeline.Start();
 
-  auto handle = pipeline.Submit(MakeTicket("TKT-SLOW", "userpc"));
-  ASSERT_TRUE(handle.ok());
-  auto result = (*handle)->Wait();
+  auto result = pipeline.Deploy(MakeTicket("TKT-SLOW", "userpc"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error(), witos::Err::kTimedOut);
-  pipeline.Stop();
   DeployPipeline::Stats stats = pipeline.GetStats();
   EXPECT_EQ(stats.timed_out, 1u);
   EXPECT_EQ(stats.rollbacks, 1u);  // the built session was torn down
   ExpectNoLeaks(&cluster, &machine);
 }
 
-TEST(DeployPipelineTest, ConcurrentSubmittersAllLandAndExpireCleanly) {
+// Shard workers deploy concurrently, each on its own thread: four deployers
+// over two machines, each expiring its deployment under the machine lock
+// the way the serving pool's Finish does.
+TEST(DeployPipelineTest, ConcurrentDeployersAllLandAndExpireCleanly) {
   Cluster cluster;
   cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
   cluster.AddMachine("devbox", witnet::Ipv4Addr(10, 0, 1, 51));
-  DeployPipeline::Options options;
-  options.workers = 3;
-  options.max_inflight = 8;
-  DeployPipeline pipeline(&cluster, options);
-  pipeline.Start();
+  DeployPipeline pipeline(&cluster);
+  ClusterManager manager(&cluster);
 
-  constexpr size_t kSubmitters = 4;
-  constexpr size_t kPerSubmitter = 8;
-  std::vector<DeployHandle> handles(kSubmitters * kPerSubmitter);
-  std::vector<std::thread> submitters;
-  for (size_t t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&, t] {
-      for (size_t i = 0; i < kPerSubmitter; ++i) {
+  constexpr size_t kDeployers = 4;
+  constexpr size_t kPerDeployer = 8;
+  std::vector<std::thread> deployers;
+  for (size_t t = 0; t < kDeployers; ++t) {
+    deployers.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerDeployer; ++i) {
         std::string id = "TKT-" + std::to_string(t) + "-" + std::to_string(i);
         std::string target = (t + i) % 2 == 0 ? "userpc" : "devbox";
-        auto handle = pipeline.Submit(MakeTicket(id, target));
-        ASSERT_TRUE(handle.ok());
-        handles[t * kPerSubmitter + i] = *handle;
+        auto result = pipeline.Deploy(MakeTicket(id, target));
+        ASSERT_TRUE(result.ok());
+        std::lock_guard<std::mutex> lock(result->machine->mu());
+        result->machine->kernel().clock().BindOwner();
+        EXPECT_TRUE(manager.Expire(&*result).ok());
+        result->machine->kernel().clock().ReleaseOwner();
       }
     });
   }
-  for (std::thread& submitter : submitters) {
-    submitter.join();
+  for (std::thread& deployer : deployers) {
+    deployer.join();
   }
-
-  ClusterManager manager(&cluster);
-  for (const DeployHandle& handle : handles) {
-    auto result = handle->Wait();
-    ASSERT_TRUE(result.ok());
-    // Expire under the machine lock: pipeline workers may still be driving
-    // other deploys on the same machine.
-    std::lock_guard<std::mutex> lock(result->machine->mu());
-    result->machine->kernel().clock().BindOwner();
-    EXPECT_TRUE(manager.Expire(&*result).ok());
-    result->machine->kernel().clock().ReleaseOwner();
-  }
-  pipeline.Stop();
 
   DeployPipeline::Stats stats = pipeline.GetStats();
-  EXPECT_EQ(stats.deployed, kSubmitters * kPerSubmitter);
-  EXPECT_LE(stats.peak_inflight, 8u);
+  EXPECT_EQ(stats.submitted, kDeployers * kPerDeployer);
+  EXPECT_EQ(stats.deployed, kDeployers * kPerDeployer);
+  EXPECT_GE(stats.peak_inflight, 1u);
+  EXPECT_LE(stats.peak_inflight, kDeployers);
   for (size_t i = 0; i < cluster.size(); ++i) {
     Machine& machine = cluster.machine(i);
     EXPECT_EQ(machine.containit().active_sessions(), 0u);
@@ -361,7 +222,11 @@ TEST(DeployFaultSweepTest, EveryStageTimesEveryErrnoRollsBackCleanly) {
   Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
   DeployPipeline pipeline(&cluster);
 
-  const witos::Err kErrnos[] = {witos::Err::kIo, witos::Err::kNoSpc, witos::Err::kNoMem};
+  // kIntr is what an interrupted gate returns (the crash harness fails every
+  // gate with it once the world is dead); at the bind stage it unwinds a
+  // fully built session like any other error.
+  const witos::Err kErrnos[] = {witos::Err::kIo, witos::Err::kNoSpc, witos::Err::kNoMem,
+                                witos::Err::kIntr};
   DeployStage fail_stage = DeployStage::kImageLookup;
   std::shared_ptr<witos::FaultPlan> plan;
   pipeline.set_stage_hook([&](DeployStage stage, const Ticket&, Machine*) -> witos::Status {
@@ -383,7 +248,7 @@ TEST(DeployFaultSweepTest, EveryStageTimesEveryErrnoRollsBackCleanly) {
       plan = std::make_shared<witos::FaultPlan>();
       plan->FailNthCall(1, err);
       std::string id = "TKT-FAULT-" + std::to_string(combo++);
-      auto result = pipeline.DeployInline(MakeTicket(id, "userpc"));
+      auto result = pipeline.Deploy(MakeTicket(id, "userpc"));
       ASSERT_FALSE(result.ok()) << DeployStageName(fail_stage);
       EXPECT_EQ(result.error(), err) << DeployStageName(fail_stage);
       EXPECT_EQ(plan->injected(), 1u);
@@ -398,7 +263,7 @@ TEST(DeployFaultSweepTest, EveryStageTimesEveryErrnoRollsBackCleanly) {
 
   // The machine is unharmed: a clean deploy still succeeds afterwards.
   plan = nullptr;
-  auto result = pipeline.DeployInline(MakeTicket("TKT-AFTER", "userpc"));
+  auto result = pipeline.Deploy(MakeTicket("TKT-AFTER", "userpc"));
   ASSERT_TRUE(result.ok());
   ClusterManager manager(&cluster);
   ASSERT_TRUE(manager.Expire(&*result).ok());

@@ -9,6 +9,7 @@
 #include "src/serve/queue.h"
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
 #include <memory>
@@ -22,6 +23,12 @@
 
 namespace witserve {
 namespace {
+
+uint64_t ThreadCpuNs() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
+}
 
 ServeJob MakeJob(const std::string& id) {
   ServeJob job;
@@ -369,6 +376,40 @@ TEST_F(ServePoolTest, IdleWorkersStealFromTheLoadedShard) {
   // victim's shard mutex — discipline stays clean).
   EXPECT_GT(stats.stolen, 0u);
   EXPECT_EQ(stats.clock_ownership_violations, 0u);
+}
+
+// Deploys run on the shard worker, so their CPU is charged to the shard:
+// a stage hook that burns 2 ms of thread CPU per deploy must show up in
+// the shards' busy time ("effective t/s" used to leave deploys out).
+TEST_F(ServePoolTest, ShardBusyCpuIncludesDeployCpu) {
+  constexpr uint64_t kBurnNs = 2'000'000;
+  constexpr size_t kTickets = 12;
+  ServerPool::Options options;
+  options.workers = 2;
+  ServerPool pool(&cluster_, framework_, &dispatcher_, options);
+  pool.deploy_pipeline().set_stage_hook(
+      [](watchit::DeployStage stage, const watchit::Ticket&, watchit::Machine*) {
+        if (stage == watchit::DeployStage::kConstruct) {
+          const uint64_t start = ThreadCpuNs();
+          while (ThreadCpuNs() - start < kBurnNs) {
+          }
+        }
+        return witos::Status::Ok();
+      });
+  pool.Start();
+  const auto tickets = MakeTickets(kTickets);
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const std::string target = "m" + std::to_string(i % 4);
+    const std::string user =
+        tickets[i].true_class == "T-9" ? pool.PeerInShard(target) : std::string();
+    ASSERT_TRUE(pool.Submit(tickets[i], target, user).ok());
+  }
+  pool.Drain();
+  pool.Stop();
+  const ServerPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.served, kTickets);
+  EXPECT_GE(stats.deploy.deployed, kTickets);
+  EXPECT_GE(stats.total_busy_cpu_ns, kTickets * kBurnNs);
 }
 
 TEST_F(ServePoolTest, AdmissionControlRejectsPastHighWatermark) {

@@ -21,22 +21,37 @@ class ThreatMatrixTest : public ::testing::Test {
     manager_ = std::make_unique<ClusterManager>(&cluster_);
   }
 
-  // Deploys a container of `cls` and returns a logged-in admin session.
-  std::unique_ptr<AdminSession> DeployAndLogin(const std::string& cls) {
+  // Deploys a container of `cls` for mallory's ticket `id` on `machine`.
+  Deployment DeployTicket(const std::string& id, const std::string& machine,
+                          const std::string& cls) {
     Ticket ticket;
-    ticket.id = "TKT-" + cls;
-    ticket.target_machine = "userpc";
+    ticket.id = id;
+    ticket.target_machine = machine;
     ticket.assigned_class = cls;
     ticket.admin = "mallory";
     auto deployment = manager_->Deploy(ticket);
     EXPECT_TRUE(deployment.ok());
-    auto session = std::make_unique<AdminSession>(machine_, deployment->session,
-                                                  deployment->certificate, &cluster_.ca());
+    return *deployment;
+  }
+
+  // Deploys a container of `cls` and returns a logged-in admin session.
+  std::unique_ptr<AdminSession> DeployAndLogin(const std::string& cls) {
+    Deployment deployment = DeployTicket("TKT-" + cls, "userpc", cls);
+    auto session = std::make_unique<AdminSession>(machine_, deployment.session,
+                                                  deployment.certificate, &cluster_.ca());
     EXPECT_TRUE(session->Login().ok());
     return session;
   }
 
   witos::Kernel& kernel() { return machine_->kernel(); }
+
+  static size_t LoginRejections(witos::Kernel& kernel) {
+    return kernel.audit()
+        .Filter([](const witos::AuditRecord& record) {
+          return record.detail.rfind("login rejected", 0) == 0;
+        })
+        .size();
+  }
 
   Cluster cluster_;
   Machine* machine_ = nullptr;
@@ -173,6 +188,33 @@ TEST_F(ThreatMatrixTest, Attack9ForgedCertificateRejected) {
   EXPECT_EQ(session2.Login().error(), witos::Err::kPerm);
 }
 
+// Attack 9, certificate reuse: a validly signed certificate opens only the
+// session it was issued for. Mallory's genuine certificate for a ticket on
+// userpc does not log in to her session on another machine.
+TEST_F(ThreatMatrixTest, Attack9CertificateReuseAcrossMachinesRejected) {
+  Machine& devbox = cluster_.AddMachine("devbox", witnet::Ipv4Addr(10, 0, 1, 51));
+  Deployment here = DeployTicket("TKT-HERE", "userpc", "T-1");
+  Deployment there = DeployTicket("TKT-THERE", "devbox", "T-1");
+  AdminSession reused(&devbox, there.session, here.certificate, &cluster_.ca());
+  EXPECT_EQ(reused.Login().error(), witos::Err::kPerm);
+  EXPECT_EQ(LoginRejections(devbox.kernel()), 1u);
+  // The certificate issued for that session still opens it.
+  AdminSession own(&devbox, there.session, there.certificate, &cluster_.ca());
+  EXPECT_TRUE(own.Login().ok());
+}
+
+// ... nor, on one machine, a session deployed for another ticket — here a
+// broader class than the one her certificate names.
+TEST_F(ThreatMatrixTest, Attack9CertificateReuseAcrossTicketsRejected) {
+  Deployment narrow = DeployTicket("TKT-NARROW", "userpc", "T-1");
+  Deployment broad = DeployTicket("TKT-BROAD", "userpc", "T-6");
+  AdminSession reused(machine_, broad.session, narrow.certificate, &cluster_.ca());
+  EXPECT_EQ(reused.Login().error(), witos::Err::kPerm);
+  EXPECT_EQ(LoginRejections(kernel()), 1u);
+  AdminSession own(machine_, broad.session, broad.certificate, &cluster_.ca());
+  EXPECT_TRUE(own.Login().ok());
+}
+
 // Attack 10: ticket stringing — even across classes, the blanket hard
 // constraints (document filter, sniffer rules) hold in every container.
 TEST_F(ThreatMatrixTest, Attack10StringingStillConstrained) {
@@ -212,6 +254,34 @@ TEST_F(ThreatMatrixTest, ExpiredCertificateLosesAccess) {
   ASSERT_TRUE(session.ReadFile("/home/user/notes.txt").ok());
   kernel().clock().Advance(2000);  // ticket time passes
   EXPECT_EQ(session.ReadFile("/home/user/notes.txt").error(), witos::Err::kPerm);
+}
+
+// Broker rate limits are per class: one admin alternating requests between
+// tickets of two throttled classes with different windows gets each class's
+// budget, no more — the classes do not reset each other's counts.
+TEST_F(ThreatMatrixTest, RateLimitBudgetsHoldPerClassForOneAdmin) {
+  witbroker::ClassPolicy minute;
+  minute.allowed_verbs = {witbroker::kVerbPs};
+  minute.max_requests_per_window = 3;
+  minute.window_ns = 60ull * 1000000000ull;
+  witbroker::ClassPolicy longer = minute;
+  longer.max_requests_per_window = 4;
+  longer.window_ns = 90ull * 1000000000ull;
+  machine_->policy().SetPolicy("T-1", minute);
+  machine_->policy().SetPolicy("T-5", longer);
+  // 1000 s in, the two windows have different indices (16 and 11), and
+  // neither ends during the test.
+  kernel().clock().Advance(1000ull * 1000000000ull);
+  auto first = DeployAndLogin("T-1");
+  auto second = DeployAndLogin("T-5");
+  size_t first_granted = 0;
+  size_t second_granted = 0;
+  for (int i = 0; i < 10; ++i) {
+    first_granted += first->Pb(witbroker::kVerbPs, {}).ok() ? 1u : 0u;
+    second_granted += second->Pb(witbroker::kVerbPs, {}).ok() ? 1u : 0u;
+  }
+  EXPECT_EQ(first_granted, 3u);
+  EXPECT_EQ(second_granted, 4u);
 }
 
 // Driver updates (TCB changes) must go through the broker and be signed.
