@@ -118,7 +118,7 @@ Result<VfsContext> Kernel::ContextFor(Pid pid) const {
   ctx.xcl_ns = p->ns.Get(NsType::kXcl);
   ctx.root = p->root;
   ctx.cwd = p->cwd;
-  ctx.cred = cred;
+  ctx.cred = std::move(cred);
   ctx.pid = pid;
   return ctx;
 }
@@ -474,10 +474,10 @@ Result<Fd> Kernel::Open(Pid pid, const std::string& path, uint32_t flags, Mode m
   }
   WITOS_ASSIGN_OR_RETURN(Stat st, rp.fs->Open(rp.fs_path, flags, mode, ctx.cred));
   OpenFile of;
-  of.fs = rp.fs;
-  of.fs_path = rp.fs_path;
-  of.vfs_path = rp.vfs_path;
-  of.jail_path = rp.jail_path;
+  of.fs = std::move(rp.fs);
+  of.fs_path = std::move(rp.fs_path);
+  of.vfs_path = std::move(rp.vfs_path);
+  of.jail_path = std::move(rp.jail_path);
   of.flags = flags;
   of.offset = (flags & kOpenAppend) != 0 ? st.size : 0;
   of.rdev = rdev;

@@ -38,11 +38,11 @@ void MemFs::ChargeBytes(size_t n) const {
   }
 }
 
-Result<std::shared_ptr<MemFs::Node>> MemFs::Walk(const std::string& path,
-                                                 const Credentials& cred) const {
+Result<MemFs::Node*> MemFs::Walk(std::string_view path, const Credentials& cred) const {
   ++op_count_;
-  std::shared_ptr<Node> cur = root_;
-  for (const auto& comp : SplitPath(path)) {
+  Node* cur = root_.get();
+  for (PathComponents comps(path); !comps.done();) {
+    std::string_view comp = comps.Next();
     if (cur->type != FileType::kDirectory) {
       return Err::kNotDir;
     }
@@ -53,22 +53,47 @@ Result<std::shared_ptr<MemFs::Node>> MemFs::Walk(const std::string& path,
     if (it == cur->children.end()) {
       return Err::kNoEnt;
     }
-    cur = it->second;
+    cur = it->second.get();
   }
   return cur;
 }
 
-Result<std::pair<std::shared_ptr<MemFs::Node>, std::string>> MemFs::WalkParent(
-    const std::string& path, const Credentials& cred) const {
+Result<std::pair<MemFs::Node*, std::string>> MemFs::WalkParent(const std::string& path,
+                                                               const Credentials& cred) const {
   std::string norm = NormalizePath(path);
   if (norm == "/") {
     return Err::kInval;
   }
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> parent, Walk(Dirname(norm), cred));
+  const size_t slash = norm.rfind('/');
+  WITOS_ASSIGN_OR_RETURN(Node* parent, Walk(std::string_view(norm).substr(0, slash), cred));
   if (parent->type != FileType::kDirectory) {
     return Err::kNotDir;
   }
-  return std::make_pair(parent, Basename(norm));
+  norm.erase(0, slash + 1);
+  return std::make_pair(parent, std::move(norm));
+}
+
+MemFs::Node* MemFs::Lookup(std::string_view path) const {
+  Node* cur = root_.get();
+  for (PathComponents comps(path); !comps.done();) {
+    if (cur->type != FileType::kDirectory) {
+      return nullptr;
+    }
+    auto it = cur->children.find(comps.Next());
+    if (it == cur->children.end()) {
+      return nullptr;
+    }
+    cur = it->second.get();
+  }
+  return cur;
+}
+
+void MemFs::DropName(Node* node) {
+  if (node->nlink_extra > 0) {
+    --node->nlink_extra;  // another name still references the inode
+  } else {
+    used_bytes_ -= node->data.size();
+  }
 }
 
 Stat MemFs::StatOf(const Node& node) const {
@@ -122,7 +147,7 @@ Result<Stat> MemFs::Open(const std::string& path, uint32_t flags, Mode mode,
     }
     return walked.error();
   }
-  auto node = *walked;
+  Node* node = *walked;
   if ((flags & kOpenCreate) != 0 && (flags & kOpenExcl) != 0) {
     return Err::kExist;
   }
@@ -146,14 +171,14 @@ Result<Stat> MemFs::Open(const std::string& path, uint32_t flags, Mode mode,
   if ((flags & kOpenTrunc) != 0 && node->type == FileType::kRegular) {
     used_bytes_ -= node->data.size();
     node->data.clear();
-    BumpGeneration(node.get());
+    BumpGeneration(node);
   }
   return StatOf(*node);
 }
 
 Result<size_t> MemFs::ReadAt(const std::string& path, uint64_t offset, size_t size,
                              std::string* out, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kIsDir;
   }
@@ -172,7 +197,7 @@ Result<size_t> MemFs::ReadAt(const std::string& path, uint64_t offset, size_t si
 
 Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const std::string& data,
                               const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kIsDir;
   }
@@ -185,7 +210,7 @@ Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const st
     node->data.resize(end);
   }
   node->data.replace(static_cast<size_t>(offset), data.size(), data);
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   if (clock_ != nullptr) {
     node->mtime_ticks = clock_->now_ns();
   }
@@ -194,7 +219,7 @@ Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const st
 }
 
 Status MemFs::Truncate(const std::string& path, uint64_t size, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kIsDir;
   }
@@ -207,19 +232,19 @@ Status MemFs::Truncate(const std::string& path, uint64_t size, const Credentials
     used_bytes_ += size - node->data.size();
   }
   node->data.resize(static_cast<size_t>(size), '\0');
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
 Result<Stat> MemFs::GetAttr(const std::string& path, const Credentials& cred) {
   ChargeMeta();
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   return StatOf(*node);
 }
 
 Result<std::vector<DirEntry>> MemFs::ReadDir(const std::string& path, const Credentials& cred) {
   ChargeMeta();
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type != FileType::kDirectory) {
     return Err::kNotDir;
   }
@@ -262,11 +287,7 @@ Status MemFs::Unlink(const std::string& path, const Credentials& cred) {
   if (!CheckPosixAccess(cred, parent->uid, parent->gid, parent->mode, kAccessWrite)) {
     return Err::kAcces;
   }
-  if (it->second->nlink_extra > 0) {
-    --it->second->nlink_extra;  // another name still references the inode
-  } else {
-    used_bytes_ -= it->second->data.size();
-  }
+  DropName(it->second.get());
   parent->children.erase(it);
   return Status::Ok();
 }
@@ -307,14 +328,26 @@ Status MemFs::Rename(const std::string& from, const std::string& to, const Crede
       !CheckPosixAccess(cred, to_parent->uid, to_parent->gid, to_parent->mode, kAccessWrite)) {
     return Err::kAcces;
   }
+  std::shared_ptr<Node> node = it->second;
   auto existing = to_parent->children.find(to_leaf);
   if (existing != to_parent->children.end()) {
-    if (existing->second->type == FileType::kDirectory &&
-        !existing->second->children.empty()) {
-      return Err::kNotEmpty;
+    const Node& target = *existing->second;
+    if (&target == node.get()) {
+      return Status::Ok();  // two names of one inode: rename(2) does nothing
+    }
+    // As rename(2): a directory replaces only an empty directory, and a
+    // non-directory never replaces a directory.
+    if (node->type == FileType::kDirectory) {
+      if (target.type != FileType::kDirectory) {
+        return Err::kNotDir;
+      }
+      if (!target.children.empty()) {
+        return Err::kNotEmpty;
+      }
+    } else if (target.type == FileType::kDirectory) {
+      return Err::kIsDir;
     }
   }
-  auto node = it->second;
   // Guard against moving a directory into its own subtree.
   if (node->type == FileType::kDirectory) {
     std::string norm_from = NormalizePath(from);
@@ -323,6 +356,9 @@ Status MemFs::Rename(const std::string& from, const std::string& to, const Crede
       return Err::kInval;
     }
   }
+  if (existing != to_parent->children.end() && node->type != FileType::kDirectory) {
+    DropName(existing->second.get());  // the displaced name goes as in Unlink
+  }
   from_parent->children.erase(it);
   to_parent->children[to_leaf] = node;
   BumpGeneration(node.get());  // same bytes, new identity at the target path
@@ -330,23 +366,23 @@ Status MemFs::Rename(const std::string& from, const std::string& to, const Crede
 }
 
 Status MemFs::Chmod(const std::string& path, Mode mode, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (cred.uid != node->uid && !cred.HasCap(Capability::kDacOverride)) {
     return Err::kPerm;
   }
   node->mode = mode;
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
 Status MemFs::Chown(const std::string& path, Uid uid, Gid gid, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (!cred.HasCap(Capability::kChown)) {
     return Err::kPerm;
   }
   node->uid = uid;
   node->gid = gid;
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
@@ -374,7 +410,8 @@ Status MemFs::MkNod(const std::string& path, FileType type, DeviceId rdev, Mode 
 Status MemFs::Link(const std::string& oldpath, const std::string& newpath,
                    const Credentials& cred) {
   ChargeMutation();
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(NormalizePath(oldpath), cred));
+  const std::string old_norm = NormalizePath(oldpath);
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(old_norm, cred));
   if (node->type == FileType::kDirectory) {
     return Err::kPerm;  // hard links to directories are forbidden
   }
@@ -386,11 +423,18 @@ Status MemFs::Link(const std::string& oldpath, const std::string& newpath,
   if (!CheckPosixAccess(cred, parent->uid, parent->gid, parent->mode, kAccessWrite)) {
     return Err::kAcces;
   }
-  parent->children[leaf] = node;  // same inode, second name
+  // The second name shares the inode with the first: take the owning
+  // pointer from the old name's entry in its parent directory. A
+  // non-directory is never the root, so that entry exists.
+  const size_t slash = old_norm.rfind('/');
+  std::shared_ptr<Node> owner = Lookup(std::string_view(old_norm).substr(0, slash))
+                                    ->children.find(std::string_view(old_norm).substr(slash + 1))
+                                    ->second;
+  parent->children[leaf] = std::move(owner);  // same inode, second name
   ++node->nlink_extra;
   // The shared inode's generation covers both names: a later write through
   // either alias re-bumps it, invalidating verdicts cached under the other.
-  BumpGeneration(node.get());
+  BumpGeneration(node);
   return Status::Ok();
 }
 
@@ -412,7 +456,7 @@ Status MemFs::SymLink(const std::string& target, const std::string& linkpath,
 }
 
 Result<std::string> MemFs::ReadLink(const std::string& path, const Credentials& cred) {
-  WITOS_ASSIGN_OR_RETURN(std::shared_ptr<Node> node, Walk(path, cred));
+  WITOS_ASSIGN_OR_RETURN(Node* node, Walk(path, cred));
   if (node->type != FileType::kSymlink) {
     return Err::kInval;
   }
@@ -458,7 +502,7 @@ void MemFs::ProvisionAppend(const std::string& path, const std::string& data) {
   }
   (*walked)->data += data;
   used_bytes_ += data.size();
-  BumpGeneration(walked->get());
+  BumpGeneration(*walked);
 }
 
 void MemFs::ProvisionSymlink(const std::string& linkpath, const std::string& target) {
@@ -479,21 +523,11 @@ uint64_t MemFs::Generation(const std::string& path) const {
   // Internal metadata query: no permission checks, no clock charge, no
   // op_count — the caller (the ITFS verdict cache) must observe exactly the
   // same costs whether or not it consults generations.
-  std::shared_ptr<Node> cur = root_;
-  for (const auto& comp : SplitPath(path)) {
-    if (cur->type != FileType::kDirectory) {
-      return kNoGeneration;
-    }
-    auto it = cur->children.find(comp);
-    if (it == cur->children.end()) {
-      return kNoGeneration;
-    }
-    cur = it->second;
-  }
-  if (cur->type == FileType::kDirectory) {
+  const Node* node = Lookup(path);
+  if (node == nullptr || node->type == FileType::kDirectory) {
     return kNoGeneration;
   }
-  return cur->generation;
+  return node->generation;
 }
 
 Result<std::string> MemFs::SlurpForTest(const std::string& path) const {

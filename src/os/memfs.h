@@ -8,9 +8,11 @@
 #ifndef SRC_OS_MEMFS_H_
 #define SRC_OS_MEMFS_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/os/clock.h"
@@ -86,18 +88,26 @@ class MemFs : public Filesystem {
     // old (path, generation) pair. Bumped on every content/identity change.
     uint64_t generation = 0;
     uint32_t nlink_extra = 0;  // hard links beyond the first name
-    std::string data;                                   // regular file / symlink target
-    std::map<std::string, std::shared_ptr<Node>> children;  // directory
+    std::string data;  // regular file / symlink target
+    // Directory entries; std::less<> lets a string_view component look up.
+    std::map<std::string, std::shared_ptr<Node>, std::less<>> children;
   };
 
   // Walks to the node at `path`; checks exec (search) permission on every
-  // traversed directory.
-  Result<std::shared_ptr<Node>> Walk(const std::string& path, const Credentials& cred) const;
+  // traversed directory. The tree owns the node; the pointer is good until
+  // the next mutation.
+  Result<Node*> Walk(std::string_view path, const Credentials& cred) const;
   // Walks to the parent directory of `path`, returning (parent, leaf name).
-  Result<std::pair<std::shared_ptr<Node>, std::string>> WalkParent(const std::string& path,
-                                                                   const Credentials& cred) const;
+  Result<std::pair<Node*, std::string>> WalkParent(const std::string& path,
+                                                   const Credentials& cred) const;
+  // The node at `path` without permission checks, charges or op counting;
+  // null when missing.
+  Node* Lookup(std::string_view path) const;
   Stat StatOf(const Node& node) const;
   std::shared_ptr<Node> NewNode(FileType type, Mode mode, const Credentials& cred);
+  // Accounts for one name of a non-directory going away: the inode's bytes
+  // are freed with its last name.
+  void DropName(Node* node);
   // Stamps a fresh generation on `node` (content or identity changed).
   void BumpGeneration(Node* node) { node->generation = next_generation_++; }
   void Charge(uint64_t ns) const;

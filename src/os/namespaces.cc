@@ -68,7 +68,7 @@ Gid UidNamespace::MapGidToHost(Gid inside) const {
   return kOverflowUid;
 }
 
-bool XclNamespace::IsExcluded(const std::string& normalized_path) const {
+bool XclNamespace::IsExcluded(std::string_view normalized_path) const {
   for (const auto& prefix : excluded) {
     if (PathIsUnder(normalized_path, prefix)) {
       return true;

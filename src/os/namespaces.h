@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/os/credentials.h"
@@ -121,7 +122,7 @@ struct XclNamespace {
   NsId parent = kNoNs;
   std::vector<std::string> excluded;  // normalized absolute VFS paths
 
-  bool IsExcluded(const std::string& normalized_path) const;
+  bool IsExcluded(std::string_view normalized_path) const;
 };
 
 // ---------------------------------------------------------------------------

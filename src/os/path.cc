@@ -5,46 +5,52 @@
 
 namespace witos {
 
+void PathComponents::SkipEmpty() {
+  while (!rest_.empty()) {
+    if (rest_.front() == '/') {
+      rest_.remove_prefix(1);
+    } else if (rest_.front() == '.' && (rest_.size() == 1 || rest_[1] == '/')) {
+      rest_.remove_prefix(1);
+    } else {
+      return;
+    }
+  }
+}
+
+std::string_view PathComponents::Next() {
+  size_t end = rest_.find('/');
+  if (end == std::string_view::npos) {
+    end = rest_.size();
+  }
+  std::string_view comp = rest_.substr(0, end);
+  rest_.remove_prefix(end);
+  SkipEmpty();
+  return comp;
+}
+
 std::vector<std::string> SplitPath(std::string_view path) {
   std::vector<std::string> parts;
-  size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') {
-      ++i;
-    }
-    size_t start = i;
-    while (i < path.size() && path[i] != '/') {
-      ++i;
-    }
-    if (i > start) {
-      std::string_view comp = path.substr(start, i - start);
-      if (comp != ".") {
-        parts.emplace_back(comp);
-      }
-    }
+  for (PathComponents comps(path); !comps.done();) {
+    parts.emplace_back(comps.Next());
   }
   return parts;
 }
 
 std::string NormalizePath(std::string_view path) {
-  std::vector<std::string> stack;
-  for (auto& comp : SplitPath(path)) {
+  std::string out;
+  out.reserve(path.size() + 1);
+  for (PathComponents comps(path); !comps.done();) {
+    std::string_view comp = comps.Next();
     if (comp == "..") {
-      if (!stack.empty()) {
-        stack.pop_back();
-      }
       // ".." at the root is clamped, as in a chroot jail.
+      out.resize(out.empty() ? 0 : out.rfind('/'));
     } else {
-      stack.push_back(std::move(comp));
+      out += '/';
+      out += comp;
     }
   }
-  if (stack.empty()) {
-    return "/";
-  }
-  std::string out;
-  for (const auto& comp : stack) {
-    out += '/';
-    out += comp;
+  if (out.empty()) {
+    out.push_back('/');
   }
   return out;
 }
@@ -88,11 +94,19 @@ bool PathIsUnder(std::string_view path, std::string_view prefix) {
 
 std::string RebasePath(std::string_view path, std::string_view old_prefix,
                        std::string_view new_prefix) {
+  std::string out;
+  RebasePathInto(&out, path, old_prefix, new_prefix);
+  return out;
+}
+
+void RebasePathInto(std::string* out, std::string_view path, std::string_view old_prefix,
+                    std::string_view new_prefix) {
+  out->clear();
   if (!PathIsUnder(path, old_prefix)) {
     // A rebase of a path that is not under the old prefix has no meaningful
     // answer; returning any path here would silently graft unrelated
     // components onto new_prefix (e.g. "/abc" rebased from "/a").
-    return "";
+    return;
   }
   std::string_view rest;
   if (old_prefix == "/") {
@@ -101,12 +115,14 @@ std::string RebasePath(std::string_view path, std::string_view old_prefix,
     rest = path.substr(old_prefix.size() + 1);  // skip the separating '/'
   }
   if (rest.empty()) {
-    return std::string(new_prefix);
+    out->append(new_prefix);
+    return;
   }
-  if (new_prefix == "/") {
-    return "/" + std::string(rest);
+  if (new_prefix != "/") {
+    out->append(new_prefix);
   }
-  return std::string(new_prefix) + "/" + std::string(rest);
+  out->push_back('/');
+  out->append(rest);
 }
 
 std::string Basename(std::string_view path) {

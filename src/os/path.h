@@ -14,8 +14,26 @@
 
 namespace witos {
 
-// Splits a path into its components ("/a//b/./c" -> {"a", "b", "c"}).
-// "." components are dropped; ".." components are preserved.
+// Reads a path's components in place ("/a//b/./c" -> "a", "b", "c"): empty
+// and "." components are skipped, ".." components are kept. The reader holds
+// a view, so the path must outlive it.
+class PathComponents {
+ public:
+  explicit PathComponents(std::string_view path = {}) : rest_(path) { SkipEmpty(); }
+
+  bool done() const { return rest_.empty(); }
+  // The next component; requires !done().
+  std::string_view Next();
+  // The unread part of the path: empty, or starting at the next component.
+  std::string_view rest() const { return rest_; }
+
+ private:
+  void SkipEmpty();
+
+  std::string_view rest_;
+};
+
+// Splits a path into its components, by PathComponents' rules.
 std::vector<std::string> SplitPath(std::string_view path);
 
 // Normalizes to an absolute canonical form, resolving "." and ".." lexically
@@ -40,6 +58,9 @@ bool PathIsUnder(std::string_view path, std::string_view prefix);
 // silent mis-rebase cannot masquerade as success.)
 std::string RebasePath(std::string_view path, std::string_view old_prefix,
                        std::string_view new_prefix);
+// RebasePath into `*out`, reusing its capacity.
+void RebasePathInto(std::string* out, std::string_view path, std::string_view old_prefix,
+                    std::string_view new_prefix);
 
 // Final component ("/a/b/c" -> "c", "/" -> "/").
 std::string Basename(std::string_view path);

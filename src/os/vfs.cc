@@ -1,7 +1,5 @@
 #include "src/os/vfs.h"
 
-#include <deque>
-
 #include "src/os/path.h"
 
 namespace witos {
@@ -50,23 +48,15 @@ size_t Vfs::RemoveMountsUnder(NsId mnt_ns, const std::string& prefix) {
   return before - table.size();
 }
 
-Result<MountEntry> Vfs::FindMount(NsId mnt_ns, const std::string& vfs_path) const {
-  const auto& table = registry_->Mnt(mnt_ns).table;
+const MountEntry* Vfs::FindMount(NsId mnt_ns, std::string_view vfs_path) const {
   const MountEntry* best = nullptr;
-  size_t best_len = 0;
-  for (const auto& entry : table) {
-    if (PathIsUnder(vfs_path, entry.mountpoint)) {
-      size_t len = entry.mountpoint.size();
-      if (best == nullptr || len > best_len) {
-        best = &entry;
-        best_len = len;
-      }
+  for (const auto& entry : registry_->Mnt(mnt_ns).table) {
+    if (PathIsUnder(vfs_path, entry.mountpoint) &&
+        (best == nullptr || entry.mountpoint.size() > best->mountpoint.size())) {
+      best = &entry;
     }
   }
-  if (best == nullptr) {
-    return Err::kNoEnt;
-  }
-  return *best;
+  return best;
 }
 
 Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_path,
@@ -74,87 +64,85 @@ Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_p
   if (user_path.size() > 4096) {
     return Err::kNameTooLong;
   }
-  // Work queue of path components, jail-space.
-  std::deque<std::string> todo;
-  auto push_all = [&todo](std::string_view p) {
-    auto parts = SplitPath(p);
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-      todo.push_front(std::move(*it));
-    }
+  const XclNamespace* xcl = ctx.xcl_ns == kNoNs ? nullptr : &registry_->Xcl(ctx.xcl_ns);
+
+  // Components are read from `head`, then `tail`: the cwd and then a
+  // relative path, or an absolute path alone. Once a symlink is followed,
+  // `spliced` owns the rest of the walk and `head` reads it.
+  const bool absolute = IsAbsolutePath(user_path);
+  PathComponents head(absolute ? user_path : std::string_view(ctx.cwd));
+  PathComponents tail(absolute ? std::string_view() : user_path);
+  std::string spliced;
+
+  // `walk` is the vfs-space path of the current directory: the chroot
+  // prefix, then the jail-space path, which is empty at the jail root.
+  // `fs_path` is the current path rebased into its mount's filesystem. Both
+  // are sized once from the inputs; only a symlink target, or a bind mount
+  // whose fs_root is longer than its mountpoint, can grow them.
+  const size_t prefix_len = ctx.root == "/" ? 0 : ctx.root.size();
+  std::string walk;
+  walk.reserve(prefix_len + ctx.cwd.size() + user_path.size() + 2);
+  walk.append(ctx.root, 0, prefix_len);
+  std::string fs_path;
+  fs_path.reserve(walk.capacity());
+  auto vfs_at = [&walk](size_t len) {
+    return len == 0 ? std::string_view("/") : std::string_view(walk).substr(0, len);
   };
-  std::string cur = "/";
-  if (IsAbsolutePath(user_path)) {
-    push_all(user_path);
-  } else {
-    // push_all prepends, so push the relative path first and the cwd after:
-    // the cwd components must be consumed before the path's.
-    push_all(user_path);
-    push_all(ctx.cwd);
-  }
+  // Rebases `vfs_path` into `fs_path`; null when no mount covers it.
+  auto locate = [&](std::string_view vfs_path) -> const MountEntry* {
+    const MountEntry* mount = FindMount(ctx.mnt_ns, vfs_path);
+    if (mount != nullptr) {
+      RebasePathInto(&fs_path, vfs_path, mount->mountpoint, mount->fs_root);
+    }
+    return mount;
+  };
+  auto xcl_denied = [&](std::string_view vfs_path) {
+    if (xcl == nullptr || !xcl->IsExcluded(vfs_path)) {
+      return false;
+    }
+    if (audit_ != nullptr) {
+      audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, std::string(vfs_path), 0);
+    }
+    return true;
+  };
 
   int symlink_depth = 0;
-  auto stat_at = [&](const std::string& jail_path) -> Result<Stat> {
-    std::string vfs_path = jail_path == "/" ? ctx.root : JoinPath(ctx.root, jail_path.substr(1));
-    auto mount = FindMount(ctx.mnt_ns, vfs_path);
-    if (!mount.ok()) {
-      return mount.error();
-    }
-    std::string fs_path = RebasePath(vfs_path, mount->mountpoint, mount->fs_root);
-    return mount->fs->GetAttr(fs_path, ctx.cred);
-  };
-
-  while (!todo.empty()) {
-    std::string comp = std::move(todo.front());
-    todo.pop_front();
+  bool exists = true;
+  while (!head.done() || !tail.done()) {
+    std::string_view comp = head.done() ? tail.Next() : head.Next();
     if (comp == "..") {
       // Clamp at the jail root, as chroot does.
-      if (cur != "/") {
-        cur = Dirname(cur);
+      if (walk.size() > prefix_len) {
+        walk.resize(walk.rfind('/'));
       }
       continue;
     }
-    std::string next = cur == "/" ? "/" + comp : cur + "/" + comp;
-    bool is_final = todo.empty();
+    const size_t parent_len = walk.size();
+    walk += '/';
+    walk += comp;
+    const bool is_final = head.done() && tail.done();
     // XCL enforcement happens *before* the lookup so that exclusion masks
     // even the existence of the subtree ("cannot be accessed by processes
     // that belong to that namespace, disregarding the user privileges").
-    {
-      std::string vfs_next = JoinPath(ctx.root, next.substr(1));
-      if (ctx.xcl_ns != kNoNs && registry_->Xcl(ctx.xcl_ns).IsExcluded(vfs_next)) {
-        if (audit_ != nullptr) {
-          audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_next, 0);
-        }
-        return Err::kAcces;
-      }
+    if (xcl_denied(walk)) {
+      return Err::kAcces;
     }
-    auto st = stat_at(next);
+    const MountEntry* mount = locate(walk);
+    Result<Stat> st = mount == nullptr ? Result<Stat>(Err::kNoEnt)
+                                       : mount->fs->GetAttr(fs_path, ctx.cred);
     if (!st.ok()) {
       if (st.error() == Err::kNoEnt && is_final && allow_missing_final) {
         // Parent must exist and be a directory.
-        auto parent_st = stat_at(cur);
-        if (!parent_st.ok()) {
-          return parent_st.error();
+        const MountEntry* parent = locate(vfs_at(parent_len));
+        if (parent == nullptr) {
+          return Err::kNoEnt;
         }
-        if (parent_st->type != FileType::kDirectory) {
+        WITOS_ASSIGN_OR_RETURN(Stat parent_st, parent->fs->GetAttr(fs_path, ctx.cred));
+        if (parent_st.type != FileType::kDirectory) {
           return Err::kNotDir;
         }
-        cur = next;
-        std::string vfs_path = JoinPath(ctx.root, cur.substr(1));
-        if (ctx.xcl_ns != kNoNs && registry_->Xcl(ctx.xcl_ns).IsExcluded(vfs_path)) {
-          if (audit_ != nullptr) {
-            audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_path, 0);
-          }
-          return Err::kAcces;
-        }
-        WITOS_ASSIGN_OR_RETURN(MountEntry mount, FindMount(ctx.mnt_ns, vfs_path));
-        ResolvedPath out;
-        out.jail_path = cur;
-        out.vfs_path = vfs_path;
-        out.fs = mount.fs;
-        out.fs_path = RebasePath(vfs_path, mount.mountpoint, mount.fs_root);
-        out.read_only = mount.read_only;
-        out.exists = false;
-        return out;
+        exists = false;
+        break;
       }
       return st.error();
     }
@@ -162,40 +150,40 @@ Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_p
       if (++symlink_depth > kMaxSymlinkDepth) {
         return Err::kLoop;
       }
-      std::string vfs_path = JoinPath(ctx.root, next.substr(1));
-      WITOS_ASSIGN_OR_RETURN(MountEntry mount, FindMount(ctx.mnt_ns, vfs_path));
-      std::string fs_path = RebasePath(vfs_path, mount.mountpoint, mount.fs_root);
-      WITOS_ASSIGN_OR_RETURN(std::string target, mount.fs->ReadLink(fs_path, ctx.cred));
-      if (IsAbsolutePath(target)) {
-        // Absolute targets restart at the *jail* root — chroot semantics.
-        cur = "/";
-      }
-      push_all(target);
+      WITOS_ASSIGN_OR_RETURN(std::string target, mount->fs->ReadLink(fs_path, ctx.cred));
+      // Absolute targets restart at the *jail* root — chroot semantics.
+      walk.resize(IsAbsolutePath(target) ? prefix_len : parent_len);
+      // The target's components come before the unread ones.
+      target += '/';
+      target += head.rest();
+      target += '/';
+      target += tail.rest();
+      spliced = std::move(target);
+      head = PathComponents(spliced);
+      tail = PathComponents();
       continue;
     }
     if (!is_final && st->type != FileType::kDirectory) {
       return Err::kNotDir;
     }
-    cur = next;
   }
 
-  std::string vfs_path = cur == "/" ? ctx.root : JoinPath(ctx.root, cur.substr(1));
   // XCL enforcement: the canonical vfs path must not fall in an excluded
   // subtree, "disregarding the user privileges" (paper §5.6).
-  if (ctx.xcl_ns != kNoNs && registry_->Xcl(ctx.xcl_ns).IsExcluded(vfs_path)) {
-    if (audit_ != nullptr) {
-      audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, vfs_path, 0);
-    }
+  if (xcl_denied(vfs_at(walk.size()))) {
     return Err::kAcces;
   }
-  WITOS_ASSIGN_OR_RETURN(MountEntry mount, FindMount(ctx.mnt_ns, vfs_path));
+  const MountEntry* mount = locate(vfs_at(walk.size()));
+  if (mount == nullptr) {
+    return Err::kNoEnt;
+  }
   ResolvedPath out;
-  out.jail_path = cur;
-  out.vfs_path = vfs_path;
-  out.fs = mount.fs;
-  out.fs_path = RebasePath(vfs_path, mount.mountpoint, mount.fs_root);
-  out.read_only = mount.read_only;
-  out.exists = true;
+  out.jail_path = walk.size() == prefix_len ? std::string("/") : walk.substr(prefix_len);
+  out.vfs_path = walk.empty() ? std::string("/") : std::move(walk);
+  out.fs = mount->fs;
+  out.fs_path = std::move(fs_path);
+  out.read_only = mount->read_only;
+  out.exists = exists;
   return out;
 }
 

@@ -26,7 +26,7 @@ namespace witos {
 struct VfsContext {
   NsId mnt_ns = kNoNs;
   NsId xcl_ns = kNoNs;
-  std::string root = "/";  // vfs-space chroot directory
+  std::string root = "/";  // canonical vfs-space chroot directory
   std::string cwd = "/";   // jail-space working directory
   Credentials cred;        // host-mapped credentials
   Pid pid = kNoPid;        // for audit records
@@ -50,7 +50,10 @@ class Vfs {
   // always, and in the final component iff `follow_final`. If
   // `allow_missing_final`, a missing last component resolves against its
   // parent directory (for create/mkdir/symlink targets) with exists=false.
-  // Enforces the XCL exclusion table on the final canonical vfs path.
+  // Enforces the XCL exclusion table on each component's vfs path before
+  // looking it up, and on the final canonical vfs path. Issues one GetAttr
+  // per component walked (plus the parent's when a missing final component
+  // is allowed) and one ReadLink per symlink followed.
   Result<ResolvedPath> Resolve(const VfsContext& ctx, std::string_view user_path,
                                bool follow_final = true, bool allow_missing_final = false) const;
 
@@ -62,8 +65,10 @@ class Vfs {
   // Removes every mount at or under `prefix` (session teardown); returns the
   // number removed.
   size_t RemoveMountsUnder(NsId mnt_ns, const std::string& prefix);
-  // Longest-prefix mount lookup in vfs-space.
-  Result<MountEntry> FindMount(NsId mnt_ns, const std::string& vfs_path) const;
+  // Longest-prefix mount lookup in vfs-space; null when no mount covers
+  // `vfs_path`. The entry lives in the namespace's table until the next
+  // mount-table change.
+  const MountEntry* FindMount(NsId mnt_ns, std::string_view vfs_path) const;
 
  private:
   NamespaceRegistry* registry_;

@@ -108,6 +108,70 @@ TEST_F(MemFsTest, RenameIntoOwnSubtreeRejected) {
   EXPECT_EQ(fs_.Rename("/a", "/a/b/c", Root()).error(), Err::kInval);
 }
 
+// rename(2) over an existing name releases the displaced file as unlink does.
+TEST_F(MemFsTest, RenameOverFileFreesItsBytes) {
+  fs_.ProvisionFile("/old", std::string(500, 'o'));
+  fs_.ProvisionFile("/new", "n");
+  ASSERT_EQ(fs_.StatFs()->used_bytes, 501u);
+  ASSERT_TRUE(fs_.Rename("/new", "/old", Root()).ok());
+  EXPECT_EQ(fs_.StatFs()->used_bytes, 1u);
+  EXPECT_EQ(fs_.SlurpForTest("/old").value_or("<missing>"), "n");
+}
+
+TEST_F(MemFsTest, RenameFileOverDirectoryIsDir) {
+  fs_.ProvisionFile("/f", "x");
+  fs_.ProvisionDir("/empty");
+  fs_.ProvisionFile("/full/g", "y");
+  EXPECT_EQ(fs_.Rename("/f", "/empty", Root()).error(), Err::kIsDir);
+  EXPECT_EQ(fs_.Rename("/f", "/full", Root()).error(), Err::kIsDir);
+  auto empty = fs_.GetAttr("/empty", Root());
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->type, FileType::kDirectory);
+  EXPECT_EQ(fs_.SlurpForTest("/f").value_or("<missing>"), "x");
+}
+
+TEST_F(MemFsTest, RenameDirectoryOverFileNotDir) {
+  fs_.ProvisionDir("/d");
+  fs_.ProvisionFile("/f", "x");
+  EXPECT_EQ(fs_.Rename("/d", "/f", Root()).error(), Err::kNotDir);
+  EXPECT_EQ(fs_.SlurpForTest("/f").value_or("<missing>"), "x");
+  auto dir = fs_.GetAttr("/d", Root());
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(dir->type, FileType::kDirectory);
+}
+
+TEST_F(MemFsTest, RenameOverHardLinkDropsOneLink) {
+  fs_.ProvisionFile("/a", std::string(100, 'a'));
+  ASSERT_TRUE(fs_.Link("/a", "/b", Root()).ok());
+  ASSERT_EQ(fs_.GetAttr("/a", Root())->nlink, 2u);
+  fs_.ProvisionFile("/c", "c");
+  ASSERT_TRUE(fs_.Rename("/c", "/b", Root()).ok());
+  ASSERT_TRUE(fs_.GetAttr("/a", Root()).ok());
+  EXPECT_EQ(fs_.GetAttr("/a", Root())->nlink, 1u);
+  EXPECT_EQ(fs_.StatFs()->used_bytes, 101u);  // "/a" still holds its bytes
+  ASSERT_TRUE(fs_.Unlink("/a", Root()).ok());
+  EXPECT_EQ(fs_.StatFs()->used_bytes, 1u);
+}
+
+TEST_F(MemFsTest, RenameBetweenNamesOfOneInodeDoesNothing) {
+  fs_.ProvisionFile("/a", "same");
+  ASSERT_TRUE(fs_.Link("/a", "/b", Root()).ok());
+  ASSERT_TRUE(fs_.Rename("/a", "/b", Root()).ok());
+  ASSERT_TRUE(fs_.Rename("/a", "/a", Root()).ok());
+  ASSERT_TRUE(fs_.GetAttr("/a", Root()).ok());
+  EXPECT_EQ(fs_.GetAttr("/a", Root())->nlink, 2u);
+  EXPECT_EQ(fs_.GetAttr("/b", Root())->nlink, 2u);
+  EXPECT_EQ(fs_.StatFs()->used_bytes, 4u);
+}
+
+TEST_F(MemFsTest, RenameDirectoryOverEmptyDirectory) {
+  fs_.ProvisionFile("/src/f", "x");
+  fs_.ProvisionDir("/dst");
+  ASSERT_TRUE(fs_.Rename("/src", "/dst", Root()).ok());
+  EXPECT_EQ(fs_.SlurpForTest("/dst/f").value_or("<missing>"), "x");
+  EXPECT_EQ(fs_.GetAttr("/src", Root()).error(), Err::kNoEnt);
+}
+
 TEST_F(MemFsTest, PermissionDeniedForOtherUser) {
   fs_.ProvisionFile("/secret", "classified", 0, 0, 0600);
   std::string buf;

@@ -19,6 +19,20 @@ TEST(PathTest, SplitKeepsDotDot) {
   EXPECT_EQ(SplitPath("/a/../b"), (std::vector<std::string>{"a", "..", "b"}));
 }
 
+TEST(PathTest, ComponentsReadInPlaceWithTheUnreadRest) {
+  PathComponents comps("//a/./.hidden/..//...//");
+  ASSERT_FALSE(comps.done());
+  EXPECT_EQ(comps.Next(), "a");
+  EXPECT_EQ(comps.rest(), ".hidden/..//...//");
+  EXPECT_EQ(comps.Next(), ".hidden");
+  EXPECT_EQ(comps.Next(), "..");
+  EXPECT_EQ(comps.Next(), "...");
+  EXPECT_TRUE(comps.done());
+  EXPECT_TRUE(comps.rest().empty());
+  EXPECT_TRUE(PathComponents("/././/").done());
+  EXPECT_TRUE(PathComponents().done());
+}
+
 TEST(PathTest, NormalizeBasics) {
   EXPECT_EQ(NormalizePath("/"), "/");
   EXPECT_EQ(NormalizePath(""), "/");
@@ -62,6 +76,16 @@ TEST(PathTest, RebasePath) {
   EXPECT_EQ(RebasePath("/etc/passwd", "/", "/jail"), "/jail/etc/passwd");
   EXPECT_EQ(RebasePath("/ConFS", "/ConFS", "/"), "/");
   EXPECT_EQ(RebasePath("/a/x", "/a", "/b/c"), "/b/c/x");
+}
+
+TEST(PathTest, RebasePathIntoOverwritesTheBuffer) {
+  std::string buf = "/stale/contents/longer/than/the/result";
+  RebasePathInto(&buf, "/mnt/x/y", "/mnt", "/data");
+  EXPECT_EQ(buf, "/data/x/y");
+  RebasePathInto(&buf, "/mnt", "/mnt", "/");
+  EXPECT_EQ(buf, "/");
+  RebasePathInto(&buf, "/other", "/mnt", "/data");
+  EXPECT_EQ(buf, "");
 }
 
 TEST(PathTest, RebasePathRejectsPathNotUnderOldPrefix) {
