@@ -95,9 +95,9 @@ int main() {
   Attack("login with a doctored certificate", !forged_session.Login().ok());
 
   // 7: kill the monitoring and work unobserved. (Last: it ends the session.)
-  const witcontain::Session* info = session.container();
-  (void)kernel.Exit(info->itfs_daemon, -9);
-  Attack("kill the ITFS daemon and continue", !info->active && !kernel.ProcessAlive(shell));
+  (void)kernel.Exit(session.container()->itfs_daemon, -9);
+  Attack("kill the ITFS daemon and continue",
+         session.container() == nullptr && !kernel.ProcessAlive(shell));
 
   // The forensic trail.
   std::printf("\nforensic record:\n");

@@ -56,6 +56,7 @@ witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
     return witos::Err::kExist;
   }
   it->second.ticket_class = ticket_class;
+  it->second.tally = std::make_shared<witobs::OutcomeTally>();
   if (binding_listener_) {
     binding_listener_(ticket_id, ticket_class, /*bound=*/true);
   }
@@ -90,6 +91,13 @@ size_t PermissionBroker::bound_ticket_count() const {
     total += shard->bindings.size();
   }
   return total;
+}
+
+witobs::OutcomeCounts PermissionBroker::RequestsOf(const std::string& ticket_id) const {
+  TicketShard& shard = TicketShardOf(ticket_id);
+  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
+  auto it = shard.bindings.find(ticket_id);
+  return it != shard.bindings.end() ? it->second.tally->Read() : witobs::OutcomeCounts{};
 }
 
 std::vector<std::pair<std::string, std::string>> PermissionBroker::BoundTicketsSnapshot() const {
@@ -140,8 +148,6 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
   }
   registry->SetHelp("watchit_broker_requests_total",
                     "Permission broker requests by verb and grant outcome");
-  registry->SetHelp("watchit_broker_ticket_requests_total",
-                    "Permission broker requests per ticket by grant outcome");
   registry->SetHelp("watchit_broker_dispatch_latency_ns",
                     "Simulated latency of granted broker verb dispatch");
   registry->SetHelp("watchit_broker_events_dropped_total",
@@ -256,17 +262,7 @@ PermissionBroker::Binding PermissionBroker::LookupBinding(const std::string& tic
   TicketShard& shard = TicketShardOf(ticket_id);
   std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
   auto it = shard.bindings.find(ticket_id);
-  if (it == shard.bindings.end()) {
-    return {};
-  }
-  Binding& binding = it->second;
-  if (metrics_ != nullptr && binding.requests[0] == nullptr) {
-    binding.requests[0] = metrics_->GetCounter("watchit_broker_ticket_requests_total",
-                                               {{"ticket", ticket_id}, {"outcome", "grant"}});
-    binding.requests[1] = metrics_->GetCounter("watchit_broker_ticket_requests_total",
-                                               {{"ticket", ticket_id}, {"outcome", "deny"}});
-  }
-  return binding;
+  return it != shard.bindings.end() ? it->second : Binding();
 }
 
 BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
@@ -285,15 +281,13 @@ BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
 
 void PermissionBroker::CountRequest(const RpcRequest& request, const Binding& binding,
                                     bool allowed) {
-  if (metrics_ == nullptr) {
-    return;
+  // An unbound ticket has no tally: its id is whatever the sender's frame
+  // says.
+  if (binding.tally != nullptr) {
+    binding.tally->Count(allowed);
   }
-  const size_t outcome = allowed ? 0 : 1;
-  CountersFor(request.method).requests[outcome]->Increment();
-  // An unbound ticket has no per-ticket pair: its id is whatever the
-  // sender's frame says, so it must not name a registry series.
-  if (binding.requests[outcome] != nullptr) {
-    binding.requests[outcome]->Increment();
+  if (metrics_ != nullptr) {
+    CountersFor(request.method).requests[allowed ? 0 : 1]->Increment();
   }
 }
 

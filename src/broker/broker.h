@@ -86,6 +86,9 @@ class PermissionBroker {
   // Live bindings right now; the deploy fault sweeps assert this returns to
   // zero once every ticket has expired or rolled back.
   size_t bound_ticket_count() const;
+  // The bound ticket's requests so far (allowed = granted); zeros when it
+  // is not bound. Exact however many events the window has evicted.
+  witobs::OutcomeCounts RequestsOf(const std::string& ticket_id) const;
   // Consistent-per-shard copy of every live (ticket, class) binding — what
   // a checkpoint persists. Shards are walked in index order, bindings
   // within a shard in map order.
@@ -116,19 +119,18 @@ class PermissionBroker {
   RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
 
   // Wires the broker into the observability layer: request and shadow
-  // counters by verb and outcome, per-ticket counters, and a histogram of
-  // simulated nanoseconds per granted dispatch. Spans tagged with the
-  // ticket id are emitted when `tracer` is non-null.
+  // counters by verb and outcome, and a histogram of simulated nanoseconds
+  // per granted dispatch. Spans tagged with the ticket id are emitted when
+  // `tracer` is non-null.
   //
   // The verb series are resolved here for the built-in verbs and every
   // registered one (RegisterVerb resolves later ones), so a request takes
   // no registry lock. A method outside that vocabulary counts under
   // verb="unknown": a contained admin cannot mint series by sending
   // made-up verbs. The secure-log line, the audit record and the
-  // BrokerEvent keep the exact method. A bound ticket's per-ticket pair is
-  // resolved once, on its first request, and kept with the binding; a
-  // request naming an unbound ticket counts under its verb series only, so
-  // a forged ticket id cannot mint series either.
+  // BrokerEvent keep the exact method. Per-ticket totals live in the
+  // binding (RequestsOf), not in the registry, so no ticket id, forged or
+  // bound, names a series.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap for the structured event window, applied per shard
@@ -168,12 +170,11 @@ class PermissionBroker {
     size_t capacity = 0;  // per-shard window, 0 = unbounded
     uint64_t dropped = 0;
   };
-  // A live ticket binding: its class, and its per-ticket request counters
-  // once its first request resolved them (null before, and whenever
-  // metrics are off).
+  // A live ticket binding: its class and its request tally. Request paths
+  // count through their copy of the binding, outside the shard lock.
   struct Binding {
     std::string ticket_class;
-    witobs::Counter* requests[2] = {};  // grant, deny
+    std::shared_ptr<witobs::OutcomeTally> tally;
   };
   // One shard of the ticket-class map ("broker.tickets[.N]"): deploy
   // workers bind/unbind while request paths resolve.
@@ -206,8 +207,7 @@ class PermissionBroker {
   RpcResponse Fail(witos::Err err) const;
 
   // Per-op accountability pieces of HandleBatch. LookupBinding copies the
-  // ticket's binding (empty class when unbound), resolving its per-ticket
-  // counters on first use.
+  // ticket's binding (empty class and no tally when unbound).
   Binding LookupBinding(const std::string& ticket_id) const;
   BrokerEvent MakeEvent(const RpcRequest& request, const std::string& ticket_class,
                         uint64_t now, bool allowed);

@@ -90,6 +90,7 @@ std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
   auto itfs = std::make_shared<witfs::Itfs>(std::move(lower), std::move(policy), invoker,
                                             &kernel_->clock(), &kernel_->audit());
   itfs->oplog().set_capacity(oplog_capacity_);
+  itfs->set_tally(session->itfs_tally);
   itfs->EnableMetrics(itfs_metrics_, session->ticket_id, tracer_);
   if (session->spec.fs.shadow != nullptr) {
     itfs->SetShadowPolicy(session->spec.fs.shadow);
@@ -125,6 +126,7 @@ witos::Status ContainIt::SetupFilesystemView(Session* session) {
           fuse->EnablePassthrough(lower);
         }
         top = fuse;
+        session->mounted.push_back(top.get());
       }
       WITOS_RETURN_IF_ERROR(kernel_->Mount(worker, top, session->confs_path, "itfs"));
       break;
@@ -148,6 +150,7 @@ witos::Status ContainIt::SetupFilesystemView(Session* session) {
         }
         top = fuse;
       }
+      session->mounted.push_back(top.get());
       WITOS_RETURN_IF_ERROR(kernel_->Mount(worker, top, session->confs_path, "tmpfs"));
       if (spec.fs.kind == FsView::Kind::kDirs) {
         std::shared_ptr<witos::Filesystem> view = kernel_->root_fs_ptr();
@@ -159,6 +162,7 @@ witos::Status ContainIt::SetupFilesystemView(Session* session) {
             fuse->EnablePassthrough(lower);
           }
           view = fuse;
+          session->mounted.push_back(view.get());
         }
         for (const std::string& dir : spec.fs.visible_dirs) {
           std::string norm = witos::NormalizePath(dir);
@@ -212,6 +216,8 @@ witos::Status ContainIt::SetupNetworkView(Session* session) {
         host_ns.sniffer = make_sniffer();
       }
       session->sniffer = host_ns.sniffer;
+      session->sniffer_alerts_before = session->sniffer->alert_count();
+      session->sniffer_packets_before = session->sniffer->packets_inspected();
     }
     return witos::Status::Ok();
   }
@@ -257,7 +263,6 @@ witos::Result<SessionId> ContainIt::Deploy(const PerforatedContainerSpec& spec,
     return built.error();
   }
 
-  session->active = true;
   session->deploy_duration_ns = kernel_->clock().now_ns() - start_ns;
   kernel_->audit().Append(witos::AuditEvent::kContainerDeployed, session->container_init,
                           witos::kRootUid,
@@ -375,6 +380,11 @@ void ContainIt::TearDown(Session* session) {
         kernel_->namespaces().initial(witos::NsType::kMnt), session->confs_path);
     (void)kernel_->RmDir(kernel_->init_pid(), session->confs_path);
   }
+  // Cached blocks are keyed by filesystem address; drop them before a later
+  // mount can be allocated at a freed one.
+  for (const witos::Filesystem* fs : session->mounted) {
+    kernel_->page_cache().DropFilesystem(fs);
+  }
   if (session->cgroup != witos::kRootCgroup) {
     kernel_->cgroups().Remove(session->cgroup);
   }
@@ -385,13 +395,13 @@ Session* ContainIt::FindSession(SessionId id) {
 }
 
 const Session* ContainIt::FindSession(SessionId id) const {
-  for (const SessionMap* map : {&live_, &retired_}) {
-    auto it = map->find(id);
-    if (it != map->end()) {
-      return it->second.get();
-    }
-  }
-  return nullptr;
+  auto it = live_.find(id);
+  return it != live_.end() ? it->second.get() : nullptr;
+}
+
+const SessionRecord* ContainIt::FindRetired(SessionId id) const {
+  auto it = retired_.find(id);
+  return it != retired_.end() ? &it->second : nullptr;
 }
 
 Session* ContainIt::FindSessionByTicket(const std::string& ticket_id) {
@@ -403,19 +413,53 @@ Session* ContainIt::FindSessionByTicket(const std::string& ticket_id) {
   return nullptr;
 }
 
+SessionRecord ContainIt::RecordOf(const Session& session) const {
+  SessionRecord record;
+  record.id = session.id;
+  record.ticket_id = session.ticket_id;
+  record.admin = session.admin;
+  record.container_class = session.spec.name;
+  record.shell = session.shell;
+  record.container_init = session.container_init;
+  record.fs_ops = session.itfs_tally->Read();
+  if (session.itfs != nullptr) {
+    for (const witfs::OpRecord& rec : session.itfs->oplog().Denied()) {
+      record.denied_paths.push_back(witfs::ItfsOpKindName(rec.op) + " " + rec.path + " [" +
+                                    rec.rule + "]");
+    }
+  }
+  if (session.sniffer != nullptr) {
+    record.packets_inspected =
+        session.sniffer->packets_inspected() - session.sniffer_packets_before;
+    const std::vector<witnet::SnifferAlert>& alerts = session.sniffer->alerts();
+    for (size_t i = session.sniffer_alerts_before; i < alerts.size(); ++i) {
+      const witnet::SnifferAlert& alert = alerts[i];
+      record.packets_blocked += alert.blocked ? 1 : 0;
+      record.sniffer_hits.push_back(
+          (alert.blocked ? std::string("BLOCK ") : std::string("ALERT ")) + alert.rule +
+          " -> " + alert.dst.ToString() + ":" + std::to_string(alert.port) + " (" +
+          std::to_string(alert.payload_bytes) + "B)");
+    }
+  }
+  if (broker_ != nullptr) {
+    record.broker_requests = broker_->RequestsOf(session.ticket_id);
+  }
+  return record;
+}
+
 witos::Status ContainIt::Terminate(SessionId id, const std::string& reason) {
   auto node = live_.extract(id);
   if (node.empty()) {
     return witos::Err::kSrch;
   }
-  // Retire first: the Exits in TearDown re-enter the watchdog, which scans
-  // live sessions only.
-  Session* session = node.mapped().get();
-  session->active = false;
-  session->termination_reason = reason;
-  retired_.insert(std::move(node));
-  // Figure 5c teardown: processes, mounts, mountpoint, cgroup.
-  TearDown(session);
+  // Out of live_ first: the Exits in TearDown re-enter the watchdog, which
+  // scans live sessions only.
+  std::unique_ptr<Session> session = std::move(node.mapped());
+  // Figure 5c teardown: processes, mounts, mountpoint, cached blocks, cgroup.
+  TearDown(session.get());
+  SessionRecord record = RecordOf(*session);
+  record.termination_reason = reason;
+  retired_.emplace(id, std::move(record));
   kernel_->audit().Append(witos::AuditEvent::kContainerTerminated, session->container_init,
                           witos::kRootUid, session->spec.name + ": " + reason,
                           kernel_->clock().now_ns());
@@ -447,7 +491,7 @@ void ContainIt::OnProcessDeath(witos::Pid pid) {
 witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_dir,
                                         const std::string& container_path) {
   Session* session = FindSession(id);
-  if (session == nullptr || !session->active) {
+  if (session == nullptr) {
     return witos::Err::kSrch;
   }
   if (!session->spec.IsolatesNs(witos::NsType::kMnt)) {
@@ -483,6 +527,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   if (!status.ok()) {
     return status.error();
   }
+  session->mounted.push_back(fuse.get());
   if (session->itfs == nullptr) {
     session->itfs = itfs;  // make the new mount's log reachable
   }
@@ -492,7 +537,7 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
 witos::Status ContainIt::AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr addr,
                                               uint16_t port, const std::string& name) {
   Session* session = FindSession(id);
-  if (session == nullptr || !session->active || net_ == nullptr) {
+  if (session == nullptr || net_ == nullptr) {
     return witos::Err::kSrch;
   }
   if (!session->spec.IsolatesNs(witos::NsType::kNet)) {

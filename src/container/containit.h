@@ -41,6 +41,9 @@ using SessionId = uint64_t;
 // The host uid contained root maps to in rootless mode.
 inline constexpr witos::Uid kRootlessHostUid = 100000;
 
+// A deployed session's working state. It exists only while the session is
+// live: Terminate reduces it to a SessionRecord and frees it, so a Session*
+// is valid only until the session's termination.
 struct Session {
   SessionId id = 0;
   PerforatedContainerSpec spec;
@@ -57,12 +60,44 @@ struct Session {
   std::shared_ptr<witfs::Itfs> itfs;          // null when unmonitored
   std::shared_ptr<witos::MemFs> private_root;  // for kPrivate / kDirs views
   std::shared_ptr<witnet::Sniffer> sniffer;    // null when unsniffed
+  // The sniffer's alerts and packets before the session began: a tap on the
+  // shared host namespace also sees traffic of the host and of other
+  // sessions, before and after this one.
+  size_t sniffer_alerts_before = 0;
+  uint64_t sniffer_packets_before = 0;
+  // Gate totals of every ITFS instance of the session.
+  std::shared_ptr<witobs::OutcomeTally> itfs_tally = std::make_shared<witobs::OutcomeTally>();
+  // Every filesystem mounted for this session alone (the view, its bind
+  // mounts, file-sharing mounts): TearDown drops their page-cache blocks.
+  std::vector<const witos::Filesystem*> mounted;
 
   witos::CgroupId cgroup = witos::kRootCgroup;
 
-  bool active = false;
-  std::string termination_reason;
   uint64_t deploy_duration_ns = 0;
+};
+
+// What a session leaves behind once it is closed: exactly the evidence
+// ForensicReporter reads, a few hundred bytes.
+struct SessionRecord {
+  SessionId id = 0;
+  std::string ticket_id;
+  std::string admin;
+  std::string container_class;
+  std::string termination_reason;  // empty while the session is live
+  // Kernel audit records are attributed to the session by these pids
+  // (pids are never reused).
+  witos::Pid shell = witos::kNoPid;
+  witos::Pid container_init = witos::kNoPid;
+  // ITFS decisions over every mount of the session, and the denied
+  // operations its view's OpLog still holds.
+  witobs::OutcomeCounts fs_ops;
+  std::vector<std::string> denied_paths;
+  // What the session's sniffer inspected while the session was live.
+  uint64_t packets_inspected = 0;
+  uint64_t packets_blocked = 0;
+  std::vector<std::string> sniffer_hits;
+  // The ticket's broker requests (allowed = granted).
+  witobs::OutcomeCounts broker_requests;
 };
 
 class ContainIt {
@@ -77,14 +112,20 @@ class ContainIt {
   witos::Result<SessionId> Deploy(const PerforatedContainerSpec& spec,
                                   const std::string& ticket_id, const std::string& admin);
 
-  // Live or retired; a retired session keeps its forensic state.
+  // The live session `id`, or null.
   Session* FindSession(SessionId id);
   const Session* FindSession(SessionId id) const;
+  // The record a terminated session left, or null.
+  const SessionRecord* FindRetired(SessionId id) const;
   // The live session serving `ticket_id`, or null.
   Session* FindSessionByTicket(const std::string& ticket_id);
 
+  // A live session's evidence so far, in the form Terminate keeps.
+  SessionRecord RecordOf(const Session& session) const;
+
   // Ends a live session: kills and reaps its processes, removes its mounts,
-  // mountpoint and cgroup, and retires it.
+  // mountpoint and cgroup, drops its cached blocks, keeps its SessionRecord
+  // and frees the Session.
   witos::Status Terminate(SessionId id, const std::string& reason);
 
   // On-line file sharing (paper §5.5): exposes `host_dir` at
@@ -99,14 +140,15 @@ class ContainIt {
                                      const std::string& name);
 
   using SessionMap = std::map<SessionId, std::unique_ptr<Session>>;
+  using RecordMap = std::map<SessionId, SessionRecord>;
   size_t active_sessions() const { return live_.size(); }
   const SessionMap& live_sessions() const { return live_; }
-  const SessionMap& retired_sessions() const { return retired_; }
+  const RecordMap& retired_sessions() const { return retired_; }
 
   // Observability wiring: resolves the machine's shared ITFS handles in
   // `registry` once, here; every ITFS instance deployed after this call
-  // then adds only its session ticket's two series, and emits spans into
-  // `tracer` when one is given.
+  // shares them, adds no series, and emits spans into `tracer` when one is
+  // given.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   // Retention cap applied to each new session's OpLog (0 = unbounded).
@@ -119,8 +161,9 @@ class ContainIt {
   witos::Status BuildSession(Session* session);
   // Reverses whatever BuildSession managed to do: kills and reaps the cloned
   // processes, removes the session's mounts from the host table and its
-  // mountpoint from the host root, and frees its cgroup. Safe on any prefix
-  // of the recipe; Terminate uses it on a fully built session.
+  // mountpoint from the host root, drops the page-cache blocks of every
+  // filesystem mounted for it, and frees its cgroup. Safe on any prefix of
+  // the recipe; Terminate uses it on a fully built session.
   void TearDown(Session* session);
   witos::Status SetupFilesystemView(Session* session);
   witos::Status SetupNetworkView(Session* session);
@@ -137,8 +180,8 @@ class ContainIt {
   // Active sessions: the only ones the watchdog, ticket lookup and
   // active_sessions() scan, so their cost is bounded by live load.
   SessionMap live_;
-  // Terminated sessions, kept for FindSession and forensic reports.
-  SessionMap retired_;
+  // What each terminated session left, for forensic reports.
+  RecordMap retired_;
   SessionId next_id_ = 1;
   uint32_t next_container_addr_ = 1;
   bool terminating_ = false;  // re-entrancy guard for the watchdog

@@ -38,7 +38,8 @@ class Machine {
 
   // The machine-wide metrics registry. Boot wires the broker and the
   // container runtime (and through it every per-session ITFS instance) into
-  // it; ForensicReporter and the benches read it back.
+  // it; the benches read it back. No series is per ticket: a session's
+  // counts live in its SessionRecord.
   witobs::MetricsRegistry& metrics() { return metrics_; }
   const witobs::MetricsRegistry& metrics() const { return metrics_; }
 

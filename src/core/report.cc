@@ -1,125 +1,135 @@
 #include "src/core/report.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 namespace watchit {
 
+namespace {
+
+// Security events the kernel audit log attributes to one pid.
+struct Probes {
+  size_t capability_denials = 0;
+  size_t xcl_denials = 0;
+  size_t tcb_violations = 0;
+};
+
+}  // namespace
+
 witos::Result<SessionForensics> ForensicReporter::Collect(
     witcontain::SessionId session_id) const {
-  const witcontain::Session* session = machine_->containit().FindSession(session_id);
-  if (session == nullptr) {
+  const witcontain::ContainIt& containit = machine_->containit();
+  witcontain::SessionRecord live_record;
+  Subject subject{containit.FindRetired(session_id), false};
+  if (const witcontain::Session* session = containit.FindSession(session_id)) {
+    live_record = containit.RecordOf(*session);
+    subject = {&live_record, true};
+  }
+  if (subject.record == nullptr) {
     return witos::Err::kSrch;
   }
-  SessionForensics forensics;
-  forensics.ticket_id = session->ticket_id;
-  forensics.admin = session->admin;
-  forensics.container_class = session->spec.name;
-  forensics.still_active = session->active;
-  forensics.termination_reason = session->termination_reason;
+  return std::move(Assemble({subject}).front());
+}
 
-  if (session->itfs != nullptr) {
-    // Totals come from the metrics registry: they count every gated
-    // operation and survive the OpLog retention cap. The log itself still
-    // supplies the denied-path detail lines (a bounded, most-recent window).
-    const witobs::MetricsRegistry& metrics = machine_->metrics();
-    uint64_t fs_allowed = metrics.CounterValue(
-        "watchit_itfs_ticket_ops_total",
-        {{"ticket", session->ticket_id}, {"outcome", "allow"}});
-    forensics.fs_denied = static_cast<size_t>(metrics.CounterValue(
-        "watchit_itfs_ticket_ops_total",
-        {{"ticket", session->ticket_id}, {"outcome", "deny"}}));
-    forensics.fs_ops = static_cast<size_t>(fs_allowed) + forensics.fs_denied;
-    const witfs::OpLog& oplog = session->itfs->oplog();
-    if (forensics.fs_ops == 0 && oplog.size() > 0) {
-      // Unwired ITFS (tests constructing sessions outside Machine::Boot):
-      // fall back to counting the raw log.
-      forensics.fs_ops = oplog.size();
-      forensics.fs_denied = oplog.denied_count();
-    }
-    for (const auto& rec : oplog.Denied()) {
-      forensics.denied_paths.push_back(witfs::ItfsOpKindName(rec.op) + " " + rec.path + " [" +
-                                       rec.rule + "]");
+std::vector<SessionForensics> ForensicReporter::Assemble(
+    const std::vector<Subject>& subjects) const {
+  // One snapshot: every session's detail lines and the anomaly baseline
+  // describe the same instant even while serving workers keep appending
+  // broker events.
+  const std::vector<witbroker::BrokerEvent> events = machine_->broker().EventsSnapshot();
+  // Each subject's ticket events and per-pid probing counts, filled in one
+  // pass over the event window and one over the audit log.
+  std::unordered_map<std::string_view, std::vector<witbroker::BrokerEvent>> ticket_events;
+  std::unordered_map<witos::Pid, Probes> probes;
+  for (const Subject& subject : subjects) {
+    ticket_events.try_emplace(subject.record->ticket_id);
+    probes.try_emplace(subject.record->shell);
+    probes.try_emplace(subject.record->container_init);
+  }
+  for (const witbroker::BrokerEvent& event : events) {
+    auto it = ticket_events.find(event.ticket_id);
+    if (it != ticket_events.end()) {
+      it->second.push_back(event);
     }
   }
-  if (session->sniffer != nullptr) {
-    forensics.packets_inspected = session->sniffer->packets_inspected();
-    forensics.packets_blocked = session->sniffer->blocked_count();
-    for (const auto& alert : session->sniffer->alerts()) {
-      forensics.sniffer_hits.push_back(
-          (alert.blocked ? std::string("BLOCK ") : std::string("ALERT ")) + alert.rule +
-          " -> " + alert.dst.ToString() + ":" + std::to_string(alert.port) + " (" +
-          std::to_string(alert.payload_bytes) + "B)");
-    }
-  }
-
-  // Broker activity for this ticket, with anomaly scoring against the
-  // machine's whole history. Counts come from the registry (exact even
-  // after event-buffer eviction); the detail lines come from the retained
-  // event window.
-  forensics.broker_requests = static_cast<size_t>(machine_->metrics().CounterValue(
-      "watchit_broker_ticket_requests_total",
-      {{"ticket", session->ticket_id}, {"outcome", "grant"}}));
-  forensics.broker_denied = static_cast<size_t>(machine_->metrics().CounterValue(
-      "watchit_broker_ticket_requests_total",
-      {{"ticket", session->ticket_id}, {"outcome", "deny"}}));
-  forensics.broker_requests += forensics.broker_denied;
-  // Snapshot once: the detail lines, the fallback counts and the anomaly
-  // baseline must all describe the same instant even while serving workers
-  // keep appending broker events.
-  const std::vector<witbroker::BrokerEvent> all_events = machine_->broker().EventsSnapshot();
-  std::vector<witbroker::BrokerEvent> session_events;
-  for (const auto& event : all_events) {
-    if (event.ticket_id != session->ticket_id) {
-      continue;
-    }
-    std::string line = (event.granted ? "GRANT " : "DENY ") + event.verb;
-    for (const auto& arg : event.args) {
-      line += " " + arg;
-    }
-    forensics.broker_lines.push_back(std::move(line));
-    session_events.push_back(event);
-  }
-  if (forensics.broker_requests == 0) {
-    // Unwired broker (tests outside Machine::Boot): count the raw window.
-    forensics.broker_requests = session_events.size();
-    for (const auto& event : session_events) {
-      forensics.broker_denied += event.granted ? 0 : 1;
-    }
-  }
-  if (!session_events.empty()) {
-    witbroker::AnomalyDetector detector;
-    detector.Fit(all_events);
-    auto scores = detector.Analyze(session_events);
-    for (const auto& score : scores) {
-      if (score.flagged) {
-        forensics.flagged_anomalies.push_back(
-            forensics.broker_lines[score.event_index] + " — " + score.reason);
-      }
-    }
-  }
-
-  // Machine-level events attributable to the session's processes.
   for (const auto& rec : machine_->kernel().audit().records()) {
-    bool session_pid = rec.pid == session->shell || rec.pid == session->container_init;
-    if (!session_pid) {
+    auto it = probes.find(rec.pid);
+    if (it == probes.end()) {
       continue;
     }
     switch (rec.event) {
       case witos::AuditEvent::kCapabilityDenied:
-        ++forensics.capability_denials;
+        ++it->second.capability_denials;
         break;
       case witos::AuditEvent::kXclDenied:
-        ++forensics.xcl_denials;
+        ++it->second.xcl_denials;
         break;
       case witos::AuditEvent::kTcbViolation:
-        ++forensics.tcb_violations;
+        ++it->second.tcb_violations;
         break;
       default:
         break;
     }
   }
-  forensics.severity = Score(forensics);
-  return forensics;
+
+  // Anomaly scoring against the machine's whole retained history, fitted
+  // once and only if some session has broker events to score.
+  witbroker::AnomalyDetector detector;
+  bool fitted = false;
+  std::vector<SessionForensics> out;
+  out.reserve(subjects.size());
+  for (const Subject& subject : subjects) {
+    const witcontain::SessionRecord& record = *subject.record;
+    SessionForensics forensics;
+    forensics.ticket_id = record.ticket_id;
+    forensics.admin = record.admin;
+    forensics.container_class = record.container_class;
+    forensics.still_active = subject.live;
+    forensics.termination_reason = record.termination_reason;
+    forensics.fs_ops = static_cast<size_t>(record.fs_ops.allowed + record.fs_ops.denied);
+    forensics.fs_denied = static_cast<size_t>(record.fs_ops.denied);
+    forensics.denied_paths = record.denied_paths;
+    forensics.packets_inspected = static_cast<size_t>(record.packets_inspected);
+    forensics.packets_blocked = static_cast<size_t>(record.packets_blocked);
+    forensics.sniffer_hits = record.sniffer_hits;
+    // Counts are the ticket's exact totals; the detail lines come from the
+    // retained event window.
+    forensics.broker_requests =
+        static_cast<size_t>(record.broker_requests.allowed + record.broker_requests.denied);
+    forensics.broker_denied = static_cast<size_t>(record.broker_requests.denied);
+    const std::vector<witbroker::BrokerEvent>& session_events =
+        ticket_events.find(record.ticket_id)->second;
+    for (const witbroker::BrokerEvent& event : session_events) {
+      std::string line = (event.granted ? "GRANT " : "DENY ") + event.verb;
+      for (const auto& arg : event.args) {
+        line += " " + arg;
+      }
+      forensics.broker_lines.push_back(std::move(line));
+    }
+    if (!session_events.empty()) {
+      if (!fitted) {
+        detector.Fit(events);
+        fitted = true;
+      }
+      for (const auto& score : detector.Analyze(session_events)) {
+        if (score.flagged) {
+          forensics.flagged_anomalies.push_back(forensics.broker_lines[score.event_index] +
+                                                " — " + score.reason);
+        }
+      }
+    }
+    // Machine-level events attributable to the session's processes.
+    for (witos::Pid pid : {record.shell, record.container_init}) {
+      const Probes& counts = probes.find(pid)->second;
+      forensics.capability_denials += counts.capability_denials;
+      forensics.xcl_denials += counts.xcl_denials;
+      forensics.tcb_violations += counts.tcb_violations;
+    }
+    forensics.severity = Score(forensics);
+    out.push_back(std::move(forensics));
+  }
+  return out;
 }
 
 int ForensicReporter::Score(const SessionForensics& forensics) {
@@ -171,20 +181,23 @@ std::string ForensicReporter::Render(const SessionForensics& forensics) {
 
 std::vector<SessionForensics> ForensicReporter::TriageQueue() const {
   const witcontain::ContainIt& containit = machine_->containit();
-  std::vector<witcontain::SessionId> ids;
-  for (const auto* map : {&containit.live_sessions(), &containit.retired_sessions()}) {
-    for (const auto& [id, session] : *map) {
-      ids.push_back(id);
-    }
+  std::vector<witcontain::SessionRecord> live_records;
+  live_records.reserve(containit.live_sessions().size());
+  for (const auto& [id, session] : containit.live_sessions()) {
+    live_records.push_back(containit.RecordOf(*session));
   }
-  std::sort(ids.begin(), ids.end());  // deploy order
-  std::vector<SessionForensics> queue;
-  for (witcontain::SessionId id : ids) {
-    auto forensics = Collect(id);
-    if (forensics.ok()) {
-      queue.push_back(std::move(*forensics));
-    }
+  std::vector<Subject> subjects;
+  subjects.reserve(live_records.size() + containit.retired_sessions().size());
+  for (const witcontain::SessionRecord& record : live_records) {
+    subjects.push_back({&record, true});
   }
+  for (const auto& [id, record] : containit.retired_sessions()) {
+    subjects.push_back({&record, false});
+  }
+  std::sort(subjects.begin(), subjects.end(), [](const Subject& a, const Subject& b) {
+    return a.record->id < b.record->id;  // deploy order
+  });
+  std::vector<SessionForensics> queue = Assemble(subjects);
   std::sort(queue.begin(), queue.end(),
             [](const SessionForensics& a, const SessionForensics& b) {
               return a.severity > b.severity;

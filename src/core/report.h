@@ -51,7 +51,8 @@ class ForensicReporter {
  public:
   explicit ForensicReporter(Machine* machine) : machine_(machine) {}
 
-  // Collects everything known about a session (active or terminated).
+  // Collects everything known about a session: a live one's evidence so
+  // far, or the record a terminated one left.
   witos::Result<SessionForensics> Collect(witcontain::SessionId session_id) const;
 
   // Renders a human-readable incident report.
@@ -61,6 +62,15 @@ class ForensicReporter {
   std::vector<SessionForensics> TriageQueue() const;
 
  private:
+  // A session to report on: its record, and whether it is still live.
+  struct Subject {
+    const witcontain::SessionRecord* record;
+    bool live;
+  };
+  // The forensics of each subject, in order. The machine-wide evidence is
+  // read once per call however many sessions it covers: one broker event
+  // snapshot, one anomaly fit and one audit-log pass.
+  std::vector<SessionForensics> Assemble(const std::vector<Subject>& subjects) const;
   static int Score(const SessionForensics& forensics);
 
   Machine* machine_;

@@ -63,7 +63,7 @@ witos::Status AdminSession::Login() {
       return witos::Err::kPerm;
     }
   }
-  if (session == nullptr || !session->active) {
+  if (session == nullptr) {
     return witos::Err::kSrch;
   }
   logged_in_ = true;
@@ -79,7 +79,7 @@ witos::Status AdminSession::CheckCert() const {
     return witos::Err::kPerm;
   }
   const witcontain::Session* session = container();
-  if (session == nullptr || !session->active) {
+  if (session == nullptr) {
     return witos::Err::kSrch;
   }
   return witos::Status::Ok();

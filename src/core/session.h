@@ -40,6 +40,7 @@ class AdminSession {
   bool logged_in() const { return logged_in_; }
 
   witos::Pid shell() const { return shell_; }
+  // The container while it is live; null once it has been terminated.
   const witcontain::Session* container() const;
 
   // --- In-container commands -------------------------------------------------

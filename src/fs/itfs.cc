@@ -134,10 +134,8 @@ void Itfs::StoreVerdict(const std::string& path, VerdictEntry entry) {
   }
 }
 
-ItfsMetrics::ItfsMetrics(witobs::MetricsRegistry* registry_in) : registry(registry_in) {
+ItfsMetrics::ItfsMetrics(witobs::MetricsRegistry* registry) {
   registry->SetHelp("watchit_itfs_ops_total", "ITFS gated operations by kind and outcome");
-  registry->SetHelp("watchit_itfs_ticket_ops_total",
-                    "ITFS gated operations per ticket by outcome");
   registry->SetHelp("watchit_itfs_head_read_bytes_total",
                     "Bytes fetched from lower-fs file heads for signature inspection");
   registry->SetHelp("watchit_itfs_op_latency_ns",
@@ -178,16 +176,16 @@ void Itfs::EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics,
   metrics_ = std::move(metrics);
   tracer_ = tracer;
   correlation_id_ = correlation_id;
-  if (metrics_ == nullptr) {
-    ticket_ops_[0] = ticket_ops_[1] = nullptr;
-    oplog_.set_dropped_counter(nullptr);
-    return;
+  oplog_.set_dropped_counter(metrics_ != nullptr ? metrics_->oplog_dropped : nullptr);
+}
+
+void Itfs::CountDecision(ItfsOpKind op, bool deny) {
+  if (tally_ != nullptr) {
+    tally_->Count(!deny);
   }
-  ticket_ops_[0] = metrics_->registry->GetCounter(
-      "watchit_itfs_ticket_ops_total", {{"ticket", correlation_id}, {"outcome", "allow"}});
-  ticket_ops_[1] = metrics_->registry->GetCounter(
-      "watchit_itfs_ticket_ops_total", {{"ticket", correlation_id}, {"outcome", "deny"}});
-  oplog_.set_dropped_counter(metrics_->oplog_dropped);
+  if (metrics_ != nullptr) {
+    metrics_->ops[static_cast<size_t>(op)][deny ? 1 : 0]->Increment();
+  }
 }
 
 witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
@@ -261,10 +259,7 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
         // failed read is never cached: the next gate retries the lower fs,
         // and any cached verdict for this path was already bypassed above
         // (a mutation moved the generation, which is what brought us here).
-        if (metrics_ != nullptr) {
-          metrics_->ops[static_cast<size_t>(op)][1]->Increment();
-          ticket_ops_[1]->Increment();
-        }
+        CountDecision(op, /*deny=*/true);
         OpRecord rec;
         rec.time_ns = clock_ != nullptr ? clock_->now_ns() : 0;
         rec.op = op;
@@ -286,13 +281,9 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
     decision = policy->Evaluate(op, path, head);
   }
   ShadowCheck(op, path, decision, head);
-  if (metrics_ != nullptr) {
-    size_t outcome = decision.deny ? 1 : 0;
-    metrics_->ops[static_cast<size_t>(op)][outcome]->Increment();
-    ticket_ops_[outcome]->Increment();
-    if (head_bytes > 0) {
-      metrics_->head_read_bytes->Increment(head_bytes);
-    }
+  CountDecision(op, decision.deny);
+  if (metrics_ != nullptr && head_bytes > 0) {
+    metrics_->head_read_bytes->Increment(head_bytes);
   }
   bool should_log = decision.deny || !decision.rule.empty() || policy->log_all();
   if (should_log) {

@@ -71,11 +71,10 @@ inline constexpr size_t kNumItfsOpKinds = 7;  // mirrors ItfsOpKind
 // latency histograms, verdict-cache, shadow, head-read and OpLog counters,
 // and the policy-compile histogram. Resolved once per registry —
 // ContainIt::EnableMetrics does it per machine — so wiring an Itfs creates
-// only its two per-ticket series. Immutable after construction.
+// no series. Immutable after construction.
 struct ItfsMetrics {
   explicit ItfsMetrics(witobs::MetricsRegistry* registry);
 
-  witobs::MetricsRegistry* registry = nullptr;
   witobs::Counter* ops[kNumItfsOpKinds][2] = {};        // [op][0=allow, 1=deny]
   witobs::Histogram* op_latency[kNumItfsOpKinds] = {};  // simulated ns per op
   witobs::Counter* head_read_bytes = nullptr;
@@ -184,13 +183,19 @@ class Itfs : public witos::Filesystem {
 
   // Wires this instance into the observability layer through the shared
   // `metrics` handles (null disables metrics). `correlation_id` is the
-  // ticket/session id: it labels the two per-ticket series resolved here and
-  // tags every span this filesystem emits. The per-operation cost is a few
-  // relaxed atomic adds.
+  // ticket/session id that tags every span this filesystem emits. The
+  // per-operation cost is a few relaxed atomic adds.
   void EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics,
                      const std::string& correlation_id, witobs::Tracer* tracer = nullptr);
 
+  // Counts every gate decision into `tally` as well (null: none). Every
+  // instance of one session shares its tally, which keeps the session's
+  // exact totals whatever the OpLog retention cap evicted.
+  void set_tally(std::shared_ptr<witobs::OutcomeTally> tally) { tally_ = std::move(tally); }
+
  private:
+  // Accounts one gate decision in the tally and the op-kind series.
+  void CountDecision(ItfsOpKind op, bool deny);
   // Policy gate: logs the access and returns EACCES if a deny rule fires.
   // In signature mode fetches head bytes for content rules (charging the
   // extra read cost).
@@ -276,7 +281,7 @@ class Itfs : public witos::Filesystem {
   std::shared_ptr<const ItfsMetrics> metrics_;
   witobs::Tracer* tracer_ = nullptr;
   std::string correlation_id_;
-  witobs::Counter* ticket_ops_[2] = {};  // per-ticket allow/deny
+  std::shared_ptr<witobs::OutcomeTally> tally_;
 };
 
 }  // namespace witfs

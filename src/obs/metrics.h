@@ -55,6 +55,30 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+// One session's or one ticket's decisions by outcome.
+struct OutcomeCounts {
+  uint64_t allowed = 0;
+  uint64_t denied = 0;
+};
+
+// Exact per-session and per-ticket totals (ITFS gate decisions, broker
+// requests), kept out of the registry on purpose: their number follows the
+// tickets served, and registry cardinality must not. Updates are relaxed
+// atomic adds, as for Counter.
+class OutcomeTally {
+ public:
+  void Count(bool allowed) {
+    (allowed ? allowed_ : denied_).fetch_add(1, std::memory_order_relaxed);
+  }
+  OutcomeCounts Read() const {
+    return {allowed_.load(std::memory_order_relaxed), denied_.load(std::memory_order_relaxed)};
+  }
+
+ private:
+  std::atomic<uint64_t> allowed_{0};
+  std::atomic<uint64_t> denied_{0};
+};
+
 // Fixed-bucket latency histogram over nanoseconds. The bounds are a static
 // exponential ladder (factor 2 from 256 ns to ~8.6 s) shared by every
 // instance, so Observe() is two relaxed atomic adds and the Prometheus

@@ -76,6 +76,16 @@ void PageCache::InvalidateFile(const Filesystem* fs, const std::string& path) {
   }
 }
 
+void PageCache::DropFilesystem(const Filesystem* fs) {
+  mutation_generation_.fetch_add(1, std::memory_order_relaxed);
+  auto it = blocks_.lower_bound(Key(fs, std::string(), 0));
+  while (it != blocks_.end() && std::get<0>(it->first) == fs) {
+    auto next = std::next(it);
+    Erase(it);
+    it = next;
+  }
+}
+
 void PageCache::Clear() {
   mutation_generation_.fetch_add(1, std::memory_order_relaxed);
   blocks_.clear();

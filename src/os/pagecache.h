@@ -51,6 +51,10 @@ class PageCache {
                        uint64_t len);
   // Invalidates everything cached for the file (truncate/unlink/rename).
   void InvalidateFile(const Filesystem* fs, const std::string& path);
+  // Drops every block cached through `fs`. Blocks are keyed by the
+  // filesystem's address, so whoever frees a mounted filesystem drops its
+  // blocks; a later filesystem at the same address then starts cold.
+  void DropFilesystem(const Filesystem* fs);
 
   void Clear();
 
@@ -70,10 +74,10 @@ class PageCache {
   void CountMiss() const { misses_.fetch_add(1, std::memory_order_relaxed); }
 
   // Monotone counter bumped by every invalidation (InvalidateRange,
-  // InvalidateFile, Clear). Consumers holding data derived from cached
-  // content — e.g. ITFS signature verdicts — can snapshot this and treat
-  // any change as "something mutated underneath the cache". Atomic so
-  // cross-shard readers can sample without the machine lock.
+  // InvalidateFile, DropFilesystem, Clear). Consumers holding data derived
+  // from cached content — e.g. ITFS signature verdicts — can snapshot this
+  // and treat any change as "something mutated underneath the cache".
+  // Atomic so cross-shard readers can sample without the machine lock.
   uint64_t mutation_generation() const {
     return mutation_generation_.load(std::memory_order_relaxed);
   }

@@ -53,7 +53,7 @@ TEST_F(ContainItTest, DeploySetsUpSession) {
   ASSERT_TRUE(id.ok());
   Session* session = containit_->FindSession(*id);
   ASSERT_NE(session, nullptr);
-  EXPECT_TRUE(session->active);
+  EXPECT_EQ(containit_->FindRetired(*id), nullptr);
   EXPECT_TRUE(kernel_->ProcessAlive(session->container_init));
   EXPECT_TRUE(kernel_->ProcessAlive(session->shell));
   EXPECT_GT(session->deploy_duration_ns, 0u);
@@ -175,10 +175,15 @@ TEST_F(ContainItTest, WholeRootViewThroughItfs) {
 
 TEST_F(ContainItTest, TerminateKillsSessionProcesses) {
   auto id = containit_->Deploy(LicenseSpec(), "TKT-1", "alice");
-  Session* session = containit_->FindSession(*id);
-  witos::Pid shell = session->shell;
+  witos::Pid shell = containit_->FindSession(*id)->shell;
   ASSERT_TRUE(containit_->Terminate(*id, "done").ok());
-  EXPECT_FALSE(session->active);
+  // The Session is freed; its record stays.
+  EXPECT_EQ(containit_->FindSession(*id), nullptr);
+  const SessionRecord* record = containit_->FindRetired(*id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->ticket_id, "TKT-1");
+  EXPECT_EQ(record->shell, shell);
+  EXPECT_EQ(record->termination_reason, "done");
   EXPECT_FALSE(kernel_->ProcessAlive(shell));
   EXPECT_EQ(containit_->active_sessions(), 0u);
   EXPECT_EQ(kernel_->audit().CountEvent(witos::AuditEvent::kContainerTerminated), 1u);
@@ -187,12 +192,15 @@ TEST_F(ContainItTest, TerminateKillsSessionProcesses) {
 TEST_F(ContainItTest, WatchdogTerminatesOnPeerDeath) {
   // Attack 7: kill the ITFS daemon -> the whole session dies.
   auto id = containit_->Deploy(LicenseSpec(), "TKT-1", "alice");
-  Session* session = containit_->FindSession(*id);
+  const Session* session = containit_->FindSession(*id);
+  witos::Pid shell = session->shell;
   ASSERT_NE(session->itfs_daemon, witos::kNoPid);
   ASSERT_TRUE(kernel_->Exit(session->itfs_daemon, -9).ok());
-  EXPECT_FALSE(session->active);
-  EXPECT_FALSE(kernel_->ProcessAlive(session->shell));
-  EXPECT_NE(session->termination_reason.find("peer"), std::string::npos);
+  EXPECT_EQ(containit_->FindSession(*id), nullptr);
+  EXPECT_FALSE(kernel_->ProcessAlive(shell));
+  const SessionRecord* record = containit_->FindRetired(*id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_NE(record->termination_reason.find("peer"), std::string::npos);
 }
 
 TEST_F(ContainItTest, OnlineFileSharingExtendsView) {
@@ -239,7 +247,7 @@ TEST_F(ContainItTest, MultipleConcurrentSessions) {
   ASSERT_TRUE(kernel_->WriteFile(shell1, "/tmp/mine", "session1").ok());
   EXPECT_EQ(kernel_->ReadFile(shell2, "/tmp/mine").error(), witos::Err::kNoEnt);
   ASSERT_TRUE(containit_->Terminate(*id1, "done").ok());
-  EXPECT_TRUE(containit_->FindSession(*id2)->active);
+  EXPECT_NE(containit_->FindSession(*id2), nullptr);
   EXPECT_EQ(containit_->FindSessionByTicket("TKT-2")->id, *id2);
   EXPECT_EQ(containit_->FindSessionByTicket("TKT-1"), nullptr);
 }

@@ -1,8 +1,9 @@
 // Session and process lifecycle: what a closed ticket leaves behind on its
 // machine. Per-machine live state (process table, pid maps, init's
-// children, the host root, ContainIT's live sessions) must be bounded by the
-// sessions that are live, not by every ticket the machine has served, while
-// retired sessions still answer forensic queries.
+// children, the host root, ContainIT's live sessions, cached blocks, metric
+// series) must be bounded by the sessions that are live, not by every ticket
+// the machine has served, while each closed session's record still answers
+// forensic queries.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,7 @@ struct MachineState {
   size_t root_entries = 0;
   size_t net_namespaces = 0;
   size_t live_sessions = 0;
+  uint64_t page_cache_bytes = 0;
 };
 
 MachineState Snapshot(Machine& machine) {
@@ -51,6 +53,7 @@ MachineState Snapshot(Machine& machine) {
   state.root_entries = kernel.ReadDir(kernel.init_pid(), "/")->size();
   state.net_namespaces = machine.net().namespaces().size();
   state.live_sessions = machine.containit().active_sessions();
+  state.page_cache_bytes = kernel.page_cache().bytes();
   return state;
 }
 
@@ -73,9 +76,10 @@ class LifecycleTest : public ::testing::Test {
 };
 
 // Regression: every closed ticket used to leave its five session processes,
-// the nsenter helper and the kill-op victim in the process table, and its
-// /ConFS-<n> mountpoint in the host root, so per-ticket cost grew with the
-// machine's history.
+// the nsenter helper and the kill-op victim in the process table, its
+// /ConFS-<n> mountpoint in the host root, its cached blocks, and two
+// per-ticket metric series each for ITFS and the broker, so per-ticket cost
+// and memory grew with the machine's history.
 TEST_F(LifecycleTest, StateAfterManyTicketsEqualsPostBoot) {
   const MachineState boot = Snapshot(machine_);
 
@@ -85,7 +89,11 @@ TEST_F(LifecycleTest, StateAfterManyTicketsEqualsPostBoot) {
   const std::vector<witload::RequiredOp> ops = {KillOp(), write_op};
 
   witcontain::SessionId first = 0;
+  size_t series_after_20 = 0;
   for (int i = 0; i < 200; ++i) {
+    if (i == 20) {
+      series_after_20 = machine_.metrics().SeriesCount();
+    }
     auto deployment = manager_.Deploy(MakeTicket("TKT-" + std::to_string(i), "T-3"));
     ASSERT_TRUE(deployment.ok()) << i;
     if (i == 0) {
@@ -100,6 +108,7 @@ TEST_F(LifecycleTest, StateAfterManyTicketsEqualsPostBoot) {
     EXPECT_FALSE(results[0].broker_ok);
     EXPECT_TRUE(results[1].used_broker);
     EXPECT_TRUE(results[1].broker_ok);
+    ASSERT_TRUE(session.ReadFile(write_op.path).ok());  // through the page cache
     ASSERT_TRUE(manager_.Expire(&*deployment).ok());
   }
 
@@ -110,15 +119,57 @@ TEST_F(LifecycleTest, StateAfterManyTicketsEqualsPostBoot) {
   EXPECT_EQ(after.root_entries, boot.root_entries);
   EXPECT_EQ(after.net_namespaces, boot.net_namespaces);
   EXPECT_EQ(after.live_sessions, boot.live_sessions);
+  EXPECT_EQ(after.page_cache_bytes, boot.page_cache_bytes);
+  EXPECT_EQ(machine_.metrics().SeriesCount(), series_after_20);
 
-  // The retired session still answers forensic queries.
+  // Each closed session left one record, and TKT-0's still answers forensic
+  // queries with its exact totals: the denied kill and the granted mount.
+  EXPECT_EQ(machine_.containit().retired_sessions().size(), 200u);
   ForensicReporter reporter(&machine_);
   auto forensics = reporter.Collect(first);
   ASSERT_TRUE(forensics.ok());
   EXPECT_EQ(forensics->ticket_id, "TKT-0");
   EXPECT_FALSE(forensics->still_active);
   EXPECT_EQ(forensics->termination_reason, "ticket expired");
-  EXPECT_EQ(machine_.containit().retired_sessions().size(), 200u);
+  EXPECT_EQ(forensics->broker_requests, 2u);
+  EXPECT_EQ(forensics->broker_denied, 1u);
+}
+
+// A closed session's mounts are freed, so a later filesystem may reuse their
+// addresses. Whatever a session read or wrote through them leaves the page
+// cache with it, on every kind of view: whole root through ITFS (T-8),
+// private root with host directories bound in (T-2), a monitored private
+// root (T-11), and a file-sharing mount inside the container (T-3's
+// mount_volume grant).
+TEST_F(LifecycleTest, ClosedSessionsLeaveNoCachedBlocks) {
+  const uint64_t boot_bytes = machine_.kernel().page_cache().bytes();
+  witload::RequiredOp write_op;
+  write_op.kind = witload::OpKind::kWriteFile;
+  struct Case {
+    const char* cls;
+    const char* path;
+  };
+  const Case cases[] = {
+      {"T-8", "/home/user/t8.txt"},
+      {"T-2", "/etc/t2.conf"},
+      {"T-11", "/tmp/t11.txt"},
+      {"T-3", "/var/log/spark/t3.log"},
+  };
+  int n = 0;
+  for (const Case& c : cases) {
+    auto deployment = manager_.Deploy(MakeTicket("TKT-PC" + std::to_string(n++), c.cls));
+    ASSERT_TRUE(deployment.ok()) << c.cls;
+    AdminSession session(&machine_, deployment->session, deployment->certificate,
+                         &cluster_.ca());
+    ASSERT_TRUE(session.Login().ok());
+    write_op.path = c.path;
+    OpReplayResult result = session.Replay(write_op);
+    ASSERT_TRUE(result.in_view || result.broker_ok) << c.cls;
+    ASSERT_TRUE(session.ReadFile(c.path).ok()) << c.cls;
+    ASSERT_GT(machine_.kernel().page_cache().bytes(), boot_bytes) << c.cls;
+    ASSERT_TRUE(manager_.Expire(&*deployment).ok());
+    EXPECT_EQ(machine_.kernel().page_cache().bytes(), boot_bytes) << c.cls;
+  }
 }
 
 // Attack 7 watchdog over the live/retired split.
@@ -132,14 +183,16 @@ TEST_F(LifecycleTest, WatchdogTerminatesOnlyLiveSessionsOfTheDeadPeer) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(containit.active_sessions(), 2u);
 
-  // Killing A's itfs daemon ends A only.
-  witcontain::Session* session_a = containit.FindSession(*a);
-  ASSERT_NE(session_a->itfs_daemon, witos::kNoPid);
-  ASSERT_TRUE(kernel.Exit(session_a->itfs_daemon, -9).ok());
-  EXPECT_FALSE(session_a->active);
-  EXPECT_NE(session_a->termination_reason.find("peer"), std::string::npos);
-  EXPECT_EQ(containit.FindSession(*a), session_a);  // retired, still reachable
-  EXPECT_TRUE(containit.FindSession(*b)->active);
+  // Killing A's itfs daemon ends A only; A's record stays reachable.
+  const witos::Pid itfs_daemon = containit.FindSession(*a)->itfs_daemon;
+  ASSERT_NE(itfs_daemon, witos::kNoPid);
+  ASSERT_TRUE(kernel.Exit(itfs_daemon, -9).ok());
+  EXPECT_EQ(containit.FindSession(*a), nullptr);
+  const witcontain::SessionRecord* record_a = containit.FindRetired(*a);
+  ASSERT_NE(record_a, nullptr);
+  EXPECT_NE(record_a->termination_reason.find("peer"), std::string::npos);
+  EXPECT_NE(containit.FindSession(*b), nullptr);
+  EXPECT_EQ(containit.FindRetired(*b), nullptr);
   EXPECT_EQ(containit.active_sessions(), 1u);
 
   // A retired ticket no longer resolves; a redeploy of it resolves to the
@@ -155,10 +208,10 @@ TEST_F(LifecycleTest, WatchdogTerminatesOnlyLiveSessionsOfTheDeadPeer) {
   ASSERT_TRUE(kernel.Exit(machine_.broker_pid(), -9).ok());
   EXPECT_EQ(containit.active_sessions(), 0u);
   for (witcontain::SessionId id : {*b, *a2}) {
-    const witcontain::Session* session = containit.FindSession(id);
-    ASSERT_NE(session, nullptr);
-    EXPECT_FALSE(session->active);
-    EXPECT_NE(session->termination_reason.find("peer"), std::string::npos);
+    EXPECT_EQ(containit.FindSession(id), nullptr);
+    const witcontain::SessionRecord* record = containit.FindRetired(id);
+    ASSERT_NE(record, nullptr);
+    EXPECT_NE(record->termination_reason.find("peer"), std::string::npos);
   }
   EXPECT_EQ(containit.retired_sessions().size(), 3u);
   EXPECT_EQ(kernel.audit().CountEvent(witos::AuditEvent::kContainerTerminated), 3u);

@@ -270,13 +270,16 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   // broker verbs, and latency histograms.
   EXPECT_GE(metrics.SeriesCount(), 12u);
 
-  // Per-ticket ITFS counters, by outcome.
-  EXPECT_GT(metrics.CounterValue("watchit_itfs_ticket_ops_total",
-                                 {{"ticket", "TKT-OBS"}, {"outcome", "allow"}}),
-            0u);
-  EXPECT_GT(metrics.CounterValue("watchit_itfs_ticket_ops_total",
-                                 {{"ticket", "TKT-OBS"}, {"outcome", "deny"}}),
-            0u);
+  // Per-session ITFS totals by outcome live in the session's record, and
+  // per-ticket broker totals in the ticket's binding, not in the registry.
+  const witcontain::Session* live = session.container();
+  ASSERT_NE(live, nullptr);
+  const witobs::OutcomeCounts fs_ops = machine.containit().RecordOf(*live).fs_ops;
+  EXPECT_GT(fs_ops.allowed, 0u);
+  EXPECT_GT(fs_ops.denied, 0u);
+  const witobs::OutcomeCounts requests = machine.broker().RequestsOf("TKT-OBS");
+  EXPECT_EQ(requests.allowed, 1u);
+  EXPECT_EQ(requests.denied, 1u);
   // Broker verbs by grant outcome.
   EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
                                  {{"verb", "ps"}, {"outcome", "grant"}}),
@@ -297,11 +300,11 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   // The rendered exposition carries the headline families.
   std::string prom = RenderPrometheus(metrics);
   for (const char* family :
-       {"watchit_itfs_ops_total", "watchit_itfs_ticket_ops_total",
-        "watchit_itfs_op_latency_ns_bucket", "watchit_broker_requests_total",
-        "watchit_broker_dispatch_latency_ns_count"}) {
+       {"watchit_itfs_ops_total", "watchit_itfs_op_latency_ns_bucket",
+        "watchit_broker_requests_total", "watchit_broker_dispatch_latency_ns_count"}) {
     EXPECT_NE(prom.find(family), std::string::npos) << family;
   }
+  EXPECT_EQ(prom.find("ticket=\""), std::string::npos);  // no per-ticket series
 
   // Spans emitted by ITFS/broker carry the ticket id as correlation.
   bool saw_gate = false;
@@ -313,12 +316,14 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   EXPECT_TRUE(saw_gate);
   EXPECT_TRUE(saw_broker);
 
-  // The forensic report reads the same registry.
+  // The forensic report reads the same totals.
   watchit::ForensicReporter reporter(&machine);
   auto forensics = reporter.Collect(deployment->session);
   ASSERT_TRUE(forensics.ok());
   EXPECT_GT(forensics->fs_ops, 0u);
   EXPECT_GT(forensics->fs_denied, 0u);
+  EXPECT_EQ(forensics->fs_ops, fs_ops.allowed + fs_ops.denied);
+  EXPECT_EQ(forensics->fs_denied, fs_ops.denied);
   EXPECT_EQ(forensics->broker_requests, 2u);
   EXPECT_EQ(forensics->broker_denied, 1u);
 }
@@ -344,14 +349,13 @@ TEST(EndToEndTest, BogusBrokerVerbsCannotMintSeries) {
   for (int i = 0; i < kVerbs; ++i) {
     EXPECT_FALSE(session.Pb("bogus-verb-" + std::to_string(i), {}).ok());
   }
-  // A constant: the ticket's own pair, not one series per made-up verb.
-  EXPECT_LE(metrics.SeriesCount() - before, 2u);
+  // No new series at all: the registry mutex is taken only to create one,
+  // so a broker request takes no registry lock.
+  EXPECT_EQ(metrics.SeriesCount() - before, 0u);
   EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
                                  {{"verb", "unknown"}, {"outcome", "deny"}}),
             static_cast<uint64_t>(kVerbs));
-  EXPECT_EQ(metrics.CounterValue("watchit_broker_ticket_requests_total",
-                                 {{"ticket", "TKT-VERBS"}, {"outcome", "deny"}}),
-            static_cast<uint64_t>(kVerbs));
+  EXPECT_EQ(machine.broker().RequestsOf("TKT-VERBS").denied, static_cast<uint64_t>(kVerbs));
   // The accountability records keep the exact verb.
   auto events = machine.broker().EventsSnapshot();
   ASSERT_FALSE(events.empty());
@@ -430,10 +434,9 @@ TEST(EndToEndTest, BrokerEventRetentionCap) {
   EXPECT_EQ(machine.broker().EventsSnapshot().size(), 2u);
   EXPECT_EQ(machine.broker().dropped_events(), 3u);
   EXPECT_EQ(machine.metrics().CounterValue("watchit_broker_events_dropped_total"), 3u);
-  // The registry still has the exact total despite the eviction.
-  EXPECT_EQ(machine.metrics().CounterValue("watchit_broker_ticket_requests_total",
-                                           {{"ticket", "TKT-CAP"}, {"outcome", "grant"}}),
-            5u);
+  // The binding still has the exact total despite the eviction.
+  EXPECT_EQ(machine.broker().RequestsOf("TKT-CAP").allowed, 5u);
+  EXPECT_EQ(machine.broker().RequestsOf("TKT-CAP").denied, 0u);
 }
 
 }  // namespace

@@ -52,6 +52,13 @@ TEST(PageCacheTest, DistinctFilesAndFilesystemsAreDistinctKeys) {
   EXPECT_EQ(cache.Lookup(&fs_a, "/f", 0), nullptr);
   EXPECT_NE(cache.Lookup(&fs_b, "/f", 0), nullptr);
   EXPECT_NE(cache.Lookup(&fs_a, "/g", 0), nullptr);
+  // Dropping a filesystem removes every file it cached, and nothing else.
+  cache.Insert(&fs_a, "/h", 3, "block-three");
+  cache.DropFilesystem(&fs_a);
+  EXPECT_EQ(cache.Lookup(&fs_a, "/g", 0), nullptr);
+  EXPECT_EQ(cache.Lookup(&fs_a, "/h", 3), nullptr);
+  EXPECT_NE(cache.Lookup(&fs_b, "/f", 0), nullptr);
+  EXPECT_EQ(cache.bytes(), 6u);
 }
 
 TEST(PageCacheTest, OverflowEvictsOldestFirstNotEverything) {
@@ -144,8 +151,11 @@ TEST(PageCacheTest, MutationGenerationBumpsOnEveryInvalidation) {
   cache.InvalidateFile(&fs, "/f");
   uint64_t g2 = cache.mutation_generation();
   EXPECT_GT(g2, g1);
+  cache.DropFilesystem(&fs);
+  uint64_t g3 = cache.mutation_generation();
+  EXPECT_GT(g3, g2);
   cache.Clear();
-  EXPECT_GT(cache.mutation_generation(), g2);
+  EXPECT_GT(cache.mutation_generation(), g3);
 }
 
 TEST(KernelCacheTest, TruncateInvalidates) {

@@ -1,9 +1,12 @@
 // Forensic reporting tests: a benign session scores low; a probing rogue
-// floats to the top of the triage queue.
+// floats to the top of the triage queue; a closed session's record reports
+// what the live session did.
 
 #include "src/core/report.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/core/cluster.h"
 #include "src/core/session.h"
@@ -98,6 +101,143 @@ TEST_F(ReportTest, BrokerActivityAppearsInReport) {
   EXPECT_EQ(forensics->broker_denied, 1u);
   std::string rendered = ForensicReporter::Render(*forensics);
   EXPECT_NE(rendered.find("DENY driver_update rootkit"), std::string::npos);
+}
+
+// Everything a report says about a session, except whether it is live.
+void ExpectSameEvidence(const SessionForensics& a, const SessionForensics& b) {
+  EXPECT_EQ(a.ticket_id, b.ticket_id);
+  EXPECT_EQ(a.admin, b.admin);
+  EXPECT_EQ(a.container_class, b.container_class);
+  EXPECT_EQ(a.fs_ops, b.fs_ops);
+  EXPECT_EQ(a.fs_denied, b.fs_denied);
+  EXPECT_EQ(a.denied_paths, b.denied_paths);
+  EXPECT_EQ(a.packets_inspected, b.packets_inspected);
+  EXPECT_EQ(a.packets_blocked, b.packets_blocked);
+  EXPECT_EQ(a.sniffer_hits, b.sniffer_hits);
+  EXPECT_EQ(a.broker_requests, b.broker_requests);
+  EXPECT_EQ(a.broker_denied, b.broker_denied);
+  EXPECT_EQ(a.broker_lines, b.broker_lines);
+  EXPECT_EQ(a.flagged_anomalies, b.flagged_anomalies);
+  EXPECT_EQ(a.capability_denials, b.capability_denials);
+  EXPECT_EQ(a.xcl_denials, b.xcl_denials);
+  EXPECT_EQ(a.tcb_violations, b.tcb_violations);
+  EXPECT_EQ(a.severity, b.severity);
+}
+
+// A probing session: denied documents, /dev/mem, a chroot attempt, and
+// broker requests both granted and denied.
+void Probe(Machine* machine, AdminSession* session) {
+  witos::Kernel& kernel = machine->kernel();
+  (void)kernel.MkDir(session->shell(), "/tmp/jailbreak");
+  (void)kernel.Chroot(session->shell(), "/tmp/jailbreak");
+  (void)kernel.Open(session->shell(), "/dev/mem", witos::kOpenRead);
+  (void)session->ReadFile("/home/user/documents/payroll.xlsx");
+  (void)session->ReadFile("/home/user/.bashrc");
+  (void)session->Pb(witbroker::kVerbInstall, {"netcat"});
+  (void)session->Pb(witbroker::kVerbDriverUpdate, {"rootkit"});
+}
+
+TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
+  Deployment deployment = Deploy("T-6", "TKT-GONE", "mallory");
+  AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
+  ASSERT_TRUE(session.Login().ok());
+  Probe(machine_, &session);
+
+  ForensicReporter reporter(machine_);
+  auto live = reporter.Collect(deployment.session);
+  ASSERT_TRUE(live.ok());
+  EXPECT_TRUE(live->still_active);
+  EXPECT_GT(live->fs_denied, 0u);
+  EXPECT_FALSE(live->denied_paths.empty());
+  EXPECT_GT(live->capability_denials, 0u);
+  EXPECT_EQ(live->broker_requests, 2u);
+  EXPECT_EQ(live->broker_denied, 1u);
+  EXPECT_EQ(live->broker_lines.size(), 2u);
+
+  ASSERT_TRUE(manager_->Expire(&deployment).ok());
+  EXPECT_EQ(machine_->containit().FindSession(deployment.session), nullptr);
+  auto retired = reporter.Collect(deployment.session);
+  ASSERT_TRUE(retired.ok());
+  EXPECT_FALSE(retired->still_active);
+  EXPECT_EQ(retired->termination_reason, "ticket expired");
+  ExpectSameEvidence(*retired, *live);
+
+  // Once the event window has evicted the ticket's events, the detail lines
+  // are gone but the totals are still exact.
+  machine_->broker().set_event_capacity(1);  // per shard: other tickets push it out
+  for (int i = 0; i < 64; ++i) {
+    witbroker::BrokerClient other(&machine_->broker_channel(), "TKT-OTHER-" + std::to_string(i),
+                                  "alice");
+    (void)other.Request(witbroker::kVerbPs, {}, witos::kRootUid);
+  }
+  auto evicted = reporter.Collect(deployment.session);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_TRUE(evicted->broker_lines.empty());
+  EXPECT_EQ(evicted->broker_requests, 2u);
+  EXPECT_EQ(evicted->broker_denied, 1u);
+  EXPECT_EQ(evicted->fs_ops, live->fs_ops);
+  EXPECT_EQ(evicted->capability_denials, live->capability_denials);
+}
+
+TEST_F(ReportTest, TriageQueueEqualsPerSessionCollect) {
+  std::vector<Deployment> deployments = {
+      Deploy("T-6", "TKT-ROGUE", "mallory"), Deploy("T-1", "TKT-GOOD", "alice"),
+      Deploy("T-5", "TKT-OPS", "bob"), Deploy("T-6", "TKT-NOSY", "eve")};
+  for (Deployment& deployment : deployments) {
+    AdminSession session(machine_, deployment.session, deployment.certificate,
+                         &cluster_.ca());
+    ASSERT_TRUE(session.Login().ok());
+    if (deployment.certificate.admin != "alice") {
+      Probe(machine_, &session);
+    }
+    (void)session.ReadFile("/home/user/.matlab/license.lic");
+  }
+  // Two retired and two live sessions.
+  ASSERT_TRUE(manager_->Expire(&deployments[0]).ok());
+  ASSERT_TRUE(manager_->Expire(&deployments[2]).ok());
+
+  ForensicReporter reporter(machine_);
+  std::vector<SessionForensics> expected;
+  for (const Deployment& deployment : deployments) {  // deploy order
+    auto forensics = reporter.Collect(deployment.session);
+    ASSERT_TRUE(forensics.ok());
+    expected.push_back(std::move(*forensics));
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const SessionForensics& a, const SessionForensics& b) {
+              return a.severity > b.severity;
+            });
+  std::vector<SessionForensics> queue = reporter.TriageQueue();
+  ASSERT_EQ(queue.size(), expected.size());
+  for (size_t i = 0; i < queue.size(); ++i) {
+    SCOPED_TRACE(expected[i].ticket_id);
+    ExpectSameEvidence(queue[i], expected[i]);
+    EXPECT_EQ(queue[i].still_active, expected[i].still_active);
+    EXPECT_EQ(queue[i].termination_reason, expected[i].termination_reason);
+  }
+}
+
+// T-4 taps the host's shared network namespace, whose sniffer outlives
+// every session on it: each session reports only the traffic seen while it
+// was live, so one admin's alerts neither land in nor bloat another's record.
+TEST_F(ReportTest, SharedHostTapReportsOnlyItsOwnTraffic) {
+  Deployment first = Deploy("T-4", "TKT-NET-1", "mallory");
+  AdminSession mallory(machine_, first.session, first.certificate, &cluster_.ca());
+  ASSERT_TRUE(mallory.Login().ok());
+  EXPECT_FALSE(mallory.Connect("evil-host", 0).ok());
+  ASSERT_TRUE(manager_->Expire(&first).ok());
+  Deployment second = Deploy("T-4", "TKT-NET-2", "alice");
+
+  ForensicReporter reporter(machine_);
+  auto first_report = reporter.Collect(first.session);
+  auto second_report = reporter.Collect(second.session);
+  ASSERT_TRUE(first_report.ok());
+  ASSERT_TRUE(second_report.ok());
+  EXPECT_GE(first_report->packets_blocked, 1u);
+  EXPECT_FALSE(first_report->sniffer_hits.empty());
+  EXPECT_EQ(second_report->packets_inspected, 0u);
+  EXPECT_EQ(second_report->packets_blocked, 0u);
+  EXPECT_TRUE(second_report->sniffer_hits.empty());
 }
 
 TEST_F(ReportTest, UnknownSessionIsSrch) {

@@ -127,11 +127,15 @@ TEST_F(ThreatMatrixTest, Attack6LogTamperingDetected) {
 // Attack 7: kill a WatchIT component to escape monitoring.
 TEST_F(ThreatMatrixTest, Attack7KillComponentTerminatesSession) {
   auto session = DeployAndLogin("T-1");
-  const witcontain::Session* info = session->container();
-  witos::Pid itfs_daemon = info->itfs_daemon;
+  const witcontain::SessionId id = session->container()->id;
+  witos::Pid itfs_daemon = session->container()->itfs_daemon;
   ASSERT_NE(itfs_daemon, witos::kNoPid);
   ASSERT_TRUE(kernel().Exit(itfs_daemon, -9).ok());
-  EXPECT_FALSE(info->active);
+  // Terminated: only the session's record is left.
+  EXPECT_EQ(session->container(), nullptr);
+  const witcontain::SessionRecord* record = machine_->containit().FindRetired(id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_NE(record->termination_reason.find("peer"), std::string::npos);
   // The admin's shell is gone; further commands fail.
   EXPECT_FALSE(session->ReadFile("/home/user/notes.txt").ok());
 }
@@ -139,8 +143,10 @@ TEST_F(ThreatMatrixTest, Attack7KillComponentTerminatesSession) {
 // Attack 7b: killing the permission broker also tears sessions down.
 TEST_F(ThreatMatrixTest, Attack7KillBrokerTerminatesSessions) {
   auto session = DeployAndLogin("T-1");
+  const witcontain::SessionId id = session->container()->id;
   ASSERT_TRUE(kernel().Exit(machine_->broker_pid(), -9).ok());
-  EXPECT_FALSE(session->container()->active);
+  EXPECT_EQ(session->container(), nullptr);
+  EXPECT_NE(machine_->containit().FindRetired(id), nullptr);
 }
 
 // Attack 8: read a classified file, encrypt it, exfiltrate it.
