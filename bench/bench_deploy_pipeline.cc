@@ -15,10 +15,9 @@
 // sessions, unrevoked certificates). Any leak in either run makes the bench
 // exit nonzero.
 //
-// `--profile` instruments the fault run with the witprof stack: every
-// rollback fires the flight recorder (bounded + rate-limited, so ~23
-// rollbacks become a handful of dumps and a counted remainder), and the
-// run reports the deploy-stage p99s and the per-lock wait ranking.
+// `--profile` instruments the fault run with the witprof stack (a tracer
+// recording the serve.* and deploy.* stage spans), and the run reports the
+// spans recorded, the deploy-stage p99s and the per-lock wait ranking.
 //
 // `--json PATH` writes the same numbers machine-readably (BENCH_*.json).
 
@@ -38,7 +37,6 @@
 #include "src/core/workflow.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
-#include "src/obs/recorder.h"
 #include "src/obs/trace.h"
 #include "src/serve/pool.h"
 #include "src/workload/ticket_gen.h"
@@ -122,9 +120,6 @@ LeakAudit Audit(watchit::Cluster* cluster) {
 struct DeployProfile {
   std::vector<witobs::LockContention> locks;
   std::vector<std::pair<std::string, uint64_t>> stage_p99_ns;
-  uint64_t recorder_dumps = 0;
-  uint64_t recorder_dropped = 0;
-  std::string first_dump_detail;
   uint64_t spans_recorded = 0;
 };
 
@@ -141,17 +136,8 @@ RunResult RunOnce(watchit::ItFramework* framework, const BenchConfig& config,
 
   witobs::MetricsRegistry registry;
   witobs::Tracer tracer(1 << 14);
-  witobs::FlightRecorder::Options recorder_options;
-  recorder_options.max_dumps = 4;
-  recorder_options.min_interval_ns = 50'000'000;  // 50 ms blackout between dumps
-  witobs::FlightRecorder recorder(&registry, &tracer, recorder_options);
   if (profile != nullptr) {
     pool.EnableMetrics(&registry, &tracer);
-    pool.deploy_pipeline().set_rollback_callback(
-        [&recorder](watchit::DeployStage stage, witos::Err err) {
-          recorder.Trigger("deploy-rollback",
-                           watchit::DeployStageName(stage) + ": " + witos::ErrName(err));
-        });
   }
 
   std::atomic<uint64_t> bind_calls{0};
@@ -208,12 +194,6 @@ RunResult RunOnce(watchit::ItFramework* framework, const BenchConfig& config,
           registry.FindHistogram("watchit_deploy_stage_latency_ns", {{"stage", stage}});
       profile->stage_p99_ns.emplace_back(
           stage, hist == nullptr || hist->Count() == 0 ? 0 : hist->Percentile(99));
-    }
-    profile->recorder_dumps = recorder.dumps_captured();
-    profile->recorder_dropped = recorder.dumps_dropped();
-    const auto dumps = recorder.dumps();
-    if (!dumps.empty()) {
-      profile->first_dump_detail = dumps.front().reason + " (" + dumps.front().detail + ")";
     }
     profile->spans_recorded = tracer.total_recorded();
   }
@@ -303,13 +283,6 @@ int main(int argc, char** argv) {
 
   if (profile) {
     std::printf("\n=== witprof (fault run) ===\n");
-    std::printf("flight recorder: %llu dumps captured, %llu triggers suppressed "
-                "(max_dumps=4, 50ms blackout)\n",
-                static_cast<unsigned long long>(prof.recorder_dumps),
-                static_cast<unsigned long long>(prof.recorder_dropped));
-    if (!prof.first_dump_detail.empty()) {
-      std::printf("first dump: %s\n", prof.first_dump_detail.c_str());
-    }
     std::printf("spans recorded: %llu\n",
                 static_cast<unsigned long long>(prof.spans_recorded));
     std::printf("\ndeploy stage p99 (us):");
@@ -352,10 +325,7 @@ int main(int argc, char** argv) {
         stages_obj.Number(stage + "_p99_ns", p99);
       }
       benchjson::Object profile_obj;
-      profile_obj.Number("flight_recorder_dumps", prof.recorder_dumps)
-          .Number("flight_recorder_dropped", prof.recorder_dropped)
-          .Str("first_dump", prof.first_dump_detail)
-          .Number("spans_recorded", prof.spans_recorded)
+      profile_obj.Number("spans_recorded", prof.spans_recorded)
           .Add("stage_p99_ns", stages_obj.Render())
           .Add("locks", lock_array.Render());
       root.Add("profile", profile_obj.Render());

@@ -13,14 +13,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "bench/fig9_common.h"
 #include "bench/json_out.h"
-#include "src/fs/compiled_policy.h"
-#include "src/fs/itfs_policy.h"
 #include "src/obs/metrics.h"
 
 namespace {
@@ -198,94 +195,10 @@ OverheadResult PrintMetricsOverhead() {
   return result;
 }
 
-// Compiled-vs-legacy equivalence smoke: a deterministic slice of the full
-// differential property test (tests/compiled_policy_test.cc) re-run here so
-// the released bench numbers come with an attached correctness check — the
-// compiled automaton the bench exercises is the one being certified.
-struct EquivalenceResult {
-  uint64_t cases = 0;
-  uint64_t mismatches = 0;
-};
-
-EquivalenceResult RunEquivalenceSmoke() {
-  using witfs::FileClass;
-  using witfs::InspectionMode;
-  using witfs::ItfsOpKind;
-  using witfs::ItfsPolicy;
-  using witfs::ItfsRule;
-  using witfs::PolicyDecision;
-  using witfs::RuleAction;
-
-  static const std::vector<std::string> kExts = {"pdf", "xlsx", "log", "txt", "jpg", "key"};
-  static const std::vector<std::string> kPrefixes = {"/", "/home", "/home/user", "/etc",
-                                                     "/usr/watchit", "/var/log"};
-  static const std::vector<FileClass> kClasses = {FileClass::kText, FileClass::kJpeg,
-                                                  FileClass::kPdf, FileClass::kZipOffice,
-                                                  FileClass::kElf};
-  static const std::vector<std::string> kPaths = {
-      "/home/user/report.pdf", "/etc/passwd",      "/usr/watchit/broker",
-      "/a/./b/c.log",          "relative/path.pdf", "/home/user/.bashrc",
-      "/home/user/FILE.PDF",   "/var/log/x.txt"};
-  static const std::vector<std::string> kHeads = {
-      "", "%PDF-1.4 smoke", std::string("PK\x03\x04") + "zip", "\xFF\xD8\xFF\xE0jfif",
-      "plain text"};
-  static const std::vector<ItfsOpKind> kOps = {ItfsOpKind::kOpen, ItfsOpKind::kWrite,
-                                               ItfsOpKind::kUnlink, ItfsOpKind::kRename,
-                                               ItfsOpKind::kAttr};
-
-  std::mt19937 rng(9);
-  std::uniform_int_distribution<int> rule_count(0, 7);
-  std::uniform_int_distribution<int> coin(0, 1);
-  std::uniform_int_distribution<int> d4(0, 3);
-  EquivalenceResult result;
-  for (int trial = 0; trial < 100; ++trial) {
-    ItfsPolicy policy;
-    int n = rule_count(rng);
-    for (int i = 0; i < n; ++i) {
-      ItfsRule rule;
-      rule.name = "r" + std::to_string(i);
-      rule.action = coin(rng) != 0 ? RuleAction::kDeny : RuleAction::kLogOnly;
-      rule.write_only = d4(rng) == 0;
-      for (int k = d4(rng); k > 0; --k) {
-        rule.extensions.push_back(kExts[static_cast<size_t>(rng()) % kExts.size()]);
-      }
-      for (int k = d4(rng) - 1; k > 0; --k) {
-        rule.path_prefixes.push_back(
-            kPrefixes[static_cast<size_t>(rng()) % kPrefixes.size()]);
-      }
-      for (int k = d4(rng) - 1; k > 0; --k) {
-        rule.signatures.push_back(kClasses[static_cast<size_t>(rng()) % kClasses.size()]);
-      }
-      policy.AddRule(std::move(rule));
-    }
-    policy.set_inspection_mode(coin(rng) != 0 ? InspectionMode::kSignature
-                                              : InspectionMode::kExtensionOnly);
-    policy.set_log_all(coin(rng) != 0);
-    auto compiled = policy.Compile();
-    for (const auto& path : kPaths) {
-      for (const auto& head : kHeads) {
-        for (ItfsOpKind op : kOps) {
-          PolicyDecision legacy = policy.Evaluate(op, path, head);
-          PolicyDecision fast = compiled->Evaluate(op, path, head);
-          ++result.cases;
-          if (fast.deny != legacy.deny || fast.rule != legacy.rule) {
-            ++result.mismatches;
-          }
-        }
-      }
-    }
-  }
-  std::printf("\n=== compiled-vs-legacy policy equivalence smoke ===\n");
-  std::printf("%-28s %llu cases, %llu mismatches (target: 0)\n", "differential sweep",
-              static_cast<unsigned long long>(result.cases),
-              static_cast<unsigned long long>(result.mismatches));
-  return result;
-}
-
 // The headline numbers, machine-readably: per-workload normalized
 // performance (ext4 = 1.0, higher is better, as in the paper's chart) plus
 // the metrics-layer overhead block.
-std::string RenderJson(const OverheadResult& overhead, const EquivalenceResult& equiv) {
+std::string RenderJson(const OverheadResult& overhead) {
   benchjson::Array workloads;
   for (const char* workload : {"grep-100KB", "grep-1MB", "Postmark", "SysBench"}) {
     auto& row = Results()[workload];
@@ -315,14 +228,11 @@ std::string RenderJson(const OverheadResult& overhead, const EquivalenceResult& 
       .Number("misses", overhead.cache_misses)
       .Number("invalidations", overhead.cache_invalidations)
       .Number("policy_compile_observations", overhead.compile_observations);
-  benchjson::Object equiv_obj;
-  equiv_obj.Number("cases", equiv.cases).Number("mismatches", equiv.mismatches);
   benchjson::Object root;
   root.Str("bench", "fig9_itfs")
       .Add("workloads", workloads.Render())
       .Add("metrics_overhead", overhead_obj.Render())
-      .Add("verdict_cache", cache_obj.Render())
-      .Add("policy_equivalence", equiv_obj.Render());
+      .Add("verdict_cache", cache_obj.Render());
   return root.Render();
 }
 
@@ -335,9 +245,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   PrintFigure9();
   const OverheadResult overhead = PrintMetricsOverhead();
-  const EquivalenceResult equiv = RunEquivalenceSmoke();
   if (!json_path.empty()) {
-    benchjson::WriteFile(json_path, RenderJson(overhead, equiv));
+    benchjson::WriteFile(json_path, RenderJson(overhead));
   }
-  return static_cast<int>(equiv.mismatches != 0);
+  return 0;
 }

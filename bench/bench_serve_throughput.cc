@@ -17,9 +17,10 @@
 // `--profile` adds the witprof pass at 8 workers: the per-lock wait
 // ranking (merged across the pool registry and every machine's own), the
 // per-stage p99 breakdown of the e2e p99, the slowest ticket's timeline,
-// the stock SLO verdicts, and the profiling overhead: the median over
-// interleaved (metrics, profile) run pairs of the change in thread-CPU per
-// served ticket (DESIGN.md §13).
+// and the profiling overhead: the median over interleaved (metrics,
+// profile) run pairs of the change in thread-CPU per served ticket, where
+// the profiled run adds the tracer and its serve.* and deploy.* stage
+// spans (DESIGN.md §13).
 //
 // `--json PATH` writes the same numbers machine-readably (BENCH_*.json).
 
@@ -38,8 +39,6 @@
 #include "src/core/workflow.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
-#include "src/obs/recorder.h"
-#include "src/obs/slo.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
 #include "src/serve/loadgen.h"
@@ -130,14 +129,11 @@ struct ProfileData {
   std::string example_ticket;
   uint64_t example_span_ns = 0;
   std::string example_render;
-  std::vector<witobs::SloEngine::Status> slo;
-  uint64_t slo_breaches = 0;
-  uint64_t recorder_dumps = 0;
 };
 
 enum class RunMode {
   kMetrics,  // registry (incl. lock profiling) — the normal sweep
-  kProfile,  // registry + tracer + SLO engine + flight recorder
+  kProfile,  // registry + tracer: the serve.* and deploy.* stage spans
 };
 
 RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t tickets,
@@ -152,26 +148,7 @@ RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t ticket
   pool_options.workers = workers;
   pool_options.queue.capacity = 2048;
   witserve::ServerPool pool(cluster.get(), framework, &dispatcher, pool_options);
-  witobs::SloEngine slo_engine(&registry);
-  witobs::FlightRecorder recorder(&registry, &tracer);
-  if (mode == RunMode::kMetrics) {
-    pool.EnableMetrics(&registry);
-  } else if (mode == RunMode::kProfile) {
-    pool.EnableMetrics(&registry, &tracer);
-    // 60 s is deliberately generous: the open-loop arrival process piles up
-    // real queueing, so this demonstrates the wiring (and feeds the
-    // recorder if the box is truly pathological) without gating the bench.
-    witobs::InstallWatchItSlos(&slo_engine, /*max_e2e_p99_ns=*/60'000'000'000ull);
-    slo_engine.set_breach_callback([&recorder](const witobs::SloEngine::Status& status) {
-      recorder.Trigger("slo-breach", status.name + ": " + status.detail);
-    });
-    pool.deploy_pipeline().set_rollback_callback(
-        [&recorder](watchit::DeployStage stage, witos::Err err) {
-          recorder.Trigger("deploy-rollback", watchit::DeployStageName(stage) + ": " +
-                                                  witos::ErrName(err));
-        });
-    slo_engine.Evaluate();  // prime: the next Evaluate's window is the run
-  }
+  pool.EnableMetrics(&registry, mode == RunMode::kProfile ? &tracer : nullptr);
   pool.Start();
 
   witserve::LoadGenerator::Options load_options;
@@ -200,10 +177,6 @@ RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t ticket
   }
 
   if (mode == RunMode::kProfile && profile != nullptr) {
-    profile->slo = slo_engine.Evaluate();  // closes the window opened pre-run
-    profile->slo_breaches = slo_engine.breaches();
-    profile->recorder_dumps = recorder.dumps_captured();
-
     // Lock ranking merged across the pool registry and every machine's own
     // registry (that is where the broker + securelog locks live).
     std::vector<const witobs::MetricsRegistry*> registries = {&registry};
@@ -440,13 +413,6 @@ int main(int argc, char** argv) {
                   static_cast<double>(prof.example_span_ns) / 1e6,
                   prof.example_ticket.c_str(), prof.example_render.c_str());
     }
-    std::printf("\nSLO verdicts (window = this run):\n");
-    for (const auto& status : prof.slo) {
-      std::printf("  %-20s %-8s %s\n", status.name.c_str(),
-                  status.breached ? "BREACH" : "ok", status.detail.c_str());
-    }
-    std::printf("flight recorder: %llu dumps captured\n",
-                static_cast<unsigned long long>(prof.recorder_dumps));
   }
 
   if (!json_path.empty()) {
@@ -504,17 +470,6 @@ int main(int argc, char** argv) {
       for (const auto& [stage, p99] : prof.stage_p99_ns) {
         stages_obj.Number(stage + "_p99_ns", p99);
       }
-      benchjson::Array slo_array;
-      for (const auto& status : prof.slo) {
-        benchjson::Object obj;
-        obj.Str("name", status.name)
-            .Boolean("breached", status.breached)
-            .Number("value", status.value)
-            .Number("threshold", status.threshold)
-            .Number("window_events", status.window_events)
-            .Str("detail", status.detail);
-        slo_array.Add(obj.Render());
-      }
       benchjson::Array pair_array;
       for (double pct : pair_overhead_pct) {
         pair_array.Add(benchjson::Num(pct));
@@ -532,10 +487,7 @@ int main(int argc, char** argv) {
           .Number("spans_dropped", prof.spans_dropped)
           .Number("timelines", prof.timelines)
           .Str("example_ticket", prof.example_ticket)
-          .Number("example_ticket_span_ns", prof.example_span_ns)
-          .Add("slo", slo_array.Render())
-          .Number("slo_breaches", prof.slo_breaches)
-          .Number("flight_recorder_dumps", prof.recorder_dumps);
+          .Number("example_ticket_span_ns", prof.example_span_ns);
       root.Add("profile", profile_obj.Render());
     }
     benchjson::WriteFile(json_path, root.Render());

@@ -139,10 +139,8 @@ const PermissionBroker::VerbCounters& PermissionBroker::CountersFor(
   return it != verb_counters_.end() ? it->second : unknown_verb_;
 }
 
-void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry,
-                                     witobs::Tracer* tracer) {
+void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry) {
   metrics_ = registry;
-  tracer_ = tracer;
   if (registry == nullptr) {
     return;
   }
@@ -335,7 +333,6 @@ std::string PermissionBroker::LogLine(const RpcRequest& request,
 }
 
 RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
-  witobs::Span span(tracer_, "broker.handle", batch.ticket_id);
   uint64_t now = kernel_->clock().now_ns();
   // One policy-context lookup for the whole batch: the ticket class is
   // header state, not per-op state.

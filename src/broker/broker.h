@@ -22,7 +22,6 @@
 #include "src/broker/securelog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
-#include "src/obs/trace.h"
 #include "src/os/kernel.h"
 
 namespace witbroker {
@@ -120,8 +119,7 @@ class PermissionBroker {
 
   // Wires the broker into the observability layer: request and shadow
   // counters by verb and outcome, and a histogram of simulated nanoseconds
-  // per granted dispatch. Spans tagged with the ticket id are emitted when
-  // `tracer` is non-null.
+  // per granted dispatch.
   //
   // The verb series are resolved here for the built-in verbs and every
   // registered one (RegisterVerb resolves later ones), so a request takes
@@ -131,7 +129,7 @@ class PermissionBroker {
   // BrokerEvent keep the exact method. Per-ticket totals live in the
   // binding (RequestsOf), not in the registry, so no ticket id, forged or
   // bound, names a series.
-  void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
+  void EnableMetrics(witobs::MetricsRegistry* registry);
 
   // Retention cap for the structured event window, applied per shard
   // (0 = unbounded). When a shard's cap is hit its oldest events are
@@ -257,7 +255,6 @@ class PermissionBroker {
 
   // Observability wiring (all null when metrics are disabled).
   witobs::MetricsRegistry* metrics_ = nullptr;
-  witobs::Tracer* tracer_ = nullptr;
   witobs::Counter* events_dropped_ = nullptr;
   witobs::Histogram* dispatch_latency_ = nullptr;
 };

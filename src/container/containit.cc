@@ -91,17 +91,16 @@ std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
                                             &kernel_->clock(), &kernel_->audit());
   itfs->oplog().set_capacity(oplog_capacity_);
   itfs->set_tally(session->itfs_tally);
-  itfs->EnableMetrics(itfs_metrics_, session->ticket_id, tracer_);
+  itfs->EnableMetrics(itfs_metrics_);
   if (session->spec.fs.shadow != nullptr) {
     itfs->SetShadowPolicy(session->spec.fs.shadow);
   }
   return itfs;
 }
 
-void ContainIt::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
+void ContainIt::EnableMetrics(witobs::MetricsRegistry* registry) {
   itfs_metrics_ = registry != nullptr ? std::make_shared<const witfs::ItfsMetrics>(registry)
                                       : nullptr;
-  tracer_ = tracer;
 }
 
 witos::Status ContainIt::SetupFilesystemView(Session* session) {

@@ -147,9 +147,8 @@ class ContainIt {
 
   // Observability wiring: resolves the machine's shared ITFS handles in
   // `registry` once, here; every ITFS instance deployed after this call
-  // shares them, adds no series, and emits spans into `tracer` when one is
-  // given.
-  void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
+  // shares them and adds no series.
+  void EnableMetrics(witobs::MetricsRegistry* registry);
 
   // Retention cap applied to each new session's OpLog (0 = unbounded).
   void set_oplog_capacity(size_t capacity) { oplog_capacity_ = capacity; }
@@ -175,7 +174,6 @@ class ContainIt {
   witnet::NetStack* net_;
   witbroker::PermissionBroker* broker_ = nullptr;
   std::shared_ptr<const witfs::ItfsMetrics> itfs_metrics_;  // null: metrics off
-  witobs::Tracer* tracer_ = nullptr;
   size_t oplog_capacity_ = 0;
   // Active sessions: the only ones the watchdog, ticket lookup and
   // active_sessions() scan, so their cost is bounded by live load.

@@ -168,10 +168,8 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
 // configured stage deadlines, and the optional stage hook.
 class DeployPipeline::WorkerGate : public DeployGate {
  public:
-  // `correlation_id` tags the per-stage spans with the deploying ticket's
-  // timeline (empty = no tracing).
-  WorkerGate(DeployPipeline* pipeline, const Ticket* ticket, std::string correlation_id)
-      : pipeline_(pipeline), ticket_(ticket), correlation_id_(std::move(correlation_id)) {}
+  WorkerGate(DeployPipeline* pipeline, const Ticket* ticket)
+      : pipeline_(pipeline), ticket_(ticket) {}
 
   witos::Status BeforeStage(DeployStage stage, Machine* machine) override {
     if (pipeline_->stage_hook_) {
@@ -205,7 +203,7 @@ class DeployPipeline::WorkerGate : public DeployGate {
     if (tracer != nullptr && stage_start_wall_ns_ != 0) {
       witobs::SpanRecord record;
       record.name = "deploy." + DeployStageName(stage);
-      record.correlation_id = correlation_id_;
+      record.correlation_id = ticket_->id;
       record.start_ns = stage_start_wall_ns_;
       record.duration_ns = tracer->NowNs() - stage_start_wall_ns_;
       record.depth = 1;  // nested under the pool's serve.deploy
@@ -214,26 +212,22 @@ class DeployPipeline::WorkerGate : public DeployGate {
     }
   }
 
-  void OnRollback(DeployStage failed_stage, witos::Err err) override {
+  void OnRollback(DeployStage failed_stage, witos::Err /*err*/) override {
     rolled_back_ = true;
     rollback_stage_ = failed_stage;
-    rollback_err_ = err;
   }
 
   // Consumed by Deploy after the transaction, so the rollback is counted
-  // and reported with no machine lock held.
+  // with no machine lock held.
   bool rolled_back() const { return rolled_back_; }
   DeployStage rollback_stage() const { return rollback_stage_; }
-  witos::Err rollback_err() const { return rollback_err_; }
 
  private:
   DeployPipeline* pipeline_;
   const Ticket* ticket_;
-  const std::string correlation_id_;
   uint64_t stage_start_wall_ns_ = 0;
   bool rolled_back_ = false;
   DeployStage rollback_stage_ = DeployStage::kImageLookup;
-  witos::Err rollback_err_ = witos::Err::kIo;
 };
 
 DeployPipeline::DeployPipeline(Cluster* cluster) : DeployPipeline(cluster, Options()) {}
@@ -251,14 +245,10 @@ witos::Result<Deployment> DeployPipeline::Deploy(const Ticket& ticket) {
       inflight_gauge_->Set(static_cast<int64_t>(inflight_));
     }
   }
-  WorkerGate gate(this, &ticket,
-                  tracer_ != nullptr ? witobs::Span::CurrentCorrelationId(tracer_) : "");
+  WorkerGate gate(this, &ticket);
   witos::Result<Deployment> result =
       RunDeployStages(cluster_, ticket, ClusterManager::kDefaultLifetimeNs, &gate);
   RecordOutcome(result, gate);
-  if (gate.rolled_back() && rollback_callback_) {
-    rollback_callback_(gate.rollback_stage(), gate.rollback_err());
-  }
   return result;
 }
 

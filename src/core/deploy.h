@@ -125,17 +125,8 @@ class DeployPipeline {
   // watchit_deploy_stage_latency_ns{stage}, watchit_deploy_inflight,
   // watchit_deploy_rollbacks_total{stage}, watchit_deploy_total{outcome},
   // plus the stats lock's watchit_lock_* series. With a tracer, each stage
-  // emits a "deploy.<stage>" span under the calling thread's correlation
-  // id.
+  // emits a "deploy.<stage>" span tagged with the deploying ticket's id.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
-
-  // Invoked (on the deploying thread, no locks held) after a transaction
-  // rolls back — the flight recorder's deploy-rollback trigger. Set before
-  // traffic starts.
-  using RollbackCallback = std::function<void(DeployStage, witos::Err)>;
-  void set_rollback_callback(RollbackCallback callback) {
-    rollback_callback_ = std::move(callback);
-  }
 
   Stats GetStats() const;
 
@@ -149,7 +140,6 @@ class DeployPipeline {
   Cluster* cluster_;
   Options options_;
   StageHook stage_hook_;
-  RollbackCallback rollback_callback_;
 
   // Profiled "deploy.stats" lock (DESIGN.md §13): it is taken twice per
   // deploy on the request path.

@@ -6,9 +6,8 @@ ItFramework::ItFramework(Config config) : config_(config) {}
 
 ItFramework::~ItFramework() = default;
 
-void ItFramework::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
+void ItFramework::EnableMetrics(witobs::MetricsRegistry* registry) {
   metrics_ = registry;
-  tracer_ = tracer;
   if (registry == nullptr) {
     return;
   }
@@ -32,7 +31,6 @@ std::vector<std::string> ItFramework::Preprocess(const std::string& text) const 
 
 void ItFramework::TrainOnHistory(
     const std::vector<std::pair<std::string, std::string>>& text_and_label) {
-  witobs::Span span(tracer_, "framework.train");
   witobs::ScopedTimer timer(train_latency_);
   for (const auto& [text, label] : text_and_label) {
     corpus_.AddDocument(pipeline_.Process(text), label);
@@ -47,7 +45,6 @@ void ItFramework::TrainOnHistory(
 }
 
 std::string ItFramework::Classify(const std::string& text) const {
-  witobs::Span span(tracer_, "framework.classify");
   witobs::ScopedTimer timer(classify_latency_);
   std::string result;
   if (!trained()) {

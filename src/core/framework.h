@@ -16,7 +16,6 @@
 #include "src/nlp/spell.h"
 #include "src/nlp/text.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace watchit {
 
@@ -54,7 +53,7 @@ class ItFramework {
   // classification wall-clock latency histograms plus a per-class
   // classification counter. Unlike the ITFS/broker series these measure
   // real compute time — the topic model is genuine work, not simulation.
-  void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
+  void EnableMetrics(witobs::MetricsRegistry* registry);
 
  private:
   std::vector<std::string> Preprocess(const std::string& text) const;
@@ -69,7 +68,6 @@ class ItFramework {
 
   // Observability wiring (all null when metrics are disabled).
   witobs::MetricsRegistry* metrics_ = nullptr;
-  witobs::Tracer* tracer_ = nullptr;
   witobs::Histogram* train_latency_ = nullptr;
   witobs::Histogram* classify_latency_ = nullptr;
 };

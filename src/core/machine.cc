@@ -106,13 +106,12 @@ void Machine::BootWatchIt() {
   containit_->AttachBroker(broker_.get());
 
   // Observability: one registry per machine; the broker and every
-  // per-session ITFS instance feed it, the global tracer correlates spans
-  // across layers by ticket id. The retention caps bound what the raw logs
-  // keep in memory — totals survive in the registry counters.
-  broker_->EnableMetrics(&metrics_, &witobs::GlobalTracer());
+  // per-session ITFS instance feed it. The retention caps bound what the raw
+  // logs keep in memory — totals survive in the registry counters.
+  broker_->EnableMetrics(&metrics_);
   broker_->set_event_capacity(1 << 16);
   broker_channel_.EnableMetrics(&metrics_);
-  containit_->EnableMetrics(&metrics_, &witobs::GlobalTracer());
+  containit_->EnableMetrics(&metrics_);
   containit_->set_oplog_capacity(1 << 16);
 
   // Persist the kernel audit trail into the machine's own (write-guarded)

@@ -14,7 +14,6 @@
 #include "src/core/tcb.h"
 #include "src/net/socket.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/os/kernel.h"
 
 namespace watchit {

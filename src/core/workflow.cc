@@ -94,8 +94,7 @@ std::map<std::string, std::string> Dispatcher::pinned_classes() const {
   return pinned_;
 }
 
-void TicketWorkflow::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer) {
-  tracer_ = tracer;
+void TicketWorkflow::EnableMetrics(witobs::MetricsRegistry* registry) {
   if (registry == nullptr) {
     std::fill(std::begin(stage_latency_), std::end(stage_latency_), nullptr);
     std::fill(std::begin(tickets_), std::end(tickets_), nullptr);
@@ -215,10 +214,6 @@ witos::Result<ResolvedTicket> TicketWorkflow::Finish(PreparedTicket prepared,
 witos::Result<ResolvedTicket> TicketWorkflow::Process(
     const witload::GeneratedTicket& generated, const std::string& target_machine,
     const std::string& user_machine) {
-  // Root span: every nested framework/broker/ITFS span on this thread
-  // inherits the ticket id as its correlation id.
-  witobs::Span span(tracer_, "workflow.process", generated.id);
-
   WITOS_ASSIGN_OR_RETURN(PreparedTicket prepared,
                          Prepare(generated, target_machine, user_machine));
   Ticket& ticket = prepared.resolved.ticket;

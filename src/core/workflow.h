@@ -29,7 +29,6 @@
 #include "src/core/session.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
-#include "src/obs/trace.h"
 #include "src/workload/ticket_gen.h"
 
 namespace watchit {
@@ -135,11 +134,10 @@ class TicketWorkflow {
   uint64_t processed() const { return processed_; }
 
   // Wires the workflow into the observability layer: per-stage wall-clock
-  // latency histograms (classify/dispatch/deploy/replay/expire), ticket
-  // outcome counters, and a root span per ticket whose correlation id — the
-  // ticket id — is inherited by every nested framework/broker/ITFS span.
-  // Every handle is resolved here, so a ticket takes no registry lock.
-  void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
+  // latency histograms (classify/dispatch/deploy/replay/expire) and ticket
+  // outcome counters. Every handle is resolved here, so a ticket takes no
+  // registry lock.
+  void EnableMetrics(witobs::MetricsRegistry* registry);
 
  private:
   enum Stage { kClassify, kDispatch, kDeploy, kReplay, kExpire, kNumStages };
@@ -151,7 +149,6 @@ class TicketWorkflow {
   uint64_t processed_ = 0;
 
   // Observability wiring (all null when metrics are disabled).
-  witobs::Tracer* tracer_ = nullptr;
   witobs::Histogram* stage_latency_[kNumStages] = {};
   witobs::Counter* tickets_[2] = {};  // classified correctly, corrected by review
 };

@@ -73,7 +73,7 @@ CompiledPolicy::CompiledPolicy(const std::vector<ItfsRule>& rules, InspectionMod
       SetBit(&deny_mask_, i);
     }
     if (rule.action != RuleAction::kLogOnly) {
-      SetBit(&terminal_mask_, i);  // deny and allow both end the legacy scan
+      SetBit(&terminal_mask_, i);  // deny and allow both end the reference scan
     }
     for (const std::string& ext : rule.extensions) {
       auto [it, inserted] = ext_masks.try_emplace(ext, NewMask());
@@ -207,7 +207,7 @@ PolicyDecision CompiledPolicy::Finish(ItfsOpKind op, const std::string& path,
   }
 
   // First selector-matched terminal (deny OR allow) bounds how far the
-  // legacy scan would get; custom detectors past it were never invoked
+  // reference scan would get; custom detectors past it were never invoked
   // there either.
   size_t limit = rules_.size();
   for (size_t w = 0; w < matched->size(); ++w) {
@@ -226,7 +226,7 @@ PolicyDecision CompiledPolicy::Finish(ItfsOpKind op, const std::string& path,
       continue;
     }
     if (((*matched)[c / 64] >> (c % 64)) & 1) {
-      continue;  // a selector already matched; the legacy scan skips custom
+      continue;  // a selector already matched; the reference scan skips custom
     }
     if (rule.custom(path, head)) {
       SetBit(matched, c);
@@ -271,7 +271,7 @@ PolicyDecision CompiledPolicy::Evaluate(ItfsOpKind op, const std::string& path,
   CollectExtensionMatch(path, &matched);
   CollectPrefixMatches(path, &matched);
   if (mode_ == InspectionMode::kSignature && !head.empty() && AnySet(any_signature_)) {
-    // The legacy evaluator classifies lazily, but DetectSignature is pure,
+    // The reference evaluator classifies lazily, but DetectSignature is pure,
     // so classifying eagerly here cannot change any decision.
     FileClass cls = DetectSignature(head);
     OrInto(&matched, class_masks_[static_cast<size_t>(cls)]);

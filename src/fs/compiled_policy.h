@@ -1,7 +1,7 @@
 // CompiledPolicy: the immutable, shareable fast path ItfsPolicy::Compile()
 // produces.
 //
-// The legacy evaluator walks every rule and every selector per gated
+// A linear evaluator walks every rule and every selector per gated
 // operation — O(rules x selectors) with a string compare at each step, paid
 // on every single filesystem call the ITFS daemon mediates. Compile() folds
 // the same rule set into index structures evaluated in (amortized) constant
@@ -20,10 +20,11 @@
 //
 // First-match-wins semantics are preserved bit-for-bit: the masks only
 // answer "which rules match", and the winner is the lowest set rule index,
-// exactly the order the legacy linear scan visits. Custom detectors cannot
-// be indexed; they are invoked in rule order, but only up to the first
-// already-matched deny — the same invocation pattern as the legacy scan, so
-// stateful detectors observe identical call sequences.
+// exactly the order a linear first-match scan visits. Custom detectors
+// cannot be indexed; they are invoked in rule order, but only up to the
+// first already-matched deny — the same invocation pattern as the linear
+// scan, so stateful detectors observe identical call sequences. The
+// reference linear evaluator lives in tests/itfs_policy_reference.h.
 //
 // A CompiledPolicy is deeply immutable after Compile() and safe to share
 // across threads; Itfs installs one behind an atomic pointer (SwapPolicy)
@@ -68,9 +69,10 @@ class CompiledPolicy {
   CompiledPolicy(const CompiledPolicy&) = delete;
   CompiledPolicy& operator=(const CompiledPolicy&) = delete;
 
-  // Decision- and rule-name-identical to ItfsPolicy::Evaluate on the same
-  // inputs (the differential property test in compiled_policy_test.cc pins
-  // this over randomized rule sets).
+  // Decision- and rule-name-identical to the reference linear evaluator
+  // (tests/itfs_policy_reference.h) on the same inputs; the differential
+  // property test in compiled_policy_test.cc pins this over randomized rule
+  // sets.
   PolicyDecision Evaluate(ItfsOpKind op, const std::string& path,
                           std::string_view head) const;
 
@@ -79,7 +81,7 @@ class CompiledPolicy {
   // policy has no custom detectors (detectors need the bytes themselves);
   // `has_content` distinguishes "classified as kUnknown" from "file had no
   // content to classify" — signature selectors never match the latter,
-  // matching how the legacy evaluator treats an empty head.
+  // matching how the reference evaluator treats an empty head.
   PolicyDecision EvaluateClassified(ItfsOpKind op, const std::string& path, FileClass cls,
                                     bool has_content) const;
 

@@ -171,11 +171,8 @@ ItfsMetrics::ItfsMetrics(witobs::MetricsRegistry* registry) {
   compile_ns = registry->GetHistogram("watchit_policy_compile_ns");
 }
 
-void Itfs::EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics,
-                         const std::string& correlation_id, witobs::Tracer* tracer) {
+void Itfs::EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics) {
   metrics_ = std::move(metrics);
-  tracer_ = tracer;
-  correlation_id_ = correlation_id;
   oplog_.set_dropped_counter(metrics_ != nullptr ? metrics_->oplog_dropped : nullptr);
 }
 
@@ -190,7 +187,6 @@ void Itfs::CountDecision(ItfsOpKind op, bool deny) {
 
 witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
                          const witos::Credentials& cred, bool fetch_head) {
-  witobs::Span span(tracer_, "itfs.gate", correlation_id_);
   std::shared_ptr<const CompiledPolicy> policy = policy_.load(std::memory_order_acquire);
   size_t head_bytes = 0;
   std::string head;
@@ -309,7 +305,6 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
 
 witos::Result<witos::Stat> Itfs::Open(const std::string& path, uint32_t flags, witos::Mode mode,
                                       const witos::Credentials& cred) {
-  witobs::Span span(tracer_, "itfs.open", correlation_id_);
   SimTimer timer(clock_, OpLatency(ItfsOpKind::kOpen));
   bool write_intent =
       (flags & (witos::kOpenWrite | witos::kOpenTrunc | witos::kOpenAppend |
@@ -321,7 +316,6 @@ witos::Result<witos::Stat> Itfs::Open(const std::string& path, uint32_t flags, w
 
 witos::Result<size_t> Itfs::ReadAt(const std::string& path, uint64_t offset, size_t size,
                                    std::string* out, const witos::Credentials& cred) {
-  witobs::Span span(tracer_, "itfs.read", correlation_id_);
   SimTimer timer(clock_, OpLatency(ItfsOpKind::kRead));
   // Content rules were enforced at open; reads are forwarded but still
   // logged when log_all is set with per-path dedup left to the analyzer.
@@ -331,7 +325,6 @@ witos::Result<size_t> Itfs::ReadAt(const std::string& path, uint64_t offset, siz
 
 witos::Result<size_t> Itfs::WriteAt(const std::string& path, uint64_t offset,
                                     const std::string& data, const witos::Credentials& cred) {
-  witobs::Span span(tracer_, "itfs.write", correlation_id_);
   SimTimer timer(clock_, OpLatency(ItfsOpKind::kWrite));
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kWrite, path, cred, /*fetch_head=*/false));
   return lower_->WriteAt(path, offset, data, invoker_);

@@ -27,7 +27,6 @@
 #include "src/fs/itfs_policy.h"
 #include "src/fs/oplog.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/os/audit.h"
 #include "src/os/clock.h"
 #include "src/os/filesystem.h"
@@ -182,11 +181,9 @@ class Itfs : public witos::Filesystem {
   }
 
   // Wires this instance into the observability layer through the shared
-  // `metrics` handles (null disables metrics). `correlation_id` is the
-  // ticket/session id that tags every span this filesystem emits. The
-  // per-operation cost is a few relaxed atomic adds.
-  void EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics,
-                     const std::string& correlation_id, witobs::Tracer* tracer = nullptr);
+  // `metrics` handles (null disables metrics). The per-operation cost is a
+  // few relaxed atomic adds.
+  void EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics);
 
   // Counts every gate decision into `tally` as well (null: none). Every
   // instance of one session shares its tally, which keeps the session's
@@ -279,8 +276,6 @@ class Itfs : public witos::Filesystem {
 
   // Observability wiring (null when metrics are disabled).
   std::shared_ptr<const ItfsMetrics> metrics_;
-  witobs::Tracer* tracer_ = nullptr;
-  std::string correlation_id_;
   std::shared_ptr<witobs::OutcomeTally> tally_;
 };
 

@@ -86,60 +86,6 @@ bool ItfsPolicy::NeedsContent() const {
   });
 }
 
-PolicyDecision ItfsPolicy::Evaluate(ItfsOpKind op, const std::string& path,
-                                    std::string_view head) const {
-  bool is_write = op == ItfsOpKind::kWrite || op == ItfsOpKind::kUnlink ||
-                  op == ItfsOpKind::kRename;
-  std::string ext = witos::Extension(path);
-  FileClass cls = FileClass::kUnknown;
-  bool cls_computed = false;
-  // A matching log-only rule records its name but does NOT shield the access
-  // from later deny rules — logging never grants immunity.
-  std::string log_rule;
-  for (const auto& rule : rules_) {
-    if (rule.write_only && !is_write) {
-      continue;
-    }
-    bool matched = false;
-    if (!rule.extensions.empty() &&
-        std::find(rule.extensions.begin(), rule.extensions.end(), ext) != rule.extensions.end()) {
-      matched = true;
-    }
-    if (!matched && !rule.path_prefixes.empty()) {
-      for (const auto& prefix : rule.path_prefixes) {
-        if (witos::PathIsUnder(path, prefix)) {
-          matched = true;
-          break;
-        }
-      }
-    }
-    if (!matched && mode_ == InspectionMode::kSignature && !rule.signatures.empty() &&
-        !head.empty()) {
-      if (!cls_computed) {
-        cls = DetectSignature(head);
-        cls_computed = true;
-      }
-      matched = std::find(rule.signatures.begin(), rule.signatures.end(), cls) !=
-                rule.signatures.end();
-    }
-    if (!matched && rule.custom != nullptr) {
-      matched = rule.custom(path, head);
-    }
-    if (matched) {
-      if (rule.action == RuleAction::kDeny) {
-        return {true, rule.name};
-      }
-      if (rule.action == RuleAction::kAllow) {
-        return {false, rule.name};  // terminal: later rules never run
-      }
-      if (log_rule.empty()) {
-        log_rule = rule.name;
-      }
-    }
-  }
-  return {false, log_rule};
-}
-
 ItfsRule ItfsPolicy::DenyDocumentsRule() {
   ItfsRule rule;
   rule.name = "deny-documents";

@@ -111,22 +111,12 @@ class ItfsPolicy {
   // current only while the revision it was built from still matches.
   uint64_t revision() const { return revision_; }
 
-  // Evaluates the rules for an access of kind `op` to `path` whose head
-  // bytes are `head` (empty unless signature mode fetched them). First
-  // matching rule wins.
-  //
-  // This linear scan is the *reference* evaluator: the gate path runs the
-  // CompiledPolicy this builder produces, and the differential property
-  // test pins the two decision-identical. Prefer Compile() anywhere
-  // performance matters.
-  PolicyDecision Evaluate(ItfsOpKind op, const std::string& path, std::string_view head) const;
-
-  // Compiles the current rule set into an immutable, shareable fast-path
-  // evaluator (see compiled_policy.h). Compilation always succeeds; rules
-  // that cannot behave as written (duplicate names, rules shadowed by an
-  // earlier first-match deny) are reported through `diagnostics` when
-  // non-null. Further builder mutations do not affect already-compiled
-  // policies.
+  // Compiles the current rule set into the immutable, shareable evaluator
+  // the gate path runs (see compiled_policy.h). Compilation always
+  // succeeds; rules that cannot behave as written (duplicate names, rules
+  // shadowed by an earlier first-match deny) are reported through
+  // `diagnostics` when non-null. Further builder mutations do not affect
+  // already-compiled policies.
   std::shared_ptr<const CompiledPolicy> Compile(
       std::vector<CompileDiagnostic>* diagnostics = nullptr) const;
 
@@ -135,6 +125,8 @@ class ItfsPolicy {
   bool NeedsContent() const;
 
   size_t rule_count() const { return rules_.size(); }
+  // The rules in evaluation order (first match wins).
+  const std::vector<ItfsRule>& rules() const { return rules_; }
 
   // --- Convenience constructors for the policies the paper uses -------------
 

@@ -25,14 +25,14 @@ std::string RenderJson(const MetricsRegistry& registry);
 
 // One line per buffered span:
 //   [corr] depth*"  " name start_ns +duration_ns (thread N)
-// Spans are listed per thread in recording order — the causal story of a
-// ticket as it crossed framework, workflow, broker and ITFS.
+// Spans are listed per thread in recording order — the story of each
+// ticket as a serving worker queued, prepared, deployed and finished it.
 std::string RenderTraceDump(const Tracer& tracer);
 
 // JSON string-content escaping (RFC 8259): backslash, quote, and every
 // control character below 0x20 (\n, \t, \r named; the rest as \u00XX).
-// Shared by RenderJson and the flight recorder so a lock or stage name
-// containing "\n or a tab can never corrupt an artifact.
+// RenderJson escapes every family name and label with it, so a lock or
+// stage name containing "\n or a tab can never corrupt a snapshot.
 std::string JsonEscape(const std::string& in);
 
 }  // namespace witobs

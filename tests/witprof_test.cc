@@ -1,18 +1,12 @@
 // witprof tests (DESIGN.md §13): lock-contention profiling, ticket
-// timelines, the rolling-window SLO engine, the triggered flight recorder,
-// and the exporter escaping contracts the recorder's JSON artifacts lean
-// on. Ends with the acceptance scenario: a forced SLO breach on a live
-// ServerPool must produce a flight-recorder dump holding one ticket's whole
-// timeline.
+// timelines, and the exporter escaping contracts. Ends with the acceptance
+// scenario: every ticket a live ServerPool served must reassemble from the
+// pool's tracer into its whole timeline.
 //
 // Tracer ring-drop and OpLog/broker retention accounting are covered in
-// obs_test.cc; here the drop-reporting focus is the recorder's own
-// suppression counters (dumps_dropped, spans_dropped) surfacing inside the
-// artifact.
+// obs_test.cc.
 
 #include "src/obs/profile.h"
-#include "src/obs/recorder.h"
-#include "src/obs/slo.h"
 #include "src/obs/timeline.h"
 
 #include <gtest/gtest.h>
@@ -180,164 +174,6 @@ TEST(TicketTimelineTest, RepeatedStagesSumAndForTicketFiltersTracer) {
   EXPECT_EQ(TicketTimeline::ForTicket(tracer, "TKT-none").stages().size(), 0u);
 }
 
-// ----------------------------------------------------------- SloEngine --
-
-TEST(SloEngineTest, WindowedLatencyCatchesRegressionLifetimeHistoryHides) {
-  MetricsRegistry registry;
-  Histogram* latency = registry.GetHistogram("witprof_e2e_ns");
-  SloEngine engine(&registry);
-  SloEngine::LatencySlo slo;
-  slo.name = "e2e-p99";
-  slo.histogram = "witprof_e2e_ns";
-  slo.threshold_ns = 1'000'000;  // 1ms
-  engine.AddLatencySlo(slo);
-  std::vector<SloEngine::Status> fired;
-  engine.set_breach_callback([&](const SloEngine::Status& s) { fired.push_back(s); });
-
-  // Days of healthy history: lifetime p99 sits far below the threshold.
-  for (int i = 0; i < 100000; ++i) {
-    latency->Observe(100);
-  }
-  (void)engine.Evaluate();  // prime: window starts after the healthy era
-
-  // The regression: only 100 slow events — 0.1% of lifetime, invisible to
-  // the lifetime percentile, unmissable in the window delta.
-  for (int i = 0; i < 100; ++i) {
-    latency->Observe(50'000'000);
-  }
-  EXPECT_LT(latency->Percentile(99), slo.threshold_ns);  // lifetime: healthy
-
-  const std::vector<SloEngine::Status> statuses = engine.Evaluate();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_TRUE(statuses[0].breached);
-  EXPECT_EQ(statuses[0].window_events, 100u);
-  EXPECT_GT(statuses[0].value, static_cast<double>(slo.threshold_ns));
-  EXPECT_EQ(engine.breaches(), 1u);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].name, "e2e-p99");
-  EXPECT_FALSE(fired[0].detail.empty());
-}
-
-TEST(SloEngineTest, RatioBurnRateBreachesAndIdleWindowNeverDoes) {
-  MetricsRegistry registry;
-  Counter* bad = registry.GetCounter("witprof_rejects_total", {{"outcome", "reject"}});
-  Counter* total_a = registry.GetCounter("witprof_served_total", {{"outcome", "ok"}});
-  Counter* total_b = registry.GetCounter("witprof_served_total", {{"outcome", "reject"}});
-
-  SloEngine::Options options;
-  options.window_samples = 2;  // window = exactly the delta since last Evaluate
-  SloEngine engine(&registry, options);
-  SloEngine::RatioSlo slo;
-  slo.name = "rejects";
-  slo.bad = {"witprof_rejects_total", {}};
-  slo.total = {"witprof_served_total", {}};  // subset {} folds both outcome series
-  slo.objective = 0.99;                      // 1% budget
-  slo.max_burn_rate = 2.0;
-  engine.AddRatioSlo(slo);
-
-  (void)engine.Evaluate();  // prime
-  total_a->Increment(95);
-  total_b->Increment(5);
-  bad->Increment(5);  // 5% bad against a 1% budget: burn rate 5.0
-  std::vector<SloEngine::Status> statuses = engine.Evaluate();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_TRUE(statuses[0].breached);
-  EXPECT_EQ(statuses[0].window_events, 100u);
-  EXPECT_NEAR(statuses[0].value, 5.0, 1e-9);
-
-  // No new events: the two-sample window slides past the burst and an idle
-  // window is never a breach (0/0 must not divide).
-  statuses = engine.Evaluate();
-  EXPECT_FALSE(statuses[0].breached);
-  EXPECT_EQ(statuses[0].window_events, 0u);
-  EXPECT_EQ(engine.breaches(), 1u);
-}
-
-TEST(SloEngineTest, SumCountersFoldsLabelSubsets) {
-  MetricsRegistry registry;
-  registry.GetCounter("witprof_ops_total", {{"op", "read"}, {"outcome", "deny"}})
-      ->Increment(3);
-  registry.GetCounter("witprof_ops_total", {{"op", "write"}, {"outcome", "deny"}})
-      ->Increment(4);
-  registry.GetCounter("witprof_ops_total", {{"op", "read"}, {"outcome", "allow"}})
-      ->Increment(10);
-  EXPECT_EQ(SumCounters(registry, "witprof_ops_total", {}), 17u);
-  EXPECT_EQ(SumCounters(registry, "witprof_ops_total", {{"outcome", "deny"}}), 7u);
-  EXPECT_EQ(SumCounters(registry, "witprof_absent_total", {}), 0u);
-}
-
-// ------------------------------------------------------ FlightRecorder --
-
-// Injected tracer clock for deterministic blackout windows.
-uint64_t g_test_now_ns = 0;
-uint64_t TestNow() { return g_test_now_ns; }
-
-TEST(FlightRecorderTest, DumpEmbedsSpansLocksMetricsAndSelfDropCounts) {
-  MetricsRegistry registry;
-  registry.GetHistogram("watchit_lock_wait_ns", {{"lock", "witprof.dump"}})->Observe(777);
-  registry.GetCounter("witprof_marker_total")->Increment(42);
-  Tracer tracer;
-  tracer.RecordSpan(MakeSpan("serve.prepare", "TKT-DUMP", 10, 90, 1));
-
-  FlightRecorder recorder(&registry, &tracer);
-  ASSERT_TRUE(recorder.Trigger("slo-breach", "e2e-p99: windowed p99 over threshold"));
-  EXPECT_EQ(recorder.dumps_captured(), 1u);
-  const std::string json = recorder.last_json();
-  EXPECT_NE(json.find("\"reason\":\"slo-breach\""), std::string::npos);
-  EXPECT_NE(json.find("e2e-p99: windowed p99 over threshold"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"serve.prepare\""), std::string::npos);
-  EXPECT_NE(json.find("\"correlation_id\":\"TKT-DUMP\""), std::string::npos);
-  EXPECT_NE(json.find("\"lock\":\"witprof.dump\""), std::string::npos);
-  EXPECT_NE(json.find("witprof_marker_total"), std::string::npos);  // metrics snapshot
-  EXPECT_NE(json.find("\"spans_dropped\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"dumps_dropped\":0"), std::string::npos);
-
-  ASSERT_EQ(recorder.dumps().size(), 1u);
-  EXPECT_EQ(recorder.dumps()[0].reason, "slo-breach");
-}
-
-TEST(FlightRecorderTest, SpanTruncationIsReportedInsideTheArtifact) {
-  MetricsRegistry registry;
-  Tracer tracer;
-  for (int i = 0; i < 10; ++i) {
-    tracer.RecordSpan(MakeSpan("stage", "TKT-N", static_cast<uint64_t>(i), 1, 1));
-  }
-  FlightRecorder::Options options;
-  options.max_spans = 4;
-  FlightRecorder recorder(&registry, &tracer, options);
-  ASSERT_TRUE(recorder.Trigger("anomaly"));
-  // 6 of 10 buffered spans fell outside the dump window; the artifact says
-  // so instead of silently looking complete.
-  EXPECT_NE(recorder.last_json().find("\"spans_dropped\":6"), std::string::npos);
-}
-
-TEST(FlightRecorderTest, MaxDumpsAndBlackoutSuppressAndCountDrops) {
-  MetricsRegistry registry;
-  Tracer tracer;
-  g_test_now_ns = 1000;
-  tracer.SetClockForTest(&TestNow);
-  FlightRecorder::Options options;
-  options.max_dumps = 2;
-  options.min_interval_ns = 1000;
-  FlightRecorder recorder(&registry, &tracer, options);
-
-  EXPECT_TRUE(recorder.Trigger("slo-breach", "first"));
-  g_test_now_ns = 1500;  // inside the blackout
-  EXPECT_FALSE(recorder.Trigger("slo-breach", "suppressed"));
-  EXPECT_EQ(recorder.dumps_dropped(), 1u);
-
-  g_test_now_ns = 3000;  // blackout over, capacity left
-  EXPECT_TRUE(recorder.Trigger("deploy-rollback", "second"));
-  EXPECT_EQ(recorder.dumps_captured(), 2u);
-  // The suppression that already happened is reported inside the artifact.
-  EXPECT_NE(recorder.last_json().find("\"dumps_dropped\":1"), std::string::npos);
-
-  g_test_now_ns = 10000;  // max_dumps reached: dropped regardless of spacing
-  EXPECT_FALSE(recorder.Trigger("slo-breach", "over-capacity"));
-  EXPECT_EQ(recorder.dumps_dropped(), 2u);
-  EXPECT_EQ(recorder.dumps().size(), 2u);
-}
-
 // ------------------------------------------- exporter escaping goldens --
 
 TEST(ExporterEscapingTest, PrometheusLabelValuesEscapeBackslashQuoteNewline) {
@@ -378,10 +214,9 @@ TEST(ExporterEscapingTest, JsonEscapeGoldenCoversControlCharacters) {
 // ---------------------------------------------------------- acceptance --
 
 // The witprof acceptance scenario: a live ServerPool instrumented with
-// registry + tracer, a deliberately impossible SLO, and a flight recorder
-// on the breach wire. One run must produce a dump holding a whole ticket's
-// timeline under its id: every serve stage, and the deploy stages nested
-// inside serve.deploy.
+// registry + tracer. Every ticket it serves must yield a whole timeline
+// under its id: every serve stage, and the deploy stages recorded inside
+// serve.deploy.
 class WitprofAcceptanceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -421,52 +256,16 @@ class WitprofAcceptanceTest : public ::testing::Test {
 
 watchit::ItFramework* WitprofAcceptanceTest::framework_ = nullptr;
 
-// Pulls (name, correlation_id) out of the recorder artifact's span objects
-// by scanning the JSON the recorder itself emitted.
-struct DumpSpan {
-  std::string name;
-  std::string corr;
-};
-
-std::vector<DumpSpan> ParseDumpSpans(const std::string& json) {
-  std::vector<DumpSpan> spans;
-  size_t pos = 0;
-  while ((pos = json.find("{\"name\":\"", pos)) != std::string::npos) {
-    DumpSpan span;
-    size_t start = pos + 9;
-    size_t end = json.find('"', start);
-    span.name = json.substr(start, end - start);
-    size_t corr = json.find("\"correlation_id\":\"", end);
-    if (corr == std::string::npos) {
-      break;
-    }
-    start = corr + 18;
-    end = json.find('"', start);
-    span.corr = json.substr(start, end - start);
-    pos = end;
-    spans.push_back(std::move(span));
-  }
-  return spans;
-}
-
-TEST_F(WitprofAcceptanceTest, ForcedSloBreachDumpsWholeTicketTimeline) {
+TEST_F(WitprofAcceptanceTest, EveryServedTicketHasItsWholeTimeline) {
   // Declared before the pool so both outlive it (DESIGN.md §13's
   // registry-outlives-instrumented-structure rule).
   MetricsRegistry registry;
   Tracer tracer(1 << 12);
-  FlightRecorder recorder(&registry, &tracer);
-  SloEngine slo_engine(&registry);
-  // 1ns e2e p99: no real ticket can meet it — the forced breach.
-  InstallWatchItSlos(&slo_engine, 1);
-  slo_engine.set_breach_callback([&](const SloEngine::Status& status) {
-    recorder.Trigger("slo-breach", status.name + ": " + status.detail);
-  });
 
   witserve::ServerPool::Options options;
   options.workers = 2;
   witserve::ServerPool pool(&cluster_, framework_, &dispatcher_, options);
   pool.EnableMetrics(&registry, &tracer);
-  (void)slo_engine.Evaluate();  // prime: the next window covers the run
 
   witload::TicketGenerator::Options gen_options;
   gen_options.seed = 77;
@@ -485,55 +284,31 @@ TEST_F(WitprofAcceptanceTest, ForcedSloBreachDumpsWholeTicketTimeline) {
   pool.Drain();
   pool.Stop();
 
-  const std::vector<SloEngine::Status> statuses = slo_engine.Evaluate();
-  bool latency_breached = false;
-  for (const auto& status : statuses) {
-    if (status.name == "ticket-e2e-latency") {
-      latency_breached = status.breached;
-      EXPECT_GE(status.window_events, tickets.size());
-    }
-  }
-  EXPECT_TRUE(latency_breached);
-  ASSERT_GE(recorder.dumps_captured(), 1u);
-
-  const std::string dump = recorder.last_json();
-  EXPECT_NE(dump.find("\"reason\":\"slo-breach\""), std::string::npos);
-  EXPECT_NE(dump.find("ticket-e2e-latency"), std::string::npos);
-
-  // The acceptance bar: one ticket's spans in the dump cover every serve
-  // stage and at least one deploy stage.
-  const std::vector<DumpSpan> spans = ParseDumpSpans(dump);
-  ASSERT_FALSE(spans.empty());
-  std::map<std::string, std::set<std::string>> stages_by_ticket;
-  for (const auto& span : spans) {
-    if (!span.corr.empty()) {
-      stages_by_ticket[span.corr].insert(span.name);
-    }
-  }
-  std::string whole_ticket;
-  for (const auto& [ticket, names] : stages_by_ticket) {
+  // The acceptance bar: no span was lost, and each ticket's timeline,
+  // recorded by the one worker that served it, covers every serve stage and
+  // at least one deploy stage.
+  ASSERT_EQ(pool.stats().served, tickets.size());
+  EXPECT_EQ(tracer.dropped(), 0u);
+  for (const auto& ticket : tickets) {
+    const TicketTimeline timeline = TicketTimeline::ForTicket(tracer, ticket.id);
+    std::map<std::string, size_t> stages;
     bool deploy_stage = false;
-    for (const std::string& name : names) {
-      deploy_stage = deploy_stage || name.rfind("deploy.", 0) == 0;
+    for (const SpanRecord& span : timeline.stages()) {
+      ++stages[span.name];
+      deploy_stage = deploy_stage || span.name.rfind("deploy.", 0) == 0;
     }
-    if (deploy_stage && names.count("serve.queue_wait") == 1 &&
-        names.count("serve.prepare") == 1 && names.count("serve.deploy") == 1 &&
-        names.count("serve.finish") == 1) {
-      whole_ticket = ticket;
-      break;
+    EXPECT_TRUE(deploy_stage) << ticket.id;
+    for (const char* stage :
+         {"serve.queue_wait", "serve.prepare", "serve.deploy", "serve.finish"}) {
+      EXPECT_EQ(stages[stage], 1u) << ticket.id << " " << stage;
     }
+    EXPECT_EQ(timeline.ThreadCount(), 1u) << ticket.id;
+    EXPECT_GT(timeline.SpanNs(), 0u) << ticket.id;
   }
-  ASSERT_FALSE(whole_ticket.empty()) << "no ticket in the dump carried its whole timeline";
 
-  // The same snapshot reassembles into that ticket's timeline, recorded by
-  // the one worker that served it.
-  const TicketTimeline timeline = TicketTimeline::ForTicket(tracer, whole_ticket);
-  EXPECT_EQ(timeline.ThreadCount(), 1u);
-  EXPECT_GT(timeline.SpanNs(), 0u);
-
-  // The per-lock ranking in the same registry set names the serve-side
-  // locks, the deploy stats lock included, which ServerPool::EnableMetrics
-  // wires to the pool registry (the dump's top_locks table draws from it).
+  // The per-lock ranking over the pool and machine registries names the
+  // serve-side locks, the deploy stats lock included, which
+  // ServerPool::EnableMetrics wires to the pool registry.
   std::vector<const MetricsRegistry*> registries = {&registry};
   for (size_t i = 0; i < cluster_.size(); ++i) {
     registries.push_back(&cluster_.machine(i).metrics());
