@@ -62,7 +62,7 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
 
   auto run_stage = [&](DeployStage stage, auto&& body) -> witos::Status {
     WITOS_RETURN_IF_ERROR(gate->BeforeStage(stage, machine));
-    std::unique_lock<std::mutex> lock = gate->LockMachine(machine);
+    std::unique_lock<witobs::ProfiledMutex> lock = gate->LockMachine(machine);
     bool bind_clock = gate->BindsClockOwnership();
     if (bind_clock) {
       clock.BindOwner();
@@ -91,7 +91,7 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     if (!tx.cert_issued && !tx.bound && !tx.session_built) {
       return;  // nothing committed yet — nothing to unwind
     }
-    std::unique_lock<std::mutex> lock = gate->LockMachine(machine);
+    std::unique_lock<witobs::ProfiledMutex> lock = gate->LockMachine(machine);
     bool bind_clock = gate->BindsClockOwnership();
     if (bind_clock) {
       clock.BindOwner();
@@ -181,8 +181,8 @@ class DeployPipeline::WorkerGate : public DeployGate {
     return witos::Status::Ok();
   }
 
-  std::unique_lock<std::mutex> LockMachine(Machine* machine) override {
-    return std::unique_lock<std::mutex>(machine->mu());
+  std::unique_lock<witobs::ProfiledMutex> LockMachine(Machine* machine) override {
+    return std::unique_lock<witobs::ProfiledMutex>(machine->mu());
   }
 
   bool BindsClockOwnership() const override { return true; }

@@ -62,7 +62,9 @@ class DeployGate {
   // How a stage body (and the rollback) gets exclusive use of the machine.
   // The default — an empty lock — is for callers that already serialize the
   // machine themselves.
-  virtual std::unique_lock<std::mutex> LockMachine(Machine* /*machine*/) { return {}; }
+  virtual std::unique_lock<witobs::ProfiledMutex> LockMachine(Machine* /*machine*/) {
+    return {};
+  }
 
   // When true, the machine's SimClock ownership is declared for the stage
   // body's duration (single-owner rule); shard workers need this,

@@ -108,6 +108,7 @@ void Machine::BootWatchIt() {
   // Observability: one registry per machine; the broker and every
   // per-session ITFS instance feed it. The retention caps bound what the raw
   // logs keep in memory — totals survive in the registry counters.
+  mu_.EnableMetrics(&metrics_);
   broker_->EnableMetrics(&metrics_);
   broker_->set_event_capacity(1 << 16);
   broker_channel_.EnableMetrics(&metrics_);

@@ -6,7 +6,6 @@
 #define SRC_CORE_MACHINE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "src/broker/broker.h"
@@ -14,6 +13,7 @@
 #include "src/core/tcb.h"
 #include "src/net/socket.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profile.h"
 #include "src/os/kernel.h"
 
 namespace watchit {
@@ -50,8 +50,9 @@ class Machine {
 
   // The machine lock: whoever holds it may drive this machine's kernel
   // (single-owner rule — see SimClock). Multi-machine jobs must acquire
-  // machine locks in address order to stay deadlock-free.
-  std::mutex& mu() { return mu_; }
+  // machine locks in address order to stay deadlock-free. Profiled as
+  // "machine" in metrics().
+  witobs::ProfiledMutex& mu() { return mu_; }
 
  private:
   void ProvisionFilesystem();
@@ -60,8 +61,8 @@ class Machine {
 
   std::string name_;
   witnet::Ipv4Addr addr_;
-  std::mutex mu_;
-  witobs::MetricsRegistry metrics_;
+  witobs::MetricsRegistry metrics_;  // declared first: outlives mu_
+  witobs::ProfiledMutex mu_{"machine"};
   std::unique_ptr<witos::Kernel> kernel_;
   std::unique_ptr<witnet::NetStack> net_;
   std::unique_ptr<witcontain::ContainIt> containit_;

@@ -81,6 +81,7 @@ void ServerPool::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer
   for (auto& shard : shards_) {
     shard->queue->EnableLockMetrics(registry);
   }
+  park_mu_.EnableMetrics(registry);
   registry->SetHelp("watchit_serve_e2e_latency_ns",
                     "Wall-clock submit-to-finish latency per served ticket");
   registry->SetHelp("watchit_serve_stage_latency_ns",
@@ -160,43 +161,71 @@ witos::Status ServerPool::Submit(const witload::GeneratedTicket& ticket,
     }
     return pushed;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  // Publish the job, then wake: a worker that scanned before the push sees
+  // the count move under park_mu_ and rescans instead of parking.
+  submitted_.fetch_add(1, std::memory_order_release);
+  WakeFor(it->second);
   if (shard.depth_gauge != nullptr) {
     shard.depth_gauge->Set(static_cast<int64_t>(shard.queue->depth()));
   }
   return witos::Status::Ok();
 }
 
-void ServerPool::WorkerLoop(size_t worker) {
-  Shard& own = *shards_[worker];
-  ServeJob job;
-  for (;;) {
-    if (own.queue->TryPop(&job)) {
-      ProcessJob(worker, worker, job);
-      continue;
-    }
-    if (shards_.size() > 1) {
-      bool stole = false;
-      for (size_t i = 1; i < shards_.size(); ++i) {
-        size_t victim = (worker + i) % shards_.size();
-        if (shards_[victim]->queue->TrySteal(&job)) {
-          ProcessJob(worker, victim, job);
-          stole = true;
-          break;
-        }
+void ServerPool::WakeFor(size_t shard) {
+  Shard* parked = nullptr;
+  {
+    std::lock_guard<witobs::ProfiledMutex> lock(park_mu_);
+    for (size_t i = 0; i < shards_.size() && parked == nullptr; ++i) {
+      Shard& candidate = *shards_[(shard + i) % shards_.size()];
+      if (candidate.parked) {
+        candidate.parked = false;
+        parked = &candidate;
       }
-      if (stole) {
-        continue;
-      }
-    }
-    if (own.queue->WaitPopFor(&job, options_.idle_wait_us)) {
-      ProcessJob(worker, worker, job);
-      continue;
-    }
-    if (AllQueuesDrainedAndClosed()) {
-      return;
     }
   }
+  // Notified after the unlock, so the woken worker does not block on it.
+  if (parked != nullptr) {
+    parked->wake.notify_one();
+  }
+}
+
+void ServerPool::WorkerLoop(size_t worker) {
+  const size_t n = shards_.size();
+  ServeJob job;
+  bool stopping = false;
+  for (;;) {
+    // Acquire pairs with Submit's release: a job counted here is visible to
+    // the scan below.
+    const uint64_t seen = submitted_.load(std::memory_order_acquire);
+    // The own queue first (FIFO), then the back of every other (LIFO).
+    size_t found = n;
+    for (size_t i = 0; i < n && found == n; ++i) {
+      const size_t shard = (worker + i) % n;
+      TicketQueue& queue = *shards_[shard]->queue;
+      if (i == 0 ? queue.TryPop(&job) : queue.TrySteal(&job)) {
+        found = shard;
+      }
+    }
+    if (found != n) {
+      ProcessJob(worker, found, job);
+      continue;
+    }
+    if (stopping) {
+      return;  // this scan began after Stop() closed every queue
+    }
+    stopping = !Park(worker, seen);
+  }
+}
+
+bool ServerPool::Park(size_t worker, uint64_t seen) {
+  Shard& own = *shards_[worker];
+  std::unique_lock<witobs::ProfiledMutex> lock(park_mu_);
+  if (!stopping_ && submitted_.load(std::memory_order_acquire) == seen) {
+    own.parked = true;
+    own.wake.wait(lock, [&own, this] { return !own.parked || stopping_; });
+    own.parked = false;
+  }
+  return !stopping_;
 }
 
 void ServerPool::FailJob(const Shard& shard, const ServeJob& job) {
@@ -301,7 +330,7 @@ void ServerPool::FinishPrepared(size_t worker, size_t shard_index, const ServeJo
   witos::Result<watchit::ResolvedTicket> result = witos::Err::kInval;
   {
     witobs::Span span(tracer_, "serve.finish", job.ticket.id);
-    std::vector<std::unique_lock<std::mutex>> locks;
+    std::vector<std::unique_lock<witobs::ProfiledMutex>> locks;
     locks.reserve(machines.size());
     for (watchit::Machine* machine : machines) {
       locks.emplace_back(machine->mu());
@@ -361,17 +390,6 @@ void ServerPool::UpdateCacheGauges(const Shard& shard) {
   shard.cache_evictions_gauge->Set(static_cast<int64_t>(evictions));
 }
 
-bool ServerPool::AllQueuesDrainedAndClosed() const {
-  for (const auto& shard : shards_) {
-    if (!shard->queue->closed() || shard->queue->depth() != 0) {
-      return false;
-    }
-  }
-  // Queues can only be closed by Stop(), so no new submissions can race
-  // this check; in-flight jobs are finished by the workers themselves.
-  return true;
-}
-
 void ServerPool::Drain() {
   while (finished_.load(std::memory_order_acquire) <
          submitted_.load(std::memory_order_acquire)) {
@@ -385,6 +403,13 @@ void ServerPool::Stop() {
   }
   for (auto& shard : shards_) {
     shard->queue->Close();
+  }
+  {
+    std::lock_guard<witobs::ProfiledMutex> lock(park_mu_);
+    stopping_ = true;
+  }
+  for (auto& shard : shards_) {
+    shard->wake.notify_one();
   }
   for (auto& thread : threads_) {
     thread.join();

@@ -17,18 +17,23 @@
 // the primary has landed), then Finish (replay + expire) under the machine
 // locks.
 //
-// The owning worker processes its shard's queue FIFO; an idle worker steals
-// from the back of a busier shard's queue, so imbalance — a worker stuck in
-// a slow deploy included — is absorbed without breaking the locking
-// discipline. What stays genuinely shared is organizational by nature and
-// internally synchronized: the Dispatcher roster, the CertificateAuthority,
-// the ItFramework (read-only after training), the network fabric's delivery
-// counter, and the witobs registry.
+// The owning worker processes its shard's queue FIFO; a worker whose own
+// queue is empty steals from the back of another shard's queue, so
+// imbalance — a worker stuck in a slow deploy included — is absorbed without
+// breaking the locking discipline. A worker that finds every queue empty
+// parks with no timeout. Submit wakes the target shard's owner if it is
+// parked, else one other parked worker (which steals), else nobody: a busy
+// worker rescans before it parks. An idle pool therefore takes no lock and
+// burns no CPU (DESIGN.md §10). What stays genuinely shared is
+// organizational by nature and internally synchronized: the Dispatcher
+// roster, the CertificateAuthority, the ItFramework (read-only after
+// training), the network fabric's delivery counter, and the witobs registry.
 
 #ifndef SRC_SERVE_POOL_H_
 #define SRC_SERVE_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -48,9 +53,6 @@ class ServerPool {
     size_t workers = 4;
     // Per-shard queue bounds (admission control is per shard).
     TicketQueue::Options queue;
-    // How long an idle worker blocks on its own queue before re-scanning
-    // the other shards / checking for shutdown.
-    uint64_t idle_wait_us = 500;
   };
 
   struct Stats {
@@ -94,10 +96,10 @@ class ServerPool {
   // watchit_serve_steals_total, watchit_serve_queue_depth{shard}, the
   // watchit_deploy_* family, per-shard
   // watchit_pagecache_{hits,misses,evictions}{shard} gauges, and the
-  // watchit_lock_* contention series for the shard queues, dispatcher, CA
-  // and deploy stats (DESIGN.md §13). With a tracer, every ticket yields
-  // one timeline under its ticket id, recorded by the worker that served
-  // it.
+  // watchit_lock_* contention series for the shard queues, the park lock,
+  // dispatcher, CA and deploy stats (DESIGN.md §13). With a tracer, every
+  // ticket yields one timeline under its ticket id, recorded by the worker
+  // that served it.
   void EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tracer* tracer = nullptr);
 
   void Start();
@@ -110,7 +112,8 @@ class ServerPool {
                        const std::string& user_machine = "");
   // Blocks until every submitted job has finished. Requires Start().
   void Drain();
-  // Closes the queues, drains queued jobs and joins the workers.
+  // Closes the queues, wakes every parked worker, lets the workers drain
+  // the queued jobs and joins them.
   void Stop();
 
   // Shard routing (stable after construction).
@@ -159,9 +162,18 @@ class ServerPool {
     witobs::Gauge* cache_hits_gauge = nullptr;
     witobs::Gauge* cache_misses_gauge = nullptr;
     witobs::Gauge* cache_evictions_gauge = nullptr;
+    // The shard's worker is waiting on `wake`. Guarded by park_mu_; a waker
+    // clears it, so a wake-up that finds it still set was spurious.
+    bool parked = false;
+    std::condition_variable_any wake;
   };
 
   void WorkerLoop(size_t worker);
+  // Parks `worker` unless a job was published since it read `seen` from
+  // submitted_ before its last scan. False once the pool is stopping.
+  bool Park(size_t worker, uint64_t seen);
+  // Wakes the parked owner of `shard`, else one other parked worker.
+  void WakeFor(size_t shard);
   // Runs one job end to end: Prepare, the gated deploy(s), then Finish.
   void ProcessJob(size_t worker, size_t shard, const ServeJob& job);
   void FinishPrepared(size_t worker, size_t shard, const ServeJob& job,
@@ -169,7 +181,6 @@ class ServerPool {
                       std::vector<watchit::Deployment> deployments);
   void FailJob(const Shard& shard, const ServeJob& job);
   void UpdateCacheGauges(const Shard& shard);
-  bool AllQueuesDrainedAndClosed() const;
 
   watchit::Cluster* cluster_;
   watchit::Dispatcher* dispatcher_;
@@ -182,12 +193,19 @@ class ServerPool {
   bool started_ = false;
 
   ResultCallback callback_;
+  // Also the park protocol's event count: Submit bumps it after the push
+  // and before it takes park_mu_.
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> finished_{0};
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> stolen_{0};
+
+  // Guards every Shard::parked and stopping_. Never held together with a
+  // queue lock.
+  witobs::ProfiledMutex park_mu_{"serve.park"};
+  bool stopping_ = false;
 
   // Observability wiring (all null when metrics are disabled).
   witobs::MetricsRegistry* metrics_ = nullptr;

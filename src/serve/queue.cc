@@ -1,7 +1,6 @@
 #include "src/serve/queue.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace witserve {
 
@@ -32,7 +31,6 @@ witos::Status TicketQueue::TryPush(ServeJob job) {
   jobs_.push_back(std::move(job));
   ++accepted_;
   peak_ = std::max(peak_, jobs_.size());
-  cv_.notify_one();
   return witos::Status::Ok();
 }
 
@@ -56,22 +54,9 @@ bool TicketQueue::TrySteal(ServeJob* out) {
   return true;
 }
 
-bool TicketQueue::WaitPopFor(ServeJob* out, uint64_t timeout_us) {
-  std::unique_lock<witobs::ProfiledMutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [this] { return !jobs_.empty() || closed_; });
-  if (jobs_.empty()) {
-    return false;
-  }
-  *out = std::move(jobs_.front());
-  jobs_.pop_front();
-  return true;
-}
-
 void TicketQueue::Close() {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   closed_ = true;
-  cv_.notify_all();
 }
 
 bool TicketQueue::closed() const {

@@ -15,11 +15,13 @@
 // first — end-to-end latency fairness); thieves steal LIFO from the back
 // (least disruptive to the owner's cache of recently bound machines, the
 // classic work-stealing-deque split).
+//
+// Every operation is non-blocking; waiting for work is the pool's job (an
+// idle ServerPool worker parks until a submit wakes it, pool.h).
 
 #ifndef SRC_SERVE_QUEUE_H_
 #define SRC_SERVE_QUEUE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -64,11 +66,8 @@ class TicketQueue {
   bool TryPop(ServeJob* out);
   // Thief pop: newest job, non-blocking.
   bool TrySteal(ServeJob* out);
-  // Owner pop that blocks up to `timeout_us` for work. False on timeout or
-  // when the queue is closed and empty.
-  bool WaitPopFor(ServeJob* out, uint64_t timeout_us);
 
-  // Closing wakes all waiters; queued jobs may still be popped.
+  // Refuses further pushes; queued jobs may still be popped.
   void Close();
   bool closed() const;
 
@@ -88,10 +87,7 @@ class TicketQueue {
  private:
   size_t high_ = 0;
   size_t low_ = 0;
-  // ProfiledMutex + condition_variable_any so the cv reacquisition after a
-  // wait is charged as lock wait like any other acquisition.
   mutable witobs::ProfiledMutex mu_;
-  std::condition_variable_any cv_;
   std::deque<ServeJob> jobs_;
   bool closed_ = false;
   bool admitting_ = true;

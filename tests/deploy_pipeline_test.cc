@@ -218,7 +218,7 @@ TEST(DeployPipelineTest, ConcurrentDeployersAllLandAndExpireCleanly) {
         std::string target = (t + i) % 2 == 0 ? "userpc" : "devbox";
         auto result = pipeline.Deploy(MakeTicket(id, target));
         ASSERT_TRUE(result.ok());
-        std::lock_guard<std::mutex> lock(result->machine->mu());
+        std::unique_lock<witobs::ProfiledMutex> lock(result->machine->mu());
         result->machine->kernel().clock().BindOwner();
         EXPECT_TRUE(manager.Expire(&*result).ok());
         result->machine->kernel().clock().ReleaseOwner();

@@ -12,7 +12,11 @@
 #include <time.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -80,16 +84,22 @@ TEST(TicketQueueTest, WatermarkHysteresis) {
   EXPECT_EQ(queue.peak_depth(), 8u);
 }
 
-TEST(TicketQueueTest, CloseWakesWaitersAndDrainsRemainder) {
+TEST(TicketQueueTest, CloseRefusesPushesAndDrainsRemainder) {
   TicketQueue queue;
-  ASSERT_TRUE(queue.TryPush(MakeJob("queued")).ok());
+  ASSERT_TRUE(queue.TryPush(MakeJob("first")).ok());
+  ASSERT_TRUE(queue.TryPush(MakeJob("second")).ok());
   queue.Close();
+  EXPECT_TRUE(queue.closed());
   EXPECT_EQ(queue.TryPush(MakeJob("late")).error(), witos::Err::kPipe);
   ServeJob job;
-  // Queued work survives Close() so shutdown never loses tickets.
-  EXPECT_TRUE(queue.WaitPopFor(&job, 1000));
-  EXPECT_EQ(job.ticket.id, "queued");
-  EXPECT_FALSE(queue.WaitPopFor(&job, 1000));  // closed + empty: no block
+  // Queued work survives Close() so shutdown never loses tickets, from
+  // either end.
+  ASSERT_TRUE(queue.TryPop(&job));
+  EXPECT_EQ(job.ticket.id, "first");
+  ASSERT_TRUE(queue.TrySteal(&job));
+  EXPECT_EQ(job.ticket.id, "second");
+  EXPECT_FALSE(queue.TryPop(&job));  // closed + empty
+  EXPECT_FALSE(queue.TrySteal(&job));
 }
 
 TEST(TicketQueueTest, MpmcStressDeliversEveryJobExactlyOnce) {
@@ -116,10 +126,13 @@ TEST(TicketQueueTest, MpmcStressDeliversEveryJobExactlyOnce) {
       for (;;) {
         // Alternate owner pops and thief steals to exercise both ends.
         bool got = (c % 2 == 0) ? queue.TryPop(&job) : queue.TrySteal(&job);
-        if (!got && !queue.WaitPopFor(&job, 500)) {
+        if (!got) {
+          // closed() first: once it holds, no push can follow, so an empty
+          // queue stays empty.
           if (queue.closed() && queue.depth() == 0) {
             return;
           }
+          std::this_thread::yield();
           continue;
         }
         std::lock_guard<std::mutex> lock(seen_mu);
@@ -315,6 +328,15 @@ class ServePoolTest : public ::testing::Test {
     return gen.GenerateBatch(n, witload::TicketGenerator::EvaluationDistribution());
   }
 
+  // Submits `ticket` to `target`; a T-9 ticket gets a user machine in the
+  // same shard.
+  static witos::Status SubmitTo(ServerPool* pool, const witload::GeneratedTicket& ticket,
+                                const std::string& target) {
+    const std::string user =
+        ticket.true_class == "T-9" ? pool->PeerInShard(target) : std::string();
+    return pool->Submit(ticket, target, user);
+  }
+
   static watchit::ItFramework* framework_;
   watchit::Cluster cluster_;
   watchit::Dispatcher dispatcher_;
@@ -376,6 +398,150 @@ TEST_F(ServePoolTest, IdleWorkersStealFromTheLoadedShard) {
   // victim's shard mutex — discipline stays clean).
   EXPECT_GT(stats.stolen, 0u);
   EXPECT_EQ(stats.clock_ownership_violations, 0u);
+}
+
+// An idle worker parks instead of polling: once the pool has served its
+// ticket, the shard queues' locks see no acquisition at all.
+TEST_F(ServePoolTest, IdleWorkersTakeNoQueueLocks) {
+  witobs::MetricsRegistry registry;  // outlives the pool
+  ServerPool::Options options;
+  options.workers = 2;
+  ServerPool pool(&cluster_, framework_, &dispatcher_, options);
+  pool.EnableMetrics(&registry);
+  pool.Start();
+  ASSERT_TRUE(SubmitTo(&pool, MakeTickets(1)[0], "m0").ok());
+  pool.Drain();
+  auto queue_acquisitions = [&registry] {
+    uint64_t count = 0;
+    for (const char* lock : {"serve.queue.0", "serve.queue.1"}) {
+      count += registry.GetHistogram("watchit_lock_wait_ns", {{"lock", lock}})->Count();
+    }
+    return count;
+  };
+  // The worker that served the ticket scans every queue once more before
+  // it parks: wait, for at most 2 s, for a 20 ms window without a queue
+  // lock acquisition.
+  uint64_t settled = queue_acquisitions();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t now = queue_acquisitions();
+    if (now == settled) {
+      break;
+    }
+    settled = now;
+  }
+  EXPECT_GT(settled, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(queue_acquisitions(), settled);
+  pool.Stop();
+  EXPECT_EQ(pool.stats().served, 1u);
+}
+
+// The wake rule: with one worker held inside a shard-0 deploy, a second
+// shard-0 ticket wakes the other, parked worker, which serves it.
+TEST_F(ServePoolTest, SubmitWakesAParkedThiefWhileTheOwnerIsBusy) {
+  ServerPool::Options options;
+  options.workers = 2;  // shard 0: m0, m2; shard 1: m1, m3
+  ServerPool pool(&cluster_, framework_, &dispatcher_, options);
+  const auto tickets = MakeTickets(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool release = false;
+  std::set<std::string> served;
+  // The hook runs before the machine lock is taken, so the held ticket
+  // blocks its worker and nothing else.
+  pool.deploy_pipeline().set_stage_hook(
+      [&](watchit::DeployStage, const watchit::Ticket& ticket, watchit::Machine*) {
+        if (ticket.id == tickets[0].id) {
+          std::unique_lock<std::mutex> lock(mu);
+          held = true;
+          cv.notify_all();
+          cv.wait(lock, [&release] { return release; });
+        }
+        return witos::Status::Ok();
+      });
+  pool.set_result_callback([&](const watchit::ResolvedTicket& resolved) {
+    std::lock_guard<std::mutex> lock(mu);
+    served.insert(resolved.ticket.id);
+    cv.notify_all();
+  });
+  pool.Start();
+  ASSERT_TRUE(SubmitTo(&pool, tickets[0], "m0").ok());
+  bool second_served = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&held] { return held; }));
+  }
+  ASSERT_TRUE(SubmitTo(&pool, tickets[1], "m0").ok());
+  {
+    // Timed waits only, and the latch always opens: a failure here must
+    // not leave the held worker blocked.
+    std::unique_lock<std::mutex> lock(mu);
+    second_served = cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return served.count(tickets[1].id) == 1; });
+    EXPECT_EQ(served.count(tickets[0].id), 0u);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(second_served) << "the second ticket waited for the held one";
+  pool.Drain();
+  pool.Stop();
+  const ServerPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.served, 2u);
+  EXPECT_EQ(stats.stolen, 1u);  // one of the two shard-0 tickets ran on worker 1
+}
+
+// Stop() on a started pool whose workers have all parked wakes them, and
+// they exit.
+TEST_F(ServePoolTest, StopWakesParkedWorkers) {
+  ServerPool::Options options;
+  options.workers = 4;
+  ServerPool pool(&cluster_, framework_, &dispatcher_, options);
+  pool.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // nothing to do: all park
+  pool.Stop();
+  EXPECT_EQ(pool.Submit(MakeTickets(1)[0], "m0").error(), witos::Err::kPipe);
+  EXPECT_EQ(pool.stats().submitted, 0u);
+}
+
+// Two producers race Submit (each publish and wake) against parking
+// workers; every ticket is served exactly once.
+TEST_F(ServePoolTest, TwoProducersServeEveryTicketOnce) {
+  constexpr size_t kPerProducer = 200;
+  ServerPool::Options options;
+  options.workers = 3;
+  ServerPool pool(&cluster_, framework_, &dispatcher_, options);
+  const auto tickets = MakeTickets(2 * kPerProducer);
+  std::mutex mu;
+  std::map<std::string, size_t> seen;
+  pool.set_result_callback([&mu, &seen](const watchit::ResolvedTicket& resolved) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++seen[resolved.ticket.id];
+  });
+  pool.Start();
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < 2; ++p) {
+    producers.emplace_back([&pool, &tickets, p] {
+      for (size_t i = p * kPerProducer; i < (p + 1) * kPerProducer; ++i) {
+        EXPECT_TRUE(SubmitTo(&pool, tickets[i], "m" + std::to_string(i % 4)).ok());
+      }
+    });
+  }
+  for (std::thread& producer : producers) {
+    producer.join();
+  }
+  pool.Drain();
+  pool.Stop();
+  const ServerPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, 2 * kPerProducer);
+  EXPECT_EQ(stats.served, 2 * kPerProducer);
+  EXPECT_EQ(stats.clock_ownership_violations, 0u);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(seen.size(), tickets.size());
+  for (const auto& ticket : tickets) {
+    EXPECT_EQ(seen[ticket.id], 1u) << ticket.id;
+  }
 }
 
 // Deploys run on the shard worker, so their CPU is charged to the shard:

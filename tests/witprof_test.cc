@@ -307,8 +307,9 @@ TEST_F(WitprofAcceptanceTest, EveryServedTicketHasItsWholeTimeline) {
   }
 
   // The per-lock ranking over the pool and machine registries names the
-  // serve-side locks, the deploy stats lock included, which
-  // ServerPool::EnableMetrics wires to the pool registry.
+  // serve-side locks: the deploy stats and park locks, which
+  // ServerPool::EnableMetrics wires to the pool registry, and the machine
+  // lock, which each machine wires to its own at boot.
   std::vector<const MetricsRegistry*> registries = {&registry};
   for (size_t i = 0; i < cluster_.size(); ++i) {
     registries.push_back(&cluster_.machine(i).metrics());
@@ -321,6 +322,8 @@ TEST_F(WitprofAcceptanceTest, EveryServedTicketHasItsWholeTimeline) {
   EXPECT_EQ(lock_names.count("ca"), 1u);
   EXPECT_EQ(lock_names.count("dispatcher"), 1u);
   EXPECT_EQ(lock_names.count("deploy.stats"), 1u);
+  EXPECT_EQ(lock_names.count("serve.park"), 1u);
+  EXPECT_EQ(lock_names.count("machine"), 1u);
 }
 
 }  // namespace
