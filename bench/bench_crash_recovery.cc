@@ -78,7 +78,7 @@ void DriveTraffic(watchit::Cluster* cluster, const BenchConfig& config,
   for (size_t m = 0; m < cluster->size(); ++m) {
     witbroker::SecureLog& log = cluster->machine(m).broker().log();
     for (size_t i = 0; i < config.log_appends; ++i) {
-      log.Append("pb-op-" + std::to_string(i), 1'000'000 + i, /*shard_key=*/i);
+      log.Append("pb-op-" + std::to_string(i), 1'000'000 + i);
       if ((i + 1) % config.epoch_interval == 0) {
         (void)log.SealEpoch(2'000'000 + i);
       }

@@ -30,7 +30,6 @@
 #include "src/broker/policy.h"
 #include "src/broker/rpc.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profile.h"
 #include "src/os/kernel.h"
 
 namespace {
@@ -199,122 +198,6 @@ RunResult RunOnce(bool batched, size_t workers, size_t tickets_per_worker) {
   return result;
 }
 
-// ---- Contended shared broker: the sharding A/B (DESIGN.md §14) ----
-//
-// The per-worker sessions above are shared-nothing, so they cannot show
-// what broker-state sharding buys. Here N admin threads hammer ONE broker
-// (one kernel, one securelog) with distinct tickets; the A side runs the
-// old single-mutex layout (shards=1), the B side the sharded layout
-// (shards=8). The machine-independent signal is the summed lock wait on the
-// broker.* and securelog* mutexes — on any host, sharding collapses it,
-// because different tickets stop serializing on one chain and one window.
-//
-// Serving callers hold the machine lock around the broker, so a broker
-// never dispatches into its kernel from two threads at once, and the
-// kernel's process table and filesystem are not synchronized for that.
-// These threads hold no such lock, so they send only ops whose dispatch
-// touches no unsynchronized kernel state: granted restart_service, whose
-// dispatch is one locked audit append, and denied reboot, which is never
-// dispatched. Each op goes in its own HandleBatch call, so every op takes
-// the broker and securelog locks the way a one-op Request does.
-
-// The contended ticket: 8 ops, 6 granted and 2 denied.
-const std::vector<TicketOp>& ContendedOps() {
-  static const std::vector<TicketOp> ops = {
-      {witbroker::kVerbRestartService, {"sshd"}},
-      {witbroker::kVerbRestartService, {"cron"}},
-      {witbroker::kVerbReboot, {}},
-      {witbroker::kVerbRestartService, {"nginx"}},
-      {witbroker::kVerbRestartService, {"sshd"}},
-      {witbroker::kVerbReboot, {}},
-      {witbroker::kVerbRestartService, {"cron"}},
-      {witbroker::kVerbRestartService, {"nginx"}},
-  };
-  return ops;
-}
-
-struct ContendedResult {
-  size_t shards = 0;
-  size_t workers = 0;
-  size_t tickets = 0;
-  uint64_t wall_ns = 0;
-  uint64_t lock_wait_ns = 0;      // broker.* + securelog* wait, summed
-  uint64_t lock_acquires = 0;
-  size_t log_entries = 0;
-  size_t epoch_roots = 0;
-  bool log_verified = false;
-
-  double TicketsPerSec() const {
-    return wall_ns == 0 ? 0.0
-                        : static_cast<double>(tickets) * 1e9 / static_cast<double>(wall_ns);
-  }
-  double WaitUsPerTicket() const {
-    return tickets == 0 ? 0.0
-                        : static_cast<double>(lock_wait_ns) / 1e3 /
-                              static_cast<double>(tickets);
-  }
-};
-
-ContendedResult RunContended(size_t shards, size_t workers, size_t tickets_per_worker) {
-  witos::Kernel kernel("host");
-  witos::Pid broker_pid = *kernel.Clone(1, "PermissionBroker", 0);
-  // No rate limit, so HandleBatch stays read-only on policy; reboot is not
-  // in the verb set.
-  witbroker::PolicyManager policy;
-  witbroker::ClassPolicy standard;
-  standard.allowed_verbs = {witbroker::kVerbRestartService};
-  policy.SetPolicy("T-1", standard);
-  witbroker::RpcChannel channel;
-  witobs::MetricsRegistry metrics;
-  witbroker::PermissionBroker::Options options;
-  options.shards = shards;
-  options.log_epoch_interval = 256;
-  witbroker::PermissionBroker broker(&kernel, broker_pid, &policy, &channel, options);
-  broker.EnableMetrics(&metrics);
-  for (size_t w = 0; w < workers; ++w) {
-    (void)broker.BindTicket("TKT-C-" + std::to_string(w), "T-1");
-  }
-
-  const uint64_t start_ns = witobs::MonotonicNowNs();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&broker, tickets_per_worker, w]() {
-      witbroker::RpcBatchRequest request;
-      request.uid = witos::kRootUid;
-      request.ticket_id = "TKT-C-" + std::to_string(w);
-      request.admin = "admin03@it.example.org";
-      request.ops.resize(1);
-      for (size_t t = 0; t < tickets_per_worker; ++t) {
-        for (const TicketOp& op : ContendedOps()) {
-          request.ops[0].method = op.verb;
-          request.ops[0].args = op.args;
-          (void)broker.HandleBatch(request);
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-
-  ContendedResult result;
-  result.shards = shards;
-  result.workers = workers;
-  result.tickets = workers * tickets_per_worker;
-  result.wall_ns = witobs::MonotonicNowNs() - start_ns;
-  for (const witobs::LockContention& lock : witobs::TopContendedLocks({&metrics})) {
-    if (lock.lock.rfind("securelog", 0) == 0 || lock.lock.rfind("broker.", 0) == 0) {
-      result.lock_wait_ns += lock.wait_sum_ns;
-      result.lock_acquires += lock.wait_count;
-    }
-  }
-  result.log_entries = broker.log().size();
-  result.epoch_roots = broker.log().epoch_count();
-  result.log_verified = broker.log().Verify();
-  return result;
-}
-
 void PrintRun(const char* mode, const RunResult& run) {
   std::printf("%-7s %8zu %10zu %12.1f %14.1f %12.0f %10.1f %10.1f %10.1f %6s\n", mode,
               run.workers, run.tickets, run.FramesPerTicket(), run.BytesPerTicket(),
@@ -373,31 +256,6 @@ int main(int argc, char** argv) {
               log_counts_equal ? "yes" : "NO",
               batched_runs.back().securelog_verified ? "yes" : "NO");
 
-  constexpr size_t kContendedWorkers = 8;
-  const size_t contended_tickets = tickets_per_worker / 2;
-  std::printf("\n=== contended shared broker: %zu threads, one broker, %zu tickets/thread "
-              "===\n",
-              kContendedWorkers, contended_tickets);
-  std::printf("%-8s %10s %12s %16s %14s %8s %6s\n", "shards", "tickets", "tickets/s",
-              "lock wait ms", "wait us/tkt", "epochs", "log");
-  std::vector<ContendedResult> contended;
-  for (size_t shards : {size_t{1}, size_t{8}}) {
-    ContendedResult run = RunContended(shards, kContendedWorkers, contended_tickets);
-    std::printf("%-8zu %10zu %12.0f %16.3f %14.2f %8zu %6s\n", run.shards, run.tickets,
-                run.TicketsPerSec(), static_cast<double>(run.lock_wait_ns) / 1e6,
-                run.WaitUsPerTicket(), run.epoch_roots, run.log_verified ? "ok" : "FAIL");
-    contended.push_back(run);
-  }
-  // A fully-collapsed sharded side (0 ns measured wait) would divide by
-  // zero; clamp the denominator to 1 us so the ratio stays finite while
-  // still reading as "orders of magnitude".
-  const double wait_reduction =
-      static_cast<double>(contended.front().lock_wait_ns) /
-      static_cast<double>(std::max<uint64_t>(contended.back().lock_wait_ns, 1000));
-  std::printf("broker+securelog lock wait, 1 shard vs 8: %.1fx reduction "
-              "(host-core independent)\n",
-              wait_reduction);
-
   if (!json_path.empty()) {
     benchjson::Array runs;
     for (size_t i = 0; i < per_op_runs.size(); ++i) {
@@ -419,20 +277,6 @@ int main(int argc, char** argv) {
         runs.Add(obj.Render());
       }
     }
-    benchjson::Array contended_array;
-    for (const ContendedResult& run : contended) {
-      benchjson::Object obj;
-      obj.Number("shards", run.shards)
-          .Number("workers", run.workers)
-          .Number("tickets", run.tickets)
-          .Number("tickets_per_sec", run.TicketsPerSec())
-          .Number("lock_wait_ns", run.lock_wait_ns)
-          .Number("lock_acquires", run.lock_acquires)
-          .Number("securelog_entries", run.log_entries)
-          .Number("epoch_roots", run.epoch_roots)
-          .Boolean("securelog_verified", run.log_verified);
-      contended_array.Add(obj.Render());
-    }
     benchjson::Object root;
     root.Str("bench", "rpc_batching")
         .Number("ops_per_ticket", kOpsPerTicket)
@@ -440,9 +284,7 @@ int main(int argc, char** argv) {
         .Add("runs", runs.Render())
         .Number("frame_reduction_per_op_over_batched", frame_reduction)
         .Number("bytes_reduction_per_op_over_batched", bytes_reduction)
-        .Boolean("securelog_counts_equal", log_counts_equal)
-        .Add("contended", contended_array.Render())
-        .Number("contended_lock_wait_reduction_1_over_8", wait_reduction);
+        .Boolean("securelog_counts_equal", log_counts_equal);
     benchjson::WriteFile(json_path, root.Render());
   }
   return 0;

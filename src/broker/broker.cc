@@ -1,6 +1,5 @@
 #include "src/broker/broker.h"
 
-#include <algorithm>
 #include <charconv>
 
 namespace witbroker {
@@ -30,28 +29,15 @@ const std::string& EndpointOf(const RpcRequest& request) {
 }  // namespace
 
 PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
-                                   PolicyManager* policy, RpcChannel* channel,
-                                   Options options)
-    : kernel_(kernel),
-      host_pid_(host_pid),
-      policy_(policy),
-      log_(options.shards == 0 ? 1 : options.shards, options.log_epoch_interval) {
-  size_t shards = options.shards == 0 ? 1 : options.shards;
-  event_shards_.reserve(shards);
-  ticket_shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    std::string suffix = shards == 1 ? "" : "." + std::to_string(s);
-    event_shards_.push_back(std::make_unique<EventShard>("broker.events" + suffix));
-    ticket_shards_.push_back(std::make_unique<TicketShard>("broker.tickets" + suffix));
-  }
+                                   PolicyManager* policy, RpcChannel* channel)
+    : kernel_(kernel), host_pid_(host_pid), policy_(policy), log_(kLogEpochInterval) {
   channel->BindBatch([this](const RpcBatchRequest& batch) { return HandleBatch(batch); });
 }
 
 witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
                                            const std::string& ticket_class) {
-  TicketShard& shard = TicketShardOf(ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto [it, inserted] = shard.bindings.try_emplace(ticket_id);
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  auto [it, inserted] = bindings_.try_emplace(ticket_id);
   if (!inserted) {
     return witos::Err::kExist;
   }
@@ -64,14 +50,13 @@ witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
 }
 
 witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
-  TicketShard& shard = TicketShardOf(ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto it = shard.bindings.find(ticket_id);
-  if (it == shard.bindings.end()) {
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  auto it = bindings_.find(ticket_id);
+  if (it == bindings_.end()) {
     return witos::Err::kSrch;
   }
   std::string ticket_class = std::move(it->second.ticket_class);
-  shard.bindings.erase(it);
+  bindings_.erase(it);
   if (binding_listener_) {
     binding_listener_(ticket_id, ticket_class, /*bound=*/false);
   }
@@ -79,34 +64,27 @@ witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
 }
 
 bool PermissionBroker::IsTicketBound(const std::string& ticket_id) const {
-  TicketShard& shard = TicketShardOf(ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  return shard.bindings.count(ticket_id) > 0;
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  return bindings_.count(ticket_id) > 0;
 }
 
 size_t PermissionBroker::bound_ticket_count() const {
-  size_t total = 0;
-  for (const auto& shard : ticket_shards_) {
-    std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    total += shard->bindings.size();
-  }
-  return total;
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  return bindings_.size();
 }
 
 witobs::OutcomeCounts PermissionBroker::RequestsOf(const std::string& ticket_id) const {
-  TicketShard& shard = TicketShardOf(ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto it = shard.bindings.find(ticket_id);
-  return it != shard.bindings.end() ? it->second.tally->Read() : witobs::OutcomeCounts{};
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  auto it = bindings_.find(ticket_id);
+  return it != bindings_.end() ? it->second.tally->Read() : witobs::OutcomeCounts{};
 }
 
 std::vector<std::pair<std::string, std::string>> PermissionBroker::BoundTicketsSnapshot() const {
   std::vector<std::pair<std::string, std::string>> bindings;
-  for (const auto& shard : ticket_shards_) {
-    std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    for (const auto& [ticket_id, binding] : shard->bindings) {
-      bindings.emplace_back(ticket_id, binding.ticket_class);
-    }
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  bindings.reserve(bindings_.size());
+  for (const auto& [ticket_id, binding] : bindings_) {
+    bindings.emplace_back(ticket_id, binding.ticket_class);
   }
   return bindings;
 }
@@ -162,84 +140,52 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry) {
     verb_counters_[verb] = ResolveVerb(verb);
   }
   unknown_verb_ = ResolveVerb("unknown");
-  for (const auto& shard : event_shards_) {
-    shard->mu.EnableMetrics(registry);
-  }
-  for (const auto& shard : ticket_shards_) {
-    shard->mu.EnableMetrics(registry);
-  }
+  events_mu_.EnableMetrics(registry);
+  tickets_mu_.EnableMetrics(registry);
   log_.EnableLockMetrics(registry);
 }
 
-void PermissionBroker::PushEventLocked(EventShard* shard, BrokerEvent event) {
-  while (shard->capacity != 0 && shard->events.size() >= shard->capacity) {
-    shard->events.pop_front();
-    ++shard->dropped;
+void PermissionBroker::TrimEventsLocked(size_t keep) {
+  while (events_.size() > keep) {
+    events_.pop_front();
+    ++dropped_events_;
     if (events_dropped_ != nullptr) {
       events_dropped_->Increment();
     }
   }
-  shard->events.push_back(std::move(event));
 }
 
 void PermissionBroker::RecordEvents(std::vector<BrokerEvent> events) {
   if (events.empty()) {
     return;
   }
-  // A batch is one ticket's ops (the batch header carries the ticket), so
-  // the whole vector lands on one shard under one lock acquisition.
-  EventShard& shard = EventShardOf(events.front().ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
+  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
   for (BrokerEvent& event : events) {
-    PushEventLocked(&shard, std::move(event));
+    if (event_capacity_ != 0) {
+      TrimEventsLocked(event_capacity_ - 1);
+    }
+    events_.push_back(std::move(event));
   }
 }
 
 void PermissionBroker::set_event_capacity(size_t capacity) {
-  for (const auto& shard : event_shards_) {
-    std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    shard->capacity = capacity;
-    // Apply immediately: a cap tightened mid-traffic evicts down to the
-    // new window now, not on the next append.
-    while (capacity != 0 && shard->events.size() > capacity) {
-      shard->events.pop_front();
-      ++shard->dropped;
-      if (events_dropped_ != nullptr) {
-        events_dropped_->Increment();
-      }
-    }
+  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
+  event_capacity_ = capacity;
+  // Apply immediately: a cap tightened mid-traffic evicts down to the new
+  // window now, not on the next append.
+  if (capacity != 0) {
+    TrimEventsLocked(capacity);
   }
 }
 
 size_t PermissionBroker::dropped_events() const {
-  size_t total = 0;
-  for (const auto& shard : event_shards_) {
-    std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    total += shard->dropped;
-  }
-  return total;
+  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
+  return dropped_events_;
 }
 
 std::vector<BrokerEvent> PermissionBroker::EventsSnapshot() const {
-  std::vector<BrokerEvent> merged;
-  if (event_shards_.size() == 1) {
-    const EventShard& shard = *event_shards_.front();
-    std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-    merged.assign(shard.events.begin(), shard.events.end());
-    return merged;
-  }
-  for (const auto& shard : event_shards_) {
-    std::lock_guard<witobs::ProfiledMutex> lock(shard->mu);
-    merged.insert(merged.end(), shard->events.begin(), shard->events.end());
-  }
-  // Merge-order contract (DESIGN.md §14): time_ns ascending, ties keep
-  // shard index order — the anomaly detector's rate windows and the
-  // forensic reports read a single coherent timeline.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const BrokerEvent& a, const BrokerEvent& b) {
-                     return a.time_ns < b.time_ns;
-                   });
-  return merged;
+  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
+  return std::vector<BrokerEvent>(events_.begin(), events_.end());
 }
 
 RpcResponse PermissionBroker::Ok(std::string payload) const {
@@ -257,10 +203,9 @@ RpcResponse PermissionBroker::Fail(witos::Err err) const {
 }
 
 PermissionBroker::Binding PermissionBroker::LookupBinding(const std::string& ticket_id) const {
-  TicketShard& shard = TicketShardOf(ticket_id);
-  std::lock_guard<witobs::ProfiledMutex> lock(shard.mu);
-  auto it = shard.bindings.find(ticket_id);
-  return it != shard.bindings.end() ? it->second : Binding();
+  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
+  auto it = bindings_.find(ticket_id);
+  return it != bindings_.end() ? it->second : Binding();
 }
 
 BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
@@ -365,11 +310,10 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   }
   // ...but the shared structures are entered once: a single lock acquisition
   // appends every event, and a single SecureLog critical section chains
-  // every per-op entry — both on the ticket's own shard. ("Either way,
-  // these requests are logged in real-time to a secure append-only storage
-  // device.")
+  // every per-op entry. ("Either way, these requests are logged in
+  // real-time to a secure append-only storage device.")
   RecordEvents(std::move(events));
-  log_.AppendBatch(log_lines, now, TicketShardKey(batch.ticket_id));
+  log_.AppendBatch(log_lines, now);
 
   // Dispatch the granted ops (denied ones answer EPERM positionally), one
   // latency sample per granted dispatch.

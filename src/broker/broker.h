@@ -40,37 +40,23 @@ struct BrokerEvent {
 
 class PermissionBroker {
  public:
-  // Hot-state partitioning (DESIGN.md §14). With shards > 1 the event
-  // window, the ticket-class map and the secure log are each split into
-  // that many hash shards keyed by ticket id, so concurrent request paths
-  // for different tickets serialize only with themselves. shards = 1
-  // reproduces the original single-mutex layout exactly.
-  struct Options {
-    size_t shards = 1;
-    // Appends between auto-sealed secure-log epoch roots (0 = manual
-    // sealing only); meaningful mostly when shards > 1.
-    uint64_t log_epoch_interval = 0;
-  };
+  // Appends between auto-sealed secure-log epoch roots.
+  static constexpr uint64_t kLogEpochInterval = 256;
 
   // `kernel` is the host machine; `host_pid` is the broker's own process on
   // it (root, full capabilities, host namespaces). The broker binds itself
   // to `channel`.
   PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid, PolicyManager* policy,
-                   RpcChannel* channel, Options options);
-  PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid, PolicyManager* policy,
-                   RpcChannel* channel)
-      : PermissionBroker(kernel, host_pid, policy, channel, Options()) {}
+                   RpcChannel* channel);
 
   witos::Pid host_pid() const { return host_pid_; }
   SecureLog& log() { return log_; }
   const SecureLog& log() const { return log_; }
-  size_t shard_count() const { return event_shards_.size(); }
 
-  // Consistent point-in-time copy of the structured event window — the
-  // anomaly detector and forensic reports read this so their input cannot
-  // shift (or reallocate) under them while the broker keeps serving. With
-  // one shard this is the append-order window; with several it is the
-  // cross-shard merge ordered by time_ns (ties keep shard index order).
+  // Consistent point-in-time copy of the structured event window, in
+  // append order — the anomaly detector and forensic reports read this so
+  // their input cannot shift (or reallocate) under them while the broker
+  // keeps serving.
   std::vector<BrokerEvent> EventsSnapshot() const;
 
   // Maps a ticket id to its class so policy lookups work; the cluster
@@ -88,13 +74,12 @@ class PermissionBroker {
   // The bound ticket's requests so far (allowed = granted); zeros when it
   // is not bound. Exact however many events the window has evicted.
   witobs::OutcomeCounts RequestsOf(const std::string& ticket_id) const;
-  // Consistent-per-shard copy of every live (ticket, class) binding — what
-  // a checkpoint persists. Shards are walked in index order, bindings
-  // within a shard in map order.
+  // Consistent copy of every live (ticket, class) binding in ticket-id
+  // order — what a checkpoint persists.
   std::vector<std::pair<std::string, std::string>> BoundTicketsSnapshot() const;
 
   // Observer for the write-ahead journal (witjournal, DESIGN.md §15):
-  // invoked under the binding's shard lock after every successful
+  // invoked under the binding map's lock after every successful
   // BindTicket (bound=true) / UnbindTicket (bound=false). Must not call
   // back into the broker. Set before traffic starts.
   using BindingListener =
@@ -131,13 +116,13 @@ class PermissionBroker {
   // bound, names a series.
   void EnableMetrics(witobs::MetricsRegistry* registry);
 
-  // Retention cap for the structured event window, applied per shard
-  // (0 = unbounded). When a shard's cap is hit its oldest events are
-  // evicted; dropped_events() (and the watchit_broker_events_dropped_total
-  // series) count the evictions. The secure log is untouched — it is the
-  // tamper-evident record; the event window is the in-memory analysis view.
-  // Takes each shard's lock and applies the new cap immediately (evicting
-  // down to it), so a resize during live traffic is race-free.
+  // Retention cap for the structured event window (0 = unbounded). When
+  // the cap is hit the oldest events are evicted; dropped_events() (and the
+  // watchit_broker_events_dropped_total series) count the evictions. The
+  // secure log is untouched — it is the tamper-evident record; the event
+  // window is the in-memory analysis view. Takes the window's lock and
+  // applies the new cap immediately (evicting down to it), so a resize
+  // during live traffic is race-free.
   void set_event_capacity(size_t capacity);
   size_t dropped_events() const;
 
@@ -157,29 +142,11 @@ class PermissionBroker {
   ShadowStats shadow_stats() const;
 
  private:
-  // One shard of the bounded event window: a deque so the cap evicts from
-  // the front in O(1) (the old vector erase was O(window) per append —
-  // quadratic once capped under load). Guarded by its ProfiledMutex, named
-  // "broker.events" single-shard / "broker.events.N" sharded.
-  struct EventShard {
-    explicit EventShard(std::string name) : mu(std::move(name)) {}
-    mutable witobs::ProfiledMutex mu;
-    std::deque<BrokerEvent> events;
-    size_t capacity = 0;  // per-shard window, 0 = unbounded
-    uint64_t dropped = 0;
-  };
   // A live ticket binding: its class and its request tally. Request paths
-  // count through their copy of the binding, outside the shard lock.
+  // count through their copy of the binding, outside the map's lock.
   struct Binding {
     std::string ticket_class;
     std::shared_ptr<witobs::OutcomeTally> tally;
-  };
-  // One shard of the ticket-class map ("broker.tickets[.N]"): deploy
-  // workers bind/unbind while request paths resolve.
-  struct TicketShard {
-    explicit TicketShard(std::string name) : mu(std::move(name)) {}
-    mutable witobs::ProfiledMutex mu;
-    std::map<std::string, Binding> bindings;
   };
   // One verb's pre-resolved series.
   struct VerbCounters {
@@ -187,18 +154,8 @@ class PermissionBroker {
     witobs::Counter* shadow[3] = {};    // agree, would_block, would_allow
   };
 
-  // Ticket-affinity hash: one ticket's events, class binding and secure-log
-  // entries all live on the shard this picks.
-  uint64_t TicketShardKey(const std::string& ticket_id) const {
-    return Fnv1a(ticket_id);
-  }
-  EventShard& EventShardOf(const std::string& ticket_id) {
-    return *event_shards_[TicketShardKey(ticket_id) % event_shards_.size()];
-  }
-  TicketShard& TicketShardOf(const std::string& ticket_id) const {
-    return *ticket_shards_[TicketShardKey(ticket_id) % ticket_shards_.size()];
-  }
-  void PushEventLocked(EventShard* shard, BrokerEvent event);
+  // Evicts the window's oldest events until at most `keep` remain.
+  void TrimEventsLocked(size_t keep);
 
   RpcResponse Dispatch(const RpcRequest& request);
   RpcResponse Ok(std::string payload) const;
@@ -236,11 +193,16 @@ class PermissionBroker {
   witos::Pid host_pid_;
   PolicyManager* policy_;
   SecureLog log_;
-  // Per-shard hot state (DESIGN.md §14). Every shard mutex is a
-  // ProfiledMutex: EnableMetrics ranks them against every other lock in
-  // the process via watchit_lock_{wait,hold}_ns.
-  std::vector<std::unique_ptr<EventShard>> event_shards_;
-  std::vector<std::unique_ptr<TicketShard>> ticket_shards_;
+  // The bounded event window: a deque, so the cap evicts from the front in
+  // O(1) rather than O(window) per append.
+  mutable witobs::ProfiledMutex events_mu_{"broker.events"};
+  std::deque<BrokerEvent> events_;
+  size_t event_capacity_ = 0;  // 0 = unbounded
+  uint64_t dropped_events_ = 0;
+  // Ticket id -> binding: deploy workers bind/unbind while request paths
+  // resolve.
+  mutable witobs::ProfiledMutex tickets_mu_{"broker.tickets"};
+  std::map<std::string, Binding> bindings_;
   std::map<std::string, VerbHandler> custom_verbs_;
   // Written only by EnableMetrics/RegisterVerb (set-up); read lock-free by
   // request paths.

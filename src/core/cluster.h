@@ -75,8 +75,8 @@ class Cluster {
   }
 
   // Cluster-wide audit sweep (DESIGN.md §14): verifies every machine's
-  // segmented secure log — each shard chain, each sealed epoch root, and
-  // divergence against every registered replica. `failures` counts machines
+  // secure log — its hash chain, each sealed epoch root, and divergence
+  // against every registered replica. `failures` counts machines
   // whose trail did not verify. ServerPool::VerifyAuditTrail and the crash
   // harness's post-recovery audit both land here.
   struct AuditReport {

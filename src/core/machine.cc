@@ -92,16 +92,11 @@ void Machine::BootWatchIt() {
   auto broker_pid = kernel_->Clone(kernel_->init_pid(), "PermissionBroker", 0);
   broker_pid_ = broker_pid.ok() ? *broker_pid : witos::kNoPid;
   ConfigureBrokerPolicies(&policy_);
-  // Hot broker state is partitioned by ticket hash (DESIGN.md §14): eight
-  // event/ticket/securelog shards so concurrent request paths — serving
-  // workers, deploy binds, audit readers — serialize only per ticket, with
-  // an epoch root sealed every 256 log appends for cross-shard tamper
-  // evidence.
-  witbroker::PermissionBroker::Options broker_options;
-  broker_options.shards = 8;
-  broker_options.log_epoch_interval = 256;
+  // One event window, one binding map and one SecureLog chain (DESIGN.md
+  // §14): every request-path call into the broker already holds this
+  // machine's lock.
   broker_ = std::make_unique<witbroker::PermissionBroker>(kernel_.get(), broker_pid_, &policy_,
-                                                          &broker_channel_, broker_options);
+                                                          &broker_channel_);
   containit_ = std::make_unique<witcontain::ContainIt>(kernel_.get(), net_.get());
   containit_->AttachBroker(broker_.get());
 
@@ -110,7 +105,7 @@ void Machine::BootWatchIt() {
   // logs keep in memory — totals survive in the registry counters.
   mu_.EnableMetrics(&metrics_);
   broker_->EnableMetrics(&metrics_);
-  broker_->set_event_capacity(1 << 16);
+  broker_->set_event_capacity(1 << 19);
   broker_channel_.EnableMetrics(&metrics_);
   containit_->EnableMetrics(&metrics_);
   containit_->set_oplog_capacity(1 << 16);

@@ -12,8 +12,8 @@
 //
 //   * zero bound tickets, zero live sessions, zero unrevoked certificates
 //     (a crash is the hardest ticket expiry);
-//   * Cluster::VerifyAuditTrail() passes — every shard chain and sealed
-//     epoch root of the audit evidence survived the crash;
+//   * Cluster::VerifyAuditTrail() passes — every machine's chain and sealed
+//     epoch roots of the audit evidence survived the crash;
 //   * the watchit_* gauges report the recovered state, re-seeded from the
 //     checkpoint+journal replay, not zeroed.
 //

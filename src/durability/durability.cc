@@ -25,10 +25,16 @@ JournalRecord EpochSealRecord(const std::string& machine, const witbroker::Epoch
   record.kind = JournalRecordKind::kEpochSeal;
   record.time_ns = root.time_ns;
   record.strs = {machine};
-  record.nums = {root.epoch, root.prev_root_hash, root.root_hash,
-                 static_cast<uint64_t>(root.shard_sizes.size())};
-  record.nums.insert(record.nums.end(), root.shard_sizes.begin(), root.shard_sizes.end());
-  record.nums.insert(record.nums.end(), root.shard_heads.begin(), root.shard_heads.end());
+  record.nums = {root.epoch, root.prev_root_hash, root.root_hash, root.size, root.head};
+  return record;
+}
+
+JournalRecord LogAppendRecord(const std::string& machine, const witbroker::SecureLogEntry& entry) {
+  JournalRecord record;
+  record.kind = JournalRecordKind::kLogAppend;
+  record.time_ns = entry.time_ns;
+  record.strs = {machine, entry.payload};
+  record.nums = {entry.hash};
   return record;
 }
 
@@ -72,13 +78,8 @@ void DurabilityManager::AttachMachine(watchit::Machine* machine) {
         Journal(std::move(record));
       });
   machine->broker().log().set_append_listener(
-      [this, name](size_t shard, const witbroker::SecureLogEntry& entry) {
-        JournalRecord record;
-        record.kind = JournalRecordKind::kLogAppend;
-        record.time_ns = entry.time_ns;
-        record.strs = {name, entry.payload};
-        record.nums = {static_cast<uint64_t>(shard), entry.hash};
-        Journal(std::move(record));
+      [this, name](const witbroker::SecureLogEntry& entry) {
+        Journal(LogAppendRecord(name, entry));
       });
   machine->broker().log().set_seal_listener([this, name](const witbroker::EpochRoot& root) {
     Journal(EpochSealRecord(name, root));
@@ -190,15 +191,8 @@ witos::Status DurabilityManager::Checkpoint() {
       WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
     }
     const witbroker::SecureLog& log = machine.broker().log();
-    for (size_t shard = 0; shard < log.shard_count(); ++shard) {
-      for (const witbroker::SecureLogEntry& entry : log.SnapshotShard(shard)) {
-        JournalRecord record;
-        record.kind = JournalRecordKind::kLogAppend;
-        record.time_ns = entry.time_ns;
-        record.strs = {machine.name(), entry.payload};
-        record.nums = {static_cast<uint64_t>(shard), entry.hash};
-        WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
-      }
+    for (const witbroker::SecureLogEntry& entry : log.SnapshotEntries()) {
+      WITOS_RETURN_IF_ERROR(snapshot.Append(LogAppendRecord(machine.name(), entry)));
     }
     for (const witbroker::EpochRoot& root : log.EpochRootsSnapshot()) {
       WITOS_RETURN_IF_ERROR(snapshot.Append(EpochSealRecord(machine.name(), root)));
@@ -289,7 +283,7 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       return;
     }
     case JournalRecordKind::kLogAppend: {
-      if (record.strs.size() != 2 || record.nums.size() != 2) {
+      if (record.strs.size() != 2 || record.nums.size() != 1) {
         return reject();
       }
       if (only_machine != nullptr && record.strs[0] != *only_machine) {
@@ -297,10 +291,7 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       }
       watchit::Machine* machine = cluster->FindMachine(record.strs[0]);
       if (machine == nullptr ||
-          !machine->broker()
-               .log()
-               .RestoreShardEntry(static_cast<size_t>(record.nums[0]), record.strs[1],
-                                  record.time_ns, record.nums[1])
+          !machine->broker().log().RestoreEntry(record.strs[1], record.time_ns, record.nums[0])
                .ok()) {
         return reject();
       }
@@ -308,13 +299,7 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       return;
     }
     case JournalRecordKind::kEpochSeal: {
-      if (record.strs.size() != 1 || record.nums.size() < 4) {
-        return reject();
-      }
-      const uint64_t shards = record.nums[3];
-      // shards is attacker-influenced on a corrupt tail: bound it before the
-      // arithmetic so 4 + 2*shards cannot wrap around to a matching size.
-      if (shards > record.nums.size() || record.nums.size() != 4 + 2 * shards) {
+      if (record.strs.size() != 1 || record.nums.size() != 5) {
         return reject();
       }
       if (only_machine != nullptr && record.strs[0] != *only_machine) {
@@ -325,10 +310,8 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       root.time_ns = record.time_ns;
       root.prev_root_hash = record.nums[1];
       root.root_hash = record.nums[2];
-      const auto sizes_begin = record.nums.begin() + 4;
-      const auto heads_begin = sizes_begin + static_cast<ptrdiff_t>(shards);
-      root.shard_sizes.assign(sizes_begin, heads_begin);
-      root.shard_heads.assign(heads_begin, record.nums.end());
+      root.size = record.nums[3];
+      root.head = record.nums[4];
       state->roots[record.strs[0]].push_back(std::move(root));
       return;
     }

@@ -11,7 +11,7 @@
 //
 // Frame layout (all integers little-endian, via the rpc wire framing):
 //
-//   u32  magic      'WJL1'
+//   u32  magic      'WJL2'
 //   u64  checksum   FNV-1a over the payload bytes
 //   u32  len        payload length (the WireWriter string prefix)
 //   u8[] payload    one serialized JournalRecord
@@ -45,7 +45,9 @@
 
 namespace witdur {
 
-inline constexpr uint32_t kJournalMagic = 0x314c4a57u;  // "WJL1"
+// WJL2: one SecureLog chain per machine, so log-append and epoch-seal
+// records carry no per-chain index. A WJL1 file fails the magic check.
+inline constexpr uint32_t kJournalMagic = 0x324c4a57u;  // "WJL2"
 
 // Every persisted state transition is one of these. The enum values are the
 // wire encoding — append only, never renumber.
@@ -53,10 +55,9 @@ enum class JournalRecordKind : uint32_t {
   kCheckpointHeader = 1,  // nums: {checkpoint_seq, next_lsn}
   kBindTicket = 2,        // strs: {machine, ticket_id, ticket_class}
   kUnbindTicket = 3,      // strs: {machine, ticket_id}
-  kLogAppend = 4,         // strs: {machine, payload}; nums: {shard, hash}
+  kLogAppend = 4,         // strs: {machine, payload}; nums: {hash}
   kEpochSeal = 5,         // strs: {machine};
-                          // nums: {epoch, prev_root_hash, root_hash, S,
-                          //        sizes[0..S), heads[0..S)}
+                          // nums: {epoch, prev_root_hash, root_hash, size, head}
   kCertIssue = 6,         // strs: {admin, machine, ticket_id, ticket_class};
                           // nums: {serial, issued_ns, expires_ns, signature}
   kCertRevoke = 7,        // nums: {serial}
@@ -106,9 +107,10 @@ struct JournalScan {
 JournalScan ScanJournal(witos::Filesystem* fs, const std::string& path);
 
 // Appends framed records through a Filesystem with an explicit durable
-// frontier. Thread-safe: listeners on the broker's shard locks, the CA lock
-// and the deploy workers all append concurrently; the "journal" ProfiledMutex
-// serializes them (and shows up in the lock-contention profile).
+// frontier. Thread-safe: listeners under each machine's broker and SecureLog
+// locks, the CA lock and the deploy workers all append concurrently; the
+// "journal" ProfiledMutex serializes them (and shows up in the
+// lock-contention profile).
 //
 // Failure model is fail-stop: the first filesystem error seals the writer —
 // subsequent appends return EPIPE rather than continuing past a hole in the

@@ -46,9 +46,8 @@ struct AuditRecord {
   std::string detail;
 };
 
-// Appends are internally synchronized: with the broker's hot state sharded
-// by ticket, concurrent request paths land here — the one backend every
-// shard still crosses — and must not corrupt the trail.
+// Appends are internally synchronized, so concurrent writers cannot
+// corrupt the trail.
 class AuditLog {
  public:
   void Append(AuditEvent event, Pid pid, Uid uid, std::string detail, uint64_t time_ns);

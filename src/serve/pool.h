@@ -139,8 +139,8 @@ class ServerPool {
   const witobs::Histogram* latency_histogram() const { return latency_hist_; }
 
   // Post-run audit sweep (DESIGN.md §14): walks every machine in the pool
-  // and verifies its broker's segmented secure log — each shard chain, each
-  // sealed epoch root, and divergence against every registered replica.
+  // and verifies its broker's secure log — its hash chain, each sealed
+  // epoch root, and divergence against every registered replica.
   // `failures` counts machines whose trail did not verify; 0 means the
   // whole pool's audit evidence is intact. Safe under concurrent serving
   // (the log is internally synchronized), but the numbers are only a

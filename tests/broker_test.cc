@@ -1,5 +1,6 @@
-// Tests for the permission-broker stack: wire format, RPC framing, secure
-// log, policy manager, broker semantics and anomaly detection.
+// Tests for the permission-broker stack: wire format, RPC framing, policy
+// manager, broker semantics and anomaly detection. The SecureLog itself is
+// covered by securelog_test.
 
 #include <gtest/gtest.h>
 
@@ -89,36 +90,6 @@ TEST(RpcTest, UnboundChannelRefusesConnections) {
   batch.ops = {{"ps", {}}};
   EXPECT_EQ(channel.CallBatch(batch).error(), witos::Err::kConnRefused);
   EXPECT_EQ(channel.calls(), 0u);
-}
-
-TEST(SecureLogTest, ChainVerifies) {
-  SecureLog log;
-  log.Append("entry one", 100, 0);
-  log.Append("entry two", 200, 0);
-  log.Append("entry three", 300, 0);
-  EXPECT_TRUE(log.Verify());
-  EXPECT_EQ(log.size(), 3u);
-  const auto entries = log.SnapshotEntries();
-  EXPECT_EQ(entries[1].prev_hash, entries[0].hash);
-}
-
-TEST(SecureLogTest, TamperingDetected) {
-  SecureLog log;
-  log.Append("GRANT alice ps", 100, 0);
-  log.Append("GRANT alice kill 7", 200, 0);
-  EXPECT_TRUE(log.Verify());
-  log.TamperForTest(0, "GRANT alice nothing-to-see");
-  EXPECT_FALSE(log.Verify());
-}
-
-TEST(SecureLogTest, ReplicaDivergenceDetected) {
-  SecureLog log;
-  log.Append("a", 1, 0);
-  size_t replica = log.AddReplica();
-  log.Append("b", 2, 0);
-  EXPECT_TRUE(log.MatchesReplica(replica));
-  log.TamperForTest(1, "b-tampered");
-  EXPECT_FALSE(log.MatchesReplica(replica));
 }
 
 TEST(PolicyManagerTest, PerClassAndPerAdminRules) {
@@ -377,7 +348,7 @@ TEST_F(BrokerTest, BeginDiscardsAbandonedPipeline) {
   EXPECT_EQ(events[0].verb, kVerbPs);
 }
 
-// ---- Sharded broker hot state (DESIGN.md §14) ----
+// ---- Bindings, batch order and the event window (DESIGN.md §14) ----
 
 // One op as its own batch, the way BrokerClient::Request sends it.
 RpcBatchRequest OneOp(const std::string& ticket, const std::string& verb) {
@@ -389,71 +360,45 @@ RpcBatchRequest OneOp(const std::string& ticket, const std::string& verb) {
   return batch;
 }
 
-// A broker with partitioned event/ticket/log state. The policy has no rate
-// limit, so concurrent HandleBatch() calls never mutate shared policy state.
-class ShardedBrokerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    broker_pid_ = *kernel_.Clone(1, "PermissionBroker", 0);
-    ClassPolicy standard;
-    standard.allowed_verbs = {kVerbPs, kVerbRestartService};
-    policy_.SetPolicy("T-1", standard);
-    PermissionBroker::Options options;
-    options.shards = 4;
-    options.log_epoch_interval = 16;
-    broker_ = std::make_unique<PermissionBroker>(&kernel_, broker_pid_, &policy_, &channel_,
-                                                 options);
-  }
-
-  witos::Kernel kernel_{"host"};
-  witos::Pid broker_pid_ = witos::kNoPid;
-  PolicyManager policy_;
-  RpcChannel channel_;
-  std::unique_ptr<PermissionBroker> broker_;
-};
-
-TEST_F(ShardedBrokerTest, TicketsSpreadAcrossShardsAndSnapshotsMerge) {
-  EXPECT_EQ(broker_->shard_count(), 4u);
+TEST_F(BrokerTest, BindRejectsDuplicatesAndUnbindReleases) {
   for (int i = 0; i < 12; ++i) {
-    std::string ticket = "TKT-" + std::to_string(i);
+    std::string ticket = "TKT-B" + std::to_string(i);
     ASSERT_TRUE(broker_->BindTicket(ticket, "T-1").ok());
     EXPECT_TRUE(broker_->IsTicketBound(ticket));
   }
-  EXPECT_EQ(broker_->bound_ticket_count(), 12u);
-  EXPECT_EQ(broker_->BindTicket("TKT-3", "T-8").error(), witos::Err::kExist);
+  EXPECT_EQ(broker_->bound_ticket_count(), 13u);  // plus the fixture's TKT-1
+  // A duplicate deploy must not silently reclassify a live ticket.
+  EXPECT_EQ(broker_->BindTicket("TKT-B3", "T-8").error(), witos::Err::kExist);
 
   for (int i = 0; i < 12; ++i) {
-    auto response = broker_->HandleBatch(OneOp("TKT-" + std::to_string(i), kVerbPs));
+    auto response = broker_->HandleBatch(OneOp("TKT-B" + std::to_string(i), kVerbPs));
     ASSERT_EQ(response.responses.size(), 1u);
-    EXPECT_TRUE(response.responses[0].ok);
+    EXPECT_TRUE(response.responses[0].ok);  // still T-1: the duplicate bind changed nothing
   }
+  // Events and log lines come back in arrival order.
   auto events = broker_->EventsSnapshot();
   ASSERT_EQ(events.size(), 12u);
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].time_ns, events[i].time_ns);  // merged timeline
+  auto entries = broker_->log().SnapshotEntries();
+  ASSERT_EQ(entries.size(), 12u);
+  for (size_t i = 0; i < 12; ++i) {
+    const std::string ticket = "TKT-B" + std::to_string(i);
+    EXPECT_EQ(events[i].ticket_id, ticket);
+    EXPECT_EQ(events[i].ticket_class, "T-1");
+    EXPECT_NE(entries[i].payload.find(" " + ticket + " [T-1] "), std::string::npos);
   }
-  // The secure log sharded with the tickets and still verifies end to end.
-  EXPECT_EQ(broker_->log().size(), 12u);
   EXPECT_TRUE(broker_->log().Verify());
-  size_t shard_total = 0;
-  for (size_t s = 0; s < broker_->log().shard_count(); ++s) {
-    auto shard = broker_->log().SnapshotShard(s);
-    EXPECT_TRUE(SecureLog::VerifyChain(shard));
-    shard_total += shard.size();
-  }
-  EXPECT_EQ(shard_total, 12u);
 
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(broker_->UnbindTicket("TKT-" + std::to_string(i)).ok());
+    ASSERT_TRUE(broker_->UnbindTicket("TKT-B" + std::to_string(i)).ok());
   }
-  EXPECT_EQ(broker_->bound_ticket_count(), 0u);
+  EXPECT_EQ(broker_->bound_ticket_count(), 1u);
+  EXPECT_EQ(broker_->UnbindTicket("TKT-B0").error(), witos::Err::kSrch);
 }
 
-TEST_F(ShardedBrokerTest, BatchStaysOnOneShardChain) {
-  ASSERT_TRUE(broker_->BindTicket("TKT-7", "T-1").ok());
+TEST_F(BrokerTest, BatchLogsEveryOpInQueueOrder) {
   RpcBatchRequest batch;
   batch.uid = witos::kRootUid;
-  batch.ticket_id = "TKT-7";
+  batch.ticket_id = "TKT-1";
   batch.admin = "alice";
   for (int i = 0; i < 5; ++i) {
     RpcSubRequest op;
@@ -463,38 +408,37 @@ TEST_F(ShardedBrokerTest, BatchStaysOnOneShardChain) {
   }
   auto response = broker_->HandleBatch(batch);
   ASSERT_EQ(response.responses.size(), 5u);
-  // One ticket → one shard: exactly one shard chain holds all five per-op
-  // entries, in queue order.
-  size_t populated = 0;
-  for (size_t s = 0; s < broker_->log().shard_count(); ++s) {
-    auto shard = broker_->log().SnapshotShard(s);
-    if (shard.empty()) {
-      continue;
-    }
-    ++populated;
-    ASSERT_EQ(shard.size(), 5u);
-    EXPECT_TRUE(SecureLog::VerifyChain(shard));
-    for (size_t i = 0; i < shard.size(); ++i) {
-      EXPECT_NE(shard[i].payload.find("svc-" + std::to_string(i)), std::string::npos);
-    }
+  // Five per-op entries on the one chain, in queue order.
+  auto entries = broker_->log().SnapshotEntries();
+  ASSERT_EQ(entries.size(), 5u);
+  EXPECT_TRUE(SecureLog::VerifyChain(entries));
+  auto events = broker_->EventsSnapshot();
+  ASSERT_EQ(events.size(), 5u);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const std::string service = "svc-" + std::to_string(i);
+    EXPECT_NE(entries[i].payload.find(service), std::string::npos);
+    EXPECT_EQ(events[i].args, std::vector<std::string>{service});
   }
-  EXPECT_EQ(populated, 1u);
 }
 
-TEST_F(ShardedBrokerTest, EventCapAccountsExactlyPerShard) {
+TEST_F(BrokerTest, EventCapConservesEveryRequest) {
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(broker_->BindTicket("TKT-" + std::to_string(i), "T-1").ok());
+    ASSERT_TRUE(broker_->BindTicket("TKT-C" + std::to_string(i), "T-1").ok());
   }
   broker_->set_event_capacity(2);
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 6; ++i) {
-      broker_->HandleBatch(OneOp("TKT-" + std::to_string(i), kVerbPs));
+      broker_->HandleBatch(OneOp("TKT-C" + std::to_string(i), kVerbPs));
     }
   }
-  // Every append is either still in some shard's window or counted dropped.
+  // Every append is either still in the window or counted dropped, and the
+  // window keeps the newest.
   auto events = broker_->EventsSnapshot();
-  EXPECT_LE(events.size(), 2u * broker_->shard_count());
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].ticket_id, "TKT-C4");
+  EXPECT_EQ(events[1].ticket_id, "TKT-C5");
   EXPECT_EQ(events.size() + broker_->dropped_events(), 30u);
+  EXPECT_EQ(broker_->log().size(), 30u);  // the secure log keeps everything
 }
 
 // Regression (was: events_.erase(events_.begin()) per append — O(window)
@@ -532,7 +476,7 @@ TEST(BrokerEventWindowPerfTest, CappedAppendCostIndependentOfWindowSize) {
 
 // Regression: set_event_capacity() used to write the cap with no lock while
 // request paths appended — a data race (TSan) and a lost-resize hazard. Now
-// it takes each shard lock and applies the cap immediately; this hammers a
+// it takes the window's lock and applies the cap immediately; this hammers a
 // live broker from writer threads while the cap flips under them. Run under
 // TSan (broker_test is in the TSan CI matrix) this is the race probe.
 TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
@@ -540,9 +484,7 @@ TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
   witos::Pid pid = *kernel.Clone(1, "PermissionBroker", 0);
   PolicyManager policy;  // no rate limit → HandleBatch never mutates policy state
   RpcChannel channel;
-  PermissionBroker::Options options;
-  options.shards = 2;
-  PermissionBroker broker(&kernel, pid, &policy, &channel, options);
+  PermissionBroker broker(&kernel, pid, &policy, &channel);
 
   constexpr int kPerWriter = 1500;
   std::vector<std::thread> writers;
@@ -568,7 +510,7 @@ TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
   resizer.join();
 
   broker.set_event_capacity(4);
-  EXPECT_LE(broker.EventsSnapshot().size(), 4u * broker.shard_count());
+  EXPECT_EQ(broker.EventsSnapshot().size(), 4u);
   // Conservation: every append is either retained or counted as dropped.
   EXPECT_EQ(broker.EventsSnapshot().size() + broker.dropped_events(),
             static_cast<size_t>(2 * kPerWriter));
@@ -578,7 +520,7 @@ TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
 
 // Regression: AdmitRate mutated its window map with no lock, so concurrent
 // HandleBatch calls for a throttled class raced. Eight threads share one
-// sharded broker and one admin's budget; exactly the budget is granted.
+// broker and one admin's budget; exactly the budget is granted.
 // Only restart_service is sent (one locked audit append when granted), so
 // nothing dispatches into the unsynchronized kernel. broker_test runs
 // under TSan in CI.
@@ -592,9 +534,7 @@ TEST(BrokerRateLimitRaceTest, ConcurrentRequestsGrantExactlyTheBudget) {
   throttled.window_ns = 3600ull * 1000000000ull;
   policy.SetPolicy("T-RL", throttled);
   RpcChannel channel;
-  PermissionBroker::Options options;
-  options.shards = 4;
-  PermissionBroker broker(&kernel, pid, &policy, &channel, options);
+  PermissionBroker broker(&kernel, pid, &policy, &channel);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,7 +69,7 @@ struct Workload {
     for (size_t m = 0; m < cluster->size(); ++m) {
       witbroker::SecureLog& log = cluster->machine(m).broker().log();
       for (uint64_t i = 0; i < 12; ++i) {
-        log.Append("pb-op-" + std::to_string(i), 1000 + i, /*shard_key=*/i);
+        log.Append("pb-op-" + std::to_string(i), 1000 + i);
       }
       log.SealEpoch(2000);
       log_sizes.push_back(log.size());
@@ -385,7 +386,7 @@ TEST(CrashRecoveryTest, CorruptJournalTailRecoversFailClosed) {
   for (size_t m = 0; m < twin->size(); ++m) {
     EXPECT_EQ(twin->machine(m).broker().bound_ticket_count(), 0u);
     EXPECT_TRUE(witbroker::SecureLog::VerifyChain(
-        twin->machine(m).broker().log().SnapshotShard(0)));
+        twin->machine(m).broker().log().SnapshotEntries()));
   }
   EXPECT_EQ(UnrevokedCerts(twin.get()), 0u);
 }
@@ -405,6 +406,92 @@ TEST(CrashRecoveryTest, CorruptCheckpointIsRefused) {
   auto twin = FreshTwin();
   DurabilityManager recovered(world.fs);
   EXPECT_EQ(recovered.Recover(twin.get()).error(), witos::Err::kInval);
+}
+
+// --- journal format and fail-closed restore ----------------------------------
+
+// Rewrites every frame's magic to the previous format's 'WJL1', leaving the
+// checksums, lengths and payloads intact.
+std::string WithOldMagic(std::string bytes) {
+  // Frame = magic(4) + checksum(8) + len(4, little-endian) + payload.
+  size_t pos = 0;
+  while (pos + 16 <= bytes.size()) {
+    bytes.replace(pos, 4, "WJL1");
+    uint32_t len = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 12 + i])) << (8 * i);
+    }
+    pos += 16 + len;
+  }
+  return bytes;
+}
+
+TEST(CrashRecoveryTest, OldFormatCheckpointIsRefused) {
+  Workload world;
+  world.Drive();
+  ASSERT_TRUE(world.manager->Checkpoint().ok());
+  auto raw = world.fs->SlurpForTest("/checkpoint.wcp");
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(world.fs->WriteAt("/checkpoint.wcp", 0, WithOldMagic(*raw), kRoot).ok());
+  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+
+  auto twin = FreshTwin();
+  DurabilityManager recovered(world.fs);
+  EXPECT_EQ(recovered.Recover(twin.get()).error(), witos::Err::kInval);
+}
+
+TEST(CrashRecoveryTest, OldFormatJournalTailReplaysNothing) {
+  Workload world;
+  world.Drive();
+  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+  auto raw = world.fs->SlurpForTest("/journal.wal");
+  ASSERT_TRUE(raw.ok());
+  ASSERT_FALSE(raw->empty());
+  ASSERT_TRUE(world.fs->WriteAt("/journal.wal", 0, WithOldMagic(*raw), kRoot).ok());
+
+  auto twin = FreshTwin();
+  DurabilityManager recovered(world.fs);
+  auto report = recovered.Recover(twin.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->journal_tail_clean);
+  EXPECT_EQ(report->tail_records, 0u);
+  EXPECT_EQ(report->records_replayed, 0u);
+  for (size_t m = 0; m < twin->size(); ++m) {
+    EXPECT_EQ(twin->machine(m).broker().log().size(), 0u);
+    EXPECT_EQ(twin->machine(m).broker().bound_ticket_count(), 0u);
+  }
+}
+
+// Regression: restore used to skip the hash check when the journaled hash
+// was 0, so a forged tail record claiming hash 0 entered the chain as a
+// genuine line with no replay error. Every journaled hash is checked now.
+TEST(CrashRecoveryTest, ZeroHashLogRecordNeverEntersTheChain) {
+  Workload world;
+  world.Drive();
+  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+  const std::string forged = "GRANT mallory TKT-3 [T-6] install netcat";
+  JournalRecord record;
+  record.kind = JournalRecordKind::kLogAppend;
+  record.lsn = 1'000'000;
+  record.time_ns = 5000;
+  record.strs = {"host0", forged};
+  record.nums = {0};  // the hash
+  auto raw = world.fs->SlurpForTest("/journal.wal");
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(world.fs->WriteAt("/journal.wal", raw->size(), EncodeRecord(record), kRoot).ok());
+
+  auto twin = FreshTwin();
+  DurabilityManager recovered(world.fs);
+  auto report = recovered.Recover(twin.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->journal_tail_clean);
+  EXPECT_EQ(report->replay_errors, 1u);
+  const witbroker::SecureLog& log = twin->FindMachine("host0")->broker().log();
+  EXPECT_EQ(log.size(), world.log_sizes[0]);
+  for (const witbroker::SecureLogEntry& entry : log.SnapshotEntries()) {
+    EXPECT_NE(entry.payload, forged);
+  }
+  EXPECT_TRUE(log.Verify());
 }
 
 // --- the crash-point sweep ---------------------------------------------------

@@ -272,7 +272,7 @@ TEST_F(JournalFuzzTest, GarbageTailIsRejected) {
 // against the bytes actually present — never allocated.
 TEST_F(JournalFuzzTest, OversizedLengthPrefixDoesNotAllocate) {
   std::string frame;
-  frame.append("WJL1");                     // magic (little-endian 0x314c4a57)
+  frame.append("WJL2");                     // magic (little-endian 0x324c4a57)
   frame.append(8, '\0');                    // checksum (wrong, but len is checked first)
   frame.append("\xff\xff\xff\xff", 4);      // len = 4 GiB
   frame.append("short", 5);

@@ -164,7 +164,7 @@ TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
 
   // Once the event window has evicted the ticket's events, the detail lines
   // are gone but the totals are still exact.
-  machine_->broker().set_event_capacity(1);  // per shard: other tickets push it out
+  machine_->broker().set_event_capacity(1);  // one event: other tickets push it out
   for (int i = 0; i < 64; ++i) {
     witbroker::BrokerClient other(&machine_->broker_channel(), "TKT-OTHER-" + std::to_string(i),
                                   "alice");

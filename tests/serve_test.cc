@@ -1,8 +1,8 @@
 // witserve tests: bounded-queue admission control, the shared-nothing
 // worker pool with work stealing, the open-loop load generator, and the
-// concurrency contracts the serving engine leans on (SecureLog hash-chain
-// linearity under concurrent appenders, anomaly analysis over a consistent
-// broker snapshot, SimClock single-owner discipline).
+// concurrency contracts the serving engine leans on (anomaly analysis over
+// a consistent broker snapshot, SimClock single-owner discipline). The
+// SecureLog's concurrent-appender cases live in securelog_test.
 
 #include "src/serve/loadgen.h"
 #include "src/serve/pool.h"
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "src/broker/anomaly.h"
-#include "src/broker/securelog.h"
+#include "src/broker/broker.h"
 #include "src/os/clock.h"
 
 namespace witserve {
@@ -156,52 +156,6 @@ TEST(TicketQueueTest, MpmcStressDeliversEveryJobExactlyOnce) {
   }
 }
 
-TEST(SecureLogConcurrencyTest, ParallelAppendersKeepChainLinear) {
-  witbroker::SecureLog log;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        log.Append("req t" + std::to_string(t) + " #" + std::to_string(i),
-                   static_cast<uint64_t>(i), 0);
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(log.size(), static_cast<size_t>(kThreads) * kPerThread);
-  // The whole point of the lock around read-prev-hash/append: one linear
-  // chain, no forks, verifiable end to end.
-  EXPECT_TRUE(log.Verify());
-  const auto entries = log.SnapshotEntries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].seq, i + 1);  // seq is 1-based, gap-free
-  }
-}
-
-TEST(SecureLogConcurrencyTest, SnapshotsDuringAppendsAreValidPrefixes) {
-  witbroker::SecureLog log;
-  std::atomic<bool> done{false};
-  std::thread writer([&log, &done] {
-    for (int i = 0; i < 2000; ++i) {
-      log.Append("entry " + std::to_string(i), static_cast<uint64_t>(i), 0);
-    }
-    done.store(true);
-  });
-  // An auditor snapshotting mid-stream must always see a verifiable prefix
-  // — never a half-written entry or a forked chain. (do-while: on a
-  // single-core host the writer may finish before this loop first runs.)
-  do {
-    const auto snapshot = log.SnapshotEntries();
-    EXPECT_TRUE(witbroker::SecureLog::VerifyChain(snapshot));
-  } while (!done.load());
-  writer.join();
-  EXPECT_TRUE(log.Verify());
-}
-
 TEST(BrokerSnapshotTest, AnomalyAnalysisRunsBesideLiveTraffic) {
   witos::Kernel kernel("host");
   witos::Pid broker_pid = *kernel.Clone(1, "PermissionBroker", 0);
@@ -213,9 +167,9 @@ TEST(BrokerSnapshotTest, AnomalyAnalysisRunsBesideLiveTraffic) {
   witbroker::PermissionBroker broker(&kernel, broker_pid, &policy, &channel);
   (void)broker.BindTicket("TKT-1", "T-1");
 
-  // One writer (the broker is per-machine and shard-serialized in witserve;
-  // the contract under test is snapshot-while-writing, not parallel
-  // HandleBatch).
+  // One writer (in witserve the machine lock serializes every call into a
+  // machine's broker; the contract under test is snapshot-while-writing,
+  // not parallel HandleBatch).
   std::atomic<bool> done{false};
   std::thread writer([&broker, &done] {
     witbroker::RpcBatchRequest batch;
