@@ -1,7 +1,7 @@
 // Crash-recovery bench (ISSUE: witjournal write-ahead journal + recovery).
 //
 // Four sections:
-//   1. Journal overhead — the same deploy + secure-log traffic driven twice,
+//   1. Journal overhead — the same deploy + evidence traffic driven twice,
 //      with and without a DurabilityManager attached (per-record fsync
 //      barriers), reporting the wall-time overhead of journaling.
 //   2. Crash + recovery — SimulateCrash() on the journaled pool, then
@@ -17,11 +17,13 @@
 // Exits nonzero on any leak or audit failure — CI gates on this.
 // `--json PATH` writes the headline numbers (BENCH_crash_recovery.json).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/json_out.h"
@@ -62,8 +64,9 @@ std::unique_ptr<watchit::Cluster> MakeCluster(size_t machines) {
 }
 
 // Deploys round-robin (every second one expired immediately), then bulk
-// secure-log appends with periodic epoch seals. Identical for the journaled
-// and bare runs so the overhead comparison is apples-to-apples.
+// broker-record appends to each machine's chain with periodic epoch
+// seals. Identical for the journaled and bare runs so the overhead
+// comparison is apples-to-apples.
 void DriveTraffic(watchit::Cluster* cluster, const BenchConfig& config,
                   const std::string& id_prefix, size_t deploys) {
   watchit::ClusterManager cm(cluster);
@@ -76,9 +79,10 @@ void DriveTraffic(watchit::Cluster* cluster, const BenchConfig& config,
     }
   }
   for (size_t m = 0; m < cluster->size(); ++m) {
-    witbroker::SecureLog& log = cluster->machine(m).broker().log();
+    witos::AuditLog& log = cluster->machine(m).kernel().audit();
     for (size_t i = 0; i < config.log_appends; ++i) {
-      log.Append("pb-op-" + std::to_string(i), 1'000'000 + i);
+      log.Append(witos::AuditEvent::kBrokerRequest, witos::kNoPid, 0,
+                 "pb-op-" + std::to_string(i), 1'000'000 + i);
       if ((i + 1) % config.epoch_interval == 0) {
         (void)log.SealEpoch(2'000'000 + i);
       }
@@ -149,8 +153,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== crash recovery: %zu machines, %zu deploys, %zu log appends/machine ===\n",
-              config.machines, config.deploys, config.log_appends);
+  const size_t host_cores = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("=== crash recovery: %zu machines, %zu deploys, %zu log appends/machine, "
+              "%zu host cores ===\n",
+              config.machines, config.deploys, config.log_appends, host_cores);
 
   // --- 1. journal overhead ---------------------------------------------------
   uint64_t bare_wall_ns = 0;
@@ -306,6 +312,7 @@ int main(int argc, char** argv) {
     root.Number("machines", static_cast<uint64_t>(config.machines));
     root.Number("deploys", static_cast<uint64_t>(config.deploys));
     root.Number("log_appends_per_machine", static_cast<uint64_t>(config.log_appends));
+    root.Number("host_cores", static_cast<uint64_t>(host_cores));
 
     benchjson::Object overhead_obj;
     overhead_obj.Number("bare_wall_ms", static_cast<double>(bare_wall_ns) / 1e6);

@@ -11,9 +11,9 @@
 // batched side queues all 8 on the pipeline and Flush()es one batch
 // (2 frames, 1 seal/MAC pair).
 //
-// Invariants reported per run: the secure log carries the SAME number of
-// per-op entries on both sides (batching amortizes the wire, never the
-// audit trail) and the hash chain verifies.
+// Invariants reported per run: the broker host's evidence chain carries
+// the SAME number of records on both sides (batching amortizes the wire,
+// never the audit trail) and the hash chain verifies.
 //
 // `--json PATH` writes the same numbers machine-readably (BENCH_*.json).
 
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   std::printf("bytes on wire per ticket: %.0f -> %.0f (%.2fx, acceptance target >= 2x)\n",
               per_op_runs.front().BytesPerTicket(), batched_runs.front().BytesPerTicket(),
               bytes_reduction);
-  std::printf("secure-log entries identical per-op vs batched: %s; chains verified: %s\n",
+  std::printf("chain records identical per-op vs batched: %s; chains verified: %s\n",
               log_counts_equal ? "yes" : "NO",
               batched_runs.back().securelog_verified ? "yes" : "NO");
 

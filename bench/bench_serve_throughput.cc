@@ -92,8 +92,8 @@ struct RunResult {
   uint64_t p50_ns = 0;
   uint64_t p95_ns = 0;
   uint64_t p99_ns = 0;
-  // End-of-run audit sweep: the sharded secure logs across all machines
-  // must still verify (chains, epoch roots, replicas) after the run.
+  // End-of-run audit sweep: every machine's evidence chain must still
+  // verify (hash links and epoch roots) after the run.
   witserve::ServerPool::AuditReport audit;
 
   double WallTps() const {
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   std::printf("(effective t/s divides by the busiest shard's thread-CPU time, so the\n"
               " number is host-core-count independent; wall t/s is what this box saw)\n");
   const witserve::ServerPool::AuditReport& audit = runs.back().audit;
-  std::printf("audit sweep at 8 workers: %zu machines, %zu secure-log entries, %zu epoch "
+  std::printf("audit sweep at 8 workers: %zu machines, %zu chain records, %zu epoch "
               "roots, %zu failures\n",
               audit.machines, audit.log_entries, audit.epoch_roots, audit.failures);
 

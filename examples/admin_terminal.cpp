@@ -50,9 +50,11 @@ int main() {
                       .c_str());
 
   std::printf("\n--- what the organization saw ---\n");
-  for (const auto& entry : machine.broker().log().SnapshotEntries()) {
-    std::printf("broker log #%llu: %s\n", static_cast<unsigned long long>(entry.seq),
-                entry.payload.c_str());
+  size_t broker_records = 0;
+  for (const witos::AuditRecord& record : machine.kernel().audit().Snapshot()) {
+    if (witbroker::DecodeBrokerRecord(record).has_value()) {
+      std::printf("broker log #%zu: %s\n", ++broker_records, record.detail.c_str());
+    }
   }
   const witcontain::Session* info = session.container();
   std::printf("ITFS recorded %zu file operations, %zu denied\n", info->itfs->oplog().size(),

@@ -7,6 +7,8 @@
 
 #include "src/core/cluster.h"
 #include "src/core/session.h"
+#include "src/durability/durability.h"
+#include "src/os/memfs.h"
 #include "src/workload/topology.h"
 
 namespace {
@@ -27,6 +29,9 @@ int main() {
   watchit::Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
   watchit::ClusterManager manager(&cluster);
   witos::Kernel& kernel = machine.kernel();
+  // The host-side journal: the persisted copy of every evidence record.
+  witdur::DurabilityManager durability(std::make_shared<witos::MemFs>());
+  durability.Attach(&cluster);
 
   // Mallory gets a legitimate software ticket — the most permissive class
   // (T-6: whole-root view, process management, whitelisted web).
@@ -64,12 +69,14 @@ int main() {
          !session.WriteFile("/usr/watchit/permission-broker", "evil").ok());
   std::printf("             TCB still intact: %s\n", machine.tcb_intact() ? "yes" : "NO");
 
-  // 6: tamper with the broker log (detected, not prevented in place).
+  // 6: tamper with the broker log (detected, not prevented in place). The
+  // rewrite recomputes the chain after the last sealed root, so only the
+  // journal's copy exposes it.
   (void)session.Pb(witbroker::kVerbPs, {});
-  size_t replica = machine.broker().log().AddReplica();
-  machine.broker().log().TamperForTest(0, "GRANT mallory nothing-suspicious");
+  witos::AuditLog& chain = kernel.audit();
+  chain.TamperForTest(chain.size() - 1, "GRANT mallory nothing-suspicious", /*rechain=*/true);
   Attack("rewrite a broker log entry (detection)",
-         !machine.broker().log().Verify() || !machine.broker().log().MatchesReplica(replica));
+         !chain.Verify() || !durability.ChainMatchesJournal(machine));
 
   // 8: steal the payroll file, encrypt, exfiltrate.
   bool read_blocked = !session.ReadFile("/home/user/documents/payroll.xlsx").ok();

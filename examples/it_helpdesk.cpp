@@ -86,8 +86,7 @@ int main() {
 
   std::printf("\nresolved %zu tickets; %zu operations needed the permission broker\n",
               incoming.size(), broker_uses);
-  std::printf("broker secure log: %zu entries, intact: %s\n", machine.broker().log().size(),
-              machine.broker().log().Verify() ? "yes" : "no");
-  std::printf("kernel audit trail: %zu records\n", machine.kernel().audit().size());
+  std::printf("evidence chain: %zu records, intact: %s\n", machine.kernel().audit().size(),
+              machine.kernel().audit().Verify() ? "yes" : "no");
   return 0;
 }

@@ -54,11 +54,8 @@ int main() {
   // --- The console ----------------------------------------------------------
   std::printf("live sessions: %zu\n", machine.containit().active_sessions());
   std::printf("TCB intact:    %s\n", machine.tcb_intact() ? "yes" : "NO — refuse to boot");
-  std::printf("broker log:    %zu entries, chain %s\n", machine.broker().log().size(),
-              machine.broker().log().Verify() ? "intact" : "BROKEN");
-  auto spool = machine.kernel().root_fs().SlurpForTest("/var/log/watchit/audit.log");
-  std::printf("audit spool:   %zu bytes at /var/log/watchit/audit.log\n\n",
-              spool.ok() ? spool->size() : 0);
+  std::printf("evidence:      %zu records, chain %s\n\n", machine.kernel().audit().size(),
+              machine.kernel().audit().Verify() ? "intact" : "BROKEN");
 
   watchit::ForensicReporter reporter(&machine);
   std::printf("--- triage queue (most suspicious first) ---\n");

@@ -77,9 +77,8 @@ int main() {
   const witcontain::Session* info = machine.containit().FindSession(deployment->session);
   std::printf("ITFS monitored %zu file operations (%zu denied)\n", info->itfs->oplog().size(),
               info->itfs->oplog().denied_count());
-  std::printf("broker log holds %zu entries, hash chain intact: %s\n",
-              machine.broker().log().size(),
-              machine.broker().log().Verify() ? "yes" : "no");
+  std::printf("evidence chain holds %zu records, hash chain intact: %s\n",
+              machine.kernel().audit().size(), machine.kernel().audit().Verify() ? "yes" : "no");
 
   (void)manager.Expire(&*deployment);
   std::printf("\nticket expired; session terminated, certificate revoked.\n");

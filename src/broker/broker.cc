@@ -1,6 +1,9 @@
 #include "src/broker/broker.h"
 
+#include <algorithm>
 #include <charconv>
+#include <iterator>
+#include <string_view>
 
 namespace witbroker {
 
@@ -26,11 +29,139 @@ const std::string& EndpointOf(const RpcRequest& request) {
   return kNone;
 }
 
+// A byte the broker record codec writes as %XX: the line's separators, the
+// escape itself, and control bytes.
+bool NeedsEscape(unsigned char c) {
+  return c == ' ' || c == '[' || c == ']' || c == '%' || c < 0x20 || c == 0x7f;
+}
+
+// Appends `field` escaped. An empty field is a lone '%' where it stands as
+// its own token (`mark_empty`); the bracketed class needs no mark.
+void AppendField(std::string* out, std::string_view field, bool mark_empty) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  if (field.empty() && mark_empty) {
+    *out += '%';
+    return;
+  }
+  for (char ch : field) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (NeedsEscape(c)) {
+      *out += '%';
+      *out += kHex[c >> 4];
+      *out += kHex[c & 0xf];
+    } else {
+      *out += ch;
+    }
+  }
+}
+
+// Inverse of AppendField, lenient: a lone '%' is empty, and a '%' not
+// followed by two hex digits fails. DecodeBrokerRecord's re-encode check
+// rejects every other spelling the encoder does not produce.
+std::optional<std::string> UnescapeField(std::string_view token) {
+  std::string out;
+  if (token == "%") {
+    return out;
+  }
+  for (size_t i = 0; i < token.size(); ++i) {
+    unsigned value = static_cast<unsigned char>(token[i]);
+    if (token[i] == '%') {
+      const char* hex = token.data() + i + 1;
+      auto [end, ec] = std::from_chars(hex, hex + std::min<size_t>(2, token.size() - i - 1), value,
+                                       16);
+      if (ec != std::errc() || end != hex + 2) {
+        return std::nullopt;
+      }
+      i += 2;
+    }
+    out += static_cast<char>(value);
+  }
+  return out;
+}
+
 }  // namespace
+
+std::string EncodeBrokerDetail(const RpcRequest& request, const std::string& ticket_class,
+                               bool granted) {
+  std::string detail = granted ? "GRANT " : "DENY ";
+  AppendField(&detail, request.admin, /*mark_empty=*/true);
+  detail += ' ';
+  AppendField(&detail, request.ticket_id, /*mark_empty=*/true);
+  detail += " [";
+  AppendField(&detail, ticket_class, /*mark_empty=*/false);
+  detail += "] ";
+  AppendField(&detail, request.method, /*mark_empty=*/true);
+  for (const std::string& arg : request.args) {
+    detail += ' ';
+    AppendField(&detail, arg, /*mark_empty=*/true);
+  }
+  return detail;
+}
+
+std::optional<BrokerEvent> DecodeBrokerRecord(const witos::AuditRecord& record) {
+  const bool granted = record.event == witos::AuditEvent::kBrokerRequest;
+  if (!granted && record.event != witos::AuditEvent::kBrokerDenied) {
+    return std::nullopt;
+  }
+  // GRANT|DENY admin ticket [class] verb args..., one field per token; the
+  // class sheds its brackets before it is unescaped.
+  std::vector<std::string> fields;
+  std::string_view rest = record.detail;
+  while (true) {
+    const size_t space = rest.find(' ');
+    std::string_view token = rest.substr(0, space);
+    if (fields.size() == 3) {
+      if (token.size() < 2 || token.front() != '[' || token.back() != ']') {
+        return std::nullopt;
+      }
+      token = token.substr(1, token.size() - 2);
+    }
+    std::optional<std::string> field = UnescapeField(token);
+    if (!field) {
+      return std::nullopt;
+    }
+    fields.push_back(std::move(*field));
+    if (space == std::string_view::npos) {
+      break;
+    }
+    rest.remove_prefix(space + 1);
+  }
+  if (fields.size() < 5 || fields[0] != (granted ? "GRANT" : "DENY")) {
+    return std::nullopt;
+  }
+  RpcRequest request;
+  request.admin = std::move(fields[1]);
+  request.ticket_id = std::move(fields[2]);
+  request.method = std::move(fields[4]);
+  request.args.assign(std::make_move_iterator(fields.begin() + 5),
+                      std::make_move_iterator(fields.end()));
+  if (EncodeBrokerDetail(request, fields[3], granted) != record.detail) {
+    return std::nullopt;  // not a spelling the encoder produces
+  }
+  BrokerEvent event;
+  event.time_ns = record.time_ns;
+  event.admin = std::move(request.admin);
+  event.ticket_id = std::move(request.ticket_id);
+  event.ticket_class = std::move(fields[3]);
+  event.verb = std::move(request.method);
+  event.args = std::move(request.args);
+  event.granted = granted;
+  return event;
+}
+
+std::vector<BrokerEvent> BrokerEventsOf(const std::vector<witos::AuditRecord>& records) {
+  std::vector<BrokerEvent> events;
+  for (const witos::AuditRecord& record : records) {
+    if (std::optional<BrokerEvent> event = DecodeBrokerRecord(record)) {
+      events.push_back(std::move(*event));
+    }
+  }
+  return events;
+}
 
 PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
                                    PolicyManager* policy, RpcChannel* channel)
-    : kernel_(kernel), host_pid_(host_pid), policy_(policy), log_(kLogEpochInterval) {
+    : kernel_(kernel), host_pid_(host_pid), policy_(policy) {
   channel->BindBatch([this](const RpcBatchRequest& batch) { return HandleBatch(batch); });
 }
 
@@ -126,11 +257,8 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry) {
                     "Permission broker requests by verb and grant outcome");
   registry->SetHelp("watchit_broker_dispatch_latency_ns",
                     "Simulated latency of granted broker verb dispatch");
-  registry->SetHelp("watchit_broker_events_dropped_total",
-                    "Broker events evicted by the retention cap");
   registry->SetHelp("watchit_broker_shadow_total",
                     "Shadow verb-policy evaluations by verb and outcome vs the enforcing policy");
-  events_dropped_ = registry->GetCounter("watchit_broker_events_dropped_total");
   dispatch_latency_ = registry->GetHistogram("watchit_broker_dispatch_latency_ns");
   for (const char* verb : {kVerbPs, kVerbKill, kVerbReadFile, kVerbInstall, kVerbRestartService,
                            kVerbReboot, kVerbMountVolume, kVerbNetAllow, kVerbDriverUpdate}) {
@@ -140,52 +268,8 @@ void PermissionBroker::EnableMetrics(witobs::MetricsRegistry* registry) {
     verb_counters_[verb] = ResolveVerb(verb);
   }
   unknown_verb_ = ResolveVerb("unknown");
-  events_mu_.EnableMetrics(registry);
   tickets_mu_.EnableMetrics(registry);
-  log_.EnableLockMetrics(registry);
-}
-
-void PermissionBroker::TrimEventsLocked(size_t keep) {
-  while (events_.size() > keep) {
-    events_.pop_front();
-    ++dropped_events_;
-    if (events_dropped_ != nullptr) {
-      events_dropped_->Increment();
-    }
-  }
-}
-
-void PermissionBroker::RecordEvents(std::vector<BrokerEvent> events) {
-  if (events.empty()) {
-    return;
-  }
-  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
-  for (BrokerEvent& event : events) {
-    if (event_capacity_ != 0) {
-      TrimEventsLocked(event_capacity_ - 1);
-    }
-    events_.push_back(std::move(event));
-  }
-}
-
-void PermissionBroker::set_event_capacity(size_t capacity) {
-  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
-  event_capacity_ = capacity;
-  // Apply immediately: a cap tightened mid-traffic evicts down to the new
-  // window now, not on the next append.
-  if (capacity != 0) {
-    TrimEventsLocked(capacity);
-  }
-}
-
-size_t PermissionBroker::dropped_events() const {
-  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
-  return dropped_events_;
-}
-
-std::vector<BrokerEvent> PermissionBroker::EventsSnapshot() const {
-  std::lock_guard<witobs::ProfiledMutex> lock(events_mu_);
-  return std::vector<BrokerEvent>(events_.begin(), events_.end());
+  kernel_->audit().EnableLockMetrics(registry);
 }
 
 RpcResponse PermissionBroker::Ok(std::string payload) const {
@@ -206,20 +290,6 @@ PermissionBroker::Binding PermissionBroker::LookupBinding(const std::string& tic
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
   auto it = bindings_.find(ticket_id);
   return it != bindings_.end() ? it->second : Binding();
-}
-
-BrokerEvent PermissionBroker::MakeEvent(const RpcRequest& request,
-                                        const std::string& ticket_class, uint64_t now,
-                                        bool allowed) {
-  BrokerEvent event;
-  event.time_ns = now;
-  event.admin = request.admin;
-  event.ticket_id = request.ticket_id;
-  event.ticket_class = ticket_class;
-  event.verb = request.method;
-  event.args = request.args;
-  event.granted = allowed;
-  return event;
 }
 
 void PermissionBroker::CountRequest(const RpcRequest& request, const Binding& binding,
@@ -267,16 +337,6 @@ PermissionBroker::ShadowStats PermissionBroker::shadow_stats() const {
   return stats;
 }
 
-std::string PermissionBroker::LogLine(const RpcRequest& request,
-                                      const std::string& ticket_class, bool allowed) {
-  std::string log_line = (allowed ? "GRANT " : "DENY ") + request.admin + " " +
-                         request.ticket_id + " [" + ticket_class + "] " + request.method;
-  for (const auto& arg : request.args) {
-    log_line += " " + arg;
-  }
-  return log_line;
-}
-
 RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   uint64_t now = kernel_->clock().now_ns();
   // One policy-context lookup for the whole batch: the ticket class is
@@ -287,33 +347,28 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   RpcBatchResponse response;
   response.responses.resize(batch.ops.size());
   std::vector<bool> allowed(batch.ops.size(), false);
-  std::vector<BrokerEvent> events;
-  std::vector<std::string> log_lines;
-  events.reserve(batch.ops.size());
-  log_lines.reserve(batch.ops.size());
+  std::vector<witos::AuditRecord> records(batch.ops.size());
 
   // Per-op accountability first (Table 1: every request, granted or denied,
-  // leaves its own record): policy decisions, events, log lines and kernel
-  // audit records are computed per op...
+  // leaves its own record): policy decisions and evidence records are
+  // computed per op...
   for (size_t i = 0; i < batch.ops.size(); ++i) {
     RpcRequest request = batch.SubRequest(i);
     bool policy_allowed =
         policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
     allowed[i] = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
     ShadowCheck(request, ticket_class, policy_allowed);
-    events.push_back(MakeEvent(request, ticket_class, now, allowed[i]));
     CountRequest(request, binding, allowed[i]);
-    log_lines.push_back(LogLine(request, ticket_class, allowed[i]));
-    kernel_->audit().Append(
-        allowed[i] ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied,
-        request.caller_pid, request.uid, log_lines.back(), now);
+    records[i].event =
+        allowed[i] ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied;
+    records[i].pid = request.caller_pid;
+    records[i].uid = request.uid;
+    records[i].detail = EncodeBrokerDetail(request, ticket_class, allowed[i]);
   }
-  // ...but the shared structures are entered once: a single lock acquisition
-  // appends every event, and a single SecureLog critical section chains
-  // every per-op entry. ("Either way, these requests are logged in
+  // ...but the chain is entered once: a single critical section chains
+  // every per-op record. ("Either way, these requests are logged in
   // real-time to a secure append-only storage device.")
-  RecordEvents(std::move(events));
-  log_.AppendBatch(log_lines, now);
+  kernel_->audit().AppendBatch(std::move(records), now);
 
   // Dispatch the granted ops (denied ones answer EPERM positionally), one
   // latency sample per granted dispatch.

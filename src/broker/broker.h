@@ -1,33 +1,33 @@
 // The permission broker (paper §5.4): a host-side service with unlimited
 // access to the host's namespaces. Contained administrators ask it to
 // execute commands on their behalf ("PB ps -a") or to widen their container
-// view. Every request — granted or denied — is written to the secure
-// append-only log and the kernel audit trail.
+// view. Every request — granted or denied — is one record in the host
+// machine's evidence chain (witos::AuditLog), written by the codec below.
 
 #ifndef SRC_BROKER_BROKER_H_
 #define SRC_BROKER_BROKER_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/broker/policy.h"
 #include "src/broker/rpc.h"
-#include "src/broker/securelog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/os/kernel.h"
 
 namespace witbroker {
 
-// A structured record of one broker request, consumed by the anomaly
-// detector and the case-study accounting.
+// One broker request as its evidence record states it, consumed by the
+// anomaly detector, forensic reports, the case-study accounting and
+// witmine.
 struct BrokerEvent {
   uint64_t time_ns = 0;
   std::string admin;
@@ -38,11 +38,24 @@ struct BrokerEvent {
   bool granted = false;
 };
 
+// The broker record codec: the detail of each kBrokerRequest (granted) or
+// kBrokerDenied record in the chain. EncodeBrokerDetail renders
+// `GRANT alice TKT-1 [T-6] install netcat`. Until frames are authenticated
+// every field comes from the sender, so each byte that would blur the
+// line's structure (space, '[', ']', '%', control bytes) is written as %XX,
+// and an empty admin, ticket, verb or arg as a lone '%': any bytes
+// round-trip, and ordinary names print as they are.
+std::string EncodeBrokerDetail(const RpcRequest& request, const std::string& ticket_class,
+                               bool granted);
+// The event a broker record states; nullopt for any record that is not a
+// broker record the encoder produced (a decode must re-encode to the same
+// detail, and GRANT must sit on a kBrokerRequest record).
+std::optional<BrokerEvent> DecodeBrokerRecord(const witos::AuditRecord& record);
+// Every broker record of `records`, decoded, in chain order.
+std::vector<BrokerEvent> BrokerEventsOf(const std::vector<witos::AuditRecord>& records);
+
 class PermissionBroker {
  public:
-  // Appends between auto-sealed secure-log epoch roots.
-  static constexpr uint64_t kLogEpochInterval = 256;
-
   // `kernel` is the host machine; `host_pid` is the broker's own process on
   // it (root, full capabilities, host namespaces). The broker binds itself
   // to `channel`.
@@ -50,14 +63,9 @@ class PermissionBroker {
                    RpcChannel* channel);
 
   witos::Pid host_pid() const { return host_pid_; }
-  SecureLog& log() { return log_; }
-  const SecureLog& log() const { return log_; }
-
-  // Consistent point-in-time copy of the structured event window, in
-  // append order — the anomaly detector and forensic reports read this so
-  // their input cannot shift (or reallocate) under them while the broker
-  // keeps serving.
-  std::vector<BrokerEvent> EventsSnapshot() const;
+  // The evidence chain the broker writes: its host kernel's audit log.
+  witos::AuditLog& log() { return kernel_->audit(); }
+  const witos::AuditLog& log() const { return kernel_->audit(); }
 
   // Maps a ticket id to its class so policy lookups work; the cluster
   // manager registers each deployed ticket here. EEXIST when the ticket is
@@ -72,7 +80,7 @@ class PermissionBroker {
   // zero once every ticket has expired or rolled back.
   size_t bound_ticket_count() const;
   // The bound ticket's requests so far (allowed = granted); zeros when it
-  // is not bound. Exact however many events the window has evicted.
+  // is not bound.
   witobs::OutcomeCounts RequestsOf(const std::string& ticket_id) const;
   // Consistent copy of every live (ticket, class) binding in ticket-id
   // order — what a checkpoint persists.
@@ -94,12 +102,10 @@ class PermissionBroker {
   void RegisterVerb(const std::string& verb, VerbHandler handler);
 
   // The broker's one entry point; the channel binds it, and tests may call
-  // it directly. One policy-context lookup, one structured-event append and
-  // one SecureLog critical-section entry for the whole batch, while the
-  // audit trail stays strictly per-op — N sub-requests still produce N
-  // broker events, N secure-log entries and N kernel audit records (Table 1
-  // threat semantics). Responses are positional. A single request is a
-  // batch of one.
+  // it directly. One policy-context lookup and one evidence-chain critical
+  // section for the whole batch, while the evidence stays strictly per-op:
+  // N sub-requests produce N chained records (Table 1 threat semantics).
+  // Responses are positional. A single request is a batch of one.
   RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
 
   // Wires the broker into the observability layer: request and shadow
@@ -110,21 +116,11 @@ class PermissionBroker {
   // registered one (RegisterVerb resolves later ones), so a request takes
   // no registry lock. A method outside that vocabulary counts under
   // verb="unknown": a contained admin cannot mint series by sending
-  // made-up verbs. The secure-log line, the audit record and the
-  // BrokerEvent keep the exact method. Per-ticket totals live in the
-  // binding (RequestsOf), not in the registry, so no ticket id, forged or
-  // bound, names a series.
+  // made-up verbs. The evidence record keeps the exact method. Per-ticket
+  // totals live in the binding (RequestsOf), not in the registry, so no
+  // ticket id, forged or bound, names a series. Also attaches the evidence
+  // chain's "securelog" lock to the profile.
   void EnableMetrics(witobs::MetricsRegistry* registry);
-
-  // Retention cap for the structured event window (0 = unbounded). When
-  // the cap is hit the oldest events are evicted; dropped_events() (and the
-  // watchit_broker_events_dropped_total series) count the evictions. The
-  // secure log is untouched — it is the tamper-evident record; the event
-  // window is the in-memory analysis view. Takes the window's lock and
-  // applies the new cap immediately (evicting down to it), so a resize
-  // during live traffic is race-free.
-  void set_event_capacity(size_t capacity);
-  size_t dropped_events() const;
 
   // Shadow-policy accounting (witmine, DESIGN.md §17): how often the mined
   // shadow verb policy agreed with the enforcing one per request.
@@ -154,9 +150,6 @@ class PermissionBroker {
     witobs::Counter* shadow[3] = {};    // agree, would_block, would_allow
   };
 
-  // Evicts the window's oldest events until at most `keep` remain.
-  void TrimEventsLocked(size_t keep);
-
   RpcResponse Dispatch(const RpcRequest& request);
   RpcResponse Ok(std::string payload) const;
   RpcResponse Fail(witos::Err err) const;
@@ -164,8 +157,6 @@ class PermissionBroker {
   // Per-op accountability pieces of HandleBatch. LookupBinding copies the
   // ticket's binding (empty class and no tally when unbound).
   Binding LookupBinding(const std::string& ticket_id) const;
-  BrokerEvent MakeEvent(const RpcRequest& request, const std::string& ticket_class,
-                        uint64_t now, bool allowed);
   void CountRequest(const RpcRequest& request, const Binding& binding, bool allowed);
   // Consults the shadow policy (if one covers the class) and accounts the
   // divergence from the enforcing verdict; never changes the outcome.
@@ -176,8 +167,6 @@ class PermissionBroker {
   // The series a request for `verb` counts under: its own when known, else
   // the shared "unknown" ones. Only valid while metrics are on.
   const VerbCounters& CountersFor(const std::string& verb) const;
-  std::string LogLine(const RpcRequest& request, const std::string& ticket_class,
-                      bool allowed);
 
   RpcResponse HandlePs(const RpcRequest& request);
   RpcResponse HandleKill(const RpcRequest& request);
@@ -187,18 +176,9 @@ class PermissionBroker {
   RpcResponse HandleReboot(const RpcRequest& request);
   RpcResponse HandleDriverUpdate(const RpcRequest& request);
 
-  void RecordEvents(std::vector<BrokerEvent> events);
-
   witos::Kernel* kernel_;
   witos::Pid host_pid_;
   PolicyManager* policy_;
-  SecureLog log_;
-  // The bounded event window: a deque, so the cap evicts from the front in
-  // O(1) rather than O(window) per append.
-  mutable witobs::ProfiledMutex events_mu_{"broker.events"};
-  std::deque<BrokerEvent> events_;
-  size_t event_capacity_ = 0;  // 0 = unbounded
-  uint64_t dropped_events_ = 0;
   // Ticket id -> binding: deploy workers bind/unbind while request paths
   // resolve.
   mutable witobs::ProfiledMutex tickets_mu_{"broker.tickets"};
@@ -217,7 +197,6 @@ class PermissionBroker {
 
   // Observability wiring (all null when metrics are disabled).
   witobs::MetricsRegistry* metrics_ = nullptr;
-  witobs::Counter* events_dropped_ = nullptr;
   witobs::Histogram* dispatch_latency_ = nullptr;
 };
 

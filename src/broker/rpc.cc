@@ -1,6 +1,6 @@
 #include "src/broker/rpc.h"
 
-#include "src/broker/securelog.h"
+#include "src/os/audit.h"
 
 namespace witbroker {
 
@@ -174,7 +174,7 @@ void ApplyKeystream(std::string* data, uint64_t key, uint64_t nonce) {
   uint64_t state = key ^ (nonce * 0x9e3779b97f4a7c15ull);
   size_t i = 0;
   while (i < data->size()) {
-    state = Fnv1a(std::string_view(reinterpret_cast<const char*>(&state), 8));
+    state = witos::Fnv1a(std::string_view(reinterpret_cast<const char*>(&state), 8));
     for (int b = 0; b < 8 && i < data->size(); ++b, ++i) {
       (*data)[i] = static_cast<char>((*data)[i] ^ static_cast<char>((state >> (8 * b)) & 0xff));
     }
@@ -200,7 +200,7 @@ uint64_t ReadU64(std::string_view data) {
 
 std::string RpcChannel::Seal(const std::string& plaintext) {
   uint64_t nonce = ++nonce_;
-  uint64_t mac = Fnv1a(plaintext, key_ ^ nonce);
+  uint64_t mac = witos::Fnv1a(plaintext, key_ ^ nonce);
   std::string body = plaintext;
   ApplyKeystream(&body, key_, nonce);
   std::string frame;
@@ -218,7 +218,7 @@ witos::Result<std::string> RpcChannel::Open(const std::string& frame) const {
   std::string body = frame.substr(8, frame.size() - 16);
   uint64_t mac = ReadU64(std::string_view(frame).substr(frame.size() - 8));
   ApplyKeystream(&body, key_, nonce);
-  if (Fnv1a(body, key_ ^ nonce) != mac) {
+  if (witos::Fnv1a(body, key_ ^ nonce) != mac) {
     return witos::Err::kIo;  // authentication failure: drop the frame
   }
   return body;

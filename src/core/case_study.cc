@@ -187,14 +187,17 @@ CaseStudyResult RunCaseStudy(const CaseStudyConfig& config) {
   result.process_view_isolated = Pct(proc_isolated, total);
   result.network_view_isolated = Pct(net_isolated, total);
   result.web_access_allowed = Pct(web_allowed, total);
-  const std::vector<witbroker::BrokerEvent> broker_events = machine.broker().EventsSnapshot();
-  result.broker_requests = broker_events.size();
-  for (const auto& event : broker_events) {
-    if (!event.granted) {
-      ++result.broker_denied;
+  // The broker accounting is decoded from one verified snapshot of the
+  // machine's evidence chain; a chain that fails verification counts
+  // nothing.
+  auto evidence = machine.kernel().audit().VerifiedSnapshot();
+  result.secure_log_intact = evidence.ok();
+  if (evidence.ok()) {
+    for (const witbroker::BrokerEvent& event : witbroker::BrokerEventsOf(*evidence)) {
+      ++result.broker_requests;
+      result.broker_denied += event.granted ? 0 : 1;
     }
   }
-  result.secure_log_intact = machine.broker().log().Verify();
   return result;
 }
 

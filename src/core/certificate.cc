@@ -1,6 +1,6 @@
 #include "src/core/certificate.h"
 
-#include "src/broker/securelog.h"
+#include "src/os/audit.h"
 
 namespace watchit {
 
@@ -24,7 +24,7 @@ uint64_t CertificateAuthority::Sign(const Certificate& cert) const {
   std::string material = cert.admin + "|" + cert.machine + "|" + cert.ticket_id + "|" +
                          cert.ticket_class + "|" + std::to_string(cert.serial) + "|" +
                          std::to_string(cert.issued_ns) + "|" + std::to_string(cert.expires_ns);
-  return witbroker::Fnv1a(material, secret_);
+  return witos::Fnv1a(material, secret_);
 }
 
 Certificate CertificateAuthority::Issue(const std::string& admin, const std::string& machine,

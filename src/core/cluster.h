@@ -57,7 +57,7 @@ class Cluster {
   Machine& machine(size_t index) { return *machines_[index]; }
 
   // Reboots `name` in place: the old Machine (kernel, broker, sessions,
-  // secure log — the crashed shard's volatile state) is destroyed and a
+  // evidence chain — the crashed shard's volatile state) is destroyed and a
   // fresh one takes its slot, same name and address. For quiesced recovery
   // only: any Machine* held elsewhere (server-pool shards, deployments)
   // dangles afterwards. Null for an unknown name.
@@ -75,9 +75,8 @@ class Cluster {
   }
 
   // Cluster-wide audit sweep (DESIGN.md §14): verifies every machine's
-  // secure log — its hash chain, each sealed epoch root, and divergence
-  // against every registered replica. `failures` counts machines
-  // whose trail did not verify. ServerPool::VerifyAuditTrail and the crash
+  // evidence chain — its hash links and each sealed epoch root. `failures`
+  // counts machines whose chain did not verify. ServerPool::VerifyAuditTrail and the crash
   // harness's post-recovery audit both land here.
   struct AuditReport {
     size_t machines = 0;

@@ -73,11 +73,6 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     if (bind_clock) {
       clock.ReleaseOwner();
     }
-    uint64_t deadline_ns = gate->StageDeadlineNs(stage);
-    if (status.ok() && deadline_ns != 0 && sim_ns > deadline_ns) {
-      // The stage's side effects stand; the caller's rollback removes them.
-      status = witos::Err::kTimedOut;
-    }
     gate->OnStageDone(stage, sim_ns, status.error());
     last_stage_end_ns = start_ns + sim_ns;
     notify(DeployTxnEvent::Kind::kStage, stage, status.error(), last_stage_end_ns);
@@ -164,8 +159,8 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
   return deployment;
 }
 
-// The shard workers' gate: per-machine locking, SimClock ownership, the
-// configured stage deadlines, and the optional stage hook.
+// The shard workers' gate: per-machine locking, SimClock ownership and the
+// optional stage hook.
 class DeployPipeline::WorkerGate : public DeployGate {
  public:
   WorkerGate(DeployPipeline* pipeline, const Ticket* ticket)
@@ -186,10 +181,6 @@ class DeployPipeline::WorkerGate : public DeployGate {
   }
 
   bool BindsClockOwnership() const override { return true; }
-
-  uint64_t StageDeadlineNs(DeployStage stage) const override {
-    return pipeline_->options_.stage_deadline_ns[static_cast<size_t>(stage)];
-  }
 
   void OnStageDone(DeployStage stage, uint64_t sim_ns, witos::Err /*err*/) override {
     witobs::Histogram* hist = pipeline_->stage_latency_[static_cast<size_t>(stage)];
@@ -230,11 +221,6 @@ class DeployPipeline::WorkerGate : public DeployGate {
   DeployStage rollback_stage_ = DeployStage::kImageLookup;
 };
 
-DeployPipeline::DeployPipeline(Cluster* cluster) : DeployPipeline(cluster, Options()) {}
-
-DeployPipeline::DeployPipeline(Cluster* cluster, Options options)
-    : cluster_(cluster), options_(options) {}
-
 witos::Result<Deployment> DeployPipeline::Deploy(const Ticket& ticket) {
   {
     std::lock_guard<witobs::ProfiledMutex> lock(mu_);
@@ -264,9 +250,6 @@ void DeployPipeline::RecordOutcome(const witos::Result<Deployment>& result,
     if (result.ok()) {
       ++stats_.deployed;
       outcome = outcome_ok_;
-    } else if (result.error() == witos::Err::kTimedOut) {
-      ++stats_.timed_out;
-      outcome = outcome_timeout_;
     } else {
       ++stats_.failed;
       outcome = outcome_error_;
@@ -306,7 +289,6 @@ void DeployPipeline::EnableMetrics(witobs::MetricsRegistry* registry, witobs::Tr
   inflight_gauge_ = registry->GetGauge("watchit_deploy_inflight");
   outcome_ok_ = registry->GetCounter("watchit_deploy_total", {{"outcome", "ok"}});
   outcome_error_ = registry->GetCounter("watchit_deploy_total", {{"outcome", "error"}});
-  outcome_timeout_ = registry->GetCounter("watchit_deploy_total", {{"outcome", "timeout"}});
 }
 
 DeployPipeline::Stats DeployPipeline::GetStats() const {

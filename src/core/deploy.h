@@ -7,8 +7,7 @@
 //
 //   image lookup → container construction → broker bind → certificate issue
 //
-// — each executed under only *that machine's* lock, with a per-stage
-// deadline measured against the machine's SimClock and a fault-injection
+// — each executed under only *that machine's* lock, with a fault-injection
 // point between stages. When any stage fails the completed stages are
 // rolled back in reverse order: revoke the certificate, unbind the broker
 // ticket, terminate the half-built session. A deploy therefore either
@@ -47,7 +46,7 @@ std::string DeployStageName(DeployStage stage);
 
 // Customization points RunDeployStages consults around every stage. The
 // defaults reproduce the historical inline Deploy: no locking (the caller
-// already owns the machine), no deadlines.
+// already owns the machine).
 class DeployGate {
  public:
   virtual ~DeployGate() = default;
@@ -71,11 +70,6 @@ class DeployGate {
   // single-threaded callers don't.
   virtual bool BindsClockOwnership() const { return false; }
 
-  // Per-stage deadline in *simulated* nanoseconds on the machine's clock;
-  // 0 disables. A stage whose simulated cost exceeds the deadline fails
-  // with ETIMEDOUT (and its side effects are rolled back).
-  virtual uint64_t StageDeadlineNs(DeployStage /*stage*/) const { return 0; }
-
   virtual void OnStageDone(DeployStage /*stage*/, uint64_t /*sim_ns*/, witos::Err /*err*/) {}
   virtual void OnRollback(DeployStage /*failed_stage*/, witos::Err /*err*/) {}
 };
@@ -89,21 +83,14 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
                                           uint64_t lifetime_ns, DeployGate* gate);
 
 // The gated deploy transaction the serving pool runs: per-machine locking,
-// clock ownership, the stage hook, per-stage deadlines, and the stage
-// histograms and spans. Thread-safe: any number of shard workers may call
-// Deploy concurrently.
+// clock ownership, the stage hook, and the stage histograms and spans.
+// Thread-safe: any number of shard workers may call Deploy concurrently.
 class DeployPipeline {
  public:
-  struct Options {
-    // Per-stage deadline in simulated ns (0 = none), indexed by DeployStage.
-    std::array<uint64_t, kNumDeployStages> stage_deadline_ns{};
-  };
-
   struct Stats {
     uint64_t submitted = 0;
     uint64_t deployed = 0;
-    uint64_t failed = 0;     // stage error other than a timeout
-    uint64_t timed_out = 0;  // missed stage deadline
+    uint64_t failed = 0;     // a stage returned an error
     uint64_t rollbacks = 0;  // transactions that unwound at least one stage
     uint64_t peak_inflight = 0;  // most deploys executing at once
   };
@@ -113,8 +100,7 @@ class DeployPipeline {
   // stage. Set before traffic starts.
   using StageHook = std::function<witos::Status(DeployStage, const Ticket&, Machine*)>;
 
-  explicit DeployPipeline(Cluster* cluster);  // default Options
-  DeployPipeline(Cluster* cluster, Options options);
+  explicit DeployPipeline(Cluster* cluster) : cluster_(cluster) {}
   DeployPipeline(const DeployPipeline&) = delete;
   DeployPipeline& operator=(const DeployPipeline&) = delete;
 
@@ -140,7 +126,6 @@ class DeployPipeline {
   void RecordOutcome(const witos::Result<Deployment>& result, const WorkerGate& gate);
 
   Cluster* cluster_;
-  Options options_;
   StageHook stage_hook_;
 
   // Profiled "deploy.stats" lock (DESIGN.md §13): it is taken twice per
@@ -156,7 +141,6 @@ class DeployPipeline {
   witobs::Gauge* inflight_gauge_ = nullptr;
   witobs::Counter* outcome_ok_ = nullptr;
   witobs::Counter* outcome_error_ = nullptr;
-  witobs::Counter* outcome_timeout_ = nullptr;
 };
 
 }  // namespace watchit

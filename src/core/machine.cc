@@ -92,37 +92,25 @@ void Machine::BootWatchIt() {
   auto broker_pid = kernel_->Clone(kernel_->init_pid(), "PermissionBroker", 0);
   broker_pid_ = broker_pid.ok() ? *broker_pid : witos::kNoPid;
   ConfigureBrokerPolicies(&policy_);
-  // One event window, one binding map and one SecureLog chain (DESIGN.md
-  // §14): every request-path call into the broker already holds this
-  // machine's lock.
+  // One binding map per broker; the broker's records go to the kernel's
+  // evidence chain (DESIGN.md §14). Every request-path call into the
+  // broker already holds this machine's lock.
   broker_ = std::make_unique<witbroker::PermissionBroker>(kernel_.get(), broker_pid_, &policy_,
                                                           &broker_channel_);
   containit_ = std::make_unique<witcontain::ContainIt>(kernel_.get(), net_.get());
   containit_->AttachBroker(broker_.get());
 
   // Observability: one registry per machine; the broker and every
-  // per-session ITFS instance feed it. The retention caps bound what the raw
-  // logs keep in memory — totals survive in the registry counters.
+  // per-session ITFS instance feed it. The OpLog retention cap bounds what
+  // the raw log keeps in memory — totals survive in the registry counters.
   mu_.EnableMetrics(&metrics_);
   broker_->EnableMetrics(&metrics_);
-  broker_->set_event_capacity(1 << 19);
   broker_channel_.EnableMetrics(&metrics_);
   containit_->EnableMetrics(&metrics_);
   containit_->set_oplog_capacity(1 << 16);
 
-  // Persist the kernel audit trail into the machine's own (write-guarded)
-  // log spool: even the forensic evidence lives on the box, and no admin —
-  // contained or not — can rewrite it through the kernel.
-  witos::MemFs* fs = &kernel_->root_fs();
-  kernel_->audit().AddReplica([fs](const witos::AuditRecord& rec) {
-    fs->ProvisionAppend("/var/log/watchit/audit.log",
-                        std::to_string(rec.seq) + " " + witos::AuditEventName(rec.event) +
-                            " pid=" + std::to_string(rec.pid) + " uid=" +
-                            std::to_string(rec.uid) + " " + rec.detail + "\n");
-  });
-
-  // Measure and lock the TCB. The log spool is guarded (no one may write it
-  // through the kernel) but not measured — it legitimately grows.
+  // Measure and lock the TCB. The log directory is guarded (no one may
+  // write it through the kernel) but not measured.
   std::vector<std::string> guarded = WatchItProtectedPaths();
   std::vector<std::string> measured = {"/usr/watchit", "/etc/watchit"};
   tcb_ = std::make_unique<Tcb>(kernel_.get(), guarded, measured);

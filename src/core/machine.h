@@ -27,6 +27,7 @@ class Machine {
   witnet::Ipv4Addr addr() const { return addr_; }
 
   witos::Kernel& kernel() { return *kernel_; }
+  const witos::Kernel& kernel() const { return *kernel_; }
   witnet::NetStack& net() { return *net_; }
   witcontain::ContainIt& containit() { return *containit_; }
   witbroker::PermissionBroker& broker() { return *broker_; }

@@ -8,7 +8,7 @@ namespace watchit {
 
 namespace {
 
-// Security events the kernel audit log attributes to one pid.
+// Security events the evidence chain attributes to one pid.
 struct Probes {
   size_t capability_denials = 0;
   size_t xcl_denials = 0;
@@ -34,12 +34,16 @@ witos::Result<SessionForensics> ForensicReporter::Collect(
 
 std::vector<SessionForensics> ForensicReporter::Assemble(
     const std::vector<Subject>& subjects) const {
-  // One snapshot: every session's detail lines and the anomaly baseline
-  // describe the same instant even while serving workers keep appending
-  // broker events.
-  const std::vector<witbroker::BrokerEvent> events = machine_->broker().EventsSnapshot();
+  // One verified snapshot of the machine's evidence chain: every session's
+  // detail lines, probe counts and the anomaly baseline describe the same
+  // instant even while serving workers keep appending, and a chain that
+  // fails verification contributes none of them.
+  const auto evidence = machine_->kernel().audit().VerifiedSnapshot();
+  static const std::vector<witos::AuditRecord> kNoRecords;
+  const std::vector<witos::AuditRecord>& records = evidence.ok() ? *evidence : kNoRecords;
+  const std::vector<witbroker::BrokerEvent> events = witbroker::BrokerEventsOf(records);
   // Each subject's ticket events and per-pid probing counts, filled in one
-  // pass over the event window and one over the audit log.
+  // pass over the broker events and one over the records.
   std::unordered_map<std::string_view, std::vector<witbroker::BrokerEvent>> ticket_events;
   std::unordered_map<witos::Pid, Probes> probes;
   for (const Subject& subject : subjects) {
@@ -53,7 +57,7 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
       it->second.push_back(event);
     }
   }
-  for (const auto& rec : machine_->kernel().audit().records()) {
+  for (const witos::AuditRecord& rec : records) {
     auto it = probes.find(rec.pid);
     if (it == probes.end()) {
       continue;
@@ -87,14 +91,15 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
     forensics.container_class = record.container_class;
     forensics.still_active = subject.live;
     forensics.termination_reason = record.termination_reason;
+    forensics.evidence_verified = evidence.ok();
     forensics.fs_ops = static_cast<size_t>(record.fs_ops.allowed + record.fs_ops.denied);
     forensics.fs_denied = static_cast<size_t>(record.fs_ops.denied);
     forensics.denied_paths = record.denied_paths;
     forensics.packets_inspected = static_cast<size_t>(record.packets_inspected);
     forensics.packets_blocked = static_cast<size_t>(record.packets_blocked);
     forensics.sniffer_hits = record.sniffer_hits;
-    // Counts are the ticket's exact totals; the detail lines come from the
-    // retained event window.
+    // Counts are the ticket's exact totals from its record; the detail
+    // lines come from the chain.
     forensics.broker_requests =
         static_cast<size_t>(record.broker_requests.allowed + record.broker_requests.denied);
     forensics.broker_denied = static_cast<size_t>(record.broker_requests.denied);
@@ -155,6 +160,10 @@ std::string ForensicReporter::Render(const SessionForensics& forensics) {
     out += " (" + forensics.termination_reason + ")";
   }
   out += "\nseverity: " + std::to_string(forensics.severity) + "/100\n";
+  if (!forensics.evidence_verified) {
+    out += "evidence: chain FAILED verification; broker lines, anomalies and probe counts "
+           "withheld\n";
+  }
   out += "filesystem: " + std::to_string(forensics.fs_ops) + " ops, " +
          std::to_string(forensics.fs_denied) + " denied\n";
   for (const auto& path : forensics.denied_paths) {

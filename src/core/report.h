@@ -1,6 +1,7 @@
 // Forensic reporting: assembles the per-session evidence WatchIT collects —
-// kernel audit records, ITFS operation log, sniffer alerts, broker requests
-// and anomaly scores — into one structured incident report. This is the
+// the session's own record (ITFS, sniffer and broker totals) and the
+// machine's evidence chain (broker requests, anomaly scores, probing) —
+// into one structured incident report. This is the
 // "later analysis and anomaly detection" and "improved investigation
 // capabilities in case of security breach" the paper promises (§1, §4).
 
@@ -21,6 +22,10 @@ struct SessionForensics {
   std::string container_class;
   bool still_active = false;
   std::string termination_reason;
+  // False when the machine's evidence chain failed verification: the
+  // broker lines, anomalies and probe counts below are then withheld, not
+  // read from a chain that may have been rewritten.
+  bool evidence_verified = true;
 
   // Filesystem activity.
   size_t fs_ops = 0;
@@ -68,8 +73,8 @@ class ForensicReporter {
     bool live;
   };
   // The forensics of each subject, in order. The machine-wide evidence is
-  // read once per call however many sessions it covers: one broker event
-  // snapshot, one anomaly fit and one audit-log pass.
+  // read once per call however many sessions it covers: one verified
+  // snapshot of the chain, one anomaly fit and one pass over the records.
   std::vector<SessionForensics> Assemble(const std::vector<Subject>& subjects) const;
   static int Score(const SessionForensics& forensics);
 

@@ -1,6 +1,6 @@
 #include "src/core/tcb.h"
 
-#include "src/broker/securelog.h"
+#include "src/os/audit.h"
 #include "src/os/path.h"
 
 namespace watchit {
@@ -21,7 +21,7 @@ Tcb::Tcb(witos::Kernel* kernel, std::vector<std::string> paths,
 
 uint64_t Tcb::MeasurePath(const std::string& path) const {
   // Depth-first measurement through the kernel as init (root, host view).
-  uint64_t hash = witbroker::Fnv1a(path);
+  uint64_t hash = witos::Fnv1a(path);
   witos::Pid pid = kernel_->init_pid();
   auto st = kernel_->StatPath(pid, path);
   if (!st.ok()) {
@@ -39,7 +39,7 @@ uint64_t Tcb::MeasurePath(const std::string& path) const {
   }
   auto content = kernel_->ReadFile(pid, path);
   if (content.ok()) {
-    hash = witbroker::Fnv1a(*content, hash);
+    hash = witos::Fnv1a(*content, hash);
   }
   return hash;
 }

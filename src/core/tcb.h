@@ -24,7 +24,7 @@ class Tcb {
   // Protects `paths` (vfs-space prefixes) on `kernel`: the write guard
   // denies mutation of all of them. `measured_paths` (defaulting to the
   // guarded set) are what boot-time measurement hashes — append-only data
-  // like the log spool belongs in the guarded set but not the measured one.
+  // like a log directory belongs in the guarded set but not the measured one.
   Tcb(witos::Kernel* kernel, std::vector<std::string> paths,
       std::vector<std::string> measured_paths = {});
 

@@ -43,7 +43,7 @@ PerforatedContainerSpec Base(int index) {
 const std::vector<std::string>& WatchItProtectedPaths() {
   static const std::vector<std::string> kPaths = {
       "/usr/watchit",            // ContainIT, broker, policy manager binaries
-      "/var/log/watchit",        // local log spool
+      "/var/log/watchit",        // WatchIT's log directory
       "/etc/watchit",            // policies
   };
   return kPaths;

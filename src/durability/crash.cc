@@ -33,9 +33,9 @@ bool GaugesMatch(const witobs::MetricsRegistry& registry, watchit::Cluster* clus
     watchit::Machine& machine = cluster->machine(i);
     const witobs::Labels labels{{"machine", machine.name()}};
     ok = ok && registry.GaugeValue("watchit_securelog_entries", labels) ==
-                   static_cast<int64_t>(machine.broker().log().size());
+                   static_cast<int64_t>(machine.kernel().audit().size());
     ok = ok && registry.GaugeValue("watchit_securelog_epochs", labels) ==
-                   static_cast<int64_t>(machine.broker().log().epoch_count());
+                   static_cast<int64_t>(machine.kernel().audit().epoch_count());
     ok = ok && registry.GaugeValue("watchit_broker_bound_tickets", labels) ==
                    static_cast<int64_t>(machine.broker().bound_ticket_count());
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <utility>
 
 #include "src/core/deploy.h"
@@ -10,8 +11,7 @@ namespace witdur {
 
 namespace {
 
-// The journal daemon runs host-side with root credentials, like the audit
-// spool.
+// The journal daemon runs host-side with root credentials.
 const witos::Credentials kDurCred{};
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -20,7 +20,7 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
                                    .count());
 }
 
-JournalRecord EpochSealRecord(const std::string& machine, const witbroker::EpochRoot& root) {
+JournalRecord EpochSealRecord(const std::string& machine, const witos::EpochRoot& root) {
   JournalRecord record;
   record.kind = JournalRecordKind::kEpochSeal;
   record.time_ns = root.time_ns;
@@ -29,13 +29,33 @@ JournalRecord EpochSealRecord(const std::string& machine, const witbroker::Epoch
   return record;
 }
 
-JournalRecord LogAppendRecord(const std::string& machine, const witbroker::SecureLogEntry& entry) {
+JournalRecord LogAppendRecord(const std::string& machine, const witos::AuditRecord& entry) {
   JournalRecord record;
   record.kind = JournalRecordKind::kLogAppend;
   record.time_ns = entry.time_ns;
-  record.strs = {machine, entry.payload};
-  record.nums = {entry.hash};
+  record.strs = {machine, entry.detail};
+  record.nums = {entry.hash, static_cast<uint64_t>(entry.event),
+                 static_cast<uint32_t>(entry.pid), entry.uid};
   return record;
+}
+
+// The chain record a kLogAppend journal record carries (seq unset: it is
+// the record's chain position); EINVAL on a bad arity or an event, pid or
+// uid out of range.
+witos::Result<witos::AuditRecord> ChainRecordOf(const JournalRecord& record) {
+  if (record.strs.size() != 2 || record.nums.size() != 4 ||
+      record.nums[1] >= witos::kNumAuditEvents || record.nums[2] > UINT32_MAX ||
+      record.nums[3] > UINT32_MAX) {
+    return witos::Err::kInval;
+  }
+  witos::AuditRecord entry;
+  entry.time_ns = record.time_ns;
+  entry.event = static_cast<witos::AuditEvent>(record.nums[1]);
+  entry.pid = static_cast<witos::Pid>(static_cast<uint32_t>(record.nums[2]));
+  entry.uid = static_cast<witos::Uid>(record.nums[3]);
+  entry.detail = record.strs[1];
+  entry.hash = record.nums[0];
+  return entry;
 }
 
 JournalRecord CertIssueRecord(const watchit::Certificate& cert) {
@@ -77,13 +97,11 @@ void DurabilityManager::AttachMachine(watchit::Machine* machine) {
         }
         Journal(std::move(record));
       });
-  machine->broker().log().set_append_listener(
-      [this, name](const witbroker::SecureLogEntry& entry) {
-        Journal(LogAppendRecord(name, entry));
-      });
-  machine->broker().log().set_seal_listener([this, name](const witbroker::EpochRoot& root) {
-    Journal(EpochSealRecord(name, root));
-  });
+  witos::AuditLog& chain = machine->kernel().audit();
+  chain.set_append_listener(
+      [this, name](const witos::AuditRecord& entry) { Journal(LogAppendRecord(name, entry)); });
+  chain.set_seal_listener(
+      [this, name](const witos::EpochRoot& root) { Journal(EpochSealRecord(name, root)); });
 }
 
 void DurabilityManager::AttachShared() {
@@ -147,6 +165,29 @@ void DurabilityManager::OnDeployTxn(const watchit::DeployTxnEvent& event) {
   Journal(std::move(record));
 }
 
+bool DurabilityManager::ChainMatchesJournal(const watchit::Machine& machine) const {
+  std::vector<witos::AuditRecord> journaled;
+  for (const std::string* path : {&options_.checkpoint_path, &options_.journal_path}) {
+    JournalScan scan = ScanJournal(fs_.get(), *path);
+    if (!scan.clean) {
+      return false;
+    }
+    for (const JournalRecord& record : scan.records) {
+      if (record.kind != JournalRecordKind::kLogAppend || record.strs.empty() ||
+          record.strs[0] != machine.name()) {
+        continue;
+      }
+      witos::Result<witos::AuditRecord> entry = ChainRecordOf(record);
+      if (!entry.ok()) {
+        return false;
+      }
+      entry->seq = journaled.size() + 1;
+      journaled.push_back(std::move(*entry));
+    }
+  }
+  return journaled == machine.kernel().audit().Snapshot();
+}
+
 size_t DurabilityManager::open_deploys() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   return open_deploys_.size();
@@ -190,11 +231,11 @@ witos::Status DurabilityManager::Checkpoint() {
       record.strs = {machine.name(), ticket_id, ticket_class};
       WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
     }
-    const witbroker::SecureLog& log = machine.broker().log();
-    for (const witbroker::SecureLogEntry& entry : log.SnapshotEntries()) {
+    const witos::AuditLog& chain = machine.kernel().audit();
+    for (const witos::AuditRecord& entry : chain.Snapshot()) {
       WITOS_RETURN_IF_ERROR(snapshot.Append(LogAppendRecord(machine.name(), entry)));
     }
-    for (const witbroker::EpochRoot& root : log.EpochRootsSnapshot()) {
+    for (const witos::EpochRoot& root : chain.EpochRootsSnapshot()) {
       WITOS_RETURN_IF_ERROR(snapshot.Append(EpochSealRecord(machine.name(), root)));
     }
   }
@@ -283,16 +324,15 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       return;
     }
     case JournalRecordKind::kLogAppend: {
-      if (record.strs.size() != 2 || record.nums.size() != 1) {
+      witos::Result<witos::AuditRecord> entry = ChainRecordOf(record);
+      if (!entry.ok()) {
         return reject();
       }
       if (only_machine != nullptr && record.strs[0] != *only_machine) {
         return;
       }
       watchit::Machine* machine = cluster->FindMachine(record.strs[0]);
-      if (machine == nullptr ||
-          !machine->broker().log().RestoreEntry(record.strs[1], record.time_ns, record.nums[0])
-               .ok()) {
+      if (machine == nullptr || !machine->kernel().audit().Restore(std::move(*entry)).ok()) {
         return reject();
       }
       ++report->log_entries_restored;
@@ -305,7 +345,7 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       if (only_machine != nullptr && record.strs[0] != *only_machine) {
         return;
       }
-      witbroker::EpochRoot root;
+      witos::EpochRoot root;
       root.epoch = record.nums[0];
       root.time_ns = record.time_ns;
       root.prev_root_hash = record.nums[1];
@@ -395,7 +435,7 @@ witos::Status DurabilityManager::Replay(watchit::Cluster* cluster,
   }
   report->records_replayed = report->checkpoint_records + report->tail_records;
 
-  // Epoch roots install only after every entry is back, then re-verify
+  // Epoch roots install only after every record is back, then re-verify
   // against the rebuilt chains (the rewrite-and-rechain defence holds
   // across the crash).
   for (auto& [machine_name, roots] : state->roots) {
@@ -406,7 +446,7 @@ witos::Status DurabilityManager::Replay(watchit::Cluster* cluster,
       continue;
     }
     report->epoch_roots_restored += roots.size();
-    if (!machine->broker().log().RestoreEpochRoots(std::move(roots))) {
+    if (!machine->kernel().audit().RestoreEpochRoots(std::move(roots))) {
       report->epoch_roots_verified = false;
     }
   }
@@ -536,9 +576,9 @@ void DurabilityManager::RefreshGauges() {
     watchit::Machine& machine = cluster_->machine(i);
     const witobs::Labels labels{{"machine", machine.name()}};
     metrics_->GetGauge("watchit_securelog_entries", labels)
-        ->Set(static_cast<int64_t>(machine.broker().log().size()));
+        ->Set(static_cast<int64_t>(machine.kernel().audit().size()));
     metrics_->GetGauge("watchit_securelog_epochs", labels)
-        ->Set(static_cast<int64_t>(machine.broker().log().epoch_count()));
+        ->Set(static_cast<int64_t>(machine.kernel().audit().epoch_count()));
     metrics_->GetGauge("watchit_broker_bound_tickets", labels)
         ->Set(static_cast<int64_t>(machine.broker().bound_ticket_count()));
   }

@@ -2,18 +2,18 @@
 // control-plane state (DESIGN.md §15).
 //
 // The manager attaches listener hooks to a Cluster — the broker's ticket
-// bindings, each machine's SecureLog appends and epoch seals, the CA's
+// bindings, each machine's evidence-chain appends and epoch seals, the CA's
 // issue/revoke stream, and the deploy-stage transitions RunDeployStages
 // reports — and journals every transition through a JournalWriter. A
 // Checkpoint() compacts the full state into a snapshot file (written to a
 // temp path and renamed, so a crash mid-checkpoint keeps the last good one)
 // and truncates the journal; Recover() replays checkpoint + journal tail
-// into a fresh cluster, re-verifies the SecureLog epoch roots against the
+// into a fresh cluster, re-verifies the chains' epoch roots against the
 // rebuilt chains, and reconciles: every recovered binding is an orphan
 // (container sessions are volatile and died with the machine), so it is
 // expired — unbound and its certificate revoked, both journaled — leaving
 // the recovered pool with the zero-leak invariant the deploy fault sweeps
-// assert, while the audit history (secure-log chains, sealed roots, the
+// assert, while the audit history (evidence chains, sealed roots, the
 // CA's books, the deploy trail) survives intact.
 //
 // Scopes:
@@ -38,10 +38,10 @@
 #include <string>
 #include <vector>
 
-#include "src/broker/securelog.h"
 #include "src/core/cluster.h"
 #include "src/durability/journal.h"
 #include "src/obs/metrics.h"
+#include "src/os/audit.h"
 
 namespace witdur {
 
@@ -136,6 +136,14 @@ class DurabilityManager {
   const JournalWriter& journal() const { return journal_; }
   size_t open_deploys() const;
 
+  // Attack 6's divergence check: true when `machine`'s live evidence chain
+  // equals, record for record, its copy in the checkpoint plus the journal
+  // tail. Catches a rewrite-and-rechain after the last sealed root, which
+  // AuditLog::Verify() alone misses. Records from before the machine was
+  // attached are vouched for only after the next Checkpoint(); a corrupt
+  // checkpoint or journal vouches for nothing. Quiescent callers only.
+  bool ChainMatchesJournal(const watchit::Machine& machine) const;
+
   // Journal counters plus the recovered-state gauges:
   // watchit_securelog_entries{machine}, watchit_securelog_epochs{machine},
   // watchit_broker_bound_tickets{machine}, watchit_ca_issued,
@@ -150,8 +158,8 @@ class DurabilityManager {
  private:
   struct ReplayState {
     // Sealed roots per machine, in journal order; installed (and verified)
-    // only after every entry has been restored.
-    std::map<std::string, std::vector<witbroker::EpochRoot>> roots;
+    // only after every record has been restored.
+    std::map<std::string, std::vector<witos::EpochRoot>> roots;
     std::map<std::string, std::string> open_deploys;  // ticket -> machine
     uint64_t max_lsn = 0;
   };

@@ -1,13 +1,44 @@
 #include "src/durability/journal.h"
 
-#include "src/broker/securelog.h"
+#include <string_view>
+
 #include "src/broker/wire.h"
+#include "src/os/audit.h"
 
 namespace witdur {
 
 namespace {
 
 const witos::Credentials kJournalCred{};  // the journal daemon runs as root
+
+// Payload integers are LEB128 varints: most of a record's numbers (kinds,
+// counts, stages, pids, string lengths) are small, and the journal holds
+// every evidence record the machines write.
+void PutVarint(std::string* out, uint64_t value) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
+// Consumes one varint from the front of `in`; EINVAL when it is truncated
+// or overflows 64 bits.
+witos::Result<uint64_t> GetVarint(std::string_view* in) {
+  uint64_t value = 0;
+  for (int shift = 0; shift < 64 && !in->empty(); shift += 7) {
+    const auto byte = static_cast<uint8_t>(in->front());
+    in->remove_prefix(1);
+    if (shift == 63 && byte > 1) {
+      return witos::Err::kInval;
+    }
+    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      return value;
+    }
+  }
+  return witos::Err::kInval;
+}
 
 }  // namespace
 
@@ -42,47 +73,64 @@ std::string JournalRecordKindName(JournalRecordKind kind) {
 }
 
 std::string EncodeRecord(const JournalRecord& record) {
-  witbroker::WireWriter payload;
-  payload.PutU32(static_cast<uint32_t>(record.kind));
-  payload.PutU64(record.lsn);
-  payload.PutU64(record.time_ns);
-  payload.PutU32(static_cast<uint32_t>(record.nums.size()));
+  std::string payload;
+  payload.reserve(32 + 10 * record.nums.size() + 5 * record.strs.size());
+  PutVarint(&payload, static_cast<uint64_t>(record.kind));
+  PutVarint(&payload, record.lsn);
+  PutVarint(&payload, record.time_ns);
+  PutVarint(&payload, record.nums.size());
   for (uint64_t num : record.nums) {
-    payload.PutU64(num);
+    PutVarint(&payload, num);
   }
-  payload.PutStringList(record.strs);
+  PutVarint(&payload, record.strs.size());
+  for (const std::string& str : record.strs) {
+    PutVarint(&payload, str.size());
+    payload += str;
+  }
 
   witbroker::WireWriter frame;
   frame.PutU32(kJournalMagic);
-  frame.PutU64(witbroker::Fnv1a(payload.data()));
-  frame.PutString(payload.data());  // the u32 length prefix
+  frame.PutU64(witos::Fnv1a(payload));
+  frame.PutString(payload);  // the u32 length prefix
   return frame.Take();
 }
 
 witos::Result<JournalRecord> DecodeRecordPayload(std::string_view payload) {
-  witbroker::WireReader reader(payload);
   JournalRecord record;
-  WITOS_ASSIGN_OR_RETURN(uint32_t kind, reader.GetU32());
+  WITOS_ASSIGN_OR_RETURN(uint64_t kind, GetVarint(&payload));
   if (kind < 1 || kind > kMaxJournalRecordKind) {
     return witos::Err::kInval;
   }
   record.kind = static_cast<JournalRecordKind>(kind);
-  WITOS_ASSIGN_OR_RETURN(record.lsn, reader.GetU64());
-  WITOS_ASSIGN_OR_RETURN(record.time_ns, reader.GetU64());
-  WITOS_ASSIGN_OR_RETURN(uint32_t num_count, reader.GetU32());
-  // Bound the count against the bytes actually present before reserving:
-  // a corrupt 4-byte prefix must cost at most the frame it lies in, never
-  // a multi-GB allocation.
-  if (static_cast<size_t>(num_count) * 8 > reader.Remaining()) {
+  WITOS_ASSIGN_OR_RETURN(record.lsn, GetVarint(&payload));
+  WITOS_ASSIGN_OR_RETURN(record.time_ns, GetVarint(&payload));
+  // Bound each count against the bytes actually present before reserving
+  // (every number and every string prefix takes at least one byte): a
+  // corrupt count must cost at most the frame it lies in, never a
+  // multi-GB allocation.
+  WITOS_ASSIGN_OR_RETURN(uint64_t num_count, GetVarint(&payload));
+  if (num_count > payload.size()) {
     return witos::Err::kInval;
   }
   record.nums.reserve(num_count);
-  for (uint32_t i = 0; i < num_count; ++i) {
-    WITOS_ASSIGN_OR_RETURN(uint64_t num, reader.GetU64());
+  for (uint64_t i = 0; i < num_count; ++i) {
+    WITOS_ASSIGN_OR_RETURN(uint64_t num, GetVarint(&payload));
     record.nums.push_back(num);
   }
-  WITOS_ASSIGN_OR_RETURN(record.strs, reader.GetStringList());
-  if (!reader.AtEnd()) {
+  WITOS_ASSIGN_OR_RETURN(uint64_t str_count, GetVarint(&payload));
+  if (str_count > payload.size()) {
+    return witos::Err::kInval;
+  }
+  record.strs.reserve(str_count);
+  for (uint64_t i = 0; i < str_count; ++i) {
+    WITOS_ASSIGN_OR_RETURN(uint64_t size, GetVarint(&payload));
+    if (size > payload.size()) {
+      return witos::Err::kInval;
+    }
+    record.strs.emplace_back(payload.substr(0, size));
+    payload.remove_prefix(size);
+  }
+  if (!payload.empty()) {
     return witos::Err::kInval;  // trailing bytes: not a record we wrote
   }
   return record;
@@ -128,7 +176,7 @@ JournalScan ScanJournal(witos::Filesystem* fs, const std::string& path) {
       reject("truncated frame body at offset " + std::to_string(frame_start));
       break;
     }
-    if (witbroker::Fnv1a(*payload) != *checksum) {
+    if (witos::Fnv1a(*payload) != *checksum) {
       reject("checksum mismatch at offset " + std::to_string(frame_start));
       break;
     }

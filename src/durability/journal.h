@@ -1,9 +1,10 @@
 // witjournal: the write-ahead journal under WatchIT's control-plane state
 // (DESIGN.md §15).
 //
-// The broker's ticket bindings, the SecureLog's entries and epoch roots,
-// the CA's issue/revoke history and the deploy-stage transitions all live
-// in memory; a crashed shard would take the paper's audit evidence with it.
+// The broker's ticket bindings, each machine's evidence chain (its records
+// and epoch roots), the CA's issue/revoke history and the deploy-stage
+// transitions all live in memory; a crashed shard would take the paper's
+// audit evidence with it.
 // witjournal persists that state as a stream of length-prefixed, checksummed
 // records written through a pluggable witos::Filesystem — the same interface
 // the rest of the simulator mounts, so fault plans (ErrorInjectingVfs) and
@@ -11,10 +12,14 @@
 //
 // Frame layout (all integers little-endian, via the rpc wire framing):
 //
-//   u32  magic      'WJL2'
+//   u32  magic      'WJL3'
 //   u64  checksum   FNV-1a over the payload bytes
 //   u32  len        payload length (the WireWriter string prefix)
 //   u8[] payload    one serialized JournalRecord
+//
+// The payload's integers are LEB128 varints: kind, lsn, time_ns, the
+// number count and each number, the string count and each string's
+// length before its bytes.
 //
 // A reader validates magic, bounds-checks `len` against the bytes actually
 // remaining before allocating (a corrupt prefix can never trigger an
@@ -45,9 +50,11 @@
 
 namespace witdur {
 
-// WJL2: one SecureLog chain per machine, so log-append and epoch-seal
-// records carry no per-chain index. A WJL1 file fails the magic check.
-inline constexpr uint32_t kJournalMagic = 0x324c4a57u;  // "WJL2"
+// WJL3: the kernel audit log is each machine's one chain, so a log-append
+// record carries the typed record (event, pid, uid, detail), not a broker
+// line, and payload integers are varints. WJL1 and WJL2 files fail the
+// magic check.
+inline constexpr uint32_t kJournalMagic = 0x334c4a57u;  // "WJL3"
 
 // Every persisted state transition is one of these. The enum values are the
 // wire encoding — append only, never renumber.
@@ -55,7 +62,7 @@ enum class JournalRecordKind : uint32_t {
   kCheckpointHeader = 1,  // nums: {checkpoint_seq, next_lsn}
   kBindTicket = 2,        // strs: {machine, ticket_id, ticket_class}
   kUnbindTicket = 3,      // strs: {machine, ticket_id}
-  kLogAppend = 4,         // strs: {machine, payload}; nums: {hash}
+  kLogAppend = 4,         // strs: {machine, detail}; nums: {hash, event, pid, uid}
   kEpochSeal = 5,         // strs: {machine};
                           // nums: {epoch, prev_root_hash, root_hash, size, head}
   kCertIssue = 6,         // strs: {admin, machine, ticket_id, ticket_class};
@@ -107,8 +114,8 @@ struct JournalScan {
 JournalScan ScanJournal(witos::Filesystem* fs, const std::string& path);
 
 // Appends framed records through a Filesystem with an explicit durable
-// frontier. Thread-safe: listeners under each machine's broker and SecureLog
-// locks, the CA lock and the deploy workers all append concurrently; the
+// frontier. Thread-safe: listeners under each machine's broker and evidence
+// chain locks, the CA lock and the deploy workers all append concurrently; the
 // "journal" ProfiledMutex serializes them (and shows up in the
 // lock-contention profile).
 //

@@ -4,8 +4,9 @@
 //
 //   * the workload generator's required-ops — what the ticket's admin had
 //     to do, the ground-truth need surface;
-//   * live broker event streams (PermissionBroker::EventsSnapshot) — the
-//     escalations that actually crossed the container boundary.
+//   * live broker events (witbroker::BrokerEventsOf over a machine's
+//     evidence chain) — the escalations that actually crossed the
+//     container boundary.
 //
 // Traces are kept per ticket so exclusion is retroactive: when the anomaly
 // detector flags a ticket, ExcludeTicket() drops its whole contribution

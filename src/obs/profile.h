@@ -14,7 +14,7 @@
 //   watchit_lock_hold_ns{lock=<name>}   (ns held)
 //
 // and TopContendedLocks() ranks all profiled locks by total wait. Multiple
-// instances may share one logical name (per-machine SecureLogs, per-shard
+// instances may share one logical name (per-machine evidence chains, per-shard
 // queues with a shared prefix): the histograms aggregate, which is exactly
 // what a contention ranking wants.
 

@@ -7,7 +7,7 @@
 
 namespace witos {
 
-Kernel::Kernel(std::string hostname) : vfs_(&registry_, &audit_) {
+Kernel::Kernel(std::string hostname) : vfs_(&registry_, &audit_, &clock_) {
   root_fs_ = std::make_shared<MemFs>("ext4", &clock_);
   MountEntry root_mount;
   root_mount.source = "/dev/sda";

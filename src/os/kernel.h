@@ -59,6 +59,7 @@ class Kernel {
   // --- Introspection --------------------------------------------------------
   SimClock& clock() { return clock_; }
   AuditLog& audit() { return audit_; }
+  const AuditLog& audit() const { return audit_; }
   PageCache& page_cache() { return page_cache_; }
   // /proc/sys/vm/drop_caches equivalent, for cold-cache benchmarking.
   void DropCaches() { page_cache_.Clear(); }

@@ -492,19 +492,6 @@ void MemFs::ProvisionFile(const std::string& path, const std::string& content, U
   (void)Chmod(norm, mode, root);
 }
 
-void MemFs::ProvisionAppend(const std::string& path, const std::string& data) {
-  Credentials root;
-  std::string norm = NormalizePath(path);
-  auto walked = Walk(norm, root);
-  if (!walked.ok()) {
-    ProvisionFile(norm, data, 0, 0, 0600);
-    return;
-  }
-  (*walked)->data += data;
-  used_bytes_ += data.size();
-  BumpGeneration(*walked);
-}
-
 void MemFs::ProvisionSymlink(const std::string& linkpath, const std::string& target) {
   Credentials root;
   std::string norm = NormalizePath(linkpath);

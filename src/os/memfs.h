@@ -62,9 +62,6 @@ class MemFs : public Filesystem {
   void ProvisionFile(const std::string& path, const std::string& content, Uid uid = kRootUid,
                      Gid gid = kRootGid, Mode mode = kModeDefaultFile);
   void ProvisionSymlink(const std::string& linkpath, const std::string& target);
-  // Appends `data` to `path` (creating it if needed) without permission
-  // checks or kernel mediation — for trusted host daemons (audit spool).
-  void ProvisionAppend(const std::string& path, const std::string& data);
   void ProvisionDevice(const std::string& path, DeviceId rdev, Mode mode = 0600);
 
   // Direct content access for tests/benchmarks (no permission checks).

@@ -101,7 +101,8 @@ Result<ResolvedPath> Vfs::Resolve(const VfsContext& ctx, std::string_view user_p
       return false;
     }
     if (audit_ != nullptr) {
-      audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, std::string(vfs_path), 0);
+      audit_->Append(AuditEvent::kXclDenied, ctx.pid, ctx.cred.uid, std::string(vfs_path),
+                     clock_->now_ns());
     }
     return true;
   };

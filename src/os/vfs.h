@@ -16,6 +16,7 @@
 #include <string_view>
 
 #include "src/os/audit.h"
+#include "src/os/clock.h"
 #include "src/os/filesystem.h"
 #include "src/os/namespaces.h"
 #include "src/os/result.h"
@@ -43,7 +44,9 @@ struct ResolvedPath {
 
 class Vfs {
  public:
-  Vfs(NamespaceRegistry* registry, AuditLog* audit) : registry_(registry), audit_(audit) {}
+  // XCL denials are recorded in `audit`, stamped with `clock`'s reading.
+  Vfs(NamespaceRegistry* registry, AuditLog* audit, const SimClock* clock)
+      : registry_(registry), audit_(audit), clock_(clock) {}
 
   // Resolves `user_path` (jail-space, absolute or cwd-relative) to a
   // filesystem + fs-local path. Follows symlinks in intermediate components
@@ -73,6 +76,7 @@ class Vfs {
  private:
   NamespaceRegistry* registry_;
   AuditLog* audit_;
+  const SimClock* clock_;
 };
 
 }  // namespace witos

@@ -139,15 +139,14 @@ class ServerPool {
   const witobs::Histogram* latency_histogram() const { return latency_hist_; }
 
   // Post-run audit sweep (DESIGN.md §14): walks every machine in the pool
-  // and verifies its broker's secure log — its hash chain, each sealed
-  // epoch root, and divergence against every registered replica.
-  // `failures` counts machines whose trail did not verify; 0 means the
+  // and verifies its evidence chain — its hash links and each sealed epoch
+  // root. `failures` counts machines whose chain did not verify; 0 means the
   // whole pool's audit evidence is intact. Safe under concurrent serving
   // (the log is internally synchronized), but the numbers are only a
   // consistent end-of-run statement once the pool has drained.
   struct AuditReport {
     size_t machines = 0;
-    size_t log_entries = 0;   // secure-log entries across all machines
+    size_t log_entries = 0;   // chain records across all machines
     size_t epoch_roots = 0;   // sealed roots across all machines
     size_t failures = 0;
   };

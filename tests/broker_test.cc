@@ -1,16 +1,15 @@
 // Tests for the permission-broker stack: wire format, RPC framing, policy
-// manager, broker semantics and anomaly detection. The SecureLog itself is
-// covered by securelog_test.
+// manager, broker semantics and anomaly detection. The evidence chain the
+// broker writes is covered by securelog_test, and the broker record codec's
+// round trip by wire_fuzz_test.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "src/broker/anomaly.h"
 #include "src/broker/broker.h"
-#include "src/broker/securelog.h"
 
 namespace witbroker {
 namespace {
@@ -119,6 +118,9 @@ class BrokerTest : public ::testing::Test {
     client_ = std::make_unique<BrokerClient>(&channel_, "TKT-1", "alice");
   }
 
+  // The broker requests in the host's evidence chain, decoded.
+  std::vector<BrokerEvent> Events() const { return BrokerEventsOf(kernel_.audit().Snapshot()); }
+
   witos::Kernel kernel_{"host"};
   witos::Pid broker_pid_ = witos::kNoPid;
   PolicyManager policy_;
@@ -138,25 +140,26 @@ TEST_F(BrokerTest, UnprivilegedClientRejectedLocally) {
   auto out = client_->Request(kVerbPs, {}, /*uid=*/1000);
   EXPECT_EQ(out.error(), witos::Err::kPerm);
   // The request never reached the broker.
-  EXPECT_TRUE(broker_->EventsSnapshot().empty());
+  EXPECT_TRUE(Events().empty());
 }
 
 TEST_F(BrokerTest, DisallowedVerbDeniedAndLogged) {
   auto out = client_->Request(kVerbReboot, {}, witos::kRootUid);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.error(), witos::Err::kPerm);
-  auto events = broker_->EventsSnapshot();
+  auto events = Events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_FALSE(events[0].granted);
   EXPECT_EQ(broker_->log().size(), 1u);
-  EXPECT_EQ(broker_->log().SnapshotEntries()[0].payload.substr(0, 4), "DENY");
+  EXPECT_EQ(broker_->log().Snapshot()[0].detail.substr(0, 4), "DENY");
   EXPECT_EQ(kernel_.audit().CountEvent(witos::AuditEvent::kBrokerDenied), 1u);
 }
 
 TEST_F(BrokerTest, GrantedRequestsAreChainLogged) {
   ASSERT_TRUE(client_->Request(kVerbPs, {}, witos::kRootUid).ok());
   ASSERT_TRUE(client_->Request(kVerbRestartService, {"sshd"}, witos::kRootUid).ok());
-  EXPECT_EQ(broker_->log().size(), 2u);
+  // Two broker records, plus the session record restart_service writes.
+  EXPECT_EQ(broker_->log().size(), 3u);
   EXPECT_TRUE(broker_->log().Verify());
   EXPECT_EQ(kernel_.audit().CountEvent(witos::AuditEvent::kBrokerRequest), 2u);
 }
@@ -229,16 +232,16 @@ TEST_F(BrokerTest, PipelinedBatchAuditsEveryOp) {
   ASSERT_FALSE(results[i_reboot].ok());
   EXPECT_EQ(results[i_reboot].error(), witos::Err::kPerm);
 
-  // Per-op audit trail (Table 1): N sub-ops produce N broker events, N
-  // secure-log entries and N kernel audit records — batching only amortizes
-  // the wire and the critical sections.
-  auto events = broker_->EventsSnapshot();
+  // Per-op audit trail (Table 1): N sub-ops produce N chained records —
+  // batching only amortizes the wire and the critical sections.
+  auto events = Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_TRUE(events[0].granted);
   EXPECT_TRUE(events[1].granted);
   EXPECT_FALSE(events[2].granted);
   EXPECT_EQ(events[2].verb, kVerbReboot);
-  EXPECT_EQ(broker_->log().size(), 3u);
+  // The three broker records, then restart_service's session record.
+  EXPECT_EQ(broker_->log().size(), 4u);
   EXPECT_TRUE(broker_->log().Verify());
   EXPECT_EQ(kernel_.audit().CountEvent(witos::AuditEvent::kBrokerRequest), 2u);
   EXPECT_EQ(kernel_.audit().CountEvent(witos::AuditEvent::kBrokerDenied), 1u);
@@ -279,7 +282,7 @@ TEST_F(BrokerTest, UnprivilegedBatchRejectedLocally) {
   EXPECT_EQ(results[1].error(), witos::Err::kPerm);
   // Nothing crossed the wire and nothing reached the broker.
   EXPECT_EQ(channel_.frames(), 0u);
-  EXPECT_TRUE(broker_->EventsSnapshot().empty());
+  EXPECT_TRUE(Events().empty());
   EXPECT_EQ(broker_->log().size(), 0u);
 }
 
@@ -305,7 +308,7 @@ TEST_F(BrokerTest, RequestLeavesOpenPipelineIntact) {
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[i_restart].ok());
   EXPECT_EQ(*results[i_restart], "restarted sshd");
-  auto events = broker_->EventsSnapshot();
+  auto events = Events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].verb, kVerbReboot);
   EXPECT_EQ(events[1].verb, kVerbRestartService);
@@ -343,12 +346,12 @@ TEST_F(BrokerTest, BeginDiscardsAbandonedPipeline) {
   auto results = client_->Flush();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].ok());
-  auto events = broker_->EventsSnapshot();
+  auto events = Events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].verb, kVerbPs);
 }
 
-// ---- Bindings, batch order and the event window (DESIGN.md §14) ----
+// ---- Bindings and batch order (DESIGN.md §14) ----
 
 // One op as its own batch, the way BrokerClient::Request sends it.
 RpcBatchRequest OneOp(const std::string& ticket, const std::string& verb) {
@@ -375,16 +378,16 @@ TEST_F(BrokerTest, BindRejectsDuplicatesAndUnbindReleases) {
     ASSERT_EQ(response.responses.size(), 1u);
     EXPECT_TRUE(response.responses[0].ok);  // still T-1: the duplicate bind changed nothing
   }
-  // Events and log lines come back in arrival order.
-  auto events = broker_->EventsSnapshot();
+  // Events and records come back in arrival order.
+  auto events = Events();
   ASSERT_EQ(events.size(), 12u);
-  auto entries = broker_->log().SnapshotEntries();
-  ASSERT_EQ(entries.size(), 12u);
+  auto records = broker_->log().Snapshot();
+  ASSERT_EQ(records.size(), 12u);
   for (size_t i = 0; i < 12; ++i) {
     const std::string ticket = "TKT-B" + std::to_string(i);
     EXPECT_EQ(events[i].ticket_id, ticket);
     EXPECT_EQ(events[i].ticket_class, "T-1");
-    EXPECT_NE(entries[i].payload.find(" " + ticket + " [T-1] "), std::string::npos);
+    EXPECT_EQ(records[i].detail, "GRANT alice " + ticket + " [T-1] ps");
   }
   EXPECT_TRUE(broker_->log().Verify());
 
@@ -408,78 +411,26 @@ TEST_F(BrokerTest, BatchLogsEveryOpInQueueOrder) {
   }
   auto response = broker_->HandleBatch(batch);
   ASSERT_EQ(response.responses.size(), 5u);
-  // Five per-op entries on the one chain, in queue order.
-  auto entries = broker_->log().SnapshotEntries();
-  ASSERT_EQ(entries.size(), 5u);
-  EXPECT_TRUE(SecureLog::VerifyChain(entries));
-  auto events = broker_->EventsSnapshot();
+  // Five per-op records on the one chain, in queue order, appended before
+  // any dispatch (each restart then writes its own session record).
+  auto records = broker_->log().Snapshot();
+  ASSERT_EQ(records.size(), 10u);
+  EXPECT_TRUE(witos::AuditLog::VerifyChain(records));
+  auto events = Events();
   ASSERT_EQ(events.size(), 5u);
-  for (size_t i = 0; i < entries.size(); ++i) {
+  for (size_t i = 0; i < events.size(); ++i) {
     const std::string service = "svc-" + std::to_string(i);
-    EXPECT_NE(entries[i].payload.find(service), std::string::npos);
+    EXPECT_EQ(records[i].event, witos::AuditEvent::kBrokerRequest);
+    EXPECT_EQ(records[i].detail, "GRANT alice TKT-1 [T-1] restart_service " + service);
     EXPECT_EQ(events[i].args, std::vector<std::string>{service});
+    EXPECT_EQ(records[5 + i].detail, "restart_service " + service);
   }
 }
 
-TEST_F(BrokerTest, EventCapConservesEveryRequest) {
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(broker_->BindTicket("TKT-C" + std::to_string(i), "T-1").ok());
-  }
-  broker_->set_event_capacity(2);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 6; ++i) {
-      broker_->HandleBatch(OneOp("TKT-C" + std::to_string(i), kVerbPs));
-    }
-  }
-  // Every append is either still in the window or counted dropped, and the
-  // window keeps the newest.
-  auto events = broker_->EventsSnapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].ticket_id, "TKT-C4");
-  EXPECT_EQ(events[1].ticket_id, "TKT-C5");
-  EXPECT_EQ(events.size() + broker_->dropped_events(), 30u);
-  EXPECT_EQ(broker_->log().size(), 30u);  // the secure log keeps everything
-}
-
-// Regression (was: events_.erase(events_.begin()) per append — O(window)
-// once capped, so a *larger* retention window made every append slower,
-// quadratically). The deque evicts from the front in O(1): total append
-// cost must not scale with the configured window size. Shape check, not a
-// microbenchmark — the wide-window run may not cost a multiple of the
-// narrow-window run.
-TEST(BrokerEventWindowPerfTest, CappedAppendCostIndependentOfWindowSize) {
-  constexpr int kAppends = 20000;
-  auto timed_run = [](size_t capacity) {
-    witos::Kernel kernel("host");
-    witos::Pid pid = *kernel.Clone(1, "PermissionBroker", 0);
-    PolicyManager policy;  // default-deny: the cheap, window-only path
-    RpcChannel channel;
-    PermissionBroker broker(&kernel, pid, &policy, &channel);
-    broker.set_event_capacity(capacity);
-    const RpcBatchRequest batch = OneOp("TKT-PERF", kVerbPs);
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kAppends; ++i) {
-      broker.HandleBatch(batch);
-    }
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  int64_t narrow_ms = timed_run(16);
-  int64_t wide_ms = timed_run(8192);
-  // O(window)-per-append puts the wide run ~500x over the narrow one; O(1)
-  // eviction keeps them within noise. The margin is deliberately huge so
-  // only the quadratic shape can trip it.
-  EXPECT_LT(wide_ms, narrow_ms * 8 + 250)
-      << "capped append cost scales with the window size";
-}
-
-// Regression: set_event_capacity() used to write the cap with no lock while
-// request paths appended — a data race (TSan) and a lost-resize hazard. Now
-// it takes the window's lock and applies the cap immediately; this hammers a
-// live broker from writer threads while the cap flips under them. Run under
-// TSan (broker_test is in the TSan CI matrix) this is the race probe.
-TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
+// Two writer threads drive batches while a reader takes verified
+// snapshots and decodes them, as the forensic reporter does against a
+// serving machine. broker_test runs under TSan in CI.
+TEST(BrokerEvidenceRaceTest, ReadersDuringTrafficAreRaceFree) {
   witos::Kernel kernel("host");
   witos::Pid pid = *kernel.Clone(1, "PermissionBroker", 0);
   PolicyManager policy;  // no rate limit → HandleBatch never mutates policy state
@@ -490,32 +441,30 @@ TEST(BrokerCapacityRaceTest, ResizeDuringTrafficIsRaceFree) {
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
-      // Denied: event + log + audit, no dispatch.
+      // Denied: one chained record, no dispatch.
       const RpcBatchRequest batch = OneOp("TKT-" + std::to_string(w), kVerbReboot);
       for (int i = 0; i < kPerWriter; ++i) {
         broker.HandleBatch(batch);
       }
     });
   }
-  std::thread resizer([&] {
-    for (int i = 0; i < 400; ++i) {
-      broker.set_event_capacity(i % 2 == 0 ? 8 : 64);
-      (void)broker.EventsSnapshot();
-      (void)broker.dropped_events();
+  std::thread reader([&] {
+    for (int i = 0; i < 200; ++i) {
+      auto snapshot = broker.log().VerifiedSnapshot();
+      ASSERT_TRUE(snapshot.ok());
+      for (const BrokerEvent& event : BrokerEventsOf(*snapshot)) {
+        ASSERT_FALSE(event.granted);
+      }
     }
   });
   for (auto& t : writers) {
     t.join();
   }
-  resizer.join();
+  reader.join();
 
-  broker.set_event_capacity(4);
-  EXPECT_EQ(broker.EventsSnapshot().size(), 4u);
-  // Conservation: every append is either retained or counted as dropped.
-  EXPECT_EQ(broker.EventsSnapshot().size() + broker.dropped_events(),
-            static_cast<size_t>(2 * kPerWriter));
   EXPECT_TRUE(broker.log().Verify());
   EXPECT_EQ(broker.log().size(), static_cast<size_t>(2 * kPerWriter));
+  EXPECT_EQ(BrokerEventsOf(broker.log().Snapshot()).size(), static_cast<size_t>(2 * kPerWriter));
 }
 
 // Regression: AdmitRate mutated its window map with no lock, so concurrent
@@ -559,7 +508,7 @@ TEST(BrokerRateLimitRaceTest, ConcurrentRequestsGrantExactlyTheBudget) {
   }
   EXPECT_EQ(granted.load(), 50);
   size_t granted_events = 0;
-  for (const BrokerEvent& event : broker.EventsSnapshot()) {
+  for (const BrokerEvent& event : BrokerEventsOf(kernel.audit().Snapshot())) {
     granted_events += event.granted ? 1 : 0;
   }
   EXPECT_EQ(granted_events, 50u);

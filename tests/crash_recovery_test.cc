@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/cluster.h"
+#include "src/core/session.h"
 #include "src/durability/journal.h"
 #include "src/obs/metrics.h"
 #include "src/os/fault.h"
@@ -34,9 +35,9 @@ watchit::Ticket MakeTicket(const std::string& id, const std::string& machine) {
   return ticket;
 }
 
-// A two-machine cluster with journaled deploy + secure-log traffic: four
-// deploys (two expired before the crash, two live), a dozen secure-log
-// entries and one sealed epoch root per machine.
+// A two-machine cluster with journaled deploy + evidence traffic: four
+// deploys (two expired before the crash, two live), a dozen more broker
+// records and one sealed epoch root per machine.
 struct Workload {
   std::shared_ptr<witos::MemFs> fs = std::make_shared<witos::MemFs>();
   std::unique_ptr<watchit::Cluster> cluster;
@@ -67,9 +68,10 @@ struct Workload {
       }
     }
     for (size_t m = 0; m < cluster->size(); ++m) {
-      witbroker::SecureLog& log = cluster->machine(m).broker().log();
+      witos::AuditLog& log = cluster->machine(m).kernel().audit();
       for (uint64_t i = 0; i < 12; ++i) {
-        log.Append("pb-op-" + std::to_string(i), 1000 + i);
+        log.Append(witos::AuditEvent::kBrokerRequest, witos::kNoPid, 0,
+                   "pb-op-" + std::to_string(i), 1000 + i);
       }
       log.SealEpoch(2000);
       log_sizes.push_back(log.size());
@@ -208,6 +210,12 @@ TEST(CrashRecoveryTest, CheckpointTruncatesJournalAndRecoveryUsesIt) {
   watchit::ClusterManager cm(world.cluster.get());
   auto extra = cm.Deploy(MakeTicket("TKT-TAIL", "host1"));
   ASSERT_TRUE(extra.ok());
+  // The tail deploy's own evidence record lands in host1's chain.
+  std::vector<size_t> chain_sizes;
+  for (size_t m = 0; m < world.cluster->size(); ++m) {
+    chain_sizes.push_back(world.cluster->machine(m).kernel().audit().size());
+  }
+  EXPECT_GT(chain_sizes[1], world.log_sizes[1]);
   ASSERT_TRUE(world.manager->SimulateCrash().ok());
 
   auto twin = FreshTwin();
@@ -218,7 +226,7 @@ TEST(CrashRecoveryTest, CheckpointTruncatesJournalAndRecoveryUsesIt) {
   EXPECT_GT(report->tail_records, 0u);
   EXPECT_EQ(report->replay_errors, 0u);
   for (size_t m = 0; m < twin->size(); ++m) {
-    EXPECT_EQ(twin->machine(m).broker().log().size(), world.log_sizes[m]);
+    EXPECT_EQ(twin->machine(m).broker().log().size(), chain_sizes[m]);
     EXPECT_TRUE(twin->machine(m).broker().log().Verify());
   }
   EXPECT_EQ(twin->ca().issued_count(), 5u);  // 4 + the tail deploy
@@ -385,8 +393,7 @@ TEST(CrashRecoveryTest, CorruptJournalTailRecoversFailClosed) {
   // Whatever prefix replayed, the reconcile leaves no leaks behind.
   for (size_t m = 0; m < twin->size(); ++m) {
     EXPECT_EQ(twin->machine(m).broker().bound_ticket_count(), 0u);
-    EXPECT_TRUE(witbroker::SecureLog::VerifyChain(
-        twin->machine(m).broker().log().SnapshotEntries()));
+    EXPECT_TRUE(witos::AuditLog::VerifyChain(twin->machine(m).kernel().audit().Snapshot()));
   }
   EXPECT_EQ(UnrevokedCerts(twin.get()), 0u);
 }
@@ -410,13 +417,13 @@ TEST(CrashRecoveryTest, CorruptCheckpointIsRefused) {
 
 // --- journal format and fail-closed restore ----------------------------------
 
-// Rewrites every frame's magic to the previous format's 'WJL1', leaving the
-// checksums, lengths and payloads intact.
-std::string WithOldMagic(std::string bytes) {
+// Rewrites every frame's magic to an earlier format's (`magic`), leaving
+// the checksums, lengths and payloads intact.
+std::string WithOldMagic(std::string bytes, const char* magic = "WJL1") {
   // Frame = magic(4) + checksum(8) + len(4, little-endian) + payload.
   size_t pos = 0;
   while (pos + 16 <= bytes.size()) {
-    bytes.replace(pos, 4, "WJL1");
+    bytes.replace(pos, 4, magic);
     uint32_t len = 0;
     for (size_t i = 0; i < 4; ++i) {
       len |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 12 + i])) << (8 * i);
@@ -433,6 +440,22 @@ TEST(CrashRecoveryTest, OldFormatCheckpointIsRefused) {
   auto raw = world.fs->SlurpForTest("/checkpoint.wcp");
   ASSERT_TRUE(raw.ok());
   ASSERT_TRUE(world.fs->WriteAt("/checkpoint.wcp", 0, WithOldMagic(*raw), kRoot).ok());
+  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+
+  auto twin = FreshTwin();
+  DurabilityManager recovered(world.fs);
+  EXPECT_EQ(recovered.Recover(twin.get()).error(), witos::Err::kInval);
+}
+
+// WJL2 log-append records carried a broker line and a hash, not the typed
+// record the chain now hashes: a WJL2 checkpoint is refused whole.
+TEST(CrashRecoveryTest, Wjl2CheckpointIsRefused) {
+  Workload world;
+  world.Drive();
+  ASSERT_TRUE(world.manager->Checkpoint().ok());
+  auto raw = world.fs->SlurpForTest("/checkpoint.wcp");
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(world.fs->WriteAt("/checkpoint.wcp", 0, WithOldMagic(*raw, "WJL2"), kRoot).ok());
   ASSERT_TRUE(world.manager->SimulateCrash().ok());
 
   auto twin = FreshTwin();
@@ -475,7 +498,7 @@ TEST(CrashRecoveryTest, ZeroHashLogRecordNeverEntersTheChain) {
   record.lsn = 1'000'000;
   record.time_ns = 5000;
   record.strs = {"host0", forged};
-  record.nums = {0};  // the hash
+  record.nums = {0, static_cast<uint64_t>(witos::AuditEvent::kBrokerRequest), 0, 0};  // hash 0
   auto raw = world.fs->SlurpForTest("/journal.wal");
   ASSERT_TRUE(raw.ok());
   ASSERT_TRUE(world.fs->WriteAt("/journal.wal", raw->size(), EncodeRecord(record), kRoot).ok());
@@ -486,12 +509,62 @@ TEST(CrashRecoveryTest, ZeroHashLogRecordNeverEntersTheChain) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->journal_tail_clean);
   EXPECT_EQ(report->replay_errors, 1u);
-  const witbroker::SecureLog& log = twin->FindMachine("host0")->broker().log();
+  const witos::AuditLog& log = twin->FindMachine("host0")->kernel().audit();
   EXPECT_EQ(log.size(), world.log_sizes[0]);
-  for (const witbroker::SecureLogEntry& entry : log.SnapshotEntries()) {
-    EXPECT_NE(entry.payload, forged);
+  for (const witos::AuditRecord& entry : log.Snapshot()) {
+    EXPECT_NE(entry.detail, forged);
   }
   EXPECT_TRUE(log.Verify());
+}
+
+// Kernel denials are evidence like broker requests: a denied document read
+// (ITFS) and an XCL hit (the VFS) journaled before the crash are in the
+// recovered chain, in order, and the chain verifies.
+TEST(CrashRecoveryTest, KernelDenialsSurviveRecover) {
+  Workload world;
+  world.Drive();
+  watchit::Machine* host0 = world.cluster->FindMachine("host0");
+  watchit::ClusterManager cm(world.cluster.get());
+  watchit::Ticket ticket = MakeTicket("TKT-DOCS", "host0");
+  ticket.assigned_class = "T-6";
+  auto deployment = cm.Deploy(ticket);
+  ASSERT_TRUE(deployment.ok());
+  watchit::AdminSession session(host0, deployment->session, deployment->certificate,
+                                &world.cluster->ca());
+  ASSERT_TRUE(session.Login().ok());
+  EXPECT_FALSE(session.ReadFile("/home/user/documents/payroll.xlsx").ok());
+  witos::Kernel& kernel = host0->kernel();
+  const witos::Pid probe = *kernel.Clone(1, "probe", witos::kCloneNewXcl);
+  ASSERT_TRUE(kernel.XclAdd(probe, "/home/user").ok());
+  kernel.clock().Advance(12345);
+  EXPECT_FALSE(kernel.ReadFile(probe, "/home/user/notes.txt").ok());
+  auto is_denial = [](const witos::AuditRecord& record) {
+    return record.event == witos::AuditEvent::kFileDenied ||
+           record.event == witos::AuditEvent::kXclDenied;
+  };
+  const auto denials = kernel.audit().Filter(is_denial);
+  ASSERT_GE(denials.size(), 2u);
+  EXPECT_EQ(denials.front().event, witos::AuditEvent::kFileDenied);
+  EXPECT_EQ(denials.back().event, witos::AuditEvent::kXclDenied);
+  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+
+  auto twin = FreshTwin();
+  DurabilityManager recovered(world.fs);
+  auto report = recovered.Recover(twin.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->replay_errors, 0u);
+  witos::Kernel& restored = twin->FindMachine("host0")->kernel();
+  const auto restored_denials = restored.audit().Filter(is_denial);
+  ASSERT_EQ(restored_denials.size(), denials.size());
+  for (size_t i = 0; i < denials.size(); ++i) {
+    EXPECT_EQ(restored_denials[i].seq, denials[i].seq);
+    EXPECT_EQ(restored_denials[i].time_ns, denials[i].time_ns);
+    EXPECT_EQ(restored_denials[i].event, denials[i].event);
+    EXPECT_EQ(restored_denials[i].pid, denials[i].pid);
+    EXPECT_EQ(restored_denials[i].uid, denials[i].uid);
+    EXPECT_EQ(restored_denials[i].detail, denials[i].detail);
+  }
+  EXPECT_TRUE(twin->FindMachine("host0")->broker().log().Verify());
 }
 
 // --- the crash-point sweep ---------------------------------------------------

@@ -1,5 +1,5 @@
 // Tests for the hardening extensions: broker rate limiting, rootless
-// containers, and the machine-local persisted audit spool.
+// containers, and the machine's one chained evidence stream.
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,7 @@ TEST_F(HardeningTest, BrokerRateLimitThrottlesBursts) {
   EXPECT_EQ(granted, 5u);  // the burst was throttled
   // The denials are on the record for the anomaly pipeline.
   size_t denied = 0;
-  for (const auto& event : machine_->broker().EventsSnapshot()) {
+  for (const auto& event : witbroker::BrokerEventsOf(machine_->kernel().audit().Snapshot())) {
     denied += event.granted ? 0 : 1;
   }
   EXPECT_EQ(denied, 15u);
@@ -80,21 +80,33 @@ TEST_F(HardeningTest, RootfulContainerKeepsPrivilegedReach) {
   EXPECT_TRUE(session.ReadFile("/home/user/private.txt").ok());
 }
 
-TEST_F(HardeningTest, AuditTrailPersistedToGuardedSpool) {
-  // Generate some audited activity.
-  Deployment deployment = Deploy("T-6", "TKT-SPOOL");
+// One evidence stream per machine: a granted broker request is one chained
+// record and nothing else holds a copy of it; a denied document read is
+// chained too, not left in an unchained side log.
+TEST_F(HardeningTest, EveryEvidenceRecordIsChainedOnce) {
+  Deployment deployment = Deploy("T-5", "TKT-ONE");
   AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
   ASSERT_TRUE(session.Login().ok());
-  (void)session.ReadFile("/home/user/documents/payroll.xlsx");  // denied, audited
 
-  auto spool = machine_->kernel().root_fs().SlurpForTest("/var/log/watchit/audit.log");
-  ASSERT_TRUE(spool.ok());
-  EXPECT_NE(spool->find("CONTAINER_DEPLOYED"), std::string::npos);
-  EXPECT_NE(spool->find("FILE_DENIED"), std::string::npos);
-  // The spool cannot be rewritten through the kernel, by anyone.
+  const size_t chain_before = machine_->broker().log().size();
+  const size_t audit_before = machine_->kernel().audit().size();
+  ASSERT_TRUE(session.Pb(witbroker::kVerbPs, {}).ok());
+  EXPECT_EQ(machine_->broker().log().size() - chain_before, 1u);
+  EXPECT_EQ(machine_->kernel().audit().size() - audit_before, 1u);
+  EXPECT_EQ(machine_->kernel().audit().records().back().event,
+            witos::AuditEvent::kBrokerRequest);
+  // No spool copy on the box.
+  EXPECT_FALSE(machine_->kernel().root_fs().SlurpForTest("/var/log/watchit/audit.log").ok());
+
+  const size_t chain_before_read = machine_->broker().log().size();
+  EXPECT_FALSE(session.ReadFile("/home/user/documents/payroll.xlsx").ok());
+  EXPECT_EQ(machine_->broker().log().size() - chain_before_read, 1u);
+  EXPECT_EQ(machine_->kernel().audit().records().back().event, witos::AuditEvent::kFileDenied);
+  EXPECT_TRUE(machine_->broker().log().Verify());
+  // The log directory still cannot be written through the kernel, by
+  // anyone, and guarding it does not break the boot measurement.
   EXPECT_EQ(machine_->kernel().WriteFile(1, "/var/log/watchit/audit.log", "").error(),
             witos::Err::kPerm);
-  // Its growth does not break the boot measurement.
   EXPECT_TRUE(machine_->tcb_intact());
 }
 

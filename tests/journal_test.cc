@@ -76,6 +76,34 @@ TEST(JournalRecordTest, DecodeRejectsUnknownKindAndTrailingGarbage) {
   }
 }
 
+// Payload integers are varints: one that runs past 64 bits, a count larger
+// than the bytes left, or a string length past the end rejects the payload
+// before anything is allocated for it.
+TEST(JournalRecordTest, DecodeRejectsOverlongVarintsAndCounts) {
+  auto bytes = [](std::initializer_list<int> values) {
+    std::string out;
+    for (int v : values) {
+      out += static_cast<char>(v);
+    }
+    return out;
+  };
+  // kind 4, lsn 1, time 0, no numbers, no strings: the minimal good record.
+  ASSERT_TRUE(DecodeRecordPayload(bytes({4, 1, 0, 0, 0})).ok());
+  // An lsn whose tenth byte carries more than bit 63.
+  EXPECT_FALSE(
+      DecodeRecordPayload(bytes({4, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2,
+                                 0, 0, 0}))
+          .ok());
+  // An eleven-byte varint.
+  EXPECT_FALSE(DecodeRecordPayload(bytes({4, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                          0x80, 0x80, 0, 0, 0, 0}))
+                   .ok());
+  // 200 numbers claimed, two bytes left.
+  EXPECT_FALSE(DecodeRecordPayload(bytes({4, 1, 0, 0xc8, 0x01, 0, 0})).ok());
+  // A 127-byte string claimed, three bytes present.
+  EXPECT_FALSE(DecodeRecordPayload(bytes({4, 1, 0, 0, 1, 0x7f, 'a', 'b', 'c'})).ok());
+}
+
 // --- writer + scan -----------------------------------------------------------
 
 TEST(JournalWriterTest, AppendScanRoundTrip) {
@@ -272,7 +300,7 @@ TEST_F(JournalFuzzTest, GarbageTailIsRejected) {
 // against the bytes actually present — never allocated.
 TEST_F(JournalFuzzTest, OversizedLengthPrefixDoesNotAllocate) {
   std::string frame;
-  frame.append("WJL2");                     // magic (little-endian 0x324c4a57)
+  frame.append("WJL3");                     // magic (little-endian 0x334c4a57)
   frame.append(8, '\0');                    // checksum (wrong, but len is checked first)
   frame.append("\xff\xff\xff\xff", 4);      // len = 4 GiB
   frame.append("short", 5);

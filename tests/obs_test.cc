@@ -337,19 +337,18 @@ TEST(EndToEndTest, BogusBrokerVerbsCannotMintSeries) {
                                  {{"verb", "unknown"}, {"outcome", "deny"}}),
             static_cast<uint64_t>(kVerbs));
   EXPECT_EQ(machine.broker().RequestsOf("TKT-VERBS").denied, static_cast<uint64_t>(kVerbs));
-  // The accountability records keep the exact verb.
-  auto events = machine.broker().EventsSnapshot();
+  // The accountability record keeps the exact verb.
+  auto records = machine.kernel().audit().Snapshot();
+  auto events = witbroker::BrokerEventsOf(records);
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.back().verb, "bogus-verb-999");
-  auto entries = machine.broker().log().SnapshotEntries();
-  ASSERT_FALSE(entries.empty());
-  EXPECT_NE(entries.back().payload.find("bogus-verb-999"), std::string::npos);
+  EXPECT_NE(records.back().detail.find("bogus-verb-999"), std::string::npos);
 }
 
 TEST(EndToEndTest, ForgedTicketIdsCannotMintSeries) {
   // The ticket id is whatever the sender's frame says. A request naming an
   // unbound ticket counts under its verb series only; it is still denied
-  // and still leaves its event and secure-log record.
+  // and still leaves its evidence record.
   watchit::Cluster cluster;
   watchit::Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
   const witobs::MetricsRegistry& metrics = machine.metrics();
@@ -371,20 +370,21 @@ TEST(EndToEndTest, ForgedTicketIdsCannotMintSeries) {
                                  {{"verb", "ps"}, {"outcome", "deny"}}),
             static_cast<uint64_t>(kForged));
 
+  const auto records = machine.kernel().audit().Snapshot();
   size_t denied_events = 0;
-  for (const witbroker::BrokerEvent& event : machine.broker().EventsSnapshot()) {
+  for (const witbroker::BrokerEvent& event : witbroker::BrokerEventsOf(records)) {
     if (event.ticket_id.rfind("TKT-FORGED-", 0) == 0 && !event.granted) {
       ++denied_events;
     }
   }
   EXPECT_EQ(denied_events, static_cast<size_t>(kForged));
-  size_t denied_entries = 0;
-  for (const witbroker::SecureLogEntry& entry : machine.broker().log().SnapshotEntries()) {
-    if (entry.payload.rfind("DENY mallory TKT-FORGED-", 0) == 0) {
-      ++denied_entries;
+  size_t denied_records = 0;
+  for (const witos::AuditRecord& record : records) {
+    if (record.detail.rfind("DENY mallory TKT-FORGED-", 0) == 0) {
+      ++denied_records;
     }
   }
-  EXPECT_EQ(denied_entries, static_cast<size_t>(kForged));
+  EXPECT_EQ(denied_records, static_cast<size_t>(kForged));
 }
 
 TEST(EndToEndTest, OpLogRetentionCapDropsOldestAndCountsInRegistry) {
@@ -401,23 +401,6 @@ TEST(EndToEndTest, OpLogRetentionCapDropsOldestAndCountsInRegistry) {
   EXPECT_EQ(log.records().front().path, "/f2");  // oldest two evicted
   EXPECT_EQ(log.dropped_records(), 2u);
   EXPECT_EQ(registry.CounterValue("watchit_itfs_oplog_dropped_total"), 2u);
-}
-
-TEST(EndToEndTest, BrokerEventRetentionCap) {
-  watchit::Cluster cluster;
-  watchit::Machine& machine = cluster.AddMachine("pc", witnet::Ipv4Addr(10, 0, 1, 51));
-  machine.broker().set_event_capacity(2);
-  (void)machine.broker().BindTicket("TKT-CAP", "T-5");
-  witbroker::BrokerClient client(&machine.broker_channel(), "TKT-CAP", "alice");
-  for (int i = 0; i < 5; ++i) {
-    (void)client.Request(witbroker::kVerbPs, {}, witos::kRootUid);
-  }
-  EXPECT_EQ(machine.broker().EventsSnapshot().size(), 2u);
-  EXPECT_EQ(machine.broker().dropped_events(), 3u);
-  EXPECT_EQ(machine.metrics().CounterValue("watchit_broker_events_dropped_total"), 3u);
-  // The binding still has the exact total despite the eviction.
-  EXPECT_EQ(machine.broker().RequestsOf("TKT-CAP").allowed, 5u);
-  EXPECT_EQ(machine.broker().RequestsOf("TKT-CAP").denied, 0u);
 }
 
 }  // namespace

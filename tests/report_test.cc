@@ -1,12 +1,15 @@
 // Forensic reporting tests: a benign session scores low; a probing rogue
 // floats to the top of the triage queue; a closed session's record reports
-// what the live session did.
+// what the live session did; a tampered evidence chain is reported as such,
+// not read; and triage runs race-free beside a serving machine.
 
 #include "src/core/report.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "src/core/cluster.h"
 #include "src/core/session.h"
@@ -161,22 +164,79 @@ TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
   EXPECT_FALSE(retired->still_active);
   EXPECT_EQ(retired->termination_reason, "ticket expired");
   ExpectSameEvidence(*retired, *live);
+}
 
-  // Once the event window has evicted the ticket's events, the detail lines
-  // are gone but the totals are still exact.
-  machine_->broker().set_event_capacity(1);  // one event: other tickets push it out
-  for (int i = 0; i < 64; ++i) {
-    witbroker::BrokerClient other(&machine_->broker_channel(), "TKT-OTHER-" + std::to_string(i),
-                                  "alice");
-    (void)other.Request(witbroker::kVerbPs, {}, witos::kRootUid);
+// A chain that fails verification is reported as such: no broker lines,
+// anomalies or probe counts are read from it. The totals in the session's
+// own record still stand.
+TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
+  Deployment deployment = Deploy("T-6", "TKT-TAMPER", "mallory");
+  AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
+  ASSERT_TRUE(session.Login().ok());
+  Probe(machine_, &session);
+  ForensicReporter reporter(machine_);
+  auto honest = reporter.Collect(deployment.session);
+  ASSERT_TRUE(honest.ok());
+  ASSERT_FALSE(honest->broker_lines.empty());
+  ASSERT_GT(honest->capability_denials, 0u);
+
+  machine_->broker().log().TamperForTest(0, "GRANT mallory nothing-to-see");
+  auto tampered = reporter.Collect(deployment.session);
+  ASSERT_TRUE(tampered.ok());
+  const std::string rendered = ForensicReporter::Render(*tampered);
+  EXPECT_NE(rendered.find("FAILED verification"), std::string::npos);
+  EXPECT_TRUE(tampered->broker_lines.empty());
+  EXPECT_TRUE(tampered->flagged_anomalies.empty());
+  EXPECT_EQ(tampered->capability_denials, 0u);
+  EXPECT_EQ(tampered->xcl_denials, 0u);
+  EXPECT_EQ(tampered->tcb_violations, 0u);
+  EXPECT_EQ(rendered.find("DENY driver_update"), std::string::npos);
+  EXPECT_EQ(tampered->broker_requests, honest->broker_requests);
+  EXPECT_EQ(tampered->fs_denied, honest->fs_denied);
+  std::vector<SessionForensics> queue = reporter.TriageQueue();
+  ASSERT_EQ(queue.size(), 1u);
+  EXPECT_TRUE(queue[0].broker_lines.empty());
+}
+
+// The forensic reader against a serving machine: the only state the two
+// threads share is the evidence log. One thread sends broker batches and
+// makes host-side kernel denials; the other runs the triage queue and
+// verifies the chain. Run under TSan (report_test is in the TSan CI job).
+TEST_F(ReportTest, TriageRacesNothingWhileTheMachineServes) {
+  for (int i = 0; i < 3; ++i) {
+    Deployment deployment = Deploy("T-6", "TKT-OLD-" + std::to_string(i), "mallory");
+    AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
+    ASSERT_TRUE(session.Login().ok());
+    Probe(machine_, &session);
+    ASSERT_TRUE(manager_->Expire(&deployment).ok());
   }
-  auto evicted = reporter.Collect(deployment.session);
-  ASSERT_TRUE(evicted.ok());
-  EXPECT_TRUE(evicted->broker_lines.empty());
-  EXPECT_EQ(evicted->broker_requests, 2u);
-  EXPECT_EQ(evicted->broker_denied, 1u);
-  EXPECT_EQ(evicted->fs_ops, live->fs_ops);
-  EXPECT_EQ(evicted->capability_denials, live->capability_denials);
+  witos::Kernel& kernel = machine_->kernel();
+  const witos::Pid intruder = *kernel.Clone(1, "intruder", 0);
+  ASSERT_TRUE(kernel.Setuid(intruder, 1000).ok());
+
+  const size_t denied_before = kernel.audit().CountEvent(witos::AuditEvent::kSyscallDenied);
+  constexpr int kRounds = 300;
+  std::atomic<bool> done{false};
+  std::thread serving([&] {
+    witbroker::RpcBatchRequest batch;
+    batch.uid = witos::kRootUid;
+    batch.ticket_id = "TKT-UNBOUND";
+    batch.admin = "mallory";
+    batch.ops = {{witbroker::kVerbReboot, {}}, {witbroker::kVerbInstall, {"netcat"}}};
+    for (int i = 0; i < kRounds; ++i) {
+      (void)machine_->broker().HandleBatch(batch);  // denied: evidence only
+      (void)kernel.Kill(intruder, 1);               // host-side SYSCALL_DENIED
+    }
+    done.store(true);
+  });
+  do {
+    std::vector<SessionForensics> queue = ForensicReporter(machine_).TriageQueue();
+    EXPECT_EQ(queue.size(), 3u);
+    EXPECT_TRUE(machine_->broker().log().Verify());
+  } while (!done.load());
+  serving.join();
+  EXPECT_EQ(kernel.audit().CountEvent(witos::AuditEvent::kSyscallDenied) - denied_before,
+            static_cast<size_t>(kRounds));
 }
 
 TEST_F(ReportTest, TriageQueueEqualsPerSessionCollect) {

@@ -1,10 +1,9 @@
-// Tests for the SecureLog (DESIGN.md §14): the hash chain and its append
-// order, in-place tampering, the rewrite-and-rechain attack caught by epoch
-// roots and by replicas, the seal cadence, replica bounds, fail-closed
-// restore, and the concurrent-appender guarantees the serving path relies
-// on. The concurrency cases double as the TSan coverage for the log's lock.
-
-#include "src/broker/securelog.h"
+// Tests for the machine's evidence chain, witos::AuditLog (DESIGN.md §14):
+// the hash chain and its append order, in-place tampering, the
+// rewrite-and-rechain attack caught by epoch roots, the seal cadence,
+// fail-closed restore, and the concurrent-appender guarantees the serving
+// path relies on. The concurrency cases double as the TSan coverage for the
+// chain's "securelog" lock.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +13,14 @@
 #include <thread>
 #include <vector>
 
-namespace witbroker {
+#include "src/os/audit.h"
+
+namespace witos {
 namespace {
 
-void AppendN(SecureLog* log, uint64_t count, const std::string& prefix = "entry-") {
+void AppendN(AuditLog* log, uint64_t count, const std::string& prefix = "entry-") {
   for (uint64_t i = 0; i < count; ++i) {
-    log->Append(prefix + std::to_string(i), 100 + i);
+    log->Append(AuditEvent::kSessionEvent, 7, 0, prefix + std::to_string(i), 100 + i);
   }
 }
 
@@ -27,153 +28,174 @@ TEST(SecureLogTest, SnapshotIsTheChainInAppendOrder) {
   // The snapshot IS the chain — append order, even when the caller's
   // timestamps are not monotone. Sorting here would break every consumer
   // that replays the chain (and the prefix-validity guarantee).
-  SecureLog log;
-  log.Append("first", 30);
-  log.Append("second", 10);
-  log.Append("third", 20);
+  AuditLog log;
+  log.Append(AuditEvent::kBrokerRequest, 3, 0, "first", 30);
+  log.Append(AuditEvent::kFileDenied, kNoPid, 1000, "second", 10);
+  log.Append(AuditEvent::kXclDenied, 9, 0, "third", 20);
   EXPECT_EQ(log.size(), 3u);
-  auto entries = log.SnapshotEntries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].payload, "first");
-  EXPECT_EQ(entries[1].payload, "second");
-  EXPECT_EQ(entries[2].payload, "third");
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].seq, i + 1);
-    EXPECT_EQ(entries[i].prev_hash, i == 0 ? 0 : entries[i - 1].hash);
+  auto records = log.Snapshot();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].detail, "first");
+  EXPECT_EQ(records[1].detail, "second");
+  EXPECT_EQ(records[1].pid, kNoPid);
+  EXPECT_EQ(records[1].uid, 1000u);
+  EXPECT_EQ(records[2].detail, "third");
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i + 1);
+    EXPECT_EQ(records[i].hash,
+              AuditRecord::ComputeHash(records[i], i == 0 ? 0 : records[i - 1].hash));
   }
-  EXPECT_TRUE(SecureLog::VerifyChain(entries));
+  EXPECT_TRUE(AuditLog::VerifyChain(records));
   EXPECT_TRUE(log.Verify());
+}
+
+// The hash covers the typed fields, not just the detail: a record whose
+// event, pid, uid or time is rewritten no longer verifies.
+TEST(SecureLogTest, HashCoversEveryTypedField) {
+  AuditLog log;
+  log.Append(AuditEvent::kFileDenied, 42, 1000, "/home/user/documents/payroll.xlsx", 500);
+  const AuditRecord genuine = log.Snapshot()[0];
+  auto forge = [&](auto mutate) {
+    AuditRecord forged = genuine;
+    mutate(&forged);
+    return AuditLog::VerifyChain({forged});
+  };
+  EXPECT_TRUE(forge([](AuditRecord*) {}));
+  EXPECT_FALSE(forge([](AuditRecord* r) { r->event = AuditEvent::kFileAccess; }));
+  EXPECT_FALSE(forge([](AuditRecord* r) { r->pid = 43; }));
+  EXPECT_FALSE(forge([](AuditRecord* r) { r->uid = 0; }));
+  EXPECT_FALSE(forge([](AuditRecord* r) { r->time_ns = 501; }));
+  EXPECT_FALSE(forge([](AuditRecord* r) { r->detail = "/etc/motd"; }));
 }
 
 TEST(SecureLogTest, InPlaceTamperBreaksVerify) {
   for (size_t victim : {size_t{0}, size_t{3}, size_t{39}}) {
-    SecureLog log;
+    AuditLog log;
     AppendN(&log, 40);
     ASSERT_TRUE(log.Verify());
     log.TamperForTest(victim, "GRANT mallory nothing-to-see");
-    EXPECT_FALSE(log.Verify()) << "tampered entry " << victim;
-    EXPECT_FALSE(SecureLog::VerifyChain(log.SnapshotEntries())) << "tampered entry " << victim;
+    EXPECT_FALSE(log.Verify()) << "tampered record " << victim;
+    EXPECT_FALSE(AuditLog::VerifyChain(log.Snapshot())) << "tampered record " << victim;
+    EXPECT_FALSE(log.VerifiedSnapshot().ok()) << "tampered record " << victim;
   }
 }
 
 TEST(SecureLogTest, RewriteAndRechainCaughtByEpochRoots) {
-  SecureLog log;
+  AuditLog log;
   AppendN(&log, 40);
   log.SealEpoch(/*time_ns=*/200);
   ASSERT_TRUE(log.Verify());
 
-  // The smarter attacker rewrites a sealed entry AND recomputes the
+  // The smarter attacker rewrites a sealed record AND recomputes the
   // downstream hashes: the chain alone verifies, the sealed root does not.
   log.TamperForTest(/*index=*/3, "forged", /*rechain=*/true);
-  EXPECT_TRUE(SecureLog::VerifyChain(log.SnapshotEntries()));
+  EXPECT_TRUE(AuditLog::VerifyChain(log.Snapshot()));
   EXPECT_FALSE(log.Verify());
+  EXPECT_EQ(log.VerifiedSnapshot().error(), Err::kIo);
 }
 
-TEST(SecureLogTest, RewriteAndRechainCaughtByReplica) {
-  SecureLog log;
+// Past the last sealed root nothing in the log itself can tell: this is
+// the case witdur::DurabilityManager::ChainMatchesJournal exists for
+// (crash_recovery_test covers it end to end).
+TEST(SecureLogTest, RewriteAndRechainPastTheLastRootPassesVerify) {
+  AuditLog log;
   AppendN(&log, 40);
-  size_t replica = log.AddReplica();
-  log.Append("post-replica", 200);
-  ASSERT_TRUE(log.MatchesReplica(replica));
-
-  // No root is sealed, so only the replica can expose this rewrite.
-  log.TamperForTest(/*index=*/2, "forged", /*rechain=*/true);
+  log.SealEpoch(/*time_ns=*/200);
+  AppendN(&log, 5, "late-");
+  log.TamperForTest(/*index=*/42, "forged", /*rechain=*/true);
   EXPECT_TRUE(log.Verify());
-  EXPECT_FALSE(log.MatchesReplica(replica));
 }
 
 TEST(SecureLogTest, EpochRootsChainAndAutoSeal) {
-  SecureLog log(/*epoch_interval=*/10);
-  AppendN(&log, 35);
-  // 35 appends at interval 10 → three auto-sealed roots.
+  constexpr uint64_t kInterval = AuditLog::kEpochInterval;
+  EXPECT_EQ(kInterval, 256u);
+  AuditLog log;
+  AppendN(&log, 3 * kInterval + 95);
+  // Three intervals' worth of appends → three auto-sealed roots.
   EXPECT_EQ(log.epoch_count(), 3u);
   log.SealEpoch(/*time_ns=*/500);
   auto roots = log.EpochRootsSnapshot();
   ASSERT_EQ(roots.size(), 4u);
-  const auto entries = log.SnapshotEntries();
-  const uint64_t sizes[] = {10, 20, 30, 35};  // the manual seal covers everything
+  const auto records = log.Snapshot();
+  // The manual seal covers everything.
+  const uint64_t sizes[] = {kInterval, 2 * kInterval, 3 * kInterval, 3 * kInterval + 95};
   uint64_t prev_hash = 0;
   for (size_t r = 0; r < roots.size(); ++r) {
     EXPECT_EQ(roots[r].epoch, r + 1);
     EXPECT_EQ(roots[r].prev_root_hash, prev_hash);
     EXPECT_EQ(roots[r].root_hash, EpochRoot::ComputeHash(roots[r]));
     EXPECT_EQ(roots[r].size, sizes[r]);
-    EXPECT_EQ(roots[r].head, entries[sizes[r] - 1].hash);
+    EXPECT_EQ(roots[r].head, records[sizes[r] - 1].hash);
     prev_hash = roots[r].root_hash;
   }
   EXPECT_TRUE(log.Verify());
 }
 
 TEST(SecureLogTest, BatchAppendStaysChainedAndSealsOnce) {
-  SecureLog log(/*epoch_interval=*/8);
-  std::vector<std::string> payloads;
-  for (int i = 0; i < 10; ++i) {
-    payloads.push_back("op-" + std::to_string(i));
+  AuditLog log;
+  std::vector<AuditRecord> batch(AuditLog::kEpochInterval + 4);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].event = i % 2 == 0 ? AuditEvent::kBrokerRequest : AuditEvent::kBrokerDenied;
+    batch[i].pid = static_cast<Pid>(i);
+    batch[i].detail = "op-" + std::to_string(i);
   }
-  log.AppendBatch(payloads, /*time_ns=*/100);
-  auto entries = log.SnapshotEntries();
-  ASSERT_EQ(entries.size(), 10u);
-  EXPECT_TRUE(SecureLog::VerifyChain(entries));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].payload, payloads[i]);
+  log.AppendBatch(batch, /*time_ns=*/100);
+  auto records = log.Snapshot();
+  ASSERT_EQ(records.size(), batch.size());
+  EXPECT_TRUE(AuditLog::VerifyChain(records));
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].detail, batch[i].detail);
+    EXPECT_EQ(records[i].event, batch[i].event);
+    EXPECT_EQ(records[i].pid, batch[i].pid);
+    EXPECT_EQ(records[i].time_ns, 100u);
   }
   // One batch crossing the interval seals exactly one root, not one per op,
   // and the root covers the whole batch.
   auto roots = log.EpochRootsSnapshot();
   ASSERT_EQ(roots.size(), 1u);
-  EXPECT_EQ(roots[0].size, 10u);
+  EXPECT_EQ(roots[0].size, batch.size());
   EXPECT_TRUE(log.Verify());
 }
 
-// Regression: replica accessors used to index the replica vector without a
-// bounds check — an out-of-range index was UB. A missing replica can never
-// vouch for the log, so the answer is false/empty, never a crash.
-TEST(SecureLogTest, ReplicaOutOfRangeRejected) {
-  SecureLog log;
-  log.Append("entry", 100);
-  EXPECT_EQ(log.replica_count(), 0u);
-  EXPECT_FALSE(log.MatchesReplica(0));
-  EXPECT_FALSE(log.MatchesReplica(1234));
-  EXPECT_TRUE(log.ReplicaSnapshot(0).empty());
-
-  size_t index = log.AddReplica();
-  EXPECT_EQ(index, 0u);
-  EXPECT_EQ(log.replica_count(), 1u);
-  EXPECT_TRUE(log.MatchesReplica(0));
-  EXPECT_FALSE(log.MatchesReplica(1));  // one past the end, still rejected
-  EXPECT_TRUE(log.ReplicaSnapshot(1).empty());
-}
-
-TEST(SecureLogTest, ReplicaSnapshotMirrorsTheChain) {
-  SecureLog log;
-  AppendN(&log, 12, "pre-");
-  size_t replica = log.AddReplica();
-  AppendN(&log, 12, "post-");
-  auto primary = log.SnapshotEntries();
-  auto mirror = log.ReplicaSnapshot(replica);
-  ASSERT_EQ(mirror.size(), primary.size());
-  for (size_t i = 0; i < mirror.size(); ++i) {
-    EXPECT_EQ(mirror[i].hash, primary[i].hash);
-    EXPECT_EQ(mirror[i].payload, primary[i].payload);
-  }
-  EXPECT_TRUE(SecureLog::VerifyChain(mirror));
-}
-
 // Restore checks every journaled hash: there is no "no hash" value that
-// skips the check.
-TEST(SecureLogTest, RestoreEntryRefusesAHashItCannotReproduce) {
-  SecureLog source;
-  source.Append("GRANT alice TKT-1 [T-1] ps", 100);
-  const SecureLogEntry genuine = source.SnapshotEntries()[0];
+// skips the check, and a refused record leaves the chain as it was.
+TEST(SecureLogTest, RestoreRefusesAHashItCannotReproduce) {
+  AuditLog source;
+  source.Append(AuditEvent::kBrokerRequest, 5, 0, "GRANT alice TKT-1 [T-1] ps", 100);
+  const AuditRecord genuine = source.Snapshot()[0];
 
-  SecureLog restored;
-  EXPECT_EQ(restored.RestoreEntry("GRANT mallory TKT-1 [T-1] install netcat", 100, 0).error(),
-            witos::Err::kInval);
-  EXPECT_EQ(restored.RestoreEntry(genuine.payload, genuine.time_ns, genuine.hash + 1).error(),
-            witos::Err::kInval);
+  AuditLog restored;
+  AuditRecord forged = genuine;
+  forged.detail = "GRANT mallory TKT-1 [T-1] install netcat";
+  forged.hash = 0;
+  EXPECT_EQ(restored.Restore(forged).error(), Err::kInval);
+  AuditRecord wrong_hash = genuine;
+  wrong_hash.hash += 1;
+  EXPECT_EQ(restored.Restore(wrong_hash).error(), Err::kInval);
+  AuditRecord wrong_event = genuine;
+  wrong_event.event = AuditEvent::kBrokerDenied;
+  EXPECT_EQ(restored.Restore(wrong_event).error(), Err::kInval);
   EXPECT_EQ(restored.size(), 0u);
-  ASSERT_TRUE(restored.RestoreEntry(genuine.payload, genuine.time_ns, genuine.hash).ok());
-  EXPECT_EQ(restored.SnapshotEntries()[0].hash, genuine.hash);
+  ASSERT_TRUE(restored.Restore(genuine).ok());
+  EXPECT_EQ(restored.Snapshot(), source.Snapshot());
+}
+
+TEST(SecureLogTest, RestoredRootsMustMatchTheRebuiltChain) {
+  AuditLog source;
+  AppendN(&source, 12);
+  source.SealEpoch(300);
+  AuditLog restored;
+  for (const AuditRecord& record : source.Snapshot()) {
+    ASSERT_TRUE(restored.Restore(record).ok());
+  }
+  std::vector<EpochRoot> roots = source.EpochRootsSnapshot();
+  std::vector<EpochRoot> bent = roots;
+  bent[0].head ^= 1;
+  EXPECT_FALSE(restored.RestoreEpochRoots(bent));
+  EXPECT_EQ(restored.epoch_count(), 0u);  // fail closed: nothing installed
+  EXPECT_TRUE(restored.RestoreEpochRoots(roots));
+  EXPECT_EQ(restored.epoch_count(), 1u);
+  EXPECT_TRUE(restored.Verify());
 }
 
 // ---- Concurrency (TSan) ----
@@ -184,13 +206,14 @@ TEST(SecureLogTest, RestoreEntryRefusesAHashItCannotReproduce) {
 TEST(SecureLogTest, ParallelAppendersKeepChainLinearAndSealOnTheInterval) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
-  constexpr uint64_t kInterval = 50;
-  SecureLog log(kInterval);
+  constexpr uint64_t kInterval = AuditLog::kEpochInterval;
+  AuditLog log;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        log.Append("req t" + std::to_string(t) + " #" + std::to_string(i),
+        log.Append(AuditEvent::kBrokerRequest, t, 0,
+                   "req t" + std::to_string(t) + " #" + std::to_string(i),
                    static_cast<uint64_t>(i));
       }
     });
@@ -201,9 +224,9 @@ TEST(SecureLogTest, ParallelAppendersKeepChainLinearAndSealOnTheInterval) {
   const size_t appends = static_cast<size_t>(kThreads) * kPerThread;
   EXPECT_EQ(log.size(), appends);
   EXPECT_TRUE(log.Verify());
-  const auto entries = log.SnapshotEntries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].seq, i + 1);
+  const auto records = log.Snapshot();
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i + 1);
   }
   EXPECT_EQ(log.epoch_count(), appends / kInterval);
   for (const EpochRoot& root : log.EpochRootsSnapshot()) {
@@ -213,11 +236,11 @@ TEST(SecureLogTest, ParallelAppendersKeepChainLinearAndSealOnTheInterval) {
 }
 
 // A snapshot taken mid-append must always be a valid prefix of the chain —
-// no torn entries, no reordering.
+// no torn records, no reordering.
 TEST(SecureLogTest, MidAppendSnapshotsAreValidPrefixes) {
   constexpr size_t kAppenders = 4;
   constexpr uint64_t kPerAppender = 300;
-  SecureLog log;
+  AuditLog log;
   std::atomic<size_t> running{kAppenders};
   std::vector<std::thread> appenders;
   for (size_t a = 0; a < kAppenders; ++a) {
@@ -230,8 +253,8 @@ TEST(SecureLogTest, MidAppendSnapshotsAreValidPrefixes) {
   // loop first runs.
   size_t previous = 0;
   do {
-    const auto snapshot = log.SnapshotEntries();
-    EXPECT_TRUE(SecureLog::VerifyChain(snapshot));
+    const auto snapshot = log.Snapshot();
+    EXPECT_TRUE(AuditLog::VerifyChain(snapshot));
     EXPECT_GE(snapshot.size(), previous);
     previous = snapshot.size();
   } while (running.load(std::memory_order_acquire) != 0);
@@ -242,32 +265,30 @@ TEST(SecureLogTest, MidAppendSnapshotsAreValidPrefixes) {
   EXPECT_TRUE(log.Verify());
 }
 
-// 8 appenders while epochs auto-seal, a replica registers mid-stream and a
-// verifier races them. Afterwards the chain, every sealed root and the
-// replica must agree.
-TEST(SecureLogTest, ConcurrentAppendersWithSealsAndReplicas) {
+// 8 appenders (single and batched) while epochs auto-seal and a verifier
+// races them. Afterwards the chain and every sealed root must agree.
+TEST(SecureLogTest, ConcurrentAppendersWithSealsAndVerifier) {
   constexpr size_t kAppenders = 8;
   constexpr uint64_t kPerThread = 250;
-  constexpr uint64_t kInterval = 64;
-  SecureLog log(kInterval);
+  constexpr uint64_t kInterval = AuditLog::kEpochInterval;
+  AuditLog log;
 
-  std::atomic<size_t> replica_index{SIZE_MAX};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kAppenders; ++t) {
     threads.emplace_back([&, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        log.Append("t" + std::to_string(t) + "-" + std::to_string(i), 100 + i);
-        if (t == 0 && i == kPerThread / 2) {
-          replica_index.store(log.AddReplica(), std::memory_order_release);
-        }
+      for (uint64_t i = 0; i < kPerThread; i += 2) {
+        std::vector<AuditRecord> pair(2);
+        pair[0].detail = "t" + std::to_string(t) + "-" + std::to_string(i);
+        pair[1].detail = "t" + std::to_string(t) + "-" + std::to_string(i + 1);
+        log.AppendBatch(std::move(pair), 100 + i);
       }
     });
   }
   // Mid-stream the verifier may only ever say "intact".
   std::thread verifier([&] {
     for (int i = 0; i < 50; ++i) {
-      if (!log.Verify()) {
-        ADD_FAILURE() << "mid-stream Verify() reported tampering";
+      if (!log.Verify() || !log.VerifiedSnapshot().ok()) {
+        ADD_FAILURE() << "mid-stream verification reported tampering";
         return;
       }
     }
@@ -278,16 +299,13 @@ TEST(SecureLogTest, ConcurrentAppendersWithSealsAndReplicas) {
   verifier.join();
 
   EXPECT_EQ(log.size(), kAppenders * kPerThread);
-  EXPECT_EQ(log.epoch_count(), kAppenders * kPerThread / kInterval);
   EXPECT_TRUE(log.Verify());
-  size_t replica = replica_index.load(std::memory_order_acquire);
-  ASSERT_NE(replica, SIZE_MAX);
-  EXPECT_TRUE(log.MatchesReplica(replica));
-  // And divergence is still detected after all that concurrency.
+  // Batches of two reach a multiple of the (even) interval exactly.
+  EXPECT_EQ(log.epoch_count(), kAppenders * kPerThread / kInterval);
+  // And a rewrite is still detected after all that concurrency.
   log.TamperForTest(10, "forged", /*rechain=*/true);
-  EXPECT_FALSE(log.MatchesReplica(replica));
   EXPECT_FALSE(log.Verify());
 }
 
 }  // namespace
-}  // namespace witbroker
+}  // namespace witos

@@ -188,14 +188,15 @@ TEST(BrokerSnapshotTest, AnomalyAnalysisRunsBesideLiveTraffic) {
   // do-while: on a single-core host the writer may finish before this loop
   // first runs, and the post-completion analysis must still hold.
   do {
-    const std::vector<witbroker::BrokerEvent> events = broker.EventsSnapshot();
+    const std::vector<witbroker::BrokerEvent> events =
+        witbroker::BrokerEventsOf(broker.log().Snapshot());
     witbroker::AnomalyDetector detector;
     detector.Fit(events);
     const auto scores = detector.Analyze(events);
     EXPECT_EQ(scores.size(), events.size());
   } while (!done.load());
   writer.join();
-  EXPECT_EQ(broker.EventsSnapshot().size(), 500u);
+  EXPECT_EQ(witbroker::BrokerEventsOf(broker.log().Snapshot()).size(), 500u);
   EXPECT_TRUE(broker.log().Verify());
 }
 

@@ -51,7 +51,7 @@ TEST_F(ShellTest, PsShowsHostViewForProcessMgmtClass) {
 TEST_F(ShellTest, PbPrefixEscalates) {
   std::string out = shell_->Execute("PB ps -a");
   EXPECT_NE(out.find("PermissionBroker"), std::string::npos);
-  EXPECT_EQ(machine_->broker().EventsSnapshot().size(), 1u);
+  EXPECT_EQ(witbroker::BrokerEventsOf(machine_->kernel().audit().Snapshot()).size(), 1u);
 }
 
 TEST_F(ShellTest, CatAndEchoAndGrep) {

@@ -8,6 +8,8 @@
 #include "src/core/cluster.h"
 #include "src/core/session.h"
 #include "src/core/ticket_class.h"
+#include "src/durability/durability.h"
+#include "src/os/memfs.h"
 #include "src/workload/ticket_gen.h"
 #include "src/workload/topology.h"
 
@@ -111,17 +113,36 @@ TEST_F(ThreatMatrixTest, Attack5WatchItSoftwareProtected) {
   EXPECT_TRUE(machine_->tcb_intact());
 }
 
-// Attack 6: tamper with the broker's log files.
+// Attack 6: tamper with the broker's log files. An in-place rewrite breaks
+// the chain itself.
 TEST_F(ThreatMatrixTest, Attack6LogTamperingDetected) {
   auto session = DeployAndLogin("T-5");
   ASSERT_TRUE(session->Pb(witbroker::kVerbPs, {}).ok());
-  witbroker::SecureLog& log = machine_->broker().log();
-  size_t replica = log.AddReplica();
+  witos::AuditLog& log = kernel().audit();
   ASSERT_TRUE(session->Pb(witbroker::kVerbRestartService, {"cron"}).ok());
   ASSERT_TRUE(log.Verify());
   log.TamperForTest(0, "GRANT mallory nothing");
   EXPECT_FALSE(log.Verify());
-  EXPECT_FALSE(log.MatchesReplica(replica));
+}
+
+// Attack 6, the smarter attacker: rewrite a record after the last sealed
+// root and recompute every hash after it. The chain and its roots still
+// verify; the journal's host-side copy does not match.
+TEST_F(ThreatMatrixTest, Attack6RewriteAndRechainCaughtByJournal) {
+  witdur::DurabilityManager durability(std::make_shared<witos::MemFs>());
+  durability.Attach(&cluster_);
+  auto session = DeployAndLogin("T-5");
+  witos::AuditLog& log = kernel().audit();
+  ASSERT_TRUE(session->Pb(witbroker::kVerbPs, {}).ok());
+  log.SealEpoch(kernel().clock().now_ns());
+  ASSERT_TRUE(session->Pb(witbroker::kVerbReadFile, {"/etc/shadow"}).ok());
+  ASSERT_TRUE(durability.ChainMatchesJournal(*machine_));
+
+  const size_t sealed = log.EpochRootsSnapshot().back().size;
+  ASSERT_LT(sealed, log.size());
+  log.TamperForTest(log.size() - 1, "GRANT mallory TKT-T-5 [T-5] ps", /*rechain=*/true);
+  EXPECT_TRUE(log.Verify());
+  EXPECT_FALSE(durability.ChainMatchesJournal(*machine_));
 }
 
 // Attack 7: kill a WatchIT component to escape monitoring.
@@ -313,10 +334,10 @@ TEST_F(ThreatMatrixTest, AnomalyDetectionFlagsRogueRequests) {
     ASSERT_TRUE(session->Pb(witbroker::kVerbPs, {}).ok());
   }
   witbroker::AnomalyDetector detector;
-  detector.Fit(machine_->broker().EventsSnapshot());
+  detector.Fit(witbroker::BrokerEventsOf(kernel().audit().Snapshot()));
   // The rogue request: reading the shadow file via the broker.
   ASSERT_TRUE(session->Pb(witbroker::kVerbReadFile, {"/etc/shadow"}).ok());
-  auto events = machine_->broker().EventsSnapshot();
+  auto events = witbroker::BrokerEventsOf(kernel().audit().Snapshot());
   auto scores = detector.Analyze(events);
   EXPECT_TRUE(scores.back().flagged);
 }

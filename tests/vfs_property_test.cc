@@ -313,7 +313,8 @@ TEST(VfsDifferentialTest, ResolveMatchesReferenceCallForCall) {
     std::mt19937 rng(seed);
     NamespaceRegistry registry;
     AuditLog audit;
-    Vfs vfs(&registry, &audit);
+    SimClock clock;
+    Vfs vfs(&registry, &audit, &clock);
     std::vector<std::string> calls;
 
     std::vector<std::shared_ptr<MemFs>> disks;

@@ -5,14 +5,17 @@
 // flips, truncation, splicing, length-prefix stomps) runs over every RPC
 // message type; decoding must never crash, never allocate based on an
 // unvalidated length prefix, and anything it accepts must round-trip
-// losslessly.
+// losslessly. The same holds for the broker record codec, which writes the
+// frame's attacker-chosen fields into the machine's evidence chain.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "src/broker/broker.h"
 #include "src/broker/rpc.h"
 #include "src/broker/wire.h"
 
@@ -420,6 +423,176 @@ TEST(WireFuzzTest, ValidMessagesAlwaysRoundTrip) {
     auto decoded_batch = RpcBatchRequest::Deserialize(batch.Serialize());
     ASSERT_TRUE(decoded_batch.ok()) << "iteration " << i;
     EXPECT_TRUE(BatchRequestsEqual(batch, *decoded_batch)) << "iteration " << i;
+  }
+}
+
+// --- The broker record codec -------------------------------------------------
+
+// The evidence record the broker writes for `request`.
+witos::AuditRecord BrokerRecord(const RpcRequest& request, const std::string& ticket_class,
+                                bool granted) {
+  witos::AuditRecord record;
+  record.time_ns = 777;
+  record.event = granted ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied;
+  record.detail = EncodeBrokerDetail(request, ticket_class, granted);
+  return record;
+}
+
+void ExpectRoundTrip(const RpcRequest& request, const std::string& ticket_class, bool granted) {
+  const witos::AuditRecord record = BrokerRecord(request, ticket_class, granted);
+  std::optional<BrokerEvent> event = DecodeBrokerRecord(record);
+  ASSERT_TRUE(event.has_value()) << record.detail;
+  EXPECT_EQ(event->admin, request.admin);
+  EXPECT_EQ(event->ticket_id, request.ticket_id);
+  EXPECT_EQ(event->ticket_class, ticket_class);
+  EXPECT_EQ(event->verb, request.method);
+  EXPECT_EQ(event->args, request.args);
+  EXPECT_EQ(event->granted, granted);
+  EXPECT_EQ(event->time_ns, record.time_ns);
+  // The detail stays one line of five or more space-separated tokens.
+  EXPECT_EQ(record.detail.find('\n'), std::string::npos);
+}
+
+RpcRequest Ordinary() {
+  RpcRequest request;
+  request.admin = "alice";
+  request.ticket_id = "TKT";
+  request.method = "install";
+  request.args = {"netcat"};
+  return request;
+}
+
+TEST(BrokerRecordCodecTest, OrdinaryNamesPrintAsTheyAre) {
+  EXPECT_EQ(EncodeBrokerDetail(Ordinary(), "T-6", true), "GRANT alice TKT [T-6] install netcat");
+  RpcRequest ps = Ordinary();
+  ps.method = "ps";
+  ps.args.clear();
+  EXPECT_EQ(EncodeBrokerDetail(ps, "", false), "DENY alice TKT [] ps");
+  ExpectRoundTrip(ps, "", false);
+}
+
+TEST(BrokerRecordCodecTest, HostileFieldsRoundTrip) {
+  const std::vector<std::string> hostile = {
+      "",
+      " ",
+      "two words",
+      "[T-6]",
+      "]",
+      "[",
+      "%",
+      "%41",
+      "100%",
+      "line\nbreak",
+      "\r\t\x01\x7f",
+      std::string("nul\0byte", 8),
+      "GRANT alice TKT [T-6] install netcat",
+      "\xc3\xbc" "n" "\xc3\xaf" "c" "\xc3\xb8" "d" "\xc3\xa9",  // UTF-8
+      std::string(64 * 1024, 'x') + " [y] %z\n",
+  };
+  for (const std::string& value : hostile) {
+    SCOPED_TRACE(value.substr(0, 40));
+    RpcRequest request = Ordinary();
+    request.admin = value;
+    ExpectRoundTrip(request, "T-6", true);
+    request = Ordinary();
+    request.ticket_id = value;
+    ExpectRoundTrip(request, "T-6", false);
+    ExpectRoundTrip(Ordinary(), value, true);
+    request = Ordinary();
+    request.method = value;
+    ExpectRoundTrip(request, "T-6", false);
+    request = Ordinary();
+    request.args = {value};
+    ExpectRoundTrip(request, "T-6", true);
+    request.args = {value, "", value};
+    ExpectRoundTrip(request, "T-6", true);
+  }
+  RpcRequest no_args = Ordinary();
+  no_args.args.clear();
+  ExpectRoundTrip(no_args, "T-6", true);
+  RpcRequest one_empty_arg = Ordinary();
+  one_empty_arg.args = {""};
+  ExpectRoundTrip(one_empty_arg, "T-6", true);
+  EXPECT_NE(EncodeBrokerDetail(no_args, "T-6", true),
+            EncodeBrokerDetail(one_empty_arg, "T-6", true));
+}
+
+TEST(BrokerRecordCodecTest, SeededRandomFieldsRoundTrip) {
+  std::mt19937 rng(20170801);
+  const std::string specials = " []%\n\r\t\x00\x7f";
+  auto rand_field = [&] {
+    std::string field;
+    for (size_t n = rng() % 12; n > 0; --n) {
+      field += rng() % 3 == 0 ? specials[rng() % specials.size()]
+                              : static_cast<char>(rng() % 256);
+    }
+    return field;
+  };
+  for (int i = 0; i < 3000; ++i) {
+    RpcRequest request;
+    request.admin = rand_field();
+    request.ticket_id = rand_field();
+    request.method = rand_field();
+    for (size_t n = rng() % 4; n > 0; --n) {
+      request.args.push_back(rand_field());
+    }
+    ExpectRoundTrip(request, rand_field(), rng() % 2 == 0);
+  }
+}
+
+// Only what the encoder writes decodes: other events, a verdict that
+// contradicts the record's event, and every non-canonical spelling are not
+// broker records.
+TEST(BrokerRecordCodecTest, RecordsTheEncoderDidNotWriteAreNotBrokerRecords) {
+  witos::AuditRecord genuine = BrokerRecord(Ordinary(), "T-6", true);
+  ASSERT_TRUE(DecodeBrokerRecord(genuine).has_value());
+  witos::AuditRecord other_event = genuine;
+  other_event.event = witos::AuditEvent::kSessionEvent;
+  EXPECT_FALSE(DecodeBrokerRecord(other_event).has_value());
+  witos::AuditRecord wrong_verdict = genuine;
+  wrong_verdict.event = witos::AuditEvent::kBrokerDenied;
+  EXPECT_FALSE(DecodeBrokerRecord(wrong_verdict).has_value());
+
+  for (const char* detail : {
+           "",
+           "GRANT",
+           "GRANT alice TKT [T-6]",
+           "GRANT alice TKT T-6 install netcat",
+           "GRANT alice  TKT [T-6] install netcat",
+           "GRANT alice TKT [T-6] install netcat ",
+           "GRANT al%69ce TKT [T-6] install netcat",
+           "GRANT alice TKT [T-6] install net%2acat",
+           "GRANT alice TKT [T-6] install %4",
+           "GRANT alice TKT [T-6] install %zz",
+           "GRANT alice TKT [[T-6]] install netcat",
+           "GRANT alice TKT [%] install netcat",
+           "grant alice TKT [T-6] install netcat",
+       }) {
+    witos::AuditRecord forged = genuine;
+    forged.detail = detail;
+    EXPECT_FALSE(DecodeBrokerRecord(forged).has_value()) << detail;
+  }
+
+  // Byte mutations of genuine records: whatever still decodes must be
+  // exactly what the encoder writes for the decoded fields.
+  std::mt19937 rng(6);
+  RpcRequest hostile = Ordinary();
+  hostile.admin = "mal lory%";
+  hostile.args = {"", "[x]", "a\nb"};
+  const std::vector<witos::AuditRecord> seeds = {genuine, BrokerRecord(hostile, "", false)};
+  for (int i = 0; i < kMutationsPerType; ++i) {
+    witos::AuditRecord mutated = seeds[static_cast<size_t>(i) % seeds.size()];
+    mutated.detail = Mutate(mutated.detail, rng);
+    std::optional<BrokerEvent> event = DecodeBrokerRecord(mutated);
+    if (!event.has_value()) {
+      continue;
+    }
+    RpcRequest request;
+    request.admin = event->admin;
+    request.ticket_id = event->ticket_id;
+    request.method = event->verb;
+    request.args = event->args;
+    ASSERT_EQ(EncodeBrokerDetail(request, event->ticket_class, event->granted), mutated.detail);
   }
 }
 

@@ -63,6 +63,25 @@ TEST_F(XclTest, ExclusionHitsAreAudited) {
   EXPECT_GT(kernel_.audit().CountEvent(AuditEvent::kXclDenied), before);
 }
 
+// An XCL denial is stamped with the kernel clock's reading at the call,
+// like every other record in the chain.
+TEST_F(XclTest, DenialRecordCarriesTheClockReading) {
+  Pid admin = *kernel_.Clone(1, "admin", kCloneNewXcl);
+  ASSERT_TRUE(kernel_.XclAdd(admin, "/home").ok());
+  kernel_.clock().Advance(123456);
+  auto ctx = kernel_.ContextFor(admin);
+  ASSERT_TRUE(ctx.ok());
+  // The first component is excluded: the walk stops before any lookup, so
+  // the clock does not move between the call and the record.
+  const uint64_t now = kernel_.clock().now_ns();
+  EXPECT_EQ(kernel_.vfs().Resolve(*ctx, "/home/user/secret.txt").error(), Err::kAcces);
+  ASSERT_FALSE(kernel_.audit().records().empty());
+  const AuditRecord& record = kernel_.audit().records().back();
+  EXPECT_EQ(record.event, AuditEvent::kXclDenied);
+  EXPECT_EQ(record.time_ns, now);
+  EXPECT_NE(record.time_ns, 0u);
+}
+
 TEST_F(XclTest, AddRemoveSyscalls) {
   Pid admin = *kernel_.Clone(1, "admin", kCloneNewXcl);
   ASSERT_TRUE(kernel_.XclAdd(admin, "/home/user").ok());
