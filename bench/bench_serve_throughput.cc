@@ -94,7 +94,7 @@ struct RunResult {
   uint64_t p99_ns = 0;
   // End-of-run audit sweep: every machine's evidence chain must still
   // verify (hash links and epoch roots) after the run.
-  witserve::ServerPool::AuditReport audit;
+  watchit::Cluster::AuditReport audit;
 
   double WallTps() const {
     return wall_ns == 0 ? 0.0 : static_cast<double>(stats.served) * 1e9 /
@@ -164,7 +164,7 @@ RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t ticket
   pool.Stop();
 
   RunResult result;
-  result.audit = pool.VerifyAuditTrail();
+  result.audit = cluster->VerifyAuditTrail();
   result.workers = workers;
   result.wall_ns = wall_ns;
   result.busy_retries = run.busy_retries;
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
               wall_scaling, host_cores);
   std::printf("(effective t/s divides by the busiest shard's thread-CPU time, so the\n"
               " number is host-core-count independent; wall t/s is what this box saw)\n");
-  const witserve::ServerPool::AuditReport& audit = runs.back().audit;
+  const watchit::Cluster::AuditReport& audit = runs.back().audit;
   std::printf("audit sweep at 8 workers: %zu machines, %zu chain records, %zu epoch "
               "roots, %zu failures\n",
               audit.machines, audit.log_entries, audit.epoch_roots, audit.failures);

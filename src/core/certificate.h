@@ -26,6 +26,8 @@ struct Certificate {
   uint64_t issued_ns = 0;
   uint64_t expires_ns = 0;
   uint64_t signature = 0;
+
+  bool operator==(const Certificate&) const = default;
 };
 
 enum class CertStatus {
@@ -49,6 +51,10 @@ class CertificateAuthority {
                     const std::string& ticket_id, const std::string& ticket_class,
                     uint64_t now_ns, uint64_t lifetime_ns);
 
+  // kForged unless `cert` equals, field for field and signature included,
+  // the certificate this CA issued under its serial. The signature is not
+  // recomputed: a holder who recovers the secret can sign a copy with a
+  // later expiry, but cannot make this CA's record of it change.
   CertStatus Validate(const Certificate& cert, uint64_t now_ns) const;
 
   void Revoke(uint64_t serial);
@@ -73,7 +79,8 @@ class CertificateAuthority {
 
   // Recovery: re-seeds one certificate exactly as journaled, bypassing the
   // listeners. The signature must verify under this CA's secret (EINVAL
-  // otherwise — a journaled cert this CA never signed is corruption) and
+  // otherwise — a journaled cert this CA never signed is corruption; this
+  // offline check is what the signature is for) and
   // the serial must be unused (EEXIST). next_serial advances past every
   // restored serial so post-recovery issues never collide.
   witos::Status RestoreIssued(const Certificate& cert);

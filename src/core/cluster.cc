@@ -82,9 +82,8 @@ Cluster::AuditReport Cluster::VerifyAuditTrail() const {
 }
 
 witos::Result<Deployment> ClusterManager::Deploy(const Ticket& ticket, uint64_t lifetime_ns) {
-  // The staged transaction with a null gate reproduces the historical
-  // single-threaded inline deploy, now with rollback: a failed stage leaves
-  // no bound ticket, no live session and no valid certificate behind.
+  // A failed stage leaves no bound ticket, no live session and no valid
+  // certificate behind.
   return RunDeployStages(cluster_, ticket, lifetime_ns, /*gate=*/nullptr);
 }
 

@@ -5,7 +5,6 @@
 #ifndef SRC_CORE_CLUSTER_H_
 #define SRC_CORE_CLUSTER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,28 +17,6 @@
 #include "src/net/network.h"
 
 namespace watchit {
-
-enum class DeployStage;  // src/core/deploy.h
-
-// One deploy-transaction transition, reported by RunDeployStages through
-// the cluster (witjournal, DESIGN.md §15): Begin when the target machine is
-// resolved, Stage after each stage gate settles, then exactly one of Commit
-// or Rollback. A durability layer journals these so a crash-time recovery
-// can tell committed deployments from transactions that died mid-flight —
-// without the deploy path depending on the journal.
-struct DeployTxnEvent {
-  enum class Kind { kBegin, kStage, kCommit, kRollback };
-  Kind kind = Kind::kBegin;
-  std::string ticket_id;
-  std::string machine;
-  std::string ticket_class;
-  std::string admin;
-  DeployStage stage{};  // kStage: the stage that settled; kRollback: the failed stage
-  witos::Err err = witos::Err::kOk;
-  uint64_t cert_serial = 0;  // kCommit only
-  uint64_t session = 0;      // kCommit only
-  uint64_t time_ns = 0;      // machine sim-clock; 0 where no clock is safe to read
-};
 
 class Cluster {
  public:
@@ -63,21 +40,10 @@ class Cluster {
   // dangles afterwards. Null for an unknown name.
   Machine* ReplaceMachine(const std::string& name);
 
-  // Deploy-transaction observer; called from every RunDeployStages (any
-  // deploying thread), so the listener must be thread-safe. Set while no
-  // deploys are in flight.
-  using DeployTxnListener = std::function<void(const DeployTxnEvent& event)>;
-  void set_deploy_listener(DeployTxnListener listener) { deploy_listener_ = std::move(listener); }
-  void NotifyDeployTxn(const DeployTxnEvent& event) const {
-    if (deploy_listener_) {
-      deploy_listener_(event);
-    }
-  }
-
   // Cluster-wide audit sweep (DESIGN.md §14): verifies every machine's
   // evidence chain — its hash links and each sealed epoch root. `failures`
-  // counts machines whose chain did not verify. ServerPool::VerifyAuditTrail and the crash
-  // harness's post-recovery audit both land here.
+  // counts machines whose chain did not verify. The serving bench and the
+  // crash harness's post-recovery audit both land here.
   struct AuditReport {
     size_t machines = 0;
     size_t log_entries = 0;
@@ -94,7 +60,6 @@ class Cluster {
   std::vector<std::unique_ptr<Machine>> machines_;
   witcontain::ImageRepository images_;
   CertificateAuthority ca_;
-  DeployTxnListener deploy_listener_;
 };
 
 // A deployed ticket: the container session plus the admin's certificate.
@@ -114,10 +79,14 @@ class ClusterManager {
   // Default certificate lifetime: 4 simulated hours.
   static constexpr uint64_t kDefaultLifetimeNs = 4ull * 3600 * 1000000000ull;
 
+  // RunDeployStages with no gate. The transaction takes the target
+  // machine's lock for each stage, so the caller must not hold it.
   witos::Result<Deployment> Deploy(const Ticket& ticket, uint64_t lifetime_ns = kDefaultLifetimeNs);
 
   // Tears the session down and revokes the certificate ("revoked once the
-  // ticket time expires").
+  // ticket time expires"). The caller holds the deployment's machine lock,
+  // as the serving pool's Finish does, unless no other thread uses the
+  // machine.
   witos::Status Expire(Deployment* deployment);
 
  private:

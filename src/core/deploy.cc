@@ -1,6 +1,7 @@
 #include "src/core/deploy.h"
 
 #include <algorithm>
+#include <mutex>
 
 namespace watchit {
 
@@ -39,71 +40,43 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     Certificate cert;
   } tx;
 
-  // The transaction's event stream for the cluster's deploy listener. The
-  // clock is only read where the machine lock is held; begin/commit carry
-  // the last locked-region timestamp instead.
-  uint64_t last_stage_end_ns = 0;
-  auto notify = [&](DeployTxnEvent::Kind kind, DeployStage stage, witos::Err err,
-                    uint64_t time_ns) {
-    DeployTxnEvent event;
-    event.kind = kind;
-    event.ticket_id = ticket.id;
-    event.machine = machine->name();
-    event.ticket_class = ticket.assigned_class;
-    event.admin = ticket.admin;
-    event.stage = stage;
-    event.err = err;
-    event.cert_serial = tx.cert_issued ? tx.cert.serial : 0;
-    event.session = tx.session_built ? tx.session : 0;
-    event.time_ns = time_ns;
-    cluster->NotifyDeployTxn(event);
+  // Runs `body` holding the machine's lock and owning its clock.
+  auto locked = [&](auto&& body) {
+    std::lock_guard<witobs::ProfiledMutex> lock(machine->mu());
+    clock.BindOwner();
+    body();
+    clock.ReleaseOwner();
   };
-  notify(DeployTxnEvent::Kind::kBegin, DeployStage::kImageLookup, witos::Err::kOk, 0);
 
   auto run_stage = [&](DeployStage stage, auto&& body) -> witos::Status {
     WITOS_RETURN_IF_ERROR(gate->BeforeStage(stage, machine));
-    std::unique_lock<witobs::ProfiledMutex> lock = gate->LockMachine(machine);
-    bool bind_clock = gate->BindsClockOwnership();
-    if (bind_clock) {
-      clock.BindOwner();
-    }
-    uint64_t start_ns = clock.now_ns();
-    witos::Status status = body();
-    uint64_t sim_ns = clock.now_ns() - start_ns;
-    if (bind_clock) {
-      clock.ReleaseOwner();
-    }
+    witos::Status status = witos::Status::Ok();
+    uint64_t sim_ns = 0;
+    locked([&] {
+      const uint64_t start_ns = clock.now_ns();
+      status = body();
+      sim_ns = clock.now_ns() - start_ns;
+    });
     gate->OnStageDone(stage, sim_ns, status.error());
-    last_stage_end_ns = start_ns + sim_ns;
-    notify(DeployTxnEvent::Kind::kStage, stage, status.error(), last_stage_end_ns);
     return status;
   };
 
   auto rollback = [&](DeployStage failed_stage, witos::Err err) {
-    // Close the journal transaction even when nothing committed: a Begin
-    // with no Commit/Rollback would read as a deploy that died mid-flight.
-    notify(DeployTxnEvent::Kind::kRollback, failed_stage, err, last_stage_end_ns);
     if (!tx.cert_issued && !tx.bound && !tx.session_built) {
       return;  // nothing committed yet — nothing to unwind
     }
-    std::unique_lock<witobs::ProfiledMutex> lock = gate->LockMachine(machine);
-    bool bind_clock = gate->BindsClockOwnership();
-    if (bind_clock) {
-      clock.BindOwner();
-    }
-    if (tx.cert_issued) {
-      cluster->ca().Revoke(tx.cert.serial);
-    }
-    if (tx.bound) {
-      (void)machine->broker().UnbindTicket(ticket.id);
-    }
-    if (tx.session_built) {
-      (void)machine->containit().Terminate(
-          tx.session, "deploy rollback at " + DeployStageName(failed_stage));
-    }
-    if (bind_clock) {
-      clock.ReleaseOwner();
-    }
+    locked([&] {
+      if (tx.cert_issued) {
+        cluster->ca().Revoke(tx.cert.serial);
+      }
+      if (tx.bound) {
+        (void)machine->broker().UnbindTicket(ticket.id);
+      }
+      if (tx.session_built) {
+        (void)machine->containit().Terminate(
+            tx.session, "deploy rollback at " + DeployStageName(failed_stage));
+      }
+    });
     gate->OnRollback(failed_stage, err);
   };
 
@@ -154,13 +127,11 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
   deployment.machine = machine;
   deployment.certificate = tx.cert;
   deployment.ticket_class = ticket.assigned_class;
-  notify(DeployTxnEvent::Kind::kCommit, DeployStage::kIssueCert, witos::Err::kOk,
-         last_stage_end_ns);
   return deployment;
 }
 
-// The shard workers' gate: per-machine locking, SimClock ownership and the
-// optional stage hook.
+// The shard workers' gate: the optional stage hook, the stage histograms
+// and spans, and the rollback record.
 class DeployPipeline::WorkerGate : public DeployGate {
  public:
   WorkerGate(DeployPipeline* pipeline, const Ticket* ticket)
@@ -175,12 +146,6 @@ class DeployPipeline::WorkerGate : public DeployGate {
     }
     return witos::Status::Ok();
   }
-
-  std::unique_lock<witobs::ProfiledMutex> LockMachine(Machine* machine) override {
-    return std::unique_lock<witobs::ProfiledMutex>(machine->mu());
-  }
-
-  bool BindsClockOwnership() const override { return true; }
 
   void OnStageDone(DeployStage stage, uint64_t sim_ns, witos::Err /*err*/) override {
     witobs::Histogram* hist = pipeline_->stage_latency_[static_cast<size_t>(stage)];

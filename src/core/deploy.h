@@ -1,21 +1,19 @@
 // The deploy transaction: staged perforated-container deployment with
 // transactional rollback (DESIGN.md §12).
 //
-// ClusterManager::Deploy used to run the whole Figure 3 recipe inline under
-// its caller's shard lock, so one slow or faulty deploy stalled every other
-// machine in the shard. Here the recipe is decomposed into explicit stages —
+// The Figure 3 recipe runs as four explicit stages —
 //
 //   image lookup → container construction → broker bind → certificate issue
 //
-// — each executed under only *that machine's* lock, with a fault-injection
-// point between stages. When any stage fails the completed stages are
-// rolled back in reverse order: revoke the certificate, unbind the broker
-// ticket, terminate the half-built session. A deploy therefore either
-// yields a fully wired Deployment or leaves no trace — no bound ticket, no
-// live session, no valid certificate.
+// — each executed under only *that machine's* lock, with a hook point
+// between stages. When any stage fails the completed stages are rolled back
+// in reverse order: revoke the certificate, unbind the broker ticket,
+// terminate the half-built session. A deploy therefore either yields a
+// fully wired Deployment or leaves no trace — no bound ticket, no live
+// session, no valid certificate.
 //
-// DeployPipeline runs that gated transaction on the calling thread — a
-// witserve shard worker — and keeps the outcome stats and metrics.
+// DeployPipeline runs that transaction on the calling thread — a witserve
+// shard worker — and keeps the outcome stats and metrics.
 
 #ifndef SRC_CORE_DEPLOY_H_
 #define SRC_CORE_DEPLOY_H_
@@ -23,7 +21,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "src/core/cluster.h"
@@ -44,9 +41,8 @@ inline constexpr size_t kNumDeployStages = 4;
 
 std::string DeployStageName(DeployStage stage);
 
-// Customization points RunDeployStages consults around every stage. The
-// defaults reproduce the historical inline Deploy: no locking (the caller
-// already owns the machine).
+// The transaction's one observer. Its hooks add instrumentation, delay or
+// failure; the locking is the transaction's own.
 class DeployGate {
  public:
   virtual ~DeployGate() = default;
@@ -58,32 +54,25 @@ class DeployGate {
     return witos::Status::Ok();
   }
 
-  // How a stage body (and the rollback) gets exclusive use of the machine.
-  // The default — an empty lock — is for callers that already serialize the
-  // machine themselves.
-  virtual std::unique_lock<witobs::ProfiledMutex> LockMachine(Machine* /*machine*/) {
-    return {};
-  }
-
-  // When true, the machine's SimClock ownership is declared for the stage
-  // body's duration (single-owner rule); shard workers need this,
-  // single-threaded callers don't.
-  virtual bool BindsClockOwnership() const { return false; }
-
+  // After each stage body, with the machine lock released; `sim_ns` is the
+  // simulated time the body took.
   virtual void OnStageDone(DeployStage /*stage*/, uint64_t /*sim_ns*/, witos::Err /*err*/) {}
+  // After the rollback, with the machine lock released.
   virtual void OnRollback(DeployStage /*failed_stage*/, witos::Err /*err*/) {}
 };
 
 // Runs the staged deploy transaction for `ticket` against its target
-// machine. On any stage failure the completed stages are rolled back in
-// reverse order before the error is returned. `gate` may be null (defaults
-// apply). This is the single deploy implementation: ClusterManager::Deploy
-// and DeployPipeline::Deploy both land here.
+// machine. Each stage body, and the rollback, holds the machine's lock and
+// owns its SimClock, so any thread may deploy as long as it does not hold
+// that lock already. On any stage failure the completed stages are rolled
+// back in reverse order before the error is returned. `gate` may be null.
+// This is the single deploy implementation: ClusterManager::Deploy and
+// DeployPipeline::Deploy both land here.
 witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket,
                                           uint64_t lifetime_ns, DeployGate* gate);
 
-// The gated deploy transaction the serving pool runs: per-machine locking,
-// clock ownership, the stage hook, and the stage histograms and spans.
+// The deploy transaction the serving pool runs, with the stage hook, the
+// stage histograms and spans, and the outcome stats.
 // Thread-safe: any number of shard workers may call Deploy concurrently.
 class DeployPipeline {
  public:

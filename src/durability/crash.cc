@@ -70,7 +70,6 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
   auto fs = std::make_shared<witos::MemFs>();
   witdur::DurabilityManager::Options mopts;
   mopts.checkpoint_interval = options_.checkpoint_interval;
-  mopts.barrier_interval = options_.barrier_interval;
 
   std::vector<std::pair<std::string, witnet::Ipv4Addr>> fleet;
   for (size_t i = 0; i < options_.machines; ++i) {
@@ -93,6 +92,7 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
     watchit::DeployPipeline pipeline(&cluster);
 
     std::mutex hook_mu;
+    bool armed = false;  // set after the first wave
     bool crashed = false;
     const std::string victim = fleet.front().first;
     pipeline.set_stage_hook([&](watchit::DeployStage stage, const watchit::Ticket&,
@@ -101,7 +101,7 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
       if (crashed) {
         return witos::Err::kIntr;  // the world is dead; every gate fails
       }
-      if (stage != point.stage) {
+      if (!armed || stage != point.stage) {
         return witos::Status::Ok();
       }
       if (point.scope == CrashScope::kShard && machine->name() != victim) {
@@ -156,6 +156,8 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
         }
       }
       (void)manager.MaybeCheckpoint();
+      std::lock_guard<std::mutex> lock(hook_mu);
+      armed = true;
     }
     {
       std::lock_guard<std::mutex> lock(hook_mu);

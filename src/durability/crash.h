@@ -43,7 +43,9 @@ std::string CrashScopeName(CrashScope scope);
 struct CrashPoint {
   watchit::DeployStage stage = watchit::DeployStage::kImageLookup;
   CrashScope scope = CrashScope::kPool;
-  // Crash at the nth matching arrival at `stage` (1-based).
+  // Crash at the nth matching arrival at `stage` (1-based), counted from
+  // the second wave on: the first wave always commits, and half of it
+  // expires, before the plug can be pulled.
   uint64_t nth_arrival = 1;
 };
 
@@ -74,7 +76,6 @@ class CrashHarness {
     // DurabilityManager auto-checkpoint cadence (records); the harness
     // calls MaybeCheckpoint between waves.
     uint64_t checkpoint_interval = 64;
-    uint64_t barrier_interval = 1;
     uint64_t seed = 0x5eed;
   };
 
@@ -84,8 +85,7 @@ class CrashHarness {
   // One crash-and-recover cycle at `point`.
   CrashRunReport Run(const CrashPoint& point);
 
-  // Every deploy stage × both scopes, `nth_arrival` fixed so a few deploys
-  // commit (and some expire) before the plug is pulled.
+  // Every deploy stage × both scopes at the same `nth_arrival`.
   std::vector<CrashRunReport> RunSweep(uint64_t nth_arrival = 3);
 
  private:

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "src/core/deploy.h"
-
 namespace witdur {
 
 namespace {
@@ -72,15 +70,14 @@ JournalRecord CertIssueRecord(const watchit::Certificate& cert) {
 DurabilityManager::DurabilityManager(std::shared_ptr<witos::Filesystem> fs, Options options)
     : fs_(std::move(fs)),
       options_(std::move(options)),
-      journal_(fs_, JournalWriter::Options{options_.journal_path, options_.barrier_interval,
+      journal_(fs_, JournalWriter::Options{options_.journal_path, /*barrier_interval=*/1,
                                            /*truncate=*/false}) {}
 
 void DurabilityManager::Journal(JournalRecord record) {
   if (!journal_.Append(std::move(record)).ok()) {
     return;  // sealed (crash) or fail-stopped; counted by the writer
   }
-  std::lock_guard<std::mutex> lock(state_mu_);
-  ++records_since_checkpoint_;
+  records_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DurabilityManager::AttachMachine(watchit::Machine* machine) {
@@ -113,8 +110,6 @@ void DurabilityManager::AttachShared() {
     record.nums = {serial};
     Journal(std::move(record));
   });
-  cluster_->set_deploy_listener(
-      [this](const watchit::DeployTxnEvent& event) { OnDeployTxn(event); });
 }
 
 void DurabilityManager::Attach(watchit::Cluster* cluster) {
@@ -124,45 +119,6 @@ void DurabilityManager::Attach(watchit::Cluster* cluster) {
   }
   AttachShared();
   RefreshGauges();
-}
-
-void DurabilityManager::OnDeployTxn(const watchit::DeployTxnEvent& event) {
-  JournalRecord record;
-  record.time_ns = event.time_ns;
-  switch (event.kind) {
-    case watchit::DeployTxnEvent::Kind::kBegin:
-      record.kind = JournalRecordKind::kDeployBegin;
-      record.strs = {event.ticket_id, event.machine, event.ticket_class, event.admin};
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        open_deploys_[event.ticket_id] = event.machine;
-      }
-      break;
-    case watchit::DeployTxnEvent::Kind::kStage:
-      record.kind = JournalRecordKind::kDeployStage;
-      record.strs = {event.ticket_id};
-      record.nums = {static_cast<uint64_t>(event.stage), static_cast<uint64_t>(event.err)};
-      break;
-    case watchit::DeployTxnEvent::Kind::kCommit:
-      record.kind = JournalRecordKind::kDeployCommit;
-      record.strs = {event.ticket_id, event.machine};
-      record.nums = {event.cert_serial, event.session};
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        open_deploys_.erase(event.ticket_id);
-      }
-      break;
-    case watchit::DeployTxnEvent::Kind::kRollback:
-      record.kind = JournalRecordKind::kDeployRollback;
-      record.strs = {event.ticket_id, event.machine};
-      record.nums = {static_cast<uint64_t>(event.stage), static_cast<uint64_t>(event.err)};
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        open_deploys_.erase(event.ticket_id);
-      }
-      break;
-  }
-  Journal(std::move(record));
 }
 
 bool DurabilityManager::ChainMatchesJournal(const watchit::Machine& machine) const {
@@ -188,17 +144,10 @@ bool DurabilityManager::ChainMatchesJournal(const watchit::Machine& machine) con
   return journaled == machine.kernel().audit().Snapshot();
 }
 
-size_t DurabilityManager::open_deploys() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return open_deploys_.size();
-}
-
 bool DurabilityManager::checkpoint_due() const {
-  if (options_.checkpoint_interval == 0) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return records_since_checkpoint_ >= options_.checkpoint_interval;
+  return options_.checkpoint_interval != 0 &&
+         records_since_checkpoint_.load(std::memory_order_relaxed) >=
+             options_.checkpoint_interval;
 }
 
 witos::Status DurabilityManager::MaybeCheckpoint() {
@@ -248,18 +197,6 @@ witos::Status DurabilityManager::Checkpoint() {
     record.nums = {serial};
     WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
   }
-  {
-    // Transactions still between Begin and Commit/Rollback survive the
-    // compaction as open Begin records, so a recovery from this checkpoint
-    // still sees them as died-mid-flight.
-    std::lock_guard<std::mutex> lock(state_mu_);
-    for (const auto& [ticket_id, machine] : open_deploys_) {
-      JournalRecord record;
-      record.kind = JournalRecordKind::kDeployBegin;
-      record.strs = {ticket_id, machine, "", ""};
-      WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
-    }
-  }
   WITOS_RETURN_IF_ERROR(snapshot.Barrier());
 
   // Publish atomically: the checkpoint either is the old complete file or
@@ -268,10 +205,7 @@ witos::Status DurabilityManager::Checkpoint() {
   WITOS_RETURN_IF_ERROR(fs_->Rename(tmp, options_.checkpoint_path, kDurCred));
   WITOS_RETURN_IF_ERROR(journal_.TruncateAll());
   ++checkpoints_;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    records_since_checkpoint_ = 0;
-  }
+  records_since_checkpoint_.store(0, std::memory_order_relaxed);
   RefreshGauges();
   return witos::Status::Ok();
 }
@@ -387,27 +321,6 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       cluster->ca().RestoreRevoked(record.nums[0]);
       ++report->revocations_restored;
       return;
-    case JournalRecordKind::kDeployBegin:
-      if (record.strs.size() != 4) {
-        return reject();
-      }
-      if (only_machine != nullptr && record.strs[1] != *only_machine) {
-        return;
-      }
-      state->open_deploys[record.strs[0]] = record.strs[1];
-      return;
-    case JournalRecordKind::kDeployStage:
-      return;  // stage transitions are forensic, not state
-    case JournalRecordKind::kDeployCommit:
-    case JournalRecordKind::kDeployRollback:
-      if (record.strs.size() != 2) {
-        return reject();
-      }
-      if (only_machine != nullptr && record.strs[1] != *only_machine) {
-        return;
-      }
-      state->open_deploys.erase(record.strs[0]);
-      return;
     case JournalRecordKind::kRecoveryMark:
       return;
   }
@@ -450,7 +363,6 @@ witos::Status DurabilityManager::Replay(watchit::Cluster* cluster,
       report->epoch_roots_verified = false;
     }
   }
-  report->open_deploys = state->open_deploys.size();
   return witos::Status::Ok();
 }
 
@@ -586,8 +498,6 @@ void DurabilityManager::RefreshGauges() {
       ->Set(static_cast<int64_t>(cluster_->ca().issued_count()));
   metrics_->GetGauge("watchit_ca_revoked")
       ->Set(static_cast<int64_t>(cluster_->ca().revoked_count()));
-  metrics_->GetGauge("watchit_durability_open_deploys")
-      ->Set(static_cast<int64_t>(open_deploys()));
 }
 
 }  // namespace witdur

@@ -2,9 +2,11 @@
 // control-plane state (DESIGN.md §15).
 //
 // The manager attaches listener hooks to a Cluster — the broker's ticket
-// bindings, each machine's evidence-chain appends and epoch seals, the CA's
-// issue/revoke stream, and the deploy-stage transitions RunDeployStages
-// reports — and journals every transition through a JournalWriter. A
+// bindings, each machine's evidence-chain appends and epoch seals, and the
+// CA's issue/revoke stream — and journals every transition through a
+// JournalWriter, fsyncing after each record. A deploy needs no records of
+// its own: what it commits is a chain record, a binding and a certificate,
+// and a rollback undoes each through the same listeners. A
 // Checkpoint() compacts the full state into a snapshot file (written to a
 // temp path and renamed, so a crash mid-checkpoint keeps the last good one)
 // and truncates the journal; Recover() replays checkpoint + journal tail
@@ -14,7 +16,7 @@
 // expired — unbound and its certificate revoked, both journaled — leaving
 // the recovered pool with the zero-leak invariant the deploy fault sweeps
 // assert, while the audit history (evidence chains, sealed roots, the
-// CA's books, the deploy trail) survives intact.
+// CA's books) survives intact.
 //
 // Scopes:
 //  * Recover(cluster)      — pool kill: the whole process died; a fresh
@@ -31,10 +33,9 @@
 #ifndef SRC_DURABILITY_DURABILITY_H_
 #define SRC_DURABILITY_DURABILITY_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,9 +55,6 @@ struct RecoveryReport {
   uint64_t epoch_roots_restored = 0;
   uint64_t certs_restored = 0;
   uint64_t revocations_restored = 0;
-  // Deploy transactions with a journaled Begin but no Commit/Rollback — the
-  // deploys that died mid-flight.
-  uint64_t open_deploys = 0;
   // Reconciliation: recovered bindings expired and certificates revoked
   // because their sessions did not survive the crash.
   uint64_t orphans_expired = 0;
@@ -85,8 +83,6 @@ class DurabilityManager {
   struct Options {
     std::string journal_path = "/journal.wal";
     std::string checkpoint_path = "/checkpoint.wcp";
-    // Journal fsync cadence (JournalWriter::Options::barrier_interval).
-    uint64_t barrier_interval = 1;
     // Auto-checkpoint: after this many journaled records checkpoint_due()
     // latches and MaybeCheckpoint() compacts at the next safe point
     // (0 = manual checkpoints only).
@@ -134,7 +130,6 @@ class DurabilityManager {
 
   JournalWriter& journal() { return journal_; }
   const JournalWriter& journal() const { return journal_; }
-  size_t open_deploys() const;
 
   // Attack 6's divergence check: true when `machine`'s live evidence chain
   // equals, record for record, its copy in the checkpoint plus the journal
@@ -147,8 +142,8 @@ class DurabilityManager {
   // Journal counters plus the recovered-state gauges:
   // watchit_securelog_entries{machine}, watchit_securelog_epochs{machine},
   // watchit_broker_bound_tickets{machine}, watchit_ca_issued,
-  // watchit_ca_revoked, watchit_durability_open_deploys,
-  // watchit_recovery_records_replayed, watchit_recovery_orphans_expired,
+  // watchit_ca_revoked, watchit_recovery_records_replayed,
+  // watchit_recovery_orphans_expired,
   // watchit_recovery_runs_total. RefreshGauges() re-reads them from live
   // state — Attach, Checkpoint and Recover call it, so a recovered pool
   // reports its true counters, never zeros.
@@ -160,15 +155,13 @@ class DurabilityManager {
     // Sealed roots per machine, in journal order; installed (and verified)
     // only after every record has been restored.
     std::map<std::string, std::vector<witos::EpochRoot>> roots;
-    std::map<std::string, std::string> open_deploys;  // ticket -> machine
     uint64_t max_lsn = 0;
   };
 
   void AttachMachine(watchit::Machine* machine);
-  void AttachShared();  // CA + cluster deploy listeners
+  void AttachShared();  // CA listeners
   // Appends through the journal, tracking the auto-checkpoint cadence.
   void Journal(JournalRecord record);
-  void OnDeployTxn(const watchit::DeployTxnEvent& event);
   void ApplyRecord(watchit::Cluster* cluster, const JournalRecord& record,
                    const std::string* only_machine, ReplayState* state, RecoveryReport* report);
   // Scans checkpoint + journal and replays both into `cluster`.
@@ -184,9 +177,7 @@ class DurabilityManager {
   bool recovered_ = false;
   uint64_t checkpoints_ = 0;
 
-  mutable std::mutex state_mu_;  // open_deploys_, records_since_checkpoint_
-  std::map<std::string, std::string> open_deploys_;
-  uint64_t records_since_checkpoint_ = 0;
+  std::atomic<uint64_t> records_since_checkpoint_{0};
 
   witobs::MetricsRegistry* metrics_ = nullptr;
   witobs::Counter* recovery_runs_ = nullptr;

@@ -12,7 +12,7 @@ namespace {
 const witos::Credentials kJournalCred{};  // the journal daemon runs as root
 
 // Payload integers are LEB128 varints: most of a record's numbers (kinds,
-// counts, stages, pids, string lengths) are small, and the journal holds
+// counts, events, pids, string lengths) are small, and the journal holds
 // every evidence record the machines write.
 void PutVarint(std::string* out, uint64_t value) {
   while (value >= 0x80) {
@@ -58,14 +58,6 @@ std::string JournalRecordKindName(JournalRecordKind kind) {
       return "cert_issue";
     case JournalRecordKind::kCertRevoke:
       return "cert_revoke";
-    case JournalRecordKind::kDeployBegin:
-      return "deploy_begin";
-    case JournalRecordKind::kDeployStage:
-      return "deploy_stage";
-    case JournalRecordKind::kDeployCommit:
-      return "deploy_commit";
-    case JournalRecordKind::kDeployRollback:
-      return "deploy_rollback";
     case JournalRecordKind::kRecoveryMark:
       return "recovery_mark";
   }

@@ -2,9 +2,8 @@
 // (DESIGN.md §15).
 //
 // The broker's ticket bindings, each machine's evidence chain (its records
-// and epoch roots), the CA's issue/revoke history and the deploy-stage
-// transitions all live in memory; a crashed shard would take the paper's
-// audit evidence with it.
+// and epoch roots) and the CA's issue/revoke history all live in memory; a
+// crashed shard would take the paper's audit evidence with it.
 // witjournal persists that state as a stream of length-prefixed, checksummed
 // records written through a pluggable witos::Filesystem — the same interface
 // the rest of the simulator mounts, so fault plans (ErrorInjectingVfs) and
@@ -12,7 +11,7 @@
 //
 // Frame layout (all integers little-endian, via the rpc wire framing):
 //
-//   u32  magic      'WJL3'
+//   u32  magic      'WJL4'
 //   u64  checksum   FNV-1a over the payload bytes
 //   u32  len        payload length (the WireWriter string prefix)
 //   u8[] payload    one serialized JournalRecord
@@ -50,14 +49,14 @@
 
 namespace witdur {
 
-// WJL3: the kernel audit log is each machine's one chain, so a log-append
-// record carries the typed record (event, pid, uid, detail), not a broker
-// line, and payload integers are varints. WJL1 and WJL2 files fail the
-// magic check.
-inline constexpr uint32_t kJournalMagic = 0x334c4a57u;  // "WJL3"
+// WJL4: WJL3's records (the kernel audit log is each machine's one chain, a
+// log-append record carries the typed record, payload integers are
+// varints) without the four deploy-trail kinds, so the recovery mark moved
+// from 12 to 8. WJL1, WJL2 and WJL3 files fail the magic check.
+inline constexpr uint32_t kJournalMagic = 0x344c4a57u;  // "WJL4"
 
 // Every persisted state transition is one of these. The enum values are the
-// wire encoding — append only, never renumber.
+// wire encoding — append only, never renumber within one magic.
 enum class JournalRecordKind : uint32_t {
   kCheckpointHeader = 1,  // nums: {checkpoint_seq, next_lsn}
   kBindTicket = 2,        // strs: {machine, ticket_id, ticket_class}
@@ -68,11 +67,7 @@ enum class JournalRecordKind : uint32_t {
   kCertIssue = 6,         // strs: {admin, machine, ticket_id, ticket_class};
                           // nums: {serial, issued_ns, expires_ns, signature}
   kCertRevoke = 7,        // nums: {serial}
-  kDeployBegin = 8,       // strs: {ticket_id, machine, ticket_class, admin}
-  kDeployStage = 9,       // strs: {ticket_id}; nums: {stage, err}
-  kDeployCommit = 10,     // strs: {ticket_id, machine}; nums: {serial, session}
-  kDeployRollback = 11,   // strs: {ticket_id, machine}; nums: {stage, err}
-  kRecoveryMark = 12,     // nums: {records_replayed, orphans_expired}
+  kRecoveryMark = 8,      // nums: {records_replayed, orphans_expired}
 };
 inline constexpr uint32_t kMaxJournalRecordKind =
     static_cast<uint32_t>(JournalRecordKind::kRecoveryMark);
@@ -115,9 +110,9 @@ JournalScan ScanJournal(witos::Filesystem* fs, const std::string& path);
 
 // Appends framed records through a Filesystem with an explicit durable
 // frontier. Thread-safe: listeners under each machine's broker and evidence
-// chain locks, the CA lock and the deploy workers all append concurrently; the
-// "journal" ProfiledMutex serializes them (and shows up in the
-// lock-contention profile).
+// chain locks and the CA lock all append concurrently; the "journal"
+// ProfiledMutex serializes them (and shows up in the lock-contention
+// profile).
 //
 // Failure model is fail-stop: the first filesystem error seals the writer —
 // subsequent appends return EPIPE rather than continuing past a hole in the

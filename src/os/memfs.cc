@@ -1,10 +1,34 @@
 #include "src/os/memfs.h"
 
+#include <bit>
 #include <utility>
 
 #include "src/os/path.h"
 
 namespace witos {
+
+namespace {
+
+// Extends a file's bytes to `size`. Once a file holds data, a growth moves
+// it into the smallest power-of-two buffer that fits, so the buffer's
+// capacity, and the copy each growth makes, follow the file's size alone.
+// Left to std::string, every capacity is the first write's size times a
+// power of two: an append-only journal whose first record comes from
+// whichever thread wins a race would then grow, and hold its peak
+// footprint, at different sizes from run to run.
+void GrowTo(std::string* data, size_t size) {
+  if (!data->empty() && size > data->capacity()) {
+    // Reserved on an empty string, so std::string's own doubling of the
+    // old capacity does not apply.
+    std::string grown;
+    grown.reserve(std::bit_ceil(size));
+    grown.append(*data);
+    data->swap(grown);
+  }
+  data->resize(size);
+}
+
+}  // namespace
 
 MemFs::MemFs(std::string fs_type, SimClock* clock)
     : fs_type_(std::move(fs_type)), clock_(clock) {
@@ -207,7 +231,7 @@ Result<size_t> MemFs::WriteAt(const std::string& path, uint64_t offset, const st
   size_t end = static_cast<size_t>(offset) + data.size();
   if (end > node->data.size()) {
     used_bytes_ += end - node->data.size();
-    node->data.resize(end);
+    GrowTo(&node->data, end);
   }
   node->data.replace(static_cast<size_t>(offset), data.size(), data);
   BumpGeneration(node);

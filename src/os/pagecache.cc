@@ -53,7 +53,6 @@ void PageCache::InvalidateRange(const Filesystem* fs, const std::string& path, u
   if (len == 0) {
     return;
   }
-  mutation_generation_.fetch_add(1, std::memory_order_relaxed);
   uint64_t first = offset / kBlockSize;
   uint64_t last = (offset + len - 1) / kBlockSize;
   for (uint64_t block = first; block <= last; ++block) {
@@ -65,7 +64,6 @@ void PageCache::InvalidateRange(const Filesystem* fs, const std::string& path, u
 }
 
 void PageCache::InvalidateFile(const Filesystem* fs, const std::string& path) {
-  mutation_generation_.fetch_add(1, std::memory_order_relaxed);
   Key low(fs, path, 0);
   Key high(fs, path, ~0ull);
   auto it = blocks_.lower_bound(low);
@@ -77,7 +75,6 @@ void PageCache::InvalidateFile(const Filesystem* fs, const std::string& path) {
 }
 
 void PageCache::DropFilesystem(const Filesystem* fs) {
-  mutation_generation_.fetch_add(1, std::memory_order_relaxed);
   auto it = blocks_.lower_bound(Key(fs, std::string(), 0));
   while (it != blocks_.end() && std::get<0>(it->first) == fs) {
     auto next = std::next(it);
@@ -87,7 +84,6 @@ void PageCache::DropFilesystem(const Filesystem* fs) {
 }
 
 void PageCache::Clear() {
-  mutation_generation_.fetch_add(1, std::memory_order_relaxed);
   blocks_.clear();
   order_.clear();
   bytes_ = 0;

@@ -73,15 +73,6 @@ class PageCache {
   uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
   void CountMiss() const { misses_.fetch_add(1, std::memory_order_relaxed); }
 
-  // Monotone counter bumped by every invalidation (InvalidateRange,
-  // InvalidateFile, DropFilesystem, Clear). Consumers holding data derived
-  // from cached content — e.g. ITFS signature verdicts — can snapshot this
-  // and treat any change as "something mutated underneath the cache".
-  // Atomic so cross-shard readers can sample without the machine lock.
-  uint64_t mutation_generation() const {
-    return mutation_generation_.load(std::memory_order_relaxed);
-  }
-
  private:
   using Key = std::tuple<const Filesystem*, std::string, uint64_t>;
   struct Block {
@@ -101,7 +92,6 @@ class PageCache {
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> mutation_generation_{0};
 };
 
 }  // namespace witos

@@ -472,16 +472,4 @@ ServerPool::Stats ServerPool::stats() const {
   return stats;
 }
 
-ServerPool::AuditReport ServerPool::VerifyAuditTrail() {
-  // One sweep implementation for the whole codebase: the pool, the crash
-  // harness and the benches all audit through Cluster::VerifyAuditTrail.
-  watchit::Cluster::AuditReport sweep = cluster_->VerifyAuditTrail();
-  AuditReport report;
-  report.machines = sweep.machines;
-  report.log_entries = sweep.log_entries;
-  report.epoch_roots = sweep.epoch_roots;
-  report.failures = sweep.failures;
-  return report;
-}
-
 }  // namespace witserve

@@ -1,33 +1,49 @@
 // Heap-allocation budget of path syscalls. Path resolution walks one
 // buffer, so a syscall allocates only for the strings it returns, and the
-// count does not grow with path depth. This binary replaces the global
-// operator new with a counting one, which is why it stands alone.
+// count does not grow with path depth. Also the buffers an appended MemFs
+// file grows through. This binary replaces the global operator new with a
+// counting one, which is why it stands alone.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/container/containit.h"
 #include "src/fs/itfs_policy.h"
 #include "src/os/kernel.h"
+#include "src/os/memfs.h"
 
 namespace {
 thread_local uint64_t t_allocs = 0;
+// While t_record is set, the sizes of this thread's first kMaxRecorded
+// allocations of at least kRecordMin bytes.
+constexpr std::size_t kRecordMin = 4096;
+constexpr int kMaxRecorded = 32;
+thread_local bool t_record = false;
+thread_local std::size_t t_recorded[kMaxRecorded];
+thread_local int t_num_recorded = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++t_allocs;
+  if (t_record && size >= kRecordMin && t_num_recorded < kMaxRecorded) {
+    t_recorded[t_num_recorded++] = size;
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: where GCC inlines them next to a call of the operator new
+// above, it takes the free() for a mismatched deallocation.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace witos {
 namespace {
@@ -121,6 +137,33 @@ TEST_F(AllocBudgetTest, OpenCloseIsDepthIndependentOnHostAndInContainer) {
                 static_cast<unsigned long long>(at_depth[2]));
     EXPECT_EQ(at_depth[0], at_depth[1]) << "pid " << pid;
     EXPECT_EQ(at_depth[1], at_depth[2]) << "pid " << pid;
+  }
+}
+
+// The buffers an appended file grows through follow its size, whatever its
+// first write: a journal whose first record comes from whichever thread won
+// a race grows through the same allocations either way.
+TEST(MemFsGrowthTest, AppendedFileGrowsThroughTheSameBuffersWhateverItsFirstWrite) {
+  auto buffers = [](size_t first_write) {
+    MemFs fs;
+    fs.ProvisionFile("/journal.wal", std::string(first_write, 'f'));
+    const std::string record(64, 'r');
+    t_num_recorded = 0;
+    t_record = true;
+    for (uint64_t offset = first_write; offset < (1u << 20); offset += record.size()) {
+      if (!fs.WriteAt("/journal.wal", offset, record, Credentials{}).ok()) {
+        break;
+      }
+    }
+    t_record = false;
+    return std::vector<std::size_t>(t_recorded, t_recorded + t_num_recorded);
+  };
+  const std::vector<std::size_t> after_82 = buffers(82);
+  EXPECT_FALSE(after_82.empty());
+  EXPECT_EQ(after_82, buffers(91));
+  for (std::size_t size : after_82) {
+    // std::string allocates its capacity plus the terminator.
+    EXPECT_TRUE(std::has_single_bit(size - 1)) << size;
   }
 }
 

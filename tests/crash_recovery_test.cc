@@ -111,7 +111,7 @@ TEST(CrashRecoveryTest, PoolCrashRecoversStateAndExpiresOrphans) {
   DurabilityManager recovered(world.fs);
   auto report = recovered.Recover(twin.get());
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->journal_tail_clean);  // barrier_interval=1: nothing torn
+  EXPECT_TRUE(report->journal_tail_clean);  // every record is fsynced: nothing torn
   EXPECT_EQ(report->replay_errors, 0u);
   EXPECT_TRUE(report->epoch_roots_verified);
   EXPECT_EQ(report->bindings_restored, 4u);  // all four binds replayed...
@@ -419,7 +419,7 @@ TEST(CrashRecoveryTest, CorruptCheckpointIsRefused) {
 
 // Rewrites every frame's magic to an earlier format's (`magic`), leaving
 // the checksums, lengths and payloads intact.
-std::string WithOldMagic(std::string bytes, const char* magic = "WJL1") {
+std::string WithOldMagic(std::string bytes, const char* magic) {
   // Frame = magic(4) + checksum(8) + len(4, little-endian) + payload.
   size_t pos = 0;
   while (pos + 16 <= bytes.size()) {
@@ -433,55 +433,52 @@ std::string WithOldMagic(std::string bytes, const char* magic = "WJL1") {
   return bytes;
 }
 
+// Every earlier format fails the magic check. WJL1 and WJL2 log-append
+// records carried a broker line, not the typed record the chain hashes;
+// WJL3 numbered the recovery mark 12, after four deploy-trail kinds.
+constexpr const char* kOldMagics[] = {"WJL1", "WJL2", "WJL3"};
+
+// A checkpoint in an earlier format is refused whole.
 TEST(CrashRecoveryTest, OldFormatCheckpointIsRefused) {
-  Workload world;
-  world.Drive();
-  ASSERT_TRUE(world.manager->Checkpoint().ok());
-  auto raw = world.fs->SlurpForTest("/checkpoint.wcp");
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(world.fs->WriteAt("/checkpoint.wcp", 0, WithOldMagic(*raw), kRoot).ok());
-  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+  for (const char* magic : kOldMagics) {
+    SCOPED_TRACE(magic);
+    Workload world;
+    world.Drive();
+    ASSERT_TRUE(world.manager->Checkpoint().ok());
+    auto raw = world.fs->SlurpForTest("/checkpoint.wcp");
+    ASSERT_TRUE(raw.ok());
+    ASSERT_TRUE(world.fs->WriteAt("/checkpoint.wcp", 0, WithOldMagic(*raw, magic), kRoot).ok());
+    ASSERT_TRUE(world.manager->SimulateCrash().ok());
 
-  auto twin = FreshTwin();
-  DurabilityManager recovered(world.fs);
-  EXPECT_EQ(recovered.Recover(twin.get()).error(), witos::Err::kInval);
+    auto twin = FreshTwin();
+    DurabilityManager recovered(world.fs);
+    EXPECT_EQ(recovered.Recover(twin.get()).error(), witos::Err::kInval);
+  }
 }
 
-// WJL2 log-append records carried a broker line and a hash, not the typed
-// record the chain now hashes: a WJL2 checkpoint is refused whole.
-TEST(CrashRecoveryTest, Wjl2CheckpointIsRefused) {
-  Workload world;
-  world.Drive();
-  ASSERT_TRUE(world.manager->Checkpoint().ok());
-  auto raw = world.fs->SlurpForTest("/checkpoint.wcp");
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(world.fs->WriteAt("/checkpoint.wcp", 0, WithOldMagic(*raw, "WJL2"), kRoot).ok());
-  ASSERT_TRUE(world.manager->SimulateCrash().ok());
-
-  auto twin = FreshTwin();
-  DurabilityManager recovered(world.fs);
-  EXPECT_EQ(recovered.Recover(twin.get()).error(), witos::Err::kInval);
-}
-
+// A journal tail in an earlier format replays nothing.
 TEST(CrashRecoveryTest, OldFormatJournalTailReplaysNothing) {
-  Workload world;
-  world.Drive();
-  ASSERT_TRUE(world.manager->SimulateCrash().ok());
-  auto raw = world.fs->SlurpForTest("/journal.wal");
-  ASSERT_TRUE(raw.ok());
-  ASSERT_FALSE(raw->empty());
-  ASSERT_TRUE(world.fs->WriteAt("/journal.wal", 0, WithOldMagic(*raw), kRoot).ok());
+  for (const char* magic : kOldMagics) {
+    SCOPED_TRACE(magic);
+    Workload world;
+    world.Drive();
+    ASSERT_TRUE(world.manager->SimulateCrash().ok());
+    auto raw = world.fs->SlurpForTest("/journal.wal");
+    ASSERT_TRUE(raw.ok());
+    ASSERT_FALSE(raw->empty());
+    ASSERT_TRUE(world.fs->WriteAt("/journal.wal", 0, WithOldMagic(*raw, magic), kRoot).ok());
 
-  auto twin = FreshTwin();
-  DurabilityManager recovered(world.fs);
-  auto report = recovered.Recover(twin.get());
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->journal_tail_clean);
-  EXPECT_EQ(report->tail_records, 0u);
-  EXPECT_EQ(report->records_replayed, 0u);
-  for (size_t m = 0; m < twin->size(); ++m) {
-    EXPECT_EQ(twin->machine(m).broker().log().size(), 0u);
-    EXPECT_EQ(twin->machine(m).broker().bound_ticket_count(), 0u);
+    auto twin = FreshTwin();
+    DurabilityManager recovered(world.fs);
+    auto report = recovered.Recover(twin.get());
+    ASSERT_TRUE(report.ok());
+    EXPECT_FALSE(report->journal_tail_clean);
+    EXPECT_EQ(report->tail_records, 0u);
+    EXPECT_EQ(report->records_replayed, 0u);
+    for (size_t m = 0; m < twin->size(); ++m) {
+      EXPECT_EQ(twin->machine(m).broker().log().size(), 0u);
+      EXPECT_EQ(twin->machine(m).broker().bound_ticket_count(), 0u);
+    }
   }
 }
 

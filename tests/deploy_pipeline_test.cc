@@ -1,8 +1,8 @@
 // Deploy-pipeline tests: the staged deploy transaction (rollback on every
-// stage failure), Expire idempotence, the gated DeployPipeline::Deploy
-// (stage deadlines, stage spans, concurrent deployers), and the
-// fault-injection sweep proving that a failed deploy never leaks a bound
-// ticket, a live session or an unrevoked certificate.
+// stage failure), Expire idempotence, DeployPipeline::Deploy (stage spans,
+// concurrent deployers, deploys from both entry points on one machine), and
+// the fault-injection sweep proving that a failed deploy never leaks a
+// bound ticket, a live session or an unrevoked certificate.
 
 #include "src/core/deploy.h"
 
@@ -223,6 +223,46 @@ TEST(DeployPipelineTest, ConcurrentDeployersAllLandAndExpireCleanly) {
     EXPECT_EQ(machine.kernel().clock().ownership_violations(), 0u);
   }
   EXPECT_EQ(cluster.ca().issued_count(), cluster.ca().revoked_count());
+}
+
+// A deploy from any thread is serialized: the transaction takes the machine
+// lock and clock itself, so ClusterManager::Deploy on one thread and
+// DeployPipeline::Deploy on another can share a machine. Each thread then
+// expires under the machine lock, as the serving pool's Finish does.
+TEST(DeployPipelineTest, ManagerAndPipelineDeploysOnOneMachineAreSerialized) {
+  Cluster cluster;
+  Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  DeployPipeline pipeline(&cluster);
+  ClusterManager manager(&cluster);
+  auto expire_locked = [&](Deployment* deployment) {
+    std::unique_lock<witobs::ProfiledMutex> lock(deployment->machine->mu());
+    deployment->machine->kernel().clock().BindOwner();
+    witos::Status status = manager.Expire(deployment);
+    deployment->machine->kernel().clock().ReleaseOwner();
+    return status;
+  };
+
+  constexpr size_t kRounds = 24;
+  std::thread direct([&] {
+    for (size_t i = 0; i < kRounds; ++i) {
+      auto result = manager.Deploy(MakeTicket("TKT-MGR-" + std::to_string(i), "userpc"));
+      ASSERT_TRUE(result.ok());
+      EXPECT_TRUE(expire_locked(&*result).ok());
+    }
+  });
+  std::thread pooled([&] {
+    for (size_t i = 0; i < kRounds; ++i) {
+      auto result = pipeline.Deploy(MakeTicket("TKT-PIPE-" + std::to_string(i), "userpc"));
+      ASSERT_TRUE(result.ok());
+      EXPECT_TRUE(expire_locked(&*result).ok());
+    }
+  });
+  direct.join();
+  pooled.join();
+
+  EXPECT_EQ(machine.kernel().clock().ownership_violations(), 0u);
+  EXPECT_EQ(cluster.ca().issued_count(), 2 * kRounds);
+  ExpectNoLeaks(&cluster, &machine);
 }
 
 // --- fault-injection sweep (no stage/errno combination may leak) -------------

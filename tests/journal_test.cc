@@ -20,6 +20,7 @@ namespace {
 const witos::Credentials kRoot{};
 constexpr const char* kPath = "/journal.wal";
 
+// Cycles over the live kinds 1..kMaxJournalRecordKind.
 JournalRecord SampleRecord(uint64_t i) {
   JournalRecord record;
   record.kind = static_cast<JournalRecordKind>(1 + (i % kMaxJournalRecordKind));
@@ -60,11 +61,17 @@ TEST(JournalRecordTest, DecodeRejectsUnknownKindAndTrailingGarbage) {
   JournalRecord record = SampleRecord(1);
   std::string payload = EncodeRecord(record).substr(16);
 
-  // Unknown kind (first 4 bytes little-endian).
+  // Unknown kind (the leading varint).
   std::string bad_kind = payload;
   bad_kind[0] = '\xff';
   bad_kind[1] = '\xff';
   EXPECT_FALSE(DecodeRecordPayload(bad_kind).ok());
+  // The first kind WJL4 retired (9, a WJL3 deploy_stage record).
+  ASSERT_EQ(static_cast<uint8_t>(payload[0]), 2u);
+  std::string retired = payload;
+  retired[0] = static_cast<char>(kMaxJournalRecordKind + 1);
+  ASSERT_EQ(retired[0], 9);
+  EXPECT_FALSE(DecodeRecordPayload(retired).ok());
 
   // Trailing garbage after a well-formed record.
   EXPECT_FALSE(DecodeRecordPayload(payload + "x").ok());
@@ -300,18 +307,23 @@ TEST_F(JournalFuzzTest, GarbageTailIsRejected) {
 // against the bytes actually present — never allocated.
 TEST_F(JournalFuzzTest, OversizedLengthPrefixDoesNotAllocate) {
   std::string frame;
-  frame.append("WJL3");                     // magic (little-endian 0x334c4a57)
+  for (int shift = 0; shift < 32; shift += 8) {  // magic, little-endian
+    frame.push_back(static_cast<char>((kJournalMagic >> shift) & 0xff));
+  }
   frame.append(8, '\0');                    // checksum (wrong, but len is checked first)
   frame.append("\xff\xff\xff\xff", 4);      // len = 4 GiB
   frame.append("short", 5);
   JournalScan scan = ScanBytes(bytes_ + frame);
   EXPECT_FALSE(scan.clean);
   EXPECT_EQ(scan.records.size(), frame_end_.size());
+  // The frame passed the magic check and stopped at the length bound.
+  EXPECT_EQ(scan.error.rfind("truncated frame body", 0), 0u) << scan.error;
 
   // Same claim as the very first frame of an otherwise-empty journal.
   JournalScan empty_scan = ScanBytes(frame);
   EXPECT_FALSE(empty_scan.clean);
   EXPECT_TRUE(empty_scan.records.empty());
+  EXPECT_EQ(empty_scan.error.rfind("truncated frame body", 0), 0u) << empty_scan.error;
 }
 
 // Inner-frame corruption (not a torn tail): everything after the bad frame

@@ -136,28 +136,6 @@ TEST(KernelCacheTest, WriteThenReadIsCoherent) {
   EXPECT_EQ(after.substr(0, 4), "aaaa");
 }
 
-TEST(PageCacheTest, MutationGenerationBumpsOnEveryInvalidation) {
-  PageCache cache;
-  MemFs fs;
-  uint64_t g0 = cache.mutation_generation();
-  cache.Insert(&fs, "/f", 0, "block");
-  EXPECT_EQ(cache.mutation_generation(), g0);  // inserts are not mutations
-  cache.InvalidateRange(&fs, "/f", 0, 1);
-  uint64_t g1 = cache.mutation_generation();
-  EXPECT_GT(g1, g0);
-  // A zero-length invalidation is a no-op and must not look like a mutation.
-  cache.InvalidateRange(&fs, "/f", 0, 0);
-  EXPECT_EQ(cache.mutation_generation(), g1);
-  cache.InvalidateFile(&fs, "/f");
-  uint64_t g2 = cache.mutation_generation();
-  EXPECT_GT(g2, g1);
-  cache.DropFilesystem(&fs);
-  uint64_t g3 = cache.mutation_generation();
-  EXPECT_GT(g3, g2);
-  cache.Clear();
-  EXPECT_GT(cache.mutation_generation(), g3);
-}
-
 TEST(KernelCacheTest, TruncateInvalidates) {
   Kernel kernel("host");
   kernel.root_fs().ProvisionFile("/f", std::string(1000, 'x'));

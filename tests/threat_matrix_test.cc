@@ -9,6 +9,7 @@
 #include "src/core/session.h"
 #include "src/core/ticket_class.h"
 #include "src/durability/durability.h"
+#include "src/os/audit.h"
 #include "src/os/memfs.h"
 #include "src/workload/ticket_gen.h"
 #include "src/workload/topology.h"
@@ -213,6 +214,42 @@ TEST_F(ThreatMatrixTest, Attack9ForgedCertificateRejected) {
   invented.admin = "mallory";
   AdminSession session2(machine_, deployment->session, invented, &cluster_.ca());
   EXPECT_EQ(session2.Login().error(), witos::Err::kPerm);
+}
+
+// Attack 9, expiry forgery: the CA secret is the constructor default, and
+// anyone holding one certificate can recover it by running FNV-1a
+// backwards. Mallory signs a copy of her certificate with a far later
+// expiry, exactly as the CA signs. The CA accepts only the certificate it
+// issued, unchanged, so once the genuine one expires the copy is refused.
+TEST_F(ThreatMatrixTest, Attack9ResignedExpiryRejected) {
+  Ticket ticket;
+  ticket.id = "TKT-SHORT";
+  ticket.target_machine = "userpc";
+  ticket.assigned_class = "T-1";
+  ticket.admin = "mallory";
+  auto deployment = manager_->Deploy(ticket, /*lifetime_ns=*/1000);
+  ASSERT_TRUE(deployment.ok());
+  constexpr uint64_t kRecoveredSecret = 0x57a7c417u;
+  auto sign = [](const Certificate& cert) {
+    return witos::Fnv1a(cert.admin + "|" + cert.machine + "|" + cert.ticket_id + "|" +
+                            cert.ticket_class + "|" + std::to_string(cert.serial) + "|" +
+                            std::to_string(cert.issued_ns) + "|" +
+                            std::to_string(cert.expires_ns),
+                        kRecoveredSecret);
+  };
+  // Mallory's signing reproduces the CA's.
+  ASSERT_EQ(sign(deployment->certificate), deployment->certificate.signature);
+  Certificate forged = deployment->certificate;
+  forged.expires_ns = 1ull << 62;
+  forged.signature = sign(forged);
+
+  kernel().clock().Advance(2000);  // past the genuine expiry
+  const uint64_t now = kernel().clock().now_ns();
+  EXPECT_EQ(cluster_.ca().Validate(deployment->certificate, now), CertStatus::kExpired);
+  EXPECT_EQ(cluster_.ca().Validate(forged, now), CertStatus::kForged);
+  AdminSession session(machine_, deployment->session, forged, &cluster_.ca());
+  EXPECT_EQ(session.Login().error(), witos::Err::kPerm);
+  EXPECT_EQ(LoginRejections(kernel()), 1u);
 }
 
 // Attack 9, certificate reuse: a validly signed certificate opens only the
