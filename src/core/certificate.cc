@@ -1,5 +1,9 @@
 #include "src/core/certificate.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+
 #include "src/os/audit.h"
 
 namespace watchit {
@@ -27,6 +31,51 @@ uint64_t CertificateAuthority::Sign(const Certificate& cert) const {
   return witos::Fnv1a(material, secret_);
 }
 
+namespace {
+
+// Serials run from 1 and never reach UINT64_MAX, past which next_serial_
+// would wrap onto serials already issued.
+bool IssuableSerial(uint64_t serial) { return serial != 0 && serial != UINT64_MAX; }
+
+// The first of the sorted runs that starts after `serial`.
+template <typename Runs>
+auto RunAfter(Runs& runs, uint64_t serial) {
+  return std::upper_bound(runs.begin(), runs.end(), serial,
+                          [](uint64_t value, const auto& run) { return value < run.first; });
+}
+
+}  // namespace
+
+bool CertificateAuthority::IsRevokedLocked(uint64_t serial) const {
+  auto next = RunAfter(revoked_runs_, serial);
+  return next != revoked_runs_.begin() && serial <= std::prev(next)->last;
+}
+
+void CertificateAuthority::AddRevokedLocked(uint64_t serial) {
+  auto next = RunAfter(revoked_runs_, serial);
+  const bool joins_next = next != revoked_runs_.end() && next->first == serial + 1;
+  if (next != revoked_runs_.begin()) {
+    auto prev = std::prev(next);
+    if (serial <= prev->last) {
+      return;  // already revoked
+    }
+    if (prev->last + 1 == serial) {
+      prev->last = joins_next ? next->last : serial;
+      if (joins_next) {
+        revoked_runs_.erase(next);
+      }
+      ++revoked_count_;
+      return;
+    }
+  }
+  if (joins_next) {
+    next->first = serial;
+  } else {
+    revoked_runs_.insert(next, RevokedRun{serial, serial});
+  }
+  ++revoked_count_;
+}
+
 Certificate CertificateAuthority::Issue(const std::string& admin, const std::string& machine,
                                         const std::string& ticket_id,
                                         const std::string& ticket_class, uint64_t now_ns,
@@ -41,7 +90,7 @@ Certificate CertificateAuthority::Issue(const std::string& admin, const std::str
   cert.issued_ns = now_ns;
   cert.expires_ns = now_ns + lifetime_ns;
   cert.signature = Sign(cert);
-  issued_[cert.serial] = cert;
+  live_.emplace(cert.serial, cert);
   if (issue_listener_) {
     issue_listener_(cert);
   }
@@ -50,15 +99,12 @@ Certificate CertificateAuthority::Issue(const std::string& admin, const std::str
 
 CertStatus CertificateAuthority::Validate(const Certificate& cert, uint64_t now_ns) const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  auto it = issued_.find(cert.serial);
-  if (it == issued_.end()) {
-    return CertStatus::kUnknown;
+  auto it = live_.find(cert.serial);
+  if (it == live_.end()) {
+    return IsRevokedLocked(cert.serial) ? CertStatus::kRevoked : CertStatus::kUnknown;
   }
   if (cert != it->second) {
     return CertStatus::kForged;
-  }
-  if (revoked_.count(cert.serial) > 0) {
-    return CertStatus::kRevoked;
   }
   if (now_ns >= cert.expires_ns) {
     return CertStatus::kExpired;
@@ -68,32 +114,35 @@ CertStatus CertificateAuthority::Validate(const Certificate& cert, uint64_t now_
 
 void CertificateAuthority::Revoke(uint64_t serial) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  bool newly = revoked_.emplace(serial, true).second;
-  if (newly && revoke_listener_) {
+  if (live_.erase(serial) == 0) {
+    return;  // already revoked, or never issued
+  }
+  AddRevokedLocked(serial);
+  if (revoke_listener_) {
     revoke_listener_(serial);
   }
 }
 
 bool CertificateAuthority::IsRevoked(uint64_t serial) const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  return revoked_.count(serial) > 0;
+  return IsRevokedLocked(serial);
 }
 
 size_t CertificateAuthority::issued_count() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  return issued_.size();
+  return live_.size() + revoked_count_;
 }
 
 size_t CertificateAuthority::revoked_count() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  return revoked_.size();
+  return revoked_count_;
 }
 
 std::vector<Certificate> CertificateAuthority::IssuedSnapshot() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   std::vector<Certificate> certs;
-  certs.reserve(issued_.size());
-  for (const auto& [serial, cert] : issued_) {
+  certs.reserve(live_.size());
+  for (const auto& [serial, cert] : live_) {
     (void)serial;
     certs.push_back(cert);
   }
@@ -103,10 +152,11 @@ std::vector<Certificate> CertificateAuthority::IssuedSnapshot() const {
 std::vector<uint64_t> CertificateAuthority::RevokedSnapshot() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   std::vector<uint64_t> serials;
-  serials.reserve(revoked_.size());
-  for (const auto& [serial, flag] : revoked_) {
-    (void)flag;
-    serials.push_back(serial);
+  serials.reserve(revoked_count_);
+  for (const RevokedRun& run : revoked_runs_) {
+    for (uint64_t serial = run.first; serial <= run.last; ++serial) {
+      serials.push_back(serial);
+    }
   }
   return serials;
 }
@@ -123,10 +173,10 @@ void CertificateAuthority::set_revoke_listener(RevokeListener listener) {
 
 witos::Status CertificateAuthority::RestoreIssued(const Certificate& cert) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  if (cert.signature != Sign(cert)) {
+  if (!IssuableSerial(cert.serial) || cert.signature != Sign(cert)) {
     return witos::Err::kInval;
   }
-  if (!issued_.emplace(cert.serial, cert).second) {
+  if (IsRevokedLocked(cert.serial) || !live_.emplace(cert.serial, cert).second) {
     return witos::Err::kExist;
   }
   if (cert.serial >= next_serial_) {
@@ -135,9 +185,17 @@ witos::Status CertificateAuthority::RestoreIssued(const Certificate& cert) {
   return witos::Status::Ok();
 }
 
-void CertificateAuthority::RestoreRevoked(uint64_t serial) {
+witos::Status CertificateAuthority::RestoreRevoked(uint64_t serial) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  revoked_[serial] = true;
+  if (!IssuableSerial(serial)) {
+    return witos::Err::kInval;
+  }
+  live_.erase(serial);
+  AddRevokedLocked(serial);
+  if (serial >= next_serial_) {
+    next_serial_ = serial + 1;
+  }
+  return witos::Status::Ok();
 }
 
 }  // namespace watchit

@@ -43,6 +43,11 @@ std::string CertStatusName(CertStatus status);
 // One CA serves the whole cluster, so Issue/Validate/Revoke are internally
 // synchronized: every serving worker deploys (issues) and expires (revokes)
 // through this object concurrently.
+//
+// The CA keeps only live certificates. Revoking one erases it and adds its
+// serial to sorted [first, last] runs of revoked serials: serials are
+// issued in order and mostly expire in order, so a long run of tickets
+// leaves a handful of runs, not one entry per certificate ever issued.
 class CertificateAuthority {
  public:
   explicit CertificateAuthority(uint64_t secret = 0x57a7c417u) : secret_(secret) {}
@@ -51,20 +56,25 @@ class CertificateAuthority {
                     const std::string& ticket_id, const std::string& ticket_class,
                     uint64_t now_ns, uint64_t lifetime_ns);
 
-  // kForged unless `cert` equals, field for field and signature included,
-  // the certificate this CA issued under its serial. The signature is not
-  // recomputed: a holder who recovers the secret can sign a copy with a
-  // later expiry, but cannot make this CA's record of it change.
+  // kRevoked for a revoked serial, whatever fields `cert` presents. For a
+  // live serial, kForged unless `cert` equals, field for field and
+  // signature included, the certificate this CA issued under it. The
+  // signature is not recomputed: a holder who recovers the secret can sign
+  // a copy with a later expiry, but cannot make this CA's record of it
+  // change. kUnknown for a serial this CA does not know.
   CertStatus Validate(const Certificate& cert, uint64_t now_ns) const;
 
+  // Revokes a live certificate. A serial already revoked, or one this CA
+  // never issued, changes nothing.
   void Revoke(uint64_t serial);
   bool IsRevoked(uint64_t serial) const;
 
+  // Every certificate issued (live plus revoked), and the revoked ones.
   size_t issued_count() const;
   size_t revoked_count() const;
 
-  // Point-in-time copies of the issue/revoke books — what a checkpoint
-  // persists (serial order, since issued_ is keyed by serial).
+  // Point-in-time copies of the books, in serial order — what a checkpoint
+  // persists: the live certificates, and every revoked serial.
   std::vector<Certificate> IssuedSnapshot() const;
   std::vector<uint64_t> RevokedSnapshot() const;
 
@@ -77,15 +87,20 @@ class CertificateAuthority {
   void set_issue_listener(IssueListener listener);
   void set_revoke_listener(RevokeListener listener);
 
-  // Recovery: re-seeds one certificate exactly as journaled, bypassing the
-  // listeners. The signature must verify under this CA's secret (EINVAL
+  // Recovery: re-seeds one live certificate exactly as journaled, bypassing
+  // the listeners. The signature must verify under this CA's secret (EINVAL
   // otherwise — a journaled cert this CA never signed is corruption; this
-  // offline check is what the signature is for) and
-  // the serial must be unused (EEXIST). next_serial advances past every
-  // restored serial so post-recovery issues never collide.
+  // offline check is what the signature is for) and the serial must be
+  // neither live nor revoked (EEXIST). next_serial advances past every
+  // restored serial so post-recovery issues never collide; a serial no CA
+  // issues (0, or UINT64_MAX, past which next_serial would wrap) is EINVAL.
   witos::Status RestoreIssued(const Certificate& cert);
-  // Recovery: re-seeds a revocation; idempotent, bypasses the listeners.
-  void RestoreRevoked(uint64_t serial);
+  // Recovery: re-seeds a revocation, erasing the serial's certificate if it
+  // was restored; a serial with no restored issue (a checkpoint holds live
+  // certificates only) is marked revoked all the same and advances
+  // next_serial. Idempotent, bypasses the listeners. EINVAL, and nothing
+  // changes, for a serial no CA issues, as in RestoreIssued.
+  witos::Status RestoreRevoked(uint64_t serial);
 
   // Attaches the CA lock to the contention profile
   // (watchit_lock_{wait,hold}_ns{lock="ca"}): every deploy issues and every
@@ -93,13 +108,23 @@ class CertificateAuthority {
   void EnableLockMetrics(witobs::MetricsRegistry* registry) { mu_.EnableMetrics(registry); }
 
  private:
+  // Revoked serials first..last, inclusive.
+  struct RevokedRun {
+    uint64_t first = 0;
+    uint64_t last = 0;
+  };
+
   uint64_t Sign(const Certificate& cert) const;
+  bool IsRevokedLocked(uint64_t serial) const;
+  // Adds `serial` to the runs, joining its neighbours; idempotent.
+  void AddRevokedLocked(uint64_t serial);
 
   uint64_t secret_;
   mutable witobs::ProfiledMutex mu_{"ca"};
   uint64_t next_serial_ = 1;
-  std::map<uint64_t, Certificate> issued_;
-  std::map<uint64_t, bool> revoked_;
+  std::map<uint64_t, Certificate> live_;
+  std::vector<RevokedRun> revoked_runs_;  // sorted, disjoint, never adjacent
+  size_t revoked_count_ = 0;
   IssueListener issue_listener_;
   RevokeListener revoke_listener_;
 };

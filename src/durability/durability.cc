@@ -18,23 +18,44 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
                                    .count());
 }
 
-JournalRecord EpochSealRecord(const std::string& machine, const witos::EpochRoot& root) {
-  JournalRecord record;
-  record.kind = JournalRecordKind::kEpochSeal;
-  record.time_ns = root.time_ns;
-  record.strs = {machine};
-  record.nums = {root.epoch, root.prev_root_hash, root.root_hash, root.size, root.head};
-  return record;
+// One writer per record kind that more than one path writes (the
+// listeners, the checkpoint, recovery). Each hands `out` a view of the
+// caller's fields, built on the stack.
+witos::Status WriteEpochSeal(JournalWriter* out, std::string_view machine,
+                             const witos::EpochRoot& root) {
+  const uint64_t nums[] = {root.epoch, root.prev_root_hash, root.root_hash, root.size, root.head};
+  const std::string_view strs[] = {machine};
+  return out->Append({JournalRecordKind::kEpochSeal, root.time_ns, nums, strs});
 }
 
-JournalRecord LogAppendRecord(const std::string& machine, const witos::AuditRecord& entry) {
-  JournalRecord record;
-  record.kind = JournalRecordKind::kLogAppend;
-  record.time_ns = entry.time_ns;
-  record.strs = {machine, entry.detail};
-  record.nums = {entry.hash, static_cast<uint64_t>(entry.event),
-                 static_cast<uint32_t>(entry.pid), entry.uid};
-  return record;
+witos::Status WriteLogAppend(JournalWriter* out, std::string_view machine,
+                             const witos::AuditRecord& entry) {
+  const uint64_t nums[] = {entry.hash, static_cast<uint64_t>(entry.event),
+                           static_cast<uint32_t>(entry.pid), entry.uid};
+  const std::string_view strs[] = {machine, entry.detail};
+  return out->Append({JournalRecordKind::kLogAppend, entry.time_ns, nums, strs});
+}
+
+witos::Status WriteBinding(JournalWriter* out, std::string_view machine,
+                           std::string_view ticket_id, std::string_view ticket_class) {
+  const std::string_view strs[] = {machine, ticket_id, ticket_class};
+  return out->Append({JournalRecordKind::kBindTicket, 0, {}, strs});
+}
+
+witos::Status WriteCertIssue(JournalWriter* out, const watchit::Certificate& cert) {
+  const uint64_t nums[] = {cert.serial, cert.issued_ns, cert.expires_ns, cert.signature};
+  const std::string_view strs[] = {cert.admin, cert.machine, cert.ticket_id, cert.ticket_class};
+  return out->Append({JournalRecordKind::kCertIssue, cert.issued_ns, nums, strs});
+}
+
+witos::Status WriteCertRevoke(JournalWriter* out, uint64_t serial) {
+  const uint64_t nums[] = {serial};
+  return out->Append({JournalRecordKind::kCertRevoke, 0, nums, {}});
+}
+
+witos::Status WriteRecoveryMark(JournalWriter* out, const RecoveryReport& report) {
+  const uint64_t nums[] = {report.records_replayed, report.orphans_expired};
+  return out->Append({JournalRecordKind::kRecoveryMark, 0, nums, {}});
 }
 
 // The chain record a kLogAppend journal record carries (seq unset: it is
@@ -56,15 +77,6 @@ witos::Result<witos::AuditRecord> ChainRecordOf(const JournalRecord& record) {
   return entry;
 }
 
-JournalRecord CertIssueRecord(const watchit::Certificate& cert) {
-  JournalRecord record;
-  record.kind = JournalRecordKind::kCertIssue;
-  record.time_ns = cert.issued_ns;
-  record.strs = {cert.admin, cert.machine, cert.ticket_id, cert.ticket_class};
-  record.nums = {cert.serial, cert.issued_ns, cert.expires_ns, cert.signature};
-  return record;
-}
-
 }  // namespace
 
 DurabilityManager::DurabilityManager(std::shared_ptr<witos::Filesystem> fs, Options options)
@@ -73,8 +85,8 @@ DurabilityManager::DurabilityManager(std::shared_ptr<witos::Filesystem> fs, Opti
       journal_(fs_, JournalWriter::Options{options_.journal_path, /*barrier_interval=*/1,
                                            /*truncate=*/false}) {}
 
-void DurabilityManager::Journal(JournalRecord record) {
-  if (!journal_.Append(std::move(record)).ok()) {
+void DurabilityManager::Journaled(witos::Status appended) {
+  if (!appended.ok()) {
     return;  // sealed (crash) or fail-stopped; counted by the writer
   }
   records_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
@@ -84,32 +96,27 @@ void DurabilityManager::AttachMachine(watchit::Machine* machine) {
   const std::string name = machine->name();
   machine->broker().set_binding_listener(
       [this, name](const std::string& ticket_id, const std::string& ticket_class, bool bound) {
-        JournalRecord record;
         if (bound) {
-          record.kind = JournalRecordKind::kBindTicket;
-          record.strs = {name, ticket_id, ticket_class};
-        } else {
-          record.kind = JournalRecordKind::kUnbindTicket;
-          record.strs = {name, ticket_id};
+          Journaled(WriteBinding(&journal_, name, ticket_id, ticket_class));
+          return;
         }
-        Journal(std::move(record));
+        const std::string_view strs[] = {name, ticket_id};
+        Journaled(journal_.Append({JournalRecordKind::kUnbindTicket, 0, {}, strs}));
       });
   witos::AuditLog& chain = machine->kernel().audit();
-  chain.set_append_listener(
-      [this, name](const witos::AuditRecord& entry) { Journal(LogAppendRecord(name, entry)); });
-  chain.set_seal_listener(
-      [this, name](const witos::EpochRoot& root) { Journal(EpochSealRecord(name, root)); });
+  chain.set_append_listener([this, name](const witos::AuditRecord& entry) {
+    Journaled(WriteLogAppend(&journal_, name, entry));
+  });
+  chain.set_seal_listener([this, name](const witos::EpochRoot& root) {
+    Journaled(WriteEpochSeal(&journal_, name, root));
+  });
 }
 
 void DurabilityManager::AttachShared() {
   cluster_->ca().set_issue_listener(
-      [this](const watchit::Certificate& cert) { Journal(CertIssueRecord(cert)); });
-  cluster_->ca().set_revoke_listener([this](uint64_t serial) {
-    JournalRecord record;
-    record.kind = JournalRecordKind::kCertRevoke;
-    record.nums = {serial};
-    Journal(std::move(record));
-  });
+      [this](const watchit::Certificate& cert) { Journaled(WriteCertIssue(&journal_, cert)); });
+  cluster_->ca().set_revoke_listener(
+      [this](uint64_t serial) { Journaled(WriteCertRevoke(&journal_, serial)); });
 }
 
 void DurabilityManager::Attach(watchit::Cluster* cluster) {
@@ -167,35 +174,28 @@ witos::Status DurabilityManager::Checkpoint() {
   const std::string tmp = options_.checkpoint_path + ".tmp";
   JournalWriter snapshot(fs_, JournalWriter::Options{tmp, /*barrier_interval=*/0,
                                                      /*truncate=*/true});
-  JournalRecord header;
-  header.kind = JournalRecordKind::kCheckpointHeader;
-  header.nums = {checkpoints_ + 1, journal_.next_lsn()};
-  WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(header)));
+  const uint64_t header[] = {checkpoints_ + 1, journal_.next_lsn()};
+  WITOS_RETURN_IF_ERROR(
+      snapshot.Append({JournalRecordKind::kCheckpointHeader, 0, header, {}}));
 
   for (size_t i = 0; i < cluster_->size(); ++i) {
     watchit::Machine& machine = cluster_->machine(i);
     for (const auto& [ticket_id, ticket_class] : machine.broker().BoundTicketsSnapshot()) {
-      JournalRecord record;
-      record.kind = JournalRecordKind::kBindTicket;
-      record.strs = {machine.name(), ticket_id, ticket_class};
-      WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
+      WITOS_RETURN_IF_ERROR(WriteBinding(&snapshot, machine.name(), ticket_id, ticket_class));
     }
     const witos::AuditLog& chain = machine.kernel().audit();
     for (const witos::AuditRecord& entry : chain.Snapshot()) {
-      WITOS_RETURN_IF_ERROR(snapshot.Append(LogAppendRecord(machine.name(), entry)));
+      WITOS_RETURN_IF_ERROR(WriteLogAppend(&snapshot, machine.name(), entry));
     }
     for (const witos::EpochRoot& root : chain.EpochRootsSnapshot()) {
-      WITOS_RETURN_IF_ERROR(snapshot.Append(EpochSealRecord(machine.name(), root)));
+      WITOS_RETURN_IF_ERROR(WriteEpochSeal(&snapshot, machine.name(), root));
     }
   }
   for (const watchit::Certificate& cert : cluster_->ca().IssuedSnapshot()) {
-    WITOS_RETURN_IF_ERROR(snapshot.Append(CertIssueRecord(cert)));
+    WITOS_RETURN_IF_ERROR(WriteCertIssue(&snapshot, cert));
   }
   for (uint64_t serial : cluster_->ca().RevokedSnapshot()) {
-    JournalRecord record;
-    record.kind = JournalRecordKind::kCertRevoke;
-    record.nums = {serial};
-    WITOS_RETURN_IF_ERROR(snapshot.Append(std::move(record)));
+    WITOS_RETURN_IF_ERROR(WriteCertRevoke(&snapshot, serial));
   }
   WITOS_RETURN_IF_ERROR(snapshot.Barrier());
 
@@ -318,7 +318,9 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       if (record.nums.size() != 1) {
         return reject();
       }
-      cluster->ca().RestoreRevoked(record.nums[0]);
+      if (!cluster->ca().RestoreRevoked(record.nums[0]).ok()) {
+        return reject();
+      }
       ++report->revocations_restored;
       return;
     case JournalRecordKind::kRecoveryMark:
@@ -415,10 +417,7 @@ witos::Result<RecoveryReport> DurabilityManager::Recover(watchit::Cluster* clust
   // recovers from the compacted base, not the whole pre-crash journal. A
   // failure here leaves checkpoint+journal still consistent.
   (void)Checkpoint();
-  JournalRecord mark;
-  mark.kind = JournalRecordKind::kRecoveryMark;
-  mark.nums = {report.records_replayed, report.orphans_expired};
-  Journal(std::move(mark));
+  Journaled(WriteRecoveryMark(&journal_, report));
   recovered_ = true;
   report.machines_recovered = cluster->size();
   report.recovery_wall_ns = ElapsedNs(started);
@@ -449,10 +448,7 @@ witos::Result<RecoveryReport> DurabilityManager::RecoverMachine(const std::strin
   WITOS_RETURN_IF_ERROR(Replay(cluster_, &machine_name, &state, &report));
   AttachMachine(fresh);
   Reconcile(cluster_, &machine_name, &report);
-  JournalRecord mark;
-  mark.kind = JournalRecordKind::kRecoveryMark;
-  mark.nums = {report.records_replayed, report.orphans_expired};
-  Journal(std::move(mark));
+  Journaled(WriteRecoveryMark(&journal_, report));
   report.machines_recovered = 1;
   report.recovery_wall_ns = ElapsedNs(started);
   if (recovery_runs_ != nullptr) {

@@ -160,8 +160,8 @@ class DurabilityManager {
 
   void AttachMachine(watchit::Machine* machine);
   void AttachShared();  // CA listeners
-  // Appends through the journal, tracking the auto-checkpoint cadence.
-  void Journal(JournalRecord record);
+  // Tracks the auto-checkpoint cadence over the journal's appends.
+  void Journaled(witos::Status appended);
   void ApplyRecord(watchit::Cluster* cluster, const JournalRecord& record,
                    const std::string* only_machine, ReplayState* state, RecoveryReport* report);
   // Scans checkpoint + journal and replays both into `cluster`.

@@ -11,6 +11,19 @@ namespace {
 
 const witos::Credentials kJournalCred{};  // the journal daemon runs as root
 
+// magic (u32), checksum (u64), payload length (u32): the WireWriter layout
+// ScanJournal reads back.
+constexpr size_t kFrameHeaderBytes = 16;
+
+// Little-endian, as WireWriter writes integers.
+template <typename T>
+char* PutLe(char* out, T value) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    *out++ = static_cast<char>((static_cast<uint64_t>(value) >> (8 * i)) & 0xff);
+  }
+  return out;
+}
+
 // Payload integers are LEB128 varints: most of a record's numbers (kinds,
 // counts, events, pids, string lengths) are small, and the journal holds
 // every evidence record the machines write.
@@ -40,6 +53,32 @@ witos::Result<uint64_t> GetVarint(std::string_view* in) {
   return witos::Err::kInval;
 }
 
+// Clears `frame` and encodes `record` under `lsn` into it as one framed
+// journal entry; `frame` keeps its capacity. The one encoder: the writer
+// and EncodeRecord both use it.
+void EncodeFrame(const JournalRecordView& record, uint64_t lsn, std::string* frame) {
+  // The header's checksum and length are filled in once the payload is in
+  // place behind them.
+  frame->assign(kFrameHeaderBytes, '\0');
+  PutVarint(frame, static_cast<uint64_t>(record.kind));
+  PutVarint(frame, lsn);
+  PutVarint(frame, record.time_ns);
+  PutVarint(frame, record.nums.size());
+  for (uint64_t num : record.nums) {
+    PutVarint(frame, num);
+  }
+  PutVarint(frame, record.strs.size());
+  for (std::string_view str : record.strs) {
+    PutVarint(frame, str.size());
+    frame->append(str);
+  }
+  const std::string_view payload = std::string_view(*frame).substr(kFrameHeaderBytes);
+  char* header = frame->data();
+  header = PutLe(header, kJournalMagic);
+  header = PutLe(header, witos::Fnv1a(payload));
+  PutLe(header, static_cast<uint32_t>(payload.size()));
+}
+
 }  // namespace
 
 std::string JournalRecordKindName(JournalRecordKind kind) {
@@ -65,26 +104,10 @@ std::string JournalRecordKindName(JournalRecordKind kind) {
 }
 
 std::string EncodeRecord(const JournalRecord& record) {
-  std::string payload;
-  payload.reserve(32 + 10 * record.nums.size() + 5 * record.strs.size());
-  PutVarint(&payload, static_cast<uint64_t>(record.kind));
-  PutVarint(&payload, record.lsn);
-  PutVarint(&payload, record.time_ns);
-  PutVarint(&payload, record.nums.size());
-  for (uint64_t num : record.nums) {
-    PutVarint(&payload, num);
-  }
-  PutVarint(&payload, record.strs.size());
-  for (const std::string& str : record.strs) {
-    PutVarint(&payload, str.size());
-    payload += str;
-  }
-
-  witbroker::WireWriter frame;
-  frame.PutU32(kJournalMagic);
-  frame.PutU64(witos::Fnv1a(payload));
-  frame.PutString(payload);  // the u32 length prefix
-  return frame.Take();
+  const std::vector<std::string_view> strs(record.strs.begin(), record.strs.end());
+  std::string frame;
+  EncodeFrame({record.kind, record.time_ns, record.nums, strs}, record.lsn, &frame);
+  return frame;
 }
 
 witos::Result<JournalRecord> DecodeRecordPayload(std::string_view payload) {
@@ -201,15 +224,14 @@ JournalWriter::JournalWriter(std::shared_ptr<witos::Filesystem> fs, Options opti
   durable_offset_ = stat->size;
 }
 
-witos::Status JournalWriter::Append(JournalRecord record) {
+witos::Status JournalWriter::Append(const JournalRecordView& record) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   if (sealed_) {
     return seal_reason_;
   }
-  record.lsn = next_lsn_;
-  std::string frame = EncodeRecord(record);
-  witos::Result<size_t> wrote = fs_->WriteAt(options_.path, offset_, frame, kJournalCred);
-  if (!wrote.ok() || *wrote != frame.size()) {
+  EncodeFrame(record, next_lsn_, &frame_);
+  witos::Result<size_t> wrote = fs_->WriteAt(options_.path, offset_, frame_, kJournalCred);
+  if (!wrote.ok() || *wrote != frame_.size()) {
     // Fail-stop: a hole in the record stream is worse than no stream — seal
     // so the caller sees a dead journal, not a silently forked history.
     sealed_ = true;
@@ -223,7 +245,7 @@ witos::Status JournalWriter::Append(JournalRecord record) {
   ++next_lsn_;
   ++records_;
   ++since_barrier_;
-  offset_ += frame.size();
+  offset_ += frame_.size();
   if (metric_records_ != nullptr) {
     metric_records_->Increment();
   }

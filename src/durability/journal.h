@@ -9,7 +9,7 @@
 // the rest of the simulator mounts, so fault plans (ErrorInjectingVfs) and
 // crash simulations slot underneath without the journal knowing.
 //
-// Frame layout (all integers little-endian, via the rpc wire framing):
+// Frame layout (all integers little-endian, the rpc wire framing's layout):
 //
 //   u32  magic      'WJL4'
 //   u64  checksum   FNV-1a over the payload bytes
@@ -39,7 +39,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -77,16 +79,27 @@ std::string JournalRecordKindName(JournalRecordKind kind);
 // One journal record. Rather than a serializer per kind, every record is a
 // kind tag plus a flat number list and string list whose meaning the kind
 // defines (see the enum); the replay engine rejects records whose arity
-// does not match their kind.
+// does not match their kind. This is what a scan returns.
 struct JournalRecord {
   JournalRecordKind kind = JournalRecordKind::kCheckpointHeader;
-  uint64_t lsn = 0;  // assigned by JournalWriter::Append; 0 in checkpoints
+  uint64_t lsn = 0;  // assigned by JournalWriter::Append
   uint64_t time_ns = 0;
   std::vector<uint64_t> nums;
   std::vector<std::string> strs;
 };
 
-// Serializes `record` into one framed journal entry (header + payload).
+// What a writer hands JournalWriter::Append: the same fields, borrowed from
+// the caller (typically arrays on its stack), so framing a record builds no
+// heap object. The writer assigns the lsn.
+struct JournalRecordView {
+  JournalRecordKind kind = JournalRecordKind::kCheckpointHeader;
+  uint64_t time_ns = 0;
+  std::span<const uint64_t> nums;
+  std::span<const std::string_view> strs;
+};
+
+// The frame (header + payload) of a decoded record under its own lsn, as
+// JournalWriter::Append would write it (tests and probes).
 std::string EncodeRecord(const JournalRecord& record);
 // Parses one record payload (the bytes inside the frame). Rejects unknown
 // kinds, truncated fields, oversized count prefixes and trailing garbage.
@@ -132,9 +145,10 @@ class JournalWriter {
 
   JournalWriter(std::shared_ptr<witos::Filesystem> fs, Options options);
 
-  // Stamps the record's lsn, frames it and writes it at the end of the
-  // file. EPIPE once sealed; any filesystem error seals the writer.
-  witos::Status Append(JournalRecord record);
+  // Stamps the record's lsn, frames it into the writer's reused buffer and
+  // writes it at the end of the file. EPIPE once sealed; any filesystem
+  // error seals the writer.
+  witos::Status Append(const JournalRecordView& record);
   // fsync: everything appended so far survives a crash.
   witos::Status Barrier();
 
@@ -178,6 +192,7 @@ class JournalWriter {
   uint64_t since_barrier_ = 0;
   uint64_t barriers_ = 0;
   uint64_t errors_ = 0;
+  std::string frame_;  // the frame being written; keeps its capacity
 
   witobs::Counter* metric_records_ = nullptr;
   witobs::Counter* metric_barriers_ = nullptr;

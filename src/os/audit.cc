@@ -16,6 +16,46 @@ unsigned char* PutLe(unsigned char* out, T value) {
   return out;
 }
 
+// The hash of one chain record: its typed fields and the previous record's
+// hash, then its detail bytes.
+uint64_t ChainHash(uint64_t seq, uint64_t time_ns, AuditEvent event, Pid pid, Uid uid,
+                   std::string_view detail, uint64_t prev_hash) {
+  unsigned char header[33];
+  unsigned char* out = PutLe(header, seq);
+  out = PutLe(out, time_ns);
+  out = PutLe(out, prev_hash);
+  out = PutLe(out, static_cast<uint32_t>(pid));
+  out = PutLe(out, uid);
+  *out = static_cast<unsigned char>(event);
+  return Fnv1a(detail,
+               Fnv1a(std::string_view(reinterpret_cast<const char*>(header), sizeof(header))));
+}
+
+// Arena integers are LEB128 varints, as in the journal: times are large,
+// but events, pids, uids and detail lengths are small.
+char* PutVarint(char* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<char>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<char>(value);
+  return out;
+}
+
+// Reads one varint the arena holds (PutVarint wrote it, so it ends within
+// ten bytes) and advances `in` past it.
+uint64_t GetVarint(const char** in) {
+  uint64_t value = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const auto byte = static_cast<unsigned char>(*(*in)++);
+    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      break;
+    }
+  }
+  return value;
+}
+
 }  // namespace
 
 uint64_t Fnv1a(std::string_view data, uint64_t seed) {
@@ -60,15 +100,8 @@ std::string AuditEventName(AuditEvent ev) {
 }
 
 uint64_t AuditRecord::ComputeHash(const AuditRecord& record, uint64_t prev_hash) {
-  unsigned char header[33];
-  unsigned char* out = PutLe(header, record.seq);
-  out = PutLe(out, record.time_ns);
-  out = PutLe(out, prev_hash);
-  out = PutLe(out, static_cast<uint32_t>(record.pid));
-  out = PutLe(out, record.uid);
-  *out = static_cast<unsigned char>(record.event);
-  return Fnv1a(record.detail,
-               Fnv1a(std::string_view(reinterpret_cast<const char*>(header), sizeof(header))));
+  return ChainHash(record.seq, record.time_ns, record.event, record.pid, record.uid,
+                   record.detail, prev_hash);
 }
 
 uint64_t EpochRoot::ComputeHash(const EpochRoot& root) {
@@ -81,12 +114,54 @@ uint64_t EpochRoot::ComputeHash(const EpochRoot& root) {
   return Fnv1a(std::string_view(reinterpret_cast<const char*>(material), sizeof(material)));
 }
 
-void AuditLog::AppendLocked(AuditRecord record, bool notify) {
-  record.seq = records_.size() + 1;
-  record.hash = AuditRecord::ComputeHash(record, records_.empty() ? 0 : records_.back().hash);
-  records_.push_back(std::move(record));
+void AuditLog::StoreLocked(const AuditRecord& record) {
+  index_.push_back(IndexEntry{.offset = arena_.size(), .hash = record.hash});
+  char header[4 * 10 + 1];
+  char* out = PutVarint(header, record.time_ns);
+  *out++ = static_cast<char>(record.event);
+  out = PutVarint(out, static_cast<uint32_t>(record.pid));
+  out = PutVarint(out, record.uid);
+  out = PutVarint(out, record.detail.size());
+  arena_.append(header, static_cast<size_t>(out - header)).append(record.detail);
+}
+
+AuditLog::EncodedRecord AuditLog::DecodeLocked(size_t index) const {
+  const char* in = arena_.data() + index_[index].offset;
+  EncodedRecord record;
+  record.time_ns = GetVarint(&in);
+  record.event = static_cast<AuditEvent>(static_cast<unsigned char>(*in++));
+  record.pid = static_cast<Pid>(static_cast<uint32_t>(GetVarint(&in)));
+  record.uid = static_cast<Uid>(GetVarint(&in));
+  const uint64_t size = GetVarint(&in);
+  record.detail = std::string_view(in, size);
+  return record;
+}
+
+void AuditLog::CopyLocked(size_t index, AuditRecord* out) const {
+  const EncodedRecord record = DecodeLocked(index);
+  out->seq = index + 1;
+  out->time_ns = record.time_ns;
+  out->event = record.event;
+  out->pid = record.pid;
+  out->uid = record.uid;
+  out->detail.assign(record.detail);
+  out->hash = index_[index].hash;
+}
+
+std::vector<AuditRecord> AuditLog::CopyAllLocked() const {
+  std::vector<AuditRecord> out(index_.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    CopyLocked(i, &out[i]);
+  }
+  return out;
+}
+
+void AuditLog::AppendLocked(AuditRecord* record, bool notify) {
+  record->seq = index_.size() + 1;
+  record->hash = AuditRecord::ComputeHash(*record, HeadLocked());
+  StoreLocked(*record);
   if (notify && append_listener_) {
-    append_listener_(records_.back());
+    append_listener_(*record);
   }
 }
 
@@ -105,7 +180,7 @@ void AuditLog::Append(AuditEvent event, Pid pid, Uid uid, std::string detail, ui
   AuditRecord record{
       .time_ns = time_ns, .event = event, .pid = pid, .uid = uid, .detail = std::move(detail)};
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  AppendLocked(std::move(record), /*notify=*/true);
+  AppendLocked(&record, /*notify=*/true);
   CountAppendsLocked(1, time_ns);
 }
 
@@ -116,23 +191,25 @@ void AuditLog::AppendBatch(std::vector<AuditRecord> records, uint64_t time_ns) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   for (AuditRecord& record : records) {
     record.time_ns = time_ns;
-    AppendLocked(std::move(record), /*notify=*/true);
+    AppendLocked(&record, /*notify=*/true);
   }
   CountAppendsLocked(records.size(), time_ns);
 }
 
 size_t AuditLog::size() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  return records_.size();
+  return index_.size();
 }
 
 std::vector<AuditRecord> AuditLog::Filter(
     const std::function<bool(const AuditRecord&)>& pred) const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   std::vector<AuditRecord> out;
-  for (const auto& rec : records_) {
-    if (pred(rec)) {
-      out.push_back(rec);
+  AuditRecord record;
+  for (size_t i = 0; i < index_.size(); ++i) {
+    CopyLocked(i, &record);
+    if (pred(record)) {
+      out.push_back(record);
     }
   }
   return out;
@@ -141,8 +218,8 @@ std::vector<AuditRecord> AuditLog::Filter(
 size_t AuditLog::CountEvent(AuditEvent event) const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
   size_t n = 0;
-  for (const auto& rec : records_) {
-    if (rec.event == event) {
+  for (size_t i = 0; i < index_.size(); ++i) {
+    if (DecodeLocked(i).event == event) {
       ++n;
     }
   }
@@ -151,7 +228,7 @@ size_t AuditLog::CountEvent(AuditEvent event) const {
 
 std::vector<AuditRecord> AuditLog::Snapshot() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  return records_;
+  return CopyAllLocked();
 }
 
 Result<std::vector<AuditRecord>> AuditLog::VerifiedSnapshot() const {
@@ -159,7 +236,7 @@ Result<std::vector<AuditRecord>> AuditLog::VerifiedSnapshot() const {
   if (!VerifyLocked()) {
     return Err::kIo;
   }
-  return records_;
+  return CopyAllLocked();
 }
 
 bool AuditLog::VerifyChain(const std::vector<AuditRecord>& records) {
@@ -175,8 +252,16 @@ bool AuditLog::VerifyChain(const std::vector<AuditRecord>& records) {
 }
 
 bool AuditLog::VerifyLocked() const {
-  if (!VerifyChain(records_)) {
-    return false;
+  // The chain: each record's stored hash, rehashed from its encoded bytes.
+  uint64_t prev = 0;
+  for (size_t i = 0; i < index_.size(); ++i) {
+    const EncodedRecord record = DecodeLocked(i);
+    if (index_[i].hash !=
+        ChainHash(i + 1, record.time_ns, record.event, record.pid, record.uid, record.detail,
+                  prev)) {
+      return false;
+    }
+    prev = index_[i].hash;
   }
   // The chain verified, so each record's stored hash is the chain's head at
   // that length.
@@ -188,10 +273,10 @@ bool AuditLog::VerifyLocked() const {
         root.root_hash != EpochRoot::ComputeHash(root)) {
       return false;
     }
-    if (root.size < prev_size || root.size > records_.size()) {
+    if (root.size < prev_size || root.size > index_.size()) {
       return false;  // a sealed chain shrank: append-only violated
     }
-    if (root.head != (root.size == 0 ? 0 : records_[root.size - 1].hash)) {
+    if (root.head != (root.size == 0 ? 0 : index_[root.size - 1].hash)) {
       return false;
     }
     prev_size = root.size;
@@ -209,8 +294,8 @@ void AuditLog::SealLocked(uint64_t time_ns) {
   EpochRoot root;
   root.epoch = epoch_roots_.size() + 1;
   root.time_ns = time_ns;
-  root.size = records_.size();
-  root.head = records_.empty() ? 0 : records_.back().hash;
+  root.size = index_.size();
+  root.head = HeadLocked();
   root.prev_root_hash = epoch_roots_.empty() ? 0 : epoch_roots_.back().root_hash;
   root.root_hash = EpochRoot::ComputeHash(root);
   epoch_roots_.push_back(root);
@@ -236,12 +321,11 @@ size_t AuditLog::epoch_count() const {
 
 Status AuditLog::Restore(AuditRecord record) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  const uint64_t expected_hash = record.hash;
-  AppendLocked(std::move(record), /*notify=*/false);
-  if (records_.back().hash != expected_hash) {
-    records_.pop_back();
+  record.seq = index_.size() + 1;
+  if (record.hash != AuditRecord::ComputeHash(record, HeadLocked())) {
     return Err::kInval;
   }
+  StoreLocked(record);
   return Status::Ok();
 }
 
@@ -257,15 +341,21 @@ bool AuditLog::RestoreEpochRoots(std::vector<EpochRoot> roots) {
 
 void AuditLog::TamperForTest(size_t index, std::string new_detail, bool rechain) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  if (index >= records_.size()) {
+  if (index >= index_.size()) {
     return;
   }
-  records_[index].detail = std::move(new_detail);
-  if (!rechain) {
-    return;
+  std::vector<AuditRecord> tail(index_.size() - index);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    CopyLocked(index + i, &tail[i]);
   }
-  for (size_t i = index; i < records_.size(); ++i) {
-    records_[i].hash = AuditRecord::ComputeHash(records_[i], i == 0 ? 0 : records_[i - 1].hash);
+  tail[0].detail = std::move(new_detail);
+  arena_.resize(index_[index].offset);
+  index_.resize(index);
+  for (AuditRecord& record : tail) {
+    if (rechain) {
+      record.hash = AuditRecord::ComputeHash(record, HeadLocked());
+    }
+    StoreLocked(record);
   }
 }
 

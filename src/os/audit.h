@@ -19,10 +19,16 @@
 //    is written. A rewrite-and-rechain after the last sealed root passes
 //    Verify() but not witdur::ChainMatchesJournal (Attack 6).
 //
-// Concurrency: every public method except records() is internally
-// synchronized by one ProfiledMutex ("securelog") guarding the records and
-// the roots. Snapshot() taken mid-append always sees a valid prefix of the
-// chain.
+// Storage: each record is kept once, encoded, in one append-only byte arena
+// (varint time, the event byte, varint pid, uid and detail length, then the
+// detail bytes), beside a fixed-size index entry holding its offset and
+// hash; its seq is its position. No record owns a heap object, and readers
+// decode: Snapshot() and Filter() build AuditRecords, CountEvent() and
+// Verify() read the encoded bytes in place.
+//
+// Concurrency: every public method is internally synchronized by one
+// ProfiledMutex ("securelog") guarding the arena, the index and the roots.
+// Snapshot() taken mid-append always sees a valid prefix of the chain.
 
 #ifndef SRC_OS_AUDIT_H_
 #define SRC_OS_AUDIT_H_
@@ -102,10 +108,6 @@ class AuditLog {
   // critical-section entry while staying N distinct, chain-linked records.
   void AppendBatch(std::vector<AuditRecord> records, uint64_t time_ns);
 
-  // Borrowed view for quiesced readers (post-run assertions); concurrent
-  // appenders invalidate it. Use Snapshot() or VerifiedSnapshot() while
-  // the machine serves.
-  const std::vector<AuditRecord>& records() const { return records_; }
   size_t size() const;
 
   // Records matching a predicate (analysis-side convenience).
@@ -133,8 +135,9 @@ class AuditLog {
   size_t epoch_count() const;
 
   // Test hook simulating an attacker rewriting record `index`'s detail in
-  // place. `rechain` additionally recomputes every downstream hash: the
-  // smarter attacker only the epoch roots and the journal can expose.
+  // place (the records from `index` on are re-encoded; each keeps its
+  // stored hash). `rechain` additionally recomputes every downstream hash:
+  // the smarter attacker only the epoch roots and the journal can expose.
   void TamperForTest(size_t index, std::string new_detail, bool rechain = false);
 
   // Attaches the log's lock to the contention profile:
@@ -166,14 +169,38 @@ class AuditLog {
   bool RestoreEpochRoots(std::vector<EpochRoot> roots);
 
  private:
-  void AppendLocked(AuditRecord record, bool notify);
+  // Where one record's bytes start in arena_, and its chain hash.
+  struct IndexEntry {
+    uint64_t offset = 0;
+    uint64_t hash = 0;
+  };
+  // One record's fields read in place from the arena.
+  struct EncodedRecord {
+    uint64_t time_ns = 0;
+    AuditEvent event = AuditEvent::kSessionEvent;
+    Pid pid = kNoPid;
+    Uid uid = 0;
+    std::string_view detail;
+  };
+
+  // Stamps `record`'s seq and hash at the chain's head, stores it and, when
+  // `notify`, hands it to the append listener.
+  void AppendLocked(AuditRecord* record, bool notify);
+  // Encodes `record`, whose hash is already set, at the end of the arena.
+  void StoreLocked(const AuditRecord& record);
+  EncodedRecord DecodeLocked(size_t index) const;
+  // Record `index` as a typed copy; `out`'s detail buffer is reused.
+  void CopyLocked(size_t index, AuditRecord* out) const;
+  std::vector<AuditRecord> CopyAllLocked() const;
+  uint64_t HeadLocked() const { return index_.empty() ? 0 : index_.back().hash; }
   // Advances the auto-seal countdown by `count` appends.
   void CountAppendsLocked(size_t count, uint64_t time_ns);
   void SealLocked(uint64_t time_ns);
   bool VerifyLocked() const;
 
   mutable witobs::ProfiledMutex mu_{"securelog"};
-  std::vector<AuditRecord> records_;
+  std::string arena_;              // every record's encoded bytes, in chain order
+  std::vector<IndexEntry> index_;  // one entry per record; seq = position + 1
   std::vector<EpochRoot> epoch_roots_;
   uint64_t appends_until_seal_ = kEpochInterval;
   AppendListener append_listener_;

@@ -1,8 +1,9 @@
 // Heap-allocation budget of path syscalls. Path resolution walks one
 // buffer, so a syscall allocates only for the strings it returns, and the
 // count does not grow with path depth. Also the buffers an appended MemFs
-// file grows through. This binary replaces the global operator new with a
-// counting one, which is why it stands alone.
+// file grows through, and the evidence path: a journaled chain append
+// allocates only its caller's detail string. This binary replaces the
+// global operator new with a counting one, which is why it stands alone.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,10 @@
 #include <vector>
 
 #include "src/container/containit.h"
+#include "src/core/cluster.h"
+#include "src/durability/durability.h"
 #include "src/fs/itfs_policy.h"
+#include "src/os/audit.h"
 #include "src/os/kernel.h"
 #include "src/os/memfs.h"
 
@@ -165,6 +169,42 @@ TEST(MemFsGrowthTest, AppendedFileGrowsThroughTheSameBuffersWhateverItsFirstWrit
     // std::string allocates its capacity plus the terminator.
     EXPECT_TRUE(std::has_single_bit(size - 1)) << size;
   }
+}
+
+// A machine's chain append, journaled: the chain stores the record in its
+// arena and the journal frames it into its reused buffer, so the append
+// allocates only the detail string its caller builds, plus the amortized
+// growth of the arena, the index and the journal file.
+TEST(EvidenceAllocBudgetTest, JournaledChainAppendAllocatesOnlyItsDetail) {
+  watchit::Cluster cluster;
+  watchit::Machine& machine = cluster.AddMachine("host00", witnet::Ipv4Addr(10, 0, 3, 10));
+  witdur::DurabilityManager durability(std::make_shared<MemFs>());
+  durability.Attach(&cluster);
+  AuditLog& chain = machine.kernel().audit();
+  constexpr uint64_t kAppends = 4096;
+  constexpr uint64_t kGrowthBudget = 16;
+  auto append_all = [&] {
+    for (uint64_t i = 0; i < kAppends; ++i) {
+      // 41 bytes: past the small-string buffer, so each detail is one
+      // allocation of the caller's.
+      chain.Append(AuditEvent::kBrokerRequest, 4242, 1000,
+                   std::string("GRANT alice TKT-1042 [T-6] install netcat"), 1'000'000 + i);
+    }
+  };
+  append_all();  // the buffers reach the size a steady machine holds
+  const uint64_t journaled_before = durability.journal().records_appended();
+  const uint64_t seals_before = chain.epoch_count();
+  const uint64_t before = t_allocs;
+  append_all();
+  const uint64_t allocs = t_allocs - before;
+  std::printf("%llu journaled chain appends: %llu allocations\n",
+              static_cast<unsigned long long>(kAppends),
+              static_cast<unsigned long long>(allocs));
+  EXPECT_LE(allocs, kAppends + kGrowthBudget);
+  // Every append and every seal it triggered reached the journal.
+  EXPECT_EQ(durability.journal().records_appended() - journaled_before,
+            kAppends + chain.epoch_count() - seals_before);
+  EXPECT_TRUE(chain.Verify());
 }
 
 }  // namespace

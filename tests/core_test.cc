@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/case_study.h"
 #include "src/core/cluster.h"
@@ -43,6 +45,101 @@ TEST(CertificateTest, DifferentSecretsProduceDifferentSignatures) {
   Certificate cert_a = a.Issue("x", "m", "t", "c", 0, 1);
   Certificate cert_b = b.Issue("x", "m", "t", "c", 0, 1);
   EXPECT_NE(cert_a.signature, cert_b.signature);
+}
+
+// Revoking erases the certificate: what stays of it is its serial, in a run
+// of revoked serials. Out-of-order revocations split and rejoin the runs.
+TEST(CertificateTest, RevokedSerialsReadRevokedWhateverTheFields) {
+  CertificateAuthority ca;
+  std::vector<Certificate> certs;
+  for (int i = 0; i < 6; ++i) {
+    certs.push_back(ca.Issue("alice", "userpc", "TKT-" + std::to_string(i), "T-1", 0, 1000));
+  }
+  uint64_t notified = 0;
+  ca.set_revoke_listener([&](uint64_t) { ++notified; });
+  for (size_t i : {4u, 1u, 2u, 5u, 1u}) {
+    ca.Revoke(certs[i].serial);
+  }
+  EXPECT_EQ(notified, 4u);  // the second revoke of serial 2 is silent
+  EXPECT_EQ(ca.revoked_count(), 4u);
+  EXPECT_EQ(ca.issued_count(), 6u);
+  EXPECT_EQ(ca.RevokedSnapshot(), (std::vector<uint64_t>{2, 3, 5, 6}));
+  ASSERT_EQ(ca.IssuedSnapshot().size(), 2u);
+  EXPECT_EQ(ca.IssuedSnapshot()[0], certs[0]);
+  EXPECT_EQ(ca.IssuedSnapshot()[1], certs[3]);
+
+  Certificate modified = certs[1];
+  modified.ticket_class = "T-6";
+  modified.expires_ns = 1ull << 62;
+  EXPECT_EQ(ca.Validate(certs[1], 10), CertStatus::kRevoked);
+  EXPECT_EQ(ca.Validate(modified, 10), CertStatus::kRevoked);
+  EXPECT_EQ(ca.Validate(certs[0], 10), CertStatus::kValid);
+  EXPECT_FALSE(ca.IsRevoked(certs[0].serial));
+  EXPECT_TRUE(ca.IsRevoked(certs[2].serial));
+
+  // A serial this CA never issued stays unknown, and revoking it changes
+  // nothing.
+  ca.Revoke(4242);
+  Certificate unknown;
+  unknown.serial = 4242;
+  EXPECT_EQ(ca.Validate(unknown, 10), CertStatus::kUnknown);
+  EXPECT_FALSE(ca.IsRevoked(4242));
+  EXPECT_EQ(ca.revoked_count(), 4u);
+  EXPECT_EQ(ca.issued_count(), 6u);
+  EXPECT_EQ(notified, 4u);
+}
+
+// Recovery from a checkpoint that holds live certificates only: a revoked
+// serial arrives with no issue record, and still counts and advances the
+// serials.
+TEST(CertificateTest, RestoredRevocationWithoutItsIssue) {
+  CertificateAuthority ca;
+  ASSERT_TRUE(ca.RestoreRevoked(7).ok());
+  ASSERT_TRUE(ca.RestoreRevoked(7).ok());
+  EXPECT_TRUE(ca.IsRevoked(7));
+  EXPECT_EQ(ca.revoked_count(), 1u);
+  EXPECT_EQ(ca.issued_count(), 1u);
+  EXPECT_EQ(ca.Issue("alice", "userpc", "TKT-1", "T-1", 0, 1000).serial, 8u);
+
+  // A journaled serial no CA issues would wrap the next serial onto ones
+  // already issued: refused, and the serials keep counting.
+  EXPECT_EQ(ca.RestoreRevoked(UINT64_MAX).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.RestoreRevoked(0).error(), witos::Err::kInval);
+  Certificate wrapping;
+  wrapping.serial = UINT64_MAX;
+  EXPECT_EQ(ca.RestoreIssued(wrapping).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.revoked_count(), 1u);
+  EXPECT_EQ(ca.Issue("alice", "userpc", "TKT-2", "T-1", 0, 1000).serial, 9u);
+
+  // A certificate restored live, then its revocation: erased.
+  CertificateAuthority other;
+  Certificate cert = other.Issue("alice", "userpc", "TKT-1", "T-1", 0, 1000);
+  CertificateAuthority restored;
+  ASSERT_TRUE(restored.RestoreIssued(cert).ok());
+  ASSERT_TRUE(restored.RestoreRevoked(cert.serial).ok());
+  EXPECT_TRUE(restored.IssuedSnapshot().empty());
+  EXPECT_EQ(restored.Validate(cert, 10), CertStatus::kRevoked);
+  EXPECT_EQ(restored.RestoreIssued(cert).error(), witos::Err::kExist);
+}
+
+// A long run of tickets leaves only its live certificates in the CA.
+TEST(CertificateTest, DeployExpireCyclesLeaveNoCertificates) {
+  Cluster cluster;
+  cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  ClusterManager manager(&cluster);
+  for (int i = 0; i < 100; ++i) {
+    Ticket ticket;
+    ticket.id = "TKT-" + std::to_string(i);
+    ticket.target_machine = "userpc";
+    ticket.assigned_class = "T-1";
+    ticket.admin = "alice";
+    auto deployment = manager.Deploy(ticket);
+    ASSERT_TRUE(deployment.ok());
+    ASSERT_TRUE(manager.Expire(&*deployment).ok());
+  }
+  EXPECT_TRUE(cluster.ca().IssuedSnapshot().empty());
+  EXPECT_EQ(cluster.ca().issued_count(), 100u);
+  EXPECT_EQ(cluster.ca().revoked_count(), 100u);
 }
 
 TEST(TcbTest, EnrollAndValidate) {

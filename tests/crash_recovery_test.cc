@@ -136,6 +136,46 @@ TEST(CrashRecoveryTest, PoolCrashRecoversStateAndExpiresOrphans) {
   EXPECT_EQ(UnrevokedCerts(twin.get()), 0u);
 }
 
+// A checkpoint holds live certificates only: taken once every ticket has
+// expired, it carries no cert_issue record, and a recovery from it keeps
+// both CA counts and issues fresh serials past the revoked ones.
+TEST(CrashRecoveryTest, CheckpointAfterEveryExpiryHoldsNoCertificates) {
+  Workload world;
+  watchit::ClusterManager cm(world.cluster.get());
+  for (int i = 0; i < 6; ++i) {
+    auto deployment =
+        cm.Deploy(MakeTicket("TKT-" + std::to_string(i), i % 2 == 0 ? "host0" : "host1"));
+    ASSERT_TRUE(deployment.ok());
+    ASSERT_TRUE(cm.Expire(&*deployment).ok());
+  }
+  ASSERT_TRUE(world.manager->Checkpoint().ok());
+  JournalScan checkpoint = ScanJournal(world.fs.get(), DurabilityManager::Options().checkpoint_path);
+  ASSERT_TRUE(checkpoint.clean) << checkpoint.error;
+  size_t issues = 0;
+  size_t revokes = 0;
+  for (const JournalRecord& record : checkpoint.records) {
+    issues += record.kind == JournalRecordKind::kCertIssue ? 1 : 0;
+    revokes += record.kind == JournalRecordKind::kCertRevoke ? 1 : 0;
+  }
+  EXPECT_EQ(issues, 0u);
+  EXPECT_EQ(revokes, 6u);
+
+  ASSERT_TRUE(world.manager->SimulateCrash().ok());
+  auto twin = FreshTwin();
+  DurabilityManager recovered(world.fs);
+  auto report = recovered.Recover(twin.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->replay_errors, 0u);
+  EXPECT_EQ(report->certs_restored, 0u);
+  EXPECT_EQ(report->revocations_restored, 6u);
+  EXPECT_EQ(twin->ca().issued_count(), 6u);
+  EXPECT_EQ(twin->ca().revoked_count(), 6u);
+  watchit::ClusterManager again(twin.get());
+  auto redeploy = again.Deploy(MakeTicket("TKT-NEW", "host0"));
+  ASSERT_TRUE(redeploy.ok());
+  EXPECT_EQ(redeploy->certificate.serial, 7u);
+}
+
 TEST(CrashRecoveryTest, RecoveredPoolKeepsServing) {
   Workload world;
   world.Drive();

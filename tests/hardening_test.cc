@@ -93,7 +93,7 @@ TEST_F(HardeningTest, EveryEvidenceRecordIsChainedOnce) {
   ASSERT_TRUE(session.Pb(witbroker::kVerbPs, {}).ok());
   EXPECT_EQ(machine_->broker().log().size() - chain_before, 1u);
   EXPECT_EQ(machine_->kernel().audit().size() - audit_before, 1u);
-  EXPECT_EQ(machine_->kernel().audit().records().back().event,
+  EXPECT_EQ(machine_->kernel().audit().Snapshot().back().event,
             witos::AuditEvent::kBrokerRequest);
   // No spool copy on the box.
   EXPECT_FALSE(machine_->kernel().root_fs().SlurpForTest("/var/log/watchit/audit.log").ok());
@@ -101,7 +101,7 @@ TEST_F(HardeningTest, EveryEvidenceRecordIsChainedOnce) {
   const size_t chain_before_read = machine_->broker().log().size();
   EXPECT_FALSE(session.ReadFile("/home/user/documents/payroll.xlsx").ok());
   EXPECT_EQ(machine_->broker().log().size() - chain_before_read, 1u);
-  EXPECT_EQ(machine_->kernel().audit().records().back().event, witos::AuditEvent::kFileDenied);
+  EXPECT_EQ(machine_->kernel().audit().Snapshot().back().event, witos::AuditEvent::kFileDenied);
   EXPECT_TRUE(machine_->broker().log().Verify());
   // The log directory still cannot be written through the kernel, by
   // anyone, and guarding it does not break the boot measurement.

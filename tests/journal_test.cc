@@ -30,6 +30,13 @@ JournalRecord SampleRecord(uint64_t i) {
   return record;
 }
 
+// Appends `record` through the writer's borrowed-view API; the writer
+// stamps the lsn.
+witos::Status Append(JournalWriter* writer, const JournalRecord& record) {
+  const std::vector<std::string_view> strs(record.strs.begin(), record.strs.end());
+  return writer->Append({record.kind, record.time_ns, record.nums, strs});
+}
+
 std::string Slurp(witos::MemFs* fs, const std::string& path) {
   auto content = fs->SlurpForTest(path);
   return content.ok() ? *content : std::string();
@@ -83,6 +90,86 @@ TEST(JournalRecordTest, DecodeRejectsUnknownKindAndTrailingGarbage) {
   }
 }
 
+// One record of each kind and the frame it must encode to, byte for byte:
+// magic, checksum, length, then the varint payload. A change to any frame
+// is a format change, and a format change takes a new magic.
+struct GoldenFrame {
+  JournalRecord record;
+  const char* hex;
+};
+
+std::vector<GoldenFrame> GoldenFrames() {
+  using K = JournalRecordKind;
+  return {
+      {{K::kCheckpointHeader, 1, 0, {3, 4097}, {}},
+       "574a4c34216218510edad0bc080000000101000203812000"},
+      {{K::kBindTicket, 2, 0, {}, {"host03", "TKT-1042", "T-6"}},
+       "574a4c348426248555ac10ce19000000020200000306686f7374303308544b542d3130343203542d36"},
+      {{K::kUnbindTicket, 3, 0, {}, {"host03", "TKT-1042"}},
+       "574a4c34ed245c097804e98c15000000030300000206686f7374303308544b542d31303432"},
+      {{K::kLogAppend,
+        4,
+        1500000000ull,
+        {0x9e3779b97f4a7c15ull, 7, 0xffffffffull, 1000},
+        {"host03", "GRANT alice TKT-1042 [T-6] install netcat"}},
+       "574a4c34ecc398528cf3889c4c000000040480dea0cb050495f8a9fa97b7de9b9e0107ffffffff0fe80702"
+       "06686f73743033294752414e5420616c69636520544b542d31303432205b542d365d20696e7374616c6c"
+       "206e6574636174"},
+      {{K::kEpochSeal,
+        5,
+        2000000000ull,
+        {2, 0x0123456789abcdefull, 0xfedcba9876543210ull, 512, 0x8000000000000001ull},
+        {"host03"}},
+       "574a4c3468024ae9a8dc7a0330000000050580a8d6b9070502ef9bafcdf8acd1910190e4d0b287d3aeeefe"
+       "018004818080808080808080010106686f73743033"},
+      {{K::kCertIssue,
+        6,
+        1000000000ull,
+        {17, 1000000000ull, 4600000000000ull, 0xdeadbeefcafef00dull},
+        {"alice", "host03", "TKT-1042", "T-6"}},
+       "574a4c34299f50f9ed0db5003a00000006068094ebdc0304118094ebdc0380e0f6aaf085018de0fbd7fc"
+       "ddefd6de010405616c69636506686f7374303308544b542d3130343203542d36"},
+      {{K::kCertRevoke, 7, 0, {17}, {}}, "574a4c3491bc27e88cebdaf906000000070700011100"},
+      {{K::kRecoveryMark, 8, 0, {33596, 4}, {}},
+       "574a4c3431c12c2ca9bb20880900000008080002bc86020400"},
+  };
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char ch : bytes) {
+    const auto c = static_cast<unsigned char>(ch);
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+TEST(JournalRecordTest, EveryKindEncodesToItsGoldenFrame) {
+  const std::vector<GoldenFrame> golden = GoldenFrames();
+  ASSERT_EQ(golden.size(), kMaxJournalRecordKind);
+  for (const GoldenFrame& frame : golden) {
+    EXPECT_EQ(Hex(EncodeRecord(frame.record)), frame.hex)
+        << JournalRecordKindName(frame.record.kind);
+  }
+}
+
+// The writer frames views into one reused buffer: the file it writes is the
+// golden frames back to back (their lsns are 1..8, as the writer stamps
+// them), whatever the previous frame left in the buffer.
+TEST(JournalWriterTest, WritesTheGoldenFrames) {
+  auto fs = std::make_shared<witos::MemFs>();
+  JournalWriter writer(fs, {});
+  std::string expected;
+  for (const GoldenFrame& frame : GoldenFrames()) {
+    ASSERT_EQ(frame.record.lsn, writer.next_lsn());
+    ASSERT_TRUE(Append(&writer, frame.record).ok());
+    expected += frame.hex;
+  }
+  EXPECT_EQ(Hex(Slurp(fs.get(), kPath)), expected);
+}
+
 // Payload integers are varints: one that runs past 64 bits, a count larger
 // than the bytes left, or a string length past the end rejects the payload
 // before anything is allocated for it.
@@ -117,7 +204,7 @@ TEST(JournalWriterTest, AppendScanRoundTrip) {
   auto fs = std::make_shared<witos::MemFs>();
   JournalWriter writer(fs, {});
   for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(writer.Append(SampleRecord(i)).ok());
+    ASSERT_TRUE(Append(&writer, SampleRecord(i)).ok());
   }
   EXPECT_EQ(writer.records_appended(), 10u);
 
@@ -143,12 +230,12 @@ TEST(JournalWriterTest, ReopenContinuesWhereTheFileEnds) {
   auto fs = std::make_shared<witos::MemFs>();
   {
     JournalWriter writer(fs, {});
-    ASSERT_TRUE(writer.Append(SampleRecord(0)).ok());
-    ASSERT_TRUE(writer.Append(SampleRecord(1)).ok());
+    ASSERT_TRUE(Append(&writer, SampleRecord(0)).ok());
+    ASSERT_TRUE(Append(&writer, SampleRecord(1)).ok());
   }
   JournalWriter reopened(fs, {});
   reopened.set_next_lsn(3);
-  ASSERT_TRUE(reopened.Append(SampleRecord(2)).ok());
+  ASSERT_TRUE(Append(&reopened, SampleRecord(2)).ok());
   JournalScan scan = ScanJournal(fs.get(), kPath);
   EXPECT_TRUE(scan.clean);
   ASSERT_EQ(scan.records.size(), 3u);
@@ -161,17 +248,17 @@ TEST(JournalWriterTest, CrashDropsEverythingPastTheLastBarrier) {
   options.barrier_interval = 0;  // explicit barriers only
   JournalWriter writer(fs, options);
   for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(writer.Append(SampleRecord(i)).ok());
+    ASSERT_TRUE(Append(&writer, SampleRecord(i)).ok());
   }
   ASSERT_TRUE(writer.Barrier().ok());
   for (uint64_t i = 3; i < 5; ++i) {
-    ASSERT_TRUE(writer.Append(SampleRecord(i)).ok());
+    ASSERT_TRUE(Append(&writer, SampleRecord(i)).ok());
   }
 
   // Crash: seal, then discard the unsynced tail.
   writer.Seal();
   EXPECT_TRUE(writer.sealed());
-  EXPECT_EQ(writer.Append(SampleRecord(9)).error(), witos::Err::kPipe);
+  EXPECT_EQ(Append(&writer, SampleRecord(9)).error(), witos::Err::kPipe);
   ASSERT_TRUE(writer.DropUnsyncedTail().ok());
 
   JournalScan scan = ScanJournal(fs.get(), kPath);
@@ -183,7 +270,7 @@ TEST(JournalWriterTest, PerRecordBarrierIntervalMakesEveryAppendDurable) {
   auto fs = std::make_shared<witos::MemFs>();
   JournalWriter writer(fs, {});  // barrier_interval = 1
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(writer.Append(SampleRecord(i)).ok());
+    ASSERT_TRUE(Append(&writer, SampleRecord(i)).ok());
   }
   EXPECT_EQ(writer.durable_bytes(), writer.bytes_appended());
   writer.Seal();
@@ -198,21 +285,21 @@ TEST(JournalWriterTest, FilesystemErrorFailStopsTheWriter) {
   auto faulty = std::make_shared<witos::ErrorInjectingVfs>(lower, plan);
 
   JournalWriter writer(faulty, {});
-  ASSERT_TRUE(writer.Append(SampleRecord(0)).ok());
-  EXPECT_EQ(writer.Append(SampleRecord(1)).error(), witos::Err::kIo);
+  ASSERT_TRUE(Append(&writer, SampleRecord(0)).ok());
+  EXPECT_EQ(Append(&writer, SampleRecord(1)).error(), witos::Err::kIo);
   EXPECT_TRUE(writer.sealed());
   EXPECT_EQ(writer.errors(), 1u);
   // Fail-stop: everything after the hole is refused, not silently skipped.
-  EXPECT_EQ(writer.Append(SampleRecord(2)).error(), witos::Err::kIo);
+  EXPECT_EQ(Append(&writer, SampleRecord(2)).error(), witos::Err::kIo);
 }
 
 TEST(JournalWriterTest, TruncateAllKeepsTheLsnSequence) {
   auto fs = std::make_shared<witos::MemFs>();
   JournalWriter writer(fs, {});
-  ASSERT_TRUE(writer.Append(SampleRecord(0)).ok());
-  ASSERT_TRUE(writer.Append(SampleRecord(1)).ok());
+  ASSERT_TRUE(Append(&writer, SampleRecord(0)).ok());
+  ASSERT_TRUE(Append(&writer, SampleRecord(1)).ok());
   ASSERT_TRUE(writer.TruncateAll().ok());
-  ASSERT_TRUE(writer.Append(SampleRecord(2)).ok());
+  ASSERT_TRUE(Append(&writer, SampleRecord(2)).ok());
   JournalScan scan = ScanJournal(fs.get(), kPath);
   ASSERT_EQ(scan.records.size(), 1u);
   EXPECT_EQ(scan.records[0].lsn, 3u);  // lsn 3: the sequence survived the truncate
@@ -226,7 +313,7 @@ class JournalFuzzTest : public ::testing::Test {
     fs_ = std::make_shared<witos::MemFs>();
     JournalWriter writer(fs_, {});
     for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(writer.Append(SampleRecord(i)).ok());
+      ASSERT_TRUE(Append(&writer, SampleRecord(i)).ok());
       frame_end_.push_back(writer.bytes_appended());
     }
     bytes_ = Slurp(fs_.get(), kPath);

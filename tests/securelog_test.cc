@@ -1,19 +1,24 @@
 // Tests for the machine's evidence chain, witos::AuditLog (DESIGN.md §14):
 // the hash chain and its append order, in-place tampering, the
 // rewrite-and-rechain attack caught by epoch roots, the seal cadence,
-// fail-closed restore, and the concurrent-appender guarantees the serving
-// path relies on. The concurrency cases double as the TSan coverage for the
-// chain's "securelog" lock.
+// fail-closed restore, the encoded arena's edge records and re-encoded
+// tails, and the concurrent-appender guarantees the serving path relies on.
+// The concurrency cases double as the TSan coverage for the chain's
+// "securelog" lock.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/cluster.h"
+#include "src/durability/durability.h"
 #include "src/os/audit.h"
+#include "src/os/memfs.h"
 
 namespace witos {
 namespace {
@@ -196,6 +201,105 @@ TEST(SecureLogTest, RestoredRootsMustMatchTheRebuiltChain) {
   EXPECT_TRUE(restored.RestoreEpochRoots(roots));
   EXPECT_EQ(restored.epoch_count(), 1u);
   EXPECT_TRUE(restored.Verify());
+}
+
+// ---- The encoded arena ----
+
+// Records at the edges of every encoded field: they come back from the
+// arena field for field, and restore into a fresh log under equal hashes.
+TEST(SecureLogTest, EdgeRecordsSurviveSnapshotAndRestore) {
+  const std::string binary("a\0b\xff\xfe\0", 6);
+  std::string big(64 * 1024, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>(i * 131);
+  }
+  struct Edge {
+    AuditEvent event;
+    Pid pid;
+    Uid uid;
+    std::string detail;
+    uint64_t time_ns;
+  };
+  const std::vector<Edge> edges = {
+      {AuditEvent::kSyscallDenied, 0, 0, "", 0},
+      {AuditEvent::kSessionEvent, kNoPid, UINT32_MAX, big, UINT64_MAX},
+      {AuditEvent::kFileDenied, 1, 1, binary, 1},
+      {AuditEvent::kBrokerRequest, INT32_MAX, UINT32_MAX, std::string(1, '\xff'), UINT64_MAX},
+      {AuditEvent::kTcbViolation, kNoPid, 0, std::string(1, '\0'), 0},
+  };
+  AuditLog log;
+  for (const Edge& edge : edges) {
+    log.Append(edge.event, edge.pid, edge.uid, edge.detail, edge.time_ns);
+  }
+  const std::vector<AuditRecord> records = log.Snapshot();
+  ASSERT_EQ(records.size(), edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(records[i].event, edges[i].event) << i;
+    EXPECT_EQ(records[i].pid, edges[i].pid) << i;
+    EXPECT_EQ(records[i].uid, edges[i].uid) << i;
+    EXPECT_EQ(records[i].detail, edges[i].detail) << i;
+    EXPECT_EQ(records[i].time_ns, edges[i].time_ns) << i;
+  }
+  EXPECT_TRUE(AuditLog::VerifyChain(records));
+  EXPECT_TRUE(log.Verify());
+  EXPECT_EQ(log.CountEvent(AuditEvent::kTcbViolation), 1u);
+
+  AuditLog restored;
+  for (const AuditRecord& record : records) {
+    ASSERT_TRUE(restored.Restore(record).ok()) << record.seq;
+  }
+  EXPECT_EQ(restored.Snapshot(), records);
+  EXPECT_TRUE(restored.Verify());
+}
+
+// An attacker's rewrite changes the record's length in the arena: every
+// later record is re-encoded behind it. A longer, a shorter and an empty
+// detail are each caught: in place by Verify, and rechained by Verify
+// inside a sealed epoch or by the journal past the last root.
+TEST(SecureLogTest, TamperOfAnyLengthIsCaught) {
+  struct Case {
+    size_t index;
+    bool rechain;
+  };
+  const std::string details[] = {std::string(300, 'L'), "s", ""};
+  for (const std::string& detail : details) {
+    for (const Case c : {Case{3, false}, Case{42, false}, Case{3, true}, Case{42, true}}) {
+      SCOPED_TRACE("detail of " + std::to_string(detail.size()) + " bytes at " +
+                   std::to_string(c.index) + (c.rechain ? ", rechained" : ""));
+      watchit::Cluster cluster;
+      watchit::Machine& machine =
+          cluster.AddMachine("host00", witnet::Ipv4Addr(10, 0, 3, 10));
+      witdur::DurabilityManager durability(std::make_shared<MemFs>());
+      durability.Attach(&cluster);
+      ASSERT_TRUE(durability.Checkpoint().ok());  // vouches for the boot records
+      AuditLog& log = machine.kernel().audit();
+      const size_t base = log.size();
+      AppendN(&log, 40);
+      log.SealEpoch(200);
+      AppendN(&log, 5, "late-");
+      ASSERT_TRUE(log.Verify());
+      ASSERT_TRUE(durability.ChainMatchesJournal(machine));
+      const std::vector<AuditRecord> before = log.Snapshot();
+
+      log.TamperForTest(base + c.index, detail, c.rechain);
+      const std::vector<AuditRecord> after = log.Snapshot();
+      ASSERT_EQ(after.size(), before.size());
+      for (size_t i = 0; i < after.size(); ++i) {
+        AuditRecord expected = before[i];
+        if (i == base + c.index) {
+          expected.detail = detail;
+        }
+        if (c.rechain && i >= base + c.index) {
+          expected.hash = after[i].hash;
+        }
+        EXPECT_EQ(after[i], expected) << "record " << i;
+      }
+      const bool sealed = base + c.index < base + 40;
+      EXPECT_EQ(log.Verify(), c.rechain && !sealed);
+      EXPECT_EQ(AuditLog::VerifyChain(after), c.rechain);
+      EXPECT_FALSE(durability.ChainMatchesJournal(machine));
+    }
+  }
 }
 
 // ---- Concurrency (TSan) ----

@@ -252,6 +252,29 @@ TEST_F(ThreatMatrixTest, Attack9ResignedExpiryRejected) {
   EXPECT_EQ(LoginRejections(kernel()), 1u);
 }
 
+// Attack 9 after expiry: the CA erased the certificate when it revoked it,
+// and the serial alone is enough to refuse it. The genuine certificate and
+// a copy with any field changed both read revoked.
+TEST_F(ThreatMatrixTest, Attack9ExpiredRevokedCertificateRefused) {
+  Deployment deployment = DeployTicket("TKT-DONE", "userpc", "T-1");
+  const Certificate genuine = deployment.certificate;
+  ASSERT_TRUE(manager_->Expire(&deployment).ok());
+  EXPECT_TRUE(cluster_.ca().IssuedSnapshot().empty());
+  kernel().clock().Advance(genuine.expires_ns - kernel().clock().now_ns() + 1);
+
+  Certificate modified = genuine;
+  modified.ticket_class = "T-6";
+  modified.expires_ns = 1ull << 62;
+  const uint64_t now = kernel().clock().now_ns();
+  EXPECT_EQ(cluster_.ca().Validate(genuine, now), CertStatus::kRevoked);
+  EXPECT_EQ(cluster_.ca().Validate(modified, now), CertStatus::kRevoked);
+  AdminSession with_genuine(machine_, deployment.session, genuine, &cluster_.ca());
+  EXPECT_EQ(with_genuine.Login().error(), witos::Err::kPerm);
+  AdminSession with_modified(machine_, deployment.session, modified, &cluster_.ca());
+  EXPECT_EQ(with_modified.Login().error(), witos::Err::kPerm);
+  EXPECT_EQ(LoginRejections(kernel()), 2u);
+}
+
 // Attack 9, certificate reuse: a validly signed certificate opens only the
 // session it was issued for. Mallory's genuine certificate for a ticket on
 // userpc does not log in to her session on another machine.

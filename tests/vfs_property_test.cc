@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "src/os/kernel.h"
 #include "src/os/path.h"
@@ -288,8 +289,9 @@ std::string Describe(const Result<ResolvedPath>& r,
 
 std::string DescribeAudit(const AuditLog& audit, size_t from) {
   std::string out;
-  for (size_t i = from; i < audit.records().size(); ++i) {
-    const AuditRecord& rec = audit.records()[i];
+  const std::vector<AuditRecord> records = audit.Snapshot();
+  for (size_t i = from; i < records.size(); ++i) {
+    const AuditRecord& rec = records[i];
     out += AuditEventName(rec.event) + " pid=" + std::to_string(rec.pid) +
            " uid=" + std::to_string(rec.uid) + " " + rec.detail + "\n";
   }
@@ -389,12 +391,12 @@ TEST(VfsDifferentialTest, ResolveMatchesReferenceCallForCall) {
         const bool follow_final = (flags & 1) != 0;
         const bool allow_missing = (flags & 2) != 0;
         calls.clear();
-        const size_t audit_before = audit.records().size();
+        const size_t audit_before = audit.size();
         auto want = reference::Resolve(&registry, &audit, ctx, expr, follow_final, allow_missing);
         const std::vector<std::string> want_calls = calls;
         const std::string want_audit = DescribeAudit(audit, audit_before);
         calls.clear();
-        const size_t audit_mid = audit.records().size();
+        const size_t audit_mid = audit.size();
         auto got = vfs.Resolve(ctx, expr, follow_final, allow_missing);
         const std::string got_audit = DescribeAudit(audit, audit_mid);
         resolutions += 2;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/os/kernel.h"
 
 namespace witos {
@@ -75,8 +77,9 @@ TEST_F(XclTest, DenialRecordCarriesTheClockReading) {
   // the clock does not move between the call and the record.
   const uint64_t now = kernel_.clock().now_ns();
   EXPECT_EQ(kernel_.vfs().Resolve(*ctx, "/home/user/secret.txt").error(), Err::kAcces);
-  ASSERT_FALSE(kernel_.audit().records().empty());
-  const AuditRecord& record = kernel_.audit().records().back();
+  const std::vector<AuditRecord> records = kernel_.audit().Snapshot();
+  ASSERT_FALSE(records.empty());
+  const AuditRecord& record = records.back();
   EXPECT_EQ(record.event, AuditEvent::kXclDenied);
   EXPECT_EQ(record.time_ns, now);
   EXPECT_NE(record.time_ns, 0u);
