@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       ++shadow_requests;
     }
   }
-  witbroker::PermissionBroker::ShadowStats shadow = broker.shadow_stats();
+  witobs::ShadowCounts shadow = broker.shadow_stats();
   uint64_t unexplained = shadow.would_allow;
   std::printf("shadow over %llu broker requests: %llu agree, %llu would-block "
               "(candidate reduction), %llu would-allow (unexplained)\n",

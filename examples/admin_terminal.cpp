@@ -56,8 +56,9 @@ int main() {
       std::printf("broker log #%zu: %s\n", ++broker_records, record.detail.c_str());
     }
   }
-  const witcontain::Session* info = session.container();
-  std::printf("ITFS recorded %zu file operations, %zu denied\n", info->itfs->oplog().size(),
-              info->itfs->oplog().denied_count());
+  const witobs::OutcomeCounts fs_ops = session.container()->itfs_tally->Read();
+  std::printf("ITFS recorded %llu file operations, %llu denied\n",
+              static_cast<unsigned long long>(fs_ops.allowed + fs_ops.denied),
+              static_cast<unsigned long long>(fs_ops.denied));
   return 0;
 }

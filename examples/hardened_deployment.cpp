@@ -107,10 +107,11 @@ alert content:"CONFIDENTIAL" name=keyword-alert
   show("read /home/user/notes.txt", session.ReadFile("/home/user/notes.txt").ok());
   show("PB ps (over the encrypted channel)", session.Pb(witbroker::kVerbPs, {}).ok());
 
-  const witcontain::Session* info = session.container();
-  std::printf("\nITFS log: %zu entries (%zu denied); passthrough kept data ops off the\n"
+  const witobs::OutcomeCounts fs_ops = session.container()->itfs_tally->Read();
+  std::printf("\nITFS gated %llu operations (%llu denied); passthrough kept data ops off the\n"
               "daemon path while the open-time gate still fired.\n",
-              info->itfs->oplog().size(), info->itfs->oplog().denied_count());
+              static_cast<unsigned long long>(fs_ops.allowed + fs_ops.denied),
+              static_cast<unsigned long long>(fs_ops.denied));
   std::printf("broker wire traffic: %llu bytes over %llu encrypted calls\n",
               static_cast<unsigned long long>(machine.broker_channel().bytes_on_wire()),
               static_cast<unsigned long long>(machine.broker_channel().calls()));

@@ -74,9 +74,11 @@ int main() {
   auto pb = session.Pb(witbroker::kVerbPs, {});
   std::printf("\n'PB ps' through the permission broker (logged!):\n%s\n", pb->c_str());
 
-  const witcontain::Session* info = machine.containit().FindSession(deployment->session);
-  std::printf("ITFS monitored %zu file operations (%zu denied)\n", info->itfs->oplog().size(),
-              info->itfs->oplog().denied_count());
+  const witobs::OutcomeCounts fs_ops =
+      machine.containit().FindSession(deployment->session)->itfs_tally->Read();
+  std::printf("ITFS monitored %llu file operations (%llu denied)\n",
+              static_cast<unsigned long long>(fs_ops.allowed + fs_ops.denied),
+              static_cast<unsigned long long>(fs_ops.denied));
   std::printf("evidence chain holds %zu records, hash chain intact: %s\n",
               machine.kernel().audit().size(), machine.kernel().audit().Verify() ? "yes" : "no");
 

@@ -311,30 +311,10 @@ void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string&
   if (!mirror.has_value()) {
     return;
   }
-  shadow_evaluated_.fetch_add(1, std::memory_order_relaxed);
-  size_t outcome;  // agree, would_block, would_allow
-  if (*mirror == policy_allowed) {
-    shadow_agree_.fetch_add(1, std::memory_order_relaxed);
-    outcome = 0;
-  } else if (!*mirror) {
-    shadow_would_block_.fetch_add(1, std::memory_order_relaxed);
-    outcome = 1;
-  } else {
-    shadow_would_allow_.fetch_add(1, std::memory_order_relaxed);
-    outcome = 2;
-  }
+  const size_t outcome = shadow_tally_.Count(policy_allowed, *mirror);
   if (metrics_ != nullptr) {
     CountersFor(request.method).shadow[outcome]->Increment();
   }
-}
-
-PermissionBroker::ShadowStats PermissionBroker::shadow_stats() const {
-  ShadowStats stats;
-  stats.evaluated = shadow_evaluated_.load(std::memory_order_relaxed);
-  stats.agree = shadow_agree_.load(std::memory_order_relaxed);
-  stats.would_block = shadow_would_block_.load(std::memory_order_relaxed);
-  stats.would_allow = shadow_would_allow_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {

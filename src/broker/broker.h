@@ -7,7 +7,6 @@
 #ifndef SRC_BROKER_BROKER_H_
 #define SRC_BROKER_BROKER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -123,19 +122,10 @@ class PermissionBroker {
   void EnableMetrics(witobs::MetricsRegistry* registry);
 
   // Shadow-policy accounting (witmine, DESIGN.md §17): how often the mined
-  // shadow verb policy agreed with the enforcing one per request.
-  // would_block = shadow would deny a request the enforcing policy granted
-  // (candidate privilege reduction); would_allow = shadow looser than the
-  // enforcing policy. The comparison is against the pure policy verdict —
-  // rate-limit denials are not divergences, and shadow evaluation never
-  // consumes rate budget.
-  struct ShadowStats {
-    uint64_t evaluated = 0;
-    uint64_t agree = 0;
-    uint64_t would_block = 0;
-    uint64_t would_allow = 0;
-  };
-  ShadowStats shadow_stats() const;
+  // shadow verb policy agreed with the enforcing one per request. The
+  // comparison is against the pure policy verdict — rate-limit denials are
+  // not divergences, and shadow evaluation never consumes rate budget.
+  witobs::ShadowCounts shadow_stats() const { return shadow_tally_.Read(); }
 
  private:
   // A live ticket binding: its class and its request tally. Request paths
@@ -190,10 +180,7 @@ class PermissionBroker {
   VerbCounters unknown_verb_;
   BindingListener binding_listener_;
 
-  std::atomic<uint64_t> shadow_evaluated_{0};
-  std::atomic<uint64_t> shadow_agree_{0};
-  std::atomic<uint64_t> shadow_would_block_{0};
-  std::atomic<uint64_t> shadow_would_allow_{0};
+  witobs::ShadowTally shadow_tally_;
 
   // Observability wiring (all null when metrics are disabled).
   witobs::MetricsRegistry* metrics_ = nullptr;

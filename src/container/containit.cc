@@ -80,7 +80,10 @@ std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
   }
   std::shared_ptr<const witfs::CompiledPolicy> policy = session->spec.fs.compiled();
   // ITFS runs with the privileges of the host user who mounts it: root for
-  // admin containers, an unprivileged service uid in rootless mode.
+  // admin containers, an unprivileged service uid in rootless mode. Its
+  // records carry the pid of the session's host-side worker: it exists
+  // before the view is mounted and lives as long as the session, unlike
+  // the nsenter helper that makes a ShareDirectory mount.
   witos::Credentials invoker;
   if (!session->spec.map_root_to_host_root) {
     invoker.uid = kRootlessHostUid;
@@ -88,8 +91,8 @@ std::shared_ptr<witfs::Itfs> ContainIt::MakeItfs(Session* session,
     invoker.caps = witos::CapabilitySet::Empty();
   }
   auto itfs = std::make_shared<witfs::Itfs>(std::move(lower), std::move(policy), invoker,
-                                            &kernel_->clock(), &kernel_->audit());
-  itfs->oplog().set_capacity(oplog_capacity_);
+                                            &kernel_->clock(), &kernel_->audit(),
+                                            session->host_worker);
   itfs->set_tally(session->itfs_tally);
   itfs->EnableMetrics(itfs_metrics_);
   if (session->spec.fs.shadow != nullptr) {
@@ -418,15 +421,10 @@ SessionRecord ContainIt::RecordOf(const Session& session) const {
   record.ticket_id = session.ticket_id;
   record.admin = session.admin;
   record.container_class = session.spec.name;
+  record.host_worker = session.host_worker;
   record.shell = session.shell;
   record.container_init = session.container_init;
   record.fs_ops = session.itfs_tally->Read();
-  if (session.itfs != nullptr) {
-    for (const witfs::OpRecord& rec : session.itfs->oplog().Denied()) {
-      record.denied_paths.push_back(witfs::ItfsOpKindName(rec.op) + " " + rec.path + " [" +
-                                    rec.rule + "]");
-    }
-  }
   if (session.sniffer != nullptr) {
     record.packets_inspected =
         session.sniffer->packets_inspected() - session.sniffer_packets_before;
@@ -528,7 +526,10 @@ witos::Status ContainIt::ShareDirectory(SessionId id, const std::string& host_di
   }
   session->mounted.push_back(fuse.get());
   if (session->itfs == nullptr) {
-    session->itfs = itfs;  // make the new mount's log reachable
+    // An unmonitored view's first ITFS mount: its policy and caches stay
+    // reachable through the session. Its records are chained under
+    // host_worker like the view's.
+    session->itfs = itfs;
   }
   return witos::Status::Ok();
 }

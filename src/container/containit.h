@@ -57,7 +57,9 @@ struct Session {
   witos::Pid sniffer_daemon = witos::kNoPid;  // host-side peer (watchdogged)
 
   std::string confs_path;  // vfs-space mountpoint, e.g. "/ConFS-1"
-  std::shared_ptr<witfs::Itfs> itfs;          // null when unmonitored
+  // The view's ITFS, or an unmonitored view's first shared mount's; null
+  // while nothing of the session is monitored.
+  std::shared_ptr<witfs::Itfs> itfs;
   std::shared_ptr<witos::MemFs> private_root;  // for kPrivate / kDirs views
   std::shared_ptr<witnet::Sniffer> sniffer;    // null when unsniffed
   // The sniffer's alerts and packets before the session began: a tap on the
@@ -85,13 +87,13 @@ struct SessionRecord {
   std::string container_class;
   std::string termination_reason;  // empty while the session is live
   // Kernel audit records are attributed to the session by these pids
-  // (pids are never reused).
+  // (pids are never reused). Every ITFS record of the session, on its view
+  // and on every shared directory, carries host_worker.
+  witos::Pid host_worker = witos::kNoPid;
   witos::Pid shell = witos::kNoPid;
   witos::Pid container_init = witos::kNoPid;
-  // ITFS decisions over every mount of the session, and the denied
-  // operations its view's OpLog still holds.
+  // ITFS decisions over every mount of the session.
   witobs::OutcomeCounts fs_ops;
-  std::vector<std::string> denied_paths;
   // What the session's sniffer inspected while the session was live.
   uint64_t packets_inspected = 0;
   uint64_t packets_blocked = 0;
@@ -150,9 +152,6 @@ class ContainIt {
   // shares them and adds no series.
   void EnableMetrics(witobs::MetricsRegistry* registry);
 
-  // Retention cap applied to each new session's OpLog (0 = unbounded).
-  void set_oplog_capacity(size_t capacity) { oplog_capacity_ = capacity; }
-
  private:
   // Runs the Figure 5 recipe into `session` (clones, mounts, cgroup,
   // namespaces, peer daemons). On failure the session is only partially
@@ -174,7 +173,6 @@ class ContainIt {
   witnet::NetStack* net_;
   witbroker::PermissionBroker* broker_ = nullptr;
   std::shared_ptr<const witfs::ItfsMetrics> itfs_metrics_;  // null: metrics off
-  size_t oplog_capacity_ = 0;
   // Active sessions: the only ones the watchdog, ticket lookup and
   // active_sessions() scan, so their cost is bounded by live load.
   SessionMap live_;

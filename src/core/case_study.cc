@@ -137,8 +137,9 @@ CaseStudyResult RunCaseStudy(const CaseStudyConfig& config) {
         }
       }
     }
-    if (session_info != nullptr && session_info->itfs != nullptr) {
-      result.fs_ops_logged += session_info->itfs->oplog().size();
+    if (session_info != nullptr) {
+      const witobs::OutcomeCounts fs_ops = session_info->itfs_tally->Read();
+      result.fs_ops_logged += fs_ops.allowed + fs_ops.denied;
     }
     if (!used_proc && !used_fs && !used_net) {
       ++a.satisfied;

@@ -56,7 +56,8 @@ struct CaseStudyResult {
   double network_view_isolated = 0.0;   // paper: 98%
   double web_access_allowed = 0.0;      // paper: 32% (T-6, whitelisted only)
 
-  // Monitoring coverage.
+  // Monitoring coverage: every operation ITFS gated, from the sessions'
+  // tallies (denials and rule hits are also chained records).
   uint64_t fs_ops_logged = 0;
   uint64_t broker_requests = 0;
   uint64_t broker_denied = 0;

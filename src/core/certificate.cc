@@ -51,29 +51,27 @@ bool CertificateAuthority::IsRevokedLocked(uint64_t serial) const {
   return next != revoked_runs_.begin() && serial <= std::prev(next)->last;
 }
 
-void CertificateAuthority::AddRevokedLocked(uint64_t serial) {
-  auto next = RunAfter(revoked_runs_, serial);
-  const bool joins_next = next != revoked_runs_.end() && next->first == serial + 1;
-  if (next != revoked_runs_.begin()) {
-    auto prev = std::prev(next);
-    if (serial <= prev->last) {
-      return;  // already revoked
-    }
-    if (prev->last + 1 == serial) {
-      prev->last = joins_next ? next->last : serial;
-      if (joins_next) {
-        revoked_runs_.erase(next);
-      }
-      ++revoked_count_;
-      return;
-    }
+void CertificateAuthority::AddRevokedLocked(uint64_t first, uint64_t last) {
+  // The runs [lo, hi) overlap or touch first..last (issuable bounds, so
+  // neither first - 1 nor last + 1 wraps); they become one run.
+  auto lo = std::lower_bound(
+      revoked_runs_.begin(), revoked_runs_.end(), first - 1,
+      [](const RevokedRun& run, uint64_t value) { return run.last < value; });
+  auto hi = RunAfter(revoked_runs_, last + 1);
+  RevokedRun merged{first, last};
+  uint64_t already = 0;
+  for (auto it = lo; it != hi; ++it) {
+    merged.first = std::min(merged.first, it->first);
+    merged.last = std::max(merged.last, it->last);
+    already += it->last - it->first + 1;
   }
-  if (joins_next) {
-    next->first = serial;
-  } else {
-    revoked_runs_.insert(next, RevokedRun{serial, serial});
+  revoked_count_ += merged.last - merged.first + 1 - already;
+  if (lo == hi) {
+    revoked_runs_.insert(lo, merged);
+    return;
   }
-  ++revoked_count_;
+  *lo = merged;
+  revoked_runs_.erase(std::next(lo), hi);
 }
 
 Certificate CertificateAuthority::Issue(const std::string& admin, const std::string& machine,
@@ -117,7 +115,7 @@ void CertificateAuthority::Revoke(uint64_t serial) {
   if (live_.erase(serial) == 0) {
     return;  // already revoked, or never issued
   }
-  AddRevokedLocked(serial);
+  AddRevokedLocked(serial, serial);
   if (revoke_listener_) {
     revoke_listener_(serial);
   }
@@ -149,16 +147,9 @@ std::vector<Certificate> CertificateAuthority::IssuedSnapshot() const {
   return certs;
 }
 
-std::vector<uint64_t> CertificateAuthority::RevokedSnapshot() const {
+std::vector<CertificateAuthority::RevokedRun> CertificateAuthority::RevokedRunsSnapshot() const {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  std::vector<uint64_t> serials;
-  serials.reserve(revoked_count_);
-  for (const RevokedRun& run : revoked_runs_) {
-    for (uint64_t serial = run.first; serial <= run.last; ++serial) {
-      serials.push_back(serial);
-    }
-  }
-  return serials;
+  return revoked_runs_;
 }
 
 void CertificateAuthority::set_issue_listener(IssueListener listener) {
@@ -185,15 +176,15 @@ witos::Status CertificateAuthority::RestoreIssued(const Certificate& cert) {
   return witos::Status::Ok();
 }
 
-witos::Status CertificateAuthority::RestoreRevoked(uint64_t serial) {
+witos::Status CertificateAuthority::RestoreRevokedRun(uint64_t first, uint64_t last) {
   std::lock_guard<witobs::ProfiledMutex> lock(mu_);
-  if (!IssuableSerial(serial)) {
+  if (first > last || !IssuableSerial(first) || !IssuableSerial(last)) {
     return witos::Err::kInval;
   }
-  live_.erase(serial);
-  AddRevokedLocked(serial);
-  if (serial >= next_serial_) {
-    next_serial_ = serial + 1;
+  live_.erase(live_.lower_bound(first), live_.upper_bound(last));
+  AddRevokedLocked(first, last);
+  if (last >= next_serial_) {
+    next_serial_ = last + 1;
   }
   return witos::Status::Ok();
 }

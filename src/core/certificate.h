@@ -50,6 +50,13 @@ std::string CertStatusName(CertStatus status);
 // leaves a handful of runs, not one entry per certificate ever issued.
 class CertificateAuthority {
  public:
+  // Revoked serials first..last, inclusive.
+  struct RevokedRun {
+    uint64_t first = 0;
+    uint64_t last = 0;
+    bool operator==(const RevokedRun&) const = default;
+  };
+
   explicit CertificateAuthority(uint64_t secret = 0x57a7c417u) : secret_(secret) {}
 
   Certificate Issue(const std::string& admin, const std::string& machine,
@@ -74,9 +81,10 @@ class CertificateAuthority {
   size_t revoked_count() const;
 
   // Point-in-time copies of the books, in serial order — what a checkpoint
-  // persists: the live certificates, and every revoked serial.
+  // persists: the live certificates, and the revoked serials as sorted,
+  // disjoint, never-adjacent runs.
   std::vector<Certificate> IssuedSnapshot() const;
-  std::vector<uint64_t> RevokedSnapshot() const;
+  std::vector<RevokedRun> RevokedRunsSnapshot() const;
 
   // Observers for the write-ahead journal (witjournal, DESIGN.md §15),
   // invoked under the CA lock — after every Issue, and after a serial is
@@ -95,12 +103,15 @@ class CertificateAuthority {
   // restored serial so post-recovery issues never collide; a serial no CA
   // issues (0, or UINT64_MAX, past which next_serial would wrap) is EINVAL.
   witos::Status RestoreIssued(const Certificate& cert);
-  // Recovery: re-seeds a revocation, erasing the serial's certificate if it
-  // was restored; a serial with no restored issue (a checkpoint holds live
-  // certificates only) is marked revoked all the same and advances
-  // next_serial. Idempotent, bypasses the listeners. EINVAL, and nothing
-  // changes, for a serial no CA issues, as in RestoreIssued.
-  witos::Status RestoreRevoked(uint64_t serial);
+  // Recovery: re-seeds the revocation of serials first..last (a journaled
+  // revocation is a run of one), erasing every restored certificate among
+  // them; serials with no restored issue (a checkpoint holds live
+  // certificates only) are marked revoked all the same, and next_serial
+  // advances past `last`. Work is linear in the runs held plus the
+  // certificates erased, never in the run's length. Idempotent, bypasses
+  // the listeners. EINVAL, and nothing changes, when first > last or either
+  // bound is a serial no CA issues, as in RestoreIssued.
+  witos::Status RestoreRevokedRun(uint64_t first, uint64_t last);
 
   // Attaches the CA lock to the contention profile
   // (watchit_lock_{wait,hold}_ns{lock="ca"}): every deploy issues and every
@@ -108,16 +119,11 @@ class CertificateAuthority {
   void EnableLockMetrics(witobs::MetricsRegistry* registry) { mu_.EnableMetrics(registry); }
 
  private:
-  // Revoked serials first..last, inclusive.
-  struct RevokedRun {
-    uint64_t first = 0;
-    uint64_t last = 0;
-  };
-
   uint64_t Sign(const Certificate& cert) const;
   bool IsRevokedLocked(uint64_t serial) const;
-  // Adds `serial` to the runs, joining its neighbours; idempotent.
-  void AddRevokedLocked(uint64_t serial);
+  // Adds serials first..last to the runs, merging every run it overlaps or
+  // touches; idempotent. The one interval merge behind Revoke and recovery.
+  void AddRevokedLocked(uint64_t first, uint64_t last);
 
   uint64_t secret_;
   mutable witobs::ProfiledMutex mu_{"ca"};

@@ -101,13 +101,11 @@ void Machine::BootWatchIt() {
   containit_->AttachBroker(broker_.get());
 
   // Observability: one registry per machine; the broker and every
-  // per-session ITFS instance feed it. The OpLog retention cap bounds what
-  // the raw log keeps in memory — totals survive in the registry counters.
+  // per-session ITFS instance feed it.
   mu_.EnableMetrics(&metrics_);
   broker_->EnableMetrics(&metrics_);
   broker_channel_.EnableMetrics(&metrics_);
   containit_->EnableMetrics(&metrics_);
-  containit_->set_oplog_capacity(1 << 16);
 
   // Measure and lock the TCB. The log directory is guarded (no one may
   // write it through the kernel) but not measured.

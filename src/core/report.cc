@@ -8,11 +8,14 @@ namespace watchit {
 
 namespace {
 
-// Security events the evidence chain attributes to one pid.
-struct Probes {
+// What the evidence chain attributes to one pid: probing by a session's
+// shell or init, denied file accesses by its host worker (every ITFS record
+// of a session carries it).
+struct PidEvidence {
   size_t capability_denials = 0;
   size_t xcl_denials = 0;
   size_t tcb_violations = 0;
+  std::vector<std::string> denied_paths;  // kFileDenied details, in chain order
 };
 
 }  // namespace
@@ -35,21 +38,22 @@ witos::Result<SessionForensics> ForensicReporter::Collect(
 std::vector<SessionForensics> ForensicReporter::Assemble(
     const std::vector<Subject>& subjects) const {
   // One verified snapshot of the machine's evidence chain: every session's
-  // detail lines, probe counts and the anomaly baseline describe the same
-  // instant even while serving workers keep appending, and a chain that
-  // fails verification contributes none of them.
+  // detail lines (broker and denied paths), probe counts and the anomaly
+  // baseline describe the same instant even while serving workers keep
+  // appending, and a chain that fails verification contributes none of them.
   const auto evidence = machine_->kernel().audit().VerifiedSnapshot();
   static const std::vector<witos::AuditRecord> kNoRecords;
   const std::vector<witos::AuditRecord>& records = evidence.ok() ? *evidence : kNoRecords;
   const std::vector<witbroker::BrokerEvent> events = witbroker::BrokerEventsOf(records);
-  // Each subject's ticket events and per-pid probing counts, filled in one
-  // pass over the broker events and one over the records.
+  // Each subject's ticket events and per-pid evidence, filled in one pass
+  // over the broker events and one over the records.
   std::unordered_map<std::string_view, std::vector<witbroker::BrokerEvent>> ticket_events;
-  std::unordered_map<witos::Pid, Probes> probes;
+  std::unordered_map<witos::Pid, PidEvidence> by_pid;
   for (const Subject& subject : subjects) {
     ticket_events.try_emplace(subject.record->ticket_id);
-    probes.try_emplace(subject.record->shell);
-    probes.try_emplace(subject.record->container_init);
+    by_pid.try_emplace(subject.record->host_worker);
+    by_pid.try_emplace(subject.record->shell);
+    by_pid.try_emplace(subject.record->container_init);
   }
   for (const witbroker::BrokerEvent& event : events) {
     auto it = ticket_events.find(event.ticket_id);
@@ -58,11 +62,14 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
     }
   }
   for (const witos::AuditRecord& rec : records) {
-    auto it = probes.find(rec.pid);
-    if (it == probes.end()) {
+    auto it = by_pid.find(rec.pid);
+    if (it == by_pid.end()) {
       continue;
     }
     switch (rec.event) {
+      case witos::AuditEvent::kFileDenied:
+        it->second.denied_paths.push_back(rec.detail);
+        break;
       case witos::AuditEvent::kCapabilityDenied:
         ++it->second.capability_denials;
         break;
@@ -94,7 +101,7 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
     forensics.evidence_verified = evidence.ok();
     forensics.fs_ops = static_cast<size_t>(record.fs_ops.allowed + record.fs_ops.denied);
     forensics.fs_denied = static_cast<size_t>(record.fs_ops.denied);
-    forensics.denied_paths = record.denied_paths;
+    forensics.denied_paths = by_pid.find(record.host_worker)->second.denied_paths;
     forensics.packets_inspected = static_cast<size_t>(record.packets_inspected);
     forensics.packets_blocked = static_cast<size_t>(record.packets_blocked);
     forensics.sniffer_hits = record.sniffer_hits;
@@ -126,7 +133,7 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
     }
     // Machine-level events attributable to the session's processes.
     for (witos::Pid pid : {record.shell, record.container_init}) {
-      const Probes& counts = probes.find(pid)->second;
+      const PidEvidence& counts = by_pid.find(pid)->second;
       forensics.capability_denials += counts.capability_denials;
       forensics.xcl_denials += counts.xcl_denials;
       forensics.tcb_violations += counts.tcb_violations;
@@ -161,8 +168,8 @@ std::string ForensicReporter::Render(const SessionForensics& forensics) {
   }
   out += "\nseverity: " + std::to_string(forensics.severity) + "/100\n";
   if (!forensics.evidence_verified) {
-    out += "evidence: chain FAILED verification; broker lines, anomalies and probe counts "
-           "withheld\n";
+    out += "evidence: chain FAILED verification; denied paths, broker lines, anomalies and "
+           "probe counts withheld\n";
   }
   out += "filesystem: " + std::to_string(forensics.fs_ops) + " ops, " +
          std::to_string(forensics.fs_denied) + " denied\n";

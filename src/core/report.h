@@ -1,6 +1,7 @@
 // Forensic reporting: assembles the per-session evidence WatchIT collects —
 // the session's own record (ITFS, sniffer and broker totals) and the
-// machine's evidence chain (broker requests, anomaly scores, probing) —
+// machine's evidence chain (denied paths, broker requests, anomaly scores,
+// probing) —
 // into one structured incident report. This is the
 // "later analysis and anomaly detection" and "improved investigation
 // capabilities in case of security breach" the paper promises (§1, §4).
@@ -23,11 +24,13 @@ struct SessionForensics {
   bool still_active = false;
   std::string termination_reason;
   // False when the machine's evidence chain failed verification: the
-  // broker lines, anomalies and probe counts below are then withheld, not
-  // read from a chain that may have been rewritten.
+  // denied paths, broker lines, anomalies and probe counts below are then
+  // withheld, not read from a chain that may have been rewritten.
   bool evidence_verified = true;
 
-  // Filesystem activity.
+  // Filesystem activity: the session tally's exact totals, and the chain's
+  // denial records ("<op> <path> [<rule>]") over every ITFS mount of the
+  // session.
   size_t fs_ops = 0;
   size_t fs_denied = 0;
   std::vector<std::string> denied_paths;

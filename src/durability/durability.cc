@@ -53,6 +53,12 @@ witos::Status WriteCertRevoke(JournalWriter* out, uint64_t serial) {
   return out->Append({JournalRecordKind::kCertRevoke, 0, nums, {}});
 }
 
+witos::Status WriteCertRevokeRun(JournalWriter* out,
+                                 const watchit::CertificateAuthority::RevokedRun& run) {
+  const uint64_t nums[] = {run.first, run.last};
+  return out->Append({JournalRecordKind::kCertRevokeRun, 0, nums, {}});
+}
+
 witos::Status WriteRecoveryMark(JournalWriter* out, const RecoveryReport& report) {
   const uint64_t nums[] = {report.records_replayed, report.orphans_expired};
   return out->Append({JournalRecordKind::kRecoveryMark, 0, nums, {}});
@@ -194,8 +200,9 @@ witos::Status DurabilityManager::Checkpoint() {
   for (const watchit::Certificate& cert : cluster_->ca().IssuedSnapshot()) {
     WITOS_RETURN_IF_ERROR(WriteCertIssue(&snapshot, cert));
   }
-  for (uint64_t serial : cluster_->ca().RevokedSnapshot()) {
-    WITOS_RETURN_IF_ERROR(WriteCertRevoke(&snapshot, serial));
+  for (const watchit::CertificateAuthority::RevokedRun& run :
+       cluster_->ca().RevokedRunsSnapshot()) {
+    WITOS_RETURN_IF_ERROR(WriteCertRevokeRun(&snapshot, run));
   }
   WITOS_RETURN_IF_ERROR(snapshot.Barrier());
 
@@ -312,17 +319,23 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
       return;
     }
     case JournalRecordKind::kCertRevoke:
+    case JournalRecordKind::kCertRevokeRun: {
       if (only_machine != nullptr) {
         return;
       }
-      if (record.nums.size() != 1) {
+      // A live revocation is a run of one serial.
+      const size_t arity = record.kind == JournalRecordKind::kCertRevoke ? 1 : 2;
+      if (record.nums.size() != arity) {
         return reject();
       }
-      if (!cluster->ca().RestoreRevoked(record.nums[0]).ok()) {
+      const uint64_t first = record.nums[0];
+      const uint64_t last = record.nums[arity - 1];
+      if (!cluster->ca().RestoreRevokedRun(first, last).ok()) {
         return reject();
       }
-      ++report->revocations_restored;
+      report->revocations_restored += last - first + 1;
       return;
+    }
     case JournalRecordKind::kRecoveryMark:
       return;
   }

@@ -99,6 +99,8 @@ std::string JournalRecordKindName(JournalRecordKind kind) {
       return "cert_revoke";
     case JournalRecordKind::kRecoveryMark:
       return "recovery_mark";
+    case JournalRecordKind::kCertRevokeRun:
+      return "cert_revoke_run";
   }
   return "?";
 }

@@ -54,7 +54,8 @@ namespace witdur {
 // WJL4: WJL3's records (the kernel audit log is each machine's one chain, a
 // log-append record carries the typed record, payload integers are
 // varints) without the four deploy-trail kinds, so the recovery mark moved
-// from 12 to 8. WJL1, WJL2 and WJL3 files fail the magic check.
+// from 12 to 8; kind 9 (a checkpoint's revoked run) was appended later.
+// WJL1, WJL2 and WJL3 files fail the magic check.
 inline constexpr uint32_t kJournalMagic = 0x344c4a57u;  // "WJL4"
 
 // Every persisted state transition is one of these. The enum values are the
@@ -70,9 +71,10 @@ enum class JournalRecordKind : uint32_t {
                           // nums: {serial, issued_ns, expires_ns, signature}
   kCertRevoke = 7,        // nums: {serial}
   kRecoveryMark = 8,      // nums: {records_replayed, orphans_expired}
+  kCertRevokeRun = 9,     // nums: {first, last}: serials first..last revoked
 };
 inline constexpr uint32_t kMaxJournalRecordKind =
-    static_cast<uint32_t>(JournalRecordKind::kRecoveryMark);
+    static_cast<uint32_t>(JournalRecordKind::kCertRevokeRun);
 
 std::string JournalRecordKindName(JournalRecordKind kind);
 

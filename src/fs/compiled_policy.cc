@@ -33,9 +33,9 @@ bool AnySet(const std::vector<uint64_t>& mask) {
   return false;
 }
 
-void OrInto(std::vector<uint64_t>* out, const std::vector<uint64_t>& other) {
-  for (size_t w = 0; w < out->size(); ++w) {
-    (*out)[w] |= other[w];
+void OrInto(std::span<uint64_t> out, const std::vector<uint64_t>& other) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    out[w] |= other[w];
   }
 }
 
@@ -67,17 +67,17 @@ CompiledPolicy::CompiledPolicy(const std::vector<ItfsRule>& rules, InspectionMod
     rules_.push_back(std::move(meta));
 
     if (!rule.write_only) {
-      SetBit(&non_write_eligible_, i);
+      SetBit(non_write_eligible_, i);
     }
     if (rule.action == RuleAction::kDeny) {
-      SetBit(&deny_mask_, i);
+      SetBit(deny_mask_, i);
     }
     if (rule.action != RuleAction::kLogOnly) {
-      SetBit(&terminal_mask_, i);  // deny and allow both end the reference scan
+      SetBit(terminal_mask_, i);  // deny and allow both end the reference scan
     }
     for (const std::string& ext : rule.extensions) {
       auto [it, inserted] = ext_masks.try_emplace(ext, NewMask());
-      SetBit(&it->second, i);
+      SetBit(it->second, i);
     }
     for (const std::string& prefix : rule.path_prefixes) {
       // Prefixes are normalized at AddRule; "/" compiles to the root node.
@@ -94,11 +94,11 @@ CompiledPolicy::CompiledPolicy(const std::vector<ItfsRule>& rules, InspectionMod
       if (trie_[node].terminal.empty()) {
         trie_[node].terminal = NewMask();
       }
-      SetBit(&trie_[node].terminal, i);
+      SetBit(trie_[node].terminal, i);
     }
     for (FileClass cls : rule.signatures) {
-      SetBit(&class_masks_[static_cast<size_t>(cls)], i);
-      SetBit(&any_signature_, i);
+      SetBit(class_masks_[static_cast<size_t>(cls)], i);
+      SetBit(any_signature_, i);
     }
     if (rule.custom != nullptr) {
       custom_rules_.push_back(static_cast<uint32_t>(i));
@@ -136,16 +136,16 @@ CompiledPolicy::CompiledPolicy(const std::vector<ItfsRule>& rules, InspectionMod
   }
 }
 
-size_t CompiledPolicy::FirstSet(const Mask& mask) const {
-  for (size_t w = 0; w < mask.size(); ++w) {
-    if (mask[w] != 0) {
-      return w * 64 + static_cast<size_t>(__builtin_ctzll(mask[w]));
-    }
+std::span<uint64_t> CompiledPolicy::NewScratch(ScratchMask* scratch) const {
+  if (words_ <= kInlineMaskWords) {
+    return {scratch->inline_words.data(), words_};
   }
-  return rules_.size();
+  scratch->heap = NewMask();
+  return scratch->heap;
 }
 
-void CompiledPolicy::CollectPrefixMatches(const std::string& path, Mask* out) const {
+void CompiledPolicy::CollectPrefixMatches(const std::string& path,
+                                          std::span<uint64_t> out) const {
   // Mirrors witos::PathIsUnder's *literal* semantics: the gated path must
   // start with the (normalized) rule prefix at a '/' boundary. The walk
   // therefore consumes literal '/'-separated segments — an empty or "."
@@ -177,7 +177,8 @@ void CompiledPolicy::CollectPrefixMatches(const std::string& path, Mask* out) co
   }
 }
 
-void CompiledPolicy::CollectExtensionMatch(const std::string& path, Mask* out) const {
+void CompiledPolicy::CollectExtensionMatch(const std::string& path,
+                                           std::span<uint64_t> out) const {
   if (ext_table_.empty()) {
     return;
   }
@@ -197,12 +198,13 @@ void CompiledPolicy::CollectExtensionMatch(const std::string& path, Mask* out) c
 }
 
 PolicyDecision CompiledPolicy::Finish(ItfsOpKind op, const std::string& path,
-                                      std::string_view head, Mask* matched) const {
+                                      std::string_view head,
+                                      std::span<uint64_t> matched) const {
   const bool is_write = op == ItfsOpKind::kWrite || op == ItfsOpKind::kUnlink ||
                         op == ItfsOpKind::kRename;
   if (!is_write) {
-    for (size_t w = 0; w < matched->size(); ++w) {
-      (*matched)[w] &= non_write_eligible_[w];
+    for (size_t w = 0; w < matched.size(); ++w) {
+      matched[w] &= non_write_eligible_[w];
     }
   }
 
@@ -210,8 +212,8 @@ PolicyDecision CompiledPolicy::Finish(ItfsOpKind op, const std::string& path,
   // reference scan would get; custom detectors past it were never invoked
   // there either.
   size_t limit = rules_.size();
-  for (size_t w = 0; w < matched->size(); ++w) {
-    uint64_t terminals = (*matched)[w] & terminal_mask_[w];
+  for (size_t w = 0; w < matched.size(); ++w) {
+    uint64_t terminals = matched[w] & terminal_mask_[w];
     if (terminals != 0) {
       limit = w * 64 + static_cast<size_t>(__builtin_ctzll(terminals));
       break;
@@ -225,7 +227,7 @@ PolicyDecision CompiledPolicy::Finish(ItfsOpKind op, const std::string& path,
     if (rule.write_only && !is_write) {
       continue;
     }
-    if (((*matched)[c / 64] >> (c % 64)) & 1) {
+    if ((matched[c / 64] >> (c % 64)) & 1) {
       continue;  // a selector already matched; the reference scan skips custom
     }
     if (rule.custom(path, head)) {
@@ -240,14 +242,14 @@ PolicyDecision CompiledPolicy::Finish(ItfsOpKind op, const std::string& path,
   // decision when no terminal matched at all.
   size_t first_terminal = rules_.size();
   size_t first_log = rules_.size();
-  for (size_t w = 0; w < matched->size() && first_terminal == rules_.size(); ++w) {
-    uint64_t terminals = (*matched)[w] & terminal_mask_[w];
+  for (size_t w = 0; w < matched.size() && first_terminal == rules_.size(); ++w) {
+    uint64_t terminals = matched[w] & terminal_mask_[w];
     if (terminals != 0) {
       first_terminal = w * 64 + static_cast<size_t>(__builtin_ctzll(terminals));
     }
   }
-  for (size_t w = 0; w < matched->size() && first_log == rules_.size(); ++w) {
-    uint64_t logs = (*matched)[w] & ~terminal_mask_[w];
+  for (size_t w = 0; w < matched.size() && first_log == rules_.size(); ++w) {
+    uint64_t logs = matched[w] & ~terminal_mask_[w];
     if (logs != 0) {
       first_log = w * 64 + static_cast<size_t>(__builtin_ctzll(logs));
     }
@@ -267,16 +269,17 @@ PolicyDecision CompiledPolicy::Evaluate(ItfsOpKind op, const std::string& path,
   if (rules_.empty()) {
     return {false, ""};
   }
-  Mask matched = NewMask();
-  CollectExtensionMatch(path, &matched);
-  CollectPrefixMatches(path, &matched);
+  ScratchMask scratch;
+  const std::span<uint64_t> matched = NewScratch(&scratch);
+  CollectExtensionMatch(path, matched);
+  CollectPrefixMatches(path, matched);
   if (mode_ == InspectionMode::kSignature && !head.empty() && AnySet(any_signature_)) {
     // The reference evaluator classifies lazily, but DetectSignature is pure,
     // so classifying eagerly here cannot change any decision.
     FileClass cls = DetectSignature(head);
-    OrInto(&matched, class_masks_[static_cast<size_t>(cls)]);
+    OrInto(matched, class_masks_[static_cast<size_t>(cls)]);
   }
-  return Finish(op, path, head, &matched);
+  return Finish(op, path, head, matched);
 }
 
 PolicyDecision CompiledPolicy::EvaluateClassified(ItfsOpKind op, const std::string& path,
@@ -284,15 +287,16 @@ PolicyDecision CompiledPolicy::EvaluateClassified(ItfsOpKind op, const std::stri
   if (rules_.empty()) {
     return {false, ""};
   }
-  Mask matched = NewMask();
-  CollectExtensionMatch(path, &matched);
-  CollectPrefixMatches(path, &matched);
+  ScratchMask scratch;
+  const std::span<uint64_t> matched = NewScratch(&scratch);
+  CollectExtensionMatch(path, matched);
+  CollectPrefixMatches(path, matched);
   if (mode_ == InspectionMode::kSignature && has_content) {
-    OrInto(&matched, class_masks_[static_cast<size_t>(cls)]);
+    OrInto(matched, class_masks_[static_cast<size_t>(cls)]);
   }
   // CacheableVerdicts() implies no custom rules, so Finish's detector loop
   // is a no-op and the empty head is never inspected.
-  return Finish(op, path, {}, &matched);
+  return Finish(op, path, {}, matched);
 }
 
 namespace {

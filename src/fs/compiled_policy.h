@@ -37,8 +37,10 @@
 #ifndef SRC_FS_COMPILED_POLICY_H_
 #define SRC_FS_COMPILED_POLICY_H_
 
+#include <array>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,18 +139,29 @@ class CompiledPolicy {
   explicit CompiledPolicy(const std::vector<ItfsRule>& rules, InspectionMode mode,
                           bool log_all, size_t content_scan_limit);
 
-  Mask NewMask() const { return Mask(words_, 0); }
-  void SetBit(Mask* mask, size_t i) const { (*mask)[i / 64] |= uint64_t{1} << (i % 64); }
+  // The rules one evaluation matched: on the stack for policies of up to
+  // 64 * kInlineMaskWords rules, so a gate decision allocates nothing; a
+  // wider policy's bitset is on the heap.
+  static constexpr size_t kInlineMaskWords = 4;
+  struct ScratchMask {
+    std::array<uint64_t, kInlineMaskWords> inline_words{};
+    Mask heap;
+  };
 
-  // Lowest set rule index, or rules_.size() if none.
-  size_t FirstSet(const Mask& mask) const;
+  Mask NewMask() const { return Mask(words_, 0); }
+  // A zeroed bitset of words_ words in `scratch`.
+  std::span<uint64_t> NewScratch(ScratchMask* scratch) const;
+  static void SetBit(std::span<uint64_t> mask, size_t i) {
+    mask[i / 64] |= uint64_t{1} << (i % 64);
+  }
+
   // OR of every terminal mask on the trie walk of `path`, into `out`.
-  void CollectPrefixMatches(const std::string& path, Mask* out) const;
+  void CollectPrefixMatches(const std::string& path, std::span<uint64_t> out) const;
   // OR of the extension slot for `path`'s suffix (if any), into `out`.
-  void CollectExtensionMatch(const std::string& path, Mask* out) const;
+  void CollectExtensionMatch(const std::string& path, std::span<uint64_t> out) const;
   // Shared tail of both Evaluate flavors: custom detectors + winner pick.
   PolicyDecision Finish(ItfsOpKind op, const std::string& path, std::string_view head,
-                        Mask* matched) const;
+                        std::span<uint64_t> matched) const;
 
   struct RuleMeta {
     std::string name;
@@ -161,7 +174,7 @@ class CompiledPolicy {
   size_t words_ = 0;
 
   InspectionMode mode_ = InspectionMode::kExtensionOnly;
-  bool log_all_ = true;
+  bool log_all_ = false;
   size_t content_scan_limit_ = 0;
   bool needs_content_ = false;
   size_t required_head_bytes_ = 0;

@@ -4,18 +4,31 @@
 
 namespace witfs {
 
+namespace {
+
+// The detail of a file record: "<op> <path> [<rule>]".
+std::string OpDetail(ItfsOpKind op, const std::string& path, std::string_view rule) {
+  std::string detail = ItfsOpKindName(op);
+  detail.append(" ").append(path).append(" [").append(rule).append("]");
+  return detail;
+}
+
+}  // namespace
+
 Itfs::Itfs(std::shared_ptr<witos::Filesystem> lower,
            std::shared_ptr<const CompiledPolicy> policy, witos::Credentials invoker,
-           witos::SimClock* clock, witos::AuditLog* audit)
+           witos::SimClock* clock, witos::AuditLog* audit, witos::Pid pid)
     : lower_(std::move(lower)),
       policy_(std::move(policy)),
       invoker_(std::move(invoker)),
       clock_(clock),
-      audit_(audit) {}
+      audit_(audit),
+      pid_(pid) {}
 
 Itfs::Itfs(std::shared_ptr<witos::Filesystem> lower, const ItfsPolicy& policy,
-           witos::Credentials invoker, witos::SimClock* clock, witos::AuditLog* audit)
-    : Itfs(std::move(lower), policy.Compile(), std::move(invoker), clock, audit) {}
+           witos::Credentials invoker, witos::SimClock* clock, witos::AuditLog* audit,
+           witos::Pid pid)
+    : Itfs(std::move(lower), policy.Compile(), std::move(invoker), clock, audit, pid) {}
 
 void Itfs::SwapPolicy(std::shared_ptr<const CompiledPolicy> policy) {
   if (metrics_ != nullptr) {
@@ -28,18 +41,10 @@ void Itfs::SetShadowPolicy(std::shared_ptr<const CompiledPolicy> shadow) {
   shadow_.store(std::move(shadow), std::memory_order_release);
 }
 
-ShadowStats Itfs::shadow_stats() const {
-  ShadowStats stats;
-  stats.evaluated = shadow_evaluated_.load(std::memory_order_relaxed);
-  stats.agree = shadow_agree_.load(std::memory_order_relaxed);
-  stats.would_block = shadow_would_block_.load(std::memory_order_relaxed);
-  stats.would_allow = shadow_would_allow_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-std::vector<ShadowDivergence> Itfs::ShadowDivergences() const {
-  std::lock_guard<std::mutex> lock(shadow_mu_);
-  return {shadow_divergences_.begin(), shadow_divergences_.end()};
+void Itfs::Chain(witos::AuditEvent event, witos::Uid uid, std::string detail) {
+  if (audit_ != nullptr) {
+    audit_->Append(event, pid_, uid, std::move(detail), clock_ != nullptr ? clock_->now_ns() : 0);
+  }
 }
 
 void Itfs::ShadowCheck(ItfsOpKind op, const std::string& path, const PolicyDecision& primary,
@@ -49,41 +54,18 @@ void Itfs::ShadowCheck(ItfsOpKind op, const std::string& path, const PolicyDecis
     return;
   }
   PolicyDecision mirror = shadow->Evaluate(op, path, head);
-  shadow_evaluated_.fetch_add(1, std::memory_order_relaxed);
-  if (mirror.deny == primary.deny) {
-    shadow_agree_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      metrics_->shadow[0]->Increment();
-    }
-    return;
-  }
-  size_t outcome = mirror.deny ? 1 : 2;  // would_block : would_allow
-  (mirror.deny ? shadow_would_block_ : shadow_would_allow_)
-      .fetch_add(1, std::memory_order_relaxed);
+  const size_t outcome = shadow_tally_.Count(!primary.deny, !mirror.deny);
   if (metrics_ != nullptr) {
     metrics_->shadow[outcome]->Increment();
   }
-  ShadowDivergence div;
-  div.op = op;
-  div.path = path;
-  div.primary_deny = primary.deny;
-  div.primary_rule = primary.rule;
-  div.shadow_rule = mirror.rule;
-  {
-    std::lock_guard<std::mutex> lock(shadow_mu_);
-    shadow_divergences_.push_back(std::move(div));
-    if (shadow_divergences_.size() > kShadowDivergenceCapacity) {
-      shadow_divergences_.pop_front();
-    }
+  if (outcome == witobs::ShadowTally::kAgree) {
+    return;
   }
-  // The divergence also lands in the machine-lifetime audit trail, so
-  // benches and reports can attribute it after the session is gone.
-  if (audit_ != nullptr) {
-    audit_->Append(witos::AuditEvent::kSessionEvent, witos::kNoPid, invoker_.uid,
-                   "shadow-divergence " + ItfsOpKindName(op) + " " + path +
-                       (mirror.deny ? " would-block [" : " would-allow [") + mirror.rule + "]",
-                   clock_ != nullptr ? clock_->now_ns() : 0);
-  }
+  // Each divergence is one chained record: benches and reports attribute it
+  // after the session is gone.
+  Chain(witos::AuditEvent::kSessionEvent, invoker_.uid,
+        "shadow-divergence " + ItfsOpKindName(op) + " " + path +
+            (mirror.deny ? " would-block [" : " would-allow [") + mirror.rule + "]");
 }
 
 VerdictCacheStats Itfs::verdict_cache_stats() const {
@@ -140,8 +122,6 @@ ItfsMetrics::ItfsMetrics(witobs::MetricsRegistry* registry) {
                     "Bytes fetched from lower-fs file heads for signature inspection");
   registry->SetHelp("watchit_itfs_op_latency_ns",
                     "Simulated latency of a whole ITFS operation by kind");
-  registry->SetHelp("watchit_itfs_oplog_dropped_total",
-                    "OpLog records evicted by the retention cap");
   registry->SetHelp("watchit_itfs_verdict_cache_hits",
                     "Signature inspections served from the verdict cache (no head re-read)");
   registry->SetHelp("watchit_itfs_verdict_cache_misses",
@@ -164,16 +144,17 @@ ItfsMetrics::ItfsMetrics(witobs::MetricsRegistry* registry) {
   cache_hits = registry->GetCounter("watchit_itfs_verdict_cache_hits");
   cache_misses = registry->GetCounter("watchit_itfs_verdict_cache_misses");
   cache_invalidations = registry->GetCounter("watchit_itfs_verdict_cache_invalidations");
-  shadow[0] = registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "agree"}});
-  shadow[1] = registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_block"}});
-  shadow[2] = registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_allow"}});
-  oplog_dropped = registry->GetCounter("watchit_itfs_oplog_dropped_total");
+  shadow[witobs::ShadowTally::kAgree] =
+      registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "agree"}});
+  shadow[witobs::ShadowTally::kWouldBlock] =
+      registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_block"}});
+  shadow[witobs::ShadowTally::kWouldAllow] =
+      registry->GetCounter("watchit_itfs_shadow_total", {{"outcome", "would_allow"}});
   compile_ns = registry->GetHistogram("watchit_policy_compile_ns");
 }
 
 void Itfs::EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics) {
   metrics_ = std::move(metrics);
-  oplog_.set_dropped_counter(metrics_ != nullptr ? metrics_->oplog_dropped : nullptr);
 }
 
 void Itfs::CountDecision(ItfsOpKind op, bool deny) {
@@ -256,19 +237,7 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
         // and any cached verdict for this path was already bypassed above
         // (a mutation moved the generation, which is what brought us here).
         CountDecision(op, /*deny=*/true);
-        OpRecord rec;
-        rec.time_ns = clock_ != nullptr ? clock_->now_ns() : 0;
-        rec.op = op;
-        rec.path = path;
-        rec.uid = cred.uid;
-        rec.denied = true;
-        rec.rule = "head-fetch-failed";
-        oplog_.Record(std::move(rec));
-        if (audit_ != nullptr) {
-          audit_->Append(witos::AuditEvent::kFileDenied, witos::kNoPid, cred.uid,
-                         ItfsOpKindName(op) + " " + path + " [head-fetch-failed]",
-                         clock_ != nullptr ? clock_->now_ns() : 0);
-        }
+        Chain(witos::AuditEvent::kFileDenied, cred.uid, OpDetail(op, path, "head-fetch-failed"));
         return read.error();
       }
     }
@@ -281,21 +250,9 @@ witos::Status Itfs::Gate(ItfsOpKind op, const std::string& path,
   if (metrics_ != nullptr && head_bytes > 0) {
     metrics_->head_read_bytes->Increment(head_bytes);
   }
-  bool should_log = decision.deny || !decision.rule.empty() || policy->log_all();
-  if (should_log) {
-    OpRecord rec;
-    rec.time_ns = clock_ != nullptr ? clock_->now_ns() : 0;
-    rec.op = op;
-    rec.path = path;
-    rec.uid = cred.uid;
-    rec.denied = decision.deny;
-    rec.rule = decision.rule;
-    oplog_.Record(std::move(rec));
-  }
-  if (audit_ != nullptr && decision.deny) {
-    audit_->Append(witos::AuditEvent::kFileDenied, witos::kNoPid, cred.uid,
-                   ItfsOpKindName(op) + " " + path + " [" + decision.rule + "]",
-                   clock_ != nullptr ? clock_->now_ns() : 0);
+  if (decision.deny || !decision.rule.empty() || policy->log_all()) {
+    Chain(decision.deny ? witos::AuditEvent::kFileDenied : witos::AuditEvent::kFileAccess,
+          cred.uid, OpDetail(op, path, decision.rule));
   }
   if (decision.deny) {
     return witos::Err::kAcces;
@@ -318,7 +275,8 @@ witos::Result<size_t> Itfs::ReadAt(const std::string& path, uint64_t offset, siz
                                    std::string* out, const witos::Credentials& cred) {
   SimTimer timer(clock_, OpLatency(ItfsOpKind::kRead));
   // Content rules were enforced at open; reads are forwarded but still
-  // logged when log_all is set with per-path dedup left to the analyzer.
+  // chained when a rule matches or log_all is set, with per-path dedup left
+  // to the analyzer.
   WITOS_RETURN_IF_ERROR(Gate(ItfsOpKind::kRead, path, cred, /*fetch_head=*/false));
   return lower_->ReadAt(path, offset, size, out, invoker_);
 }

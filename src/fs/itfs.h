@@ -2,7 +2,10 @@
 // (paper §5.3).
 //
 // Itfs wraps a lower filesystem (the real disk fs) and
-//   * evaluates the ItfsPolicy on every operation, denying or logging;
+//   * evaluates the ItfsPolicy on every operation, denying or logging —
+//     every denial, logged access and shadow divergence is one record on
+//     the machine's evidence chain, carrying the pid of the session the
+//     instance serves (ITFS keeps no log of its own);
 //   * in signature mode, reads the head of the file on open to classify the
 //     content (charging the extra read on the clock);
 //   * performs lower-filesystem operations with the credentials of the user
@@ -21,11 +24,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/fs/compiled_policy.h"
 #include "src/fs/itfs_policy.h"
-#include "src/fs/oplog.h"
 #include "src/obs/metrics.h"
 #include "src/os/audit.h"
 #include "src/os/clock.h"
@@ -43,32 +46,11 @@ struct VerdictCacheStats {
   size_t entries = 0;
 };
 
-// Shadow-enforcement accounting (witmine, DESIGN.md §17): every gated
-// operation is also evaluated under the shadow policy, and only the
-// disagreements are interesting — would_block is privilege the installed
-// policy grants but the shadow would not (candidate tightening), would_allow
-// is shadow looseness (a mining bug or a stale generation).
-struct ShadowStats {
-  uint64_t evaluated = 0;
-  uint64_t agree = 0;
-  uint64_t would_block = 0;  // shadow denies, installed policy allows
-  uint64_t would_allow = 0;  // shadow allows, installed policy denies
-};
-
-// One recorded disagreement between the installed policy and the shadow.
-struct ShadowDivergence {
-  ItfsOpKind op = ItfsOpKind::kOpen;
-  std::string path;
-  bool primary_deny = false;
-  std::string primary_rule;  // installed policy's matching rule (may be empty)
-  std::string shadow_rule;   // shadow policy's matching rule (may be empty)
-};
-
 inline constexpr size_t kNumItfsOpKinds = 7;  // mirrors ItfsOpKind
 
 // The registry handles every Itfs on one machine shares: op counters and
-// latency histograms, verdict-cache, shadow, head-read and OpLog counters,
-// and the policy-compile histogram. Resolved once per registry —
+// latency histograms, verdict-cache, shadow and head-read counters, and the
+// policy-compile histogram. Resolved once per registry —
 // ContainIt::EnableMetrics does it per machine — so wiring an Itfs creates
 // no series. Immutable after construction.
 struct ItfsMetrics {
@@ -80,8 +62,7 @@ struct ItfsMetrics {
   witobs::Counter* cache_hits = nullptr;
   witobs::Counter* cache_misses = nullptr;
   witobs::Counter* cache_invalidations = nullptr;
-  witobs::Counter* shadow[3] = {};  // agree, would_block, would_allow
-  witobs::Counter* oplog_dropped = nullptr;
+  witobs::Counter* shadow[3] = {};  // indexed by witobs::ShadowTally's outcome
   // One observation per compile, where it happens: a deploy that compiles
   // its spec's policy, and every SwapPolicy.
   witobs::Histogram* compile_ns = nullptr;
@@ -90,16 +71,19 @@ struct ItfsMetrics {
 class Itfs : public witos::Filesystem {
  public:
   // `invoker` is the host user who mounted ITFS (root for admin containers).
-  // `clock` and `audit` may be null (tests). The policy is installed as-is;
-  // use ItfsPolicy::Compile() (and SwapPolicy to update later).
+  // `clock` and `audit` may be null (tests); with no `audit` the instance
+  // enforces but records nothing. Every record carries `pid`: ContainIt
+  // passes the session's host-side worker for every ITFS of the session.
+  // The policy is installed as-is; use ItfsPolicy::Compile() (and
+  // SwapPolicy to update later).
   Itfs(std::shared_ptr<witos::Filesystem> lower, std::shared_ptr<const CompiledPolicy> policy,
        witos::Credentials invoker, witos::SimClock* clock = nullptr,
-       witos::AuditLog* audit = nullptr);
+       witos::AuditLog* audit = nullptr, witos::Pid pid = witos::kNoPid);
 
   // Convenience: compiles `policy` and installs the result.
   Itfs(std::shared_ptr<witos::Filesystem> lower, const ItfsPolicy& policy,
        witos::Credentials invoker, witos::SimClock* clock = nullptr,
-       witos::AuditLog* audit = nullptr);
+       witos::AuditLog* audit = nullptr, witos::Pid pid = witos::kNoPid);
 
   std::string FsType() const override { return "itfs"; }
   bool Cacheable() const override { return lower_->Cacheable(); }
@@ -137,9 +121,6 @@ class Itfs : public witos::Filesystem {
                                       const witos::Credentials& cred) override;
   witos::Result<witos::FsStats> StatFs() const override;
 
-  OpLog& oplog() { return oplog_; }
-  const OpLog& oplog() const { return oplog_; }
-
   // Atomically installs a new compiled policy; in-flight gates finish under
   // the snapshot they loaded (shared_ptr pin), subsequent gates see the new
   // one. Never blocks the gate path. The verdict cache survives a swap:
@@ -158,8 +139,10 @@ class Itfs : public witos::Filesystem {
   }
 
   // Installs (or clears, with null) a shadow policy: every gated operation
-  // is additionally evaluated under it and divergences from the installed
-  // policy are counted — the verdict returned to the caller NEVER changes.
+  // is additionally evaluated under it, divergences from the installed
+  // policy are counted, and each is chained as a kSessionEvent
+  // "shadow-divergence <op> <path> would-block|would-allow [<shadow rule>]"
+  // — the verdict returned to the caller NEVER changes.
   // Shadow policies are evaluated with whatever head bytes the primary gate
   // fetched (none on verdict-cache hits), so extension/path-mode shadows —
   // what the policy miner emits — are always exact; signature-mode shadows
@@ -168,11 +151,7 @@ class Itfs : public witos::Filesystem {
   std::shared_ptr<const CompiledPolicy> shadow_snapshot() const {
     return shadow_.load(std::memory_order_acquire);
   }
-  ShadowStats shadow_stats() const;
-  // Bounded copy of recorded disagreements, oldest first (capacity
-  // kShadowDivergenceCapacity; older entries are dropped once full —
-  // shadow_stats() keeps the exact totals).
-  std::vector<ShadowDivergence> ShadowDivergences() const;
+  witobs::ShadowCounts shadow_stats() const { return shadow_tally_.Read(); }
 
   VerdictCacheStats verdict_cache_stats() const;
 
@@ -186,16 +165,19 @@ class Itfs : public witos::Filesystem {
   void EnableMetrics(std::shared_ptr<const ItfsMetrics> metrics);
 
   // Counts every gate decision into `tally` as well (null: none). Every
-  // instance of one session shares its tally, which keeps the session's
-  // exact totals whatever the OpLog retention cap evicted.
+  // instance of one session shares its tally: the session's exact totals.
   void set_tally(std::shared_ptr<witobs::OutcomeTally> tally) { tally_ = std::move(tally); }
 
  private:
   // Accounts one gate decision in the tally and the op-kind series.
   void CountDecision(ItfsOpKind op, bool deny);
-  // Policy gate: logs the access and returns EACCES if a deny rule fires.
-  // In signature mode fetches head bytes for content rules (charging the
-  // extra read cost).
+  // The one writer of ITFS evidence: appends one record, stamped with this
+  // instance's pid and the clock, to the machine's chain (none without one).
+  void Chain(witos::AuditEvent event, witos::Uid uid, std::string detail);
+  // Policy gate: chains a denial (kFileDenied) or a logged access
+  // (kFileAccess: a matching rule, or log_all), "<op> <path> [<rule>]", and
+  // returns EACCES if a deny rule fires. In signature mode fetches head
+  // bytes for content rules (charging the extra read cost).
   witos::Status Gate(ItfsOpKind op, const std::string& path, const witos::Credentials& cred,
                      bool fetch_head);
 
@@ -245,22 +227,15 @@ class Itfs : public witos::Filesystem {
   void ShadowCheck(ItfsOpKind op, const std::string& path, const PolicyDecision& primary,
                    std::string_view head);
 
-  static constexpr size_t kShadowDivergenceCapacity = 1024;
-
   std::shared_ptr<witos::Filesystem> lower_;
   std::atomic<std::shared_ptr<const CompiledPolicy>> policy_;
   std::atomic<std::shared_ptr<const CompiledPolicy>> shadow_{nullptr};
   witos::Credentials invoker_;
   witos::SimClock* clock_;
   witos::AuditLog* audit_;
-  OpLog oplog_;
+  witos::Pid pid_;
 
-  std::atomic<uint64_t> shadow_evaluated_{0};
-  std::atomic<uint64_t> shadow_agree_{0};
-  std::atomic<uint64_t> shadow_would_block_{0};
-  std::atomic<uint64_t> shadow_would_allow_{0};
-  mutable std::mutex shadow_mu_;
-  std::deque<ShadowDivergence> shadow_divergences_;
+  witobs::ShadowTally shadow_tally_;
 
   mutable std::mutex verdict_mu_;
   std::unordered_map<std::string, VerdictEntry> verdict_cache_;

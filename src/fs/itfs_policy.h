@@ -86,8 +86,10 @@ class ItfsPolicy {
     Touch();
   }
   InspectionMode inspection_mode() const { return mode_; }
-  // When true every access is logged even without a matching rule (the
-  // paper's blanket "all filesystem operations were monitored").
+  // When true every access is chained (kFileAccess) even without a matching
+  // rule (the paper's blanket "all filesystem operations were monitored").
+  // Off by default: denials and rule hits are chained either way, and the
+  // session's tally counts every operation.
   void set_log_all(bool log_all) {
     log_all_ = log_all;
     Touch();
@@ -143,7 +145,7 @@ class ItfsPolicy {
 
   std::vector<ItfsRule> rules_;
   InspectionMode mode_ = InspectionMode::kExtensionOnly;
-  bool log_all_ = true;
+  bool log_all_ = false;
   size_t content_scan_limit_ = 64 * 1024;
   uint64_t revision_ = 0;  // 0: default-constructed, never mutated
 };

@@ -79,6 +79,47 @@ class OutcomeTally {
   std::atomic<uint64_t> denied_{0};
 };
 
+// Shadow-enforcement totals (witmine, DESIGN.md §17): every decision the
+// enforcing policy makes is also evaluated under the shadow policy, and only
+// the disagreements are interesting. would_block is privilege the enforcing
+// policy grants but the shadow would not (candidate tightening);
+// would_allow is shadow looseness (a mining bug or a stale generation).
+struct ShadowCounts {
+  uint64_t evaluated = 0;
+  uint64_t agree = 0;
+  uint64_t would_block = 0;
+  uint64_t would_allow = 0;
+};
+
+// One ITFS instance's or one broker's shadow totals, as OutcomeTally keeps
+// decisions: relaxed atomic adds.
+class ShadowTally {
+ public:
+  // Index of each outcome, as the callers' metric series order them.
+  static constexpr size_t kAgree = 0;
+  static constexpr size_t kWouldBlock = 1;
+  static constexpr size_t kWouldAllow = 2;
+
+  // Counts one shadow evaluation and returns its outcome index.
+  size_t Count(bool enforced_allows, bool shadow_allows) {
+    const size_t outcome =
+        enforced_allows == shadow_allows ? kAgree : (shadow_allows ? kWouldAllow : kWouldBlock);
+    outcomes_[outcome].fetch_add(1, std::memory_order_relaxed);
+    return outcome;
+  }
+  ShadowCounts Read() const {
+    ShadowCounts counts;
+    counts.agree = outcomes_[kAgree].load(std::memory_order_relaxed);
+    counts.would_block = outcomes_[kWouldBlock].load(std::memory_order_relaxed);
+    counts.would_allow = outcomes_[kWouldAllow].load(std::memory_order_relaxed);
+    counts.evaluated = counts.agree + counts.would_block + counts.would_allow;
+    return counts;
+  }
+
+ private:
+  std::array<std::atomic<uint64_t>, 3> outcomes_{};
+};
+
 // Fixed-bucket latency histogram over nanoseconds. The bounds are a static
 // exponential ladder (factor 2 from 256 ns to ~8.6 s) shared by every
 // instance, so Observe() is two relaxed atomic adds and the Prometheus

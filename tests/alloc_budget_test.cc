@@ -1,8 +1,9 @@
 // Heap-allocation budget of path syscalls. Path resolution walks one
 // buffer, so a syscall allocates only for the strings it returns, and the
 // count does not grow with path depth. Also the buffers an appended MemFs
-// file grows through, and the evidence path: a journaled chain append
-// allocates only its caller's detail string. This binary replaces the
+// file grows through, the ITFS gate of an allowed access (nothing), and the
+// evidence path: a journaled chain append allocates only its caller's
+// detail string. This binary replaces the
 // global operator new with a counting one, which is why it stands alone.
 
 #include <gtest/gtest.h>
@@ -169,6 +170,45 @@ TEST(MemFsGrowthTest, AppendedFileGrowsThroughTheSameBuffersWhateverItsFirstWrit
     // std::string allocates its capacity plus the terminator.
     EXPECT_TRUE(std::has_single_bit(size - 1)) << size;
   }
+}
+
+// An allowed access that no rule matches leaves no record: reads through a
+// ticket image's ITFS allocate no more than the same reads on the
+// filesystem under it, whatever the length of the path.
+TEST(ItfsAllocBudgetTest, AllowedReadsThroughATicketImageAllocateNoMoreThanItsLowerFs) {
+  watchit::Cluster cluster;
+  watchit::Machine& machine = cluster.AddMachine("host00", witnet::Ipv4Addr(10, 0, 3, 10));
+  watchit::ClusterManager manager(&cluster);
+  watchit::Ticket ticket;
+  ticket.id = "TKT-ALLOC";
+  ticket.target_machine = "host00";
+  ticket.assigned_class = "T-1";
+  ticket.admin = "alice";
+  auto deployment = manager.Deploy(ticket);
+  ASSERT_TRUE(deployment.ok());
+  const witcontain::Session* session = machine.containit().FindSession(deployment->session);
+  ASSERT_NE(session->itfs, nullptr);
+  const size_t chain_before = machine.kernel().audit().size();
+
+  // 30 bytes: past the small-string buffer, so a copy of it would allocate.
+  const std::string path = "/home/user/.matlab/license.lic";
+  constexpr int kReads = 1000;
+  std::string buf;
+  buf.reserve(4096);
+  auto reads = [&](Filesystem* fs) {
+    for (int i = 0; i < kReads; ++i) {
+      ASSERT_TRUE(fs->ReadAt(path, 0, 64, &buf, Credentials{}).ok());
+    }
+  };
+  const uint64_t lower = AllocsOf([&] { reads(&machine.kernel().root_fs()); });
+  const uint64_t through_itfs = AllocsOf([&] { reads(session->itfs.get()); });
+  std::printf("%d allowed reads: %llu allocations on the lower fs, %llu through ITFS\n", kReads,
+              static_cast<unsigned long long>(lower),
+              static_cast<unsigned long long>(through_itfs));
+  EXPECT_LE(through_itfs, lower);
+  EXPECT_EQ(session->itfs_tally->Read().allowed, 2u * kReads);
+  EXPECT_EQ(machine.kernel().audit().size(), chain_before);
+  (void)manager.Expire(&*deployment);
 }
 
 // A machine's chain append, journaled: the chain stores the record in its

@@ -30,6 +30,13 @@ class ContainItTest : public ::testing::Test {
     fabric_.AddService(kEvil, 443, [](const witnet::Packet&) { return "got it"; });
   }
 
+  // The chain's ITFS denial records, in order.
+  std::vector<witos::AuditRecord> FileDenials() const {
+    return kernel_->audit().Filter([](const witos::AuditRecord& record) {
+      return record.event == witos::AuditEvent::kFileDenied;
+    });
+  }
+
   PerforatedContainerSpec LicenseSpec() {
     PerforatedContainerSpec spec;
     spec.name = "T-1";
@@ -83,7 +90,12 @@ TEST_F(ContainItTest, ItfsDeniesDocumentsInsideView) {
   Session* session = containit_->FindSession(*id);
   EXPECT_EQ(kernel_->ReadFile(session->shell, "/home/user/payroll.xlsx").error(),
             witos::Err::kAcces);
-  EXPECT_GE(session->itfs->oplog().denied_count(), 1u);
+  EXPECT_EQ(session->itfs_tally->Read().denied, 1u);
+  // One chained record, attributed to the session's host-side worker.
+  std::vector<witos::AuditRecord> denials = FileDenials();
+  ASSERT_EQ(denials.size(), 1u);
+  EXPECT_EQ(denials[0].detail, "open /home/user/payroll.xlsx [deny-documents]");
+  EXPECT_EQ(denials[0].pid, session->host_worker);
 }
 
 TEST_F(ContainItTest, ContainerWritesReachHostFiles) {
@@ -170,7 +182,10 @@ TEST_F(ContainItTest, WholeRootViewThroughItfs) {
   // ...but documents are still blocked by the blanket policy.
   EXPECT_EQ(kernel_->ReadFile(shell, "/home/user/payroll.xlsx").error(), witos::Err::kAcces);
   // And every operation was monitored.
-  EXPECT_GT(containit_->FindSession(*id)->itfs->oplog().size(), 0u);
+  const witobs::OutcomeCounts fs_ops = containit_->FindSession(*id)->itfs_tally->Read();
+  EXPECT_GE(fs_ops.allowed, 2u);
+  EXPECT_EQ(fs_ops.denied, 1u);
+  EXPECT_EQ(FileDenials().size(), 1u);
 }
 
 TEST_F(ContainItTest, TerminateKillsSessionProcesses) {
@@ -220,8 +235,12 @@ TEST_F(ContainItTest, SharedDirectoryIsStillMonitored) {
   kernel_->root_fs().ProvisionFile("/var/data/report.pdf", "%PDF-1.4 secret");
   ASSERT_TRUE(containit_->ShareDirectory(*id, "/var/data", "/var/data").ok());
   // The newly shared files go through a fresh ITFS bind mount: documents
-  // stay blocked.
+  // stay blocked, and the denial is the session's like the view's.
   EXPECT_EQ(kernel_->ReadFile(shell, "/var/data/report.pdf").error(), witos::Err::kAcces);
+  std::vector<witos::AuditRecord> denials = FileDenials();
+  ASSERT_EQ(denials.size(), 1u);
+  EXPECT_EQ(denials[0].detail, "open /var/data/report.pdf [deny-documents]");
+  EXPECT_EQ(denials[0].pid, containit_->FindSession(*id)->host_worker);
 }
 
 TEST_F(ContainItTest, TraditionalContainerFullyIsolated) {

@@ -63,7 +63,8 @@ TEST(CertificateTest, RevokedSerialsReadRevokedWhateverTheFields) {
   EXPECT_EQ(notified, 4u);  // the second revoke of serial 2 is silent
   EXPECT_EQ(ca.revoked_count(), 4u);
   EXPECT_EQ(ca.issued_count(), 6u);
-  EXPECT_EQ(ca.RevokedSnapshot(), (std::vector<uint64_t>{2, 3, 5, 6}));
+  using Run = CertificateAuthority::RevokedRun;
+  EXPECT_EQ(ca.RevokedRunsSnapshot(), (std::vector<Run>{{2, 3}, {5, 6}}));
   ASSERT_EQ(ca.IssuedSnapshot().size(), 2u);
   EXPECT_EQ(ca.IssuedSnapshot()[0], certs[0]);
   EXPECT_EQ(ca.IssuedSnapshot()[1], certs[3]);
@@ -94,8 +95,8 @@ TEST(CertificateTest, RevokedSerialsReadRevokedWhateverTheFields) {
 // serials.
 TEST(CertificateTest, RestoredRevocationWithoutItsIssue) {
   CertificateAuthority ca;
-  ASSERT_TRUE(ca.RestoreRevoked(7).ok());
-  ASSERT_TRUE(ca.RestoreRevoked(7).ok());
+  ASSERT_TRUE(ca.RestoreRevokedRun(7, 7).ok());
+  ASSERT_TRUE(ca.RestoreRevokedRun(7, 7).ok());
   EXPECT_TRUE(ca.IsRevoked(7));
   EXPECT_EQ(ca.revoked_count(), 1u);
   EXPECT_EQ(ca.issued_count(), 1u);
@@ -103,8 +104,8 @@ TEST(CertificateTest, RestoredRevocationWithoutItsIssue) {
 
   // A journaled serial no CA issues would wrap the next serial onto ones
   // already issued: refused, and the serials keep counting.
-  EXPECT_EQ(ca.RestoreRevoked(UINT64_MAX).error(), witos::Err::kInval);
-  EXPECT_EQ(ca.RestoreRevoked(0).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.RestoreRevokedRun(UINT64_MAX, UINT64_MAX).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.RestoreRevokedRun(0, 0).error(), witos::Err::kInval);
   Certificate wrapping;
   wrapping.serial = UINT64_MAX;
   EXPECT_EQ(ca.RestoreIssued(wrapping).error(), witos::Err::kInval);
@@ -116,10 +117,69 @@ TEST(CertificateTest, RestoredRevocationWithoutItsIssue) {
   Certificate cert = other.Issue("alice", "userpc", "TKT-1", "T-1", 0, 1000);
   CertificateAuthority restored;
   ASSERT_TRUE(restored.RestoreIssued(cert).ok());
-  ASSERT_TRUE(restored.RestoreRevoked(cert.serial).ok());
+  ASSERT_TRUE(restored.RestoreRevokedRun(cert.serial, cert.serial).ok());
   EXPECT_TRUE(restored.IssuedSnapshot().empty());
   EXPECT_EQ(restored.Validate(cert, 10), CertStatus::kRevoked);
   EXPECT_EQ(restored.RestoreIssued(cert).error(), witos::Err::kExist);
+}
+
+// A checkpoint's revoked run merges with the runs and certificates already
+// restored: live certificates inside it are erased, overlapping serials
+// count once, and a run of 2^40 serials restores without touching each.
+TEST(CertificateTest, RestoredRunMergesWithRevocationsAndLiveCertificates) {
+  using Run = CertificateAuthority::RevokedRun;
+  CertificateAuthority origin;
+  std::vector<Certificate> certs;
+  for (int i = 0; i < 12; ++i) {
+    certs.push_back(origin.Issue("alice", "userpc", "TKT-" + std::to_string(i), "T-1", 0, 1000));
+  }
+  CertificateAuthority ca;
+  for (const Certificate& cert : certs) {
+    ASSERT_TRUE(ca.RestoreIssued(cert).ok());  // serials 1..12 live
+  }
+  ASSERT_TRUE(ca.RestoreRevokedRun(2, 2).ok());
+  ASSERT_TRUE(ca.RestoreRevokedRun(9, 9).ok());
+  EXPECT_EQ(ca.revoked_count(), 2u);
+  EXPECT_EQ(ca.issued_count(), 12u);
+
+  // 3..10 overlaps serial 9's run, touches serial 2's, and covers seven
+  // live certificates (3..8 and 10).
+  ASSERT_TRUE(ca.RestoreRevokedRun(3, 10).ok());
+  EXPECT_EQ(ca.RevokedRunsSnapshot(), (std::vector<Run>{{2, 10}}));
+  EXPECT_EQ(ca.revoked_count(), 9u);
+  EXPECT_EQ(ca.issued_count(), 12u);
+  ASSERT_EQ(ca.IssuedSnapshot().size(), 3u);
+  EXPECT_EQ(ca.IssuedSnapshot()[0], certs[0]);
+  EXPECT_EQ(ca.IssuedSnapshot()[1], certs[10]);
+  EXPECT_EQ(ca.Validate(certs[4], 10), CertStatus::kRevoked);
+  EXPECT_EQ(ca.Validate(certs[11], 10), CertStatus::kValid);
+  // Idempotent, and a run inside a held one changes nothing.
+  ASSERT_TRUE(ca.RestoreRevokedRun(3, 10).ok());
+  ASSERT_TRUE(ca.RestoreRevokedRun(5, 6).ok());
+  EXPECT_EQ(ca.revoked_count(), 9u);
+
+  // A run bridging two held runs joins them; live serial 11 is erased.
+  ASSERT_TRUE(ca.RestoreRevokedRun(20, 30).ok());
+  ASSERT_TRUE(ca.RestoreRevokedRun(11, 19).ok());
+  EXPECT_EQ(ca.RevokedRunsSnapshot(), (std::vector<Run>{{2, 30}}));
+  EXPECT_EQ(ca.revoked_count(), 29u);
+  EXPECT_EQ(ca.issued_count(), 30u);  // certificate 1 is the one live
+  EXPECT_EQ(ca.Issue("bob", "userpc", "TKT-X", "T-1", 0, 1000).serial, 31u);
+
+  // A run of 2^40 serials: O(runs) work, exact counts, serials move past it.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  ASSERT_TRUE(ca.RestoreRevokedRun(100, 100 + kHuge - 1).ok());
+  EXPECT_EQ(ca.revoked_count(), 29u + kHuge);
+  EXPECT_TRUE(ca.IsRevoked(100 + kHuge / 2));
+  EXPECT_EQ(ca.Issue("bob", "userpc", "TKT-Y", "T-1", 0, 1000).serial, 100 + kHuge);
+
+  // Inverted or unissuable bounds: EINVAL, and nothing changes.
+  const std::vector<Run> before = ca.RevokedRunsSnapshot();
+  EXPECT_EQ(ca.RestoreRevokedRun(50, 40).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.RestoreRevokedRun(0, 40).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.RestoreRevokedRun(50, UINT64_MAX).error(), witos::Err::kInval);
+  EXPECT_EQ(ca.RevokedRunsSnapshot(), before);
+  EXPECT_EQ(ca.revoked_count(), 29u + kHuge);
 }
 
 // A long run of tickets leaves only its live certificates in the CA.

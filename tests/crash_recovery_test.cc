@@ -136,9 +136,10 @@ TEST(CrashRecoveryTest, PoolCrashRecoversStateAndExpiresOrphans) {
   EXPECT_EQ(UnrevokedCerts(twin.get()), 0u);
 }
 
-// A checkpoint holds live certificates only: taken once every ticket has
-// expired, it carries no cert_issue record, and a recovery from it keeps
-// both CA counts and issues fresh serials past the revoked ones.
+// A checkpoint holds live certificates only and the revoked serials as
+// runs: taken once every ticket has expired, it carries no cert_issue
+// record and one run record, and a recovery from it keeps both CA counts
+// and issues fresh serials past the revoked ones.
 TEST(CrashRecoveryTest, CheckpointAfterEveryExpiryHoldsNoCertificates) {
   Workload world;
   watchit::ClusterManager cm(world.cluster.get());
@@ -153,12 +154,17 @@ TEST(CrashRecoveryTest, CheckpointAfterEveryExpiryHoldsNoCertificates) {
   ASSERT_TRUE(checkpoint.clean) << checkpoint.error;
   size_t issues = 0;
   size_t revokes = 0;
+  std::vector<std::vector<uint64_t>> runs;
   for (const JournalRecord& record : checkpoint.records) {
     issues += record.kind == JournalRecordKind::kCertIssue ? 1 : 0;
     revokes += record.kind == JournalRecordKind::kCertRevoke ? 1 : 0;
+    if (record.kind == JournalRecordKind::kCertRevokeRun) {
+      runs.push_back(record.nums);
+    }
   }
   EXPECT_EQ(issues, 0u);
-  EXPECT_EQ(revokes, 6u);
+  EXPECT_EQ(revokes, 0u);
+  EXPECT_EQ(runs, (std::vector<std::vector<uint64_t>>{{1, 6}}));
 
   ASSERT_TRUE(world.manager->SimulateCrash().ok());
   auto twin = FreshTwin();

@@ -189,15 +189,16 @@ TEST(ItfsFaultSweepTest, FaultedHeadReadFailsClosedNotOpen) {
   auto plan = std::make_shared<FaultPlan>();
   plan->FailNthOp(FaultOpKind::kRead, 1, Err::kIo);
   auto faulty = std::make_shared<ErrorInjectingVfs>(ContainmentLower(), plan);
-  witfs::Itfs itfs(faulty, ContainmentPolicy(), Credentials{});
+  AuditLog audit;
+  witfs::Itfs itfs(faulty, ContainmentPolicy(), Credentials{}, nullptr, &audit);
   // The disguised PDF is only catchable via its magic bytes; with the head
   // fetch faulted the open must be denied, not quietly allowed.
   auto open = itfs.Open("/home/disguised.log", kOpenRead, 0, Credentials{});
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.error(), Err::kIo);
-  ASSERT_GE(itfs.oplog().size(), 1u);
-  EXPECT_EQ(itfs.oplog().records().back().rule, "head-fetch-failed");
-  EXPECT_TRUE(itfs.oplog().records().back().denied);
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_EQ(audit.Snapshot().back().event, AuditEvent::kFileDenied);
+  EXPECT_EQ(audit.Snapshot().back().detail, "open /home/disguised.log [head-fetch-failed]");
   // Once the fault clears, a benign file opens normally again.
   EXPECT_TRUE(itfs.Open("/home/notes.txt", kOpenRead, 0, Credentials{}).ok());
 }
@@ -220,7 +221,8 @@ TEST(ItfsFaultSweepTest, CachedVerdictNeverMasksFreshReadError) {
   auto plan = std::make_shared<FaultPlan>();
   auto lower = ContainmentLower();
   auto faulty = std::make_shared<ErrorInjectingVfs>(lower, plan);
-  witfs::Itfs itfs(faulty, ContainmentPolicy(), Credentials{});
+  AuditLog audit;
+  witfs::Itfs itfs(faulty, ContainmentPolicy(), Credentials{}, nullptr, &audit);
   ASSERT_TRUE(itfs.policy_snapshot()->CacheableVerdicts());
 
   // Prime the cache: notes.txt classifies clean and is allowed.
@@ -235,7 +237,7 @@ TEST(ItfsFaultSweepTest, CachedVerdictNeverMasksFreshReadError) {
   auto open = itfs.Open("/home/notes.txt", kOpenRead, 0, Credentials{});
   ASSERT_FALSE(open.ok());
   EXPECT_EQ(open.error(), Err::kIo);
-  EXPECT_EQ(itfs.oplog().records().back().rule, "head-fetch-failed");
+  EXPECT_EQ(audit.Snapshot().back().detail, "open /home/notes.txt [head-fetch-failed]");
 
   // The failed read must not have been cached: with the fault cleared the
   // next open re-reads, sees the PDF magic, and denies on the content rule.

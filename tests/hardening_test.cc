@@ -101,7 +101,11 @@ TEST_F(HardeningTest, EveryEvidenceRecordIsChainedOnce) {
   const size_t chain_before_read = machine_->broker().log().size();
   EXPECT_FALSE(session.ReadFile("/home/user/documents/payroll.xlsx").ok());
   EXPECT_EQ(machine_->broker().log().size() - chain_before_read, 1u);
-  EXPECT_EQ(machine_->kernel().audit().Snapshot().back().event, witos::AuditEvent::kFileDenied);
+  const witos::AuditRecord denial = machine_->kernel().audit().Snapshot().back();
+  EXPECT_EQ(denial.event, witos::AuditEvent::kFileDenied);
+  EXPECT_EQ(denial.detail, "open /home/user/documents/payroll.xlsx [deny-documents]");
+  // Attributed to the session: its host-side worker mounted the ITFS.
+  EXPECT_EQ(denial.pid, machine_->containit().FindSession(deployment.session)->host_worker);
   EXPECT_TRUE(machine_->broker().log().Verify());
   // The log directory still cannot be written through the kernel, by
   // anyone, and guarding it does not break the boot measurement.

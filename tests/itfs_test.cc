@@ -6,6 +6,7 @@
 
 #include "src/fs/fuse.h"
 #include "src/obs/export.h"
+#include "src/os/audit.h"
 #include "src/os/memfs.h"
 
 namespace witfs {
@@ -31,28 +32,89 @@ std::shared_ptr<witos::MemFs> MakeLower() {
   return lower;
 }
 
-TEST(ItfsTest, AllowsAndLogsNormalAccess) {
+// The details of `audit`'s records of `event`, in chain order.
+std::vector<std::string> Details(const witos::AuditLog& audit, witos::AuditEvent event) {
+  std::vector<std::string> details;
+  for (const witos::AuditRecord& record : audit.Snapshot()) {
+    if (record.event == event) {
+      details.push_back(record.detail);
+    }
+  }
+  return details;
+}
+
+TEST(ItfsTest, AllowsAndCountsNormalAccess) {
   ItfsPolicy policy;
   policy.AddRule(ItfsPolicy::DenyDocumentsRule());
-  Itfs itfs(MakeLower(), std::move(policy), Root());
+  witos::AuditLog audit;
+  Itfs itfs(MakeLower(), std::move(policy), Root(), nullptr, &audit);
+  auto tally = std::make_shared<witobs::OutcomeTally>();
+  itfs.set_tally(tally);
   std::string buf;
   ASSERT_TRUE(itfs.ReadAt("/etc/passwd", 0, 100, &buf, Admin()).ok());
   EXPECT_EQ(buf, "root:x:0:0\n");
-  EXPECT_GE(itfs.oplog().size(), 1u);
-  EXPECT_EQ(itfs.oplog().denied_count(), 0u);
+  EXPECT_EQ(tally->Read().allowed, 1u);
+  EXPECT_EQ(tally->Read().denied, 0u);
+  EXPECT_EQ(audit.CountEvent(witos::AuditEvent::kFileDenied), 0u);
 }
 
 TEST(ItfsTest, DeniesDocumentsByExtension) {
   ItfsPolicy policy;
   policy.AddRule(ItfsPolicy::DenyDocumentsRule());
-  Itfs itfs(MakeLower(), std::move(policy), Root());
+  witos::AuditLog audit;
+  Itfs itfs(MakeLower(), std::move(policy), Root(), nullptr, &audit);
   EXPECT_EQ(itfs.Open("/home/payroll.xlsx", witos::kOpenRead, 0, Admin()).error(),
             witos::Err::kAcces);
   EXPECT_EQ(itfs.Open("/home/photo.jpg", witos::kOpenRead, 0, Admin()).error(),
             witos::Err::kAcces);
   // Extension mode misses content smuggled under an innocent name.
   EXPECT_TRUE(itfs.Open("/home/disguised.log", witos::kOpenRead, 0, Admin()).ok());
-  EXPECT_EQ(itfs.oplog().denied_count(), 2u);
+  EXPECT_EQ(Details(audit, witos::AuditEvent::kFileDenied),
+            (std::vector<std::string>{"open /home/payroll.xlsx [deny-documents]",
+                                      "open /home/photo.jpg [deny-documents]"}));
+}
+
+// What ITFS chains: every denial, each access a rule matches (a log rule's
+// hits as kFileAccess), and with log_all every access. The default chains
+// no access that no rule matched.
+TEST(ItfsTest, ChainsDenialsRuleHitsAndLogAllAccesses) {
+  auto run = [](bool log_all) {
+    ItfsPolicy policy;
+    policy.AddRule(ItfsPolicy::ReadOnlyRule({"/etc"}));
+    ItfsRule watch;
+    watch.name = "watch-home";
+    watch.action = RuleAction::kLogOnly;
+    watch.path_prefixes = {"/home"};
+    policy.AddRule(std::move(watch));
+    if (log_all) {
+      policy.set_log_all(true);
+    }
+    auto audit = std::make_unique<witos::AuditLog>();
+    Itfs itfs(MakeLower(), policy, Root(), nullptr, audit.get());
+    std::string buf;
+    EXPECT_TRUE(itfs.ReadAt("/etc/passwd", 0, 4, &buf, Admin()).ok());
+    EXPECT_EQ(itfs.WriteAt("/etc/passwd", 0, "x", Admin()).error(), witos::Err::kAcces);
+    EXPECT_TRUE(itfs.ReadAt("/home/notes.txt", 0, 4, &buf, Admin()).ok());
+    return audit;
+  };
+  EXPECT_FALSE(ItfsPolicy().log_all());
+  std::unique_ptr<witos::AuditLog> by_default = run(false);
+  EXPECT_EQ(Details(*by_default, witos::AuditEvent::kFileDenied),
+            (std::vector<std::string>{"write /etc/passwd [read-only]"}));
+  EXPECT_EQ(Details(*by_default, witos::AuditEvent::kFileAccess),
+            (std::vector<std::string>{"read /home/notes.txt [watch-home]"}));
+  EXPECT_EQ(by_default->size(), 2u);
+
+  std::unique_ptr<witos::AuditLog> everything = run(true);
+  EXPECT_EQ(Details(*everything, witos::AuditEvent::kFileDenied),
+            (std::vector<std::string>{"write /etc/passwd [read-only]"}));
+  EXPECT_EQ(Details(*everything, witos::AuditEvent::kFileAccess),
+            (std::vector<std::string>{"read /etc/passwd []", "read /home/notes.txt [watch-home]"}));
+  for (const witos::AuditRecord& record : everything->Snapshot()) {
+    EXPECT_EQ(record.pid, witos::kNoPid);  // a standalone instance
+    EXPECT_EQ(record.uid, Admin().uid);
+  }
+  EXPECT_TRUE(everything->Verify());
 }
 
 TEST(ItfsTest, SignatureModeCatchesDisguisedContent) {
@@ -129,16 +191,16 @@ TEST(ItfsTest, LogOnlyRuleAllowsButTags) {
   rule.action = RuleAction::kLogOnly;
   rule.path_prefixes = {"/etc"};
   policy.AddRule(std::move(rule));
-  policy.set_log_all(false);
-  Itfs itfs(MakeLower(), std::move(policy), Root());
+  witos::AuditLog audit;
+  Itfs itfs(MakeLower(), std::move(policy), Root(), nullptr, &audit);
   std::string buf;
   ASSERT_TRUE(itfs.ReadAt("/etc/passwd", 0, 10, &buf, Admin()).ok());
-  ASSERT_EQ(itfs.oplog().size(), 1u);
-  EXPECT_EQ(itfs.oplog().records()[0].rule, "watch-etc");
-  EXPECT_FALSE(itfs.oplog().records()[0].denied);
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_EQ(audit.Snapshot()[0].event, witos::AuditEvent::kFileAccess);
+  EXPECT_EQ(audit.Snapshot()[0].detail, "read /etc/passwd [watch-etc]");
   // Unmatched paths are not logged when log_all is off.
   ASSERT_TRUE(itfs.ReadAt("/home/notes.txt", 0, 4, &buf, Admin()).ok());
-  EXPECT_EQ(itfs.oplog().size(), 1u);
+  EXPECT_EQ(audit.size(), 1u);
 }
 
 TEST(ItfsTest, InvokerPrivilegesSubstituteCallerPrivileges) {
@@ -178,8 +240,8 @@ TEST(ItfsTest, RenameIntoReadOnlyTreeDeniedAndLoggedBothDirections) {
   lower->ProvisionFile("/archive/old.txt", "frozen");
   ItfsPolicy policy;
   policy.AddRule(ItfsPolicy::ReadOnlyRule({"/archive"}));
-  policy.set_log_all(false);
-  Itfs itfs(lower, std::move(policy), Root());
+  witos::AuditLog audit;
+  Itfs itfs(lower, std::move(policy), Root(), nullptr, &audit);
 
   // Permitted tree -> read-only tree: denied at the destination gate.
   EXPECT_EQ(itfs.Rename("/home/notes.txt", "/archive/notes.txt", Admin()).error(),
@@ -187,11 +249,10 @@ TEST(ItfsTest, RenameIntoReadOnlyTreeDeniedAndLoggedBothDirections) {
   // Read-only tree -> permitted tree: denied at the source gate.
   EXPECT_EQ(itfs.Rename("/archive/old.txt", "/home/old.txt", Admin()).error(),
             witos::Err::kAcces);
-  EXPECT_EQ(itfs.oplog().denied_count(), 2u);
-  for (const auto& rec : itfs.oplog().records()) {
-    EXPECT_EQ(rec.rule, "read-only");
-    EXPECT_EQ(rec.op, ItfsOpKind::kRename);
-  }
+  EXPECT_EQ(audit.size(), 2u);
+  EXPECT_EQ(Details(audit, witos::AuditEvent::kFileDenied),
+            (std::vector<std::string>{"rename /archive/notes.txt [read-only]",
+                                      "rename /archive/old.txt [read-only]"}));
   // Neither file moved.
   EXPECT_TRUE(lower->GetAttr("/home/notes.txt", Root()).ok());
   EXPECT_TRUE(lower->GetAttr("/archive/old.txt", Root()).ok());
@@ -204,10 +265,11 @@ TEST(ItfsTest, RenameIntoProtectedTreeDenied) {
   // the protected WatchIT tree (e.g. to shadow a binary) is denied too.
   ItfsPolicy policy;
   policy.AddRule(ItfsPolicy::ProtectPathsRule({"/usr/watchit"}));
-  Itfs itfs(MakeLower(), std::move(policy), Root());
+  witos::AuditLog audit;
+  Itfs itfs(MakeLower(), std::move(policy), Root(), nullptr, &audit);
   EXPECT_EQ(itfs.Rename("/home/notes.txt", "/usr/watchit/broker", Admin()).error(),
             witos::Err::kAcces);
-  EXPECT_GE(itfs.oplog().denied_count(), 1u);
+  EXPECT_GE(audit.CountEvent(witos::AuditEvent::kFileDenied), 1u);
 }
 
 // ---------------------------------------------------------------------------

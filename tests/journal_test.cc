@@ -73,12 +73,13 @@ TEST(JournalRecordTest, DecodeRejectsUnknownKindAndTrailingGarbage) {
   bad_kind[0] = '\xff';
   bad_kind[1] = '\xff';
   EXPECT_FALSE(DecodeRecordPayload(bad_kind).ok());
-  // The first kind WJL4 retired (9, a WJL3 deploy_stage record).
+  // The first kind past the last one WJL4 defines (10, a WJL3 deploy-trail
+  // kind).
   ASSERT_EQ(static_cast<uint8_t>(payload[0]), 2u);
-  std::string retired = payload;
-  retired[0] = static_cast<char>(kMaxJournalRecordKind + 1);
-  ASSERT_EQ(retired[0], 9);
-  EXPECT_FALSE(DecodeRecordPayload(retired).ok());
+  std::string unknown = payload;
+  unknown[0] = static_cast<char>(kMaxJournalRecordKind + 1);
+  ASSERT_EQ(unknown[0], 10);
+  EXPECT_FALSE(DecodeRecordPayload(unknown).ok());
 
   // Trailing garbage after a well-formed record.
   EXPECT_FALSE(DecodeRecordPayload(payload + "x").ok());
@@ -132,6 +133,7 @@ std::vector<GoldenFrame> GoldenFrames() {
       {{K::kCertRevoke, 7, 0, {17}, {}}, "574a4c3491bc27e88cebdaf906000000070700011100"},
       {{K::kRecoveryMark, 8, 0, {33596, 4}, {}},
        "574a4c3431c12c2ca9bb20880900000008080002bc86020400"},
+      {{K::kCertRevokeRun, 9, 0, {1, 6}, {}}, "574a4c34cada4ff8b7115bd50700000009090002010600"},
   };
 }
 
@@ -156,7 +158,7 @@ TEST(JournalRecordTest, EveryKindEncodesToItsGoldenFrame) {
 }
 
 // The writer frames views into one reused buffer: the file it writes is the
-// golden frames back to back (their lsns are 1..8, as the writer stamps
+// golden frames back to back (their lsns are 1..9, as the writer stamps
 // them), whatever the previous frame left in the buffer.
 TEST(JournalWriterTest, WritesTheGoldenFrames) {
   auto fs = std::make_shared<witos::MemFs>();

@@ -16,7 +16,6 @@
 #include "src/core/cluster.h"
 #include "src/core/report.h"
 #include "src/core/session.h"
-#include "src/fs/oplog.h"
 
 namespace witobs {
 namespace {
@@ -59,6 +58,20 @@ TEST(GaugeTest, SetAddSub) {
   g->Sub(7);
   EXPECT_EQ(g->Value(), 8);
   EXPECT_EQ(registry.GaugeValue("watchit_depth"), 8);
+}
+
+TEST(ShadowTallyTest, OutcomeIndexMatchesTheSeriesAndEvaluatedIsTheSum) {
+  ShadowTally tally;
+  EXPECT_EQ(tally.Count(/*enforced_allows=*/true, /*shadow_allows=*/true), ShadowTally::kAgree);
+  EXPECT_EQ(tally.Count(false, false), ShadowTally::kAgree);
+  EXPECT_EQ(tally.Count(true, false), ShadowTally::kWouldBlock);
+  EXPECT_EQ(tally.Count(false, true), ShadowTally::kWouldAllow);
+  EXPECT_EQ(tally.Count(false, true), ShadowTally::kWouldAllow);
+  ShadowCounts counts = tally.Read();
+  EXPECT_EQ(counts.agree, 2u);
+  EXPECT_EQ(counts.would_block, 1u);
+  EXPECT_EQ(counts.would_allow, 2u);
+  EXPECT_EQ(counts.evaluated, 5u);
 }
 
 TEST(HistogramTest, CountSumAndBucketing) {
@@ -385,22 +398,6 @@ TEST(EndToEndTest, ForgedTicketIdsCannotMintSeries) {
     }
   }
   EXPECT_EQ(denied_records, static_cast<size_t>(kForged));
-}
-
-TEST(EndToEndTest, OpLogRetentionCapDropsOldestAndCountsInRegistry) {
-  MetricsRegistry registry;
-  witfs::OpLog log;
-  log.set_capacity(3);
-  log.set_dropped_counter(registry.GetCounter("watchit_itfs_oplog_dropped_total"));
-  for (int i = 0; i < 5; ++i) {
-    witfs::OpRecord rec;
-    rec.path = "/f" + std::to_string(i);
-    log.Record(std::move(rec));
-  }
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.records().front().path, "/f2");  // oldest two evicted
-  EXPECT_EQ(log.dropped_records(), 2u);
-  EXPECT_EQ(registry.CounterValue("watchit_itfs_oplog_dropped_total"), 2u);
 }
 
 }  // namespace

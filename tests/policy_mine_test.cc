@@ -251,28 +251,31 @@ TEST(ShadowModeTest, ItfsVerdictsUnchangedUnderShadow) {
   witfs::Itfs plain(make_lower(), hand, witos::Credentials{});
   std::vector<int> before = run(&plain);
 
-  witfs::Itfs shadowed(make_lower(), hand, witos::Credentials{});
+  witos::AuditLog chain;
+  witfs::Itfs shadowed(make_lower(), hand, witos::Credentials{}, nullptr, &chain);
   shadowed.SetShadowPolicy(shadow);
   std::vector<int> after = run(&shadowed);
   EXPECT_EQ(before, after) << "a shadow policy must never change a verdict";
 
-  witfs::ShadowStats stats = shadowed.shadow_stats();
+  witobs::ShadowCounts stats = shadowed.shadow_stats();
   EXPECT_GT(stats.evaluated, 0u);
+  EXPECT_EQ(stats.evaluated, stats.agree + stats.would_block + stats.would_allow);
   // T-2's mined profile has no /home surface: the .ssh/config open diverges.
   EXPECT_GT(stats.would_block, 0u);
   // Mined is a strict subset of the permissive hand policy here.
   EXPECT_EQ(stats.would_allow, 0u);
-  std::vector<witfs::ShadowDivergence> divergences = shadowed.ShadowDivergences();
-  ASSERT_FALSE(divergences.empty());
+  // Each divergence is one chained session event.
+  std::vector<witos::AuditRecord> divergences = chain.Filter(
+      [](const witos::AuditRecord& r) { return r.event == witos::AuditEvent::kSessionEvent; });
+  ASSERT_EQ(divergences.size(), stats.would_block);
   bool saw_config = false;
-  for (const witfs::ShadowDivergence& d : divergences) {
-    if (d.path == "/home/user/.ssh/config") {
-      saw_config = true;
-      EXPECT_FALSE(d.primary_deny);
-      EXPECT_EQ(d.shadow_rule, "mined-default-deny");
-    }
+  for (const witos::AuditRecord& d : divergences) {
+    EXPECT_EQ(d.detail.rfind("shadow-divergence ", 0), 0u) << d.detail;
+    saw_config |= d.detail ==
+                  "shadow-divergence open /home/user/.ssh/config would-block [mined-default-deny]";
   }
   EXPECT_TRUE(saw_config);
+  EXPECT_TRUE(chain.Verify());
 
   // Installing, then clearing, on a live instance: verdicts stay put.
   plain.SetShadowPolicy(shadow);
@@ -323,7 +326,7 @@ TEST(ShadowModeTest, BrokerOutcomesUnchangedUnderShadow) {
   std::vector<bool> after = run();
   EXPECT_EQ(before, after) << "a broker shadow policy must never change an outcome";
 
-  witbroker::PermissionBroker::ShadowStats stats = broker.shadow_stats();
+  witobs::ShadowCounts stats = broker.shadow_stats();
   EXPECT_EQ(stats.evaluated, traffic.size());
   // T-5's mined verbs don't include ps/kill (its workload handles processes
   // in-view): both grants diverge. T-2's denials agree.

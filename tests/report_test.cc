@@ -1,7 +1,8 @@
 // Forensic reporting tests: a benign session scores low; a probing rogue
-// floats to the top of the triage queue; a closed session's record reports
-// what the live session did; a tampered evidence chain is reported as such,
-// not read; and triage runs race-free beside a serving machine.
+// floats to the top of the triage queue; a session's denied paths cover
+// every ITFS mount of it; a closed session's record reports what the live
+// session did; a tampered evidence chain is reported as such, not read; and
+// triage runs race-free beside a serving machine.
 
 #include "src/core/report.h"
 
@@ -106,6 +107,45 @@ TEST_F(ReportTest, BrokerActivityAppearsInReport) {
   EXPECT_NE(rendered.find("DENY driver_update rootkit"), std::string::npos);
 }
 
+// A session's denied-path lines are the chain's denial records under its
+// host worker: one per denial, on its view and on a directory shared into
+// the running container alike, and none of another session's.
+TEST_F(ReportTest, DeniedPathsCoverEveryMountOfTheSession) {
+  machine_->kernel().root_fs().ProvisionFile("/var/data/report.pdf", "%PDF-1.4 quarterly");
+  Deployment shared = Deploy("T-1", "TKT-SHARED", "alice");
+  ASSERT_TRUE(
+      machine_->containit().ShareDirectory(shared.session, "/var/data", "/var/data").ok());
+  AdminSession session(machine_, shared.session, shared.certificate, &cluster_.ca());
+  ASSERT_TRUE(session.Login().ok());
+  EXPECT_EQ(session.ReadFile("/var/data/report.pdf").error(), witos::Err::kAcces);
+  EXPECT_EQ(session.ReadFile("/home/user/documents/payroll.xlsx").error(), witos::Err::kAcces);
+
+  Deployment other = Deploy("T-6", "TKT-OTHER", "mallory");
+  AdminSession other_session(machine_, other.session, other.certificate, &cluster_.ca());
+  ASSERT_TRUE(other_session.Login().ok());
+  EXPECT_EQ(other_session.ReadFile("/home/user/documents/patients.pdf").error(),
+            witos::Err::kAcces);
+
+  ForensicReporter reporter(machine_);
+  auto live = reporter.Collect(shared.session);
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live->fs_denied, 2u);
+  const std::vector<std::string> expected = {
+      "open /var/data/report.pdf [deny-documents]",
+      "open /home/user/documents/payroll.xlsx [deny-documents]"};
+  EXPECT_EQ(live->denied_paths, expected);
+  auto other_live = reporter.Collect(other.session);
+  ASSERT_TRUE(other_live.ok());
+  EXPECT_EQ(other_live->denied_paths,
+            std::vector<std::string>{"open /home/user/documents/patients.pdf [deny-documents]"});
+
+  ASSERT_TRUE(manager_->Expire(&shared).ok());
+  auto retired = reporter.Collect(shared.session);
+  ASSERT_TRUE(retired.ok());
+  EXPECT_EQ(retired->fs_denied, 2u);
+  EXPECT_EQ(retired->denied_paths, expected);
+}
+
 // Everything a report says about a session, except whether it is live.
 void ExpectSameEvidence(const SessionForensics& a, const SessionForensics& b) {
   EXPECT_EQ(a.ticket_id, b.ticket_id);
@@ -166,9 +206,9 @@ TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
   ExpectSameEvidence(*retired, *live);
 }
 
-// A chain that fails verification is reported as such: no broker lines,
-// anomalies or probe counts are read from it. The totals in the session's
-// own record still stand.
+// A chain that fails verification is reported as such: no denied paths,
+// broker lines, anomalies or probe counts are read from it. The totals in
+// the session's own record still stand.
 TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   Deployment deployment = Deploy("T-6", "TKT-TAMPER", "mallory");
   AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
@@ -178,6 +218,7 @@ TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   auto honest = reporter.Collect(deployment.session);
   ASSERT_TRUE(honest.ok());
   ASSERT_FALSE(honest->broker_lines.empty());
+  ASSERT_FALSE(honest->denied_paths.empty());
   ASSERT_GT(honest->capability_denials, 0u);
 
   machine_->broker().log().TamperForTest(0, "GRANT mallory nothing-to-see");
@@ -185,6 +226,8 @@ TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   ASSERT_TRUE(tampered.ok());
   const std::string rendered = ForensicReporter::Render(*tampered);
   EXPECT_NE(rendered.find("FAILED verification"), std::string::npos);
+  EXPECT_TRUE(tampered->denied_paths.empty());
+  EXPECT_EQ(rendered.find("denied: "), std::string::npos);
   EXPECT_TRUE(tampered->broker_lines.empty());
   EXPECT_TRUE(tampered->flagged_anomalies.empty());
   EXPECT_EQ(tampered->capability_denials, 0u);

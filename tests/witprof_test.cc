@@ -3,8 +3,7 @@
 // scenario: every ticket a live ServerPool served must reassemble from the
 // pool's tracer into its whole timeline.
 //
-// Tracer ring-drop and OpLog/broker retention accounting are covered in
-// obs_test.cc.
+// Tracer ring-drop accounting is covered in obs_test.cc.
 
 #include "src/obs/profile.h"
 #include "src/obs/timeline.h"
