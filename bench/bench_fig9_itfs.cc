@@ -10,10 +10,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/fig9_common.h"
@@ -108,14 +111,15 @@ void PrintFigure9() {
   std::printf("\nhigher is better (normalized performance, baseline = 1.0)\n");
 }
 
-// One fixed ITFS+signature workload pass (grep-100KB + Postmark); returns
-// the *wall* time the simulator took. Simulated time is identical with and
-// without the metrics layer — what the instrumentation costs is real CPU on
-// the gate path, so wall time is the honest denominator here.
+// Instrumented/uninstrumented pass pairs behind the metrics-layer overhead.
+constexpr int kOverheadPairs = 11;
+
 struct OverheadResult {
-  uint64_t bare_ns = 0;
-  uint64_t wired_ns = 0;
-  double overhead_pct = 0.0;
+  uint64_t bare_cpu_ns = 0;   // median pass
+  uint64_t wired_cpu_ns = 0;  // median pass
+  double overhead_pct = 0.0;  // median of the per-pair overheads
+  double overhead_q1_pct = 0.0;
+  double overhead_q3_pct = 0.0;
   size_t series = 0;
   uint64_t gated_ops = 0;
   uint64_t cache_hits = 0;
@@ -124,27 +128,58 @@ struct OverheadResult {
   uint64_t compile_observations = 0;
 };
 
+uint64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// One fixed ITFS+signature workload pass (grep-100KB + Postmark); returns
+// the CPU time the calling thread spent on it. Simulated time is identical
+// with and without the metrics layer: what the instrumentation costs is
+// real CPU on the gate path. The whole pass runs on the calling thread, so
+// its thread-CPU time is the honest measure; unlike wall time, it does not
+// count time spent descheduled.
 uint64_t TimedWorkloadPass(bool instrument) {
   BenchEnv env = MakeEnv(FsConfig::kItfsSignature, instrument);
-  uint64_t start = witobs::MonotonicNowNs();
+  uint64_t start = ThreadCpuNs();
   fig9::RunGrepSmall(&env);
   fig9::RunPostmarkBench(&env, 7);
-  return witobs::MonotonicNowNs() - start;
+  return ThreadCpuNs() - start;
+}
+
+// The value at quantile `q` of `values` (nearest rank), which it sorts.
+template <typename T>
+T Quantile(std::vector<T>* values, double q) {
+  std::sort(values->begin(), values->end());
+  return (*values)[static_cast<size_t>(q * static_cast<double>(values->size() - 1) + 0.5)];
 }
 
 OverheadResult PrintMetricsOverhead() {
-  // Min-of-N on interleaved passes: robust to scheduler noise, which at
-  // these percentages is larger than the effect being measured.
-  constexpr int kTrials = 7;
-  uint64_t bare_ns = UINT64_MAX;
-  uint64_t wired_ns = UINT64_MAX;
+  // Each pair runs both passes, alternating which goes first, so neither
+  // side always runs on a warmer heap and cache; the median and quartiles
+  // of the per-pair overheads give the effect and its spread.
+  std::vector<uint64_t> bare_ns;
+  std::vector<uint64_t> wired_ns;
+  std::vector<double> overhead_pct;
   TimedWorkloadPass(false);  // warm-up, discarded
-  for (int i = 0; i < kTrials; ++i) {
-    bare_ns = std::min(bare_ns, TimedWorkloadPass(false));
-    wired_ns = std::min(wired_ns, TimedWorkloadPass(true));
+  for (int i = 0; i < kOverheadPairs; ++i) {
+    const bool bare_first = i % 2 == 0;
+    const uint64_t first = TimedWorkloadPass(!bare_first);
+    const uint64_t second = TimedWorkloadPass(bare_first);
+    const uint64_t bare = bare_first ? first : second;
+    const uint64_t wired = bare_first ? second : first;
+    bare_ns.push_back(bare);
+    wired_ns.push_back(wired);
+    overhead_pct.push_back(100.0 *
+                           (static_cast<double>(wired) / static_cast<double>(bare) - 1.0));
   }
-  double overhead =
-      100.0 * (static_cast<double>(wired_ns) / static_cast<double>(bare_ns) - 1.0);
+  OverheadResult result;
+  result.bare_cpu_ns = Quantile(&bare_ns, 0.5);
+  result.wired_cpu_ns = Quantile(&wired_ns, 0.5);
+  result.overhead_pct = Quantile(&overhead_pct, 0.5);
+  result.overhead_q1_pct = Quantile(&overhead_pct, 0.25);
+  result.overhead_q3_pct = Quantile(&overhead_pct, 0.75);
 
   // One more instrumented pass, kept alive to report what the registry saw.
   BenchEnv env = MakeEnv(FsConfig::kItfsSignature, true);
@@ -161,10 +196,14 @@ OverheadResult PrintMetricsOverhead() {
       env.metrics->FindHistogram("watchit_itfs_op_latency_ns", {{"op", "read"}});
 
   std::printf("\n=== metrics-layer overhead (ITFS+signature, grep-100KB + Postmark) ===\n");
-  std::printf("%-28s %12.2f wall ms\n", "uninstrumented", static_cast<double>(bare_ns) / 1e6);
-  std::printf("%-28s %12.2f wall ms\n", "with MetricsRegistry",
-              static_cast<double>(wired_ns) / 1e6);
-  std::printf("%-28s %+12.2f %%   (acceptance target: < 5%%)\n", "overhead", overhead);
+  std::printf("%-28s %12.2f thread-CPU ms (median pass)\n", "uninstrumented",
+              static_cast<double>(result.bare_cpu_ns) / 1e6);
+  std::printf("%-28s %12.2f thread-CPU ms (median pass)\n", "with MetricsRegistry",
+              static_cast<double>(result.wired_cpu_ns) / 1e6);
+  std::printf("%-28s %+12.2f %%   median of %d alternating pairs, quartiles %+.2f / %+.2f %%"
+              "   (acceptance target: < 5%%)\n",
+              "overhead", result.overhead_pct, kOverheadPairs, result.overhead_q1_pct,
+              result.overhead_q3_pct);
   std::printf("%-28s %12zu series, %llu gated ops counted\n", "registry after one pass",
               env.metrics->SeriesCount(), static_cast<unsigned long long>(gated));
   if (read_latency != nullptr && read_latency->Count() > 0) {
@@ -175,10 +214,6 @@ OverheadResult PrintMetricsOverhead() {
                 static_cast<unsigned long long>(read_latency->Percentile(99)),
                 static_cast<unsigned long long>(read_latency->Count()));
   }
-  OverheadResult result;
-  result.bare_ns = bare_ns;
-  result.wired_ns = wired_ns;
-  result.overhead_pct = overhead;
   result.series = env.metrics->SeriesCount();
   result.gated_ops = gated;
   result.cache_hits = env.metrics->CounterValue("watchit_itfs_verdict_cache_hits");
@@ -218,9 +253,12 @@ std::string RenderJson(const OverheadResult& overhead) {
     workloads.Add(obj.Render());
   }
   benchjson::Object overhead_obj;
-  overhead_obj.Number("uninstrumented_wall_ns", overhead.bare_ns)
-      .Number("instrumented_wall_ns", overhead.wired_ns)
+  overhead_obj.Number("uninstrumented_thread_cpu_ns", overhead.bare_cpu_ns)
+      .Number("instrumented_thread_cpu_ns", overhead.wired_cpu_ns)
+      .Number("pairs", static_cast<uint64_t>(kOverheadPairs))
       .Number("overhead_pct", overhead.overhead_pct)
+      .Number("overhead_q1_pct", overhead.overhead_q1_pct)
+      .Number("overhead_q3_pct", overhead.overhead_q3_pct)
       .Number("registry_series", overhead.series)
       .Number("gated_ops", overhead.gated_ops);
   benchjson::Object cache_obj;
@@ -230,6 +268,8 @@ std::string RenderJson(const OverheadResult& overhead) {
       .Number("policy_compile_observations", overhead.compile_observations);
   benchjson::Object root;
   root.Str("bench", "fig9_itfs")
+      .Number("host_cores",
+              static_cast<uint64_t>(std::max(1u, std::thread::hardware_concurrency())))
       .Add("workloads", workloads.Render())
       .Add("metrics_overhead", overhead_obj.Render())
       .Add("verdict_cache", cache_obj.Render());

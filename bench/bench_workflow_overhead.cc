@@ -47,7 +47,7 @@ void ReplayAsRoot(Machine* machine, const witload::RequiredOp& op) {
       const witload::OrgEndpoint* ep = witload::EndpointByName(op.endpoint_name);
       if (ep != nullptr) {
         witos::NsId host_ns = machine->NetNsOf(root);
-        (void)machine->net().Request(host_ns, ep->addr, ep->port, "hello", 0);
+        (void)machine->net().Request(host_ns, ep->addr, ep->port, "hello", root, 0);
       }
       break;
     }

@@ -1,6 +1,6 @@
 // A rogue administrator walks the Table 1 attack list against a live
 // WatchIT deployment. Every attempt should be stopped by the corresponding
-// defence, leaving a forensic trail.
+// defence, leaving a forensic trail. Exits nonzero if any attack succeeds.
 
 #include <cstdio>
 #include <random>
@@ -14,10 +14,12 @@
 namespace {
 
 int g_attack = 0;
+int g_succeeded = 0;
 
 void Attack(const char* description, bool blocked) {
   std::printf("  attack %2d: %-52s %s\n", ++g_attack, description,
               blocked ? "BLOCKED" : "*** SUCCEEDED ***");
+  g_succeeded += blocked ? 0 : 1;
 }
 
 }  // namespace
@@ -88,7 +90,7 @@ int main() {
   const witos::Process* proc = kernel.FindProcess(shell);
   auto exfil = machine.net().Request(proc->ns.Get(witos::NsType::kNet),
                                      witload::kSoftwareRepo.addr, witload::kSoftwareRepo.port,
-                                     encrypted, 0);
+                                     encrypted, shell, 0);
   Attack("read payroll.xlsx through ITFS", read_blocked);
   Attack("exfiltrate encrypted blob past the sniffer", !exfil.ok());
 
@@ -119,5 +121,5 @@ int main() {
               kernel.audit().CountEvent(witos::AuditEvent::kTcbViolation));
   std::printf("  session terminations:        %zu\n",
               kernel.audit().CountEvent(witos::AuditEvent::kContainerTerminated));
-  return 0;
+  return g_succeeded == 0 ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 // §7.2: automatic management tools (Chef/Puppet, cluster management) run
 // inside Figure 8 perforated containers instead of as naked root crons.
 // Legitimate scripts complete; tampered variants can neither read
-// classified data nor exfiltrate it.
+// classified data nor exfiltrate it. Exits nonzero if a tampered variant is
+// not contained.
 
 #include <cstdio>
 #include <map>
@@ -11,14 +12,17 @@
 
 namespace {
 
-void Report(const char* family, const std::vector<watchit::ScriptRunReport>& reports) {
+// Prints one family's reports; true if every tampered variant was contained.
+bool Report(const char* family, const std::vector<watchit::ScriptRunReport>& reports) {
   std::printf("%s (%zu scripts):\n", family, reports.size());
   std::map<std::string, std::pair<size_t, size_t>> per_class;  // class -> (count, contained)
   size_t satisfied = 0;
+  bool all_contained = true;
   for (const auto& report : reports) {
     auto& [count, contained] = per_class[report.container_class];
     ++count;
     contained += report.fully_contained() ? 1u : 0u;
+    all_contained = all_contained && report.fully_contained();
     satisfied += report.fully_satisfied() ? 1u : 0u;
     std::printf("  %-26s %-4s ops %zu/%zu  tampered blocked %zu/%zu\n", report.script.c_str(),
                 report.container_class.c_str(), report.ops_succeeded, report.ops_total,
@@ -33,6 +37,7 @@ void Report(const char* family, const std::vector<watchit::ScriptRunReport>& rep
                 stats.second);
   }
   std::printf("\n");
+  return all_contained;
 }
 
 }  // namespace
@@ -43,13 +48,15 @@ int main() {
   watchit::Machine& node = cluster.AddMachine("node1", witnet::Ipv4Addr(10, 0, 2, 1));
   watchit::ScriptRunner runner(&node);
 
-  Report("Chef/Puppet maintenance scripts", runner.RunAll(witload::ChefPuppetScripts()));
-  Report("Spark/Swift cluster-management scripts",
-         runner.RunAll(witload::ClusterManagementScripts()));
+  bool contained =
+      Report("Chef/Puppet maintenance scripts", runner.RunAll(witload::ChefPuppetScripts()));
+  contained = Report("Spark/Swift cluster-management scripts",
+                     runner.RunAll(witload::ClusterManagementScripts())) &&
+              contained;
 
   std::printf("network blocks recorded while containing tampered scripts: %zu\n",
               node.kernel().audit().CountEvent(witos::AuditEvent::kNetworkBlocked));
   std::printf("ITFS denials recorded: %zu\n",
               node.kernel().audit().CountEvent(witos::AuditEvent::kFileDenied));
-  return 0;
+  return contained ? 0 : 1;
 }

@@ -193,7 +193,7 @@ witos::Status ContainIt::SetupNetworkView(Session* session) {
   witos::NsId net_ns = proc->ns.Get(witos::NsType::kNet);
 
   auto make_sniffer = [&]() {
-    auto sniffer = std::make_shared<witnet::Sniffer>();
+    auto sniffer = std::make_unique<witnet::Sniffer>();
     sniffer->AddRule(witnet::Sniffer::BlockFileSignatures());
     sniffer->AddRule(witnet::Sniffer::BlockEncrypted());
     std::vector<witnet::Cidr> whitelist = spec.net.sniffer_whitelist;
@@ -217,9 +217,6 @@ witos::Status ContainIt::SetupNetworkView(Session* session) {
       if (host_ns.sniffer == nullptr) {
         host_ns.sniffer = make_sniffer();
       }
-      session->sniffer = host_ns.sniffer;
-      session->sniffer_alerts_before = session->sniffer->alert_count();
-      session->sniffer_packets_before = session->sniffer->packets_inspected();
     }
     return witos::Status::Ok();
   }
@@ -241,7 +238,6 @@ witos::Status ContainIt::SetupNetworkView(Session* session) {
   }
   if (spec.net.sniff) {
     payload.sniffer = make_sniffer();
-    session->sniffer = payload.sniffer;
   }
   return witos::Status::Ok();
 }
@@ -349,7 +345,7 @@ witos::Status ContainIt::BuildSession(Session* session) {
     WITOS_ASSIGN_OR_RETURN(session->itfs_daemon,
                            kernel_->Clone(kernel_->init_pid(), "itfs", 0));
   }
-  if (session->sniffer != nullptr) {
+  if (net_ != nullptr && spec.net.sniff) {  // exactly when a tap is installed
     WITOS_ASSIGN_OR_RETURN(session->sniffer_daemon,
                            kernel_->Clone(kernel_->init_pid(), "snort", 0));
   }
@@ -365,7 +361,7 @@ void ContainIt::TearDown(Session* session) {
     }
   }
   // An isolated network namespace dies with the session; so does its
-  // witnet state (the sniffer stays reachable through the session).
+  // witnet state, its sniffer included.
   const witos::Process* init = kernel_->FindProcess(session->container_init);
   if (net_ != nullptr && init != nullptr && session->spec.IsolatesNs(witos::NsType::kNet)) {
     net_->namespaces().Erase(init->ns.Get(witos::NsType::kNet));
@@ -425,19 +421,6 @@ SessionRecord ContainIt::RecordOf(const Session& session) const {
   record.shell = session.shell;
   record.container_init = session.container_init;
   record.fs_ops = session.itfs_tally->Read();
-  if (session.sniffer != nullptr) {
-    record.packets_inspected =
-        session.sniffer->packets_inspected() - session.sniffer_packets_before;
-    const std::vector<witnet::SnifferAlert>& alerts = session.sniffer->alerts();
-    for (size_t i = session.sniffer_alerts_before; i < alerts.size(); ++i) {
-      const witnet::SnifferAlert& alert = alerts[i];
-      record.packets_blocked += alert.blocked ? 1 : 0;
-      record.sniffer_hits.push_back(
-          (alert.blocked ? std::string("BLOCK ") : std::string("ALERT ")) + alert.rule +
-          " -> " + alert.dst.ToString() + ":" + std::to_string(alert.port) + " (" +
-          std::to_string(alert.payload_bytes) + "B)");
-    }
-  }
   if (broker_ != nullptr) {
     record.broker_requests = broker_->RequestsOf(session.ticket_id);
   }
@@ -550,7 +533,6 @@ witos::Status ContainIt::AllowNetworkEndpoint(SessionId id, witnet::Ipv4Addr add
   if (payload.sniffer != nullptr) {
     payload.sniffer->WidenWhitelist(witnet::Cidr::Host(addr));
   }
-  session->spec.net.sniffer_whitelist.push_back(witnet::Cidr::Host(addr));
   return witos::Status::Ok();
 }
 

@@ -61,12 +61,6 @@ struct Session {
   // while nothing of the session is monitored.
   std::shared_ptr<witfs::Itfs> itfs;
   std::shared_ptr<witos::MemFs> private_root;  // for kPrivate / kDirs views
-  std::shared_ptr<witnet::Sniffer> sniffer;    // null when unsniffed
-  // The sniffer's alerts and packets before the session began: a tap on the
-  // shared host namespace also sees traffic of the host and of other
-  // sessions, before and after this one.
-  size_t sniffer_alerts_before = 0;
-  uint64_t sniffer_packets_before = 0;
   // Gate totals of every ITFS instance of the session.
   std::shared_ptr<witobs::OutcomeTally> itfs_tally = std::make_shared<witobs::OutcomeTally>();
   // Every filesystem mounted for this session alone (the view, its bind
@@ -88,16 +82,13 @@ struct SessionRecord {
   std::string termination_reason;  // empty while the session is live
   // Kernel audit records are attributed to the session by these pids
   // (pids are never reused). Every ITFS record of the session, on its view
-  // and on every shared directory, carries host_worker.
+  // and on every shared directory, carries host_worker; every network
+  // record carries the pid of the process that made the call.
   witos::Pid host_worker = witos::kNoPid;
   witos::Pid shell = witos::kNoPid;
   witos::Pid container_init = witos::kNoPid;
   // ITFS decisions over every mount of the session.
   witobs::OutcomeCounts fs_ops;
-  // What the session's sniffer inspected while the session was live.
-  uint64_t packets_inspected = 0;
-  uint64_t packets_blocked = 0;
-  std::vector<std::string> sniffer_hits;
   // The ticket's broker requests (allowed = granted).
   witobs::OutcomeCounts broker_requests;
 };

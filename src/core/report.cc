@@ -4,18 +4,25 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "src/net/socket.h"
+
 namespace watchit {
 
 namespace {
 
-// What the evidence chain attributes to one pid: probing by a session's
-// shell or init, denied file accesses by its host worker (every ITFS record
-// of a session carries it).
+// What the evidence chain attributes to one pid: probing and network
+// activity by a session's shell or init, denied file accesses by its host
+// worker (every ITFS record of a session carries it).
 struct PidEvidence {
   size_t capability_denials = 0;
   size_t xcl_denials = 0;
   size_t tcb_violations = 0;
+  size_t connections = 0;                 // kNetworkFlow records, IDS alerts aside
+  size_t network_blocked = 0;             // kNetworkBlocked records
+  size_t ids_drops = 0;                   // of which IDS verdicts
   std::vector<std::string> denied_paths;  // kFileDenied details, in chain order
+  // kNetworkBlocked details and IDS alerts, in chain order.
+  std::vector<std::string> network_lines;
 };
 
 }  // namespace
@@ -38,9 +45,10 @@ witos::Result<SessionForensics> ForensicReporter::Collect(
 std::vector<SessionForensics> ForensicReporter::Assemble(
     const std::vector<Subject>& subjects) const {
   // One verified snapshot of the machine's evidence chain: every session's
-  // detail lines (broker and denied paths), probe counts and the anomaly
-  // baseline describe the same instant even while serving workers keep
-  // appending, and a chain that fails verification contributes none of them.
+  // detail lines (broker, network and denied paths), network and probe
+  // counts and the anomaly baseline describe the same instant even while
+  // serving workers keep appending, and a chain that fails verification
+  // contributes none of them.
   const auto evidence = machine_->kernel().audit().VerifiedSnapshot();
   static const std::vector<witos::AuditRecord> kNoRecords;
   const std::vector<witos::AuditRecord>& records = evidence.ok() ? *evidence : kNoRecords;
@@ -79,6 +87,20 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
       case witos::AuditEvent::kTcbViolation:
         ++it->second.tcb_violations;
         break;
+      case witos::AuditEvent::kNetworkFlow:
+        if (witnet::IsIdsVerdict(rec)) {
+          it->second.network_lines.push_back(rec.detail);
+        } else {
+          ++it->second.connections;
+        }
+        break;
+      case witos::AuditEvent::kNetworkBlocked:
+        ++it->second.network_blocked;
+        if (witnet::IsIdsVerdict(rec)) {
+          ++it->second.ids_drops;
+        }
+        it->second.network_lines.push_back(rec.detail);
+        break;
       default:
         break;
     }
@@ -102,9 +124,6 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
     forensics.fs_ops = static_cast<size_t>(record.fs_ops.allowed + record.fs_ops.denied);
     forensics.fs_denied = static_cast<size_t>(record.fs_ops.denied);
     forensics.denied_paths = by_pid.find(record.host_worker)->second.denied_paths;
-    forensics.packets_inspected = static_cast<size_t>(record.packets_inspected);
-    forensics.packets_blocked = static_cast<size_t>(record.packets_blocked);
-    forensics.sniffer_hits = record.sniffer_hits;
     // Counts are the ticket's exact totals from its record; the detail
     // lines come from the chain.
     forensics.broker_requests =
@@ -131,12 +150,18 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
         }
       }
     }
-    // Machine-level events attributable to the session's processes.
+    // Machine-level and network events attributable to the session's
+    // processes.
     for (witos::Pid pid : {record.shell, record.container_init}) {
       const PidEvidence& counts = by_pid.find(pid)->second;
       forensics.capability_denials += counts.capability_denials;
       forensics.xcl_denials += counts.xcl_denials;
       forensics.tcb_violations += counts.tcb_violations;
+      forensics.connections += counts.connections;
+      forensics.network_blocked += counts.network_blocked;
+      forensics.packets_blocked += counts.ids_drops;
+      forensics.network_lines.insert(forensics.network_lines.end(),
+                                     counts.network_lines.begin(), counts.network_lines.end());
     }
     forensics.severity = Score(forensics);
     out.push_back(std::move(forensics));
@@ -146,7 +171,10 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
 
 int ForensicReporter::Score(const SessionForensics& forensics) {
   // Heuristic triage weights: TCB and capability probing are the strongest
-  // signals; denied content access and blocked exfiltration follow.
+  // signals; denied content access and blocked exfiltration follow. Only
+  // the IDS's drops count as network evidence: a route or firewall refusal
+  // is the in-view attempt a legitimate ticket makes before it asks the
+  // broker.
   double score = 0.0;
   score += 40.0 * static_cast<double>(forensics.tcb_violations);
   score += 12.0 * static_cast<double>(forensics.capability_denials);
@@ -168,18 +196,19 @@ std::string ForensicReporter::Render(const SessionForensics& forensics) {
   }
   out += "\nseverity: " + std::to_string(forensics.severity) + "/100\n";
   if (!forensics.evidence_verified) {
-    out += "evidence: chain FAILED verification; denied paths, broker lines, anomalies and "
-           "probe counts withheld\n";
+    out += "evidence: chain FAILED verification; denied paths, network lines and counts, "
+           "broker lines, anomalies and probe counts withheld\n";
   }
   out += "filesystem: " + std::to_string(forensics.fs_ops) + " ops, " +
          std::to_string(forensics.fs_denied) + " denied\n";
   for (const auto& path : forensics.denied_paths) {
     out += "  denied: " + path + "\n";
   }
-  out += "network: " + std::to_string(forensics.packets_inspected) + " packets inspected, " +
-         std::to_string(forensics.packets_blocked) + " blocked\n";
-  for (const auto& hit : forensics.sniffer_hits) {
-    out += "  " + hit + "\n";
+  out += "network: " + std::to_string(forensics.connections) + " connections, " +
+         std::to_string(forensics.network_blocked) + " blocked (" +
+         std::to_string(forensics.packets_blocked) + " by the IDS)\n";
+  for (const auto& line : forensics.network_lines) {
+    out += "  " + line + "\n";
   }
   out += "broker: " + std::to_string(forensics.broker_requests) + " requests, " +
          std::to_string(forensics.broker_denied) + " denied\n";

@@ -1,8 +1,7 @@
 // Forensic reporting: assembles the per-session evidence WatchIT collects —
-// the session's own record (ITFS, sniffer and broker totals) and the
-// machine's evidence chain (denied paths, broker requests, anomaly scores,
-// probing) —
-// into one structured incident report. This is the
+// the session's own record (ITFS and broker totals) and the machine's
+// evidence chain (denied paths, network activity, broker requests, anomaly
+// scores, probing) — into one structured incident report. This is the
 // "later analysis and anomaly detection" and "improved investigation
 // capabilities in case of security breach" the paper promises (§1, §4).
 
@@ -24,8 +23,9 @@ struct SessionForensics {
   bool still_active = false;
   std::string termination_reason;
   // False when the machine's evidence chain failed verification: the
-  // denied paths, broker lines, anomalies and probe counts below are then
-  // withheld, not read from a chain that may have been rewritten.
+  // denied paths, network lines and counts, broker lines, anomalies and
+  // probe counts below are then withheld, not read from a chain that may
+  // have been rewritten.
   bool evidence_verified = true;
 
   // Filesystem activity: the session tally's exact totals, and the chain's
@@ -35,10 +35,15 @@ struct SessionForensics {
   size_t fs_denied = 0;
   std::vector<std::string> denied_paths;
 
-  // Network activity.
-  size_t packets_inspected = 0;
+  // Network activity: the chain's network records under the session's
+  // shell and init. Connections opened; attempts refused by the route, the
+  // firewall, the fabric or the IDS, and of those the IDS's drops; and
+  // network_lines, every refusal and IDS alert verbatim, each process's in
+  // chain order (the shell's first).
+  size_t connections = 0;
+  size_t network_blocked = 0;
   size_t packets_blocked = 0;
-  std::vector<std::string> sniffer_hits;
+  std::vector<std::string> network_lines;
 
   // Broker escalations.
   size_t broker_requests = 0;

@@ -152,7 +152,7 @@ witos::Result<std::string> AdminSession::TryConnectInView(const std::string& end
       port = ep->port;
     }
   }
-  return machine_->net().Request(ShellNetNs(), *addr, port, "hello", witos::kRootUid);
+  return machine_->net().Request(ShellNetNs(), *addr, port, "hello", shell_, witos::kRootUid);
 }
 
 witos::Result<std::string> AdminSession::Connect(const std::string& endpoint,

@@ -18,13 +18,14 @@ ServiceHandler DnsService::Handler() {
   };
 }
 
-witos::Result<Ipv4Addr> DnsResolver::Resolve(witos::NsId ns, const std::string& name) {
+witos::Result<Ipv4Addr> DnsResolver::Resolve(witos::NsId ns, const std::string& name,
+                                              witos::Pid pid) {
   auto cached = cache_.find({ns, name});
   if (cached != cache_.end()) {
     return cached->second;
   }
   WITOS_ASSIGN_OR_RETURN(std::string response,
-                         stack_->Request(ns, nameserver_, port_, "A? " + name, 0));
+                         stack_->Request(ns, nameserver_, port_, "A? " + name, pid, 0));
   if (response.compare(0, 9, "NXDOMAIN ") == 0) {
     return witos::Err::kNoEnt;
   }

@@ -44,10 +44,11 @@ class DnsResolver {
   DnsResolver(NetStack* stack, Ipv4Addr nameserver, uint16_t port = kDnsPort)
       : stack_(stack), nameserver_(nameserver), port_(port) {}
 
-  // Resolves `name` by querying the nameserver from namespace `ns`.
+  // Resolves `name` by querying the nameserver from namespace `ns` on
+  // behalf of process `pid`, under which the query is chained.
   // ENETUNREACH/EHOSTUNREACH when the namespace's view excludes the
   // nameserver; ENOENT on NXDOMAIN; EIO on a malformed response.
-  witos::Result<Ipv4Addr> Resolve(witos::NsId ns, const std::string& name);
+  witos::Result<Ipv4Addr> Resolve(witos::NsId ns, const std::string& name, witos::Pid pid);
 
   // Per-namespace positive cache, like a local stub resolver's.
   void FlushCache() { cache_.clear(); }

@@ -37,7 +37,7 @@ struct NetNsPayload {
   std::vector<Route> routes;
   FirewallRuleset firewall;
   // IDS tap on this namespace's devices; null when unmonitored.
-  std::shared_ptr<Sniffer> sniffer;
+  std::unique_ptr<Sniffer> sniffer;
 
   bool HasRouteTo(Ipv4Addr addr) const;
   // Source address for reaching `dst` (the address of the routing device).

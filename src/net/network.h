@@ -5,7 +5,6 @@
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -31,20 +30,11 @@ class Network {
   const Endpoint* Find(Ipv4Addr addr) const;
   const Endpoint* FindByName(const std::string& name) const;
 
-  // The fabric is shared by every machine on the cluster; delivery happens
-  // from all serving workers at once, so the counter is atomic. The
-  // endpoint map itself is setup-time-only (AddEndpoint/AddService before
-  // serving starts) and read-only afterwards.
-  uint64_t packets_delivered() const {
-    return packets_delivered_.load(std::memory_order_relaxed);
-  }
-  void CountDelivery() { packets_delivered_.fetch_add(1, std::memory_order_relaxed); }
-
-  const std::map<uint32_t, Endpoint>& endpoints() const { return endpoints_; }
-
  private:
+  // Shared by every machine on the cluster: setup-time-only (AddEndpoint /
+  // AddService before serving starts) and read-only afterwards, while
+  // every serving worker delivers through it.
   std::map<uint32_t, Endpoint> endpoints_;  // keyed by address value
-  std::atomic<uint64_t> packets_delivered_{0};
 };
 
 }  // namespace witnet

@@ -4,9 +4,7 @@
 
 namespace witnet {
 
-InspectionResult Sniffer::Inspect(const Packet& packet, uint64_t time_ns) {
-  ++packets_inspected_;
-  bytes_inspected_ += packet.payload.size();
+InspectionResult Sniffer::Inspect(const Packet& packet) const {
   InspectionResult result;
   for (const auto& rule : rules_) {
     bool matched = false;
@@ -33,14 +31,6 @@ InspectionResult Sniffer::Inspect(const Packet& packet, uint64_t time_ns) {
     if (!matched) {
       continue;
     }
-    SnifferAlert alert;
-    alert.time_ns = time_ns;
-    alert.rule = rule.name;
-    alert.blocked = rule.action == SnifferAction::kBlock;
-    alert.dst = packet.dst;
-    alert.port = packet.port;
-    alert.payload_bytes = packet.payload.size();
-    alerts_.push_back(alert);
     result.fired_rules.push_back(rule.name);
     if (rule.action == SnifferAction::kBlock) {
       result.blocked = true;
@@ -55,16 +45,6 @@ void Sniffer::WidenWhitelist(const Cidr& cidr) {
       rule.dst_whitelist->push_back(cidr);
     }
   }
-}
-
-size_t Sniffer::blocked_count() const {
-  size_t n = 0;
-  for (const auto& alert : alerts_) {
-    if (alert.blocked) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 SnifferRule Sniffer::BlockFileSignatures() {

@@ -1,5 +1,7 @@
-// The IDS sniffer modelled on Snort: inspects packets crossing a perforated
-// container's network devices, raising alerts and optionally blocking.
+// The IDS sniffer modelled on Snort: classifies packets crossing a perforated
+// container's network devices, naming the rules that fire and whether the
+// packet must be dropped. It keeps no per-packet state: the netstack chains
+// each verdict under the process that sent the packet (socket.h).
 //
 // Detection rules cover the paper's exfiltration defences (Attack 8):
 //  * file-signature detection in payloads (documents/pictures on the wire),
@@ -40,15 +42,6 @@ struct SnifferRule {
   std::function<bool(const Packet&)> custom;
 };
 
-struct SnifferAlert {
-  uint64_t time_ns = 0;
-  std::string rule;
-  bool blocked = false;
-  Ipv4Addr dst;
-  uint16_t port = 0;
-  size_t payload_bytes = 0;
-};
-
 struct InspectionResult {
   bool blocked = false;
   std::vector<std::string> fired_rules;
@@ -62,14 +55,8 @@ class Sniffer {
   // permission broker widens a container's network view at runtime.
   void WidenWhitelist(const Cidr& cidr);
 
-  // Inspects a packet, recording alerts; returns whether it must be dropped.
-  InspectionResult Inspect(const Packet& packet, uint64_t time_ns);
-
-  const std::vector<SnifferAlert>& alerts() const { return alerts_; }
-  size_t alert_count() const { return alerts_.size(); }
-  size_t blocked_count() const;
-  uint64_t packets_inspected() const { return packets_inspected_; }
-  uint64_t bytes_inspected() const { return bytes_inspected_; }
+  // The rules `packet` fires, and whether it must be dropped.
+  InspectionResult Inspect(const Packet& packet) const;
 
   // --- Canned rules --------------------------------------------------------
   // Blocks payloads that carry a document/image signature.
@@ -82,9 +69,6 @@ class Sniffer {
 
  private:
   std::vector<SnifferRule> rules_;
-  std::vector<SnifferAlert> alerts_;
-  uint64_t packets_inspected_ = 0;
-  uint64_t bytes_inspected_ = 0;
 };
 
 }  // namespace witnet

@@ -8,6 +8,10 @@
 //   sniffer block       -> ETIMEDOUT   (silently dropped packets)
 //   no such endpoint    -> EHOSTUNREACH
 //   port closed         -> ECONNREFUSED
+//
+// The stack is the one writer of network evidence. Every connection, every
+// failed attempt and every IDS verdict is one record on the machine's
+// evidence chain, under the pid of the process that made the call.
 
 #ifndef SRC_NET_SOCKET_H_
 #define SRC_NET_SOCKET_H_
@@ -30,8 +34,8 @@ struct Connection {
   Ipv4Addr src;
   Ipv4Addr dst;
   uint16_t port = 0;
+  witos::Pid pid = witos::kNoPid;  // the process that connected
   witos::Uid uid = 0;
-  uint64_t bytes_sent = 0;
 };
 
 class NetStack {
@@ -45,24 +49,27 @@ class NetStack {
   NetNsRegistry& namespaces() { return netns_; }
   const NetNsRegistry& namespaces() const { return netns_; }
 
-  // Opens a connection from namespace `ns` to dst:port.
-  witos::Result<ConnId> Connect(witos::NsId ns, Ipv4Addr dst, uint16_t port, witos::Uid uid);
+  // Opens a connection from namespace `ns` to dst:port on behalf of process
+  // `pid` (kNoPid only for a stack with no kernel behind it). The attempt,
+  // whatever its outcome, is chained under `pid`.
+  witos::Result<ConnId> Connect(witos::NsId ns, Ipv4Addr dst, uint16_t port, witos::Pid pid,
+                                witos::Uid uid);
 
   // Sends a request payload on the connection and returns the service's
-  // response. The outbound packet passes the namespace's sniffer.
+  // response. The outbound packet passes the namespace's sniffer, whose
+  // verdict is chained under the connecting process: a drop as
+  // kNetworkBlocked, a hit on alert-only rules as kNetworkFlow.
   witos::Result<std::string> Send(ConnId conn, const std::string& payload);
 
   witos::Status Close(ConnId conn);
 
   // One-shot request/response helper.
   witos::Result<std::string> Request(witos::NsId ns, Ipv4Addr dst, uint16_t port,
-                                     const std::string& payload, witos::Uid uid);
-
-  const Connection* FindConn(ConnId conn) const;
-  size_t open_connections() const { return conns_.size(); }
+                                     const std::string& payload, witos::Pid pid,
+                                     witos::Uid uid);
 
  private:
-  void Audit(witos::AuditEvent event, witos::Uid uid, const std::string& detail);
+  void Audit(witos::AuditEvent event, witos::Pid pid, witos::Uid uid, std::string detail);
 
   Network* fabric_;
   witos::AuditLog* audit_;
@@ -71,6 +78,12 @@ class NetStack {
   std::map<ConnId, Connection> conns_;
   ConnId next_conn_ = 1;
 };
+
+// True for a record NetStack wrote for an IDS verdict: a drop
+// (kNetworkBlocked "sniffer blocked ...") or an alert (kNetworkFlow
+// "sniffer alert ..."). Readers tell those apart from connections and
+// route or firewall refusals with this, not by spelling the detail.
+bool IsIdsVerdict(const witos::AuditRecord& record);
 
 }  // namespace witnet
 

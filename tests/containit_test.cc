@@ -141,9 +141,9 @@ TEST_F(ContainItTest, NetworkViewRestrictedToAllowedEndpoints) {
   const witos::Process* proc = kernel_->FindProcess(session->shell);
   witos::NsId net_ns = proc->ns.Get(witos::NsType::kNet);
   // License server reachable.
-  EXPECT_TRUE(net_->Request(net_ns, kLicense, 27000, "checkout matlab", 0).ok());
+  EXPECT_TRUE(net_->Request(net_ns, kLicense, 27000, "checkout matlab", session->shell, 0).ok());
   // Everything else unreachable.
-  EXPECT_FALSE(net_->Request(net_ns, kEvil, 443, "exfil", 0).ok());
+  EXPECT_FALSE(net_->Request(net_ns, kEvil, 443, "exfil", session->shell, 0).ok());
 }
 
 TEST_F(ContainItTest, CapabilitiesStripped) {
@@ -251,7 +251,8 @@ TEST_F(ContainItTest, TraditionalContainerFullyIsolated) {
   auto procs = kernel_->ListProcesses(shell);
   EXPECT_EQ(procs->size(), 2u);
   const witos::Process* proc = kernel_->FindProcess(shell);
-  EXPECT_FALSE(net_->Request(proc->ns.Get(witos::NsType::kNet), kLicense, 27000, "x", 0).ok());
+  EXPECT_FALSE(
+      net_->Request(proc->ns.Get(witos::NsType::kNet), kLicense, 27000, "x", shell, 0).ok());
 }
 
 TEST_F(ContainItTest, MultipleConcurrentSessions) {

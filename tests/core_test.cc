@@ -244,7 +244,7 @@ TEST(ClusterTest, ServicesRespondOnFabric) {
   // The host's own namespace has a default route: all services reachable.
   witos::NsId host_ns = machine.NetNsOf(1);
   auto resp = machine.net().Request(host_ns, witload::kLicenseServer.addr,
-                                    witload::kLicenseServer.port, "checkout", 0);
+                                    witload::kLicenseServer.port, "checkout", 1, 0);
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->substr(0, 6), "FLEXLM");
 }

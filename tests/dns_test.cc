@@ -34,7 +34,7 @@ class DnsTest : public ::testing::Test {
 
 TEST_F(DnsTest, ResolvesFromHostView) {
   DnsResolver resolver(&stack_, kNameserver);
-  auto addr = resolver.Resolve(kHostNs, "license-server");
+  auto addr = resolver.Resolve(kHostNs, "license-server", witos::kNoPid);
   ASSERT_TRUE(addr.ok());
   EXPECT_EQ(*addr, witload::kLicenseServer.addr);
   EXPECT_EQ(service_.queries(), 1u);
@@ -42,17 +42,18 @@ TEST_F(DnsTest, ResolvesFromHostView) {
 
 TEST_F(DnsTest, NxDomain) {
   DnsResolver resolver(&stack_, kNameserver);
-  EXPECT_EQ(resolver.Resolve(kHostNs, "no-such-host").error(), witos::Err::kNoEnt);
+  EXPECT_EQ(resolver.Resolve(kHostNs, "no-such-host", witos::kNoPid).error(),
+            witos::Err::kNoEnt);
 }
 
 TEST_F(DnsTest, CacheAvoidsRepeatQueries) {
   DnsResolver resolver(&stack_, kNameserver);
-  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server").ok());
-  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server").ok());
+  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server", witos::kNoPid).ok());
+  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server", witos::kNoPid).ok());
   EXPECT_EQ(service_.queries(), 1u);
   EXPECT_EQ(resolver.cache_size(), 1u);
   resolver.FlushCache();
-  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server").ok());
+  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server", witos::kNoPid).ok());
   EXPECT_EQ(service_.queries(), 2u);
 }
 
@@ -64,11 +65,11 @@ TEST_F(DnsTest, ConfinedNamespaceCannotResolve) {
   container.AllowEndpoint(witload::kLicenseServer.addr, 0, "license-server");
 
   DnsResolver resolver(&stack_, kNameserver);
-  auto addr = resolver.Resolve(kContainerNs, "license-server");
+  auto addr = resolver.Resolve(kContainerNs, "license-server", witos::kNoPid);
   EXPECT_FALSE(addr.ok());  // no route to the DNS server
   // Widen the view to include DNS (what the broker's net_allow would do):
   container.AllowEndpoint(kNameserver, kDnsPort, "ldap");
-  EXPECT_TRUE(resolver.Resolve(kContainerNs, "license-server").ok());
+  EXPECT_TRUE(resolver.Resolve(kContainerNs, "license-server", witos::kNoPid).ok());
 }
 
 TEST_F(DnsTest, PerNamespaceCacheKeys) {
@@ -76,15 +77,15 @@ TEST_F(DnsTest, PerNamespaceCacheKeys) {
   container.AddDevice("eth0", Ipv4Addr(10, 200, 0, 1));
   container.firewall.set_default_policy(FwAction::kDrop);
   DnsResolver resolver(&stack_, kNameserver);
-  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server").ok());
+  ASSERT_TRUE(resolver.Resolve(kHostNs, "license-server", witos::kNoPid).ok());
   // The host's cached answer must not leak into the confined namespace.
-  EXPECT_FALSE(resolver.Resolve(kContainerNs, "license-server").ok());
+  EXPECT_FALSE(resolver.Resolve(kContainerNs, "license-server", witos::kNoPid).ok());
 }
 
 TEST_F(DnsTest, MalformedQueryGetsFormErr) {
   NetNsPayload& host = *stack_.namespaces().Find(kHostNs);
   (void)host;
-  auto response = stack_.Request(kHostNs, kNameserver, kDnsPort, "garbage", 0);
+  auto response = stack_.Request(kHostNs, kNameserver, kDnsPort, "garbage", witos::kNoPid, 0);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(*response, "FORMERR");
 }
@@ -94,10 +95,15 @@ TEST(ClusterDnsTest, WholeOrgZoneServedFromDirectoryServer) {
   watchit::Machine& machine = cluster.AddMachine("userpc", Ipv4Addr(10, 0, 1, 50));
   DnsResolver resolver(&machine.net(), witload::kDirectoryServer.addr);
   witos::NsId host_ns = machine.NetNsOf(1);
-  auto addr = resolver.Resolve(host_ns, "software-repo");
+  auto addr = resolver.Resolve(host_ns, "software-repo", 1);
   ASSERT_TRUE(addr.ok());
   EXPECT_EQ(*addr, witload::kSoftwareRepo.addr);
   EXPECT_GE(cluster.dns().size(), 8u);
+  // The query is chained under the process that resolved.
+  const witos::AuditRecord query = machine.kernel().audit().Snapshot().back();
+  EXPECT_EQ(query.event, witos::AuditEvent::kNetworkFlow);
+  EXPECT_EQ(query.pid, 1);
+  EXPECT_EQ(query.detail, "connect " + witload::kDirectoryServer.addr.ToString() + ":53");
 }
 
 }  // namespace

@@ -106,6 +106,15 @@ TEST_F(HardeningTest, EveryEvidenceRecordIsChainedOnce) {
   EXPECT_EQ(denial.detail, "open /home/user/documents/payroll.xlsx [deny-documents]");
   // Attributed to the session: its host-side worker mounted the ITFS.
   EXPECT_EQ(denial.pid, machine_->containit().FindSession(deployment.session)->host_worker);
+
+  // A blocked connect is one record, under the shell that made it.
+  const size_t chain_before_connect = machine_->broker().log().size();
+  EXPECT_FALSE(session.Connect("evil-host", 0).ok());
+  EXPECT_EQ(machine_->broker().log().size() - chain_before_connect, 1u);
+  const witos::AuditRecord blocked = machine_->kernel().audit().Snapshot().back();
+  EXPECT_EQ(blocked.event, witos::AuditEvent::kNetworkBlocked);
+  EXPECT_EQ(blocked.detail, "no route to 203.0.113.66:443");
+  EXPECT_EQ(blocked.pid, session.shell());
   EXPECT_TRUE(machine_->broker().log().Verify());
   // The log directory still cannot be written through the kernel, by
   // anyone, and guarding it does not break the boot measurement.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/cluster.h"
+#include "src/core/report.h"
 #include "src/core/session.h"
 #include "src/core/ticket_class.h"
 #include "src/workload/topology.h"
@@ -122,9 +123,15 @@ TEST_F(PolicyLoaderTest, LoadedIdsRulesReachDeployedSniffers) {
   witos::NsId net_ns = shell->ns.Get(witos::NsType::kNet);
   auto response = machine_->net().Request(net_ns, witload::kLicenseServer.addr,
                                           witload::kLicenseServer.port,
-                                          "checkout EXFIL-MARKER data", 0);
+                                          "checkout EXFIL-MARKER data", info->shell, 0);
   EXPECT_EQ(response.error(), witos::Err::kTimedOut);  // dropped by the rule
-  EXPECT_GE(info->sniffer->blocked_count(), 1u);
+  const witos::AuditRecord drop = machine_->kernel().audit().Snapshot().back();
+  EXPECT_EQ(drop.event, witos::AuditEvent::kNetworkBlocked);
+  EXPECT_EQ(drop.pid, info->shell);
+  EXPECT_EQ(drop.detail, "sniffer blocked 26B to 10.0.0.10 [marker]");
+  auto report = ForensicReporter(machine_).Collect(deployment->session);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->packets_blocked, 1u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Forensic reporting tests: a benign session scores low; a probing rogue
 // floats to the top of the triage queue; a session's denied paths cover
-// every ITFS mount of it; a closed session's record reports what the live
-// session did; a tampered evidence chain is reported as such, not read; and
-// triage runs race-free beside a serving machine.
+// every ITFS mount of it; its network lines are exactly what its own
+// processes did; a closed session's record reports what the live session
+// did; a tampered evidence chain is reported as such, not read; and triage
+// runs race-free beside a serving machine.
 
 #include "src/core/report.h"
 
@@ -10,10 +11,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <thread>
 
 #include "src/core/cluster.h"
 #include "src/core/session.h"
+#include "src/workload/topology.h"
 
 namespace watchit {
 namespace {
@@ -154,9 +157,10 @@ void ExpectSameEvidence(const SessionForensics& a, const SessionForensics& b) {
   EXPECT_EQ(a.fs_ops, b.fs_ops);
   EXPECT_EQ(a.fs_denied, b.fs_denied);
   EXPECT_EQ(a.denied_paths, b.denied_paths);
-  EXPECT_EQ(a.packets_inspected, b.packets_inspected);
+  EXPECT_EQ(a.connections, b.connections);
+  EXPECT_EQ(a.network_blocked, b.network_blocked);
   EXPECT_EQ(a.packets_blocked, b.packets_blocked);
-  EXPECT_EQ(a.sniffer_hits, b.sniffer_hits);
+  EXPECT_EQ(a.network_lines, b.network_lines);
   EXPECT_EQ(a.broker_requests, b.broker_requests);
   EXPECT_EQ(a.broker_denied, b.broker_denied);
   EXPECT_EQ(a.broker_lines, b.broker_lines);
@@ -167,8 +171,8 @@ void ExpectSameEvidence(const SessionForensics& a, const SessionForensics& b) {
   EXPECT_EQ(a.severity, b.severity);
 }
 
-// A probing session: denied documents, /dev/mem, a chroot attempt, and
-// broker requests both granted and denied.
+// A probing session: denied documents, /dev/mem, a chroot attempt, broker
+// requests both granted and denied, and a connect outside its view.
 void Probe(Machine* machine, AdminSession* session) {
   witos::Kernel& kernel = machine->kernel();
   (void)kernel.MkDir(session->shell(), "/tmp/jailbreak");
@@ -178,6 +182,21 @@ void Probe(Machine* machine, AdminSession* session) {
   (void)session->ReadFile("/home/user/.bashrc");
   (void)session->Pb(witbroker::kVerbInstall, {"netcat"});
   (void)session->Pb(witbroker::kVerbDriverUpdate, {"rootkit"});
+  (void)session->Connect("evil-host", 0);
+}
+
+// Sends 2,048 random bytes to the software repository from the session's
+// shell: in view for T-6, and dropped by the IDS as encrypted.
+witos::Result<std::string> SendEncrypted(Machine* machine, const AdminSession& session) {
+  std::string encrypted;
+  std::mt19937 rng(7);
+  for (int i = 0; i < 2048; ++i) {
+    encrypted += static_cast<char>(rng() & 0xff);
+  }
+  const witos::Process* shell = machine->kernel().FindProcess(session.shell());
+  return machine->net().Request(shell->ns.Get(witos::NsType::kNet),
+                                witload::kSoftwareRepo.addr, witload::kSoftwareRepo.port,
+                                encrypted, session.shell(), witos::kRootUid);
 }
 
 TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
@@ -207,19 +226,22 @@ TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
 }
 
 // A chain that fails verification is reported as such: no denied paths,
-// broker lines, anomalies or probe counts are read from it. The totals in
-// the session's own record still stand.
+// network lines or counts, broker lines, anomalies or probe counts are read
+// from it. The totals in the session's own record still stand.
 TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   Deployment deployment = Deploy("T-6", "TKT-TAMPER", "mallory");
   AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
   ASSERT_TRUE(session.Login().ok());
   Probe(machine_, &session);
+  EXPECT_EQ(SendEncrypted(machine_, session).error(), witos::Err::kTimedOut);
   ForensicReporter reporter(machine_);
   auto honest = reporter.Collect(deployment.session);
   ASSERT_TRUE(honest.ok());
   ASSERT_FALSE(honest->broker_lines.empty());
   ASSERT_FALSE(honest->denied_paths.empty());
   ASSERT_GT(honest->capability_denials, 0u);
+  ASSERT_EQ(honest->packets_blocked, 1u);
+  ASSERT_NE(ForensicReporter::Render(*honest).find("sniffer blocked 2048B"), std::string::npos);
 
   machine_->broker().log().TamperForTest(0, "GRANT mallory nothing-to-see");
   auto tampered = reporter.Collect(deployment.session);
@@ -234,6 +256,13 @@ TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   EXPECT_EQ(tampered->xcl_denials, 0u);
   EXPECT_EQ(tampered->tcb_violations, 0u);
   EXPECT_EQ(rendered.find("DENY driver_update"), std::string::npos);
+  EXPECT_TRUE(tampered->network_lines.empty());
+  EXPECT_EQ(tampered->connections, 0u);
+  EXPECT_EQ(tampered->network_blocked, 0u);
+  EXPECT_EQ(tampered->packets_blocked, 0u);
+  EXPECT_EQ(rendered.find("sniffer blocked"), std::string::npos);
+  EXPECT_EQ(rendered.find("BLOCK"), std::string::npos);
+  EXPECT_NE(rendered.find("network lines and counts"), std::string::npos);
   EXPECT_EQ(tampered->broker_requests, honest->broker_requests);
   EXPECT_EQ(tampered->fs_denied, honest->fs_denied);
   std::vector<SessionForensics> queue = reporter.TriageQueue();
@@ -321,8 +350,9 @@ TEST_F(ReportTest, TriageQueueEqualsPerSessionCollect) {
 }
 
 // T-4 taps the host's shared network namespace, whose sniffer outlives
-// every session on it: each session reports only the traffic seen while it
-// was live, so one admin's alerts neither land in nor bloat another's record.
+// every session on it: a session's network lines are the records under its
+// own processes, so one admin's drops neither land in nor bloat the report
+// of a later session on the tap.
 TEST_F(ReportTest, SharedHostTapReportsOnlyItsOwnTraffic) {
   Deployment first = Deploy("T-4", "TKT-NET-1", "mallory");
   AdminSession mallory(machine_, first.session, first.certificate, &cluster_.ca());
@@ -336,11 +366,69 @@ TEST_F(ReportTest, SharedHostTapReportsOnlyItsOwnTraffic) {
   auto second_report = reporter.Collect(second.session);
   ASSERT_TRUE(first_report.ok());
   ASSERT_TRUE(second_report.ok());
-  EXPECT_GE(first_report->packets_blocked, 1u);
-  EXPECT_FALSE(first_report->sniffer_hits.empty());
-  EXPECT_EQ(second_report->packets_inspected, 0u);
+  EXPECT_EQ(first_report->connections, 1u);
+  EXPECT_EQ(first_report->packets_blocked, 1u);
+  EXPECT_EQ(first_report->network_lines,
+            std::vector<std::string>{"sniffer blocked 5B to 203.0.113.66 [restrict-destinations]"});
+  EXPECT_EQ(second_report->connections, 0u);
+  EXPECT_EQ(second_report->network_blocked, 0u);
   EXPECT_EQ(second_report->packets_blocked, 0u);
-  EXPECT_TRUE(second_report->sniffer_hits.empty());
+  EXPECT_TRUE(second_report->network_lines.empty());
+}
+
+// Two live T-4 sessions share the host's tap: mallory's drop shows in mallory's
+// report alone, and alice, who sent nothing, reports no network line and
+// scores 0.
+TEST_F(ReportTest, ConcurrentHostTapSessionsReportOnlyTheirOwnTraffic) {
+  Deployment alice_deployment = Deploy("T-4", "TKT-NET-A", "alice");
+  AdminSession alice(machine_, alice_deployment.session, alice_deployment.certificate,
+                     &cluster_.ca());
+  ASSERT_TRUE(alice.Login().ok());
+  Deployment mallory_deployment = Deploy("T-4", "TKT-NET-M", "mallory");
+  AdminSession mallory(machine_, mallory_deployment.session, mallory_deployment.certificate,
+                       &cluster_.ca());
+  ASSERT_TRUE(mallory.Login().ok());
+  EXPECT_FALSE(mallory.Connect("evil-host", 0).ok());
+
+  ForensicReporter reporter(machine_);
+  auto mallory_report = reporter.Collect(mallory_deployment.session);
+  auto alice_report = reporter.Collect(alice_deployment.session);
+  ASSERT_TRUE(mallory_report.ok());
+  ASSERT_TRUE(alice_report.ok());
+  EXPECT_EQ(mallory_report->packets_blocked, 1u);
+  EXPECT_EQ(mallory_report->network_lines,
+            std::vector<std::string>{"sniffer blocked 5B to 203.0.113.66 [restrict-destinations]"});
+  EXPECT_EQ(mallory_report->severity, 10);
+  EXPECT_TRUE(alice_report->network_lines.empty());
+  EXPECT_EQ(alice_report->network_blocked, 0u);
+  EXPECT_EQ(alice_report->packets_blocked, 0u);
+  EXPECT_EQ(alice_report->severity, 0);
+  EXPECT_EQ(ForensicReporter::Render(*alice_report).find("sniffer"), std::string::npos);
+}
+
+// An isolated session's connect outside its view fails at the route: the
+// report shows the attempt, and it does not raise severity (a legitimate
+// ticket makes the same attempt before it asks the broker).
+TEST_F(ReportTest, RouteMissIsReportedButNotScored) {
+  Deployment deployment = Deploy("T-1", "TKT-ROUTE", "bob");
+  AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
+  ASSERT_TRUE(session.Login().ok());
+  ASSERT_TRUE(session.Connect("license-server", 0).ok());
+  EXPECT_FALSE(session.Connect("evil-host", 0).ok());
+
+  ForensicReporter reporter(machine_);
+  auto forensics = reporter.Collect(deployment.session);
+  ASSERT_TRUE(forensics.ok());
+  EXPECT_EQ(forensics->connections, 1u);
+  EXPECT_EQ(forensics->network_blocked, 1u);
+  EXPECT_EQ(forensics->packets_blocked, 0u);
+  EXPECT_EQ(forensics->network_lines,
+            std::vector<std::string>{"no route to 203.0.113.66:443"});
+  EXPECT_EQ(forensics->severity, 0);
+  EXPECT_NE(ForensicReporter::Render(*forensics)
+                .find("network: 1 connections, 1 blocked (0 by the IDS)\n"
+                      "  no route to 203.0.113.66:443\n"),
+            std::string::npos);
 }
 
 TEST_F(ReportTest, UnknownSessionIsSrch) {

@@ -194,18 +194,18 @@ alert content:"CONFIDENTIAL" name=keyword
 
   // Document payload blocked.
   EXPECT_TRUE(
-      sniffer.Inspect({Ipv4Addr(), Ipv4Addr(10, 0, 0, 1), 80, "%PDF-1.4 data"}, 0).blocked);
+      sniffer.Inspect({Ipv4Addr(), Ipv4Addr(10, 0, 0, 1), 80, "%PDF-1.4 data"}).blocked);
   // Off-org destination blocked.
   EXPECT_TRUE(
-      sniffer.Inspect({Ipv4Addr(), Ipv4Addr(203, 0, 113, 9), 80, "plain"}, 0).blocked);
+      sniffer.Inspect({Ipv4Addr(), Ipv4Addr(203, 0, 113, 9), 80, "plain"}).blocked);
   // Keyword only alerts.
   auto result =
-      sniffer.Inspect({Ipv4Addr(), Ipv4Addr(10, 0, 0, 1), 80, "this is CONFIDENTIAL"}, 0);
+      sniffer.Inspect({Ipv4Addr(), Ipv4Addr(10, 0, 0, 1), 80, "this is CONFIDENTIAL"});
   EXPECT_FALSE(result.blocked);
   ASSERT_EQ(result.fired_rules.size(), 1u);
   EXPECT_EQ(result.fired_rules[0], "keyword");
   // Benign in-org traffic passes clean.
-  EXPECT_FALSE(sniffer.Inspect({Ipv4Addr(), Ipv4Addr(10, 0, 0, 1), 80, "hello"}, 0).blocked);
+  EXPECT_FALSE(sniffer.Inspect({Ipv4Addr(), Ipv4Addr(10, 0, 0, 1), 80, "hello"}).blocked);
 }
 
 TEST(SnortRulesTest, QuotedContentKeepsSpaces) {

@@ -6,6 +6,7 @@
 
 #include "src/broker/anomaly.h"
 #include "src/core/cluster.h"
+#include "src/core/report.h"
 #include "src/core/session.h"
 #include "src/core/ticket_class.h"
 #include "src/durability/durability.h"
@@ -187,9 +188,16 @@ TEST_F(ThreatMatrixTest, Attack8EncryptAndExfiltrateBlocked) {
     encrypted += static_cast<char>(rng() & 0xff);
   }
   auto repo = witload::kSoftwareRepo;  // an in-view destination
-  EXPECT_EQ(machine_->net().Request(net_ns, repo.addr, repo.port, encrypted, 0).error(),
-            witos::Err::kTimedOut);
-  EXPECT_GE(info->sniffer->blocked_count(), 1u);
+  EXPECT_EQ(
+      machine_->net().Request(net_ns, repo.addr, repo.port, encrypted, info->shell, 0).error(),
+      witos::Err::kTimedOut);
+  const witos::AuditRecord drop = kernel().audit().Snapshot().back();
+  EXPECT_EQ(drop.event, witos::AuditEvent::kNetworkBlocked);
+  EXPECT_EQ(drop.pid, info->shell);
+  EXPECT_EQ(drop.detail, "sniffer blocked 2048B to 10.0.0.20 [block-encrypted-payload]");
+  auto report = ForensicReporter(machine_).Collect(info->id);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->packets_blocked, 1u);
 }
 
 // Attack 9: fake tickets — IT personnel cannot create trouble tickets, so a
