@@ -125,7 +125,6 @@ std::string RecoveryJson(const witdur::RecoveryReport& report) {
   obj.Number("records_replayed_per_sec", report.ReplayRecordsPerSec());
   obj.Number("checkpoint_records", report.checkpoint_records);
   obj.Number("tail_records", report.tail_records);
-  obj.Number("orphans_expired", report.orphans_expired);
   obj.Number("certs_revoked_at_recovery", report.certs_revoked_at_recovery);
   obj.Number("replay_errors", report.replay_errors);
   obj.Boolean("epoch_roots_verified", report.epoch_roots_verified);
@@ -213,8 +212,7 @@ int main(int argc, char** argv) {
               static_cast<double>(report->recovery_wall_ns) / 1e6,
               static_cast<unsigned long long>(report->records_replayed),
               report->ReplayRecordsPerSec());
-  std::printf("orphans expired=%llu certs revoked at recovery=%llu replay errors=%llu\n",
-              static_cast<unsigned long long>(report->orphans_expired),
+  std::printf("certs revoked at recovery=%llu replay errors=%llu\n",
               static_cast<unsigned long long>(report->certs_revoked_at_recovery),
               static_cast<unsigned long long>(report->replay_errors));
   std::printf("leaks: bound=%llu sessions=%llu unrevoked=%llu audit_failures=%llu\n",
@@ -278,13 +276,13 @@ int main(int argc, char** argv) {
   uint64_t sweep_failures = 0;
   std::printf("\n--- crash-point sweep (stage x scope, %zu runs) ---\n", sweep.size());
   std::printf("%-28s %8s %10s %8s %8s %10s\n", "crash point", "crashed", "replayed",
-              "orphans", "leaks", "verdict");
+              "revoked", "leaks", "verdict");
   for (const auto& run : sweep) {
     const uint64_t leaks = run.bound_tickets + run.live_sessions + run.unrevoked_certs;
     std::printf("%-28s %8s %10llu %8llu %8llu %10s\n",
                 witcrash::CrashPointName(run.point).c_str(), run.crashed ? "yes" : "no",
                 static_cast<unsigned long long>(run.recovery.records_replayed),
-                static_cast<unsigned long long>(run.recovery.orphans_expired),
+                static_cast<unsigned long long>(run.recovery.certs_revoked_at_recovery),
                 static_cast<unsigned long long>(leaks), run.ok() ? "ok" : "FAIL");
     if (!run.ok()) {
       ++sweep_failures;
@@ -342,7 +340,7 @@ int main(int argc, char** argv) {
           .Number("records_replayed", run.recovery.records_replayed)
           .Number("recovery_wall_ms",
                   static_cast<double>(run.recovery.recovery_wall_ns) / 1e6)
-          .Number("orphans_expired", run.recovery.orphans_expired)
+          .Number("certs_revoked_at_recovery", run.recovery.certs_revoked_at_recovery)
           .Number("leaks", run.bound_tickets + run.live_sessions + run.unrevoked_certs);
       sweep_array.Add(obj.Render());
     }

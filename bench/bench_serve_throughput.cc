@@ -11,6 +11,12 @@
 //    serving critical path (the busiest shard) is measured independently of
 //    how many cores the host happens to have; this is the scaling headline.
 //
+// The 8-vs-1-worker scaling ratios are not read off the sweep's single
+// runs: one pair of runs spreads widely on a small shared host. They are
+// the median, with quartiles, of the per-pair ratios over kScalingPairs
+// interleaved (1-worker, 8-worker) run pairs that alternate which side
+// runs first.
+//
 // The admission-control section fills a deliberately tiny queue with the
 // pool stopped and shows the high-watermark rejection plus the drain.
 //
@@ -136,6 +142,40 @@ enum class RunMode {
   kProfile,  // registry + tracer: the serve.* and deploy.* stage spans
 };
 
+// The value at quantile `q` of `values` (nearest rank), which it sorts.
+double Quantile(std::vector<double>* values, double q) {
+  std::sort(values->begin(), values->end());
+  return (*values)[static_cast<size_t>(q * static_cast<double>(values->size() - 1) + 0.5)];
+}
+
+// A ratio's median and quartiles over run pairs, and the per-pair values in
+// run order.
+struct PairedRatio {
+  std::vector<double> per_pair;
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+
+  void Summarize() {
+    std::vector<double> sorted = per_pair;
+    median = Quantile(&sorted, 0.5);
+    q1 = Quantile(&sorted, 0.25);
+    q3 = Quantile(&sorted, 0.75);
+  }
+};
+
+std::string RatioArray(const PairedRatio& ratio) {
+  benchjson::Array array;
+  for (double value : ratio.per_pair) {
+    array.Add(benchjson::Num(value));
+  }
+  return array.Render();
+}
+
+double Ratio(double numerator, double denominator) {
+  return denominator == 0.0 ? 0.0 : numerator / denominator;
+}
+
 RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t tickets,
                   RunMode mode = RunMode::kMetrics, ProfileData* profile = nullptr) {
   auto cluster = MakeCluster();
@@ -214,6 +254,20 @@ RunResult RunOnce(watchit::ItFramework* framework, size_t workers, size_t ticket
     }
   }
   return result;
+}
+
+// Flags a run that broke the clock discipline or whose chains failed the
+// end-of-run audit.
+void WarnIfBroken(const RunResult& run) {
+  if (run.stats.clock_ownership_violations != 0 || run.stats.clock_resume_underflows != 0) {
+    std::printf("!! clock discipline violated: %llu ownership, %llu underflow\n",
+                static_cast<unsigned long long>(run.stats.clock_ownership_violations),
+                static_cast<unsigned long long>(run.stats.clock_resume_underflows));
+  }
+  if (run.audit.failures != 0) {
+    std::printf("!! audit trail verification FAILED on %zu of %zu machines\n",
+                run.audit.failures, run.audit.machines);
+  }
 }
 
 struct AdmissionResult {
@@ -298,28 +352,41 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.busy_retries),
                 static_cast<double>(run.p50_ns) / 1e6, static_cast<double>(run.p95_ns) / 1e6,
                 static_cast<double>(run.p99_ns) / 1e6);
-    if (run.stats.clock_ownership_violations != 0 || run.stats.clock_resume_underflows != 0) {
-      std::printf("!! clock discipline violated: %llu ownership, %llu underflow\n",
-                  static_cast<unsigned long long>(run.stats.clock_ownership_violations),
-                  static_cast<unsigned long long>(run.stats.clock_resume_underflows));
-    }
-    if (run.audit.failures != 0) {
-      std::printf("!! audit trail verification FAILED on %zu of %zu machines\n",
-                  run.audit.failures, run.audit.machines);
-    }
+    WarnIfBroken(run);
     runs.push_back(run);
   }
-  const double scaling = runs.front().EffectiveTps() == 0.0
-                             ? 0.0
-                             : runs.back().EffectiveTps() / runs.front().EffectiveTps();
-  const double wall_scaling = runs.front().WallTps() == 0.0
-                                  ? 0.0
-                                  : runs.back().WallTps() / runs.front().WallTps();
-  std::printf("\neffective scaling, 8 workers vs 1: %.2fx (acceptance target: >= 4x)\n",
-              scaling);
-  std::printf("wall scaling, 8 workers vs 1: %.2fx on %zu host cores (wall cannot beat\n"
-              " the core count; below 8 cores the effective number is the headline)\n",
-              wall_scaling, host_cores);
+
+  // Even pairs run 1 worker first and odd pairs 8 workers first, so neither
+  // side always runs on a warmer heap.
+  constexpr int kScalingPairs = 9;
+  std::printf("\n=== scaling: %d interleaved (1-worker, 8-worker) run pairs ===\n",
+              kScalingPairs);
+  std::printf("%-6s %12s %14s %14s %12s\n", "pair", "first", "effective 1w", "effective 8w",
+              "ratio");
+  PairedRatio scaling;
+  PairedRatio wall_scaling;
+  for (int i = 0; i < kScalingPairs; ++i) {
+    const bool one_first = i % 2 == 0;
+    RunResult first = RunOnce(framework.get(), one_first ? 1 : 8, tickets);
+    RunResult second = RunOnce(framework.get(), one_first ? 8 : 1, tickets);
+    const RunResult& one = one_first ? first : second;
+    const RunResult& eight = one_first ? second : first;
+    WarnIfBroken(one);
+    WarnIfBroken(eight);
+    scaling.per_pair.push_back(Ratio(eight.EffectiveTps(), one.EffectiveTps()));
+    wall_scaling.per_pair.push_back(Ratio(eight.WallTps(), one.WallTps()));
+    std::printf("%-6d %12s %14.0f %14.0f %11.2fx\n", i + 1, one_first ? "1 worker" : "8 workers",
+                one.EffectiveTps(), eight.EffectiveTps(), scaling.per_pair.back());
+  }
+  scaling.Summarize();
+  wall_scaling.Summarize();
+  std::printf("\neffective scaling, 8 workers vs 1: %.2fx, median of %d pairs, quartiles "
+              "%.2f / %.2f (acceptance target: >= 4x)\n",
+              scaling.median, kScalingPairs, scaling.q1, scaling.q3);
+  std::printf("wall scaling, 8 workers vs 1: %.2fx, quartiles %.2f / %.2f, on %zu host cores\n"
+              " (wall cannot beat the core count; below 8 cores the effective number is\n"
+              " the headline)\n",
+              wall_scaling.median, wall_scaling.q1, wall_scaling.q3, host_cores);
   std::printf("(effective t/s divides by the busiest shard's thread-CPU time, so the\n"
               " number is host-core-count independent; wall t/s is what this box saw)\n");
   const watchit::Cluster::AuditReport& audit = runs.back().audit;
@@ -375,8 +442,7 @@ int main(int argc, char** argv) {
       prof = std::move(attempt);  // the tables below show the last profiled run
     }
     std::vector<double> sorted = pair_overhead_pct;
-    std::sort(sorted.begin(), sorted.end());
-    profile_overhead_pct = sorted[sorted.size() / 2];
+    profile_overhead_pct = Quantile(&sorted, 0.5);
     std::printf("profiling overhead, median of %d pairs: %.2f%% (acceptance target: < 5%%)\n",
                 kProfilePairs, profile_overhead_pct);
 
@@ -451,8 +517,15 @@ int main(int argc, char** argv) {
         .Number("machines", kMachines)
         .Number("host_cores", host_cores)
         .Add("runs", run_array.Render())
-        .Number("effective_scaling_8x_vs_1x", scaling)
-        .Number("wall_scaling_8x_vs_1x", wall_scaling)
+        .Number("scaling_pairs", uint64_t{kScalingPairs})
+        .Number("effective_scaling_8x_vs_1x", scaling.median)
+        .Number("effective_scaling_8x_vs_1x_q1", scaling.q1)
+        .Number("effective_scaling_8x_vs_1x_q3", scaling.q3)
+        .Add("effective_scaling_per_pair", RatioArray(scaling))
+        .Number("wall_scaling_8x_vs_1x", wall_scaling.median)
+        .Number("wall_scaling_8x_vs_1x_q1", wall_scaling.q1)
+        .Number("wall_scaling_8x_vs_1x_q3", wall_scaling.q3)
+        .Add("wall_scaling_per_pair", RatioArray(wall_scaling))
         .Add("admission", admission_obj.Render());
     if (profile) {
       benchjson::Array lock_array;

@@ -168,28 +168,16 @@ PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
 witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
                                            const std::string& ticket_class) {
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
-  auto [it, inserted] = bindings_.try_emplace(ticket_id);
-  if (!inserted) {
+  if (!bindings_.try_emplace(ticket_id, ticket_class).second) {
     return witos::Err::kExist;
-  }
-  it->second.ticket_class = ticket_class;
-  it->second.tally = std::make_shared<witobs::OutcomeTally>();
-  if (binding_listener_) {
-    binding_listener_(ticket_id, ticket_class, /*bound=*/true);
   }
   return witos::Status::Ok();
 }
 
 witos::Status PermissionBroker::UnbindTicket(const std::string& ticket_id) {
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
-  auto it = bindings_.find(ticket_id);
-  if (it == bindings_.end()) {
+  if (bindings_.erase(ticket_id) == 0) {
     return witos::Err::kSrch;
-  }
-  std::string ticket_class = std::move(it->second.ticket_class);
-  bindings_.erase(it);
-  if (binding_listener_) {
-    binding_listener_(ticket_id, ticket_class, /*bound=*/false);
   }
   return witos::Status::Ok();
 }
@@ -202,22 +190,6 @@ bool PermissionBroker::IsTicketBound(const std::string& ticket_id) const {
 size_t PermissionBroker::bound_ticket_count() const {
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
   return bindings_.size();
-}
-
-witobs::OutcomeCounts PermissionBroker::RequestsOf(const std::string& ticket_id) const {
-  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
-  auto it = bindings_.find(ticket_id);
-  return it != bindings_.end() ? it->second.tally->Read() : witobs::OutcomeCounts{};
-}
-
-std::vector<std::pair<std::string, std::string>> PermissionBroker::BoundTicketsSnapshot() const {
-  std::vector<std::pair<std::string, std::string>> bindings;
-  std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
-  bindings.reserve(bindings_.size());
-  for (const auto& [ticket_id, binding] : bindings_) {
-    bindings.emplace_back(ticket_id, binding.ticket_class);
-  }
-  return bindings;
 }
 
 void PermissionBroker::RegisterVerb(const std::string& verb, VerbHandler handler) {
@@ -286,19 +258,13 @@ RpcResponse PermissionBroker::Fail(witos::Err err) const {
   return resp;
 }
 
-PermissionBroker::Binding PermissionBroker::LookupBinding(const std::string& ticket_id) const {
+std::string PermissionBroker::LookupBinding(const std::string& ticket_id) const {
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
   auto it = bindings_.find(ticket_id);
-  return it != bindings_.end() ? it->second : Binding();
+  return it != bindings_.end() ? it->second : std::string();
 }
 
-void PermissionBroker::CountRequest(const RpcRequest& request, const Binding& binding,
-                                    bool allowed) {
-  // An unbound ticket has no tally: its id is whatever the sender's frame
-  // says.
-  if (binding.tally != nullptr) {
-    binding.tally->Count(allowed);
-  }
+void PermissionBroker::CountRequest(const RpcRequest& request, bool allowed) {
   if (metrics_ != nullptr) {
     CountersFor(request.method).requests[allowed ? 0 : 1]->Increment();
   }
@@ -321,8 +287,7 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   uint64_t now = kernel_->clock().now_ns();
   // One policy-context lookup for the whole batch: the ticket class is
   // header state, not per-op state.
-  const Binding binding = LookupBinding(batch.ticket_id);
-  const std::string& ticket_class = binding.ticket_class;
+  const std::string ticket_class = LookupBinding(batch.ticket_id);
 
   RpcBatchResponse response;
   response.responses.resize(batch.ops.size());
@@ -338,7 +303,7 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
         policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
     allowed[i] = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
     ShadowCheck(request, ticket_class, policy_allowed);
-    CountRequest(request, binding, allowed[i]);
+    CountRequest(request, allowed[i]);
     records[i].event =
         allowed[i] ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied;
     records[i].pid = request.caller_pid;

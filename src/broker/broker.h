@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -78,20 +77,6 @@ class PermissionBroker {
   // Live bindings right now; the deploy fault sweeps assert this returns to
   // zero once every ticket has expired or rolled back.
   size_t bound_ticket_count() const;
-  // The bound ticket's requests so far (allowed = granted); zeros when it
-  // is not bound.
-  witobs::OutcomeCounts RequestsOf(const std::string& ticket_id) const;
-  // Consistent copy of every live (ticket, class) binding in ticket-id
-  // order — what a checkpoint persists.
-  std::vector<std::pair<std::string, std::string>> BoundTicketsSnapshot() const;
-
-  // Observer for the write-ahead journal (witjournal, DESIGN.md §15):
-  // invoked under the binding map's lock after every successful
-  // BindTicket (bound=true) / UnbindTicket (bound=false). Must not call
-  // back into the broker. Set before traffic starts.
-  using BindingListener =
-      std::function<void(const std::string& ticket_id, const std::string& ticket_class, bool bound)>;
-  void set_binding_listener(BindingListener listener) { binding_listener_ = std::move(listener); }
 
   // Extension point: ContainIT registers "mount_volume"; the cluster layer
   // registers "net_allow". The handler runs with the broker's host
@@ -116,9 +101,10 @@ class PermissionBroker {
   // no registry lock. A method outside that vocabulary counts under
   // verb="unknown": a contained admin cannot mint series by sending
   // made-up verbs. The evidence record keeps the exact method. Per-ticket
-  // totals live in the binding (RequestsOf), not in the registry, so no
-  // ticket id, forged or bound, names a series. Also attaches the evidence
-  // chain's "securelog" lock to the profile.
+  // totals are counted from the ticket's broker records in the evidence
+  // chain (ForensicReporter), not kept in the registry, so no ticket id,
+  // forged or bound, names a series. Also attaches the evidence chain's
+  // "securelog" lock to the profile.
   void EnableMetrics(witobs::MetricsRegistry* registry);
 
   // Shadow-policy accounting (witmine, DESIGN.md §17): how often the mined
@@ -128,12 +114,6 @@ class PermissionBroker {
   witobs::ShadowCounts shadow_stats() const { return shadow_tally_.Read(); }
 
  private:
-  // A live ticket binding: its class and its request tally. Request paths
-  // count through their copy of the binding, outside the map's lock.
-  struct Binding {
-    std::string ticket_class;
-    std::shared_ptr<witobs::OutcomeTally> tally;
-  };
   // One verb's pre-resolved series.
   struct VerbCounters {
     witobs::Counter* requests[2] = {};  // grant, deny
@@ -145,9 +125,9 @@ class PermissionBroker {
   RpcResponse Fail(witos::Err err) const;
 
   // Per-op accountability pieces of HandleBatch. LookupBinding copies the
-  // ticket's binding (empty class and no tally when unbound).
-  Binding LookupBinding(const std::string& ticket_id) const;
-  void CountRequest(const RpcRequest& request, const Binding& binding, bool allowed);
+  // ticket's class (empty when unbound).
+  std::string LookupBinding(const std::string& ticket_id) const;
+  void CountRequest(const RpcRequest& request, bool allowed);
   // Consults the shadow policy (if one covers the class) and accounts the
   // divergence from the enforcing verdict; never changes the outcome.
   void ShadowCheck(const RpcRequest& request, const std::string& ticket_class,
@@ -169,16 +149,16 @@ class PermissionBroker {
   witos::Kernel* kernel_;
   witos::Pid host_pid_;
   PolicyManager* policy_;
-  // Ticket id -> binding: deploy workers bind/unbind while request paths
-  // resolve.
+  // Ticket id -> class, live for the ticket's session only: deploy workers
+  // bind/unbind while request paths resolve. Nothing persists it; a
+  // recovered broker starts with no bindings.
   mutable witobs::ProfiledMutex tickets_mu_{"broker.tickets"};
-  std::map<std::string, Binding> bindings_;
+  std::map<std::string, std::string> bindings_;
   std::map<std::string, VerbHandler> custom_verbs_;
   // Written only by EnableMetrics/RegisterVerb (set-up); read lock-free by
   // request paths.
   std::map<std::string, VerbCounters, std::less<>> verb_counters_;
   VerbCounters unknown_verb_;
-  BindingListener binding_listener_;
 
   witobs::ShadowTally shadow_tally_;
 

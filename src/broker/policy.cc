@@ -78,13 +78,4 @@ bool PolicyManager::AdmitRate(const std::string& ticket_class, const std::string
   return true;
 }
 
-std::vector<std::string> PolicyManager::KnownClasses() const {
-  std::vector<std::string> out;
-  out.reserve(policies_.size());
-  for (const auto& [name, policy] : policies_) {
-    out.push_back(name);
-  }
-  return out;
-}
-
 }  // namespace witbroker

@@ -84,8 +84,6 @@ class PolicyManager {
   // throttled classes it is safe under concurrent HandleBatch calls.
   bool AdmitRate(const std::string& ticket_class, const std::string& admin, uint64_t now_ns);
 
-  std::vector<std::string> KnownClasses() const;
-
  private:
   const ClassPolicy& PolicyFor(const std::string& ticket_class) const;
 

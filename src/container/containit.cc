@@ -421,9 +421,6 @@ SessionRecord ContainIt::RecordOf(const Session& session) const {
   record.shell = session.shell;
   record.container_init = session.container_init;
   record.fs_ops = session.itfs_tally->Read();
-  if (broker_ != nullptr) {
-    record.broker_requests = broker_->RequestsOf(session.ticket_id);
-  }
   return record;
 }
 

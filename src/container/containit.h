@@ -87,10 +87,9 @@ struct SessionRecord {
   witos::Pid host_worker = witos::kNoPid;
   witos::Pid shell = witos::kNoPid;
   witos::Pid container_init = witos::kNoPid;
-  // ITFS decisions over every mount of the session.
+  // ITFS decisions over every mount of the session. (Its broker requests
+  // are the chain's broker records naming its ticket.)
   witobs::OutcomeCounts fs_ops;
-  // The ticket's broker requests (allowed = granted).
-  witobs::OutcomeCounts broker_requests;
 };
 
 class ContainIt {

@@ -47,7 +47,6 @@ class ItFramework {
   // Topic model access for the Table 2 bench.
   const witnlp::LdaModel* lda() const { return lda_.get(); }
   const witnlp::Corpus& corpus() const { return corpus_; }
-  const witnlp::LdaClassifier* lda_classifier() const { return lda_classifier_.get(); }
 
   // Wires the framework into the observability layer: LDA training and
   // classification wall-clock latency histograms plus a per-class

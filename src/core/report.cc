@@ -124,14 +124,13 @@ std::vector<SessionForensics> ForensicReporter::Assemble(
     forensics.fs_ops = static_cast<size_t>(record.fs_ops.allowed + record.fs_ops.denied);
     forensics.fs_denied = static_cast<size_t>(record.fs_ops.denied);
     forensics.denied_paths = by_pid.find(record.host_worker)->second.denied_paths;
-    // Counts are the ticket's exact totals from its record; the detail
-    // lines come from the chain.
-    forensics.broker_requests =
-        static_cast<size_t>(record.broker_requests.allowed + record.broker_requests.denied);
-    forensics.broker_denied = static_cast<size_t>(record.broker_requests.denied);
+    // Counts and lines both come from the chain's broker records naming
+    // the ticket.
     const std::vector<witbroker::BrokerEvent>& session_events =
         ticket_events.find(record.ticket_id)->second;
+    forensics.broker_requests = session_events.size();
     for (const witbroker::BrokerEvent& event : session_events) {
+      forensics.broker_denied += event.granted ? 0 : 1;
       std::string line = (event.granted ? "GRANT " : "DENY ") + event.verb;
       for (const auto& arg : event.args) {
         line += " " + arg;
@@ -197,7 +196,7 @@ std::string ForensicReporter::Render(const SessionForensics& forensics) {
   out += "\nseverity: " + std::to_string(forensics.severity) + "/100\n";
   if (!forensics.evidence_verified) {
     out += "evidence: chain FAILED verification; denied paths, network lines and counts, "
-           "broker lines, anomalies and probe counts withheld\n";
+           "broker lines and counts, anomalies and probe counts withheld\n";
   }
   out += "filesystem: " + std::to_string(forensics.fs_ops) + " ops, " +
          std::to_string(forensics.fs_denied) + " denied\n";

@@ -1,7 +1,7 @@
 // Forensic reporting: assembles the per-session evidence WatchIT collects —
-// the session's own record (ITFS and broker totals) and the machine's
-// evidence chain (denied paths, network activity, broker requests, anomaly
-// scores, probing) — into one structured incident report. This is the
+// the session's own record (ITFS totals) and the machine's evidence chain
+// (denied paths, network activity, broker requests, anomaly scores,
+// probing) — into one structured incident report. This is the
 // "later analysis and anomaly detection" and "improved investigation
 // capabilities in case of security breach" the paper promises (§1, §4).
 
@@ -23,9 +23,9 @@ struct SessionForensics {
   bool still_active = false;
   std::string termination_reason;
   // False when the machine's evidence chain failed verification: the
-  // denied paths, network lines and counts, broker lines, anomalies and
-  // probe counts below are then withheld, not read from a chain that may
-  // have been rewritten.
+  // denied paths, network lines and counts, broker lines and counts,
+  // anomalies and probe counts below are then withheld, not read from a
+  // chain that may have been rewritten.
   bool evidence_verified = true;
 
   // Filesystem activity: the session tally's exact totals, and the chain's
@@ -45,7 +45,9 @@ struct SessionForensics {
   size_t packets_blocked = 0;
   std::vector<std::string> network_lines;
 
-  // Broker escalations.
+  // Broker escalations: the chain's broker records naming the ticket (every
+  // session of the ticket id on this machine), granted or denied, and each
+  // as a line.
   size_t broker_requests = 0;
   size_t broker_denied = 0;
   std::vector<std::string> broker_lines;

@@ -84,8 +84,6 @@ void Tcb::InstallGuard() {
   });
 }
 
-void Tcb::RemoveGuard() { kernel_->SetWriteGuard(nullptr); }
-
 void Tcb::AuthorizeModule(const std::string& name) { authorized_modules_.insert(name); }
 
 bool Tcb::IsModuleAuthorized(const std::string& name) const {

@@ -38,15 +38,12 @@ class Tcb {
   // touching a protected path is denied with EPERM and audited, regardless
   // of privileges. Module loads are denied unless authorized.
   void InstallGuard();
-  void RemoveGuard();
 
   // Marks a kernel module as signed by the organizational policy system.
   void AuthorizeModule(const std::string& name);
   bool IsModuleAuthorized(const std::string& name) const;
 
   bool IsProtected(const std::string& vfs_path) const;
-
-  const std::vector<std::string>& protected_paths() const { return paths_; }
 
  private:
   uint64_t MeasurePath(const std::string& path) const;

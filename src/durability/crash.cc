@@ -147,8 +147,8 @@ CrashRunReport CrashHarness::Run(const CrashPoint& point) {
           break;  // post-crash state is garbage by definition; stop driving
         }
       }
-      // Expire every other committed deployment, so the journal carries
-      // both live bindings and completed expiries into the crash.
+      // Expire every other committed deployment, so the crash finds both
+      // live tickets and completed expiries.
       for (auto& deployment : landed) {
         expire_toggle = !expire_toggle;
         if (expire_toggle && expirer.Expire(&deployment).ok()) {

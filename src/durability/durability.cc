@@ -36,12 +36,6 @@ witos::Status WriteLogAppend(JournalWriter* out, std::string_view machine,
   return out->Append({JournalRecordKind::kLogAppend, entry.time_ns, nums, strs});
 }
 
-witos::Status WriteBinding(JournalWriter* out, std::string_view machine,
-                           std::string_view ticket_id, std::string_view ticket_class) {
-  const std::string_view strs[] = {machine, ticket_id, ticket_class};
-  return out->Append({JournalRecordKind::kBindTicket, 0, {}, strs});
-}
-
 witos::Status WriteCertIssue(JournalWriter* out, const watchit::Certificate& cert) {
   const uint64_t nums[] = {cert.serial, cert.issued_ns, cert.expires_ns, cert.signature};
   const std::string_view strs[] = {cert.admin, cert.machine, cert.ticket_id, cert.ticket_class};
@@ -60,7 +54,7 @@ witos::Status WriteCertRevokeRun(JournalWriter* out,
 }
 
 witos::Status WriteRecoveryMark(JournalWriter* out, const RecoveryReport& report) {
-  const uint64_t nums[] = {report.records_replayed, report.orphans_expired};
+  const uint64_t nums[] = {report.records_replayed, report.certs_revoked_at_recovery};
   return out->Append({JournalRecordKind::kRecoveryMark, 0, nums, {}});
 }
 
@@ -100,15 +94,6 @@ void DurabilityManager::Journaled(witos::Status appended) {
 
 void DurabilityManager::AttachMachine(watchit::Machine* machine) {
   const std::string name = machine->name();
-  machine->broker().set_binding_listener(
-      [this, name](const std::string& ticket_id, const std::string& ticket_class, bool bound) {
-        if (bound) {
-          Journaled(WriteBinding(&journal_, name, ticket_id, ticket_class));
-          return;
-        }
-        const std::string_view strs[] = {name, ticket_id};
-        Journaled(journal_.Append({JournalRecordKind::kUnbindTicket, 0, {}, strs}));
-      });
   witos::AuditLog& chain = machine->kernel().audit();
   chain.set_append_listener([this, name](const witos::AuditRecord& entry) {
     Journaled(WriteLogAppend(&journal_, name, entry));
@@ -185,10 +170,7 @@ witos::Status DurabilityManager::Checkpoint() {
       snapshot.Append({JournalRecordKind::kCheckpointHeader, 0, header, {}}));
 
   for (size_t i = 0; i < cluster_->size(); ++i) {
-    watchit::Machine& machine = cluster_->machine(i);
-    for (const auto& [ticket_id, ticket_class] : machine.broker().BoundTicketsSnapshot()) {
-      WITOS_RETURN_IF_ERROR(WriteBinding(&snapshot, machine.name(), ticket_id, ticket_class));
-    }
+    const watchit::Machine& machine = cluster_->machine(i);
     const witos::AuditLog& chain = machine.kernel().audit();
     for (const witos::AuditRecord& entry : chain.Snapshot()) {
       WITOS_RETURN_IF_ERROR(WriteLogAppend(&snapshot, machine.name(), entry));
@@ -236,34 +218,6 @@ void DurabilityManager::ApplyRecord(watchit::Cluster* cluster, const JournalReco
         state->max_lsn = std::max(state->max_lsn, record.nums[1] - 1);
       }
       return;
-    case JournalRecordKind::kBindTicket: {
-      if (record.strs.size() != 3) {
-        return reject();
-      }
-      if (only_machine != nullptr && record.strs[0] != *only_machine) {
-        return;
-      }
-      watchit::Machine* machine = cluster->FindMachine(record.strs[0]);
-      if (machine == nullptr ||
-          !machine->broker().BindTicket(record.strs[1], record.strs[2]).ok()) {
-        return reject();
-      }
-      ++report->bindings_restored;
-      return;
-    }
-    case JournalRecordKind::kUnbindTicket: {
-      if (record.strs.size() != 2) {
-        return reject();
-      }
-      if (only_machine != nullptr && record.strs[0] != *only_machine) {
-        return;
-      }
-      watchit::Machine* machine = cluster->FindMachine(record.strs[0]);
-      if (machine == nullptr || !machine->broker().UnbindTicket(record.strs[1]).ok()) {
-        return reject();
-      }
-      return;
-    }
     case JournalRecordKind::kLogAppend: {
       witos::Result<witos::AuditRecord> entry = ChainRecordOf(record);
       if (!entry.ok()) {
@@ -383,23 +337,10 @@ witos::Status DurabilityManager::Replay(watchit::Cluster* cluster,
 
 void DurabilityManager::Reconcile(watchit::Cluster* cluster, const std::string* only_machine,
                                   RecoveryReport* report) {
-  // Sessions are volatile: no recovered binding has a live container behind
-  // it. Expire them all — through the normal unbind path, so the expiry is
-  // itself journaled.
-  for (size_t i = 0; i < cluster->size(); ++i) {
-    watchit::Machine& machine = cluster->machine(i);
-    if (only_machine != nullptr && machine.name() != *only_machine) {
-      continue;
-    }
-    for (const auto& [ticket_id, ticket_class] : machine.broker().BoundTicketsSnapshot()) {
-      (void)ticket_class;
-      if (machine.broker().UnbindTicket(ticket_id).ok()) {
-        ++report->orphans_expired;
-      }
-    }
-  }
-  // And no certificate may outlive its session ("revoked once the ticket
-  // time expires" — a crash is the hardest expiry).
+  // Sessions and their broker bindings are volatile and died with the
+  // machine, but a certificate is in the CA's books: none may outlive its
+  // session ("revoked once the ticket time expires" — a crash is the
+  // hardest expiry). Each revocation is journaled like any other.
   watchit::CertificateAuthority& ca = cluster->ca();
   for (const watchit::Certificate& cert : ca.IssuedSnapshot()) {
     if (only_machine != nullptr && cert.machine != *only_machine) {
@@ -434,16 +375,7 @@ witos::Result<RecoveryReport> DurabilityManager::Recover(watchit::Cluster* clust
   recovered_ = true;
   report.machines_recovered = cluster->size();
   report.recovery_wall_ns = ElapsedNs(started);
-  if (recovery_runs_ != nullptr) {
-    recovery_runs_->Increment();
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetGauge("watchit_recovery_records_replayed")
-        ->Set(static_cast<int64_t>(report.records_replayed));
-    metrics_->GetGauge("watchit_recovery_orphans_expired")
-        ->Set(static_cast<int64_t>(report.orphans_expired));
-  }
-  RefreshGauges();
+  PublishRecovery(report);
   return report;
 }
 
@@ -464,17 +396,21 @@ witos::Result<RecoveryReport> DurabilityManager::RecoverMachine(const std::strin
   Journaled(WriteRecoveryMark(&journal_, report));
   report.machines_recovered = 1;
   report.recovery_wall_ns = ElapsedNs(started);
+  PublishRecovery(report);
+  return report;
+}
+
+void DurabilityManager::PublishRecovery(const RecoveryReport& report) {
   if (recovery_runs_ != nullptr) {
     recovery_runs_->Increment();
   }
   if (metrics_ != nullptr) {
     metrics_->GetGauge("watchit_recovery_records_replayed")
         ->Set(static_cast<int64_t>(report.records_replayed));
-    metrics_->GetGauge("watchit_recovery_orphans_expired")
-        ->Set(static_cast<int64_t>(report.orphans_expired));
+    metrics_->GetGauge("watchit_recovery_certs_revoked")
+        ->Set(static_cast<int64_t>(report.certs_revoked_at_recovery));
   }
   RefreshGauges();
-  return report;
 }
 
 void DurabilityManager::EnableMetrics(witobs::MetricsRegistry* registry) {

@@ -1,22 +1,22 @@
 // DurabilityManager: checkpoint + write-ahead-journal recovery for WatchIT's
 // control-plane state (DESIGN.md §15).
 //
-// The manager attaches listener hooks to a Cluster — the broker's ticket
-// bindings, each machine's evidence-chain appends and epoch seals, and the
-// CA's issue/revoke stream — and journals every transition through a
-// JournalWriter, fsyncing after each record. A deploy needs no records of
-// its own: what it commits is a chain record, a binding and a certificate,
-// and a rollback undoes each through the same listeners. A
+// The manager attaches listener hooks to a Cluster — each machine's
+// evidence-chain appends and epoch seals, and the CA's issue/revoke
+// stream — and journals every transition through a JournalWriter, fsyncing
+// after each record. It journals exactly what recovery keeps: a ticket's
+// container session and broker binding end with the ticket (or the
+// machine), so neither is journaled, and a deploy reaches the journal only
+// through its chain records and its certificate. A
 // Checkpoint() compacts the full state into a snapshot file (written to a
 // temp path and renamed, so a crash mid-checkpoint keeps the last good one)
 // and truncates the journal; Recover() replays checkpoint + journal tail
 // into a fresh cluster, re-verifies the chains' epoch roots against the
-// rebuilt chains, and reconciles: every recovered binding is an orphan
-// (container sessions are volatile and died with the machine), so it is
-// expired — unbound and its certificate revoked, both journaled — leaving
-// the recovered pool with the zero-leak invariant the deploy fault sweeps
-// assert, while the audit history (evidence chains, sealed roots, the
-// CA's books) survives intact.
+// rebuilt chains, and reconciles: every certificate still live belonged to
+// a session that died with the machine, so it is revoked (journaled) —
+// leaving the recovered pool, whose brokers start with no bindings, with
+// the zero-leak invariant the deploy fault sweeps assert, while the audit
+// history (evidence chains, sealed roots, the CA's books) survives intact.
 //
 // Scopes:
 //  * Recover(cluster)      — pool kill: the whole process died; a fresh
@@ -50,14 +50,12 @@ struct RecoveryReport {
   uint64_t checkpoint_records = 0;
   uint64_t tail_records = 0;
   uint64_t records_replayed = 0;  // checkpoint + tail
-  uint64_t bindings_restored = 0;
   uint64_t log_entries_restored = 0;
   uint64_t epoch_roots_restored = 0;
   uint64_t certs_restored = 0;
   uint64_t revocations_restored = 0;
-  // Reconciliation: recovered bindings expired and certificates revoked
-  // because their sessions did not survive the crash.
-  uint64_t orphans_expired = 0;
+  // Reconciliation: certificates revoked because their sessions did not
+  // survive the crash.
   uint64_t certs_revoked_at_recovery = 0;
   // Records the replay rejected (bad arity, unknown machine, hash or
   // signature mismatch). Fail closed: the record is skipped and counted,
@@ -124,8 +122,8 @@ class DurabilityManager {
 
   // Shard-kill recovery on a live, attached manager: reboots `machine_name`
   // in place (Cluster::ReplaceMachine), replays only its records, re-hooks
-  // its listeners and reconciles its bindings and certificates against the
-  // live CA. ESRCH for an unknown machine.
+  // its listeners and revokes its certificates still live in the CA.
+  // ESRCH for an unknown machine.
   witos::Result<RecoveryReport> RecoverMachine(const std::string& machine_name);
 
   JournalWriter& journal() { return journal_; }
@@ -143,8 +141,7 @@ class DurabilityManager {
   // watchit_securelog_entries{machine}, watchit_securelog_epochs{machine},
   // watchit_broker_bound_tickets{machine}, watchit_ca_issued,
   // watchit_ca_revoked, watchit_recovery_records_replayed,
-  // watchit_recovery_orphans_expired,
-  // watchit_recovery_runs_total. RefreshGauges() re-reads them from live
+  // watchit_recovery_certs_revoked, watchit_recovery_runs_total. RefreshGauges() re-reads them from live
   // state — Attach, Checkpoint and Recover call it, so a recovered pool
   // reports its true counters, never zeros.
   void EnableMetrics(witobs::MetricsRegistry* registry);
@@ -167,8 +164,11 @@ class DurabilityManager {
   // Scans checkpoint + journal and replays both into `cluster`.
   witos::Status Replay(watchit::Cluster* cluster, const std::string* only_machine,
                        ReplayState* state, RecoveryReport* report);
+  // Revokes every live certificate (only `only_machine`'s when set).
   void Reconcile(watchit::Cluster* cluster, const std::string* only_machine,
                  RecoveryReport* report);
+  // Counts a finished recovery and publishes its gauges.
+  void PublishRecovery(const RecoveryReport& report);
 
   std::shared_ptr<witos::Filesystem> fs_;
   Options options_;

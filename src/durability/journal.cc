@@ -85,10 +85,6 @@ std::string JournalRecordKindName(JournalRecordKind kind) {
   switch (kind) {
     case JournalRecordKind::kCheckpointHeader:
       return "checkpoint_header";
-    case JournalRecordKind::kBindTicket:
-      return "bind_ticket";
-    case JournalRecordKind::kUnbindTicket:
-      return "unbind_ticket";
     case JournalRecordKind::kLogAppend:
       return "log_append";
     case JournalRecordKind::kEpochSeal:

@@ -1,9 +1,9 @@
 // witjournal: the write-ahead journal under WatchIT's control-plane state
 // (DESIGN.md §15).
 //
-// The broker's ticket bindings, each machine's evidence chain (its records
-// and epoch roots) and the CA's issue/revoke history all live in memory; a
-// crashed shard would take the paper's audit evidence with it.
+// Each machine's evidence chain (its records and epoch roots) and the CA's
+// issue/revoke history live in memory; a crashed shard would take the
+// paper's audit evidence with it.
 // witjournal persists that state as a stream of length-prefixed, checksummed
 // records written through a pluggable witos::Filesystem — the same interface
 // the rest of the simulator mounts, so fault plans (ErrorInjectingVfs) and
@@ -11,7 +11,7 @@
 //
 // Frame layout (all integers little-endian, the rpc wire framing's layout):
 //
-//   u32  magic      'WJL4'
+//   u32  magic      'WJL5'
 //   u64  checksum   FNV-1a over the payload bytes
 //   u32  len        payload length (the WireWriter string prefix)
 //   u8[] payload    one serialized JournalRecord
@@ -51,27 +51,25 @@
 
 namespace witdur {
 
-// WJL4: WJL3's records (the kernel audit log is each machine's one chain, a
-// log-append record carries the typed record, payload integers are
-// varints) without the four deploy-trail kinds, so the recovery mark moved
-// from 12 to 8; kind 9 (a checkpoint's revoked run) was appended later.
-// WJL1, WJL2 and WJL3 files fail the magic check.
-inline constexpr uint32_t kJournalMagic = 0x344c4a57u;  // "WJL4"
+// WJL5: WJL4's records without the two broker-binding kinds (a binding is
+// volatile: every recovery unbound each one it replayed), the other kinds
+// renumbered 1..7 so the decoder keeps one range check, and the recovery
+// mark's second number is the certificates revoked at recovery. WJL1 to
+// WJL4 files fail the magic check.
+inline constexpr uint32_t kJournalMagic = 0x354c4a57u;  // "WJL5"
 
 // Every persisted state transition is one of these. The enum values are the
 // wire encoding — append only, never renumber within one magic.
 enum class JournalRecordKind : uint32_t {
   kCheckpointHeader = 1,  // nums: {checkpoint_seq, next_lsn}
-  kBindTicket = 2,        // strs: {machine, ticket_id, ticket_class}
-  kUnbindTicket = 3,      // strs: {machine, ticket_id}
-  kLogAppend = 4,         // strs: {machine, detail}; nums: {hash, event, pid, uid}
-  kEpochSeal = 5,         // strs: {machine};
+  kLogAppend = 2,         // strs: {machine, detail}; nums: {hash, event, pid, uid}
+  kEpochSeal = 3,         // strs: {machine};
                           // nums: {epoch, prev_root_hash, root_hash, size, head}
-  kCertIssue = 6,         // strs: {admin, machine, ticket_id, ticket_class};
+  kCertIssue = 4,         // strs: {admin, machine, ticket_id, ticket_class};
                           // nums: {serial, issued_ns, expires_ns, signature}
-  kCertRevoke = 7,        // nums: {serial}
-  kRecoveryMark = 8,      // nums: {records_replayed, orphans_expired}
-  kCertRevokeRun = 9,     // nums: {first, last}: serials first..last revoked
+  kCertRevoke = 5,        // nums: {serial}
+  kRecoveryMark = 6,      // nums: {records_replayed, certs_revoked_at_recovery}
+  kCertRevokeRun = 7,     // nums: {first, last}: serials first..last revoked
 };
 inline constexpr uint32_t kMaxJournalRecordKind =
     static_cast<uint32_t>(JournalRecordKind::kCertRevokeRun);
@@ -124,10 +122,9 @@ struct JournalScan {
 JournalScan ScanJournal(witos::Filesystem* fs, const std::string& path);
 
 // Appends framed records through a Filesystem with an explicit durable
-// frontier. Thread-safe: listeners under each machine's broker and evidence
-// chain locks and the CA lock all append concurrently; the "journal"
-// ProfiledMutex serializes them (and shows up in the lock-contention
-// profile).
+// frontier. Thread-safe: listeners under each machine's evidence chain lock
+// and the CA lock all append concurrently; the "journal" ProfiledMutex
+// serializes them (and shows up in the lock-contention profile).
 //
 // Failure model is fail-stop: the first filesystem error seals the writer —
 // subsequent appends return EPIPE rather than continuing past a hole in the

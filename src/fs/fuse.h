@@ -41,7 +41,6 @@ class FuseMount : public witos::Filesystem {
   void EnablePassthrough(std::shared_ptr<witos::Filesystem> lower) {
     passthrough_lower_ = std::move(lower);
   }
-  bool passthrough_enabled() const { return passthrough_lower_ != nullptr; }
   uint64_t passthrough_ops() const { return passthrough_ops_; }
 
   witos::Result<witos::Stat> Open(const std::string& path, uint32_t flags, witos::Mode mode,

@@ -148,9 +148,6 @@ class Itfs : public witos::Filesystem {
   // what the policy miner emits — are always exact; signature-mode shadows
   // are best-effort.
   void SetShadowPolicy(std::shared_ptr<const CompiledPolicy> shadow);
-  std::shared_ptr<const CompiledPolicy> shadow_snapshot() const {
-    return shadow_.load(std::memory_order_acquire);
-  }
   witobs::ShadowCounts shadow_stats() const { return shadow_tally_.Read(); }
 
   VerdictCacheStats verdict_cache_stats() const;

@@ -68,7 +68,6 @@ class TraceRecorder {
   // identical recorded content (in any order) yields an identical result.
   std::map<std::string, ClassTrace> Merged() const;
 
-  size_t ticket_count() const { return tickets_.size(); }
   size_t excluded_count() const { return excluded_.size(); }
 
  private:

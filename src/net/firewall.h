@@ -33,7 +33,6 @@ class FirewallRuleset {
  public:
   void Append(FirewallRule rule) { rules_.push_back(std::move(rule)); }
   void set_default_policy(FwAction action) { default_policy_ = action; }
-  FwAction default_policy() const { return default_policy_; }
 
   // First matching rule wins; otherwise the default policy applies.
   FwAction Evaluate(FwDirection dir, Ipv4Addr dst, uint16_t port) const {

@@ -34,7 +34,6 @@ class LdaClassifier {
 
   // The label each topic was aligned to.
   const std::vector<std::string>& topic_labels() const { return topic_labels_; }
-  const std::vector<std::string>& orphan_labels() const { return orphan_labels_; }
 
  private:
   double UnigramLogProb(const std::string& label, const std::vector<int>& ids) const;

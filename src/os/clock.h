@@ -98,7 +98,6 @@ class SimClock {
   };
 
   const CostModel& costs() const { return costs_; }
-  CostModel& mutable_costs() { return costs_; }
 
  private:
   // Small dense thread ids (never 0) so an unbound owner is representable.

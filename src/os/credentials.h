@@ -79,7 +79,6 @@ struct Credentials {
   std::vector<Gid> supplementary_gids;
   CapabilitySet caps = CapabilitySet::Full();
 
-  bool IsRoot() const { return uid == kRootUid; }
   bool HasCap(Capability cap) const { return caps.Has(cap); }
   bool InGroup(Gid g) const;
 };

@@ -63,7 +63,6 @@ void MemFs::ChargeBytes(size_t n) const {
 }
 
 Result<MemFs::Node*> MemFs::Walk(std::string_view path, const Credentials& cred) const {
-  ++op_count_;
   Node* cur = root_.get();
   for (PathComponents comps(path); !comps.done();) {
     std::string_view comp = comps.Next();
@@ -531,9 +530,9 @@ void MemFs::ProvisionDevice(const std::string& path, DeviceId rdev, Mode mode) {
 }
 
 uint64_t MemFs::Generation(const std::string& path) const {
-  // Internal metadata query: no permission checks, no clock charge, no
-  // op_count — the caller (the ITFS verdict cache) must observe exactly the
-  // same costs whether or not it consults generations.
+  // Internal metadata query: no permission checks and no clock charge — the
+  // caller (the ITFS verdict cache) must observe exactly the same costs
+  // whether or not it consults generations.
   const Node* node = Lookup(path);
   if (node == nullptr || node->type == FileType::kDirectory) {
     return kNoGeneration;

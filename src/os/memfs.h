@@ -67,9 +67,6 @@ class MemFs : public Filesystem {
   // Direct content access for tests/benchmarks (no permission checks).
   Result<std::string> SlurpForTest(const std::string& path) const;
 
-  // Total operations served, for benchmark sanity checks.
-  uint64_t op_count() const { return op_count_; }
-
  private:
   struct Node {
     FileType type = FileType::kRegular;
@@ -117,7 +114,6 @@ class MemFs : public Filesystem {
   std::shared_ptr<Node> root_;
   InodeNum next_inode_ = 2;  // 1 is the root, ext2 tradition
   uint64_t next_generation_ = 1;  // 0 is kNoGeneration
-  mutable uint64_t op_count_ = 0;
   uint64_t used_bytes_ = 0;
 };
 

@@ -184,10 +184,6 @@ const std::vector<std::string>& TicketGenerator::ClassVocabulary(int index) {
   return ClassVocabs()[static_cast<size_t>(index)];
 }
 
-const std::vector<std::string>& TicketGenerator::BackgroundVocabulary() {
-  return BackgroundVocab();
-}
-
 std::string TicketGenerator::MaybeTypo(std::string word) {
   if (options_.typo_rate <= 0.0 || word.size() < 4) {
     return word;

@@ -66,7 +66,6 @@ class TicketGenerator {
 
   // Class vocabulary (exposed for tests).
   static const std::vector<std::string>& ClassVocabulary(int index);
-  static const std::vector<std::string>& BackgroundVocabulary();
 
  private:
   std::string MakeText(int class_index);

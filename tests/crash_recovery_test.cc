@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,9 +115,7 @@ TEST(CrashRecoveryTest, PoolCrashRecoversStateAndExpiresOrphans) {
   EXPECT_TRUE(report->journal_tail_clean);  // every record is fsynced: nothing torn
   EXPECT_EQ(report->replay_errors, 0u);
   EXPECT_TRUE(report->epoch_roots_verified);
-  EXPECT_EQ(report->bindings_restored, 4u);  // all four binds replayed...
-  EXPECT_EQ(report->orphans_expired, 2u);    // ...two were still live: expired
-  EXPECT_EQ(report->certs_revoked_at_recovery, 2u);
+  EXPECT_EQ(report->certs_revoked_at_recovery, 2u);  // the two live tickets' certs
   EXPECT_GT(report->records_replayed, 0u);
 
   // The audit evidence survived byte-for-byte: same chains, same roots.
@@ -134,6 +133,44 @@ TEST(CrashRecoveryTest, PoolCrashRecoversStateAndExpiresOrphans) {
   EXPECT_EQ(twin->ca().issued_count(), 4u);
   EXPECT_EQ(twin->ca().revoked_count(), 4u);
   EXPECT_EQ(UnrevokedCerts(twin.get()), 0u);
+}
+
+// A deploy and its expiry journal exactly what recovery keeps: the chain
+// records they appended, one cert_issue and one cert_revoke. The broker
+// binding lives and dies with the session and leaves no journal record.
+TEST(CrashRecoveryTest, DeployAndExpireJournalOnlyWhatRecoveryKeeps) {
+  Workload world;
+  auto chain_records = [&world] {
+    size_t total = 0;
+    for (size_t m = 0; m < world.cluster->size(); ++m) {
+      total += world.cluster->machine(m).kernel().audit().size();
+    }
+    return total;
+  };
+  const size_t chain_before = chain_records();
+  const size_t journal_before = ScanJournal(world.fs.get(), "/journal.wal").records.size();
+  watchit::ClusterManager cm(world.cluster.get());
+  auto deployment = cm.Deploy(MakeTicket("TKT-ONE", "host0"));
+  ASSERT_TRUE(deployment.ok());
+  ASSERT_TRUE(cm.Expire(&*deployment).ok());
+  const size_t appended = chain_records() - chain_before;
+  ASSERT_GT(appended, 0u);
+
+  JournalScan journal = ScanJournal(world.fs.get(), "/journal.wal");
+  ASSERT_TRUE(journal.clean) << journal.error;
+  ASSERT_GE(journal.records.size(), journal_before);
+  EXPECT_EQ(journal.records.size() - journal_before, appended + 2);
+  size_t log_appends = 0;
+  size_t issues = 0;
+  size_t revokes = 0;
+  for (const JournalRecord& record : std::span(journal.records).subspan(journal_before)) {
+    log_appends += record.kind == JournalRecordKind::kLogAppend ? 1 : 0;
+    issues += record.kind == JournalRecordKind::kCertIssue ? 1 : 0;
+    revokes += record.kind == JournalRecordKind::kCertRevoke ? 1 : 0;
+  }
+  EXPECT_EQ(log_appends, appended);
+  EXPECT_EQ(issues, 1u);
+  EXPECT_EQ(revokes, 1u);
 }
 
 // A checkpoint holds live certificates only and the revoked serials as
@@ -368,7 +405,7 @@ TEST(CrashRecoveryTest, RecoveredGaugesReportReplayedState) {
   EXPECT_EQ(registry.GaugeValue("watchit_ca_revoked"), 4);
   EXPECT_EQ(registry.GaugeValue("watchit_recovery_records_replayed"),
             static_cast<int64_t>(report->records_replayed));
-  EXPECT_EQ(registry.GaugeValue("watchit_recovery_orphans_expired"), 2);
+  EXPECT_EQ(registry.GaugeValue("watchit_recovery_certs_revoked"), 2);
   EXPECT_EQ(registry.CounterValue("watchit_recovery_runs_total"), 1u);
   EXPECT_GT(registry.CounterValue("watchit_journal_records_total"), 0u);
 }
@@ -481,8 +518,9 @@ std::string WithOldMagic(std::string bytes, const char* magic) {
 
 // Every earlier format fails the magic check. WJL1 and WJL2 log-append
 // records carried a broker line, not the typed record the chain hashes;
-// WJL3 numbered the recovery mark 12, after four deploy-trail kinds.
-constexpr const char* kOldMagics[] = {"WJL1", "WJL2", "WJL3"};
+// WJL3 numbered the recovery mark 12, after four deploy-trail kinds; WJL4
+// had two broker-binding kinds and numbered the log append 4.
+constexpr const char* kOldMagics[] = {"WJL1", "WJL2", "WJL3", "WJL4"};
 
 // A checkpoint in an earlier format is refused whole.
 TEST(CrashRecoveryTest, OldFormatCheckpointIsRefused) {

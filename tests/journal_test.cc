@@ -73,12 +73,11 @@ TEST(JournalRecordTest, DecodeRejectsUnknownKindAndTrailingGarbage) {
   bad_kind[0] = '\xff';
   bad_kind[1] = '\xff';
   EXPECT_FALSE(DecodeRecordPayload(bad_kind).ok());
-  // The first kind past the last one WJL4 defines (10, a WJL3 deploy-trail
-  // kind).
+  // The first kind past the last one WJL5 defines (8).
   ASSERT_EQ(static_cast<uint8_t>(payload[0]), 2u);
   std::string unknown = payload;
   unknown[0] = static_cast<char>(kMaxJournalRecordKind + 1);
-  ASSERT_EQ(unknown[0], 10);
+  ASSERT_EQ(unknown[0], 8);
   EXPECT_FALSE(DecodeRecordPayload(unknown).ok());
 
   // Trailing garbage after a well-formed record.
@@ -103,37 +102,33 @@ std::vector<GoldenFrame> GoldenFrames() {
   using K = JournalRecordKind;
   return {
       {{K::kCheckpointHeader, 1, 0, {3, 4097}, {}},
-       "574a4c34216218510edad0bc080000000101000203812000"},
-      {{K::kBindTicket, 2, 0, {}, {"host03", "TKT-1042", "T-6"}},
-       "574a4c348426248555ac10ce19000000020200000306686f7374303308544b542d3130343203542d36"},
-      {{K::kUnbindTicket, 3, 0, {}, {"host03", "TKT-1042"}},
-       "574a4c34ed245c097804e98c15000000030300000206686f7374303308544b542d31303432"},
+       "574a4c35216218510edad0bc080000000101000203812000"},
       {{K::kLogAppend,
-        4,
+        2,
         1500000000ull,
         {0x9e3779b97f4a7c15ull, 7, 0xffffffffull, 1000},
         {"host03", "GRANT alice TKT-1042 [T-6] install netcat"}},
-       "574a4c34ecc398528cf3889c4c000000040480dea0cb050495f8a9fa97b7de9b9e0107ffffffff0fe80702"
+       "574a4c355cda0aa8803106724c000000020280dea0cb050495f8a9fa97b7de9b9e0107ffffffff0fe80702"
        "06686f73743033294752414e5420616c69636520544b542d31303432205b542d365d20696e7374616c6c"
        "206e6574636174"},
       {{K::kEpochSeal,
-        5,
+        3,
         2000000000ull,
         {2, 0x0123456789abcdefull, 0xfedcba9876543210ull, 512, 0x8000000000000001ull},
         {"host03"}},
-       "574a4c3468024ae9a8dc7a0330000000050580a8d6b9070502ef9bafcdf8acd1910190e4d0b287d3aeeefe"
+       "574a4c357cb57d2dab1cc80430000000030380a8d6b9070502ef9bafcdf8acd1910190e4d0b287d3aeeefe"
        "018004818080808080808080010106686f73743033"},
       {{K::kCertIssue,
-        6,
+        4,
         1000000000ull,
         {17, 1000000000ull, 4600000000000ull, 0xdeadbeefcafef00dull},
         {"alice", "host03", "TKT-1042", "T-6"}},
-       "574a4c34299f50f9ed0db5003a00000006068094ebdc0304118094ebdc0380e0f6aaf085018de0fbd7fc"
+       "574a4c3501cce769e12f55733a00000004048094ebdc0304118094ebdc0380e0f6aaf085018de0fbd7fc"
        "ddefd6de010405616c69636506686f7374303308544b542d3130343203542d36"},
-      {{K::kCertRevoke, 7, 0, {17}, {}}, "574a4c3491bc27e88cebdaf906000000070700011100"},
-      {{K::kRecoveryMark, 8, 0, {33596, 4}, {}},
-       "574a4c3431c12c2ca9bb20880900000008080002bc86020400"},
-      {{K::kCertRevokeRun, 9, 0, {1, 6}, {}}, "574a4c34cada4ff8b7115bd50700000009090002010600"},
+      {{K::kCertRevoke, 5, 0, {17}, {}}, "574a4c351dbdbaf1cfc2efbf06000000050500011100"},
+      {{K::kRecoveryMark, 6, 0, {24858, 2}, {}},
+       "574a4c35e003bad49104741909000000060600029ac2010200"},
+      {{K::kCertRevokeRun, 7, 0, {1, 6}, {}}, "574a4c3566e0e7c287f303100700000007070002010600"},
   };
 }
 
@@ -158,7 +153,7 @@ TEST(JournalRecordTest, EveryKindEncodesToItsGoldenFrame) {
 }
 
 // The writer frames views into one reused buffer: the file it writes is the
-// golden frames back to back (their lsns are 1..9, as the writer stamps
+// golden frames back to back (their lsns are 1..7, as the writer stamps
 // them), whatever the previous frame left in the buffer.
 TEST(JournalWriterTest, WritesTheGoldenFrames) {
   auto fs = std::make_shared<witos::MemFs>();

@@ -275,15 +275,13 @@ TEST(EndToEndTest, MachineWiringProducesTwelvePlusSeries) {
   EXPECT_GE(metrics.SeriesCount(), 12u);
 
   // Per-session ITFS totals by outcome live in the session's record, and
-  // per-ticket broker totals in the ticket's binding, not in the registry.
+  // per-ticket broker totals are counted from the evidence chain (the
+  // forensic report below), not kept in the registry.
   const witcontain::Session* live = session.container();
   ASSERT_NE(live, nullptr);
   const witobs::OutcomeCounts fs_ops = machine.containit().RecordOf(*live).fs_ops;
   EXPECT_GT(fs_ops.allowed, 0u);
   EXPECT_GT(fs_ops.denied, 0u);
-  const witobs::OutcomeCounts requests = machine.broker().RequestsOf("TKT-OBS");
-  EXPECT_EQ(requests.allowed, 1u);
-  EXPECT_EQ(requests.denied, 1u);
   // Broker verbs by grant outcome.
   EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
                                  {{"verb", "ps"}, {"outcome", "grant"}}),
@@ -349,7 +347,11 @@ TEST(EndToEndTest, BogusBrokerVerbsCannotMintSeries) {
   EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
                                  {{"verb", "unknown"}, {"outcome", "deny"}}),
             static_cast<uint64_t>(kVerbs));
-  EXPECT_EQ(machine.broker().RequestsOf("TKT-VERBS").denied, static_cast<uint64_t>(kVerbs));
+  watchit::ForensicReporter reporter(&machine);
+  auto forensics = reporter.Collect(deployment->session);
+  ASSERT_TRUE(forensics.ok());
+  EXPECT_EQ(forensics->broker_requests, static_cast<size_t>(kVerbs));
+  EXPECT_EQ(forensics->broker_denied, static_cast<size_t>(kVerbs));
   // The accountability record keeps the exact verb.
   auto records = machine.kernel().audit().Snapshot();
   auto events = witbroker::BrokerEventsOf(records);

@@ -226,8 +226,9 @@ TEST_F(ReportTest, RetiredSessionKeepsItsEvidence) {
 }
 
 // A chain that fails verification is reported as such: no denied paths,
-// network lines or counts, broker lines, anomalies or probe counts are read
-// from it. The totals in the session's own record still stand.
+// network lines or counts, broker lines or counts, anomalies or probe
+// counts are read from it. The ITFS totals in the session's own record
+// still stand.
 TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   Deployment deployment = Deploy("T-6", "TKT-TAMPER", "mallory");
   AdminSession session(machine_, deployment.session, deployment.certificate, &cluster_.ca());
@@ -238,6 +239,8 @@ TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   auto honest = reporter.Collect(deployment.session);
   ASSERT_TRUE(honest.ok());
   ASSERT_FALSE(honest->broker_lines.empty());
+  ASSERT_EQ(honest->broker_requests, 2u);
+  ASSERT_EQ(honest->broker_denied, 1u);
   ASSERT_FALSE(honest->denied_paths.empty());
   ASSERT_GT(honest->capability_denials, 0u);
   ASSERT_EQ(honest->packets_blocked, 1u);
@@ -263,7 +266,10 @@ TEST_F(ReportTest, TamperedChainWithholdsEvidence) {
   EXPECT_EQ(rendered.find("sniffer blocked"), std::string::npos);
   EXPECT_EQ(rendered.find("BLOCK"), std::string::npos);
   EXPECT_NE(rendered.find("network lines and counts"), std::string::npos);
-  EXPECT_EQ(tampered->broker_requests, honest->broker_requests);
+  EXPECT_EQ(tampered->broker_requests, 0u);
+  EXPECT_EQ(tampered->broker_denied, 0u);
+  EXPECT_NE(rendered.find("broker lines and counts"), std::string::npos);
+  EXPECT_NE(rendered.find("broker: 0 requests, 0 denied"), std::string::npos);
   EXPECT_EQ(tampered->fs_denied, honest->fs_denied);
   std::vector<SessionForensics> queue = reporter.TriageQueue();
   ASSERT_EQ(queue.size(), 1u);
