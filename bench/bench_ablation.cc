@@ -44,14 +44,24 @@ void BM_DeploySimLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_DeploySimLatency)->DenseRange(1, 11)->Iterations(20);
 
+// The bench admin's shell on `machine`: a root process alone in a cgroup
+// bound to ticket TKT-B of class T-5.
+witos::Pid BenchShell(watchit::Machine& machine) {
+  witos::Kernel& kernel = machine.kernel();
+  const witos::Pid shell = *kernel.Clone(1, "bash", 0);
+  const witos::CgroupId cgroup = kernel.cgroups().Create("session-bench", 0);
+  (void)kernel.AssignCgroup(shell, cgroup);
+  (void)machine.broker().BindTicket("TKT-B", "T-5", "bench", cgroup);
+  return shell;
+}
+
 // Wall-clock broker round trip: serialize -> policy -> execute ps -> log.
 void BM_BrokerRoundTrip(benchmark::State& state) {
   watchit::Cluster cluster;
   watchit::Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
-  (void)machine.broker().BindTicket("TKT-B", "T-5");
-  witbroker::BrokerClient client(&machine.broker_channel(), "TKT-B", "bench");
+  witbroker::BrokerClient client(&machine.broker_channel(), BenchShell(machine));
   for (auto _ : state) {
-    auto out = client.Request(witbroker::kVerbPs, {}, witos::kRootUid);
+    auto out = client.Request(witbroker::kVerbPs, {});
     benchmark::DoNotOptimize(out);
   }
   state.counters["wire_bytes_per_call"] =
@@ -173,10 +183,9 @@ void BM_BrokerEncryptedRoundTrip(benchmark::State& state) {
   if (encrypted) {
     machine.broker_channel().EnableEncryption(0x5ec23e7);
   }
-  (void)machine.broker().BindTicket("TKT-B", "T-5");
-  witbroker::BrokerClient client(&machine.broker_channel(), "TKT-B", "bench");
+  witbroker::BrokerClient client(&machine.broker_channel(), BenchShell(machine));
   for (auto _ : state) {
-    auto out = client.Request(witbroker::kVerbPs, {}, witos::kRootUid);
+    auto out = client.Request(witbroker::kVerbPs, {});
     benchmark::DoNotOptimize(out);
   }
 }

@@ -20,10 +20,12 @@
 //   * a page-cache eviction sweep (PageCache::set_capacity on a live
 //     cache) for the capacity/hit-rate trade-off.
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/json_out.h"
@@ -195,7 +197,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i <= witload::kNumTicketClasses; ++i) {
     const std::string cls = witload::TicketClassName(i);
     const std::string ticket = "TKT-" + std::to_string(i);
-    if (!broker.BindTicket(ticket, cls).ok()) {
+    // The ticket's shell: a root process alone in the cgroup it is bound to.
+    const witos::Pid shell = *kernel.Clone(1, "bash", 0);
+    const witos::CgroupId cgroup = kernel.cgroups().Create("session-" + ticket, 0);
+    if (!kernel.AssignCgroup(shell, cgroup).ok() ||
+        !broker.BindTicket(ticket, cls, "bench-admin", cgroup).ok()) {
       continue;
     }
     const witbroker::ClassPolicy* hand = policy.FindPolicy(cls);
@@ -204,11 +210,8 @@ int main(int argc, char** argv) {
     }
     for (const std::string& verb : hand->allowed_verbs) {
       witbroker::RpcBatchRequest req;
-      req.uid = witos::kRootUid;
-      req.ticket_id = ticket;
-      req.admin = "bench-admin";
       req.ops = {{verb, {}}};
-      broker.HandleBatch(req);
+      broker.HandleBatch(shell, req);
       ++shadow_requests;
     }
   }
@@ -368,6 +371,8 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     benchjson::Object out;
     out.Str("bench", "policy_mining")
+        .Number("host_cores",
+                static_cast<uint64_t>(std::max(1u, std::thread::hardware_concurrency())))
         .Number("train_tickets", set.tickets_seen)
         .Number("heldout_ops", fb.total)
         .Number("false_block_rate", fb.rate())

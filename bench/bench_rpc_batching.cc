@@ -82,9 +82,13 @@ std::unique_ptr<Session> MakeSession(const std::string& ticket_id, const std::st
   session->channel.EnableMetrics(&session->metrics);
   session->broker = std::make_unique<witbroker::PermissionBroker>(
       session->kernel.get(), broker_pid, &session->policy, &session->channel);
-  (void)session->broker->BindTicket(ticket_id, "T-1");
-  session->client =
-      std::make_unique<witbroker::BrokerClient>(&session->channel, ticket_id, admin);
+  // The admin's shell: a root process alone in the cgroup the ticket is
+  // bound to. The broker takes ticket and admin from that binding.
+  const witos::Pid shell = *session->kernel->Clone(1, "bash", 0);
+  const witos::CgroupId cgroup = session->kernel->cgroups().Create("session-1", 0);
+  (void)session->kernel->AssignCgroup(shell, cgroup);
+  (void)session->broker->BindTicket(ticket_id, "T-1", admin, cgroup);
+  session->client = std::make_unique<witbroker::BrokerClient>(&session->channel, shell);
   (void)session->kernel->WriteFile(1, "/etc/motd", "host motd\n");
   (void)session->kernel->MkDir(1, "/usr/progs");
   return session;
@@ -142,7 +146,7 @@ ThreadResult RunThread(bool batched, size_t tickets, size_t worker_index) {
   for (size_t t = 0; t < tickets; ++t) {
     const uint64_t start_ns = witobs::MonotonicNowNs();
     if (batched) {
-      session->client->Begin(witos::kRootUid);
+      session->client->Begin();
       for (const TicketOp& op : ops) {
         session->client->Queue(op.verb, op.args);
       }
@@ -153,7 +157,7 @@ ThreadResult RunThread(bool batched, size_t tickets, size_t worker_index) {
       }
     } else {
       for (const TicketOp& op : ops) {
-        (void)session->client->Request(op.verb, op.args, witos::kRootUid);
+        (void)session->client->Request(op.verb, op.args);
       }
     }
     result.latencies_ns.push_back(witobs::MonotonicNowNs() - start_ns);

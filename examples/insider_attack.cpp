@@ -103,6 +103,13 @@ int main() {
   watchit::AdminSession forged_session(&machine, deployment->session, forged, &cluster.ca());
   Attack("login with a doctored certificate", !forged_session.Login().ok());
 
+  // 5, through the broker: T-6 may install packages, but a package name
+  // that climbs out of /usr/progs must not reach the host's files.
+  const std::string passwd = kernel.ReadFile(kernel.init_pid(), "/etc/passwd").value_or("");
+  const bool refused = !session.Pb(witbroker::kVerbInstall, {"../../etc/passwd"}).ok();
+  Attack("overwrite a host file through PB install",
+         refused && kernel.ReadFile(kernel.init_pid(), "/etc/passwd").value_or("") == passwd);
+
   // 7: kill the monitoring and work unobserved. (Last: it ends the session.)
   (void)kernel.Exit(session.container()->itfs_daemon, -9);
   Attack("kill the ITFS daemon and continue",

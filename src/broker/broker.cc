@@ -162,13 +162,20 @@ std::vector<BrokerEvent> BrokerEventsOf(const std::vector<witos::AuditRecord>& r
 PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
                                    PolicyManager* policy, RpcChannel* channel)
     : kernel_(kernel), host_pid_(host_pid), policy_(policy) {
-  channel->BindBatch([this](const RpcBatchRequest& batch) { return HandleBatch(batch); });
+  channel->BindBatch([this](witos::Pid caller, const RpcBatchRequest& batch) {
+    return HandleBatch(caller, batch);
+  });
 }
 
 witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
-                                           const std::string& ticket_class) {
+                                           const std::string& ticket_class,
+                                           const std::string& admin, witos::CgroupId cgroup) {
+  if (cgroup == witos::kRootCgroup) {
+    return witos::Err::kInval;
+  }
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
-  if (!bindings_.try_emplace(ticket_id, ticket_class).second) {
+  if (BindingOf(cgroup) != bindings_.end() ||
+      !bindings_.try_emplace(ticket_id, Binding{ticket_class, admin, cgroup}).second) {
     return witos::Err::kExist;
   }
   return witos::Status::Ok();
@@ -258,10 +265,28 @@ RpcResponse PermissionBroker::Fail(witos::Err err) const {
   return resp;
 }
 
-std::string PermissionBroker::LookupBinding(const std::string& ticket_id) const {
+PermissionBroker::Caller PermissionBroker::ResolveCaller(witos::Pid pid) const {
+  Caller caller;
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
-  auto it = bindings_.find(ticket_id);
-  return it != bindings_.end() ? it->second : std::string();
+  const witos::Process* proc = kernel_->FindProcess(pid);
+  if (proc == nullptr) {
+    return caller;
+  }
+  caller.uid = proc->cred.uid;
+  auto it = BindingOf(proc->cgroup);
+  if (it != bindings_.end()) {
+    caller.eligible =
+        proc->state == witos::ProcState::kRunning && proc->cred.uid == witos::kRootUid;
+    caller.ticket_id = it->first;
+    caller.binding = it->second;
+  }
+  return caller;
+}
+
+PermissionBroker::BindingMap::const_iterator PermissionBroker::BindingOf(
+    witos::CgroupId cgroup) const {
+  return std::find_if(bindings_.begin(), bindings_.end(),
+                      [cgroup](const auto& entry) { return entry.second.cgroup == cgroup; });
 }
 
 void PermissionBroker::CountRequest(const RpcRequest& request, bool allowed) {
@@ -283,14 +308,16 @@ void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string&
   }
 }
 
-RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
+RpcBatchResponse PermissionBroker::HandleBatch(witos::Pid caller, const RpcBatchRequest& batch) {
   uint64_t now = kernel_->clock().now_ns();
-  // One policy-context lookup for the whole batch: the ticket class is
-  // header state, not per-op state.
-  const std::string ticket_class = LookupBinding(batch.ticket_id);
+  // Who is asking, once per batch, from the kernel's view of the caller.
+  const Caller who = ResolveCaller(caller);
+  const std::string& ticket_class = who.binding.ticket_class;
 
   RpcBatchResponse response;
   response.responses.resize(batch.ops.size());
+  std::vector<RpcRequest> requests;
+  requests.reserve(batch.ops.size());
   std::vector<bool> allowed(batch.ops.size(), false);
   std::vector<witos::AuditRecord> records(batch.ops.size());
 
@@ -298,16 +325,19 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
   // leaves its own record): policy decisions and evidence records are
   // computed per op...
   for (size_t i = 0; i < batch.ops.size(); ++i) {
-    RpcRequest request = batch.SubRequest(i);
-    bool policy_allowed =
-        policy_->IsAllowed(ticket_class, request.method, request.admin, EndpointOf(request));
+    const RpcRequest& request = requests.emplace_back(
+        RpcRequest{batch.ops[i].method, batch.ops[i].args, who.ticket_id, who.binding.admin});
+    bool policy_allowed = who.eligible && policy_->IsAllowed(ticket_class, request.method,
+                                                             request.admin, EndpointOf(request));
     allowed[i] = policy_allowed && policy_->AdmitRate(ticket_class, request.admin, now);
-    ShadowCheck(request, ticket_class, policy_allowed);
+    if (who.eligible) {
+      ShadowCheck(request, ticket_class, policy_allowed);
+    }
     CountRequest(request, allowed[i]);
     records[i].event =
         allowed[i] ? witos::AuditEvent::kBrokerRequest : witos::AuditEvent::kBrokerDenied;
-    records[i].pid = request.caller_pid;
-    records[i].uid = request.uid;
+    records[i].pid = caller;
+    records[i].uid = who.uid;
     records[i].detail = EncodeBrokerDetail(request, ticket_class, allowed[i]);
   }
   // ...but the chain is entered once: a single critical section chains
@@ -323,7 +353,7 @@ RpcBatchResponse PermissionBroker::HandleBatch(const RpcBatchRequest& batch) {
       continue;
     }
     uint64_t dispatch_start = kernel_->clock().now_ns();
-    response.responses[i] = Dispatch(batch.SubRequest(i));
+    response.responses[i] = Dispatch(requests[i]);
     if (dispatch_latency_ != nullptr) {
       dispatch_latency_->Observe(kernel_->clock().now_ns() - dispatch_start);
     }
@@ -400,10 +430,12 @@ RpcResponse PermissionBroker::HandleReadFile(const RpcRequest& request) {
 }
 
 RpcResponse PermissionBroker::HandleInstall(const RpcRequest& request) {
-  if (request.args.empty()) {
+  // The package is one path component: no name leaves /usr/progs.
+  const std::string package = request.args.empty() ? std::string() : request.args[0];
+  if (package.empty() || package == "." || package == ".." ||
+      package.find('/') != std::string::npos) {
     return Fail(witos::Err::kInval);
   }
-  const std::string& package = request.args[0];
   witos::Status status = kernel_->WriteFile(host_pid_, "/usr/progs/" + package,
                                             "installed " + package + "\n");
   if (!status.ok()) {
@@ -455,19 +487,14 @@ witos::Err ResponseError(const RpcResponse& response) {
 }  // namespace
 
 witos::Result<std::string> BrokerClient::Request(const std::string& verb,
-                                                 const std::vector<std::string>& args,
-                                                 witos::Uid uid, witos::Pid caller_pid) {
-  return std::move(Send(uid, caller_pid, {{verb, args}}).front());
+                                                 const std::vector<std::string>& args) {
+  return std::move(Send({{verb, args}}).front());
 }
 
-void BrokerClient::Begin(witos::Uid uid, witos::Pid caller_pid) {
-  batch_uid_ = uid;
-  batch_caller_pid_ = caller_pid;
-  pending_.clear();
-}
+void BrokerClient::Begin() { pending_.clear(); }
 
 size_t BrokerClient::Queue(const std::string& verb, const std::vector<std::string>& args) {
-  RpcSubRequest op;
+  RpcOp op;
   op.method = verb;
   op.args = args;
   pending_.push_back(std::move(op));
@@ -475,28 +502,18 @@ size_t BrokerClient::Queue(const std::string& verb, const std::vector<std::strin
 }
 
 std::vector<witos::Result<std::string>> BrokerClient::Flush() {
-  std::vector<RpcSubRequest> ops = std::move(pending_);
+  std::vector<RpcOp> ops = std::move(pending_);
   pending_.clear();
   if (ops.empty()) {
     return {};
   }
-  return Send(batch_uid_, batch_caller_pid_, std::move(ops));
+  return Send(std::move(ops));
 }
 
-std::vector<witos::Result<std::string>> BrokerClient::Send(witos::Uid uid, witos::Pid caller_pid,
-                                                           std::vector<RpcSubRequest> ops) {
-  if (uid != witos::kRootUid) {
-    // The client stub refuses unprivileged callers outright: nothing
-    // crosses the wire.
-    return std::vector<witos::Result<std::string>>(ops.size(), witos::Err::kPerm);
-  }
+std::vector<witos::Result<std::string>> BrokerClient::Send(std::vector<RpcOp> ops) {
   RpcBatchRequest batch;
-  batch.uid = uid;
-  batch.caller_pid = caller_pid;
-  batch.ticket_id = ticket_id_;
-  batch.admin = admin_;
   batch.ops = std::move(ops);
-  witos::Result<RpcBatchResponse> response = channel_->CallBatch(batch);
+  witos::Result<RpcBatchResponse> response = channel_->CallBatch(caller_, batch);
   if (!response.ok()) {
     // Atomic failure: the batch frame never produced sub-responses, so
     // every op reports the transport error and none executed.

@@ -38,11 +38,11 @@ struct BrokerEvent {
 
 // The broker record codec: the detail of each kBrokerRequest (granted) or
 // kBrokerDenied record in the chain. EncodeBrokerDetail renders
-// `GRANT alice TKT-1 [T-6] install netcat`. Until frames are authenticated
-// every field comes from the sender, so each byte that would blur the
-// line's structure (space, '[', ']', '%', control bytes) is written as %XX,
-// and an empty admin, ticket, verb or arg as a lone '%': any bytes
-// round-trip, and ordinary names print as they are.
+// `GRANT alice TKT-1 [T-6] install netcat`. The sender chooses only verb
+// and args; admin, ticket and class come from the caller's binding. Each
+// byte that would blur the line's structure (space, '[', ']', '%', control
+// bytes) is written as %XX, and an empty admin, ticket, verb or arg as a
+// lone '%': any bytes round-trip, and ordinary names print as they are.
 std::string EncodeBrokerDetail(const RpcRequest& request, const std::string& ticket_class,
                                bool granted);
 // The event a broker record states; nullopt for any record that is not a
@@ -65,11 +65,12 @@ class PermissionBroker {
   witos::AuditLog& log() { return kernel_->audit(); }
   const witos::AuditLog& log() const { return kernel_->audit(); }
 
-  // Maps a ticket id to its class so policy lookups work; the cluster
-  // manager registers each deployed ticket here. EEXIST when the ticket is
-  // already bound — a duplicate deploy must not silently reclassify a live
-  // ticket.
-  witos::Status BindTicket(const std::string& ticket_id, const std::string& ticket_class);
+  // Binds a deployed session: every process in `cgroup` asks as `admin` on
+  // `ticket_id` under `ticket_class`'s policy. EEXIST when the ticket or
+  // the cgroup is already bound — a duplicate deploy must not silently
+  // reclassify a live ticket; EINVAL for the root cgroup (host processes).
+  witos::Status BindTicket(const std::string& ticket_id, const std::string& ticket_class,
+                           const std::string& admin, witos::CgroupId cgroup);
   // Removes a binding made by BindTicket (the expire / deploy-rollback
   // path); ESRCH when the ticket is not bound.
   witos::Status UnbindTicket(const std::string& ticket_id);
@@ -86,11 +87,13 @@ class PermissionBroker {
   void RegisterVerb(const std::string& verb, VerbHandler handler);
 
   // The broker's one entry point; the channel binds it, and tests may call
-  // it directly. One policy-context lookup and one evidence-chain critical
-  // section for the whole batch, while the evidence stays strictly per-op:
-  // N sub-requests produce N chained records (Table 1 threat semantics).
-  // Responses are positional. A single request is a batch of one.
-  RpcBatchResponse HandleBatch(const RpcBatchRequest& batch);
+  // it directly with the calling process's host pid. An op is granted only
+  // when that process is running and root in its own user namespace, its
+  // cgroup is bound, and the class policy and rate budget admit the op.
+  // Every op is one chained record under the caller's pid and uid, naming
+  // the binding's admin, ticket and class (Table 1 threat semantics), in
+  // one evidence-chain critical section. Responses are positional.
+  RpcBatchResponse HandleBatch(witos::Pid caller, const RpcBatchRequest& batch);
 
   // Wires the broker into the observability layer: request and shadow
   // counters by verb and outcome, and a histogram of simulated nanoseconds
@@ -102,9 +105,9 @@ class PermissionBroker {
   // verb="unknown": a contained admin cannot mint series by sending
   // made-up verbs. The evidence record keeps the exact method. Per-ticket
   // totals are counted from the ticket's broker records in the evidence
-  // chain (ForensicReporter), not kept in the registry, so no ticket id,
-  // forged or bound, names a series. Also attaches the evidence chain's
-  // "securelog" lock to the profile.
+  // chain (ForensicReporter), not kept in the registry, so no ticket id
+  // names a series. Also attaches the evidence chain's "securelog" lock to
+  // the profile.
   void EnableMetrics(witobs::MetricsRegistry* registry);
 
   // Shadow-policy accounting (witmine, DESIGN.md §17): how often the mined
@@ -120,13 +123,29 @@ class PermissionBroker {
     witobs::Counter* shadow[3] = {};    // agree, would_block, would_allow
   };
 
+  struct Binding {
+    std::string ticket_class;
+    std::string admin;
+    witos::CgroupId cgroup = witos::kRootCgroup;
+  };
+  using BindingMap = std::map<std::string, Binding>;  // by ticket id
+  // Who is asking: the caller's uid and its cgroup's binding (empty when
+  // unbound); eligible when it is also running and root.
+  struct Caller {
+    witos::Uid uid = witos::kOverflowUid;
+    bool eligible = false;
+    std::string ticket_id;
+    Binding binding;
+  };
+
   RpcResponse Dispatch(const RpcRequest& request);
   RpcResponse Ok(std::string payload) const;
   RpcResponse Fail(witos::Err err) const;
 
-  // Per-op accountability pieces of HandleBatch. LookupBinding copies the
-  // ticket's class (empty when unbound).
-  std::string LookupBinding(const std::string& ticket_id) const;
+  // Per-op accountability pieces of HandleBatch. BindingOf scans the live
+  // bindings (bounded by live sessions) under tickets_mu_.
+  Caller ResolveCaller(witos::Pid pid) const;
+  BindingMap::const_iterator BindingOf(witos::CgroupId cgroup) const;
   void CountRequest(const RpcRequest& request, bool allowed);
   // Consults the shadow policy (if one covers the class) and accounts the
   // divergence from the enforcing verdict; never changes the outcome.
@@ -149,11 +168,11 @@ class PermissionBroker {
   witos::Kernel* kernel_;
   witos::Pid host_pid_;
   PolicyManager* policy_;
-  // Ticket id -> class, live for the ticket's session only: deploy workers
-  // bind/unbind while request paths resolve. Nothing persists it; a
-  // recovered broker starts with no bindings.
+  // Ticket id -> binding, live for the ticket's session only: deploy
+  // workers bind/unbind while request paths resolve. Nothing persists it;
+  // a recovered broker starts with no bindings.
   mutable witobs::ProfiledMutex tickets_mu_{"broker.tickets"};
-  std::map<std::string, std::string> bindings_;
+  BindingMap bindings_;
   std::map<std::string, VerbHandler> custom_verbs_;
   // Written only by EnableMetrics/RegisterVerb (set-up); read lock-free by
   // request paths.
@@ -167,9 +186,8 @@ class PermissionBroker {
   witobs::Histogram* dispatch_latency_ = nullptr;
 };
 
-// The in-container client stub. Only privileged users may talk to the
-// broker ("we configure the permission broker client to accept only
-// requests from privileged users").
+// The in-container client stub, sending as process `caller` (its session's
+// shell): the broker takes identity from that process, not from the frame.
 //
 // Two calling styles, one wire format:
 //  * Request(): one verb, sent at once as a batch of one.
@@ -179,43 +197,35 @@ class PermissionBroker {
 //    Results; a transport failure fails every queued op (atomic batch).
 class BrokerClient {
  public:
-  BrokerClient(RpcChannel* channel, std::string ticket_id, std::string admin)
-      : channel_(channel), ticket_id_(std::move(ticket_id)), admin_(std::move(admin)) {}
+  BrokerClient(RpcChannel* channel, witos::Pid caller) : channel_(channel), caller_(caller) {}
 
-  // Issues `PB <verb> <args...>` as the in-container user `uid`. On a
-  // broker denial or dispatch failure the typed error code round-trips from
-  // the broker (EPERM for policy denials, ENOSYS for unknown verbs, ...).
-  // Leaves an open Begin()/Queue() pipeline untouched.
+  // Issues `PB <verb> <args...>`. On a broker denial or dispatch failure
+  // the typed error code round-trips from the broker (EPERM for denials,
+  // ENOSYS for unknown verbs, ...). Leaves an open Begin()/Queue()
+  // pipeline untouched.
   witos::Result<std::string> Request(const std::string& verb,
-                                     const std::vector<std::string>& args, witos::Uid uid,
-                                     witos::Pid caller_pid = witos::kNoPid);
+                                     const std::vector<std::string>& args);
 
-  // Opens a pipeline for the in-container user `uid`; discards any ops
-  // still queued from an abandoned pipeline.
-  void Begin(witos::Uid uid, witos::Pid caller_pid = witos::kNoPid);
+  // Opens a pipeline, discarding any ops an abandoned one left queued.
+  void Begin();
   // Queues `PB <verb> <args...>`; returns the op's position — Flush()'s
   // result vector answers positionally.
   size_t Queue(const std::string& verb, const std::vector<std::string>& args);
   // Sends every queued op in one batch frame. Entry i answers Queue() i.
-  // The privileged-caller check and any transport error apply to the whole
-  // batch: every entry carries the same error and nothing reached the
-  // broker. An empty pipeline flushes to an empty vector with no crossing.
+  // A transport error fails every entry alike. An empty pipeline flushes
+  // to an empty vector with no crossing.
   std::vector<witos::Result<std::string>> Flush();
 
   size_t pending() const { return pending_.size(); }
 
  private:
-  // The one send path: stub-side privilege gate, one batch frame, atomic
-  // transport failure, positional results.
-  std::vector<witos::Result<std::string>> Send(witos::Uid uid, witos::Pid caller_pid,
-                                               std::vector<RpcSubRequest> ops);
+  // The one send path: one batch frame, atomic transport failure,
+  // positional results.
+  std::vector<witos::Result<std::string>> Send(std::vector<RpcOp> ops);
 
   RpcChannel* channel_;
-  std::string ticket_id_;
-  std::string admin_;
-  witos::Uid batch_uid_ = 0;
-  witos::Pid batch_caller_pid_ = witos::kNoPid;
-  std::vector<RpcSubRequest> pending_;
+  witos::Pid caller_;
+  std::vector<RpcOp> pending_;
 };
 
 }  // namespace witbroker

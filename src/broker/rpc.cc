@@ -8,7 +8,7 @@ namespace {
 
 // Every sub-request costs at least two 4-byte length prefixes (method +
 // empty arg list), so a claimed count above remaining/8 is unsatisfiable.
-constexpr size_t kMinSubRequestBytes = 8;
+constexpr size_t kMinOpBytes = 8;
 // Every sub-response costs at least ok + err + payload prefix (3 u32s).
 constexpr size_t kMinSubResponseBytes = 12;
 
@@ -63,26 +63,11 @@ witos::Result<RpcResponse> RpcResponse::DeserializeBody(WireReader* reader) {
   return resp;
 }
 
-RpcRequest RpcBatchRequest::SubRequest(size_t i) const {
-  RpcRequest req;
-  req.method = ops[i].method;
-  req.args = ops[i].args;
-  req.uid = uid;
-  req.caller_pid = caller_pid;
-  req.ticket_id = ticket_id;
-  req.admin = admin;
-  return req;
-}
-
 std::string RpcBatchRequest::Serialize() const {
   WireWriter writer;
   PutFrameHeader(&writer, RpcFrameKind::kBatchRequest);
-  writer.PutU32(uid);
-  writer.PutU32(static_cast<uint32_t>(caller_pid));
-  writer.PutString(ticket_id);
-  writer.PutString(admin);
   writer.PutU32(static_cast<uint32_t>(ops.size()));
-  for (const RpcSubRequest& op : ops) {
+  for (const RpcOp& op : ops) {
     writer.PutString(op.method);
     writer.PutStringList(op.args);
   }
@@ -93,18 +78,13 @@ witos::Result<RpcBatchRequest> RpcBatchRequest::Deserialize(std::string_view dat
   WireReader reader(data);
   WITOS_RETURN_IF_ERROR(ReadFrameHeader(&reader, RpcFrameKind::kBatchRequest));
   RpcBatchRequest batch;
-  WITOS_ASSIGN_OR_RETURN(batch.uid, reader.GetU32());
-  WITOS_ASSIGN_OR_RETURN(uint32_t pid, reader.GetU32());
-  batch.caller_pid = static_cast<witos::Pid>(pid);
-  WITOS_ASSIGN_OR_RETURN(batch.ticket_id, reader.GetString());
-  WITOS_ASSIGN_OR_RETURN(batch.admin, reader.GetString());
   WITOS_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
-  if (static_cast<size_t>(count) > reader.Remaining() / kMinSubRequestBytes) {
+  if (static_cast<size_t>(count) > reader.Remaining() / kMinOpBytes) {
     return witos::Err::kInval;  // unsatisfiable count: reject before reserving
   }
   batch.ops.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    RpcSubRequest op;
+    RpcOp op;
     WITOS_ASSIGN_OR_RETURN(op.method, reader.GetString());
     WITOS_ASSIGN_OR_RETURN(op.args, reader.GetStringList());
     batch.ops.push_back(std::move(op));
@@ -248,7 +228,8 @@ witos::Result<std::string> RpcChannel::Transit(std::string frame) {
   return frame;
 }
 
-witos::Result<RpcBatchResponse> RpcChannel::CallBatch(const RpcBatchRequest& request) {
+witos::Result<RpcBatchResponse> RpcChannel::CallBatch(witos::Pid caller,
+                                                      const RpcBatchRequest& request) {
   if (batch_handler_ == nullptr) {
     // The broker process is gone — ContainIT treats this as a fatal event.
     return witos::Err::kConnRefused;
@@ -264,7 +245,7 @@ witos::Result<RpcBatchResponse> RpcChannel::CallBatch(const RpcBatchRequest& req
   // rejected by the MAC) happens before the server handler ever runs.
   WITOS_ASSIGN_OR_RETURN(std::string frame, Transit(request.Serialize()));
   WITOS_ASSIGN_OR_RETURN(RpcBatchRequest decoded, RpcBatchRequest::Deserialize(frame));
-  RpcBatchResponse response = batch_handler_(decoded);
+  RpcBatchResponse response = batch_handler_(caller, decoded);
   WITOS_ASSIGN_OR_RETURN(std::string response_frame, Transit(response.Serialize()));
   WITOS_ASSIGN_OR_RETURN(RpcBatchResponse decoded_response,
                          RpcBatchResponse::Deserialize(response_frame));

@@ -5,11 +5,12 @@
 // TCP/IP + gRPC.
 //
 // Wire protocol: one frame pair. Every request is a batch frame
-// (`RpcBatchRequest`) carrying N sub-operations with the ticket/admin/uid
-// header stated once, answered by one `RpcBatchResponse`; a single request
-// is a batch of one. Every frame starts with a magic+version+kind header,
-// errors cross the wire as typed witos::Err codes, and a frame is
-// sealed/MACed once however many ops it carries.
+// (`RpcBatchRequest`) carrying N sub-operations, verbs and args only,
+// answered by one `RpcBatchResponse`; a single request is a batch of one.
+// Every frame starts with a magic+version+kind header, errors cross the
+// wire as typed witos::Err codes, and a frame is sealed/MACed once however
+// many ops it carries. No frame says who is asking: the caller's pid
+// travels beside it, as every witos::Kernel syscall takes its caller.
 
 #ifndef SRC_BROKER_RPC_H_
 #define SRC_BROKER_RPC_H_
@@ -27,7 +28,7 @@ namespace witbroker {
 
 // Frame header: "WIT2" little-endian magic, then version, then kind.
 inline constexpr uint32_t kRpcMagic = 0x32544957;  // "WIT2"
-inline constexpr uint32_t kRpcVersion = 2;
+inline constexpr uint32_t kRpcVersion = 3;
 
 // Kinds 1 and 2 were the retired single-op frames; decoders reject them.
 enum class RpcFrameKind : uint32_t {
@@ -35,16 +36,13 @@ enum class RpcFrameKind : uint32_t {
   kBatchResponse = 4,
 };
 
-// One op as the broker sees it: a batch sub-request with the batch header
-// applied (see RpcBatchRequest::SubRequest). In-memory only — it never
-// crosses the wire on its own.
+// One op as the broker sees it: a sub-request with the caller's binding
+// applied. In-memory only — it never crosses the wire.
 struct RpcRequest {
   std::string method;
   std::vector<std::string> args;
-  witos::Uid uid = 0;       // requesting user inside the container
-  witos::Pid caller_pid = witos::kNoPid;
-  std::string ticket_id;    // ticket the session is bound to
-  std::string admin;        // administrator identity from the certificate
+  std::string ticket_id;  // the ticket bound to the caller's session
+  std::string admin;      // the admin the ticket was deployed for
 };
 
 struct RpcResponse {
@@ -57,25 +55,16 @@ struct RpcResponse {
   static witos::Result<RpcResponse> DeserializeBody(WireReader* reader);
 };
 
-// One sub-operation of a batch: just the verb and its arguments — the
-// uid/caller/ticket/admin context lives once in the batch header.
-struct RpcSubRequest {
+// One sub-operation of a batch: just the verb and its arguments.
+struct RpcOp {
   std::string method;
   std::vector<std::string> args;
 };
 
-// N sub-requests under one header: the whole ticket's broker traffic in a
-// single frame, serialized once, sealed once.
+// N sub-requests in one frame: the whole ticket's broker traffic,
+// serialized once, sealed once.
 struct RpcBatchRequest {
-  witos::Uid uid = 0;
-  witos::Pid caller_pid = witos::kNoPid;
-  std::string ticket_id;
-  std::string admin;
-  std::vector<RpcSubRequest> ops;
-
-  // Materializes sub-request `i` with the shared header applied, for
-  // dispatch through code written against RpcRequest.
-  RpcRequest SubRequest(size_t i) const;
+  std::vector<RpcOp> ops;
 
   std::string Serialize() const;
   static witos::Result<RpcBatchRequest> Deserialize(std::string_view data);
@@ -94,15 +83,20 @@ struct RpcBatchResponse {
 // One endpoint (the broker server) bound to a transport. A call serializes
 // the batch, traverses the "wire", and deserializes the response.
 //
+// `caller` is the calling process's host pid, the kernel's stamp on the
+// call (the SO_PEERCRED analogue): it reaches the handler as given and is
+// never serialized, sealed, counted or corrupted.
+//
 // Transport encryption (paper §5.4: "If one wishes to further secure the
 // communication between the perforated container and the permission broker,
 // one can employ SSL"): with EnableEncryption, every frame is sealed with a
-// keystream derived from the shared secret plus a MAC over the plaintext;
-// tampered or replayed ciphertext fails authentication and the call errors.
-// A batch pays this seal/MAC cost once for all its sub-operations.
+// keystream derived from the shared secret plus a MAC over the plaintext.
+// The seal gives confidentiality and turns corrupted ciphertext into a
+// failed call. It carries no identity, and nothing detects a replayed frame
+// (Open keeps no nonce window). A batch pays the seal/MAC cost once.
 class RpcChannel {
  public:
-  using BatchHandler = std::function<RpcBatchResponse(const RpcBatchRequest&)>;
+  using BatchHandler = std::function<RpcBatchResponse(witos::Pid, const RpcBatchRequest&)>;
 
   void BindBatch(BatchHandler handler) { batch_handler_ = std::move(handler); }
 
@@ -110,7 +104,7 @@ class RpcChannel {
   // transport/authentication/framing failure yields an error Result and no
   // sub-operation executes or is answered. ECONNREFUSED when no server is
   // bound (the broker process is gone).
-  witos::Result<RpcBatchResponse> CallBatch(const RpcBatchRequest& request);
+  witos::Result<RpcBatchResponse> CallBatch(witos::Pid caller, const RpcBatchRequest& request);
 
   void EnableEncryption(uint64_t shared_secret);
   bool encrypted() const { return encrypted_; }

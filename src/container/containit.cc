@@ -1,5 +1,6 @@
 #include "src/container/containit.h"
 
+#include <charconv>
 #include <utility>
 
 #include "src/fs/fuse.h"
@@ -45,13 +46,17 @@ void ContainIt::AttachBroker(witbroker::PermissionBroker* broker) {
           return resp;
         }
         auto addr = witnet::Ipv4Addr::Parse(request.args[0]);
-        if (!addr.has_value()) {
+        // A given port is a whole number in 1-65535; none is 0, every port.
+        uint16_t port = 0;
+        bool port_ok = true;
+        if (request.args.size() > 1) {
+          const std::string& text = request.args[1];
+          auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), port);
+          port_ok = ec == std::errc() && end == text.data() + text.size() && port != 0;
+        }
+        if (!addr.has_value() || !port_ok) {
           resp.err = witos::Err::kInval;
           return resp;
-        }
-        uint16_t port = 0;
-        if (request.args.size() > 1) {
-          port = static_cast<uint16_t>(std::atoi(request.args[1].c_str()));
         }
         Session* session = FindSessionByTicket(request.ticket_id);
         if (session == nullptr) {

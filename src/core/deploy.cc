@@ -35,6 +35,7 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
   struct Tx {
     bool session_built = false;
     witcontain::SessionId session = 0;
+    witos::CgroupId cgroup = witos::kRootCgroup;
     bool bound = false;
     bool cert_issued = false;
     Certificate cert;
@@ -94,6 +95,7 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     WITOS_ASSIGN_OR_RETURN(tx.session,
                            machine->containit().Deploy(spec, ticket.id, ticket.admin));
     tx.session_built = true;
+    tx.cgroup = machine->containit().FindSession(tx.session)->cgroup;
     return witos::Status::Ok();
   });
   if (!status.ok()) {
@@ -101,8 +103,10 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     return status.error();
   }
 
+  // The session's cgroup is its identity at the broker.
   status = run_stage(DeployStage::kBind, [&]() -> witos::Status {
-    WITOS_RETURN_IF_ERROR(machine->broker().BindTicket(ticket.id, ticket.assigned_class));
+    WITOS_RETURN_IF_ERROR(machine->broker().BindTicket(ticket.id, ticket.assigned_class,
+                                                       ticket.admin, tx.cgroup));
     tx.bound = true;
     return witos::Status::Ok();
   });

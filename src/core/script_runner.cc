@@ -14,12 +14,12 @@ ScriptRunReport ScriptRunner::Run(const witload::ItScript& script) {
 
   witcontain::PerforatedContainerSpec spec = SpecForScriptClass(script.container_class);
   std::string run_id = "SCRIPT-" + std::to_string(next_run_++);
-  (void)machine_->broker().BindTicket(run_id, script.container_class);
   auto session_id = machine_->containit().Deploy(spec, run_id, "automation");
   if (!session_id.ok()) {
-    (void)machine_->broker().UnbindTicket(run_id);
     return report;
   }
+  (void)machine_->broker().BindTicket(run_id, script.container_class, "automation",
+                                      machine_->containit().FindSession(*session_id)->cgroup);
   AdminSession session(machine_, *session_id, Certificate{}, /*ca=*/nullptr);
   if (!session.Login().ok()) {
     return report;

@@ -29,14 +29,12 @@ witload::BrokerCategory InferCategory(const witload::RequiredOp& op) {
 
 AdminSession::AdminSession(Machine* machine, witcontain::SessionId session_id,
                            Certificate certificate, CertificateAuthority* ca)
-    : machine_(machine), session_id_(session_id), certificate_(std::move(certificate)), ca_(ca) {
-  const witcontain::Session* session = machine_->containit().FindSession(session_id_);
-  if (session != nullptr) {
-    shell_ = session->shell;
-    broker_client_ = std::make_unique<witbroker::BrokerClient>(
-        &machine_->broker_channel(), session->ticket_id, session->admin);
-  }
-}
+    : machine_(machine),
+      session_id_(session_id),
+      certificate_(std::move(certificate)),
+      ca_(ca),
+      shell_(container() != nullptr ? container()->shell : witos::kNoPid),
+      broker_client_(&machine->broker_channel(), shell_) {}
 
 const witcontain::Session* AdminSession::container() const {
   return machine_->containit().FindSession(session_id_);
@@ -176,18 +174,10 @@ witos::Result<std::vector<witos::MountEntry>> AdminSession::Mounts() const {
   return machine_->kernel().MountTable(shell_);
 }
 
-witos::Uid AdminSession::ShellUid() const {
-  const witos::Process* proc = machine_->kernel().FindProcess(shell_);
-  return proc == nullptr ? witos::kOverflowUid : proc->cred.uid;
-}
-
 witos::Result<std::string> AdminSession::Pb(const std::string& verb,
                                             const std::vector<std::string>& args) const {
   WITOS_RETURN_IF_ERROR(CheckCert());
-  if (broker_client_ == nullptr) {
-    return witos::Err::kConnRefused;
-  }
-  return broker_client_->Request(verb, args, ShellUid(), shell_);
+  return broker_client_.Request(verb, args);
 }
 
 void AdminSession::AuditCommand(const std::string& command_line) const {
@@ -348,9 +338,9 @@ std::vector<OpReplayResult> AdminSession::ReplayTicket(
   };
   std::vector<PendingOp> pending;
 
-  const bool broker_usable = broker_client_ != nullptr && CheckCert().ok();
+  const bool broker_usable = CheckCert().ok();
   if (broker_usable) {
-    broker_client_->Begin(ShellUid(), shell_);
+    broker_client_.Begin();
   }
 
   // Phase 1: probe every op in view, queueing escalations on the pipeline.
@@ -365,7 +355,7 @@ std::vector<OpReplayResult> AdminSession::ReplayTicket(
       result.used_broker = true;
       result.category = InferCategory(op);
       if (broker_usable) {
-        pending.push_back({results.size(), broker_client_->Queue(verb, args)});
+        pending.push_back({results.size(), broker_client_.Queue(verb, args)});
       }
     }
     results.push_back(std::move(result));
@@ -373,7 +363,7 @@ std::vector<OpReplayResult> AdminSession::ReplayTicket(
 
   // Phase 2: the ticket's single wire crossing, then post-grant retries.
   if (broker_usable) {
-    std::vector<witos::Result<std::string>> grants = broker_client_->Flush();
+    std::vector<witos::Result<std::string>> grants = broker_client_.Flush();
     for (const PendingOp& p : pending) {
       bool granted = p.queue_index < grants.size() && grants[p.queue_index].ok();
       results[p.result_index].broker_ok =

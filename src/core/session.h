@@ -10,7 +10,6 @@
 #ifndef SRC_CORE_SESSION_H_
 #define SRC_CORE_SESSION_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,14 +93,13 @@ class AdminSession {
   // Kills any kill-op victim still running once its op is decided, and
   // reaps every one.
   void ReapVictims();
-  witos::Uid ShellUid() const;
 
   Machine* machine_;
   witcontain::SessionId session_id_;
   Certificate certificate_;
   CertificateAuthority* ca_;
-  std::unique_ptr<witbroker::BrokerClient> broker_client_;
-  witos::Pid shell_ = witos::kNoPid;
+  witos::Pid shell_;  // kNoPid when the session is not live
+  mutable witbroker::BrokerClient broker_client_;  // a stub: sending changes no session state
   bool logged_in_ = false;
   // The runaway processes TryInView spawned for the op(s) in progress.
   std::vector<witos::Pid> victims_;

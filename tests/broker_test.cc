@@ -43,17 +43,9 @@ TEST(RpcTest, BatchRoundTripLaw) {
   // The round-trip law: Deserialize(Serialize(b)) == b for any well-formed
   // batch, and the response side likewise — positional order preserved.
   RpcBatchRequest batch;
-  batch.uid = witos::kRootUid;
-  batch.caller_pid = 42;
-  batch.ticket_id = "TKT-20260805-00042";
-  batch.admin = "admin03@it.example.org";
   batch.ops = {{"ps", {}}, {"kill", {"1042"}}, {"read_file", {"/var/log/syslog"}}};
   auto decoded = RpcBatchRequest::Deserialize(batch.Serialize());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->uid, batch.uid);
-  EXPECT_EQ(decoded->caller_pid, batch.caller_pid);
-  EXPECT_EQ(decoded->ticket_id, batch.ticket_id);
-  EXPECT_EQ(decoded->admin, batch.admin);
   ASSERT_EQ(decoded->ops.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(decoded->ops[i].method, batch.ops[i].method);
@@ -87,7 +79,7 @@ TEST(RpcTest, UnboundChannelRefusesConnections) {
   RpcChannel channel;
   RpcBatchRequest batch;
   batch.ops = {{"ps", {}}};
-  EXPECT_EQ(channel.CallBatch(batch).error(), witos::Err::kConnRefused);
+  EXPECT_EQ(channel.CallBatch(witos::kNoPid, batch).error(), witos::Err::kConnRefused);
   EXPECT_EQ(channel.calls(), 0u);
 }
 
@@ -105,6 +97,17 @@ TEST(PolicyManagerTest, PerClassAndPerAdminRules) {
   EXPECT_FALSE(policy.IsAllowed("T-99", "ps", "alice"));
 }
 
+// A session's shell as the broker sees it: a root process alone in a fresh
+// cgroup that `ticket` is bound to.
+witos::Pid BoundCaller(witos::Kernel* kernel, PermissionBroker* broker, const std::string& ticket,
+                       const std::string& ticket_class, const std::string& admin = "alice") {
+  const witos::Pid pid = *kernel->Clone(1, "bash", 0);
+  const witos::CgroupId cgroup = kernel->cgroups().Create("session-" + ticket, 0);
+  EXPECT_TRUE(kernel->AssignCgroup(pid, cgroup).ok());
+  EXPECT_TRUE(broker->BindTicket(ticket, ticket_class, admin, cgroup).ok());
+  return pid;
+}
+
 class BrokerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -114,8 +117,15 @@ class BrokerTest : public ::testing::Test {
                               kVerbRestartService};
     policy_.SetPolicy("T-1", standard);
     broker_ = std::make_unique<PermissionBroker>(&kernel_, broker_pid_, &policy_, &channel_);
-    (void)broker_->BindTicket("TKT-1", "T-1");
-    client_ = std::make_unique<BrokerClient>(&channel_, "TKT-1", "alice");
+    caller_ = BoundCaller(&kernel_, broker_.get(), "TKT-1", "T-1");
+    client_ = std::make_unique<BrokerClient>(&channel_, caller_);
+  }
+
+  // A uid-1000 child of the bound caller: in the bound cgroup, not root.
+  witos::Pid UnprivilegedChild() {
+    const witos::Pid child = *kernel_.Clone(caller_, "user-shell", 0);
+    EXPECT_TRUE(kernel_.Setuid(child, 1000).ok());
+    return child;
   }
 
   // The broker requests in the host's evidence chain, decoded.
@@ -123,6 +133,7 @@ class BrokerTest : public ::testing::Test {
 
   witos::Kernel kernel_{"host"};
   witos::Pid broker_pid_ = witos::kNoPid;
+  witos::Pid caller_ = witos::kNoPid;
   PolicyManager policy_;
   RpcChannel channel_;
   std::unique_ptr<PermissionBroker> broker_;
@@ -130,21 +141,68 @@ class BrokerTest : public ::testing::Test {
 };
 
 TEST_F(BrokerTest, PsShowsHostProcesses) {
-  auto out = client_->Request(kVerbPs, {}, witos::kRootUid);
+  auto out = client_->Request(kVerbPs, {});
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->find("init"), std::string::npos);
   EXPECT_NE(out->find("PermissionBroker"), std::string::npos);
 }
 
-TEST_F(BrokerTest, UnprivilegedClientRejectedLocally) {
-  auto out = client_->Request(kVerbPs, {}, /*uid=*/1000);
+TEST_F(BrokerTest, UnprivilegedCallerDeniedByBroker) {
+  // "Only privileged users may talk to the broker": the broker applies the
+  // rule from the kernel's credentials, so the refusal is chained under
+  // the caller's pid and uid, naming the binding of its cgroup.
+  const witos::Pid child = UnprivilegedChild();
+  auto out = BrokerClient(&channel_, child).Request(kVerbPs, {});
   EXPECT_EQ(out.error(), witos::Err::kPerm);
-  // The request never reached the broker.
-  EXPECT_TRUE(Events().empty());
+  const auto records = kernel_.audit().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].event, witos::AuditEvent::kBrokerDenied);
+  EXPECT_EQ(records[0].pid, child);
+  EXPECT_EQ(records[0].uid, 1000u);
+  EXPECT_EQ(records[0].detail, "DENY alice TKT-1 [T-1] ps");
+}
+
+TEST_F(BrokerTest, UnboundCallerDeniedAndChainedWithNoTicket) {
+  // A host process sits in the root cgroup, which no binding names: every
+  // op is denied, whatever its class would allow, and chained with no
+  // admin, ticket or class.
+  const witos::Pid host = *kernel_.Clone(1, "cron", 0);
+  BrokerClient client(&channel_, host);
+  client.Begin();
+  client.Queue(kVerbPs, {});
+  client.Queue(kVerbInstall, {"netcat"});
+  for (const auto& result : client.Flush()) {
+    EXPECT_EQ(result.error(), witos::Err::kPerm);
+  }
+  const auto records = kernel_.audit().Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].pid, host);
+  EXPECT_EQ(records[0].uid, witos::kRootUid);
+  EXPECT_EQ(records[0].detail, "DENY % % [] ps");
+  EXPECT_EQ(records[1].detail, "DENY % % [] install netcat");
+  const auto events = Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_TRUE(events[0].ticket_id.empty());
+  EXPECT_TRUE(events[0].admin.empty());
+}
+
+TEST_F(BrokerTest, ExitedOrMissingCallerDenied) {
+  // A zombie still names its cgroup's binding but is no longer running; a
+  // pid with no process has no uid (chained as the overflow uid).
+  ASSERT_TRUE(kernel_.Exit(caller_, 0).ok());
+  EXPECT_EQ(client_->Request(kVerbPs, {}).error(), witos::Err::kPerm);
+  EXPECT_EQ(BrokerClient(&channel_, 99999).Request(kVerbPs, {}).error(), witos::Err::kPerm);
+  const auto records = kernel_.audit().Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].detail, "DENY alice TKT-1 [T-1] ps");
+  EXPECT_EQ(records[0].pid, caller_);
+  EXPECT_EQ(records[1].detail, "DENY % % [] ps");
+  EXPECT_EQ(records[1].pid, 99999);
+  EXPECT_EQ(records[1].uid, witos::kOverflowUid);
 }
 
 TEST_F(BrokerTest, DisallowedVerbDeniedAndLogged) {
-  auto out = client_->Request(kVerbReboot, {}, witos::kRootUid);
+  auto out = client_->Request(kVerbReboot, {});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.error(), witos::Err::kPerm);
   auto events = Events();
@@ -156,8 +214,8 @@ TEST_F(BrokerTest, DisallowedVerbDeniedAndLogged) {
 }
 
 TEST_F(BrokerTest, GrantedRequestsAreChainLogged) {
-  ASSERT_TRUE(client_->Request(kVerbPs, {}, witos::kRootUid).ok());
-  ASSERT_TRUE(client_->Request(kVerbRestartService, {"sshd"}, witos::kRootUid).ok());
+  ASSERT_TRUE(client_->Request(kVerbPs, {}).ok());
+  ASSERT_TRUE(client_->Request(kVerbRestartService, {"sshd"}).ok());
   // Two broker records, plus the session record restart_service writes.
   EXPECT_EQ(broker_->log().size(), 3u);
   EXPECT_TRUE(broker_->log().Verify());
@@ -166,37 +224,47 @@ TEST_F(BrokerTest, GrantedRequestsAreChainLogged) {
 
 TEST_F(BrokerTest, KillExecutesOnBehalf) {
   witos::Pid victim = *kernel_.Clone(1, "runaway", 0);
-  auto out = client_->Request(kVerbKill, {std::to_string(victim)}, witos::kRootUid);
+  auto out = client_->Request(kVerbKill, {std::to_string(victim)});
   ASSERT_TRUE(out.ok());
   EXPECT_FALSE(kernel_.ProcessAlive(victim));
 }
 
 TEST_F(BrokerTest, ReadFileExecutesWithHostView) {
   ASSERT_TRUE(kernel_.WriteFile(1, "/etc/motd", "host motd").ok());
-  auto out = client_->Request(kVerbReadFile, {"/etc/motd"}, witos::kRootUid);
+  auto out = client_->Request(kVerbReadFile, {"/etc/motd"});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, "host motd");
 }
 
 TEST_F(BrokerTest, InstallWritesPackage) {
   ASSERT_TRUE(kernel_.MkDir(1, "/usr/progs").ok());
-  auto out = client_->Request(kVerbInstall, {"toolbox"}, witos::kRootUid);
+  auto out = client_->Request(kVerbInstall, {"toolbox"});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(kernel_.ReadFile(1, "/usr/progs/toolbox").ok());
+}
+
+TEST_F(BrokerTest, InstallTakesOnePathComponent) {
+  ASSERT_TRUE(kernel_.MkDir(1, "/usr/progs").ok());
+  ASSERT_TRUE(kernel_.WriteFile(1, "/etc/passwd", "root:x:0:0\n").ok());
+  for (const std::string package : {"../../etc/passwd", "..", ".", "", "bin/tool", "/tool"}) {
+    EXPECT_EQ(client_->Request(kVerbInstall, {package}).error(), witos::Err::kInval) << package;
+  }
+  EXPECT_EQ(*kernel_.ReadFile(1, "/etc/passwd"), "root:x:0:0\n");
+  EXPECT_EQ(kernel_.ReadDir(1, "/usr/progs")->size(), 0u);
 }
 
 TEST_F(BrokerTest, UnknownVerbIsNoSys) {
   ClassPolicy open;
   open.allow_all = true;
   policy_.SetPolicy("T-1", open);
-  auto out = client_->Request("frobnicate", {}, witos::kRootUid);
+  auto out = client_->Request("frobnicate", {});
   ASSERT_FALSE(out.ok());
   // Typed end-to-end: ENOSYS crosses the wire as an enum, not a string.
   EXPECT_EQ(out.error(), witos::Err::kNoSys);
 }
 
 TEST_F(BrokerTest, KillOfMissingProcessIsTypedSrch) {
-  auto out = client_->Request(kVerbKill, {"99999"}, witos::kRootUid);
+  auto out = client_->Request(kVerbKill, {"99999"});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error(), witos::Err::kSrch);
 }
@@ -211,14 +279,14 @@ TEST_F(BrokerTest, CustomVerbDispatch) {
     resp.payload = "custom:" + req.args[0];
     return resp;
   });
-  auto out = client_->Request("custom", {"arg"}, witos::kRootUid);
+  auto out = client_->Request("custom", {"arg"});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, "custom:arg");
 }
 
 TEST_F(BrokerTest, PipelinedBatchAuditsEveryOp) {
   // Three queued ops ride one batch: two granted, one denied by policy.
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   size_t i_ps = client_->Queue(kVerbPs, {});
   size_t i_restart = client_->Queue(kVerbRestartService, {"sshd"});
   size_t i_reboot = client_->Queue(kVerbReboot, {});  // not in T-1's verb set
@@ -255,14 +323,14 @@ TEST_F(BrokerTest, PipelinedBatchAuditsEveryOp) {
 TEST_F(BrokerTest, BatchMatchesSequentialRequests) {
   // Law: a flushed batch answers each op exactly as N sequential Request()
   // calls would, and leaves the same audit trail behind.
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   client_->Queue(kVerbPs, {});
   client_->Queue(kVerbReboot, {});
   auto batched = client_->Flush();
   size_t log_after_batch = broker_->log().size();
 
-  auto seq_ps = client_->Request(kVerbPs, {}, witos::kRootUid);
-  auto seq_reboot = client_->Request(kVerbReboot, {}, witos::kRootUid);
+  auto seq_ps = client_->Request(kVerbPs, {});
+  auto seq_reboot = client_->Request(kVerbReboot, {});
   ASSERT_EQ(batched.size(), 2u);
   EXPECT_EQ(batched[0].ok(), seq_ps.ok());
   EXPECT_EQ(*batched[0], *seq_ps);
@@ -272,35 +340,41 @@ TEST_F(BrokerTest, BatchMatchesSequentialRequests) {
   EXPECT_TRUE(broker_->log().Verify());
 }
 
-TEST_F(BrokerTest, UnprivilegedBatchRejectedLocally) {
-  client_->Begin(/*uid=*/1000);
-  client_->Queue(kVerbPs, {});
-  client_->Queue(kVerbKill, {"7"});
-  auto results = client_->Flush();
+TEST_F(BrokerTest, UnprivilegedBatchDeniedByBroker) {
+  BrokerClient client(&channel_, UnprivilegedChild());
+  client.Begin();
+  client.Queue(kVerbPs, {});
+  client.Queue(kVerbKill, {"7"});
+  auto results = client.Flush();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].error(), witos::Err::kPerm);
   EXPECT_EQ(results[1].error(), witos::Err::kPerm);
-  // Nothing crossed the wire and nothing reached the broker.
-  EXPECT_EQ(channel_.frames(), 0u);
-  EXPECT_TRUE(Events().empty());
-  EXPECT_EQ(broker_->log().size(), 0u);
+  // One frame pair crossed the wire; the broker denied and chained each op
+  // and dispatched none.
+  EXPECT_EQ(channel_.frames(), 2u);
+  auto events = Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_FALSE(events[0].granted);
+  EXPECT_FALSE(events[1].granted);
+  EXPECT_EQ(broker_->log().size(), 2u);
 }
 
 TEST_F(BrokerTest, EmptyFlushIsFree) {
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   auto results = client_->Flush();
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(channel_.frames(), 0u);
 }
 
 TEST_F(BrokerTest, RequestLeavesOpenPipelineIntact) {
-  // A one-shot Request between Queue and Flush rides its own batch of one;
-  // the queued op, its uid and its position survive untouched.
-  client_->Begin(witos::kRootUid);
+  // A one-shot Request between Queue and Flush rides its own batch of one,
+  // and so does another process's denied request on the same channel; the
+  // queued op and its position survive untouched.
+  client_->Begin();
   size_t i_restart = client_->Queue(kVerbRestartService, {"sshd"});
-  auto denied = client_->Request(kVerbReboot, {}, witos::kRootUid);
+  auto denied = client_->Request(kVerbReboot, {});
   EXPECT_EQ(denied.error(), witos::Err::kPerm);
-  auto unprivileged = client_->Request(kVerbPs, {}, /*uid=*/1000);
+  auto unprivileged = BrokerClient(&channel_, UnprivilegedChild()).Request(kVerbPs, {});
   EXPECT_EQ(unprivileged.error(), witos::Err::kPerm);
   EXPECT_EQ(client_->pending(), 1u);
 
@@ -309,11 +383,13 @@ TEST_F(BrokerTest, RequestLeavesOpenPipelineIntact) {
   ASSERT_TRUE(results[i_restart].ok());
   EXPECT_EQ(*results[i_restart], "restarted sshd");
   auto events = Events();
-  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].verb, kVerbReboot);
-  EXPECT_EQ(events[1].verb, kVerbRestartService);
-  EXPECT_TRUE(events[1].granted);
-  EXPECT_EQ(channel_.calls(), 2u);
+  EXPECT_EQ(events[1].verb, kVerbPs);
+  EXPECT_FALSE(events[1].granted);
+  EXPECT_EQ(events[2].verb, kVerbRestartService);
+  EXPECT_TRUE(events[2].granted);
+  EXPECT_EQ(channel_.calls(), 3u);
 }
 
 TEST_F(BrokerTest, DispatchLatencySampledPerGrantedDispatch) {
@@ -323,7 +399,7 @@ TEST_F(BrokerTest, DispatchLatencySampledPerGrantedDispatch) {
       registry.FindHistogram("watchit_broker_dispatch_latency_ns");
   ASSERT_NE(dispatch, nullptr);
 
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   client_->Queue(kVerbPs, {});
   client_->Queue(kVerbDriverUpdate, {"rootkit"});  // not in T-1's verb set
   client_->Queue(kVerbPs, {});
@@ -331,7 +407,7 @@ TEST_F(BrokerTest, DispatchLatencySampledPerGrantedDispatch) {
   const uint64_t after_mixed = dispatch->Count();
   EXPECT_EQ(after_mixed, 2u);  // one sample per granted dispatch
 
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   client_->Queue(kVerbReboot, {});
   client_->Queue(kVerbDriverUpdate, {"rootkit"});
   (void)client_->Flush();
@@ -339,9 +415,9 @@ TEST_F(BrokerTest, DispatchLatencySampledPerGrantedDispatch) {
 }
 
 TEST_F(BrokerTest, BeginDiscardsAbandonedPipeline) {
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   client_->Queue(kVerbReboot, {});
-  client_->Begin(witos::kRootUid);
+  client_->Begin();
   client_->Queue(kVerbPs, {});
   auto results = client_->Flush();
   ASSERT_EQ(results.size(), 1u);
@@ -354,27 +430,33 @@ TEST_F(BrokerTest, BeginDiscardsAbandonedPipeline) {
 // ---- Bindings and batch order (DESIGN.md §14) ----
 
 // One op as its own batch, the way BrokerClient::Request sends it.
-RpcBatchRequest OneOp(const std::string& ticket, const std::string& verb) {
+RpcBatchRequest OneOp(const std::string& verb) {
   RpcBatchRequest batch;
-  batch.uid = witos::kRootUid;
-  batch.ticket_id = ticket;
-  batch.admin = "alice";
   batch.ops = {{verb, {}}};
   return batch;
 }
 
 TEST_F(BrokerTest, BindRejectsDuplicatesAndUnbindReleases) {
+  std::vector<witos::Pid> callers;
   for (int i = 0; i < 12; ++i) {
     std::string ticket = "TKT-B" + std::to_string(i);
-    ASSERT_TRUE(broker_->BindTicket(ticket, "T-1").ok());
+    callers.push_back(BoundCaller(&kernel_, broker_.get(), ticket, "T-1"));
     EXPECT_TRUE(broker_->IsTicketBound(ticket));
   }
   EXPECT_EQ(broker_->bound_ticket_count(), 13u);  // plus the fixture's TKT-1
-  // A duplicate deploy must not silently reclassify a live ticket.
-  EXPECT_EQ(broker_->BindTicket("TKT-B3", "T-8").error(), witos::Err::kExist);
+  // A duplicate deploy must not silently reclassify a live ticket...
+  const witos::CgroupId spare = kernel_.cgroups().Create("spare", 0);
+  EXPECT_EQ(broker_->BindTicket("TKT-B3", "T-8", "alice", spare).error(), witos::Err::kExist);
+  // ...nor may one session's cgroup ask under a second ticket, and host
+  // processes (the root cgroup) are never bound.
+  const witos::CgroupId taken = kernel_.FindProcess(callers[3])->cgroup;
+  EXPECT_EQ(broker_->BindTicket("TKT-NEW", "T-8", "alice", taken).error(), witos::Err::kExist);
+  EXPECT_EQ(broker_->BindTicket("TKT-NEW", "T-8", "alice", witos::kRootCgroup).error(),
+            witos::Err::kInval);
+  EXPECT_FALSE(broker_->IsTicketBound("TKT-NEW"));
 
   for (int i = 0; i < 12; ++i) {
-    auto response = broker_->HandleBatch(OneOp("TKT-B" + std::to_string(i), kVerbPs));
+    auto response = broker_->HandleBatch(callers[static_cast<size_t>(i)], OneOp(kVerbPs));
     ASSERT_EQ(response.responses.size(), 1u);
     EXPECT_TRUE(response.responses[0].ok);  // still T-1: the duplicate bind changed nothing
   }
@@ -388,6 +470,7 @@ TEST_F(BrokerTest, BindRejectsDuplicatesAndUnbindReleases) {
     EXPECT_EQ(events[i].ticket_id, ticket);
     EXPECT_EQ(events[i].ticket_class, "T-1");
     EXPECT_EQ(records[i].detail, "GRANT alice " + ticket + " [T-1] ps");
+    EXPECT_EQ(records[i].pid, callers[i]);
   }
   EXPECT_TRUE(broker_->log().Verify());
 
@@ -396,20 +479,20 @@ TEST_F(BrokerTest, BindRejectsDuplicatesAndUnbindReleases) {
   }
   EXPECT_EQ(broker_->bound_ticket_count(), 1u);
   EXPECT_EQ(broker_->UnbindTicket("TKT-B0").error(), witos::Err::kSrch);
+  // Unbound, a caller's requests are denied and name no ticket.
+  EXPECT_FALSE(broker_->HandleBatch(callers[0], OneOp(kVerbPs)).responses[0].ok);
+  EXPECT_EQ(broker_->log().Snapshot().back().detail, "DENY % % [] ps");
 }
 
 TEST_F(BrokerTest, BatchLogsEveryOpInQueueOrder) {
   RpcBatchRequest batch;
-  batch.uid = witos::kRootUid;
-  batch.ticket_id = "TKT-1";
-  batch.admin = "alice";
   for (int i = 0; i < 5; ++i) {
-    RpcSubRequest op;
+    RpcOp op;
     op.method = kVerbRestartService;
     op.args = {"svc-" + std::to_string(i)};
     batch.ops.push_back(op);
   }
-  auto response = broker_->HandleBatch(batch);
+  auto response = broker_->HandleBatch(caller_, batch);
   ASSERT_EQ(response.responses.size(), 5u);
   // Five per-op records on the one chain, in queue order, appended before
   // any dispatch (each restart then writes its own session record).
@@ -427,9 +510,9 @@ TEST_F(BrokerTest, BatchLogsEveryOpInQueueOrder) {
   }
 }
 
-// Two writer threads drive batches while a reader takes verified
-// snapshots and decodes them, as the forensic reporter does against a
-// serving machine. broker_test runs under TSan in CI.
+// Two writer threads, each a bound caller, drive batches while a reader
+// takes verified snapshots and decodes them, as the forensic reporter does
+// against a serving machine. broker_test runs under TSan in CI.
 TEST(BrokerEvidenceRaceTest, ReadersDuringTrafficAreRaceFree) {
   witos::Kernel kernel("host");
   witos::Pid pid = *kernel.Clone(1, "PermissionBroker", 0);
@@ -438,13 +521,17 @@ TEST(BrokerEvidenceRaceTest, ReadersDuringTrafficAreRaceFree) {
   PermissionBroker broker(&kernel, pid, &policy, &channel);
 
   constexpr int kPerWriter = 1500;
+  witos::Pid callers[2];
+  for (int w = 0; w < 2; ++w) {
+    callers[w] = BoundCaller(&kernel, &broker, "TKT-" + std::to_string(w), "T-1");
+  }
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
-      // Denied: one chained record, no dispatch.
-      const RpcBatchRequest batch = OneOp("TKT-" + std::to_string(w), kVerbReboot);
+      // Denied (no class policy): one chained record, no dispatch.
+      const RpcBatchRequest batch = OneOp(kVerbReboot);
       for (int i = 0; i < kPerWriter; ++i) {
-        broker.HandleBatch(batch);
+        broker.HandleBatch(callers[w], batch);
       }
     });
   }
@@ -468,9 +555,11 @@ TEST(BrokerEvidenceRaceTest, ReadersDuringTrafficAreRaceFree) {
 }
 
 // Regression: AdmitRate mutated its window map with no lock, so concurrent
-// HandleBatch calls for a throttled class raced. Eight threads share one
-// broker and one admin's budget; exactly the budget is granted.
-// Only restart_service is sent (one locked audit append when granted), so
+// HandleBatch calls for a throttled class raced. Eight threads, each a
+// bound caller of its own ticket, share one broker and one admin's budget;
+// exactly the budget is granted. Each batch resolves its caller through
+// the kernel's process table and the bindings under broker.tickets. Only
+// restart_service is sent (one locked audit append when granted), so
 // nothing dispatches into the unsynchronized kernel. broker_test runs
 // under TSan in CI.
 TEST(BrokerRateLimitRaceTest, ConcurrentRequestsGrantExactlyTheBudget) {
@@ -487,17 +576,18 @@ TEST(BrokerRateLimitRaceTest, ConcurrentRequestsGrantExactlyTheBudget) {
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20;
+  witos::Pid callers[kThreads];
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_TRUE(broker.BindTicket("TKT-RL-" + std::to_string(t), "T-RL").ok());
+    callers[t] = BoundCaller(&kernel, &broker, "TKT-RL-" + std::to_string(t), "T-RL");
   }
   std::atomic<int> granted{0};
   std::vector<std::thread> senders;
   for (int t = 0; t < kThreads; ++t) {
     senders.emplace_back([&, t] {
-      RpcBatchRequest batch = OneOp("TKT-RL-" + std::to_string(t), kVerbRestartService);
+      RpcBatchRequest batch = OneOp(kVerbRestartService);
       batch.ops[0].args = {"sshd"};
       for (int i = 0; i < kPerThread; ++i) {
-        if (broker.HandleBatch(batch).responses[0].ok) {
+        if (broker.HandleBatch(callers[t], batch).responses[0].ok) {
           granted.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -99,6 +99,31 @@ TEST(DeployRollbackTest, LateStageFailureUnbindsTicket) {
   ExpectNoLeaks(&cluster, &machine);
 }
 
+// The bind stage binds the session's cgroup, after construction, to the
+// ticket and its admin: the session's processes ask as that ticket, and
+// the cgroup cannot be bound to a second one.
+TEST(DeployBindTest, BindStageBindsTheSessionCgroup) {
+  Cluster cluster;
+  Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  ClusterManager manager(&cluster);
+  auto deployment = manager.Deploy(MakeTicket("TKT-BOUND", "userpc"));
+  ASSERT_TRUE(deployment.ok());
+  const witcontain::Session* session = machine.containit().FindSession(deployment->session);
+  ASSERT_NE(session, nullptr);
+  EXPECT_NE(session->cgroup, witos::kRootCgroup);
+  EXPECT_EQ(machine.kernel().FindProcess(session->shell)->cgroup, session->cgroup);
+  EXPECT_EQ(machine.broker().BindTicket("TKT-OTHER", "T-6", "mallory", session->cgroup).error(),
+            witos::Err::kExist);
+
+  const witos::Pid shell = session->shell;
+  witbroker::BrokerClient client(&machine.broker_channel(), shell);
+  ASSERT_TRUE(client.Request(witbroker::kVerbPs, {}).ok());
+  EXPECT_EQ(machine.kernel().audit().Snapshot().back().detail, "GRANT alice TKT-BOUND [T-1] ps");
+  ASSERT_TRUE(manager.Expire(&*deployment).ok());
+  EXPECT_EQ(client.Request(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+  ExpectNoLeaks(&cluster, &machine);
+}
+
 TEST(DeployRollbackTest, UnknownClassFailsWithoutRollback) {
   Cluster cluster;
   cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "src/broker/policy.h"
@@ -360,46 +362,45 @@ TEST(EndToEndTest, BogusBrokerVerbsCannotMintSeries) {
   EXPECT_NE(records.back().detail.find("bogus-verb-999"), std::string::npos);
 }
 
-TEST(EndToEndTest, ForgedTicketIdsCannotMintSeries) {
-  // The ticket id is whatever the sender's frame says. A request naming an
-  // unbound ticket counts under its verb series only; it is still denied
-  // and still leaves its evidence record.
+TEST(EndToEndTest, UnboundCallersCannotMintSeries) {
+  // Host processes belong to no session, so no binding names them. Each of
+  // their made-up verbs is denied, counts under verb="unknown" and leaves
+  // its evidence record with no ticket, under the caller's pid.
   watchit::Cluster cluster;
   watchit::Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
   const witobs::MetricsRegistry& metrics = machine.metrics();
   const size_t before = metrics.SeriesCount();
-  constexpr int kForged = 1000;
-  for (int i = 0; i < kForged; ++i) {
-    witbroker::RpcBatchRequest batch;
-    batch.uid = witos::kRootUid;
-    batch.ticket_id = "TKT-FORGED-" + std::to_string(i);
-    batch.admin = "mallory";
-    batch.ops = {{witbroker::kVerbPs, {}}};
-    auto response = machine.broker_channel().CallBatch(batch);
-    ASSERT_TRUE(response.ok());
-    ASSERT_EQ(response->responses.size(), 1u);
-    EXPECT_EQ(response->responses[0].err, witos::Err::kPerm);
+  constexpr int kCallers = 4;
+  constexpr int kVerbsEach = 250;
+  std::vector<witos::Pid> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.push_back(*machine.kernel().Clone(1, "intruder", 0));
+    witbroker::BrokerClient client(&machine.broker_channel(), callers.back());
+    for (int i = 0; i < kVerbsEach; ++i) {
+      EXPECT_EQ(client.Request("made-up-" + std::to_string(c) + "-" + std::to_string(i), {})
+                    .error(),
+                witos::Err::kPerm);
+    }
   }
+  constexpr uint64_t kTotal = kCallers * kVerbsEach;
   EXPECT_EQ(metrics.SeriesCount() - before, 0u);
   EXPECT_EQ(metrics.CounterValue("watchit_broker_requests_total",
-                                 {{"verb", "ps"}, {"outcome", "deny"}}),
-            static_cast<uint64_t>(kForged));
+                                 {{"verb", "unknown"}, {"outcome", "deny"}}),
+            kTotal);
 
-  const auto records = machine.kernel().audit().Snapshot();
-  size_t denied_events = 0;
-  for (const witbroker::BrokerEvent& event : witbroker::BrokerEventsOf(records)) {
-    if (event.ticket_id.rfind("TKT-FORGED-", 0) == 0 && !event.granted) {
-      ++denied_events;
-    }
-  }
-  EXPECT_EQ(denied_events, static_cast<size_t>(kForged));
   size_t denied_records = 0;
-  for (const witos::AuditRecord& record : records) {
-    if (record.detail.rfind("DENY mallory TKT-FORGED-", 0) == 0) {
-      ++denied_records;
+  for (const witos::AuditRecord& record : machine.kernel().audit().Snapshot()) {
+    std::optional<witbroker::BrokerEvent> event = witbroker::DecodeBrokerRecord(record);
+    if (!event.has_value()) {
+      continue;
     }
+    EXPECT_FALSE(event->granted);
+    EXPECT_TRUE(event->ticket_id.empty());
+    EXPECT_EQ(record.detail.rfind("DENY % % [] made-up-", 0), 0u);
+    EXPECT_NE(std::find(callers.begin(), callers.end(), record.pid), callers.end());
+    ++denied_records;
   }
-  EXPECT_EQ(denied_records, static_cast<size_t>(kForged));
+  EXPECT_EQ(denied_records, kTotal);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/broker/broker.h"
@@ -293,28 +294,31 @@ TEST(ShadowModeTest, BrokerOutcomesUnchangedUnderShadow) {
   watchit::ConfigureBrokerPolicies(&policy);
   witbroker::RpcChannel channel;
   witbroker::PermissionBroker broker(&kernel, pid, &policy, &channel);
-  ASSERT_TRUE(broker.BindTicket("TKT-5", "T-5").ok());
-  ASSERT_TRUE(broker.BindTicket("TKT-2", "T-2").ok());
-
-  auto request = [](const std::string& ticket, const std::string& verb) {
-    witbroker::RpcBatchRequest req;
-    req.uid = witos::kRootUid;
-    req.ticket_id = ticket;
-    req.admin = "alice";
-    req.ops = {{verb, {}}};
-    return req;
+  // Each ticket's shell: a root process alone in the cgroup its ticket is
+  // bound to.
+  auto bound_shell = [&](const std::string& ticket, const std::string& cls) {
+    const witos::Pid shell = *kernel.Clone(1, "bash", 0);
+    const witos::CgroupId cgroup = kernel.cgroups().Create("session-" + ticket, 0);
+    EXPECT_TRUE(kernel.AssignCgroup(shell, cgroup).ok());
+    EXPECT_TRUE(broker.BindTicket(ticket, cls, "alice", cgroup).ok());
+    return shell;
   };
-  const std::vector<witbroker::RpcBatchRequest> traffic = {
-      request("TKT-5", witbroker::kVerbPs),
-      request("TKT-5", witbroker::kVerbKill),
-      request("TKT-2", witbroker::kVerbKill),     // denied by the enforcing policy
-      request("TKT-2", witbroker::kVerbInstall),  // denied by the enforcing policy
+  const witos::Pid t5 = bound_shell("TKT-5", "T-5");
+  const witos::Pid t2 = bound_shell("TKT-2", "T-2");
+
+  const std::vector<std::pair<witos::Pid, std::string>> traffic = {
+      {t5, witbroker::kVerbPs},
+      {t5, witbroker::kVerbKill},
+      {t2, witbroker::kVerbKill},     // denied by the enforcing policy
+      {t2, witbroker::kVerbInstall},  // denied by the enforcing policy
   };
 
   auto run = [&] {
     std::vector<bool> outcomes;
-    for (const witbroker::RpcBatchRequest& req : traffic) {
-      outcomes.push_back(broker.HandleBatch(req).responses.at(0).ok);
+    for (const auto& [caller, verb] : traffic) {
+      witbroker::RpcBatchRequest req;
+      req.ops = {{verb, {}}};
+      outcomes.push_back(broker.HandleBatch(caller, req).responses.at(0).ok);
     }
     return outcomes;
   };

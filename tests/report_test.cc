@@ -297,12 +297,10 @@ TEST_F(ReportTest, TriageRacesNothingWhileTheMachineServes) {
   std::atomic<bool> done{false};
   std::thread serving([&] {
     witbroker::RpcBatchRequest batch;
-    batch.uid = witos::kRootUid;
-    batch.ticket_id = "TKT-UNBOUND";
-    batch.admin = "mallory";
     batch.ops = {{witbroker::kVerbReboot, {}}, {witbroker::kVerbInstall, {"netcat"}}};
     for (int i = 0; i < kRounds; ++i) {
-      (void)machine_->broker().HandleBatch(batch);  // denied: evidence only
+      // An unbound host process: denied, evidence only.
+      (void)machine_->broker().HandleBatch(intruder, batch);
       (void)kernel.Kill(intruder, 1);               // host-side SYSCALL_DENIED
     }
     done.store(true);

@@ -165,23 +165,24 @@ TEST(BrokerSnapshotTest, AnomalyAnalysisRunsBesideLiveTraffic) {
   policy.SetPolicy("T-1", standard);
   witbroker::RpcChannel channel;
   witbroker::PermissionBroker broker(&kernel, broker_pid, &policy, &channel);
-  (void)broker.BindTicket("TKT-1", "T-1");
+  // The session's shell: a root process alone in the cgroup TKT-1 is bound to.
+  const witos::Pid shell = *kernel.Clone(1, "bash", 0);
+  const witos::CgroupId cgroup = kernel.cgroups().Create("session-1", 0);
+  ASSERT_TRUE(kernel.AssignCgroup(shell, cgroup).ok());
+  ASSERT_TRUE(broker.BindTicket("TKT-1", "T-1", "alice", cgroup).ok());
 
   // One writer (in witserve the machine lock serializes every call into a
   // machine's broker; the contract under test is snapshot-while-writing,
   // not parallel HandleBatch).
   std::atomic<bool> done{false};
-  std::thread writer([&broker, &done] {
+  std::thread writer([&broker, &done, shell] {
     witbroker::RpcBatchRequest batch;
-    batch.ticket_id = "TKT-1";
-    batch.admin = "alice";
-    batch.uid = witos::kRootUid;
     batch.ops.resize(1);
     for (int i = 0; i < 500; ++i) {
       batch.ops[0].method = (i % 2 == 0) ? witbroker::kVerbPs : witbroker::kVerbRestartService;
       batch.ops[0].args = (i % 2 == 0) ? std::vector<std::string>{}
                                        : std::vector<std::string>{"sshd"};
-      broker.HandleBatch(batch);
+      broker.HandleBatch(shell, batch);
     }
     done.store(true);
   });

@@ -25,14 +25,14 @@ class ThreatMatrixTest : public ::testing::Test {
     manager_ = std::make_unique<ClusterManager>(&cluster_);
   }
 
-  // Deploys a container of `cls` for mallory's ticket `id` on `machine`.
+  // Deploys a container of `cls` for `admin`'s ticket `id` on `machine`.
   Deployment DeployTicket(const std::string& id, const std::string& machine,
-                          const std::string& cls) {
+                          const std::string& cls, const std::string& admin = "mallory") {
     Ticket ticket;
     ticket.id = id;
     ticket.target_machine = machine;
     ticket.assigned_class = cls;
-    ticket.admin = "mallory";
+    ticket.admin = admin;
     auto deployment = manager_->Deploy(ticket);
     EXPECT_TRUE(deployment.ok());
     return *deployment;
@@ -48,6 +48,15 @@ class ThreatMatrixTest : public ::testing::Test {
   }
 
   witos::Kernel& kernel() { return machine_->kernel(); }
+
+  // A client of the machine's broker channel sending as process `caller`,
+  // as anything running on the machine can build one.
+  witbroker::BrokerClient ClientOf(witos::Pid caller) {
+    return witbroker::BrokerClient(&machine_->broker_channel(), caller);
+  }
+
+  // The last record in the machine's chain: the broker's, after a request.
+  witos::AuditRecord LastRecord() { return kernel().audit().Snapshot().back(); }
 
   static size_t LoginRejections(witos::Kernel& kernel) {
     return kernel.audit()
@@ -332,6 +341,125 @@ TEST_F(ThreatMatrixTest, Attack11WebRestrictedToWhitelist) {
   // Other classes get no web at all.
   auto license_session = DeployAndLogin("T-1");
   EXPECT_FALSE(license_session->Connect("eclipse-mirror", 0).ok());
+}
+
+// The broker knows who is asking (Table 1's attacker is the admin): the
+// caller is the process the kernel stamps on the call, and identity comes
+// from the binding of that process's cgroup, never from the frame.
+
+// Cross-ticket: mallory's narrow session cannot borrow alice's broad
+// ticket, and nothing she sends lands in alice's report.
+TEST_F(ThreatMatrixTest, CrossTicketBrokerRequestDenied) {
+  Deployment broad = DeployTicket("TKT-BROAD", "userpc", "T-6", "alice");
+  Deployment narrow = DeployTicket("TKT-NARROW", "userpc", "T-1");
+  AdminSession mallory(machine_, narrow.session, narrow.certificate, &cluster_.ca());
+  ASSERT_TRUE(mallory.Login().ok());
+
+  // Her own client on the machine's channel, sending from her shell.
+  EXPECT_EQ(ClientOf(mallory.shell()).Request(witbroker::kVerbInstall, {"netcat"}).error(),
+            witos::Err::kPerm);
+  const witos::AuditRecord record = LastRecord();
+  EXPECT_EQ(record.event, witos::AuditEvent::kBrokerDenied);
+  EXPECT_EQ(record.detail, "DENY mallory TKT-NARROW [T-1] install netcat");
+  EXPECT_EQ(record.pid, mallory.shell());
+  auto alice_report = ForensicReporter(machine_).Collect(broad.session);
+  ASSERT_TRUE(alice_report.ok());
+  EXPECT_EQ(alice_report->broker_requests, 0u);
+}
+
+// Forged admin: a per-admin denial holds, because the admin is the one the
+// ticket was deployed for, not one the sender names.
+TEST_F(ThreatMatrixTest, ForgedAdminCannotLiftPerAdminDenial) {
+  witbroker::ClassPolicy t1 = *machine_->policy().FindPolicy("T-1");
+  t1.denied_for_admin["mallory"] = {witbroker::kVerbPs};
+  machine_->policy().SetPolicy("T-1", t1);
+  auto session = DeployAndLogin("T-1");
+  EXPECT_EQ(ClientOf(session->shell()).Request(witbroker::kVerbPs, {}).error(),
+            witos::Err::kPerm);
+  EXPECT_EQ(LastRecord().detail, "DENY mallory TKT-T-1 [T-1] ps");
+}
+
+// Each broker record carries the pid and uid of the process that called,
+// here a helper mallory forked inside her container.
+TEST_F(ThreatMatrixTest, BrokerRecordNamesTheCallingProcess) {
+  auto session = DeployAndLogin("T-1");
+  ASSERT_TRUE(session->Pb(witbroker::kVerbPs, {}).ok());
+  EXPECT_EQ(LastRecord().pid, session->shell());
+  EXPECT_EQ(LastRecord().uid, witos::kRootUid);
+
+  const witos::Pid helper = *kernel().Clone(session->shell(), "helper", 0);
+  ASSERT_TRUE(ClientOf(helper).Request(witbroker::kVerbPs, {}).ok());
+  const witos::AuditRecord record = LastRecord();
+  EXPECT_EQ(record.pid, helper);
+  EXPECT_EQ(record.uid, witos::kRootUid);
+  EXPECT_EQ(record.detail, "GRANT mallory TKT-T-1 [T-1] ps");
+}
+
+// Unbound callers: a host process, and a process whose session has expired,
+// are denied every op, and each op is chained with no ticket.
+TEST_F(ThreatMatrixTest, UnboundCallersDeniedEveryOp) {
+  DeployTicket("TKT-BROAD", "userpc", "T-6", "alice");
+  const witos::Pid host = *kernel().Clone(kernel().init_pid(), "cron", 0);
+  for (const char* verb : {witbroker::kVerbPs, witbroker::kVerbInstall, witbroker::kVerbReboot}) {
+    EXPECT_EQ(ClientOf(host).Request(verb, {"netcat"}).error(), witos::Err::kPerm) << verb;
+    EXPECT_EQ(LastRecord().detail, std::string("DENY % % [] ") + verb + " netcat");
+    EXPECT_EQ(LastRecord().pid, host);
+  }
+
+  Deployment expired = DeployTicket("TKT-DONE", "userpc", "T-1");
+  const witos::Pid shell = machine_->containit().FindSession(expired.session)->shell;
+  ASSERT_TRUE(ClientOf(shell).Request(witbroker::kVerbPs, {}).ok());
+  ASSERT_TRUE(manager_->Expire(&expired).ok());
+  EXPECT_EQ(ClientOf(shell).Request(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+  EXPECT_EQ(LastRecord().detail, "DENY % % [] ps");
+  auto report = ForensicReporter(machine_).Collect(expired.session);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->broker_requests, 1u);  // only the request made while live
+}
+
+// Unprivileged callers: a uid-1000 child of mallory's shell sits in her
+// bound cgroup but is not root in its user namespace.
+TEST_F(ThreatMatrixTest, UnprivilegedCallerDenied) {
+  auto session = DeployAndLogin("T-1");
+  const witos::Pid child = *kernel().Clone(session->shell(), "user-shell", 0);
+  ASSERT_TRUE(kernel().Setuid(child, 1000).ok());
+  EXPECT_EQ(ClientOf(child).Request(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+  const witos::AuditRecord record = LastRecord();
+  EXPECT_EQ(record.detail, "DENY mallory TKT-T-1 [T-1] ps");
+  EXPECT_EQ(record.pid, child);
+  EXPECT_EQ(record.uid, 1000u);
+}
+
+// PB install takes a package name, one path component: T-6 may install,
+// but not over a host file or a document its ITFS view hides.
+TEST_F(ThreatMatrixTest, InstallCannotWriteOutsidePrograms) {
+  auto session = DeployAndLogin("T-6");
+  for (const char* target : {"/etc/passwd", "/home/user/documents/payroll.xlsx"}) {
+    const std::string before = *kernel().ReadFile(kernel().init_pid(), target);
+    EXPECT_EQ(session->Pb(witbroker::kVerbInstall, {std::string("../..") + target}).error(),
+              witos::Err::kInval)
+        << target;
+    EXPECT_EQ(*kernel().ReadFile(kernel().init_pid(), target), before) << target;
+  }
+}
+
+// net_allow opens exactly the port it names: a port that is not a whole
+// number in 1-65535 is refused rather than wrapped or read as 0 (every
+// port). The license server serves only 27000, so a port the firewall lets
+// through answers "connection refused" and one it drops "host unreachable".
+TEST_F(ThreatMatrixTest, NetAllowRejectsMalformedPorts) {
+  auto session = DeployAndLogin("T-1");
+  const std::string license = witload::kLicenseServer.addr.ToString();
+  for (const char* port : {"70000", "abc", "-1", "0", "27000x", ""}) {
+    EXPECT_EQ(session->Pb(witbroker::kVerbNetAllow, {license, port}).error(), witos::Err::kInval)
+        << port;
+  }
+  // 70000 would have wrapped to 4464, "abc" to 0: neither port is open.
+  EXPECT_EQ(session->Connect(license, 4464).error(), witos::Err::kHostUnreach);
+  EXPECT_EQ(session->Connect(license, 443).error(), witos::Err::kHostUnreach);
+  ASSERT_TRUE(session->Pb(witbroker::kVerbNetAllow, {license, "4464"}).ok());
+  EXPECT_EQ(session->Connect(license, 4464).error(), witos::Err::kConnRefused);
+  EXPECT_EQ(session->Connect(license, 443).error(), witos::Err::kHostUnreach);
 }
 
 // Expired certificates stop working ("revoked once the ticket time

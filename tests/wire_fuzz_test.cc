@@ -142,10 +142,6 @@ std::vector<std::string> BatchRequestCorpus() {
   RpcBatchRequest minimal;
   corpus.push_back(minimal.Serialize());
   RpcBatchRequest typical;
-  typical.uid = 0;
-  typical.caller_pid = 1042;
-  typical.ticket_id = "TKT-20260805-00042";
-  typical.admin = "mallory@corp";
   typical.ops = {{"ps", {}},
                  {"read_file", {"/var/log/syslog"}},
                  {"net_allow", {"10.1.2.3", "443"}}};
@@ -176,8 +172,7 @@ bool ResponsesEqual(const RpcResponse& a, const RpcResponse& b) {
 }
 
 bool BatchRequestsEqual(const RpcBatchRequest& a, const RpcBatchRequest& b) {
-  if (a.uid != b.uid || a.caller_pid != b.caller_pid || a.ticket_id != b.ticket_id ||
-      a.admin != b.admin || a.ops.size() != b.ops.size()) {
+  if (a.ops.size() != b.ops.size()) {
     return false;
   }
   for (size_t i = 0; i < a.ops.size(); ++i) {
@@ -287,6 +282,23 @@ std::string HeaderlessResponseFrame() {
   return v1.Take();
 }
 
+// A version 2 batch-request frame: the identity header (uid, caller pid,
+// ticket, admin) the sender used to choose, then one op.
+std::string V2RequestFrame() {
+  WireWriter v2;
+  v2.PutU32(kRpcMagic);
+  v2.PutU32(2);
+  v2.PutU32(static_cast<uint32_t>(RpcFrameKind::kBatchRequest));
+  v2.PutU32(0);
+  v2.PutU32(42);
+  v2.PutString("TKT-BROAD");
+  v2.PutString("alice");
+  v2.PutU32(1);
+  v2.PutString("install");
+  v2.PutStringList({"netcat"});
+  return v2.Take();
+}
+
 // A well-headed frame of the retired single-op kind `kind` (1 = request,
 // 2 = response) with a plausible body behind it.
 std::string RetiredKindFrame(uint32_t kind) {
@@ -318,11 +330,10 @@ void ExpectBothDecodersReject(const std::string& frame) {
   EXPECT_EQ(response.error(), witos::Err::kInval);
 }
 
-TEST(WireHardeningTest, TruncatedBatchSubRequestCountIsRejected) {
+TEST(WireHardeningTest, TruncatedBatchOpCountIsRejected) {
   // A batch claiming 1000 sub-requests backed by zero body bytes: the count
   // must be capped against Remaining() before any reserve.
   RpcBatchRequest batch;
-  batch.ticket_id = "T-1";
   std::string frame = batch.Serialize();
   // Stomp the trailing count field (last 4 bytes of an empty-ops frame).
   std::string stomped = frame.substr(0, frame.size() - 4) + PackU32(1000);
@@ -335,16 +346,23 @@ TEST(WireHardeningTest, TruncatedBatchSubRequestCountIsRejected) {
 }
 
 TEST(WireHardeningTest, VersionSkewIsRejectedNotMisparsed) {
-  // Magic says "this is a WIT2 frame", version says 3: the parser must not
+  // Magic says "this is a WIT2 frame", version says 4: the parser must not
   // touch it.
   RpcBatchRequest batch;
   batch.ops = {{"ps", {}}};
   std::string frame = batch.Serialize();
   std::string skewed = frame;
-  skewed[4] = 3;  // version field little-endian low byte
+  skewed[4] = 4;  // version field little-endian low byte
   auto decoded = RpcBatchRequest::Deserialize(skewed);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error(), witos::Err::kInval);
+
+  // A version 2 frame, which carried the sender's claimed identity, is
+  // refused at the header, and so is a version 3 body relabelled 2.
+  ExpectBothDecodersReject(V2RequestFrame());
+  std::string relabelled = frame;
+  relabelled[4] = 2;
+  ExpectBothDecodersReject(relabelled);
 
   RpcBatchResponse responses;
   responses.responses.push_back({});
@@ -406,13 +424,9 @@ TEST(WireFuzzTest, ValidMessagesAlwaysRoundTrip) {
     EXPECT_TRUE(BatchResponsesEqual(responses, *decoded_resp)) << "iteration " << i;
 
     RpcBatchRequest batch;
-    batch.uid = static_cast<witos::Uid>(rng());
-    batch.caller_pid = static_cast<witos::Pid>(rng() % 100000);
-    batch.ticket_id = rand_string();
-    batch.admin = rand_string();
     size_t nops = list_dist(rng);
     for (size_t o = 0; o < nops; ++o) {
-      RpcSubRequest op;
+      RpcOp op;
       op.method = rand_string();
       size_t nop_args = list_dist(rng);
       for (size_t a = 0; a < nop_args; ++a) {
