@@ -51,7 +51,7 @@ witos::Pid BenchShell(watchit::Machine& machine) {
   const witos::Pid shell = *kernel.Clone(1, "bash", 0);
   const witos::CgroupId cgroup = kernel.cgroups().Create("session-bench", 0);
   (void)kernel.AssignCgroup(shell, cgroup);
-  (void)machine.broker().BindTicket("TKT-B", "T-5", "bench", cgroup);
+  (void)machine.broker().BindTicket("TKT-B", "T-5", "bench", cgroup, /*expires_ns=*/UINT64_MAX);
   return shell;
 }
 

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     const witos::Pid shell = *kernel.Clone(1, "bash", 0);
     const witos::CgroupId cgroup = kernel.cgroups().Create("session-" + ticket, 0);
     if (!kernel.AssignCgroup(shell, cgroup).ok() ||
-        !broker.BindTicket(ticket, cls, "bench-admin", cgroup).ok()) {
+        !broker.BindTicket(ticket, cls, "bench-admin", cgroup, /*expires_ns=*/UINT64_MAX).ok()) {
       continue;
     }
     const witbroker::ClassPolicy* hand = policy.FindPolicy(cls);

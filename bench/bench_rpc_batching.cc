@@ -87,7 +87,7 @@ std::unique_ptr<Session> MakeSession(const std::string& ticket_id, const std::st
   const witos::Pid shell = *session->kernel->Clone(1, "bash", 0);
   const witos::CgroupId cgroup = session->kernel->cgroups().Create("session-1", 0);
   (void)session->kernel->AssignCgroup(shell, cgroup);
-  (void)session->broker->BindTicket(ticket_id, "T-1", admin, cgroup);
+  (void)session->broker->BindTicket(ticket_id, "T-1", admin, cgroup, /*expires_ns=*/UINT64_MAX);
   session->client = std::make_unique<witbroker::BrokerClient>(&session->channel, shell);
   (void)session->kernel->WriteFile(1, "/etc/motd", "host motd\n");
   (void)session->kernel->MkDir(1, "/usr/progs");

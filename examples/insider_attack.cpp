@@ -110,6 +110,13 @@ int main() {
   Attack("overwrite a host file through PB install",
          refused && kernel.ReadFile(kernel.init_pid(), "/etc/passwd").value_or("") == passwd);
 
+  // 9, after the ticket's time: the certificate's deadline has passed but
+  // the session is not yet expired, and the shell asks the broker itself.
+  kernel.clock().Advance(deployment->certificate.expires_ns - kernel.clock().now_ns() + 1);
+  witbroker::BrokerClient own_client(&machine.broker_channel(), shell);
+  Attack("ask the broker after the ticket's time",
+         !own_client.Request(witbroker::kVerbInstall, {"netcat"}).ok());
+
   // 7: kill the monitoring and work unobserved. (Last: it ends the session.)
   (void)kernel.Exit(session.container()->itfs_daemon, -9);
   Attack("kill the ITFS daemon and continue",

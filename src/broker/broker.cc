@@ -169,13 +169,14 @@ PermissionBroker::PermissionBroker(witos::Kernel* kernel, witos::Pid host_pid,
 
 witos::Status PermissionBroker::BindTicket(const std::string& ticket_id,
                                            const std::string& ticket_class,
-                                           const std::string& admin, witos::CgroupId cgroup) {
+                                           const std::string& admin, witos::CgroupId cgroup,
+                                           uint64_t expires_ns) {
   if (cgroup == witos::kRootCgroup) {
     return witos::Err::kInval;
   }
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
   if (BindingOf(cgroup) != bindings_.end() ||
-      !bindings_.try_emplace(ticket_id, Binding{ticket_class, admin, cgroup}).second) {
+      !bindings_.try_emplace(ticket_id, ticket_class, admin, cgroup, expires_ns).second) {
     return witos::Err::kExist;
   }
   return witos::Status::Ok();
@@ -265,7 +266,7 @@ RpcResponse PermissionBroker::Fail(witos::Err err) const {
   return resp;
 }
 
-PermissionBroker::Caller PermissionBroker::ResolveCaller(witos::Pid pid) const {
+PermissionBroker::Caller PermissionBroker::ResolveCaller(witos::Pid pid, uint64_t now_ns) const {
   Caller caller;
   std::lock_guard<witobs::ProfiledMutex> lock(tickets_mu_);
   const witos::Process* proc = kernel_->FindProcess(pid);
@@ -275,8 +276,8 @@ PermissionBroker::Caller PermissionBroker::ResolveCaller(witos::Pid pid) const {
   caller.uid = proc->cred.uid;
   auto it = BindingOf(proc->cgroup);
   if (it != bindings_.end()) {
-    caller.eligible =
-        proc->state == witos::ProcState::kRunning && proc->cred.uid == witos::kRootUid;
+    caller.eligible = proc->state == witos::ProcState::kRunning &&
+                      proc->cred.uid == witos::kRootUid && now_ns < it->second.expires_ns;
     caller.ticket_id = it->first;
     caller.binding = it->second;
   }
@@ -311,7 +312,7 @@ void PermissionBroker::ShadowCheck(const RpcRequest& request, const std::string&
 RpcBatchResponse PermissionBroker::HandleBatch(witos::Pid caller, const RpcBatchRequest& batch) {
   uint64_t now = kernel_->clock().now_ns();
   // Who is asking, once per batch, from the kernel's view of the caller.
-  const Caller who = ResolveCaller(caller);
+  const Caller who = ResolveCaller(caller, now);
   const std::string& ticket_class = who.binding.ticket_class;
 
   RpcBatchResponse response;

@@ -66,13 +66,15 @@ class PermissionBroker {
   const witos::AuditLog& log() const { return kernel_->audit(); }
 
   // Binds a deployed session: every process in `cgroup` asks as `admin` on
-  // `ticket_id` under `ticket_class`'s policy. EEXIST when the ticket or
+  // `ticket_id` under `ticket_class`'s policy, denied every op from
+  // `expires_ns` on (its certificate's deadline). EEXIST when the ticket or
   // the cgroup is already bound — a duplicate deploy must not silently
   // reclassify a live ticket; EINVAL for the root cgroup (host processes).
   witos::Status BindTicket(const std::string& ticket_id, const std::string& ticket_class,
-                           const std::string& admin, witos::CgroupId cgroup);
-  // Removes a binding made by BindTicket (the expire / deploy-rollback
-  // path); ESRCH when the ticket is not bound.
+                           const std::string& admin, witos::CgroupId cgroup,
+                           uint64_t expires_ns);
+  // Removes a binding made by BindTicket when its session ends; ESRCH when
+  // the ticket is not bound.
   witos::Status UnbindTicket(const std::string& ticket_id);
   bool IsTicketBound(const std::string& ticket_id) const;
   // Live bindings right now; the deploy fault sweeps assert this returns to
@@ -89,7 +91,8 @@ class PermissionBroker {
   // The broker's one entry point; the channel binds it, and tests may call
   // it directly with the calling process's host pid. An op is granted only
   // when that process is running and root in its own user namespace, its
-  // cgroup is bound, and the class policy and rate budget admit the op.
+  // cgroup is bound and before the binding's deadline, and the class policy
+  // and rate budget admit the op.
   // Every op is one chained record under the caller's pid and uid, naming
   // the binding's admin, ticket and class (Table 1 threat semantics), in
   // one evidence-chain critical section. Responses are positional.
@@ -127,10 +130,11 @@ class PermissionBroker {
     std::string ticket_class;
     std::string admin;
     witos::CgroupId cgroup = witos::kRootCgroup;
+    uint64_t expires_ns = 0;
   };
   using BindingMap = std::map<std::string, Binding>;  // by ticket id
   // Who is asking: the caller's uid and its cgroup's binding (empty when
-  // unbound); eligible when it is also running and root.
+  // unbound); eligible when it is also running, root and before the deadline.
   struct Caller {
     witos::Uid uid = witos::kOverflowUid;
     bool eligible = false;
@@ -144,7 +148,7 @@ class PermissionBroker {
 
   // Per-op accountability pieces of HandleBatch. BindingOf scans the live
   // bindings (bounded by live sessions) under tickets_mu_.
-  Caller ResolveCaller(witos::Pid pid) const;
+  Caller ResolveCaller(witos::Pid pid, uint64_t now_ns) const;
   BindingMap::const_iterator BindingOf(witos::CgroupId cgroup) const;
   void CountRequest(const RpcRequest& request, bool allowed);
   // Consults the shadow policy (if one covers the class) and accounts the
@@ -169,8 +173,8 @@ class PermissionBroker {
   witos::Pid host_pid_;
   PolicyManager* policy_;
   // Ticket id -> binding, live for the ticket's session only: deploy
-  // workers bind/unbind while request paths resolve. Nothing persists it;
-  // a recovered broker starts with no bindings.
+  // workers bind and expiring ones unbind while request paths resolve.
+  // Nothing persists it; a recovered broker starts with no bindings.
   mutable witobs::ProfiledMutex tickets_mu_{"broker.tickets"};
   BindingMap bindings_;
   std::map<std::string, VerbHandler> custom_verbs_;

@@ -101,6 +101,8 @@ witos::Status ClusterManager::Expire(Deployment* deployment) {
   // broker binding; the caller sees the Terminate error (ESRCH) either way.
   witos::Status terminated =
       deployment->machine->containit().Terminate(deployment->session, "ticket expired");
+  // The session has ended, so nothing that validated this certificate at
+  // Login acts again; the revocation stops any later Login.
   cluster_->ca().Revoke(deployment->certificate.serial);
   (void)deployment->machine->broker().UnbindTicket(deployment->certificate.ticket_id);
   return terminated;

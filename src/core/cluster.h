@@ -67,11 +67,11 @@ struct Deployment {
   witcontain::SessionId session = 0;
   Machine* machine = nullptr;
   Certificate certificate;
-  std::string ticket_class;
 };
 
 // The cluster manager: looks up the class image, deploys it on the target
-// machine, binds the ticket at the broker, and issues the login certificate.
+// machine, issues the login certificate, and binds the session at the
+// broker until the certificate's deadline.
 class ClusterManager {
  public:
   explicit ClusterManager(Cluster* cluster) : cluster_(cluster) {}

@@ -33,12 +33,9 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
 
   // What the transaction has committed so far; rollback unwinds in reverse.
   struct Tx {
-    bool session_built = false;
-    witcontain::SessionId session = 0;
+    witcontain::SessionId session = 0;  // 0 until built
     witos::CgroupId cgroup = witos::kRootCgroup;
-    bool bound = false;
-    bool cert_issued = false;
-    Certificate cert;
+    Certificate cert;  // serial 0 until issued
   } tx;
 
   // Runs `body` holding the machine's lock and owning its clock.
@@ -63,20 +60,16 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
   };
 
   auto rollback = [&](DeployStage failed_stage, witos::Err err) {
-    if (!tx.cert_issued && !tx.bound && !tx.session_built) {
+    if (tx.session == 0) {
       return;  // nothing committed yet — nothing to unwind
     }
     locked([&] {
-      if (tx.cert_issued) {
+      if (tx.cert.serial != 0) {
+        // The session never began: no Login has seen this certificate.
         cluster->ca().Revoke(tx.cert.serial);
       }
-      if (tx.bound) {
-        (void)machine->broker().UnbindTicket(ticket.id);
-      }
-      if (tx.session_built) {
-        (void)machine->containit().Terminate(
-            tx.session, "deploy rollback at " + DeployStageName(failed_stage));
-      }
+      (void)machine->containit().Terminate(tx.session,
+                                           "deploy rollback at " + DeployStageName(failed_stage));
     });
     gate->OnRollback(failed_stage, err);
   };
@@ -94,7 +87,6 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
   status = run_stage(DeployStage::kConstruct, [&]() -> witos::Status {
     WITOS_ASSIGN_OR_RETURN(tx.session,
                            machine->containit().Deploy(spec, ticket.id, ticket.admin));
-    tx.session_built = true;
     tx.cgroup = machine->containit().FindSession(tx.session)->cgroup;
     return witos::Status::Ok();
   });
@@ -103,22 +95,9 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     return status.error();
   }
 
-  // The session's cgroup is its identity at the broker.
-  status = run_stage(DeployStage::kBind, [&]() -> witos::Status {
-    WITOS_RETURN_IF_ERROR(machine->broker().BindTicket(ticket.id, ticket.assigned_class,
-                                                       ticket.admin, tx.cgroup));
-    tx.bound = true;
-    return witos::Status::Ok();
-  });
-  if (!status.ok()) {
-    rollback(DeployStage::kBind, status.error());
-    return status.error();
-  }
-
   status = run_stage(DeployStage::kIssueCert, [&]() -> witos::Status {
     tx.cert = cluster->ca().Issue(ticket.admin, machine->name(), ticket.id,
                                   ticket.assigned_class, clock.now_ns(), lifetime_ns);
-    tx.cert_issued = true;
     return witos::Status::Ok();
   });
   if (!status.ok()) {
@@ -126,11 +105,21 @@ witos::Result<Deployment> RunDeployStages(Cluster* cluster, const Ticket& ticket
     return status.error();
   }
 
+  // The session's cgroup is its identity at the broker, on the issued
+  // certificate's terms.
+  status = run_stage(DeployStage::kBind, [&]() -> witos::Status {
+    return machine->broker().BindTicket(tx.cert.ticket_id, tx.cert.ticket_class, tx.cert.admin,
+                                        tx.cgroup, tx.cert.expires_ns);
+  });
+  if (!status.ok()) {
+    rollback(DeployStage::kBind, status.error());
+    return status.error();
+  }
+
   Deployment deployment;
   deployment.session = tx.session;
   deployment.machine = machine;
   deployment.certificate = tx.cert;
-  deployment.ticket_class = ticket.assigned_class;
   return deployment;
 }
 

@@ -3,14 +3,14 @@
 //
 // The Figure 3 recipe runs as four explicit stages —
 //
-//   image lookup → container construction → broker bind → certificate issue
+//   image lookup → container construction → certificate issue → broker bind
 //
 // — each executed under only *that machine's* lock, with a hook point
 // between stages. When any stage fails the completed stages are rolled back
-// in reverse order: revoke the certificate, unbind the broker ticket,
-// terminate the half-built session. A deploy therefore either yields a
-// fully wired Deployment or leaves no trace — no bound ticket, no live
-// session, no valid certificate.
+// in reverse order: revoke the certificate, terminate the half-built
+// session (bind is last, so nothing is ever unbound). A deploy therefore
+// either yields a fully wired Deployment or leaves no trace — no bound
+// ticket, no live session, no valid certificate.
 //
 // DeployPipeline runs that transaction on the calling thread — a witserve
 // shard worker — and keeps the outcome stats and metrics.
@@ -31,10 +31,11 @@
 
 namespace watchit {
 
+// Values name metric series and ledger lines, not the run order.
 enum class DeployStage {
   kImageLookup = 0,  // resolve the ticket class to a container image spec
   kConstruct = 1,    // ContainIt::Deploy — the Figure 5 recipe
-  kBind = 2,         // register the ticket's class at the machine's broker
+  kBind = 2,         // bind the session's cgroup, on the certificate's terms
   kIssueCert = 3,    // CA issues the admin's login certificate
 };
 inline constexpr size_t kNumDeployStages = 4;

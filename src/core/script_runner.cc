@@ -1,5 +1,6 @@
 #include "src/core/script_runner.h"
 
+#include "src/core/cluster.h"
 #include "src/core/session.h"
 #include "src/core/ticket_class.h"
 
@@ -13,14 +14,22 @@ ScriptRunReport ScriptRunner::Run(const witload::ItScript& script) {
   report.tampered_total = script.tampered_ops.size();
 
   witcontain::PerforatedContainerSpec spec = SpecForScriptClass(script.container_class);
-  std::string run_id = "SCRIPT-" + std::to_string(next_run_++);
-  auto session_id = machine_->containit().Deploy(spec, run_id, "automation");
+  // Certificate-shaped claims no CA issued: the binding and the session's
+  // deadline check read them as they read an issued certificate.
+  const Certificate claims{
+      .admin = "automation",
+      .machine = machine_->name(),
+      .ticket_id = "SCRIPT-" + std::to_string(next_run_++),
+      .ticket_class = script.container_class,
+      .expires_ns = machine_->kernel().clock().now_ns() + ClusterManager::kDefaultLifetimeNs};
+  auto session_id = machine_->containit().Deploy(spec, claims.ticket_id, claims.admin);
   if (!session_id.ok()) {
     return report;
   }
-  (void)machine_->broker().BindTicket(run_id, script.container_class, "automation",
-                                      machine_->containit().FindSession(*session_id)->cgroup);
-  AdminSession session(machine_, *session_id, Certificate{}, /*ca=*/nullptr);
+  (void)machine_->broker().BindTicket(claims.ticket_id, claims.ticket_class, claims.admin,
+                                      machine_->containit().FindSession(*session_id)->cgroup,
+                                      claims.expires_ns);
+  AdminSession session(machine_, *session_id, claims, /*ca=*/nullptr);
   if (!session.Login().ok()) {
     return report;
   }
@@ -38,7 +47,7 @@ ScriptRunReport ScriptRunner::Run(const witload::ItScript& script) {
     }
   }
   (void)machine_->containit().Terminate(*session_id, "script finished");
-  (void)machine_->broker().UnbindTicket(run_id);
+  (void)machine_->broker().UnbindTicket(claims.ticket_id);
   return report;
 }
 

@@ -30,13 +30,14 @@ struct OpReplayResult {
 
 class AdminSession {
  public:
-  // `ca` may be null to skip certificate checks (unit tests).
+  // `ca` may be null to skip Login's validation (claims no CA issued).
   AdminSession(Machine* machine, witcontain::SessionId session_id, Certificate certificate,
                CertificateAuthority* ca);
 
-  // Validates the certificate against the machine clock.
+  // The session's one CA call: the CA must hold the certificate, unexpired,
+  // for this machine and ticket. Later ops check only its deadline against
+  // the machine clock and that the container is live.
   witos::Status Login();
-  bool logged_in() const { return logged_in_; }
 
   witos::Pid shell() const { return shell_; }
   // The container while it is live; null once it has been terminated.

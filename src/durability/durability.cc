@@ -337,19 +337,18 @@ witos::Status DurabilityManager::Replay(watchit::Cluster* cluster,
 
 void DurabilityManager::Reconcile(watchit::Cluster* cluster, const std::string* only_machine,
                                   RecoveryReport* report) {
-  // Sessions and their broker bindings are volatile and died with the
-  // machine, but a certificate is in the CA's books: none may outlive its
-  // session ("revoked once the ticket time expires" — a crash is the
-  // hardest expiry). Each revocation is journaled like any other.
+  // Sessions and their broker bindings died with the machine, so no Login
+  // of a live certificate acts again, but the certificate is in the CA's
+  // books: none may outlive its session ("revoked once the ticket time
+  // expires" — a crash is the hardest expiry). The snapshot holds only live
+  // certificates. Each revocation is journaled like any other.
   watchit::CertificateAuthority& ca = cluster->ca();
   for (const watchit::Certificate& cert : ca.IssuedSnapshot()) {
     if (only_machine != nullptr && cert.machine != *only_machine) {
       continue;
     }
-    if (!ca.IsRevoked(cert.serial)) {
-      ca.Revoke(cert.serial);
-      ++report->certs_revoked_at_recovery;
-    }
+    ca.Revoke(cert.serial);
+    ++report->certs_revoked_at_recovery;
   }
 }
 

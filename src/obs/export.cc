@@ -38,7 +38,7 @@ std::string JsonLabels(const Labels& labels) {
       out += ",";
     }
     first = false;
-    out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+    out.append("\"").append(JsonEscape(key)).append("\":\"").append(JsonEscape(value)).append("\"");
   }
   out += "}";
   return out;
@@ -136,8 +136,8 @@ std::string RenderJson(const MetricsRegistry& registry) {
       out += ",";
     }
     first_family = false;
-    out += "\"" + JsonEscape(family.name) + "\":{\"type\":\"" + TypeName(family.type) +
-           "\",\"series\":[";
+    out.append("\"").append(JsonEscape(family.name)).append("\":{\"type\":\"");
+    out.append(TypeName(family.type)).append("\",\"series\":[");
     bool first_series = true;
     for (const auto& series : family.series) {
       if (!first_series) {

@@ -930,7 +930,7 @@ Status Kernel::Chroot(Pid pid, const std::string& path) {
     return Err::kNotDir;
   }
   p.root = rp.vfs_path;
-  p.cwd = "/";
+  p.cwd.assign(1, '/');  // not `= "/"`: GCC 12 at -O3 flags that (-Wrestrict)
   return Status::Ok();
 }
 

@@ -97,14 +97,18 @@ TEST(PolicyManagerTest, PerClassAndPerAdminRules) {
   EXPECT_FALSE(policy.IsAllowed("T-99", "ps", "alice"));
 }
 
+// A binding deadline no test clock reaches.
+constexpr uint64_t kNoDeadline = UINT64_MAX;
+
 // A session's shell as the broker sees it: a root process alone in a fresh
-// cgroup that `ticket` is bound to.
+// cgroup that `ticket` is bound to until `expires_ns`.
 witos::Pid BoundCaller(witos::Kernel* kernel, PermissionBroker* broker, const std::string& ticket,
-                       const std::string& ticket_class, const std::string& admin = "alice") {
+                       const std::string& ticket_class, const std::string& admin = "alice",
+                       uint64_t expires_ns = kNoDeadline) {
   const witos::Pid pid = *kernel->Clone(1, "bash", 0);
   const witos::CgroupId cgroup = kernel->cgroups().Create("session-" + ticket, 0);
   EXPECT_TRUE(kernel->AssignCgroup(pid, cgroup).ok());
-  EXPECT_TRUE(broker->BindTicket(ticket, ticket_class, admin, cgroup).ok());
+  EXPECT_TRUE(broker->BindTicket(ticket, ticket_class, admin, cgroup, expires_ns).ok());
   return pid;
 }
 
@@ -199,6 +203,34 @@ TEST_F(BrokerTest, ExitedOrMissingCallerDenied) {
   EXPECT_EQ(records[1].detail, "DENY % % [] ps");
   EXPECT_EQ(records[1].pid, 99999);
   EXPECT_EQ(records[1].uid, witos::kOverflowUid);
+}
+
+TEST_F(BrokerTest, CallerPastItsBindingDeadlineDeniedButNamed) {
+  // Granted before the deadline; from the deadline on, every op is denied
+  // and still chained under the binding's ticket.
+  const uint64_t deadline = kernel_.clock().now_ns() + 1000000;
+  const witos::Pid shell = BoundCaller(&kernel_, broker_.get(), "TKT-DL", "T-1", "bob", deadline);
+  BrokerClient client(&channel_, shell);
+  ASSERT_TRUE(client.Request(kVerbPs, {}).ok());
+  ASSERT_LT(kernel_.clock().now_ns(), deadline);
+  kernel_.clock().Advance(deadline - kernel_.clock().now_ns());
+  EXPECT_EQ(client.Request(kVerbPs, {}).error(), witos::Err::kPerm);
+  client.Begin();
+  client.Queue(kVerbKill, {"1"});
+  client.Queue(kVerbInstall, {"netcat"});
+  for (const auto& result : client.Flush()) {
+    EXPECT_EQ(result.error(), witos::Err::kPerm);
+  }
+  const auto records = kernel_.audit().Snapshot();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].detail, "GRANT bob TKT-DL [T-1] ps");
+  EXPECT_EQ(records[1].detail, "DENY bob TKT-DL [T-1] ps");
+  EXPECT_EQ(records[2].detail, "DENY bob TKT-DL [T-1] kill 1");
+  EXPECT_EQ(records[3].detail, "DENY bob TKT-DL [T-1] install netcat");
+  for (const auto& record : records) {
+    EXPECT_EQ(record.pid, shell);
+  }
+  EXPECT_TRUE(broker_->IsTicketBound("TKT-DL"));  // the deadline denies; Expire unbinds
 }
 
 TEST_F(BrokerTest, DisallowedVerbDeniedAndLogged) {
@@ -446,12 +478,14 @@ TEST_F(BrokerTest, BindRejectsDuplicatesAndUnbindReleases) {
   EXPECT_EQ(broker_->bound_ticket_count(), 13u);  // plus the fixture's TKT-1
   // A duplicate deploy must not silently reclassify a live ticket...
   const witos::CgroupId spare = kernel_.cgroups().Create("spare", 0);
-  EXPECT_EQ(broker_->BindTicket("TKT-B3", "T-8", "alice", spare).error(), witos::Err::kExist);
+  EXPECT_EQ(broker_->BindTicket("TKT-B3", "T-8", "alice", spare, kNoDeadline).error(),
+            witos::Err::kExist);
   // ...nor may one session's cgroup ask under a second ticket, and host
   // processes (the root cgroup) are never bound.
   const witos::CgroupId taken = kernel_.FindProcess(callers[3])->cgroup;
-  EXPECT_EQ(broker_->BindTicket("TKT-NEW", "T-8", "alice", taken).error(), witos::Err::kExist);
-  EXPECT_EQ(broker_->BindTicket("TKT-NEW", "T-8", "alice", witos::kRootCgroup).error(),
+  EXPECT_EQ(broker_->BindTicket("TKT-NEW", "T-8", "alice", taken, kNoDeadline).error(),
+            witos::Err::kExist);
+  EXPECT_EQ(broker_->BindTicket("TKT-NEW", "T-8", "alice", witos::kRootCgroup, kNoDeadline).error(),
             witos::Err::kInval);
   EXPECT_FALSE(broker_->IsTicketBound("TKT-NEW"));
 

@@ -238,7 +238,8 @@ TEST(CompiledPolicyTest, DifferentialSeedNineEveryProbe) {
     int n = rule_count(rng);
     for (int i = 0; i < n; ++i) {
       ItfsRule rule;
-      rule.name = "r" + std::to_string(i);
+      rule.name = "r";  // appended: GCC 12 at -O3 flags `"r" + std::string` (-Wrestrict)
+      rule.name += std::to_string(i);
       rule.action = coin(rng) != 0 ? RuleAction::kDeny : RuleAction::kLogOnly;
       rule.write_only = d4(rng) == 0;
       for (int k = d4(rng); k > 0; --k) {

@@ -385,6 +385,35 @@ TEST(SessionTest, CommandsRespectView) {
   EXPECT_NE(pb_ps->find("PermissionBroker"), std::string::npos);
 }
 
+// Login is the one CA call a session makes: later ops check the
+// certificate's deadline against the machine clock and take no CA lock.
+TEST(SessionTest, OpsAfterLoginTakeNoCaLock) {
+  Cluster cluster;
+  Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  ClusterManager manager(&cluster);
+  Ticket ticket;
+  ticket.id = "TKT-1";
+  ticket.target_machine = "userpc";
+  ticket.assigned_class = "T-1";
+  ticket.admin = "alice";
+  auto deployment = manager.Deploy(ticket);
+  ASSERT_TRUE(deployment.ok());
+  witobs::MetricsRegistry registry;
+  cluster.ca().EnableLockMetrics(&registry);
+  const witobs::Histogram* ca_hold =
+      registry.FindHistogram("watchit_lock_hold_ns", {{"lock", "ca"}});
+  ASSERT_NE(ca_hold, nullptr);
+
+  AdminSession session(&machine, deployment->session, deployment->certificate, &cluster.ca());
+  ASSERT_TRUE(session.Login().ok());
+  const uint64_t after_login = ca_hold->Count();
+  EXPECT_EQ(after_login, 1u);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(session.ReadFile("/home/user/.matlab/license.lic").ok());
+  }
+  EXPECT_EQ(ca_hold->Count(), after_login);
+}
+
 TEST(SessionTest, ReplayFallsBackToBroker) {
   Cluster cluster;
   Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));

@@ -67,16 +67,18 @@ TEST(DeployRollbackTest, ConstructFailureLeavesNoTrace) {
   ExpectNoLeaks(&cluster, &machine);
 }
 
-// A failure *after* the bind stage must unwind the binding and the session.
-TEST(DeployRollbackTest, LateStageFailureUnbindsTicket) {
+// A failure at bind, the last stage, revokes the certificate issue_cert
+// issued and terminates the session; nothing was bound.
+TEST(DeployRollbackTest, BindFailureRevokesIssuedCertificate) {
   Cluster cluster;
   Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  Certificate issued;
+  cluster.ca().set_issue_listener([&issued](const Certificate& cert) { issued = cert; });
 
-  class FailCertGate : public DeployGate {
+  class FailBindGate : public DeployGate {
    public:
     witos::Status BeforeStage(DeployStage stage, Machine*) override {
-      return stage == DeployStage::kIssueCert ? witos::Status(witos::Err::kIo)
-                                              : witos::Status::Ok();
+      return stage == DeployStage::kBind ? witos::Status(witos::Err::kIo) : witos::Status::Ok();
     }
     void OnRollback(DeployStage failed_stage, witos::Err err) override {
       failed_stage_ = failed_stage;
@@ -94,7 +96,10 @@ TEST(DeployRollbackTest, LateStageFailureUnbindsTicket) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error(), witos::Err::kIo);
   EXPECT_EQ(gate.rollbacks_, 1);
-  EXPECT_EQ(gate.failed_stage_, DeployStage::kIssueCert);
+  EXPECT_EQ(gate.failed_stage_, DeployStage::kBind);
+  EXPECT_EQ(issued.ticket_id, "TKT-LATE");
+  EXPECT_EQ(cluster.ca().Validate(issued, machine.kernel().clock().now_ns()),
+            CertStatus::kRevoked);
   EXPECT_FALSE(machine.broker().IsTicketBound("TKT-LATE"));
   ExpectNoLeaks(&cluster, &machine);
 }
@@ -112,7 +117,10 @@ TEST(DeployBindTest, BindStageBindsTheSessionCgroup) {
   ASSERT_NE(session, nullptr);
   EXPECT_NE(session->cgroup, witos::kRootCgroup);
   EXPECT_EQ(machine.kernel().FindProcess(session->shell)->cgroup, session->cgroup);
-  EXPECT_EQ(machine.broker().BindTicket("TKT-OTHER", "T-6", "mallory", session->cgroup).error(),
+  EXPECT_EQ(machine.broker()
+                .BindTicket("TKT-OTHER", "T-6", "mallory", session->cgroup,
+                            deployment->certificate.expires_ns)
+                .error(),
             witos::Err::kExist);
 
   const witos::Pid shell = session->shell;
@@ -121,6 +129,36 @@ TEST(DeployBindTest, BindStageBindsTheSessionCgroup) {
   EXPECT_EQ(machine.kernel().audit().Snapshot().back().detail, "GRANT alice TKT-BOUND [T-1] ps");
   ASSERT_TRUE(manager.Expire(&*deployment).ok());
   EXPECT_EQ(client.Request(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+  ExpectNoLeaks(&cluster, &machine);
+}
+
+// The binding's deadline is the issued certificate's expires_ns: with the
+// clock paused (a request charges no time), the shell is granted at one
+// nanosecond before it and refused at it.
+TEST(DeployBindTest, BindingDeadlineIsTheCertificateExpiry) {
+  Cluster cluster;
+  Machine& machine = cluster.AddMachine("userpc", witnet::Ipv4Addr(10, 0, 1, 50));
+  ClusterManager manager(&cluster);
+  auto deployment = manager.Deploy(MakeTicket("TKT-DEADLINE", "userpc"), /*lifetime_ns=*/5000);
+  ASSERT_TRUE(deployment.ok());
+  const uint64_t expires_ns = deployment->certificate.expires_ns;
+  witos::SimClock& clock = machine.kernel().clock();
+  ASSERT_LT(clock.now_ns(), expires_ns);
+  witbroker::BrokerClient client(
+      &machine.broker_channel(), machine.containit().FindSession(deployment->session)->shell);
+
+  clock.Advance(expires_ns - 1 - clock.now_ns());
+  clock.Pause();
+  EXPECT_TRUE(client.Request(witbroker::kVerbPs, {}).ok());
+  clock.Resume();
+  clock.Advance(1);
+  ASSERT_EQ(clock.now_ns(), expires_ns);
+  clock.Pause();
+  EXPECT_EQ(client.Request(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+  clock.Resume();
+  EXPECT_EQ(machine.kernel().audit().Snapshot().back().detail,
+            "DENY alice TKT-DEADLINE [T-1] ps");
+  ASSERT_TRUE(manager.Expire(&*deployment).ok());
   ExpectNoLeaks(&cluster, &machine);
 }
 

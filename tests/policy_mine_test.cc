@@ -300,7 +300,7 @@ TEST(ShadowModeTest, BrokerOutcomesUnchangedUnderShadow) {
     const witos::Pid shell = *kernel.Clone(1, "bash", 0);
     const witos::CgroupId cgroup = kernel.cgroups().Create("session-" + ticket, 0);
     EXPECT_TRUE(kernel.AssignCgroup(shell, cgroup).ok());
-    EXPECT_TRUE(broker.BindTicket(ticket, cls, "alice", cgroup).ok());
+    EXPECT_TRUE(broker.BindTicket(ticket, cls, "alice", cgroup, /*expires_ns=*/UINT64_MAX).ok());
     return shell;
   };
   const witos::Pid t5 = bound_shell("TKT-5", "T-5");

@@ -382,8 +382,16 @@ TEST(SecureLogTest, ConcurrentAppendersWithSealsAndVerifier) {
     threads.emplace_back([&, t] {
       for (uint64_t i = 0; i < kPerThread; i += 2) {
         std::vector<AuditRecord> pair(2);
-        pair[0].detail = "t" + std::to_string(t) + "-" + std::to_string(i);
-        pair[1].detail = "t" + std::to_string(t) + "-" + std::to_string(i + 1);
+        for (uint64_t k = 0; k < 2; ++k) {
+          // Built by appending to a fresh string and moved in: at -O3, GCC 12
+          // reads `"t" + std::string` and a literal's assignment as
+          // overlapping copies (-Wrestrict).
+          std::string detail(1, 't');
+          detail += std::to_string(t);
+          detail += '-';
+          detail += std::to_string(i + k);
+          pair[k].detail = std::move(detail);
+        }
         log.AppendBatch(std::move(pair), 100 + i);
       }
     });

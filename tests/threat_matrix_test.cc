@@ -479,6 +479,37 @@ TEST_F(ThreatMatrixTest, ExpiredCertificateLosesAccess) {
   EXPECT_EQ(session.ReadFile("/home/user/notes.txt").error(), witos::Err::kPerm);
 }
 
+// The broker holds each session to its certificate's deadline too: past
+// it, and before Expire unbinds the session, every process of the session
+// still asks as its ticket and is refused, and the session's report counts
+// each refusal.
+TEST_F(ThreatMatrixTest, BrokerRefusesSessionPastCertificateDeadline) {
+  Ticket ticket;
+  ticket.id = "TKT-SHORT";
+  ticket.target_machine = "userpc";
+  ticket.assigned_class = "T-1";
+  ticket.admin = "alice";
+  auto deployment = manager_->Deploy(ticket, /*lifetime_ns=*/1000);
+  ASSERT_TRUE(deployment.ok());
+  AdminSession session(machine_, deployment->session, deployment->certificate, &cluster_.ca());
+  ASSERT_TRUE(session.Login().ok());
+  const witos::Pid helper = *kernel().Clone(session.shell(), "helper", 0);
+  kernel().clock().Advance(2000);  // ticket time passes
+
+  EXPECT_EQ(session.Pb(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+  for (const witos::Pid caller : {session.shell(), helper}) {
+    EXPECT_EQ(ClientOf(caller).Request(witbroker::kVerbPs, {}).error(), witos::Err::kPerm);
+    const witos::AuditRecord record = LastRecord();
+    EXPECT_EQ(record.event, witos::AuditEvent::kBrokerDenied);
+    EXPECT_EQ(record.detail, "DENY alice TKT-SHORT [T-1] ps");
+    EXPECT_EQ(record.pid, caller);
+  }
+  auto report = ForensicReporter(machine_).Collect(deployment->session);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->broker_requests, 2u);
+  EXPECT_EQ(report->broker_denied, 2u);
+}
+
 // Broker rate limits are per class: one admin alternating requests between
 // tickets of two throttled classes with different windows gets each class's
 // budget, no more — the classes do not reset each other's counts.

@@ -238,10 +238,8 @@ class WitprofAcceptanceTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    for (int i = 0; i < 2; ++i) {
-      cluster_.AddMachine("m" + std::to_string(i),
-                          witnet::Ipv4Addr(10, 0, 3, static_cast<uint8_t>(50 + i)));
-    }
+    cluster_.AddMachine("m0", witnet::Ipv4Addr(10, 0, 3, 50));
+    cluster_.AddMachine("m1", witnet::Ipv4Addr(10, 0, 3, 51));
     const std::set<std::string> all_classes = {"T-1", "T-2", "T-3", "T-4",  "T-5", "T-6",
                                                "T-7", "T-8", "T-9", "T-10", "T-11"};
     dispatcher_.AddSpecialist("alice", all_classes);
@@ -275,7 +273,7 @@ TEST_F(WitprofAcceptanceTest, EveryServedTicketHasItsWholeTimeline) {
 
   pool.Start();
   for (size_t i = 0; i < tickets.size(); ++i) {
-    const std::string target = "m" + std::to_string(i % 2);
+    const std::string target = i % 2 == 0 ? "m0" : "m1";
     const std::string user =
         tickets[i].true_class == "T-9" ? pool.PeerInShard(target) : std::string();
     ASSERT_TRUE(pool.Submit(tickets[i], target, user).ok());
